@@ -41,7 +41,7 @@ use ma_vector::{Column, DataType, EncColumn, Encoding, Table};
 use crate::analyze;
 use crate::config::ExecConfig;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
-use crate::ops::{AggSpec, ProjItem};
+use crate::ops::{key_row_width, AggSpec, ProjItem};
 use crate::plan::lower::{agg_partition_count, join_partition_count, shardable_chain};
 use crate::plan::LogicalPlan;
 
@@ -399,7 +399,7 @@ fn pow2_cap(n: usize) -> u64 {
 
 /// Peak resident bytes proven for **one** [`crate::ops::HashAggregate`]
 /// instance over `input`: group-table slots (16 bytes each at ≤50%
-/// load), serialized key storage for the string-table path, one key
+/// load), stored key bytes for the byte-keyed table path, one key
 /// builder per group column, accumulators (16 bytes for `SumI64`'s
 /// 128-bit sums, 8 otherwise), plus one emitted output copy. All terms
 /// scale with the analyzer's group bound, which every partition may in
@@ -416,21 +416,20 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
     let table = if single_int {
         pow2_cap(g).saturating_mul(16)
     } else {
-        // Serialized key width: hex encodings (`serialize_key`) for the
-        // multi-column path, the raw string for the single-Str path.
+        // Stored key width: the raw string for the single-Str path, the
+        // operator's key row for the multi-column path.
         let ser: u64 = if keys.len() == 1 {
             // raw bytes; the +8 view is added below
             w_in[keys[0]].saturating_sub(8)
         } else {
-            keys.iter().zip(&key_types).fold(0u64, |a, (&k, ty)| {
-                a.saturating_add(match ty {
-                    DataType::I16 => 5,
-                    DataType::I32 => 9,
-                    DataType::I64 => 17,
-                    // 4-digit length prefix + bytes + separator
-                    DataType::Str => w_in[k].saturating_sub(8).saturating_add(5),
-                    DataType::F64 => 0, // rejected at runtime
-                })
+            keys.iter().zip(&key_types).fold(0u64, |a, (&k, &ty)| {
+                // An f64 key is rejected by `HashAggregate::new`.
+                let fixed = key_row_width(ty).map_or(0, u64::from);
+                let value = match ty {
+                    DataType::Str => w_in[k].saturating_sub(8),
+                    _ => 0,
+                };
+                a.saturating_add(fixed).saturating_add(value)
             })
         };
         pow2_cap(g)

@@ -14,7 +14,7 @@ use ma_primitives::{
     AggrSumF64, AggrSumF64Grouped, AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable,
     MapHash, MapHashStr, MapRehash, MapRehashStr, StrGroupInsertCheck, StrGroupTable,
 };
-use ma_vector::{ColumnBuilder, DataChunk, DataType, SelVec, StrVec, Vector};
+use ma_vector::{ColumnBuilder, DataChunk, DataType, SelVec, Vector};
 
 use crate::adaptive::HeurKind;
 use crate::ops::{normalize_keys_i64, BoxOp, Operator, RowStore};
@@ -238,14 +238,12 @@ enum KeyTable {
         table: GroupTable,
         insert: PrimInstance<GroupInsertCheck>,
     },
-    /// One string key column, or several columns serialized into a scratch
-    /// string key: `StrGroupTable` (the Fig. 4(e) path).
-    Str {
+    /// Anything else goes through the byte-keyed `StrGroupTable` (the
+    /// Fig. 4(e) path): one string key column passes its arena and views
+    /// straight through, several key columns pass their [`KeyRows`].
+    Bytes {
         table: StrGroupTable,
         insert: PrimInstance<StrGroupInsertCheck>,
-        /// `None`: use the single string key column directly.
-        /// `Some(_)`: serialize these columns per tuple.
-        serialize: Option<Vec<usize>>,
     },
 }
 
@@ -266,25 +264,125 @@ fn clamped_reserve(live: usize, groups: usize, hint: Option<usize>) -> usize {
     }
 }
 
-/// Serializes one tuple's group-key columns into a scratch string.
-/// Integers are fixed-width hex (order-irrelevant, collision-free);
-/// strings are length-prefixed to keep the encoding injective.
-fn serialize_key(chunk: &DataChunk, cols: &[usize], pos: usize, out: &mut String) {
-    use std::fmt::Write;
-    out.clear();
-    for &c in cols {
-        match chunk.column(c).as_ref() {
-            Vector::I16(v) => write!(out, "{:04x};", v[pos] as u16).unwrap(),
-            Vector::I32(v) => write!(out, "{:08x};", v[pos] as u32).unwrap(),
-            Vector::I64(v) => write!(out, "{:016x};", v[pos] as u64).unwrap(),
-            Vector::Str(v) => {
-                let s = v.get(pos);
-                write!(out, "{:04x}", s.len() as u16).unwrap();
-                out.push_str(s);
-                out.push(';');
-            }
-            Vector::F64(_) => panic!("f64 group keys unsupported"),
+/// Calls `f` with every live position of a chunk of `n` tuples.
+#[inline]
+fn for_each_live(sel: Option<&[u32]>, n: usize, mut f: impl FnMut(usize)) {
+    match sel {
+        Some(s) => s.iter().for_each(|&i| f(i as usize)),
+        None => (0..n).for_each(f),
+    }
+}
+
+/// Bytes a key column of type `ty` adds to every key row, not counting a
+/// string's own bytes; `None` for a type that cannot be a group key. The
+/// cost pass sizes the stored keys from the same table.
+pub(crate) fn key_row_width(ty: DataType) -> Option<u32> {
+    match ty {
+        DataType::I16 => Some(2),
+        DataType::I32 => Some(4),
+        DataType::I64 => Some(8),
+        // the `u32` length prefix
+        DataType::Str => Some(4),
+        DataType::F64 => None,
+    }
+}
+
+/// The composite group keys of one chunk as byte rows, built a column at a
+/// time: per live tuple the little-endian bytes of each integer key column
+/// and a `u32` length + the bytes of each string key column. The column
+/// types are fixed per operator, which makes the encoding injective. Both
+/// buffers are operator scratch, reused across chunks.
+#[derive(Default)]
+struct KeyRows {
+    /// Bytes of a row before its strings: the integer keys plus one `u32`
+    /// length per string key.
+    fixed: u32,
+    arena: Vec<u8>,
+    /// Per chunk position; meaningful at live positions only.
+    views: Vec<(u32, u32)>,
+}
+
+impl KeyRows {
+    /// Scratch for keys of these column types, in key order.
+    fn for_types(types: impl Iterator<Item = DataType>) -> Result<Self, ExecError> {
+        let mut fixed = 0;
+        for ty in types {
+            fixed += key_row_width(ty).ok_or_else(|| {
+                ExecError::Plan(format!(
+                    "{ty} group keys are unsupported: group by integers or strings"
+                ))
+            })?;
         }
+        Ok(KeyRows {
+            fixed,
+            ..KeyRows::default()
+        })
+    }
+
+    fn fill(
+        &mut self,
+        chunk: &DataChunk,
+        cols: &[usize],
+        sel: Option<&[u32]>,
+    ) -> Result<(), ExecError> {
+        let n = chunk.len();
+        let KeyRows {
+            fixed,
+            arena,
+            views,
+        } = self;
+
+        // Row sizes, held in each view's length field: the fixed part plus
+        // every string key's length.
+        views.clear();
+        views.resize(n, (0, *fixed));
+        let mut overflow = false;
+        for &c in cols {
+            if let Vector::Str(sv) = chunk.column(c).as_ref() {
+                let lens = sv.views();
+                for_each_live(sel, n, |i| {
+                    let (size, o) = views[i].1.overflowing_add(lens[i].1);
+                    views[i].1 = size;
+                    overflow |= o;
+                });
+            }
+        }
+        // Offsets in live order. The length field restarts at zero and is
+        // each row's write cursor below, ending at the row size again.
+        let mut end = 0u32;
+        for_each_live(sel, n, |i| {
+            let size = views[i].1;
+            views[i] = (end, 0);
+            let (e, o) = end.overflowing_add(size);
+            end = e;
+            overflow |= o;
+        });
+        if overflow {
+            return Err(ExecError::Plan(
+                "the group keys of one vector exceed 4 GiB".into(),
+            ));
+        }
+        arena.clear();
+        arena.resize(end as usize, 0);
+
+        let mut put = |i: usize, bytes: &[u8]| {
+            let (off, len) = &mut views[i];
+            arena[*off as usize + *len as usize..][..bytes.len()].copy_from_slice(bytes);
+            *len += bytes.len() as u32;
+        };
+        for &c in cols {
+            match chunk.column(c).as_ref() {
+                Vector::I16(v) => for_each_live(sel, n, |i| put(i, &v[i].to_le_bytes())),
+                Vector::I32(v) => for_each_live(sel, n, |i| put(i, &v[i].to_le_bytes())),
+                Vector::I64(v) => for_each_live(sel, n, |i| put(i, &v[i].to_le_bytes())),
+                Vector::Str(v) => for_each_live(sel, n, |i| {
+                    put(i, &v.views()[i].1.to_le_bytes());
+                    put(i, v.get_bytes(i));
+                }),
+                Vector::F64(_) => unreachable!("HashAggregate::new rejects f64 group keys"),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -310,12 +408,14 @@ pub struct HashAggregate {
     hashes: Vec<u64>,
     gids: Vec<u32>,
     keyscratch: Vec<i64>,
+    keys_u64: Vec<u64>,
+    key_rows: KeyRows,
 }
 
 impl HashAggregate {
     /// Builds the operator. `group_cols` must be non-empty (use
     /// [`StreamAggregate`] otherwise); integer and string key columns are
-    /// supported.
+    /// supported, an `F64` one is a plan error.
     pub fn new(
         child: BoxOp,
         group_cols: Vec<usize>,
@@ -334,6 +434,7 @@ impl HashAggregate {
                 return Err(ExecError::Plan(format!("group column {c} out of range")));
             }
         }
+        let key_rows = KeyRows::for_types(group_cols.iter().map(|&c| in_types[c]))?;
 
         // Hash pipeline over the key columns.
         let mut hash_steps = Vec::with_capacity(group_cols.len());
@@ -387,19 +488,13 @@ impl HashAggregate {
                 )?,
             }
         } else {
-            let serialize = if group_cols.len() == 1 {
-                None
-            } else {
-                Some(group_cols.clone())
-            };
-            KeyTable::Str {
+            KeyTable::Bytes {
                 table: StrGroupTable::new(),
                 insert: ctx.instance(
                     "hash_insertcheck_str_col",
                     format!("{label}/insertcheck_str"),
                     HeurKind::None,
                 )?,
-                serialize,
             }
         };
 
@@ -431,6 +526,8 @@ impl HashAggregate {
             hashes: Vec::new(),
             gids: Vec::new(),
             keyscratch: Vec::new(),
+            keys_u64: Vec::new(),
+            key_rows,
         })
     }
 
@@ -461,7 +558,7 @@ impl HashAggregate {
     fn resident_bytes(&self) -> u64 {
         let table = match &self.key_table {
             KeyTable::Int { table, .. } => table.bytes(),
-            KeyTable::Str { table, .. } => table.bytes(),
+            KeyTable::Bytes { table, .. } => table.bytes(),
         };
         let builders = self
             .key_builders
@@ -476,8 +573,7 @@ impl HashAggregate {
 
     fn consume_chunk(&mut self, chunk: &DataChunk) -> Result<(), ExecError> {
         let n = chunk.len();
-        let sel_owned = chunk.sel().cloned();
-        let sel = sel_owned.as_ref().map(SelVec::as_slice);
+        let sel = chunk.sel().map(SelVec::as_slice);
         let live = chunk.live_count() as u64;
         if live == 0 {
             return Ok(());
@@ -512,63 +608,44 @@ impl HashAggregate {
         }
 
         // 2. insertcheck (group-id assignment)
-        let prev_groups;
-        let groups_now;
-        match &mut self.key_table {
+        let (prev_groups, groups_now) = match &mut self.key_table {
             KeyTable::Int { table, insert } => {
-                prev_groups = table.groups();
-                normalize_keys_i64(chunk.column(self.group_cols[0]), &mut self.keyscratch);
-                let keys_u64: Vec<u64> = self.keyscratch.iter().map(|&k| k as u64).collect();
+                let prev = table.groups();
+                // The one hash step above left this column's normalized
+                // values in `keyscratch`.
+                self.keys_u64.clear();
+                self.keys_u64
+                    .extend(self.keyscratch.iter().map(|&k| k as u64));
+                let keys = &self.keys_u64;
                 table.reserve(clamped_reserve(
                     live as usize,
-                    table.groups() as usize,
+                    prev as usize,
                     self.group_hint,
                 ));
-                groups_now = insert.invoke(live, |f| f(table, hashes, &keys_u64, gids, sel));
+                let now = insert.invoke(live, |f| f(table, hashes, keys, gids, sel));
+                (prev, now)
             }
-            KeyTable::Str {
-                table,
-                insert,
-                serialize,
-            } => {
-                prev_groups = table.groups();
+            KeyTable::Bytes { table, insert } => {
+                let prev = table.groups();
                 table.reserve(clamped_reserve(
                     live as usize,
-                    table.groups() as usize,
+                    prev as usize,
                     self.group_hint,
                 ));
-                match serialize {
-                    None => {
-                        let keys = chunk.column(self.group_cols[0]).as_str_vec();
-                        groups_now = insert.invoke(live, |f| f(table, hashes, keys, gids, sel));
+                let (arena, views): (&[u8], &[(u32, u32)]) = match self.group_cols[..] {
+                    [c] => {
+                        let keys = chunk.column(c).as_str_vec();
+                        (keys.arena(), keys.views())
                     }
-                    Some(cols) => {
-                        // Serialize live tuples' keys into a scratch StrVec.
-                        // The hash pipeline above already hashed the raw
-                        // columns; the serialized key is only the equality
-                        // witness, so re-hash it for table consistency.
-                        let mut strings = vec![String::new(); n];
-                        let mut buf = String::new();
-                        match sel {
-                            Some(s) => {
-                                for &i in s {
-                                    serialize_key(chunk, cols, i as usize, &mut buf);
-                                    strings[i as usize] = buf.clone();
-                                }
-                            }
-                            None => {
-                                for (i, slot) in strings.iter_mut().enumerate() {
-                                    serialize_key(chunk, cols, i, &mut buf);
-                                    *slot = buf.clone();
-                                }
-                            }
-                        }
-                        let keys = StrVec::from_strings(&strings);
-                        groups_now = insert.invoke(live, |f| f(table, hashes, &keys, gids, sel));
+                    _ => {
+                        self.key_rows.fill(chunk, &self.group_cols, sel)?;
+                        (&self.key_rows.arena, &self.key_rows.views)
                     }
-                }
+                };
+                let now = insert.invoke(live, |f| f(table, hashes, arena, views, gids, sel));
+                (prev, now)
             }
-        }
+        };
 
         // The clamped reservation above leans on the proven bound; verify
         // it held rather than trusting the analyzer blindly. (The ≤50%
@@ -586,8 +663,7 @@ impl HashAggregate {
         // (insertcheck assigns fresh gids densely, in position order).
         if groups_now > prev_groups {
             let mut next = prev_groups;
-            let positions = chunk.live_positions();
-            for p in positions {
+            for_each_live(sel, n, |p| {
                 if gids[p] == next {
                     for (b, &c) in self.key_builders.iter_mut().zip(&self.group_cols) {
                         match chunk.column(c).as_ref() {
@@ -599,11 +675,8 @@ impl HashAggregate {
                         }
                     }
                     next += 1;
-                    if next == groups_now {
-                        break;
-                    }
                 }
-            }
+            });
             debug_assert_eq!(next, groups_now, "dense gid assignment violated");
         }
 
@@ -622,7 +695,7 @@ impl HashAggregate {
     fn finalize(&mut self) -> Vec<DataChunk> {
         let groups = match &self.key_table {
             KeyTable::Int { table, .. } => table.groups() as usize,
-            KeyTable::Str { table, .. } => table.groups() as usize,
+            KeyTable::Bytes { table, .. } => table.groups() as usize,
         };
         // Ensure accumulators cover groups even if zero chunks arrived.
         for acc in &mut self.accs {
@@ -649,7 +722,7 @@ impl HashAggregate {
             // term).
             let table = match &self.key_table {
                 KeyTable::Int { table, .. } => table.bytes(),
-                KeyTable::Str { table, .. } => table.bytes(),
+                KeyTable::Bytes { table, .. } => table.bytes(),
             };
             t.record(table.saturating_add(store.bytes()));
         }
@@ -869,7 +942,7 @@ mod tests {
     use crate::expr::{CmpKind, Pred, Value};
     use crate::ops::{collect, total_rows, Scan, Select};
     use ma_primitives::build_dictionary;
-    use ma_vector::Table;
+    use ma_vector::{StrVec, Table};
 
     fn ctx() -> QueryContext {
         QueryContext::new(Arc::new(build_dictionary()), ExecConfig::fixed_default())
@@ -963,6 +1036,69 @@ mod tests {
                 assert_eq!((max - min) % 21, 0);
             }
         }
+    }
+
+    fn key_rows(chunk: &DataChunk, sel: Option<&[u32]>) -> KeyRows {
+        let cols: Vec<usize> = (0..chunk.columns().len()).collect();
+        let mut rows = KeyRows::for_types(chunk.columns().iter().map(|c| c.data_type())).unwrap();
+        rows.fill(chunk, &cols, sel).unwrap();
+        rows
+    }
+
+    fn row(rows: &KeyRows, i: usize) -> &[u8] {
+        let (off, len) = rows.views[i];
+        &rows.arena[off as usize..][..len as usize]
+    }
+
+    #[test]
+    fn key_rows_layout_and_selection() {
+        let chunk = DataChunk::new(vec![
+            Arc::new(Vector::I16(vec![-2, 7, 7])),
+            Arc::new(Vector::Str(StrVec::from_strings(&["ab", "", "a\0"]))),
+            Arc::new(Vector::I64(vec![1, -1, 1 << 40])),
+        ]);
+        let rows = key_rows(&chunk, None);
+        assert_eq!(
+            row(&rows, 0),
+            [&[0xfe, 0xff][..], &[2, 0, 0, 0], b"ab", &1i64.to_le_bytes()].concat()
+        );
+        assert_eq!(
+            row(&rows, 1),
+            [&[7, 0][..], &[0, 0, 0, 0], &(-1i64).to_le_bytes()].concat()
+        );
+        assert_eq!(rows.arena.len(), 16 + 14 + 16);
+
+        // Only live rows are written, packed in selection order; the
+        // scratch is reused.
+        let mut rows = rows;
+        rows.fill(&chunk, &[0, 1, 2], Some(&[2])).unwrap();
+        assert_eq!(rows.views[2], (0, 16));
+        assert_eq!(rows.arena.len(), 16);
+        assert_eq!(&row(&rows, 2)[..8], [7, 0, 2, 0, 0, 0, b'a', 0]);
+    }
+
+    /// The hex encoding this replaces wrote a string's length as
+    /// `len as u16`, so these two rows serialized to the same bytes
+    /// (`"0001a;0000xxx…x;0000;"`) and only their hashes kept them apart.
+    #[test]
+    fn key_rows_stay_injective_past_64k_strings() {
+        let filler = "x".repeat(65_531);
+        let s1 = format!("a;0000{filler}");
+        let t2 = format!("{filler};0000");
+        assert_eq!((s1.len(), t2.len()), (65_537, 65_536));
+        let chunk = DataChunk::new(vec![
+            Arc::new(Vector::Str(StrVec::from_strings(&[s1.as_str(), "a"]))),
+            Arc::new(Vector::Str(StrVec::from_strings(&["", t2.as_str()]))),
+        ]);
+        let rows = key_rows(&chunk, None);
+        assert_ne!(row(&rows, 0), row(&rows, 1));
+        // ("", "ab") and ("a", "b") differ in the first length already.
+        let chunk = DataChunk::new(vec![
+            Arc::new(Vector::Str(StrVec::from_strings(&["", "a"]))),
+            Arc::new(Vector::Str(StrVec::from_strings(&["ab", "b"]))),
+        ]);
+        let rows = key_rows(&chunk, None);
+        assert_ne!(row(&rows, 0), row(&rows, 1));
     }
 
     #[test]

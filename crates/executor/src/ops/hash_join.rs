@@ -200,6 +200,8 @@ pub struct HashJoin {
     // scratch
     hashes: Vec<u64>,
     probe_keys: Vec<Vec<i64>>,
+    /// Candidate probe positions of the chunk in flight.
+    bloom_buf: Vec<u32>,
 }
 
 impl HashJoin {
@@ -343,6 +345,7 @@ impl HashJoin {
             pending: None,
             hashes: Vec::new(),
             probe_keys: vec![Vec::new(); nkeys],
+            bloom_buf: Vec::new(),
         })
     }
 
@@ -409,8 +412,7 @@ impl HashJoin {
     /// filtered out.
     fn probe_chunk(&mut self, chunk: DataChunk) -> Option<DataChunk> {
         let n = chunk.len();
-        let sel_owned = chunk.sel().cloned();
-        let sel = sel_owned.as_ref().map(SelVec::as_slice);
+        let sel = chunk.sel().map(SelVec::as_slice);
         let live = chunk.live_count() as u64;
 
         // Normalize probe keys.
@@ -438,22 +440,19 @@ impl HashJoin {
         let built = self.built.as_ref().expect("built");
 
         // Bloom pre-filter (candidates that *may* match).
-        let mut bloom_buf: Vec<u32>;
-        let candidates: &[u32] = match (&mut self.bloom_inst, &built.bloom) {
-            (Some(inst), Some(bf)) => {
-                let cap = live as usize;
-                bloom_buf = vec![0u32; cap];
+        let bloom_buf = &mut self.bloom_buf;
+        let candidates: &[u32] = match (&mut self.bloom_inst, &built.bloom, sel) {
+            (Some(inst), Some(bf), _) => {
+                bloom_buf.resize(live as usize, 0);
                 inst.hint(bf.bytes() as f64);
-                let k = inst.invoke(live, |f| f(&mut bloom_buf, bf, hashes, sel));
-                bloom_buf.truncate(k);
-                &bloom_buf
+                let k = inst.invoke(live, |f| f(bloom_buf, bf, hashes, sel));
+                &bloom_buf[..k]
             }
-            _ => {
-                bloom_buf = match sel {
-                    Some(s) => s.to_vec(),
-                    None => (0..n as u32).collect(),
-                };
-                &bloom_buf
+            (_, _, Some(s)) => s,
+            (_, _, None) => {
+                bloom_buf.clear();
+                bloom_buf.extend(0..n as u32);
+                bloom_buf
             }
         };
 
@@ -526,7 +525,7 @@ impl HashJoin {
                     cols.push(Arc::new(col));
                 }
                 let mut out = DataChunk::new(cols);
-                out.set_sel(sel_owned);
+                out.set_sel(chunk.sel().cloned());
                 Some(out)
             }
         }

@@ -11,6 +11,7 @@ mod select;
 mod sort;
 pub(crate) mod xrt;
 
+pub(crate) use aggregate::key_row_width;
 pub use aggregate::{AggSpec, HashAggregate, StreamAggregate};
 pub use exchange::{
     ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel, RoutedLane,

@@ -7,12 +7,11 @@
 //! whose cost visibly grows with the table (cache/TLB misses).
 //!
 //! Two tables: [`GroupTable`] for integer (packed) keys and
-//! [`StrGroupTable`] for string keys. Both are open-addressing with linear
+//! [`StrGroupTable`] for byte keys (one string column, or a composite key
+//! row the operator serialized). Both are open-addressing with linear
 //! probing; the *caller* must [`GroupTable::reserve`] capacity for a vector's
 //! worth of inserts before calling the primitive, so the primitive itself
 //! never rehashes (keeps its cost measurable and its loop tight).
-
-use ma_vector::StrVec;
 
 const EMPTY: u32 = u32::MAX;
 
@@ -197,11 +196,13 @@ pub fn hash_insertcheck_u64_clang(
 }
 
 // ---------------------------------------------------------------------------
-// string keys
+// byte keys (strings and composite key rows)
 // ---------------------------------------------------------------------------
 
-/// Open-addressing table assigning dense group ids to string keys, owning
-/// copies of the key strings.
+/// Open-addressing table assigning dense group ids to byte-string keys,
+/// owning copies of the keys. A key is whatever bytes the caller hands in:
+/// a string column's element, or a composite key row serialized by the
+/// aggregation operator.
 #[derive(Debug, Clone)]
 pub struct StrGroupTable {
     /// (hash, sid, gid); gid == EMPTY marks free.
@@ -216,6 +217,12 @@ impl Default for StrGroupTable {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The bytes a `(offset, len)` view denotes in `arena`.
+#[inline]
+fn view_bytes(arena: &[u8], (off, len): (u32, u32)) -> &[u8] {
+    &arena[off as usize..][..len as usize]
 }
 
 impl StrGroupTable {
@@ -244,10 +251,8 @@ impl StrGroupTable {
     }
 
     /// The group key for `gid` (valid for all assigned gids).
-    pub fn key(&self, gid: u32) -> &str {
-        let (off, len) = self.key_views[gid as usize];
-        std::str::from_utf8(&self.key_bytes[off as usize..(off + len) as usize])
-            .expect("group keys are valid UTF-8")
+    pub fn key(&self, gid: u32) -> &[u8] {
+        view_bytes(&self.key_bytes, self.key_views[gid as usize])
     }
 
     /// Ensures room for `additional` new groups under 50% load.
@@ -270,20 +275,15 @@ impl StrGroupTable {
         }
     }
 
-    fn key_at(&self, sid: u32) -> &[u8] {
-        let (off, len) = self.key_views[sid as usize];
-        &self.key_bytes[off as usize..(off + len) as usize]
-    }
-
-    /// Finds or inserts one string key.
+    /// Finds or inserts one key.
     #[inline]
-    pub fn find_or_insert(&mut self, hash: u64, key: &str) -> u32 {
+    pub fn find_or_insert(&mut self, hash: u64, key: &[u8]) -> u32 {
         let mut pos = hash as usize & self.mask;
         loop {
             let (h, sid, gid) = self.slots[pos];
             if gid == EMPTY {
                 let off = self.key_bytes.len() as u32;
-                self.key_bytes.extend_from_slice(key.as_bytes());
+                self.key_bytes.extend_from_slice(key);
                 let sid = self.key_views.len() as u32;
                 self.key_views.push((off, key.len() as u32));
                 let new_gid = self.groups;
@@ -291,7 +291,7 @@ impl StrGroupTable {
                 self.groups += 1;
                 return new_gid;
             }
-            if h == hash && self.key_at(sid) == key.as_bytes() {
+            if h == hash && self.key(sid) == key {
                 return gid;
             }
             pos = (pos + 1) & self.mask;
@@ -299,11 +299,15 @@ impl StrGroupTable {
     }
 }
 
-/// `hash_insertcheck_str_col` (Fig. 4e).
+/// `hash_insertcheck_str_col` (Fig. 4e): per live position `i`, find-or-
+/// insert the key `views[i]` denotes in `arena` and write its group id. A
+/// string key column passes its own arena and views; composite keys pass
+/// the operator's serialized key rows.
 pub type StrGroupInsertCheck = fn(
     table: &mut StrGroupTable,
     hashes: &[u64],
-    keys: &StrVec,
+    arena: &[u8],
+    views: &[(u32, u32)],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32;
@@ -312,7 +316,8 @@ pub type StrGroupInsertCheck = fn(
 pub fn hash_insertcheck_str_gcc(
     table: &mut StrGroupTable,
     hashes: &[u64],
-    keys: &StrVec,
+    arena: &[u8],
+    views: &[(u32, u32)],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
@@ -320,12 +325,12 @@ pub fn hash_insertcheck_str_gcc(
         Some(s) => {
             for &i in s {
                 let i = i as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
+                gids[i] = table.find_or_insert(hashes[i], view_bytes(arena, views[i]));
             }
         }
         None => {
-            for i in 0..keys.len() {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
+            for i in 0..views.len() {
+                gids[i] = table.find_or_insert(hashes[i], view_bytes(arena, views[i]));
             }
         }
     }
@@ -336,34 +341,34 @@ pub fn hash_insertcheck_str_gcc(
 pub fn hash_insertcheck_str_icc(
     table: &mut StrGroupTable,
     hashes: &[u64],
-    keys: &StrVec,
+    arena: &[u8],
+    views: &[(u32, u32)],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
+    let mut one = |i: usize| gids[i] = table.find_or_insert(hashes[i], view_bytes(arena, views[i]));
     match sel {
         Some(s) => {
             let mut j = 0;
             while j + 2 <= s.len() {
-                let (i0, i1) = (s[j] as usize, s[j + 1] as usize);
-                gids[i0] = table.find_or_insert(hashes[i0], keys.get(i0));
-                gids[i1] = table.find_or_insert(hashes[i1], keys.get(i1));
+                one(s[j] as usize);
+                one(s[j + 1] as usize);
                 j += 2;
             }
             if j < s.len() {
-                let i = s[j] as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
+                one(s[j] as usize);
             }
         }
         None => {
-            let n = keys.len();
+            let n = views.len();
             let mut i = 0;
             while i + 2 <= n {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
-                gids[i + 1] = table.find_or_insert(hashes[i + 1], keys.get(i + 1));
+                one(i);
+                one(i + 1);
                 i += 2;
             }
             if i < n {
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
+                one(i);
             }
         }
     }
@@ -374,7 +379,8 @@ pub fn hash_insertcheck_str_icc(
 pub fn hash_insertcheck_str_clang(
     table: &mut StrGroupTable,
     hashes: &[u64],
-    keys: &StrVec,
+    arena: &[u8],
+    views: &[(u32, u32)],
     gids: &mut [u32],
     sel: Option<&[u32]>,
 ) -> u32 {
@@ -382,12 +388,12 @@ pub fn hash_insertcheck_str_clang(
         Some(s) => {
             for &i in s {
                 let i = i as usize;
-                gids[i] = table.find_or_insert(hashes[i], keys.get(i));
+                gids[i] = table.find_or_insert(hashes[i], view_bytes(arena, views[i]));
             }
         }
         None => {
-            for (i, g) in gids.iter_mut().enumerate().take(keys.len()) {
-                *g = table.find_or_insert(hashes[i], keys.get(i));
+            for ((g, &h), &v) in gids.iter_mut().zip(hashes).zip(views) {
+                *g = table.find_or_insert(h, view_bytes(arena, v));
             }
         }
     }
@@ -458,64 +464,113 @@ mod tests {
         }
     }
 
+    /// Packs `keys` back to back: the `(arena, views)` pair the byte-keyed
+    /// insertcheck reads.
+    fn pack(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<(u32, u32)>) {
+        let mut arena = Vec::new();
+        let views = keys
+            .iter()
+            .map(|k| {
+                let off = arena.len() as u32;
+                arena.extend_from_slice(k);
+                (off, k.len() as u32)
+            })
+            .collect();
+        (arena, views)
+    }
+
     #[test]
-    fn str_table_roundtrips_keys() {
+    fn byte_table_roundtrips_keys() {
         let mut t = StrGroupTable::new();
         t.reserve(8);
-        let g1 = t.find_or_insert(hash_bytes(b"Brand#12"), "Brand#12");
-        let g2 = t.find_or_insert(hash_bytes(b"Brand#34"), "Brand#34");
-        let g1b = t.find_or_insert(hash_bytes(b"Brand#12"), "Brand#12");
-        assert_eq!(g1, g1b);
-        assert_ne!(g1, g2);
-        assert_eq!(t.key(g1), "Brand#12");
-        assert_eq!(t.key(g2), "Brand#34");
+        // Not UTF-8, embedded NUL, and the empty key are all just bytes.
+        let keys: [&[u8]; 4] = [b"Brand#12", b"\xff\x00\xfe", b"", b"\x00"];
+        let gids: Vec<u32> = keys
+            .iter()
+            .map(|k| t.find_or_insert(hash_bytes(k), k))
+            .collect();
+        assert_eq!(gids, vec![0, 1, 2, 3]);
+        for (k, &g) in keys.iter().zip(&gids) {
+            assert_eq!(t.find_or_insert(hash_bytes(k), k), g);
+            assert_eq!(t.key(g), *k);
+        }
+        assert_eq!(t.groups(), 4);
     }
 
     #[test]
-    fn str_insertcheck_flavors_agree() {
-        let strs: Vec<String> = (0..256).map(|i| format!("key{}", i % 19)).collect();
-        let keys = StrVec::from_strings(&strs);
-        let hashes: Vec<u64> = strs.iter().map(|s| hash_bytes(s.as_bytes())).collect();
-        let mut expected = vec![0u32; 256];
-        let mut t_ref = StrGroupTable::new();
-        t_ref.reserve(256);
-        hash_insertcheck_str_gcc(&mut t_ref, &hashes, &keys, &mut expected, None);
-        for (name, f) in [
-            ("icc", hash_insertcheck_str_icc as StrGroupInsertCheck),
-            ("clang", hash_insertcheck_str_clang),
-        ] {
-            let mut t = StrGroupTable::new();
-            t.reserve(256);
-            let mut gids = vec![0u32; 256];
-            let g = f(&mut t, &hashes, &keys, &mut gids, None);
-            assert_eq!(gids, expected, "{name}");
-            assert_eq!(g, 19, "{name}");
+    fn byte_insertcheck_flavors_agree() {
+        // 19 distinct keys of mixed length, including a prefix pair.
+        let keys: Vec<Vec<u8>> = (0..256u32)
+            .map(|i| {
+                let k = i % 19;
+                let mut v = k.to_le_bytes().to_vec();
+                v.extend(std::iter::repeat_n(b'x', (k % 4) as usize));
+                v
+            })
+            .collect();
+        let (arena, views) = pack(&keys);
+        let hashes: Vec<u64> = keys.iter().map(|k| hash_bytes(k)).collect();
+        let sparse: Vec<u32> = (0..256u32).filter(|i| i % 3 != 1).collect();
+        for sv in [None, Some(sparse.as_slice()), Some(&[][..])] {
+            let mut expected = vec![u32::MAX; 256];
+            let mut t_ref = StrGroupTable::new();
+            t_ref.reserve(256);
+            let g_ref =
+                hash_insertcheck_str_gcc(&mut t_ref, &hashes, &arena, &views, &mut expected, sv);
+            assert_eq!(g_ref, if sv == Some(&[][..]) { 0 } else { 19 });
+            for (name, f) in [
+                ("icc", hash_insertcheck_str_icc as StrGroupInsertCheck),
+                ("clang", hash_insertcheck_str_clang),
+            ] {
+                let mut t = StrGroupTable::new();
+                t.reserve(256);
+                let mut gids = vec![u32::MAX; 256];
+                let g = f(&mut t, &hashes, &arena, &views, &mut gids, sv);
+                assert_eq!(g, g_ref, "{name}: group count");
+                // Dead positions stay untouched in every flavor.
+                assert_eq!(gids, expected, "{name}");
+            }
         }
     }
 
     #[test]
-    fn str_table_survives_growth() {
+    fn byte_table_survives_growth() {
         let mut t = StrGroupTable::new();
-        for i in 0..5000 {
+        for i in 0..5000u32 {
             t.reserve(1);
             let k = format!("group-{i}");
-            let gid = t.find_or_insert(hash_bytes(k.as_bytes()), &k);
-            assert_eq!(gid, i as u32);
+            let gid = t.find_or_insert(hash_bytes(k.as_bytes()), k.as_bytes());
+            assert_eq!(gid, i);
         }
         assert_eq!(t.groups(), 5000);
-        assert_eq!(t.key(4321), "group-4321");
+        assert_eq!(t.key(4321), b"group-4321");
+        // Lookups after growth return the original gids.
+        for i in (0..5000u32).step_by(97) {
+            let k = format!("group-{i}");
+            assert_eq!(t.find_or_insert(hash_bytes(k.as_bytes()), k.as_bytes()), i);
+        }
     }
 
     #[test]
     fn colliding_hashes_still_distinguish_keys() {
-        // Force identical hashes: both probe the same chain but must get
-        // distinct gids because the byte comparison differs.
-        let mut t = StrGroupTable::new();
-        t.reserve(4);
-        let g1 = t.find_or_insert(42, "aaa");
-        let g2 = t.find_or_insert(42, "bbb");
-        let g1b = t.find_or_insert(42, "aaa");
-        assert_ne!(g1, g2);
-        assert_eq!(g1, g1b);
+        // Force identical hashes through a whole vector: every key probes
+        // the same chain and must still get its own gid from the byte
+        // comparison, in all three flavors.
+        let keys: Vec<Vec<u8>> = (0..64u32).map(|i| (i % 8).to_le_bytes().to_vec()).collect();
+        let (arena, views) = pack(&keys);
+        let hashes = vec![42u64; 64];
+        for f in [
+            hash_insertcheck_str_gcc as StrGroupInsertCheck,
+            hash_insertcheck_str_icc,
+            hash_insertcheck_str_clang,
+        ] {
+            let mut t = StrGroupTable::new();
+            t.reserve(64);
+            let mut gids = vec![0u32; 64];
+            assert_eq!(f(&mut t, &hashes, &arena, &views, &mut gids, None), 8);
+            for (i, &g) in gids.iter().enumerate() {
+                assert_eq!(g, (i % 8) as u32);
+            }
+        }
     }
 }

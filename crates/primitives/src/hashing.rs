@@ -169,12 +169,12 @@ pub fn map_hash_str_gcc(res: &mut [u64], col: &StrVec, sel: Option<&[u32]>) {
     match sel {
         Some(s) => {
             for &i in s {
-                res[i as usize] = hash_bytes(col.get(i as usize).as_bytes());
+                res[i as usize] = hash_bytes(col.get_bytes(i as usize));
             }
         }
         None => {
             for i in 0..col.len() {
-                res[i] = hash_bytes(col.get(i).as_bytes());
+                res[i] = hash_bytes(col.get_bytes(i));
             }
         }
     }
@@ -186,12 +186,12 @@ pub fn map_hash_str_clang(res: &mut [u64], col: &StrVec, sel: Option<&[u32]>) {
     match sel {
         Some(s) => {
             for &i in s {
-                res[i as usize] = hash_bytes(col.get(i as usize).as_bytes());
+                res[i as usize] = hash_bytes(col.get_bytes(i as usize));
             }
         }
         None => {
             for (i, r) in res.iter_mut().enumerate().take(col.len()) {
-                *r = hash_bytes(col.get(i).as_bytes());
+                *r = hash_bytes(col.get_bytes(i));
             }
         }
     }
@@ -204,12 +204,12 @@ pub fn map_rehash_str_gcc(res: &mut [u64], col: &StrVec, sel: Option<&[u32]>) {
         Some(s) => {
             for &i in s {
                 let i = i as usize;
-                res[i] = combine_hash(res[i], hash_bytes(col.get(i).as_bytes()));
+                res[i] = combine_hash(res[i], hash_bytes(col.get_bytes(i)));
             }
         }
         None => {
             for i in 0..col.len() {
-                res[i] = combine_hash(res[i], hash_bytes(col.get(i).as_bytes()));
+                res[i] = combine_hash(res[i], hash_bytes(col.get_bytes(i)));
             }
         }
     }

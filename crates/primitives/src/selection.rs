@@ -347,11 +347,12 @@ pub fn sel_str_eq_branching(
     val: &str,
     sel: Option<&[u32]>,
 ) -> usize {
+    let val = val.as_bytes();
     let mut k = 0;
     match sel {
         Some(s) => {
             for &i in s {
-                if col.get(i as usize) == val {
+                if col.get_bytes(i as usize) == val {
                     res[k] = i;
                     k += 1;
                 }
@@ -359,7 +360,7 @@ pub fn sel_str_eq_branching(
         }
         None => {
             for i in 0..col.len() {
-                if col.get(i) == val {
+                if col.get_bytes(i) == val {
                     res[k] = i as u32;
                     k += 1;
                 }
@@ -376,18 +377,19 @@ pub fn sel_str_eq_no_branching(
     val: &str,
     sel: Option<&[u32]>,
 ) -> usize {
+    let val = val.as_bytes();
     let mut k = 0;
     match sel {
         Some(s) => {
             for &i in s {
                 res[k] = i;
-                k += (col.get(i as usize) == val) as usize;
+                k += (col.get_bytes(i as usize) == val) as usize;
             }
         }
         None => {
             for i in 0..col.len() {
                 res[k] = i as u32;
-                k += (col.get(i) == val) as usize;
+                k += (col.get_bytes(i) == val) as usize;
             }
         }
     }
@@ -401,11 +403,12 @@ pub fn sel_str_ne_branching(
     val: &str,
     sel: Option<&[u32]>,
 ) -> usize {
+    let val = val.as_bytes();
     let mut k = 0;
     match sel {
         Some(s) => {
             for &i in s {
-                if col.get(i as usize) != val {
+                if col.get_bytes(i as usize) != val {
                     res[k] = i;
                     k += 1;
                 }
@@ -413,7 +416,7 @@ pub fn sel_str_ne_branching(
         }
         None => {
             for i in 0..col.len() {
-                if col.get(i) != val {
+                if col.get_bytes(i) != val {
                     res[k] = i as u32;
                     k += 1;
                 }
@@ -430,18 +433,19 @@ pub fn sel_str_ne_no_branching(
     val: &str,
     sel: Option<&[u32]>,
 ) -> usize {
+    let val = val.as_bytes();
     let mut k = 0;
     match sel {
         Some(s) => {
             for &i in s {
                 res[k] = i;
-                k += (col.get(i as usize) != val) as usize;
+                k += (col.get_bytes(i as usize) != val) as usize;
             }
         }
         None => {
             for i in 0..col.len() {
                 res[k] = i as u32;
-                k += (col.get(i) != val) as usize;
+                k += (col.get_bytes(i) != val) as usize;
             }
         }
     }

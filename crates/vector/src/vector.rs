@@ -120,16 +120,21 @@ impl StrVec {
         self.views.is_empty()
     }
 
+    /// The bytes of the string at position `i`, without UTF-8 validation:
+    /// what hashing, equality and group-key kernels read per tuple.
+    #[inline]
+    pub fn get_bytes(&self, i: usize) -> &[u8] {
+        let (off, len) = self.views[i];
+        &self.arena[off as usize..][..len as usize]
+    }
+
     /// The string at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
-        let (off, len) = self.views[i];
-        let bytes = &self.arena[off as usize..(off + len) as usize];
         // SAFETY-free: constructors validate UTF-8 (always for from_strings,
-        // debug-checked for from_views); use the checked form anyway since
-        // string access is never on the per-tuple hot path measured by the
-        // paper's experiments.
-        std::str::from_utf8(bytes).expect("StrVec arena corruption")
+        // debug-checked for from_views); use the checked form anyway —
+        // per-tuple kernels that only need bytes call `get_bytes`.
+        std::str::from_utf8(self.get_bytes(i)).expect("StrVec arena corruption")
     }
 
     /// The raw `(offset, len)` views.
@@ -293,6 +298,8 @@ mod tests {
         assert_eq!(v.get(0), "alpha");
         assert_eq!(v.get(1), "");
         assert_eq!(v.get(2), "gamma");
+        assert_eq!(v.get_bytes(0), b"alpha");
+        assert_eq!(v.get_bytes(1), b"");
         let all: Vec<&str> = v.iter().collect();
         assert_eq!(all, vec!["alpha", "", "gamma"]);
     }
