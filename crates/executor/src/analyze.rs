@@ -27,9 +27,8 @@
 //!   product bound otherwise.
 //!
 //! The row/NDV bounds are what the physical planner's partitioning
-//! verdicts consume (`plan::lower::estimated_rows` and the agg/join
-//! partition gates), replacing the raw "pass filters through
-//! undiminished" upper bounds that ROADMAP direction #5 calls out.
+//! verdicts consume: `plan::plan_physical` runs the per-node transfer
+//! once per node and keeps each node's row bound on the physical plan.
 //!
 //! **Soundness contract:** every fact is an *over*-approximation — bounds
 //! may widen but never lie. For any plan whose execution completes, every
@@ -335,7 +334,7 @@ impl ColFact {
 }
 
 /// Facts for one plan node's output: per-column facts plus a row bound.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Facts {
     /// One fact per output column, aligned with the node's schema.
     pub cols: Vec<ColFact>,
@@ -384,19 +383,6 @@ pub fn analyze(plan: &LogicalPlan) -> Analysis {
     Analysis { facts, errors }
 }
 
-/// Row-count upper bound for a (sub)plan — the planner's `estimated_rows`
-/// source. Findings are not collected here; `verify` reports them.
-pub(crate) fn row_bound(plan: &LogicalPlan) -> usize {
-    node_facts(plan, &mut Vec::new()).rows
-}
-
-/// Upper bound on the number of groups an aggregation over `input` by
-/// `keys` can produce: `min(row bound, Π key NDV)`.
-pub(crate) fn group_bound(input: &LogicalPlan, keys: &[usize]) -> usize {
-    let facts = node_facts(input, &mut Vec::new());
-    group_bound_from(&facts, keys)
-}
-
 fn group_bound_from(input: &Facts, keys: &[usize]) -> usize {
     let mut groups = 1usize;
     for &k in keys {
@@ -406,9 +392,40 @@ fn group_bound_from(input: &Facts, keys: &[usize]) -> usize {
     groups.min(input.rows)
 }
 
+thread_local! {
+    static TRANSFERS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has run the per-node [`transfer`] function:
+/// the plan-time regression pin reads it around one `plan_physical` call
+/// to prove the planner interprets each node exactly once.
+#[doc(hidden)]
+pub fn transfer_count() -> u64 {
+    TRANSFERS.with(std::cell::Cell::get)
+}
+
 // --- per-node transfer functions -------------------------------------------
 
 fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
+    let mut inputs = [Facts::default(), Facts::default()];
+    let mut n = 0;
+    for child in plan.children() {
+        inputs[n] = node_facts(child, errs);
+        n += 1;
+    }
+    transfer(plan, &mut inputs[..n], errs)
+}
+
+/// The transfer function of one node: its output facts from its
+/// children's (`inputs`, in [`LogicalPlan::children`] order, consumed).
+/// The physical planner calls it once per node in its own bottom-up pass
+/// and keeps the row bound every later decision reads.
+pub(crate) fn transfer(
+    plan: &LogicalPlan,
+    inputs: &mut [Facts],
+    errs: &mut Vec<AnalysisError>,
+) -> Facts {
+    TRANSFERS.with(|c| c.set(c.get() + 1));
     let facts = match plan {
         LogicalPlan::Scan {
             table,
@@ -457,7 +474,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         LogicalPlan::Filter {
             input, pred, label, ..
         } => {
-            let mut facts = node_facts(input, errs);
+            let mut facts = std::mem::take(&mut inputs[0]);
             let schema = input.schema();
             let newly_empty = narrow_pred(pred, &mut facts.cols);
             if let Some(col) = newly_empty {
@@ -473,18 +490,13 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             facts
         }
 
-        LogicalPlan::Project {
-            input,
-            items,
-            label,
-            ..
-        } => {
-            let in_facts = node_facts(input, errs);
+        LogicalPlan::Project { items, label, .. } => {
+            let in_facts = &inputs[0];
             let cols = items
                 .iter()
                 .map(|item| match item {
                     ProjItem::Pass(i) => in_facts.cols[*i].clone(),
-                    ProjItem::Expr(e) => eval_expr(e, &in_facts, label, errs),
+                    ProjItem::Expr(e) => eval_expr(e, in_facts, label, errs),
                 })
                 .collect();
             Facts {
@@ -494,14 +506,10 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         }
 
         LogicalPlan::HashAgg {
-            input,
-            keys,
-            aggs,
-            label,
-            ..
+            keys, aggs, label, ..
         } => {
-            let in_facts = node_facts(input, errs);
-            let rows = group_bound_from(&in_facts, keys);
+            let in_facts = &inputs[0];
+            let rows = group_bound_from(in_facts, keys);
             let mut cols: Vec<ColFact> = keys
                 .iter()
                 .map(|&k| {
@@ -512,20 +520,16 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
                 })
                 .collect();
             for agg in aggs {
-                cols.push(agg_fact(
-                    agg, &in_facts, /*grouped=*/ true, label, errs,
-                ));
+                cols.push(agg_fact(agg, in_facts, /*grouped=*/ true, label, errs));
             }
             Facts { cols, rows }
         }
 
-        LogicalPlan::StreamAgg {
-            input, aggs, label, ..
-        } => {
-            let in_facts = node_facts(input, errs);
+        LogicalPlan::StreamAgg { aggs, label, .. } => {
+            let in_facts = &inputs[0];
             let cols = aggs
                 .iter()
-                .map(|agg| agg_fact(agg, &in_facts, /*grouped=*/ false, label, errs))
+                .map(|agg| agg_fact(agg, in_facts, /*grouped=*/ false, label, errs))
                 .collect();
             // A global aggregate emits exactly one row (the fold identity
             // when the input is empty).
@@ -533,8 +537,6 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         }
 
         LogicalPlan::HashJoin {
-            build,
-            probe,
             build_keys,
             probe_keys,
             payload,
@@ -542,8 +544,8 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             defaults,
             ..
         } => {
-            let mut build_f = node_facts(build, errs);
-            let mut probe_f = node_facts(probe, errs);
+            let mut build_f = std::mem::take(&mut inputs[0]);
+            let mut probe_f = std::mem::take(&mut inputs[1]);
             let build_distinct = build_keys
                 .iter()
                 .any(|&k| build_f.cols.get(k).is_some_and(|c| c.distinct));
@@ -607,15 +609,13 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         }
 
         LogicalPlan::MergeJoin {
-            left,
-            right,
             left_key,
             right_key,
             payload,
             ..
         } => {
-            let mut left_f = node_facts(left, errs);
-            let mut right_f = node_facts(right, errs);
+            let mut left_f = std::mem::take(&mut inputs[0]);
+            let mut right_f = std::mem::take(&mut inputs[1]);
             let left_distinct = left_f.cols[*left_key].distinct;
             let inter = left_f.cols[*left_key]
                 .domain
@@ -646,8 +646,8 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
             Facts { cols, rows }
         }
 
-        LogicalPlan::Sort { input, limit, .. } => {
-            let mut facts = node_facts(input, errs);
+        LogicalPlan::Sort { limit, .. } => {
+            let mut facts = std::mem::take(&mut inputs[0]);
             if let Some(n) = limit {
                 facts.rows = facts.rows.min(*n);
             }
@@ -1336,20 +1336,7 @@ fn render_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
             if fact.distinct { " distinct" } else { "" }
         );
     }
-    for child in children(plan) {
+    for child in plan.children() {
         render_node(child, depth + 1, out);
-    }
-}
-
-fn children(plan: &LogicalPlan) -> Vec<&LogicalPlan> {
-    match plan {
-        LogicalPlan::Scan { .. } => vec![],
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::HashAgg { input, .. }
-        | LogicalPlan::StreamAgg { input, .. }
-        | LogicalPlan::Sort { input, .. } => vec![input],
-        LogicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
-        LogicalPlan::MergeJoin { left, right, .. } => vec![left, right],
     }
 }

@@ -1,12 +1,17 @@
-//! Static memory & cost bounds — the planner's second dataflow pass.
+//! Static memory & cost bounds — the planner's byte model and its report.
 //!
 //! Where [`mod@crate::analyze`] proves *value* facts (intervals, NDV,
-//! expression safety), this pass proves *resource* facts: for every
-//! physical operator instance the plan will lower to, an upper bound on
-//! its peak resident bytes, plus a coarse work bound (tuples × per-op
-//! cost). The walk mirrors the physical planner's decisions — partition
-//! verdicts, morsel sharding, exchange shapes — so the bounds describe
-//! the pipeline [`crate::plan::lower`] actually builds.
+//! expression safety), this module proves *resource* facts: for every
+//! physical operator instance, an upper bound on its peak resident bytes,
+//! plus a coarse work bound (tuples × per-op cost). It has two halves:
+//!
+//! * the **byte model** — per-column row widths and the per-operator
+//!   bound formulas — which [`crate::plan::plan_physical`] consults once
+//!   per node and stores on the [`PhysicalPlan`];
+//! * the **report** — [`cost`] folds one [`OpCost`] per stage off those
+//!   same nodes, so it prices exactly the pipeline
+//!   [`crate::plan::instantiate`] builds and every number it prints is the
+//!   number a [`crate::adaptive::MemTracker`] was registered with.
 //!
 //! The byte model is deliberately conservative (DESIGN.md §12 states the
 //! roll-up rules and the soundness argument):
@@ -26,24 +31,19 @@
 //!
 //! The per-query peak is the *sum* of all per-operator stage bounds, as
 //! if every operator held its maximum simultaneously — pessimistic, but
-//! sound without liveness reasoning. Each bound is also handed to the
-//! lowered operator's [`crate::adaptive::MemTracker`] slot, and the
-//! fuzzer's byte-accounting oracle re-checks `actual ≤ bound` on every
-//! execution (`crate::fuzz`).
+//! sound without liveness reasoning. The fuzzer's byte-accounting oracle
+//! re-checks `actual ≤ bound` on every execution (`crate::fuzz`).
 //!
 //! Findings compare the roll-up against [`crate::ExecConfig::memory_budget`]:
 //! warnings by default, a [`crate::verify::VerifyError::MemoryBudget`]
 //! rejection under `strict_memory`.
 
 use ma_primitives::BloomFilter;
-use ma_vector::{Column, DataType, EncColumn, Encoding, Table};
+use ma_vector::{Column, DataType, EncColumn, Encoding, Schema, Table};
 
-use crate::analyze;
 use crate::config::ExecConfig;
-use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{key_row_width, AggSpec, ProjItem};
-use crate::plan::lower::{agg_partition_count, join_partition_count, shardable_chain};
-use crate::plan::LogicalPlan;
+use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
 /// (large enough to dwarf any real budget, small enough that downstream
@@ -130,25 +130,36 @@ pub struct CostReport {
     pub findings: Vec<CostFinding>,
 }
 
-/// Runs the memory/cost pass over a logical plan under `cfg`.
+/// Runs the memory/cost pass over a logical plan under `cfg`: plans it
+/// physically and prices every stage of that plan.
+///
+/// # Panics
+///
+/// When `plan` has no physical plan — a merge-join input that is neither
+/// a sort nor a clustering-key chain, which [`crate::verify()`] rejects.
 pub fn cost(plan: &LogicalPlan, cfg: &ExecConfig) -> CostReport {
+    let phys = plan_physical(plan, cfg).expect("cost() takes a verified plan");
+    report(&phys, cfg.memory_budget)
+}
+
+/// Prices an already-planned query against `budget`.
+pub(crate) fn report(plan: &PhysicalPlan<'_>, budget: u64) -> CostReport {
     let mut ops = Vec::new();
-    walk(plan, cfg, false, true, &mut ops);
+    for node in plan.nodes() {
+        price(node, &mut ops);
+    }
     let peak_bytes = ops.iter().fold(0u64, |a, o| a.saturating_add(o.bytes));
     let total_work = ops.iter().fold(0u64, |a, o| a.saturating_add(o.work));
     let mut findings = Vec::new();
-    if peak_bytes > cfg.memory_budget {
-        findings.push(CostFinding::BudgetExceeded {
-            peak_bytes,
-            budget: cfg.memory_budget,
-        });
+    if peak_bytes > budget {
+        findings.push(CostFinding::BudgetExceeded { peak_bytes, budget });
     }
     for o in &ops {
-        if o.bytes > cfg.memory_budget {
+        if o.bytes > budget {
             findings.push(CostFinding::OpBudgetExceeded {
                 label: o.label.clone(),
                 bytes: o.bytes,
-                budget: cfg.memory_budget,
+                budget,
             });
         }
     }
@@ -232,27 +243,32 @@ pub(crate) fn pick_partitions(demand: usize, threshold: usize, cap: usize) -> us
 // per-column row widths
 // ---------------------------------------------------------------------------
 
-/// Per-column stored row width in bytes for a node's output. Numeric
-/// columns are their scalar width; `Str` columns are the widest value's
-/// byte length plus an 8-byte view, anchored at scans by
-/// [`ma_vector::ColumnStats::max_bytes`] and carried structurally.
-pub(crate) fn col_widths(plan: &LogicalPlan) -> Vec<u64> {
-    col_widths_with(plan, false)
+/// Stored bytes of one value of a column. Numeric columns are their
+/// scalar width; `Str` columns are the widest value's byte length plus an
+/// 8-byte view, anchored at scans by [`ma_vector::ColumnStats::max_bytes`]
+/// and carried structurally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Width {
+    /// The sound width every byte bound uses.
+    pub raw: u64,
+    /// The width as *consumers of decoded vectors* see it: identical
+    /// except for dictionary-coded `Str` columns, whose decoded form is an
+    /// 8-byte view into the shared dictionary arena (the scan never
+    /// re-materializes the string bytes). Integer codecs decode to
+    /// full-width values and keep their raw width. Used only to *weight
+    /// partition demand* (DESIGN.md §13).
+    pub enc: u64,
 }
 
-/// [`col_widths`] as the *consumers of decoded vectors* see it: identical
-/// except at scans of dictionary-coded `Str` columns, whose decoded form
-/// is an 8-byte view into the shared dictionary arena (the scan never
-/// re-materializes the string bytes), so their effective row width is 8
-/// rather than `max_bytes + 8`. Integer codecs decode to full-width
-/// values and keep their raw width. Used only to *weight partition
-/// demand* (DESIGN.md §13); the soundness-critical byte bounds keep the
-/// conservative raw widths.
-pub(crate) fn enc_col_widths(plan: &LogicalPlan) -> Vec<u64> {
-    col_widths_with(plan, true)
+impl Width {
+    fn fixed(w: u64) -> Width {
+        Width { raw: w, enc: w }
+    }
 }
 
-fn col_widths_with(plan: &LogicalPlan, enc: bool) -> Vec<u64> {
+/// Per-column widths of `plan`'s output, from its children's (`inputs`,
+/// in [`LogicalPlan::children`] order).
+pub(crate) fn node_widths(plan: &LogicalPlan, inputs: &[&[Width]]) -> Vec<Width> {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -263,94 +279,77 @@ fn col_widths_with(plan: &LogicalPlan, enc: bool) -> Vec<u64> {
             .iter()
             .zip(schema.fields())
             .map(|(name, f)| match f.ty.fixed_width() {
-                Some(w) => w as u64,
+                Some(w) => Width::fixed(w as u64),
                 None => {
                     let i = table
                         .column_index(name)
                         .expect("scan columns resolve at plan build time");
-                    if enc && table.column_at(i).encoding() == Some(Encoding::Dict) {
-                        8
-                    } else {
-                        (table.stats()[i].max_bytes as u64).saturating_add(8)
+                    let raw = (table.stats()[i].max_bytes as u64).saturating_add(8);
+                    let dict = table.column_at(i).encoding() == Some(Encoding::Dict);
+                    Width {
+                        raw,
+                        enc: if dict { 8 } else { raw },
                     }
                 }
             })
             .collect(),
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Sort { input, .. } => {
-            col_widths_with(input, enc)
-        }
+        LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } => inputs[0].to_vec(),
         LogicalPlan::Project {
             input,
             items,
             schema,
             ..
         } => {
-            let w_in = col_widths_with(input, enc);
+            let w_in = inputs[0];
             // A computed Str expression (substr) never yields a longer
             // string than some input Str column.
-            let max_str = input
-                .schema()
-                .fields()
-                .iter()
-                .zip(&w_in)
-                .filter(|(f, _)| f.ty == DataType::Str)
-                .map(|(_, &w)| w)
-                .max()
-                .unwrap_or(8);
+            let strs = || {
+                let fields = input.schema().fields().iter().zip(w_in);
+                fields
+                    .filter(|(f, _)| f.ty == DataType::Str)
+                    .map(|(_, w)| w)
+            };
+            let max_str = Width {
+                raw: strs().map(|w| w.raw).max().unwrap_or(8),
+                enc: strs().map(|w| w.enc).max().unwrap_or(8),
+            };
             items
                 .iter()
                 .zip(schema.fields())
                 .map(|(it, f)| match it {
                     ProjItem::Pass(i) => w_in[*i],
                     ProjItem::Expr(_) => match f.ty.fixed_width() {
-                        Some(w) => w as u64,
+                        Some(w) => Width::fixed(w as u64),
                         None => max_str,
                     },
                 })
                 .collect()
         }
-        LogicalPlan::HashAgg {
-            input, keys, aggs, ..
-        } => {
-            let w_in = col_widths_with(input, enc);
-            let mut w: Vec<u64> = keys.iter().map(|&k| w_in[k]).collect();
-            w.extend((0..aggs.len()).map(|_| 8u64));
-            w
+        LogicalPlan::HashAgg { keys, aggs, .. } => {
+            let keys = keys.iter().map(|&k| inputs[0][k]);
+            keys.chain(aggs.iter().map(|_| Width::fixed(8))).collect()
         }
-        LogicalPlan::StreamAgg { aggs, .. } => vec![8; aggs.len()],
+        LogicalPlan::StreamAgg { aggs, .. } => vec![Width::fixed(8); aggs.len()],
         LogicalPlan::HashJoin {
-            build,
-            probe,
-            payload,
-            schema,
-            ..
+            payload, schema, ..
         } => {
-            let mut w = col_widths_with(probe, enc);
+            let mut w = inputs[1].to_vec();
             if schema.len() > w.len() {
-                let w_b = col_widths_with(build, enc);
-                w.extend(payload.iter().map(|&i| w_b[i]));
+                w.extend(payload.iter().map(|&i| inputs[0][i]));
             }
             w
         }
-        LogicalPlan::MergeJoin {
-            left,
-            right,
-            payload,
-            ..
-        } => {
-            let mut w = col_widths_with(right, enc);
-            let w_l = col_widths_with(left, enc);
-            w.extend(payload.iter().map(|&i| w_l[i]));
+        LogicalPlan::MergeJoin { payload, .. } => {
+            let mut w = inputs[1].to_vec();
+            w.extend(payload.iter().map(|&i| inputs[0][i]));
             w
         }
     }
 }
 
-/// Total stored bytes of one row of a node's output.
-pub(crate) fn row_width(plan: &LogicalPlan) -> u64 {
-    col_widths(plan)
-        .iter()
-        .fold(0u64, |a, &b| a.saturating_add(b))
+/// Total stored bytes of one row with the given column widths.
+pub(crate) fn row_width(widths: &[Width]) -> u64 {
+    widths.iter().fold(0u64, |a, w| a.saturating_add(w.raw))
 }
 
 /// Scales a partition-verdict demand by the encoded/raw width ratio of
@@ -363,18 +362,18 @@ pub(crate) fn row_width(plan: &LogicalPlan) -> u64 {
 /// (`enc == raw`). Verdict-only: the sound byte bounds stay raw.
 pub(crate) fn enc_weighted_demand(
     demand: usize,
-    plan: &LogicalPlan,
+    widths: &[Width],
     cols: Option<&[usize]>,
 ) -> usize {
-    let raw_w = col_widths(plan);
-    let enc_w = enc_col_widths(plan);
-    let sum = |w: &[u64]| -> u64 {
-        match cols {
-            Some(ks) => ks.iter().fold(0u64, |a, &k| a.saturating_add(w[k])),
-            None => w.iter().fold(0u64, |a, &b| a.saturating_add(b)),
-        }
+    let (mut raw, mut enc) = (0u64, 0u64);
+    let mut add = |w: Width| {
+        raw = raw.saturating_add(w.raw);
+        enc = enc.saturating_add(w.enc);
     };
-    let (raw, enc) = (sum(&raw_w), sum(&enc_w));
+    match cols {
+        Some(ks) => ks.iter().for_each(|&k| add(widths[k])),
+        None => widths.iter().for_each(|&w| add(w)),
+    }
     if enc >= raw || raw == 0 {
         return demand;
     }
@@ -385,8 +384,49 @@ pub(crate) fn enc_weighted_demand(
 }
 
 // ---------------------------------------------------------------------------
-// per-operator bound helpers (shared with `plan::lower`)
+// per-operator instance bounds
 // ---------------------------------------------------------------------------
+
+/// Peak resident bytes proven for **one** instance of `plan`'s operator,
+/// given the node's own proven row bound (`rows`) and each child's row
+/// bound and raw column widths (`inputs`, in [`LogicalPlan::children`]
+/// order). Streaming nodes (filter, project) hold nothing. Hash routing
+/// makes no distribution promise, so a partitioned aggregate or join
+/// carries this full bound on *every* partition: in the worst case one
+/// consumer sees all groups / the whole build side.
+pub(crate) fn instance_bytes(
+    plan: &LogicalPlan,
+    rows: usize,
+    inputs: &[(usize, &[Width])],
+    vector_size: usize,
+) -> u64 {
+    match plan {
+        LogicalPlan::Scan { table, cols, .. } => scan_resident_bytes(table, cols, vector_size),
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => 0,
+        // An aggregate's output row bound *is* its group bound.
+        LogicalPlan::HashAgg {
+            input, keys, aggs, ..
+        } => agg_instance_bound(rows, inputs[0].1, input.schema(), keys, aggs),
+        // Scalar accumulators only; not facade-tracked (MEM_EXEMPT).
+        LogicalPlan::StreamAgg { aggs, .. } => 16u64.saturating_mul(aggs.len() as u64),
+        LogicalPlan::HashJoin {
+            build_keys,
+            payload,
+            ..
+        } => join_build_bound(inputs[0].0, inputs[0].1, build_keys.len(), payload),
+        // The left (unique-key) side is materialized; merge join is not
+        // facade-tracked (MEM_EXEMPT) but the bound still counts its store
+        // plus an emitted copy, like a sort without index.
+        LogicalPlan::MergeJoin { payload, .. } => {
+            let (n, w_l) = inputs[0];
+            let pay_w = payload
+                .iter()
+                .fold(row_width(w_l), |a, &i| a.saturating_add(w_l[i].raw));
+            tuples(n).saturating_mul(pay_w).saturating_mul(2)
+        }
+        LogicalPlan::Sort { .. } => sort_bound(inputs[0].0, row_width(inputs[0].1)),
+    }
+}
 
 /// Open-addressing capacity for `n` entries at 50% load with the group
 /// tables' / join builds' growth policy: `next_pow2(2n)`, at least 64.
@@ -397,21 +437,20 @@ fn pow2_cap(n: usize) -> u64 {
     }
 }
 
-/// Peak resident bytes proven for **one** [`crate::ops::HashAggregate`]
-/// instance over `input`: group-table slots (16 bytes each at ≤50%
-/// load), stored key bytes for the byte-keyed table path, one key
+/// One [`crate::ops::HashAggregate`] instance holding up to `g` groups of
+/// an input with column widths `w_in`: group-table slots (16 bytes each at
+/// ≤50% load), stored key bytes for the byte-keyed table path, one key
 /// builder per group column, accumulators (16 bytes for `SumI64`'s
-/// 128-bit sums, 8 otherwise), plus one emitted output copy. All terms
-/// scale with the analyzer's group bound, which every partition may in
-/// the worst case receive entirely.
-pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[AggSpec]) -> u64 {
-    let g = analyze::group_bound(input, keys);
+/// 128-bit sums, 8 otherwise), plus one emitted output copy.
+fn agg_instance_bound(
+    g: usize,
+    w_in: &[Width],
+    input: &Schema,
+    keys: &[usize],
+    aggs: &[AggSpec],
+) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
-    let w_in = col_widths(input);
-    let key_types: Vec<DataType> = keys
-        .iter()
-        .map(|&k| input.schema().fields()[k].ty)
-        .collect();
+    let key_types: Vec<DataType> = keys.iter().map(|&k| input.fields()[k].ty).collect();
     let single_int = keys.len() == 1 && key_types[0] != DataType::Str;
     let table = if single_int {
         pow2_cap(g).saturating_mul(16)
@@ -420,13 +459,13 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
         // operator's key row for the multi-column path.
         let ser: u64 = if keys.len() == 1 {
             // raw bytes; the +8 view is added below
-            w_in[keys[0]].saturating_sub(8)
+            w_in[keys[0]].raw.saturating_sub(8)
         } else {
             keys.iter().zip(&key_types).fold(0u64, |a, (&k, &ty)| {
                 // An f64 key is rejected by `HashAggregate::new`.
                 let fixed = key_row_width(ty).map_or(0, u64::from);
                 let value = match ty {
-                    DataType::Str => w_in[k].saturating_sub(8),
+                    DataType::Str => w_in[k].raw.saturating_sub(8),
                     _ => 0,
                 };
                 a.saturating_add(fixed).saturating_add(value)
@@ -436,9 +475,9 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
             .saturating_mul(16)
             .saturating_add(g64.saturating_mul(ser.saturating_add(8)))
     };
-    let builders = keys
-        .iter()
-        .fold(0u64, |a, &k| a.saturating_add(g64.saturating_mul(w_in[k])));
+    let builders = keys.iter().fold(0u64, |a, &k| {
+        a.saturating_add(g64.saturating_mul(w_in[k].raw))
+    });
     let accs = aggs.iter().fold(0u64, |a, s| {
         let w = if matches!(s, AggSpec::SumI64(_)) {
             16
@@ -449,7 +488,7 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
     });
     let out_row_w = keys
         .iter()
-        .fold(0u64, |a, &k| a.saturating_add(w_in[k]))
+        .fold(0u64, |a, &k| a.saturating_add(w_in[k].raw))
         .saturating_add(8u64.saturating_mul(aggs.len() as u64));
     table
         .saturating_add(builders)
@@ -457,22 +496,16 @@ pub(crate) fn agg_instance_bound(input: &LogicalPlan, keys: &[usize], aggs: &[Ag
         .saturating_add(g64.saturating_mul(out_row_w))
 }
 
-/// Peak resident bytes proven for **one** [`crate::ops::HashJoin`]
-/// instance's build side holding up to the build plan's row bound: key
-/// columns (8 bytes per key per row), the payload row store, and the
-/// `finish` structures (row hashes, chain, head slots, Bloom filter).
-pub(crate) fn join_build_bound(
-    build: &LogicalPlan,
-    build_keys: &[usize],
-    payload: &[usize],
-) -> u64 {
-    let r = analyze::row_bound(build);
+/// One [`crate::ops::HashJoin`] instance's build side holding up to `r`
+/// rows of widths `w_b`: key columns (8 bytes per key per row), the
+/// payload row store, and the `finish` structures (row hashes, chain,
+/// head slots, Bloom filter).
+fn join_build_bound(r: usize, w_b: &[Width], build_keys: usize, payload: &[usize]) -> u64 {
     let r64 = r.min(usize::MAX >> 8) as u64;
-    let w_b = col_widths(build);
-    let pay_w = payload.iter().fold(0u64, |a, &i| a.saturating_add(w_b[i]));
-    let keys = r64
-        .saturating_mul(8)
-        .saturating_mul(build_keys.len() as u64);
+    let pay_w = payload
+        .iter()
+        .fold(0u64, |a, &i| a.saturating_add(w_b[i].raw));
+    let keys = r64.saturating_mul(8).saturating_mul(build_keys as u64);
     let store = r64.saturating_mul(pay_w);
     let hashes = r64.saturating_mul(8);
     let chain = r64.saturating_mul(4);
@@ -489,72 +522,14 @@ pub(crate) fn join_build_bound(
         .saturating_add(bloom)
 }
 
-/// Peak resident bytes proven for a [`crate::ops::Sort`] over `input`:
-/// the materialized row store, the 4-byte sort index, and one emitted
-/// copy of the output chunks.
-pub(crate) fn sort_bound(input: &LogicalPlan) -> u64 {
-    let n = analyze::row_bound(input).min(usize::MAX >> 8) as u64;
-    let w = row_width(input);
-    n.saturating_mul(w)
+/// A [`crate::ops::Sort`] over up to `n` rows of `row_w` bytes: the
+/// materialized row store, the 4-byte sort index, and one emitted copy of
+/// the output chunks.
+fn sort_bound(n: usize, row_w: u64) -> u64 {
+    let n = tuples(n);
+    n.saturating_mul(row_w)
         .saturating_mul(2)
         .saturating_add(n.saturating_mul(4))
-}
-
-/// Byte bound for a single exchanged chunk of `plan`'s output: at most
-/// `vector_size` rows of the node's row width. This is the bound the
-/// exchange operators' [`crate::adaptive::MemTracker`] slots carry.
-pub(crate) fn chunk_bound(plan: &LogicalPlan, vector_size: usize) -> u64 {
-    (vector_size as u64).saturating_mul(row_width(plan))
-}
-
-/// Chunk byte bound for a hash aggregate's *output* stream (group keys
-/// plus 8-byte aggregate scalars): the partitioned-agg exchange's union
-/// carries these alongside the producers' input chunks.
-pub(crate) fn agg_out_chunk_bound(
-    input: &LogicalPlan,
-    keys: &[usize],
-    aggs: &[AggSpec],
-    vector_size: usize,
-) -> u64 {
-    let w_in = col_widths(input);
-    let out_w = keys
-        .iter()
-        .fold(0u64, |a, &k| a.saturating_add(w_in[k]))
-        .saturating_add(8u64.saturating_mul(aggs.len() as u64));
-    (vector_size as u64).saturating_mul(out_w)
-}
-
-/// Stage bound for an exchange's channel buffers: every channel holds up
-/// to [`CHANNEL_DEPTH_PER_WORKER`] messages per producer plus one
-/// in-flight batch, each message up to [`CHUNKS_PER_MESSAGE`] chunks,
-/// and the consumer union adds the same per partition.
-fn exchange_bytes(producers: usize, partitions: usize, chunk: u64) -> u64 {
-    let msgs_per_route = (CHANNEL_DEPTH_PER_WORKER as u64).saturating_add(1);
-    let routed = (producers as u64)
-        .saturating_mul(partitions as u64)
-        .saturating_mul(msgs_per_route);
-    let union = (partitions as u64).saturating_mul(msgs_per_route);
-    routed
-        .saturating_add(union)
-        .saturating_mul(CHUNKS_PER_MESSAGE as u64)
-        .saturating_mul(chunk)
-}
-
-// ---------------------------------------------------------------------------
-// the walk
-// ---------------------------------------------------------------------------
-
-/// Work-bound cost constants (per input tuple).
-const W_SCAN: u64 = 1;
-const W_FILTER: u64 = 1;
-const W_PROJECT: u64 = 2;
-const W_AGG: u64 = 4;
-const W_JOIN_BUILD: u64 = 3;
-const W_JOIN_PROBE: u64 = 2;
-const W_EXCHANGE: u64 = 1;
-
-fn tuples(plan: &LogicalPlan) -> u64 {
-    analyze::row_bound(plan).min(usize::MAX >> 8) as u64
 }
 
 /// Resident bytes a scan stage holds: the *stored* representation of the
@@ -586,224 +561,96 @@ fn scan_resident_bytes(table: &Table, cols: &[String], vector_size: usize) -> u6
     })
 }
 
-/// Recursive bound derivation mirroring `plan::lower`'s decisions.
-/// `ordered` tracks whether an order-sensitive ancestor pins this
-/// subtree sequential (partition verdicts disengage, as in lowering);
-/// `boundary` is true at the nodes `lower_node` dispatches on, so each
-/// scan chain's sharding verdict is assessed exactly once at its top.
-fn walk(
-    plan: &LogicalPlan,
-    cfg: &ExecConfig,
-    ordered: bool,
-    boundary: bool,
-    ops: &mut Vec<OpCost>,
-) {
-    match plan {
-        LogicalPlan::Scan { table, cols, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            push(
-                ops,
-                table.name(),
-                "scan",
-                1,
-                scan_resident_bytes(table, cols, cfg.vector_size),
-                tuples(plan).saturating_mul(W_SCAN),
-            );
+// ---------------------------------------------------------------------------
+// the report: one fold over the physical plan
+// ---------------------------------------------------------------------------
+
+/// Work-bound cost constants (per input tuple).
+const W_SCAN: u64 = 1;
+const W_FILTER: u64 = 1;
+const W_PROJECT: u64 = 2;
+const W_AGG: u64 = 4;
+const W_JOIN_BUILD: u64 = 3;
+const W_JOIN_PROBE: u64 = 2;
+const W_EXCHANGE: u64 = 1;
+
+fn tuples(rows: usize) -> u64 {
+    rows.min(usize::MAX >> 8) as u64
+}
+
+/// Appends `node`'s stages: its exchange (if it has one), then the
+/// operator itself. Every byte figure is read off the node — the same
+/// field [`crate::plan::instantiate`] registers the stage's
+/// [`crate::adaptive::MemTracker`] with.
+fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
+    let rows_in = |i: usize| node.children.get(i).map_or(0, |c| tuples(c.rows));
+    let label = match node.logical {
+        LogicalPlan::Scan { table, .. } => table.name(),
+        LogicalPlan::Sort { .. } => "sort",
+        LogicalPlan::Filter { label, .. }
+        | LogicalPlan::Project { label, .. }
+        | LogicalPlan::HashAgg { label, .. }
+        | LogicalPlan::StreamAgg { label, .. }
+        | LogicalPlan::HashJoin { label, .. }
+        | LogicalPlan::MergeJoin { label, .. } => label,
+    };
+    // An exchange stage holds `buffered_chunks` chunks of at most
+    // `chunk_bytes` each; it is listed once per producer feeding it.
+    let exchange_stage = match node.exchange {
+        Exchange::None => None,
+        // the streamed side: the aggregate's input, the join's probe
+        Exchange::HashPartition { .. } => Some((
+            format!("{label}/exchange"),
+            rows_in(node.children.len().saturating_sub(1)),
+        )),
+        Exchange::Parallel { .. } | Exchange::Merge { .. } => {
+            Some(("scan-shard/exchange".to_string(), tuples(node.rows)))
         }
-        LogicalPlan::Filter { input, label, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            let chain = matches!(
-                **input,
-                LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }
-            );
-            push(
-                ops,
-                label,
-                "filter",
-                1,
-                0,
-                tuples(input).saturating_mul(W_FILTER),
-            );
-            walk(input, cfg, ordered, !chain, ops);
-        }
-        LogicalPlan::Project { input, label, .. } => {
-            if boundary {
-                chain_exchange(plan, cfg, ops);
-            }
-            let chain = matches!(
-                **input,
-                LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }
-            );
-            push(
-                ops,
-                label,
-                "project",
-                1,
-                0,
-                tuples(input).saturating_mul(W_PROJECT),
-            );
-            walk(input, cfg, ordered, !chain, ops);
-        }
-        LogicalPlan::HashAgg {
-            input,
-            keys,
-            aggs,
-            label,
-            ..
-        } => {
-            let partitions = if ordered {
-                1
-            } else {
-                agg_partition_count(input, keys, cfg)
-            };
-            let per = agg_instance_bound(input, keys, aggs);
-            if partitions >= 2 {
-                let producers = if shardable_chain(input, cfg).is_some() {
-                    cfg.worker_threads.max(1)
-                } else {
-                    1
-                };
-                let chunk = chunk_bound(input, cfg.vector_size);
-                push(
-                    ops,
-                    &format!("{label}/exchange"),
-                    "exchange",
-                    producers,
-                    exchange_bytes(producers, partitions, chunk),
-                    tuples(input).saturating_mul(W_EXCHANGE),
-                );
-            }
-            push(
-                ops,
-                label,
-                "hash-agg",
-                partitions.max(1),
-                per,
-                tuples(input).saturating_mul(W_AGG),
-            );
-            walk(input, cfg, false, true, ops);
-        }
-        LogicalPlan::StreamAgg {
-            input, aggs, label, ..
-        } => {
-            // Scalar accumulators only; not facade-tracked (MEM_EXEMPT).
-            push(
-                ops,
-                label,
-                "stream-agg",
-                1,
-                16u64.saturating_mul(aggs.len() as u64),
-                tuples(input).saturating_mul(W_AGG),
-            );
-            walk(input, cfg, false, true, ops);
-        }
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            payload,
-            label,
-            ..
-        } => {
-            let partitions = if ordered {
-                1
-            } else {
-                join_partition_count(build, probe, cfg)
-            };
-            let per = join_build_bound(build, build_keys, payload);
-            if partitions >= 2 {
-                let shardable =
-                    shardable_chain(build, cfg).is_some() || shardable_chain(probe, cfg).is_some();
-                let producers = if shardable {
-                    cfg.worker_threads.max(1)
-                } else {
-                    1
-                };
-                let chunk = chunk_bound(build, cfg.vector_size)
-                    .max(chunk_bound(probe, cfg.vector_size))
-                    .max(chunk_bound(plan, cfg.vector_size));
-                push(
-                    ops,
-                    &format!("{label}/exchange"),
-                    "exchange",
-                    producers,
-                    // two routed lanes (build + probe) share the formula
-                    exchange_bytes(producers, partitions, chunk).saturating_mul(2),
-                    tuples(probe).saturating_mul(W_EXCHANGE),
-                );
-            }
-            let work = tuples(build)
-                .saturating_mul(W_JOIN_BUILD)
-                .saturating_add(tuples(probe).saturating_mul(W_JOIN_PROBE));
-            push(ops, label, "hash-join", partitions.max(1), per, work);
-            walk(build, cfg, false, true, ops);
-            walk(probe, cfg, false, true, ops);
-        }
-        LogicalPlan::MergeJoin {
-            left,
-            right,
-            payload,
-            label,
-            ..
-        } => {
-            // The left (unique-key) side is materialized; merge join is
-            // not facade-tracked (MEM_EXEMPT) but the bound still counts
-            // its store plus an emitted copy, like a sort without index.
-            let n = tuples(left);
-            let w_l = col_widths(left);
-            let pay_w = payload
-                .iter()
-                .fold(row_width(left), |a, &i| a.saturating_add(w_l[i]));
-            let bytes = n.saturating_mul(pay_w).saturating_mul(2);
-            let work = n
-                .saturating_mul(W_JOIN_BUILD)
-                .saturating_add(tuples(right).saturating_mul(W_JOIN_PROBE));
-            push(ops, label, "merge-join", 1, bytes, work);
-            walk(left, cfg, true, true, ops);
-            walk(right, cfg, true, true, ops);
-        }
-        LogicalPlan::Sort { input, .. } => {
-            let n = tuples(input);
+    };
+    if let Some((label, streamed)) = exchange_stage {
+        push(
+            ops,
+            &label,
+            "exchange",
+            node.exchange.producers(),
+            node.exchange
+                .buffered_chunks()
+                .saturating_mul(node.exchange.chunk_bytes()),
+            streamed.saturating_mul(W_EXCHANGE),
+        );
+    }
+    let (kind, work) = match node.logical {
+        LogicalPlan::Scan { .. } => ("scan", tuples(node.rows).saturating_mul(W_SCAN)),
+        LogicalPlan::Filter { .. } => ("filter", rows_in(0).saturating_mul(W_FILTER)),
+        LogicalPlan::Project { .. } => ("project", rows_in(0).saturating_mul(W_PROJECT)),
+        LogicalPlan::HashAgg { .. } => ("hash-agg", rows_in(0).saturating_mul(W_AGG)),
+        LogicalPlan::StreamAgg { .. } => ("stream-agg", rows_in(0).saturating_mul(W_AGG)),
+        LogicalPlan::HashJoin { .. } => ("hash-join", join_work(rows_in(0), rows_in(1))),
+        LogicalPlan::MergeJoin { .. } => ("merge-join", join_work(rows_in(0), rows_in(1))),
+        LogicalPlan::Sort { .. } => {
+            let n = rows_in(0);
             let logn = if n <= 1 {
                 1
             } else {
                 u64::from(n.ilog2()).saturating_add(1)
             };
-            push(
-                ops,
-                "sort",
-                "sort",
-                1,
-                sort_bound(input),
-                n.saturating_mul(logn),
-            );
-            walk(input, cfg, false, true, ops);
+            ("sort", n.saturating_mul(logn))
         }
-    }
-}
-
-/// Emits the exchange entry for a shardable scan chain dispatched at a
-/// `lower_node` boundary (a [`crate::ops::Parallel`] under a free
-/// consumer, a [`crate::ops::MergeExchange`] under an ordered one; the
-/// Parallel-shaped bound covers both).
-fn chain_exchange(plan: &LogicalPlan, cfg: &ExecConfig, ops: &mut Vec<OpCost>) {
-    if shardable_chain(plan, cfg).is_none() {
-        return;
-    }
-    let producers = cfg.worker_threads.max(1);
-    let chunk = chunk_bound(plan, cfg.vector_size);
+    };
     push(
         ops,
-        "scan-shard/exchange",
-        "exchange",
-        producers,
-        exchange_bytes(producers, 1, chunk),
-        tuples(plan).saturating_mul(W_EXCHANGE),
+        label,
+        kind,
+        node.instances(),
+        node.instance_bytes,
+        work,
     );
+}
+
+fn join_work(build: u64, probe: u64) -> u64 {
+    build
+        .saturating_mul(W_JOIN_BUILD)
+        .saturating_add(probe.saturating_mul(W_JOIN_PROBE))
 }
 
 fn push(
@@ -895,21 +742,26 @@ mod tests {
             .build()
             .unwrap();
         // i64=8, i32=4, Str = longest ("odd-row"=7) + 8-byte view
-        assert_eq!(col_widths(&plan), vec![8, 4, 15]);
-        assert_eq!(row_width(&plan), 27);
+        let widths = node_widths(&plan, &[]);
+        let raw: Vec<u64> = widths.iter().map(|w| w.raw).collect();
+        assert_eq!(raw, vec![8, 4, 15]);
+        assert_eq!(row_width(&widths), 27);
+    }
+
+    /// The one stage of `kind` in the plan's report.
+    fn stage(plan: &LogicalPlan, kind: &str) -> OpCost {
+        let report = cost(plan, &ExecConfig::default());
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let mut ops = report.ops.into_iter().filter(|o| o.kind == kind);
+        let op = ops.next().expect("stage present");
+        assert!(ops.next().is_none());
+        op
     }
 
     #[test]
     fn agg_bound_is_finite_and_covers_table_floor() {
         let cat = catalog(100);
-        let plan = agg_plan(&cat);
-        let LogicalPlan::HashAgg {
-            input, keys, aggs, ..
-        } = &plan
-        else {
-            panic!("expected agg root")
-        };
-        let b = agg_instance_bound(input, keys, aggs);
+        let b = stage(&agg_plan(&cat), "hash-agg").per_instance_bytes;
         // 5 groups: 64-slot floor (1024 B) + builders + accs + output
         assert!(b >= 1024, "bound {b} below the slot-array floor");
         assert!(b < 16 << 10, "bound {b} implausibly large for 5 groups");
@@ -947,9 +799,15 @@ mod tests {
     #[test]
     fn sort_bound_doubles_the_store() {
         let cat = catalog(100);
-        let plan = PlanBuilder::scan(&cat, "t", &["id"]).build().unwrap();
+        let plan = PlanBuilder::scan(&cat, "t", &["id"])
+            .sort(&[crate::plan::asc("id")])
+            .build()
+            .unwrap();
         // 100 rows × 8 B × 2 copies + 4 B index
-        assert_eq!(sort_bound(&plan), 100 * 8 * 2 + 100 * 4);
+        assert_eq!(
+            stage(&plan, "sort").per_instance_bytes,
+            100 * 8 * 2 + 100 * 4
+        );
     }
 
     #[test]
@@ -966,20 +824,8 @@ mod tests {
             )
             .build()
             .unwrap();
-        let LogicalPlan::HashJoin {
-            build,
-            build_keys,
-            payload,
-            ..
-        } = &plan
-        else {
-            panic!("expected join root")
-        };
-        let b = join_build_bound(build, build_keys, payload);
+        let b = stage(&plan, "hash-join").per_instance_bytes;
         // 3 build rows: 64-head floor (256 B) + bloom floor dominate
         assert!(b >= 256, "bound {b} below the head-array floor");
-        let report = cost(&plan, &ExecConfig::default());
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
-        assert!(report.ops.iter().any(|o| o.kind == "hash-join"));
     }
 }

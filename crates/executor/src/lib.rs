@@ -36,9 +36,12 @@ pub use cost::{cost, CostFinding, CostReport, OpCost};
 pub use eval::{CompiledExpr, CompiledPred};
 pub use expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
 pub use ops::{collect, BoxOp, Operator};
-pub use plan::{lower, Catalog, LogicalPlan, PlanBuilder, PlanError};
+pub use plan::{
+    instantiate, lower, plan_physical, Catalog, Exchange, Lane, LogicalPlan, NodeId, PhysNode,
+    PhysicalPlan, PlanBuilder, PlanError,
+};
 pub use stage::StageProfile;
-pub use verify::{sketch, verify, verify_sketch, LaneSketch, PhysSketch, VerifyError};
+pub use verify::{verify, verify_physical, VerifyError};
 
 use ma_vector::TableError;
 

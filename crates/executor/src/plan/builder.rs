@@ -44,8 +44,8 @@ fn integer(ty: DataType) -> bool {
 /// key in sorted order, and the physical planner protects that order:
 /// either with a sequential scan, or by sharding into morsel fragments
 /// (each internally key-sorted) re-merged by a
-/// [`crate::ops::MergeExchange`] — the same structural test gates both
-/// (`plan::lower::merge_workers`).
+/// [`crate::ops::MergeExchange`] ([`crate::plan::plan_physical`] plans
+/// the merge only over chains this test accepts).
 pub(crate) fn clustered_key_chain(plan: &LogicalPlan, key: usize) -> bool {
     match plan {
         LogicalPlan::Scan { table, cols, .. } => {

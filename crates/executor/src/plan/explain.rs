@@ -1,20 +1,18 @@
-//! `EXPLAIN`-style rendering of logical plans.
+//! `EXPLAIN`-style rendering of logical and physical plans.
 //!
 //! [`LogicalPlan`] implements [`std::fmt::Display`] as an indented tree.
 //! Every line shows the node, its parameters mapped back to column
 //! *names*, and the resolved output schema. Scans additionally carry the
-//! planner's structural verdict: `(shardable)` when the pipeline above is
-//! order-insensitive (so [`crate::plan::lower`] may shard it across
-//! workers), `(ordered)` when an ancestor merge join constrains it.
+//! structural verdict: `(shardable)` when the pipeline above is
+//! order-insensitive (so the planner may shard it across workers),
+//! `(ordered)` when an ancestor merge join constrains it.
 //!
-//! [`explain_physical`] renders the same tree against a concrete
-//! [`ExecConfig`], additionally annotating the planner's physical
-//! verdicts: `HashAgg (partitioned ×P)` / `HashJoin (partitioned ×P)`
-//! when [`crate::plan::lower`] will route the operator through a
-//! hash-partitioning exchange, and a `Merge ×N` node above each ordered
-//! chain that shards into `(morsel)` scans re-merged by a
-//! [`crate::ops::MergeExchange`]. Every verdict is computed by the *same*
-//! decision function lowering uses, so EXPLAIN shows what will execute.
+//! [`explain_physical`] renders the [`PhysicalPlan`] the planner makes
+//! for a concrete [`ExecConfig`] — the same tree, annotated from the
+//! plan's own nodes: `HashAgg (partitioned ×P)` / `HashJoin (partitioned
+//! ×P)` where an [`Exchange::HashPartition`] routes the operator, and a
+//! `Merge ×N` line above each ordered chain that shards into `(morsel)`
+//! scans re-merged by an [`Exchange::Merge`].
 
 use std::fmt;
 
@@ -23,93 +21,66 @@ use ma_vector::Schema;
 use crate::config::ExecConfig;
 use crate::expr::{CmpKind, CmpRhs, Expr, Pred, Value};
 use crate::ops::{AggSpec, JoinKind, ProjItem, SortKey};
-use crate::plan::lower::OrderCtx;
-use crate::plan::LogicalPlan;
+use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self, 0, None, RenderCtx::Free, None)
+        fmt_node(f, self, None, 0, None, "shardable")
     }
 }
 
-/// Renders `plan` with the physical planner's verdicts for `config`
-/// (worker count, partition knobs): operators the planner will partition
-/// are annotated `(partitioned ×P)`, and ordered chains it will shard
-/// render under a `Merge ×N` node with `(morsel)` scans.
+/// Renders the physical plan of `plan` under `config` (worker count,
+/// partition knobs): operators the planner partitions are annotated
+/// `(partitioned ×P)`, and ordered chains it shards render under a
+/// `Merge ×N` node with `(morsel)` scans.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
-    struct Physical<'a>(&'a LogicalPlan, &'a ExecConfig);
-    impl fmt::Display for Physical<'_> {
+    struct Physical<'p, 'a>(&'p PhysNode<'a>);
+    impl fmt::Display for Physical<'_, '_> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt_node(f, self.0, 0, None, RenderCtx::Free, Some(self.1))
+            fmt_node(f, self.0.logical, Some(self.0), 0, None, "shardable")
         }
     }
-    Physical(plan, config).to_string()
-}
-
-/// The rendering-side ordering context: the planner's [`OrderCtx`] plus
-/// one extra state for subtrees already placed under a `Merge ×N` node
-/// (whose scans render `(morsel)` and never re-trigger a merge).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RenderCtx {
-    Free,
-    Key(usize),
-    Pinned,
-    Morsel,
-}
-
-impl RenderCtx {
-    fn from_order(o: OrderCtx) -> RenderCtx {
-        match o {
-            OrderCtx::Free => RenderCtx::Free,
-            OrderCtx::Key(k) => RenderCtx::Key(k),
-            OrderCtx::Pinned => RenderCtx::Pinned,
-        }
-    }
-
-    /// The context for `plan`'s child at `idx`, via the planner's own
-    /// propagation rule.
-    fn child(self, plan: &LogicalPlan, idx: usize) -> RenderCtx {
-        match self {
-            RenderCtx::Morsel => RenderCtx::Morsel,
-            RenderCtx::Free => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Free))
-            }
-            RenderCtx::Key(k) => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Key(k)))
-            }
-            RenderCtx::Pinned => {
-                RenderCtx::from_order(super::lower::child_order(plan, idx, OrderCtx::Pinned))
-            }
-        }
+    match plan_physical(plan, config) {
+        Ok(phys) => Physical(&phys.root).to_string(),
+        Err(e) => format!("{plan}-- no physical plan: {e}\n"),
     }
 }
 
+/// Renders `plan` and its subtree; with `phys` (the node implementing
+/// `plan`) the physical annotations too. `scan_mode` is what a scan
+/// reached from here shows: `shardable` until a merge join makes its
+/// streaming inputs `ordered` (sorts, aggregates and join builds reset
+/// it), `morsel` beneath a merging exchange.
 fn fmt_node(
     f: &mut fmt::Formatter<'_>,
     plan: &LogicalPlan,
-    indent: usize,
-    tag: Option<&str>,
-    ctx: RenderCtx,
-    config: Option<&ExecConfig>,
+    phys: Option<&PhysNode<'_>>,
+    mut indent: usize,
+    mut tag: Option<&str>,
+    mut scan_mode: &'static str,
 ) -> fmt::Result {
-    // Physical rendering: an ordered chain the planner will shard renders
-    // under a merging-exchange node (same decision function as lowering).
-    if let (RenderCtx::Key(key), Some(cfg)) = (ctx, config) {
-        let workers = super::lower::merge_workers(plan, key, cfg);
-        if workers >= 2 {
-            write!(f, "{:indent$}", "", indent = indent * 2)?;
-            if let Some(t) = tag {
-                write!(f, "{t}: ")?;
-            }
-            let schema = plan.schema();
-            writeln!(
-                f,
-                "Merge \u{d7}{workers} on {} -> {schema}",
-                schema.field(key).name
-            )?;
-            return fmt_node(f, plan, indent + 1, None, RenderCtx::Morsel, config);
+    let exchange = phys.map(|p| &p.exchange);
+    if let Some(Exchange::Merge { producers, key, .. }) = exchange {
+        write!(f, "{:indent$}", "", indent = indent * 2)?;
+        if let Some(t) = tag.take() {
+            write!(f, "{t}: ")?;
         }
+        let schema = plan.schema();
+        writeln!(
+            f,
+            "Merge \u{d7}{producers} on {} -> {schema}",
+            schema.field(*key).name
+        )?;
+        indent += 1;
+        scan_mode = "morsel";
     }
+    let partitioned = match exchange {
+        Some(Exchange::HashPartition { partitions, .. }) => {
+            format!("(partitioned \u{d7}{partitions}) ")
+        }
+        _ => String::new(),
+    };
+    let child = |i: usize| phys.and_then(|p| p.children.get(i));
     write!(f, "{:indent$}", "", indent = indent * 2)?;
     if let Some(t) = tag {
         write!(f, "{t}: ")?;
@@ -121,11 +92,6 @@ fn fmt_node(
             schema,
             ..
         } => {
-            let mode = match ctx {
-                RenderCtx::Free => "shardable",
-                RenderCtx::Key(_) | RenderCtx::Pinned => "ordered",
-                RenderCtx::Morsel => "morsel",
-            };
             // Per-column storage codecs, so the plan shows which scans
             // decode through flavored primitives (`enc=[col:codec, ..]`).
             let encs: Vec<String> = cols
@@ -137,11 +103,11 @@ fn fmt_node(
                 })
                 .collect();
             if encs.is_empty() {
-                writeln!(f, "Scan {} ({mode}) -> {schema}", table.name())
+                writeln!(f, "Scan {} ({scan_mode}) -> {schema}", table.name())
             } else {
                 writeln!(
                     f,
-                    "Scan {} ({mode}) enc=[{}] -> {schema}",
+                    "Scan {} ({scan_mode}) enc=[{}] -> {schema}",
                     table.name(),
                     encs.join(", ")
                 )
@@ -158,7 +124,7 @@ fn fmt_node(
                 "Filter {} -> {schema}",
                 render_pred(pred, input.schema())
             )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
         }
         LogicalPlan::Project {
             input,
@@ -182,7 +148,7 @@ fn fmt_node(
                 })
                 .collect();
             writeln!(f, "Project [{}] -> {schema}", parts.join(", "))?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
         }
         LogicalPlan::HashAgg {
             input,
@@ -195,26 +161,13 @@ fn fmt_node(
                 .iter()
                 .map(|&i| input.schema().field(i).name.as_str())
                 .collect();
-            // Physical rendering: the partitioning verdict, from the same
-            // decision function lowering uses.
-            let partitions = match config {
-                Some(cfg) if ctx == RenderCtx::Free => {
-                    super::lower::agg_partition_count(input, keys, cfg)
-                }
-                _ => 1,
-            };
-            if partitions >= 2 {
-                write!(f, "HashAgg (partitioned \u{d7}{partitions}) ")?;
-            } else {
-                write!(f, "HashAgg ")?;
-            }
             writeln!(
                 f,
-                "keys=[{}] aggs=[{}] -> {schema}",
+                "HashAgg {partitioned}keys=[{}] aggs=[{}] -> {schema}",
                 key_names.join(", "),
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
         LogicalPlan::StreamAgg {
             input,
@@ -227,7 +180,7 @@ fn fmt_node(
                 "StreamAgg [{}] -> {schema}",
                 render_aggs(aggs, 0, input.schema(), schema)
             )?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
         LogicalPlan::HashJoin {
             build,
@@ -261,20 +214,11 @@ fn fmt_node(
                 .iter()
                 .map(|&i| build.schema().field(i).name.as_str())
                 .collect();
-            // Physical rendering: the join-partitioning verdict, from the
-            // same decision function lowering uses.
-            let partitions = match config {
-                Some(cfg) if ctx == RenderCtx::Free => {
-                    super::lower::join_partition_count(build, probe, cfg)
-                }
-                _ => 1,
-            };
-            if partitions >= 2 {
-                write!(f, "HashJoin (partitioned \u{d7}{partitions}) ")?;
-            } else {
-                write!(f, "HashJoin ")?;
-            }
-            write!(f, "{kind_name} on ({})", on.join(", "))?;
+            write!(
+                f,
+                "HashJoin {partitioned}{kind_name} on ({})",
+                on.join(", ")
+            )?;
             if !pay.is_empty() {
                 write!(f, " payload=[{}]", pay.join(", "))?;
             }
@@ -283,22 +227,8 @@ fn fmt_node(
             }
             writeln!(f, " -> {schema}")?;
             // Build materializes (resets order); probe streams (inherits).
-            fmt_node(
-                f,
-                build,
-                indent + 1,
-                Some("build"),
-                ctx.child(plan, 0),
-                config,
-            )?;
-            fmt_node(
-                f,
-                probe,
-                indent + 1,
-                Some("probe"),
-                ctx.child(plan, 1),
-                config,
-            )
+            fmt_node(f, build, child(0), indent + 1, Some("build"), "shardable")?;
+            fmt_node(f, probe, child(1), indent + 1, Some("probe"), scan_mode)
         }
         LogicalPlan::MergeJoin {
             left,
@@ -323,25 +253,10 @@ fn fmt_node(
                 write!(f, " payload=[{}]", pay.join(", "))?;
             }
             writeln!(f, " -> {schema}")?;
-            // Order-sensitive: the key constraint threads down, until an
-            // order-resetting node drops it — physically, a clustering-key
-            // chain shards under a `Merge ×N` node instead.
-            fmt_node(
-                f,
-                left,
-                indent + 1,
-                Some("left"),
-                ctx.child(plan, 0),
-                config,
-            )?;
-            fmt_node(
-                f,
-                right,
-                indent + 1,
-                Some("right"),
-                ctx.child(plan, 1),
-                config,
-            )
+            // Order-sensitive: both inputs stream in key order until an
+            // order-resetting node below takes over.
+            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered")?;
+            fmt_node(f, right, child(1), indent + 1, Some("right"), "ordered")
         }
         LogicalPlan::Sort {
             input,
@@ -364,7 +279,7 @@ fn fmt_node(
                 write!(f, " limit={l}")?;
             }
             writeln!(f, " -> {schema}")?;
-            fmt_node(f, input, indent + 1, None, ctx.child(plan, 0), config)
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
     }
 }

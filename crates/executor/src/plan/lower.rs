@@ -1,57 +1,60 @@
-//! The physical planner: [`LogicalPlan`] → operator pipeline.
+//! The physical planner: [`LogicalPlan`] → [`PhysicalPlan`] → operators.
 //!
-//! Lowering is where *all* parallelism decisions live (queries only
-//! declare intent):
+//! [`plan_physical`] is where *all* parallelism decisions live (queries
+//! only declare intent). It is pure — no threads, no [`QueryContext`] —
+//! and writes every decision down as a [`PhysicalPlan`]: one [`PhysNode`]
+//! per logical node, carrying its exchange shape and the proven row and
+//! byte bounds one bottom-up pass derived for it. Everything downstream
+//! reads that plan and decides nothing: [`instantiate`] constructs the
+//! operators, [`crate::verify`] checks exchange placement,
+//! [`crate::cost()`] prices the stages and
+//! [`explain_physical`](crate::plan::explain_physical) renders them.
 //!
-//! * **Sharding.** A scan under an order-insensitive pipeline with
-//!   `worker_threads > 1` and enough rows to bother becomes `n`
-//!   morsel-driven worker fragments united by a [`Parallel`] exchange.
-//! * **Pipeline pushdown.** A chain of [`LogicalPlan::Filter`] /
-//!   [`LogicalPlan::Project`] nodes sitting on a scan is compiled *into*
-//!   each worker fragment, so the selection and map primitives parallelize
-//!   and every worker owns its own bandit state for them (per-worker micro
-//!   adaptivity, DESIGN.md §5).
+//! The decisions:
+//!
+//! * **Sharding.** A [`LogicalPlan::Filter`] / [`LogicalPlan::Project`]
+//!   chain over a scan with `worker_threads > 1` and enough rows to bother
+//!   compiles *into* `n` morsel-driven worker fragments — the selection
+//!   and map primitives parallelize and every worker owns its own bandit
+//!   state for them (DESIGN.md §5) — united by [`Exchange::Parallel`].
 //! * **Partitioned aggregation.** A [`LogicalPlan::HashAgg`] over a
-//!   sharded scan — or over any input with enough estimated groups —
-//!   becomes a [`HashPartitionExchange`]: producers route tuples by
-//!   `hash(group keys) % P` to `P` private [`HashAggregate`] instances
-//!   whose disjoint results union in arrival order (DESIGN.md §7).
+//!   sharded chain — or over any input with a large enough proven group
+//!   bound — runs as `P` private [`HashAggregate`] instances behind a
+//!   one-lane [`Exchange::HashPartition`]: producers route tuples by
+//!   `hash(group keys) % P`, and the disjoint results union in arrival
+//!   order (DESIGN.md §7).
 //! * **Partitioned join builds.** A [`LogicalPlan::HashJoin`] over big
-//!   enough inputs becomes a *two-lane* [`HashPartitionExchange`]: both
-//!   sides route by `hash(join keys) % P` into `P` private [`HashJoin`]
-//!   instances, each building its own hash table — equal keys land in the
-//!   same partition on both lanes, so the arrival-order union of the
-//!   per-partition join outputs is exact for every join kind
-//!   (DESIGN.md §8).
-//! * **Order sensitivity.** A [`LogicalPlan::MergeJoin`] needs key-sorted
-//!   inputs; a [`Parallel`] union interleaves worker streams in arrival
-//!   order and would break that. The planner threads the required key
-//!   down as an [`OrderCtx`]: a Filter/Project chain over a scan whose
-//!   key traces to the table's clustering (first) column still shards —
-//!   its morsel fragments are each internally sorted, and a
-//!   [`MergeExchange`] K-way-merges them back into one sorted stream.
-//!   Chains that can't prove the key's order stay sequential, and nodes
-//!   that *reset* order (Sort re-sorts; aggregates and hash-join builds
-//!   are order-insensitive) drop back to unordered mode for their inputs.
+//!   enough inputs runs as `P` private [`HashJoin`] instances behind a
+//!   *two-lane* [`Exchange::HashPartition`]: equal keys land in the same
+//!   partition on both lanes, so the arrival-order union of the
+//!   per-partition outputs is exact for every join kind (DESIGN.md §8).
+//! * **Ordered inputs.** A [`LogicalPlan::MergeJoin`] needs key-sorted
+//!   inputs, and an arrival-order union would break that. Its inputs are
+//!   either a sort (which re-establishes order, so everything beneath it
+//!   plans freely) or a clustering-key chain, which still shards: morsel
+//!   fragments of a first-column-sorted table are each internally sorted,
+//!   and [`Exchange::Merge`] K-way-merges them back into one sorted
+//!   stream. Any other input is a typed [`ExecError::Plan`].
 
 use std::sync::Arc;
 
 use ma_vector::{MorselQueue, Table, VECTORS_PER_MORSEL};
 
+use crate::analyze::{AnalysisError, Facts};
 use crate::config::{DecodeMode, ExecConfig};
-use crate::ops::{AggSpec, ProjItem};
+use crate::cost::Width;
+use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, RoutedLane,
     Scan, Select, Sort, StreamAggregate,
 };
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::LogicalPlan;
-use crate::{BoxOp, ExecError, QueryContext};
+use crate::{cost, BoxOp, ExecError, QueryContext};
 
-/// Lowers a logical plan to a physical operator pipeline, deciding
-/// sharding, pipeline pushdown, aggregate/join partitioning and the
-/// ordered-pipeline strategy centrally (see the
-/// [plan module docs](crate::plan)).
+/// Lowers a logical plan to a physical operator pipeline:
+/// [`plan_physical`] under the context's configuration, then
+/// [`instantiate`].
 pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
     // Debug builds re-check every invariant lowering relies on through
     // the independent verifier (`crate::verify`), so any test that
@@ -61,361 +64,558 @@ pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError>
     #[cfg(debug_assertions)]
     crate::verify::verify(plan, ctx.config())
         .map_err(|e| ExecError::Plan(format!("plan verification failed: {e}")))?;
-    lower_node(plan, ctx, OrderCtx::Free)
+    instantiate(&plan_physical(plan, ctx.config())?, ctx)
 }
 
-/// The ordering constraint an ancestor imposes on a node's output stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OrderCtx {
-    /// No order-sensitive ancestor: scans may shard freely.
-    Free,
-    /// An ancestor consumes the output sorted ascending by this output
-    /// column. Scans may still shard — behind a [`MergeExchange`] on the
-    /// key — when the key provably carries the table's clustering order.
-    Key(usize),
-    /// Ordered, but the key doesn't survive the mapping to this node's
-    /// schema (e.g. a computed projection): sequential scans only.
-    Pinned,
+// ---------------------------------------------------------------------------
+// the physical plan
+// ---------------------------------------------------------------------------
+
+/// A node's position in a pre-order walk of the [`LogicalPlan`] it
+/// implements ([`LogicalPlan::children`] order; the root is 0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(pub usize);
+
+/// One routed input of an [`Exchange::HashPartition`]: lane `i` is fed by
+/// the node's child `i`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lane {
+    /// Producer threads draining the child into the lane. `1` is the
+    /// child's own pipeline; `n ≥ 2` means the child is a scan chain
+    /// compiled into `n` morsel fragments that feed the lane directly (no
+    /// exchange of its own).
+    pub producers: usize,
+    /// Columns of the child's output the routing hash folds, in order.
+    pub key_cols: Vec<usize>,
 }
 
-/// Ordered-mode propagation from `plan` to its child at `idx` (0 = input/
-/// build/left, 1 = probe/right), given the constraint on the node itself.
+/// How a node's operator instances are fed and their outputs united.
 ///
-/// One function, used by both lowering and the physical EXPLAIN traversal,
-/// so the rendered verdict can never drift from the executed one:
-///
-/// * Filter streams through — the constraint (and its key index) passes;
-/// * Project passes the constraint through pass-through items, mapping
-///   the key index; a computed key pins the subtree sequential;
-/// * Sort re-sorts and aggregates materialize — order *resets*, the
-///   subtree may shard even under a merge join;
-/// * a hash join's build side materializes (resets) while its probe side
-///   streams (inherits; a key pointing at a build payload column pins);
-/// * a merge join imposes its key on both children.
-pub(crate) fn child_order(plan: &LogicalPlan, idx: usize, order: OrderCtx) -> OrderCtx {
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } => order,
-        LogicalPlan::Project { items, .. } => match order {
-            OrderCtx::Key(k) => match items.get(k) {
-                Some(ProjItem::Pass(i)) => OrderCtx::Key(*i),
-                _ => OrderCtx::Pinned,
-            },
-            other => other,
-        },
-        LogicalPlan::HashAgg { .. } | LogicalPlan::StreamAgg { .. } | LogicalPlan::Sort { .. } => {
-            OrderCtx::Free
+/// `chunk_bytes` is the byte bound of one chunk crossing the exchange —
+/// the bound its [`crate::MemTracker`] is registered with and the unit
+/// [`crate::cost()`] prices its channel buffers in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Exchange {
+    /// One sequential instance fed directly by its children.
+    None,
+    /// The node tops a scan chain compiled into `workers` morsel
+    /// fragments, united in arrival order.
+    Parallel {
+        /// Worker fragment count.
+        workers: usize,
+        /// Byte bound of one output chunk of the chain.
+        chunk_bytes: u64,
+    },
+    /// The node tops a clustering-key scan chain compiled into
+    /// `producers` morsel fragments, K-way merged on output column `key`.
+    Merge {
+        /// Producer fragment count.
+        producers: usize,
+        /// The ascending integer column the merge compares.
+        key: usize,
+        /// Byte bound of one output chunk of the chain.
+        chunk_bytes: u64,
+    },
+    /// The node (a hash aggregate or hash join) runs as `partitions`
+    /// private instances; each child is routed to them by key hash, and
+    /// their outputs unite in arrival order.
+    HashPartition {
+        /// Consumer instance count.
+        partitions: usize,
+        /// One lane per child, in child order.
+        lanes: Vec<Lane>,
+        /// Byte bound of the widest chunk crossing the exchange: any
+        /// lane's input chunk or a consumer's output chunk.
+        chunk_bytes: u64,
+    },
+}
+
+impl Exchange {
+    /// The chunk byte bound the exchange's tracker carries (0 for
+    /// [`Exchange::None`]).
+    pub fn chunk_bytes(&self) -> u64 {
+        match self {
+            Exchange::None => 0,
+            Exchange::Parallel { chunk_bytes, .. }
+            | Exchange::Merge { chunk_bytes, .. }
+            | Exchange::HashPartition { chunk_bytes, .. } => *chunk_bytes,
         }
-        LogicalPlan::HashJoin { probe, .. } => {
-            if idx == 0 {
-                OrderCtx::Free
-            } else {
-                match order {
-                    OrderCtx::Key(k) if k >= probe.schema().fields().len() => OrderCtx::Pinned,
-                    other => other,
-                }
+    }
+
+    /// The largest producer count feeding any one input of the exchange.
+    pub fn producers(&self) -> usize {
+        match self {
+            Exchange::None => 0,
+            Exchange::Parallel { workers: n, .. } | Exchange::Merge { producers: n, .. } => *n,
+            Exchange::HashPartition { lanes, .. } => {
+                lanes.iter().map(|l| l.producers).max().unwrap_or(0)
             }
         }
-        LogicalPlan::MergeJoin {
-            left_key,
-            right_key,
-            ..
-        } => OrderCtx::Key(if idx == 0 { *left_key } else { *right_key }),
+    }
+
+    /// Chunks the exchange's channels can hold at once: every route (one
+    /// per producer and consumer partition) and every partition's slot in
+    /// the consumer union buffers `CHANNEL_DEPTH_PER_WORKER` messages
+    /// plus one in flight, each of up to `CHUNKS_PER_MESSAGE` chunks.
+    /// Times [`Exchange::chunk_bytes`], this is the stage's byte bound.
+    pub fn buffered_chunks(&self) -> u64 {
+        let routes = |producers: usize, partitions: usize| {
+            (producers as u64)
+                .saturating_mul(partitions as u64)
+                .saturating_add(partitions as u64)
+        };
+        let slots = match self {
+            Exchange::None => 0,
+            Exchange::Parallel { workers: n, .. } | Exchange::Merge { producers: n, .. } => {
+                routes(*n, 1)
+            }
+            Exchange::HashPartition {
+                partitions, lanes, ..
+            } => lanes.iter().fold(0u64, |a, l| {
+                a.saturating_add(routes(l.producers, *partitions))
+            }),
+        };
+        slots
+            .saturating_mul((CHANNEL_DEPTH_PER_WORKER as u64).saturating_add(1))
+            .saturating_mul(CHUNKS_PER_MESSAGE as u64)
     }
 }
 
-/// `order`: the constraint some ancestor imposes on this node's output.
-fn lower_node(plan: &LogicalPlan, ctx: &QueryContext, order: OrderCtx) -> Result<BoxOp, ExecError> {
-    match order {
-        // Any Filter/Project chain over a big-enough scan shards into
-        // worker fragments united in arrival order.
-        OrderCtx::Free => {
-            if let Some(chain) = shardable_chain(plan, ctx.config()) {
-                let queue = morsel_queue(&chain, ctx);
-                let workers = ctx.worker_threads();
-                let factory = |_worker: usize, _n: usize| -> Result<BoxOp, ExecError> {
-                    build_chain_fragment(&chain, &queue, ctx)
-                };
-                let chunk = crate::cost::chunk_bound(plan, ctx.vector_size());
-                return Ok(Box::new(
-                    Parallel::new(workers, &factory)?
-                        .tracked(ctx.mem_tracker("exchange/parallel", chunk)),
-                ));
-            }
+/// One node of a [`PhysicalPlan`]: the logical node it implements plus
+/// everything the planner decided and proved about it.
+pub struct PhysNode<'a> {
+    /// Pre-order position of [`PhysNode::logical`] in the planned tree.
+    pub id: NodeId,
+    /// The logical node implemented; operator parameters (predicates,
+    /// keys, labels, schemas) are read from here.
+    pub logical: &'a LogicalPlan,
+    /// One physical child per logical child, in the same order.
+    pub children: Vec<PhysNode<'a>>,
+    /// How the node's instances are fed and united.
+    pub exchange: Exchange,
+    /// Proven upper bound on the rows the node emits. For a hash
+    /// aggregate this is its group bound; a hash join reads its build
+    /// child's as the build-table reservation hint.
+    pub rows: usize,
+    /// Proven peak resident bytes of **one** operator instance (0 for
+    /// streaming filters and projections).
+    pub instance_bytes: u64,
+}
+
+impl PhysNode<'_> {
+    /// Operator instances [`instantiate`] builds for the node's own
+    /// memory-tracked state: one per partition.
+    pub fn instances(&self) -> usize {
+        match self.exchange {
+            Exchange::HashPartition { partitions, .. } => partitions.max(1),
+            _ => 1,
         }
-        // Under an ordered ancestor the same chain shards behind a
-        // merging exchange — if the key provably carries the clustering
-        // order (each morsel fragment is then internally sorted).
-        OrderCtx::Key(key) => {
-            let workers = merge_workers(plan, key, ctx.config());
-            if workers >= 2 {
-                let chain = shardable_chain(plan, ctx.config()).expect("merge_workers checked");
-                let queue = morsel_queue(&chain, ctx);
-                let producers: Vec<BoxOp> = (0..workers)
-                    .map(|_| build_chain_fragment(&chain, &queue, ctx))
-                    .collect::<Result<_, _>>()?;
-                let chunk = crate::cost::chunk_bound(plan, ctx.vector_size());
-                return Ok(Box::new(
-                    MergeExchange::new(producers, key)?
-                        .tracked(ctx.mem_tracker("exchange/merge", chunk)),
-                ));
-            }
-        }
-        OrderCtx::Pinned => {}
     }
-    match plan {
-        LogicalPlan::Scan { table, cols, .. } => lower_scan_seq(table, cols, ctx),
-        LogicalPlan::Filter {
-            input, pred, label, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(Select::new(child, pred, ctx, label)?))
+}
+
+/// The physical plan of one query under one [`ExecConfig`]: what
+/// [`instantiate`] builds, [`crate::verify()`] checks, [`crate::cost()`]
+/// prices and `explain_physical` renders.
+pub struct PhysicalPlan<'a> {
+    /// The root node (implements the root of the logical plan).
+    pub root: PhysNode<'a>,
+}
+
+impl<'a> PhysicalPlan<'a> {
+    /// Every node, in pre-order ([`NodeId`] order for a planner-made plan).
+    pub fn nodes(&self) -> Vec<&PhysNode<'a>> {
+        let mut out = Vec::new();
+        let mut stack = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            out.push(node);
+            stack.extend(node.children.iter().rev());
         }
-        LogicalPlan::Project {
-            input,
-            items,
-            label,
-            ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(crate::ops::Project::new(
-                child,
-                items.clone(),
-                ctx,
-                label,
-            )?))
-        }
-        LogicalPlan::HashAgg {
-            input,
-            keys,
-            aggs,
-            label,
-            ..
-        } => {
-            // Aggregation resets order for its input (`child_order`), but
-            // an ordered *ancestor* still pins the aggregate itself to a
-            // single (deterministically ordered) instance.
-            let partitions = if order == OrderCtx::Free {
-                agg_partition_count(input, keys, ctx.config())
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                return lower_partitioned_agg(input, keys, aggs, partitions, ctx, label);
-            }
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            let bound = crate::cost::agg_instance_bound(input, keys, aggs);
-            Ok(Box::new(
-                HashAggregate::new(child, keys.clone(), aggs.clone(), ctx, label)?
-                    .with_group_bound(crate::analyze::group_bound(input, keys))
-                    .with_tracker(ctx.mem_tracker(label, bound)),
-            ))
-        }
-        LogicalPlan::StreamAgg {
-            input, aggs, label, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            Ok(Box::new(StreamAggregate::new(
-                child,
-                aggs.clone(),
-                ctx,
-                label,
-            )?))
-        }
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            probe_keys,
-            payload,
-            kind,
-            bloom,
-            defaults,
-            label,
-            ..
-        } => {
-            // A partitioned join's outputs union in arrival order, so an
-            // ordered ancestor pins the join to a single instance.
-            let partitions = if order == OrderCtx::Free {
-                join_partition_count(build, probe, ctx.config())
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                return lower_partitioned_join(plan, partitions, ctx);
-            }
-            let b = lower_node(build, ctx, child_order(plan, 0, order))?;
-            let p = lower_node(probe, ctx, child_order(plan, 1, order))?;
-            let bound = crate::cost::join_build_bound(build, build_keys, payload);
-            Ok(Box::new(
-                HashJoin::new(
-                    b,
-                    p,
-                    build_keys.clone(),
-                    probe_keys.clone(),
-                    payload.clone(),
-                    *kind,
-                    *bloom,
-                    defaults.clone(),
-                    ctx,
-                    label,
-                )?
-                .with_build_rows(estimated_rows(build))
-                .with_tracker(ctx.mem_tracker(label, bound)),
-            ))
-        }
-        LogicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            payload,
-            label,
-            ..
-        } => {
-            // Both inputs must arrive key-sorted: `child_order` threads
-            // the key down, so each input either shards behind a merging
-            // exchange (clustering-key chains) or stays sequential.
-            let l = lower_node(left, ctx, child_order(plan, 0, order))?;
-            let r = lower_node(right, ctx, child_order(plan, 1, order))?;
-            Ok(Box::new(MergeJoin::new(
-                l,
-                r,
-                *left_key,
-                *right_key,
-                payload.clone(),
-                ctx,
-                label,
-            )?))
-        }
-        LogicalPlan::Sort {
-            input, keys, limit, ..
-        } => {
-            let child = lower_node(input, ctx, child_order(plan, 0, order))?;
-            let bound = crate::cost::sort_bound(input);
-            Ok(Box::new(
-                Sort::new(child, keys.clone(), *limit, ctx.vector_size())?
-                    .with_tracker(ctx.mem_tracker("sort", bound)),
-            ))
-        }
+        out
     }
 }
 
 // ---------------------------------------------------------------------------
-// shardable Filter/Project chains over a scan
+// planning
 // ---------------------------------------------------------------------------
 
-/// One pushed-down pipeline stage above the scan inside a worker fragment.
-enum ChainStage<'a> {
-    Filter {
-        pred: &'a crate::expr::Pred,
-        label: &'a str,
-    },
-    Project {
-        items: &'a [ProjItem],
-        label: &'a str,
-    },
-}
-
-/// A Filter/Project chain over a scan big enough to shard.
-pub(crate) struct ShardableChain<'a> {
-    table: &'a Arc<Table>,
-    cols: &'a [String],
-    /// Stages above the scan, bottom-up.
-    stages: Vec<ChainStage<'a>>,
-}
-
-/// Decomposes `plan` into a per-worker-compilable chain, or `None` when the
-/// pipeline contains a blocking/join node, the engine is single-threaded,
-/// or the table yields too few morsels to bother. Shared with
-/// [`crate::cost`], whose exchange bounds mirror this sharding verdict.
-pub(crate) fn shardable_chain<'a>(
+/// Plans `plan` physically under `cfg`. Pure: spawns nothing and touches
+/// no [`QueryContext`]. The only plans it rejects are those with a
+/// merge-join input that is neither a sort nor a clustering-key chain
+/// (which [`crate::PlanBuilder`] and [`crate::verify()`] reject too).
+pub fn plan_physical<'a>(
     plan: &'a LogicalPlan,
     cfg: &ExecConfig,
-) -> Option<ShardableChain<'a>> {
-    if cfg.worker_threads.max(1) == 1 {
-        return None;
-    }
-    let morsel_rows = VECTORS_PER_MORSEL * cfg.vector_size;
-    let mut stages = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            LogicalPlan::Filter {
-                input, pred, label, ..
-            } => {
-                stages.push(ChainStage::Filter { pred, label });
-                cur = input;
-            }
-            LogicalPlan::Project {
-                input,
-                items,
-                label,
-                ..
-            } => {
-                stages.push(ChainStage::Project { items, label });
-                cur = input;
-            }
-            LogicalPlan::Scan { table, cols, .. } => {
-                // Sharding a table that yields only a couple of morsels
-                // buys nothing.
-                if table.rows() < 2 * morsel_rows {
-                    return None;
+) -> Result<PhysicalPlan<'a>, ExecError> {
+    plan_with_findings(plan, cfg).map(|(phys, _)| phys)
+}
+
+/// [`plan_physical`] plus what the abstract interpreter found on the way
+/// — the same findings, in the same order, as [`crate::analyze()`] — so
+/// [`crate::verify()`] gates on them without interpreting the plan twice.
+pub(crate) fn plan_with_findings<'a>(
+    plan: &'a LogicalPlan,
+    cfg: &ExecConfig,
+) -> Result<(PhysicalPlan<'a>, Vec<AnalysisError>), ExecError> {
+    let mut planner = Planner {
+        cfg,
+        workers: cfg.worker_threads.max(1),
+        next_id: 0,
+        findings: Vec::new(),
+    };
+    let root = planner.plan(plan, Feed::Free)?.node;
+    Ok((PhysicalPlan { root }, planner.findings))
+}
+
+/// How a node's consumer takes its output.
+#[derive(Clone, Copy, PartialEq)]
+enum Feed {
+    /// In any order: a shardable chain unites its fragments as they
+    /// arrive.
+    Free,
+    /// Sorted ascending by this output column: a shardable chain merges
+    /// its fragments on it.
+    Sorted(usize),
+    /// Inside the consumer's own fragments (the rest of a sharded chain,
+    /// or a multi-producer lane): no exchange here or below.
+    Inline,
+}
+
+/// A planned subtree plus what its parent's bottom-up step consumes.
+struct Planned<'a> {
+    node: PhysNode<'a>,
+    facts: Facts,
+    widths: Vec<Width>,
+}
+
+struct Planner<'c> {
+    cfg: &'c ExecConfig,
+    workers: usize,
+    next_id: usize,
+    findings: Vec<AnalysisError>,
+}
+
+impl Planner<'_> {
+    /// One bottom-up step per node: inputs first, then the abstract
+    /// interpreter's transfer function and the byte model's widths over
+    /// their results — each exactly once — and from those the node's
+    /// exchange and bounds. How an input is fed is structural (which
+    /// chains shard), so it is known before the input's facts are.
+    fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, ExecError> {
+        let id = NodeId(self.next_id);
+        self.next_id += 1;
+        // This node tops a chain compiled into worker fragments.
+        let sharded = feed != Feed::Inline && self.shardable(plan);
+        let fanout = match plan {
+            LogicalPlan::HashAgg { .. } => fanout(self.cfg.agg_partitions, self.workers),
+            LogicalPlan::HashJoin { .. } => fanout(self.cfg.join_partitions, self.workers),
+            _ => 1,
+        };
+
+        let mut children = Vec::new();
+        let mut facts = [Facts::default(), Facts::default()];
+        let mut widths = [Vec::new(), Vec::new()];
+        // Inputs whose worker fragments feed this node's lanes directly.
+        let mut lane_sharded = [false; 2];
+        for (i, input) in plan.children().enumerate() {
+            let feed = match plan {
+                LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
+                    if sharded || feed == Feed::Inline {
+                        Feed::Inline
+                    } else {
+                        Feed::Free
+                    }
                 }
-                stages.reverse();
-                return Some(ShardableChain {
-                    table,
-                    cols,
-                    stages,
-                });
+                // A partitioned consumer takes a sharded input's fragments
+                // as its lane's producers (no double exchange); with any
+                // input sharded it always partitions.
+                LogicalPlan::HashAgg { .. } | LogicalPlan::HashJoin { .. } => {
+                    lane_sharded[i] = fanout >= 2 && self.shardable(input);
+                    if lane_sharded[i] {
+                        Feed::Inline
+                    } else {
+                        Feed::Free
+                    }
+                }
+                LogicalPlan::MergeJoin {
+                    left_key,
+                    right_key,
+                    ..
+                } => merge_feed(input, if i == 0 { *left_key } else { *right_key }, i)?,
+                // Sort re-sorts and a global aggregate folds: their inputs
+                // plan freely whatever consumes them.
+                _ => Feed::Free,
+            };
+            let planned = self.plan(input, feed)?;
+            children.push(planned.node);
+            facts[i] = planned.facts;
+            widths[i] = planned.widths;
+        }
+        let n = children.len();
+
+        let in_widths = [&widths[0][..], &widths[1][..]];
+        let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
+        let out_widths = cost::node_widths(plan, &in_widths[..n]);
+        let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
+
+        let exchange = match (plan, feed) {
+            (_, Feed::Free) if sharded => Exchange::Parallel {
+                workers: self.workers,
+                chunk_bytes: chunk(&out_widths),
+            },
+            // Workers claim morsels in increasing row order, so each
+            // fragment emits disjoint ascending key ranges and the K-way
+            // merge restores the global order exactly.
+            (_, Feed::Sorted(key)) if sharded => Exchange::Merge {
+                producers: self.workers,
+                key,
+                chunk_bytes: chunk(&out_widths),
+            },
+            (LogicalPlan::HashAgg { keys, .. }, _) => {
+                // The aggregate's own row bound is its group bound.
+                let demand = cost::enc_weighted_demand(facts.rows, in_widths[0], Some(keys));
+                let threshold = self.cfg.agg_min_partition_groups;
+                let explicit = self.cfg.agg_partitions != 0;
+                let partitions =
+                    partition_count(fanout, lane_sharded[0], demand, threshold, explicit);
+                self.hash_partition(partitions, &[keys], &lane_sharded, &in_widths, &out_widths)
             }
-            _ => return None,
+            (
+                LogicalPlan::HashJoin {
+                    build_keys,
+                    probe_keys,
+                    ..
+                },
+                _,
+            ) => {
+                // The larger side's row bound, each side discounted by its
+                // own encoded/raw row-width ratio.
+                let side =
+                    |i: usize| cost::enc_weighted_demand(children[i].rows, in_widths[i], None);
+                let demand = side(0).max(side(1));
+                let threshold = self.cfg.join_min_partition_rows;
+                let explicit = self.cfg.join_partitions != 0;
+                let any_sharded = lane_sharded[0] || lane_sharded[1];
+                let partitions = partition_count(fanout, any_sharded, demand, threshold, explicit);
+                let lane_keys = [build_keys, probe_keys];
+                self.hash_partition(
+                    partitions,
+                    &lane_keys,
+                    &lane_sharded,
+                    &in_widths,
+                    &out_widths,
+                )
+            }
+            _ => Exchange::None,
+        };
+
+        let inputs = [
+            (children.first().map_or(0, |c| c.rows), in_widths[0]),
+            (children.get(1).map_or(0, |c| c.rows), in_widths[1]),
+        ];
+        let instance_bytes =
+            cost::instance_bytes(plan, facts.rows, &inputs[..n], self.cfg.vector_size);
+        let node = PhysNode {
+            id,
+            logical: plan,
+            children,
+            exchange,
+            rows: facts.rows,
+            instance_bytes,
+        };
+        Ok(Planned {
+            node,
+            facts,
+            widths: out_widths,
+        })
+    }
+
+    /// The exchange of an aggregate or join running as `partitions`
+    /// instances (`< 2`: none). Input `i` routes by `lane_keys[i]`.
+    fn hash_partition(
+        &self,
+        partitions: usize,
+        lane_keys: &[&Vec<usize>],
+        lane_sharded: &[bool; 2],
+        in_widths: &[&[Width]; 2],
+        out_widths: &[Width],
+    ) -> Exchange {
+        if partitions < 2 {
+            return Exchange::None;
+        }
+        let lanes = lane_keys
+            .iter()
+            .zip(lane_sharded)
+            .map(|(keys, &sharded)| Lane {
+                producers: if sharded { self.workers } else { 1 },
+                key_cols: (*keys).clone(),
+            });
+        let widest = in_widths[..lane_keys.len()]
+            .iter()
+            .fold(cost::row_width(out_widths), |w, i| {
+                w.max(cost::row_width(i))
+            });
+        Exchange::HashPartition {
+            partitions,
+            lanes: lanes.collect(),
+            chunk_bytes: (self.cfg.vector_size as u64).saturating_mul(widest),
         }
     }
-}
 
-/// A fresh morsel queue over the chain's table. Morsels follow the
-/// configured vector size so morsel boundaries stay chunk-aligned for any
-/// `vector_size` (the worker-count-invariance contract, DESIGN.md §5).
-fn morsel_queue(chain: &ShardableChain<'_>, ctx: &QueryContext) -> Arc<MorselQueue> {
-    let morsel_rows = VECTORS_PER_MORSEL * ctx.vector_size();
-    Arc::new(MorselQueue::with_morsel(chain.table.rows(), morsel_rows))
-}
-
-/// Compiles one worker's fragment: a morsel scan plus the chain's stages,
-/// each with private primitive instances (per-worker bandit state).
-fn build_chain_fragment(
-    chain: &ShardableChain<'_>,
-    queue: &Arc<MorselQueue>,
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let names: Vec<&str> = chain.cols.iter().map(String::as_str).collect();
-    let scan = Scan::morsel(
-        Arc::clone(chain.table),
-        &names,
-        ctx.vector_size(),
-        Arc::clone(queue),
-    )?;
-    let mut op: BoxOp = Box::new(wire_decoders(scan, chain.table, ctx)?);
-    for stage in &chain.stages {
-        op = match stage {
-            ChainStage::Filter { pred, label } => Box::new(Select::new(op, pred, ctx, label)?),
-            ChainStage::Project { items, label } => {
-                Box::new(crate::ops::Project::new(op, items.to_vec(), ctx, label)?)
-            }
-        };
+    /// Whether `plan` is a Filter/Project chain over a scan worth
+    /// compiling into per-worker morsel fragments.
+    fn shardable(&self, plan: &LogicalPlan) -> bool {
+        // Sharding a table that yields only a couple of morsels buys
+        // nothing.
+        let morsel_rows = VECTORS_PER_MORSEL * self.cfg.vector_size;
+        self.workers > 1 && chain_scan(plan).is_some_and(|(t, _)| t.rows() >= 2 * morsel_rows)
     }
-    Ok(op)
 }
 
-/// Plain sequential scan (the 1-worker engine, small tables, pinned mode).
-fn lower_scan_seq(
-    table: &Arc<Table>,
-    cols: &[String],
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
-    Ok(Box::new(wire_decoders(scan, table, ctx)?))
+/// The instance count a partitioned aggregate or join would fan out to:
+/// the explicit `*_partitions` knob, or every worker when it is 0.
+fn fanout(knob: usize, workers: usize) -> usize {
+    if knob == 0 {
+        workers
+    } else {
+        knob
+    }
+}
+
+/// The partitioning verdict for a hash aggregate or join (`< 2`: one
+/// instance). Partition when an input is itself a sharded scan chain (its
+/// producers are already parallel — serializing them behind one hash
+/// table would be the Amdahl bottleneck this exchange exists to remove),
+/// or when the proven `demand` reaches `threshold` (a heavy consumer
+/// behind serial producers still parallelizes its hash-table work):
+///
+/// * an aggregate's demand is its **proven group bound**, `min(row bound,
+///   Π key NDV)` — a low-NDV key provably caps the group count, so such
+///   an aggregate stays single however many rows feed it — against
+///   [`ExecConfig::agg_min_partition_groups`];
+/// * a join's is the larger side's row bound against
+///   [`ExecConfig::join_min_partition_rows`]. Row bounds are anchored on
+///   exact base-table counts and deliberately pessimistic above them (an
+///   N:M inner join is bounded by the product): a miss costs parallelism
+///   or routing overhead, never correctness.
+///
+/// Both demands are in raw-width units, discounted when the consumed
+/// columns arrive dictionary-coded (DESIGN.md §13). An `explicit`
+/// partition knob is an exact override; in auto mode the cost model sizes
+/// the count to the demand instead of fanning out to every worker.
+fn partition_count(
+    fanout: usize,
+    input_sharded: bool,
+    demand: usize,
+    threshold: usize,
+    explicit: bool,
+) -> usize {
+    if fanout < 2 || (!input_sharded && demand < threshold) {
+        1
+    } else if input_sharded || explicit {
+        fanout
+    } else {
+        cost::pick_partitions(demand, threshold, fanout)
+    }
+}
+
+/// A merge-join input must arrive sorted ascending by `key`: a sort
+/// (beneath which everything plans freely) or a clustering-key chain.
+fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, ExecError> {
+    if matches!(input, LogicalPlan::Sort { .. }) {
+        Ok(Feed::Free)
+    } else if clustered_key_chain(input, key) {
+        Ok(Feed::Sorted(key))
+    } else {
+        Err(ExecError::Plan(format!(
+            "{} merge-join input is neither a sort nor a scan chain carrying its table's \
+             clustering order on key column {key}",
+            ["left", "right"][side]
+        )))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// scan chains: the unit a worker fragment compiles
+// ---------------------------------------------------------------------------
+
+/// The scan under a Filter/Project chain, or `None` when `plan` contains
+/// any other node.
+fn chain_scan(plan: &LogicalPlan) -> Option<(&Arc<Table>, &[String])> {
+    match plan {
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => chain_scan(input),
+        LogicalPlan::Scan { table, cols, .. } => Some((table, cols)),
+        _ => None,
+    }
+}
+
+/// A Filter/Project chain over a scan.
+struct ScanChain<'a> {
+    table: &'a Arc<Table>,
+    cols: &'a [String],
+    /// Filter and Project nodes above the scan, bottom-up.
+    stages: Vec<&'a LogicalPlan>,
+}
+
+impl<'a> ScanChain<'a> {
+    /// Decomposes `plan`, or `None` when it contains any other node.
+    fn of(plan: &'a LogicalPlan) -> Option<ScanChain<'a>> {
+        let (table, cols) = chain_scan(plan)?;
+        let mut stages = Vec::new();
+        let mut cur = plan;
+        while let LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } = cur {
+            stages.push(cur);
+            cur = input;
+        }
+        stages.reverse();
+        Some(ScanChain {
+            table,
+            cols,
+            stages,
+        })
+    }
+
+    /// A fresh morsel queue over the chain's table. Morsels follow the
+    /// configured vector size so morsel boundaries stay chunk-aligned for
+    /// any `vector_size` (the worker-count-invariance contract,
+    /// DESIGN.md §5).
+    fn queue(&self, ctx: &QueryContext) -> Arc<MorselQueue> {
+        let morsel_rows = VECTORS_PER_MORSEL * ctx.vector_size();
+        Arc::new(MorselQueue::with_morsel(self.table.rows(), morsel_rows))
+    }
+
+    /// `n` worker fragments over one shared morsel queue.
+    fn fragments(&self, n: usize, ctx: &QueryContext) -> Result<Vec<BoxOp>, ExecError> {
+        let queue = self.queue(ctx);
+        (0..n).map(|_| self.fragment(&queue, ctx)).collect()
+    }
+
+    /// One worker's fragment: a morsel scan plus the chain's stages, each
+    /// with private primitive instances (per-worker bandit state).
+    fn fragment(&self, queue: &Arc<MorselQueue>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+        let names: Vec<&str> = self.cols.iter().map(String::as_str).collect();
+        let scan = Scan::morsel(
+            Arc::clone(self.table),
+            &names,
+            ctx.vector_size(),
+            Arc::clone(queue),
+        )?;
+        let mut op: BoxOp = Box::new(wire_decoders(scan, self.table, ctx)?);
+        for stage in &self.stages {
+            op = stream_op(stage, op, ctx)?;
+        }
+        Ok(op)
+    }
+}
+
+/// The streaming operator of a Filter or Project node over `input`.
+fn stream_op(plan: &LogicalPlan, input: BoxOp, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+    Ok(match plan {
+        LogicalPlan::Filter { pred, label, .. } => Box::new(Select::new(input, pred, ctx, label)?),
+        LogicalPlan::Project { items, label, .. } => {
+            Box::new(crate::ops::Project::new(input, items.clone(), ctx, label)?)
+        }
+        _ => unreachable!("scan chains hold only Filter and Project stages"),
+    })
 }
 
 /// Attaches flavored decode primitives to a scan over encoded columns
@@ -432,281 +632,215 @@ fn wire_decoders(scan: Scan, table: &Arc<Table>, ctx: &QueryContext) -> Result<S
 }
 
 // ---------------------------------------------------------------------------
-// ordered sharding (merging exchange)
+// instantiation
 // ---------------------------------------------------------------------------
 
-/// The planner's verdict for sharding an *ordered* pipeline: the producer
-/// count behind a [`MergeExchange`] on output column `key` (`< 2` means a
-/// sequential scan).
-///
-/// Shards when the node is a shardable Filter/Project chain over a scan
-/// *and* the key provably carries the scanned table's clustering (first-
-/// column) order — the same structural test the plan builder applies to
-/// merge-join inputs ([`clustered_key_chain`]). Each morsel fragment then
-/// emits disjoint ascending key ranges (workers claim morsels in
-/// increasing row order), so the K-way merge restores the global order
-/// exactly. Also used by the physical EXPLAIN rendering, so the verdict
-/// shown is the verdict executed.
-pub(crate) fn merge_workers(plan: &LogicalPlan, key: usize, cfg: &ExecConfig) -> usize {
-    if shardable_chain(plan, cfg).is_none() {
-        return 1;
-    }
-    if !clustered_key_chain(plan, key) {
-        return 1;
-    }
-    cfg.worker_threads.max(1)
+/// Constructs the operator pipeline `plan` describes, registering one
+/// [`crate::MemTracker`] per tracked instance with the bound the node
+/// carries. Decides nothing: `ctx` must hold the [`ExecConfig`] the plan
+/// was made under.
+pub fn instantiate(plan: &PhysicalPlan<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+    build(&plan.root, ctx)
 }
 
-/// The planner's sharding verdict for an order-*insensitive* pipeline:
-/// the worker count behind a [`Parallel`] union (`< 2` means a
-/// sequential scan). Mirrored by the plan verifier's physical sketch
-/// (`crate::verify`), which re-checks exchange placement independently.
-pub(crate) fn shard_workers(plan: &LogicalPlan, cfg: &ExecConfig) -> usize {
-    if shardable_chain(plan, cfg).is_some() {
-        cfg.worker_threads.max(1)
-    } else {
-        1
-    }
+/// The scan chain a sharding exchange or multi-producer lane compiles
+/// into fragments.
+fn chain_of<'a>(node: &PhysNode<'a>) -> Result<ScanChain<'a>, ExecError> {
+    ScanChain::of(node.logical).ok_or_else(|| {
+        ExecError::Plan(format!(
+            "physical node {} shards into fragments but is not a scan chain",
+            node.id.0
+        ))
+    })
 }
 
-// ---------------------------------------------------------------------------
-// partitioned hash aggregation
-// ---------------------------------------------------------------------------
-
-/// The planner's partitioning verdict for a hash aggregation over `input`:
-/// the partition count (`< 2` means a single aggregate instance).
-///
-/// Partition when the input is itself a sharded scan chain (the producers
-/// are already parallel — serializing them behind one aggregate would be
-/// the Amdahl bottleneck this exchange exists to remove), or when the
-/// **proven group-count bound** reaches
-/// [`ExecConfig::agg_min_partition_groups`] (a heavy aggregate behind a
-/// serial producer still parallelizes its hash-table work). The bound is
-/// the abstract interpreter's `min(row bound, Π key NDV)`
-/// ([`crate::analyze::group_bound`]) — a low-NDV key (e.g. a flag column)
-/// now provably caps the group count, so the aggregate stays single where
-/// the raw row estimate used to over-trigger partitioning. Also used by
-/// the physical EXPLAIN rendering, so the verdict shown is the verdict
-/// executed.
-pub(crate) fn agg_partition_count(input: &LogicalPlan, keys: &[usize], cfg: &ExecConfig) -> usize {
-    let partitions = if cfg.agg_partitions == 0 {
-        cfg.worker_threads.max(1)
-    } else {
-        cfg.agg_partitions
-    };
-    if partitions < 2 {
-        return 1;
-    }
-    if shardable_chain(input, cfg).is_some() {
-        return partitions;
-    }
-    // Group demand in raw-width units, discounted when the key columns
-    // arrive dictionary-coded (DESIGN.md §13): the per-group resident
-    // footprint shrinks with the keys, so fewer partitions are needed to
-    // keep each under the threshold.
-    let demand = crate::cost::enc_weighted_demand(
-        crate::analyze::group_bound(input, keys),
-        input,
-        Some(keys),
-    );
-    if demand >= cfg.agg_min_partition_groups {
-        // An explicit `agg_partitions` knob is an exact override; in auto
-        // mode the cost model sizes the partition count to the proven
-        // demand instead of fanning out to every worker unconditionally.
-        return if cfg.agg_partitions != 0 {
-            partitions
-        } else {
-            crate::cost::pick_partitions(demand, cfg.agg_min_partition_groups, partitions)
-        };
-    }
-    1
+fn child<'p, 'a>(node: &'p PhysNode<'a>, i: usize) -> Result<&'p PhysNode<'a>, ExecError> {
+    node.children
+        .get(i)
+        .ok_or_else(|| ExecError::Plan(format!("physical node {} is missing input {i}", node.id.0)))
 }
 
-/// Row-count upper bound for a plan's output: the abstract interpreter's
-/// derived bound ([`crate::analyze::row_bound`]), anchored on **exact
-/// base-table row counts** (scans report the catalog's
-/// [`crate::plan::Catalog::row_count`] answer, captured on the node at
-/// plan-build time as `base_rows`) and tightened by per-column statistics
-/// above them: contradictory filters drop to zero, aggregates are bounded
-/// by the product of their key NDVs, and joins whose build key is *proven*
-/// all-distinct stay bounded by their probe side. Joins without that proof
-/// use the sound N:M product bound — deliberately pessimistic, since a
-/// miss costs parallelism or routing overhead, never correctness.
-pub(crate) fn estimated_rows(plan: &LogicalPlan) -> usize {
-    crate::analyze::row_bound(plan)
-}
-
-/// Producer fragments for one partitioned-exchange input: the worker
-/// fragments themselves when the input decomposes into a sharded scan
-/// chain (no double exchange), the serially lowered input otherwise.
-fn lane_producers(input: &LogicalPlan, ctx: &QueryContext) -> Result<Vec<BoxOp>, ExecError> {
-    match shardable_chain(input, ctx.config()) {
-        Some(chain) => {
-            let queue = morsel_queue(&chain, ctx);
-            (0..ctx.worker_threads())
-                .map(|_| build_chain_fragment(&chain, &queue, ctx))
-                .collect()
+fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+    let input = |i: usize| build(child(node, i)?, ctx);
+    // All instances of a node share its label, so per-worker and
+    // per-partition statistics fold in `QueryContext::merged_reports`.
+    Ok(match (node.logical, &node.exchange) {
+        (
+            _,
+            Exchange::Parallel {
+                workers,
+                chunk_bytes,
+            },
+        ) => {
+            let chain = chain_of(node)?;
+            let queue = chain.queue(ctx);
+            let factory = |_worker: usize, _n: usize| chain.fragment(&queue, ctx);
+            Box::new(
+                Parallel::new(*workers, &factory)?
+                    .tracked(ctx.mem_tracker("exchange/parallel", *chunk_bytes)),
+            )
         }
-        None => Ok(vec![lower_node(input, ctx, OrderCtx::Free)?]),
-    }
-}
-
-/// Lowers a hash aggregation as a single-lane [`HashPartitionExchange`]:
-/// producers route tuples by group-key hash to `partitions` private
-/// [`HashAggregate`] instances. Group keys are disjoint across partitions,
-/// so the arrival-order union of partition outputs *is* the aggregate —
-/// no merge step. All instances share the plan node's label, so
-/// [`QueryContext::merged_reports`] folds their statistics exactly like
-/// per-worker scan instances.
-fn lower_partitioned_agg(
-    input: &LogicalPlan,
-    keys: &[usize],
-    aggs: &[AggSpec],
-    partitions: usize,
-    ctx: &QueryContext,
-    label: &str,
-) -> Result<BoxOp, ExecError> {
-    let lane = RoutedLane {
-        producers: lane_producers(input, ctx)?,
-        key_cols: keys.to_vec(),
-    };
-    // Hash routing makes no distribution promise, so every partition gets
-    // the full proven bound: in the worst case one consumer sees all
-    // groups.
-    let bound = crate::cost::agg_instance_bound(input, keys, aggs);
-    let group_hint = crate::analyze::group_bound(input, keys);
-    let consumer = |mut sources: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> {
-        let source = sources.pop().expect("one lane");
-        Ok(Box::new(
-            HashAggregate::new(source, keys.to_vec(), aggs.to_vec(), ctx, label)?
-                .with_group_bound(group_hint)
-                .with_tracker(ctx.mem_tracker(label, bound)),
-        ))
-    };
-    let chunk = crate::cost::chunk_bound(input, ctx.vector_size()).max(
-        crate::cost::agg_out_chunk_bound(input, keys, aggs, ctx.vector_size()),
-    );
-    Ok(Box::new(
-        HashPartitionExchange::new(vec![lane], partitions, &consumer)?
-            .tracked(ctx.mem_tracker(format!("{label}/exchange"), chunk)),
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// partitioned hash-join builds
-// ---------------------------------------------------------------------------
-
-/// The planner's partitioning verdict for a hash join: the partition count
-/// (`< 2` means one join instance with a single shared build table).
-///
-/// Partition when either side is itself a sharded scan chain (its
-/// producers are already parallel; a single build would serialize them),
-/// or when the larger side's estimated rows reach
-/// [`ExecConfig::join_min_partition_rows`]. Equal keys route to the same
-/// partition on both lanes, so per-partition joins are exact — but their
-/// outputs union in arrival order, so the caller must not partition under
-/// an ordered ancestor. Also used by the physical EXPLAIN rendering.
-pub(crate) fn join_partition_count(
-    build: &LogicalPlan,
-    probe: &LogicalPlan,
-    cfg: &ExecConfig,
-) -> usize {
-    let partitions = if cfg.join_partitions == 0 {
-        cfg.worker_threads.max(1)
-    } else {
-        cfg.join_partitions
-    };
-    if partitions < 2 {
-        return 1;
-    }
-    if shardable_chain(probe, cfg).is_some() || shardable_chain(build, cfg).is_some() {
-        return partitions;
-    }
-    // Each side's row demand, discounted by its encoded/raw row-width
-    // ratio when its columns arrive dictionary-coded (DESIGN.md §13).
-    let demand = crate::cost::enc_weighted_demand(estimated_rows(build), build, None).max(
-        crate::cost::enc_weighted_demand(estimated_rows(probe), probe, None),
-    );
-    if demand >= cfg.join_min_partition_rows {
-        // Explicit `join_partitions` overrides; auto mode lets the cost
-        // model size the fan-out to the proven demand.
-        return if cfg.join_partitions != 0 {
-            partitions
-        } else {
-            crate::cost::pick_partitions(demand, cfg.join_min_partition_rows, partitions)
-        };
-    }
-    1
-}
-
-/// Lowers a hash join as a two-lane [`HashPartitionExchange`]: the build
-/// side and the probe side each route by their join keys into `partitions`
-/// private [`HashJoin`] instances (P private build tables — no shared
-/// state). Key equality across lanes routes to the same partition, making
-/// the per-partition joins exact for inner, semi, anti and left-single
-/// semantics; the disjoint outputs union in arrival order. All join
-/// instances share the plan node's label, so per-partition bandit
-/// statistics fold through [`QueryContext::merged_reports`].
-fn lower_partitioned_join(
-    plan: &LogicalPlan,
-    partitions: usize,
-    ctx: &QueryContext,
-) -> Result<BoxOp, ExecError> {
-    let LogicalPlan::HashJoin {
-        build,
-        probe,
-        build_keys,
-        probe_keys,
-        payload,
-        kind,
-        bloom,
-        defaults,
-        label,
-        ..
-    } = plan
-    else {
-        unreachable!("lower_partitioned_join is only called on HashJoin nodes");
-    };
-    let lanes = vec![
-        RoutedLane {
-            producers: lane_producers(build, ctx)?,
-            key_cols: build_keys.clone(),
-        },
-        RoutedLane {
-            producers: lane_producers(probe, ctx)?,
-            key_cols: probe_keys.clone(),
-        },
-    ];
-    // Worst case a single partition receives the whole build side, so
-    // each instance carries the full proven bound.
-    let bound = crate::cost::join_build_bound(build, build_keys, payload);
-    let rows_hint = estimated_rows(build);
-    let consumer = |mut sources: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> {
-        let probe_src = sources.pop().expect("probe lane");
-        let build_src = sources.pop().expect("build lane");
-        Ok(Box::new(
-            HashJoin::new(
-                build_src,
-                probe_src,
-                build_keys.clone(),
-                probe_keys.clone(),
-                payload.clone(),
-                *kind,
-                *bloom,
-                defaults.clone(),
-                ctx,
+        (
+            _,
+            Exchange::Merge {
+                producers,
+                key,
+                chunk_bytes,
+            },
+        ) => Box::new(
+            MergeExchange::new(chain_of(node)?.fragments(*producers, ctx)?, *key)?
+                .tracked(ctx.mem_tracker("exchange/merge", *chunk_bytes)),
+        ),
+        (LogicalPlan::Scan { table, cols, .. }, _) => {
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
+            Box::new(wire_decoders(scan, table, ctx)?)
+        }
+        (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
+            stream_op(node.logical, input(0)?, ctx)?
+        }
+        (
+            LogicalPlan::HashAgg {
+                keys, aggs, label, ..
+            },
+            exchange,
+        ) => {
+            let instance = |source: BoxOp| -> Result<BoxOp, ExecError> {
+                Ok(Box::new(
+                    HashAggregate::new(source, keys.clone(), aggs.clone(), ctx, label)?
+                        .with_group_bound(node.rows)
+                        .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
+                ))
+            };
+            match exchange {
+                // Group keys are disjoint across partitions, so the
+                // arrival-order union of partition outputs *is* the
+                // aggregate — no merge step.
+                Exchange::HashPartition { .. } => {
+                    build_partitioned(node, label, ctx, &|mut sources| {
+                        instance(sources.pop().expect("one lane"))
+                    })?
+                }
+                _ => instance(input(0)?)?,
+            }
+        }
+        (LogicalPlan::StreamAgg { aggs, label, .. }, _) => {
+            Box::new(StreamAggregate::new(input(0)?, aggs.clone(), ctx, label)?)
+        }
+        (
+            LogicalPlan::HashJoin {
+                build_keys,
+                probe_keys,
+                payload,
+                kind,
+                bloom,
+                defaults,
                 label,
-            )?
-            .with_build_rows(rows_hint)
-            .with_tracker(ctx.mem_tracker(label, bound)),
-        ))
+                ..
+            },
+            exchange,
+        ) => {
+            let build_rows = child(node, 0)?.rows;
+            let instance = |build: BoxOp, probe: BoxOp| -> Result<BoxOp, ExecError> {
+                Ok(Box::new(
+                    HashJoin::new(
+                        build,
+                        probe,
+                        build_keys.clone(),
+                        probe_keys.clone(),
+                        payload.clone(),
+                        *kind,
+                        *bloom,
+                        defaults.clone(),
+                        ctx,
+                        label,
+                    )?
+                    .with_build_rows(build_rows)
+                    .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
+                ))
+            };
+            match exchange {
+                // P private build tables, no shared state; key equality
+                // across lanes routes to the same partition, so the
+                // per-partition joins are exact for inner, semi, anti and
+                // left-single semantics.
+                Exchange::HashPartition { .. } => {
+                    build_partitioned(node, label, ctx, &|mut sources| {
+                        let probe = sources.pop().expect("probe lane");
+                        instance(sources.pop().expect("build lane"), probe)
+                    })?
+                }
+                _ => instance(input(0)?, input(1)?)?,
+            }
+        }
+        (
+            LogicalPlan::MergeJoin {
+                left_key,
+                right_key,
+                payload,
+                label,
+                ..
+            },
+            _,
+        ) => Box::new(MergeJoin::new(
+            input(0)?,
+            input(1)?,
+            *left_key,
+            *right_key,
+            payload.clone(),
+            ctx,
+            label,
+        )?),
+        (LogicalPlan::Sort { keys, limit, .. }, _) => Box::new(
+            Sort::new(input(0)?, keys.clone(), *limit, ctx.vector_size())?
+                .with_tracker(ctx.mem_tracker("sort", node.instance_bytes)),
+        ),
+    })
+}
+
+/// Builds `node`'s [`Exchange::HashPartition`]: each lane's producers are
+/// its child's morsel fragments (a multi-producer lane) or the child's own
+/// pipeline, and `instance` builds one partition's consumer over its
+/// per-lane sources.
+fn build_partitioned(
+    node: &PhysNode<'_>,
+    label: &str,
+    ctx: &QueryContext,
+    instance: &dyn Fn(Vec<BoxOp>) -> Result<BoxOp, ExecError>,
+) -> Result<BoxOp, ExecError> {
+    let Exchange::HashPartition {
+        partitions,
+        lanes,
+        chunk_bytes,
+    } = &node.exchange
+    else {
+        unreachable!("build_partitioned() is only called on HashPartition nodes");
     };
-    let chunk = crate::cost::chunk_bound(build, ctx.vector_size())
-        .max(crate::cost::chunk_bound(probe, ctx.vector_size()))
-        .max(crate::cost::chunk_bound(plan, ctx.vector_size()));
+    if lanes.len() != node.children.len() {
+        return Err(ExecError::Plan(format!(
+            "{label}: {} partition lanes over {} inputs",
+            lanes.len(),
+            node.children.len()
+        )));
+    }
+    let lanes = lanes
+        .iter()
+        .zip(&node.children)
+        .map(|(lane, child)| {
+            Ok(RoutedLane {
+                producers: if lane.producers >= 2 {
+                    chain_of(child)?.fragments(lane.producers, ctx)?
+                } else {
+                    vec![build(child, ctx)?]
+                },
+                key_cols: lane.key_cols.clone(),
+            })
+        })
+        .collect::<Result<Vec<_>, ExecError>>()?;
+    let consumer = |sources: Vec<BoxOp>, _p: usize| instance(sources);
     Ok(Box::new(
-        HashPartitionExchange::new(lanes, partitions, &consumer)?
-            .tracked(ctx.mem_tracker(format!("{label}/exchange"), chunk)),
+        HashPartitionExchange::new(lanes, *partitions, &consumer)?
+            .tracked(ctx.mem_tracker(format!("{label}/exchange"), *chunk_bytes)),
     ))
 }
 
@@ -721,6 +855,13 @@ mod tests {
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, DataType};
     use std::collections::HashMap;
+
+    /// Instances the planner gives the root operator (its partition
+    /// verdict) and the row bound it proved for it.
+    fn root_verdict(plan: &LogicalPlan, cfg: &ExecConfig) -> (usize, usize) {
+        let phys = plan_physical(plan, cfg).unwrap();
+        (phys.root.instances(), phys.root.rows)
+    }
 
     fn ctx_with_workers(workers: usize) -> QueryContext {
         let mut cfg = ExecConfig::fixed_default();
@@ -885,33 +1026,30 @@ mod tests {
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        let (agg_input, agg_keys) = match &plan {
-            crate::plan::LogicalPlan::HashAgg { input, keys, .. } => (input.as_ref(), &keys[..]),
-            other => panic!("expected HashAgg root, got {other}"),
-        };
+        let partitions = |cfg: &ExecConfig| root_verdict(&plan, cfg).0;
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         // Below the default threshold: single.
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(partitions(&cfg), 1);
         // Verdict flip vs the raw row estimate: 1000 input rows used to
         // clear a threshold of 100, but at most 3 groups can exist.
         cfg.agg_min_partition_groups = 100;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(partitions(&cfg), 1);
         // The bound itself gates exactly: threshold == 3 partitions. The
         // cost model sizes P to the demand/threshold ratio (here 1,
         // clamped to the 2-partition minimum), not the worker count.
         cfg.agg_min_partition_groups = 3;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 2);
+        assert_eq!(partitions(&cfg), 2);
         // ... one past it does not.
         cfg.agg_min_partition_groups = 4;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(partitions(&cfg), 1);
         // An explicit partition count overrides worker-following...
         cfg.agg_min_partition_groups = 3;
         cfg.agg_partitions = 2;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 2);
+        assert_eq!(partitions(&cfg), 2);
         // ... and `1` disables partitioning outright.
         cfg.agg_partitions = 1;
-        assert_eq!(agg_partition_count(agg_input, agg_keys, &cfg), 1);
+        assert_eq!(partitions(&cfg), 1);
         // Execution with a forced partition count still matches.
         let mut cfg = ExecConfig::fixed_default();
         cfg.agg_min_partition_groups = 3;
@@ -950,29 +1088,29 @@ mod tests {
         // slack in either direction.
         let rows = 1000;
         let c = catalog(rows);
-        let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
-            .hash_agg(&["v"], vec![count()], "agg")
-            .build()
-            .unwrap();
-        let (agg_input, agg_keys) = match &plan {
-            LogicalPlan::HashAgg { input, keys, .. } => (input.as_ref(), keys.clone()),
-            other => panic!("expected HashAgg root, got {other}"),
+        let agg_by = |key: &str| {
+            PlanBuilder::scan(&c, "t", &["k", "v"])
+                .hash_agg(&[key], vec![count()], "agg")
+                .build()
+                .unwrap()
         };
+        let by_v = agg_by("v");
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         cfg.agg_min_partition_groups = rows;
-        assert_eq!(agg_partition_count(agg_input, &agg_keys, &cfg), 2);
+        assert_eq!(root_verdict(&by_v, &cfg).0, 2);
         cfg.agg_min_partition_groups = rows + 1;
-        assert_eq!(agg_partition_count(agg_input, &agg_keys, &cfg), 1);
+        assert_eq!(root_verdict(&by_v, &cfg).0, 1);
 
         // Grouping by `k` (exactly 7 distinct values) instead caps the
         // bound at the key's NDV, not the 1000-row input: the verdict
         // flips at 7/8 even though every threshold below 1000 used to
         // partition.
+        let by_k = agg_by("k");
         cfg.agg_min_partition_groups = 7;
-        assert_eq!(agg_partition_count(agg_input, &[0], &cfg), 2);
+        assert_eq!(root_verdict(&by_k, &cfg).0, 2);
         cfg.agg_min_partition_groups = 8;
-        assert_eq!(agg_partition_count(agg_input, &[0], &cfg), 1);
+        assert_eq!(root_verdict(&by_k, &cfg).0, 1);
 
         // Join verdict: the larger side (the probe scan, 1000 exact rows)
         // gates identically.
@@ -987,22 +1125,19 @@ mod tests {
             )
             .build()
             .unwrap();
-        let LogicalPlan::HashJoin { build, probe, .. } = &join else {
-            panic!("expected HashJoin root");
-        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         cfg.join_min_partition_rows = rows;
-        assert_eq!(join_partition_count(build, probe, &cfg), 2);
+        assert_eq!(root_verdict(&join, &cfg).0, 2);
         cfg.join_min_partition_rows = rows + 1;
-        assert_eq!(join_partition_count(build, probe, &cfg), 1);
+        assert_eq!(root_verdict(&join, &cfg).0, 1);
         // Explicit partition count overrides worker-following; `1`
         // disables outright.
         cfg.join_min_partition_rows = rows;
         cfg.join_partitions = 2;
-        assert_eq!(join_partition_count(build, probe, &cfg), 2);
+        assert_eq!(root_verdict(&join, &cfg).0, 2);
         cfg.join_partitions = 1;
-        assert_eq!(join_partition_count(build, probe, &cfg), 1);
+        assert_eq!(root_verdict(&join, &cfg).0, 1);
     }
 
     #[test]
@@ -1014,8 +1149,8 @@ mod tests {
         // to, silently under-firing every verdict above the join).
         let rows = 1000;
         let c = catalog(rows);
-        let join = PlanBuilder::scan(&c, "d", &["dk", "dv"])
-            .hash_join(
+        let join = || {
+            PlanBuilder::scan(&c, "d", &["dk", "dv"]).hash_join(
                 PlanBuilder::scan(&c, "t", &["k", "v"]),
                 &[("dk", "k")],
                 &["v"],
@@ -1023,18 +1158,21 @@ mod tests {
                 false,
                 "j",
             )
-            .build()
-            .unwrap();
-        assert_eq!(estimated_rows(&join), 3 * rows);
+        };
+        let mut cfg = ExecConfig::fixed_default();
+        assert_eq!(root_verdict(&join().build().unwrap(), &cfg).1, 3 * rows);
         // The aggregation verdict directly above the join gates on the
         // payload key's NDV (`v` is unique over 1000 build rows), not the
         // 3000-row product estimate.
-        let mut cfg = ExecConfig::fixed_default();
+        let agg = join()
+            .hash_agg(&["v"], vec![count()], "agg")
+            .build()
+            .unwrap();
         cfg.worker_threads = 4;
         cfg.agg_min_partition_groups = rows;
-        assert_eq!(agg_partition_count(&join, &[2], &cfg), 2);
+        assert_eq!(root_verdict(&agg, &cfg).0, 2);
         cfg.agg_min_partition_groups = rows + 1;
-        assert_eq!(agg_partition_count(&join, &[2], &cfg), 1);
+        assert_eq!(root_verdict(&agg, &cfg).0, 1);
 
         // Semi joins stay probe-bounded exactly: at most one output row
         // per probe tuple, regardless of the build side's size.
@@ -1049,7 +1187,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&semi), 3);
+        assert_eq!(root_verdict(&semi, &cfg).1, 3);
 
         // Merge join: the left key `v` is provably all-distinct (NDV ==
         // row count), so the unique-key contract is proven and the bound
@@ -1063,7 +1201,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&mj), 3);
+        assert_eq!(root_verdict(&mj, &cfg).1, 3);
     }
 
     #[test]
@@ -1084,18 +1222,19 @@ mod tests {
             }
         }
         let c = MetaCatalog(catalog(1000));
+        let cfg = ExecConfig::fixed_default();
         let plan = PlanBuilder::scan(&c, "t", &["k", "v"]).build().unwrap();
-        assert_eq!(estimated_rows(&plan), 500_000);
+        assert_eq!(root_verdict(&plan, &cfg).1, 500_000);
         // The default-impl path (HashMap catalog) reports the exact
         // materialized count, as does `from_table`.
         let default_c = catalog(1000);
         let plan = PlanBuilder::scan(&default_c, "t", &["k", "v"])
             .build()
             .unwrap();
-        assert_eq!(estimated_rows(&plan), 1000);
+        assert_eq!(root_verdict(&plan, &cfg).1, 1000);
         let t = default_c.get("t").unwrap().clone();
         let plan = PlanBuilder::from_table(t, &["k", "v"]).build().unwrap();
-        assert_eq!(estimated_rows(&plan), 1000);
+        assert_eq!(root_verdict(&plan, &cfg).1, 1000);
     }
 
     #[test]
@@ -1332,23 +1471,98 @@ mod tests {
     }
 
     #[test]
-    fn non_clustering_merge_key_stays_sequential() {
-        // The planner's merge verdict mirrors the builder's structural
+    fn only_clustering_key_chains_merge_shard() {
+        // The planner's merge verdict rests on the builder's structural
         // check: only a key that traces to the scanned table's clustering
-        // (first) column shards behind a merging exchange; any other key
-        // has no stored order to merge by and stays sequential.
+        // (first) column shards behind a merging exchange.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
-        let plan = PlanBuilder::scan(&c, "t", &["v", "k"]).build().unwrap();
+        let on_v = PlanBuilder::scan(&c, "t", &["v", "k"])
+            .merge_join(
+                PlanBuilder::scan(&c, "t", &["v as lv", "k as lk"]),
+                ("v", "lv"),
+                &["lk"],
+                "mj",
+            )
+            .build()
+            .unwrap();
+        let input_exchanges = |plan: &LogicalPlan, cfg: &ExecConfig| -> Vec<Exchange> {
+            let phys = plan_physical(plan, cfg).unwrap();
+            phys.root
+                .children
+                .iter()
+                .map(|c| c.exchange.clone())
+                .collect()
+        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
-        // Key 0 (`v`) is the clustering column: shards behind a merge.
-        assert_eq!(merge_workers(&plan, 0, &cfg), 4);
-        // Key 1 (`k`) has no stored order: sequential.
-        assert_eq!(merge_workers(&plan, 1, &cfg), 1);
+        // Key 0 (`v`) is the clustering column: both inputs shard behind a
+        // merge on it.
+        for ex in input_exchanges(&on_v, &cfg) {
+            assert!(
+                matches!(
+                    ex,
+                    Exchange::Merge {
+                        producers: 4,
+                        key: 0,
+                        ..
+                    }
+                ),
+                "{ex:?}"
+            );
+        }
         // Single-worker engines never merge-shard.
         cfg.worker_threads = 1;
-        assert_eq!(merge_workers(&plan, 0, &cfg), 1);
+        assert_eq!(
+            input_exchanges(&on_v, &cfg),
+            vec![Exchange::None, Exchange::None]
+        );
+        // Key `k` has no stored order, so the builder demands a sort: the
+        // sort input is a sequential node whose own input shards freely.
+        cfg.worker_threads = 4;
+        let on_k = PlanBuilder::scan(&c, "t", &["k", "v"])
+            .sort(&[asc("k")])
+            .merge_join(
+                PlanBuilder::scan(&c, "d", &["dk", "dv"]),
+                ("k", "dk"),
+                &["dv"],
+                "mj",
+            )
+            .build()
+            .unwrap();
+        let phys = plan_physical(&on_k, &cfg).unwrap();
+        let sort = &phys.root.children[1];
+        assert_eq!(sort.exchange, Exchange::None);
+        assert!(matches!(
+            sort.children[0].exchange,
+            Exchange::Parallel { workers: 4, .. }
+        ));
+        // A hand-built merge join over an unsorted, non-clustering input
+        // has no physical plan: a typed error, not a silently wrong order.
+        let LogicalPlan::MergeJoin {
+            left,
+            right_key,
+            payload,
+            label,
+            schema,
+            ..
+        } = on_k
+        else {
+            panic!("expected MergeJoin root");
+        };
+        let unsorted = LogicalPlan::MergeJoin {
+            left,
+            right: Box::new(PlanBuilder::scan(&c, "t", &["k", "v"]).build().unwrap()),
+            left_key: 0,
+            right_key,
+            payload,
+            label,
+            schema,
+        };
+        assert!(matches!(
+            plan_physical(&unsorted, &cfg),
+            Err(ExecError::Plan(_))
+        ));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! [`PlanError`]s before any operator exists.
 //!
 //! The result is a [`LogicalPlan`]: a purely declarative operator tree
-//! that knows nothing about threads, morsels or exchanges. [`lower`] — the
-//! physical planner — turns it into a [`crate::BoxOp`] pipeline and owns
-//! every parallelism decision centrally:
+//! that knows nothing about threads, morsels or exchanges.
+//! [`plan_physical`] — the physical planner — decides every parallelism
+//! question centrally and writes the answers down as a [`PhysicalPlan`];
+//! [`instantiate`] builds the [`crate::BoxOp`] pipeline that plan
+//! describes ([`lower`] is the two in sequence):
 //!
 //! * large scans under order-insensitive consumers are sharded into
 //!   morsel-driven worker fragments united by a [`crate::ops::Parallel`]
@@ -19,11 +21,11 @@
 //!   fragments, so the paper's hot selection primitives parallelize with
 //!   per-worker bandit state;
 //! * pipelines feeding order-sensitive consumers (merge join) are safe
-//!   **by construction**: the planner threads the required key down, and
-//!   a chain whose key carries the table's clustering order shards into
-//!   morsel fragments re-merged by a [`crate::ops::MergeExchange`] —
-//!   anything else stays sequential. A query author can no longer wire an
-//!   order-destroying exchange under a merge join by accident.
+//!   **by construction**: a merge-join input whose key carries the
+//!   table's clustering order shards into morsel fragments re-merged by a
+//!   [`crate::ops::MergeExchange`], a sorted input plans freely beneath
+//!   its sort, and anything else has no physical plan. A query author
+//!   cannot wire an order-destroying exchange under a merge join.
 //!
 //! [`LogicalPlan`] implements [`std::fmt::Display`] as an `EXPLAIN`-style
 //! indented tree with resolved schemas and the planner's ordered-vs-
@@ -33,7 +35,7 @@ pub(crate) mod builder;
 mod error;
 mod explain;
 pub(crate) mod expr;
-pub(crate) mod lower;
+mod lower;
 
 pub use builder::PlanBuilder;
 pub use error::PlanError;
@@ -42,7 +44,10 @@ pub use expr::{
     asc, col, count, desc, lit_f64, lit_i64, max_f64, max_i64, min_f64, min_i64, substr, sum_f64,
     sum_i64, Agg, NamedCmpRhs, NamedExpr, NamedPred, SortSpec,
 };
-pub use lower::lower;
+pub(crate) use lower::plan_with_findings;
+pub use lower::{
+    instantiate, lower, plan_physical, Exchange, Lane, NodeId, PhysNode, PhysicalPlan,
+};
 
 use std::sync::Arc;
 
@@ -94,8 +99,8 @@ pub enum LogicalPlan {
         cols: Vec<String>,
         /// The catalog's exact row count for the table
         /// ([`Catalog::row_count`], captured at plan-build time): the
-        /// cardinality anchor the physical planner's partitioning
-        /// verdicts read (`plan::lower::estimated_rows`).
+        /// cardinality anchor the physical planner's row bounds and
+        /// partitioning verdicts start from.
         base_rows: usize,
         /// Output schema (post-alias names).
         schema: Schema,
@@ -216,6 +221,23 @@ impl LogicalPlan {
             | LogicalPlan::MergeJoin { schema, .. }
             | LogicalPlan::Sort { schema, .. } => schema,
         }
+    }
+
+    /// The node's inputs in plan order: build before probe, left before
+    /// right. Every tree walk (analysis, physical planning, rendering)
+    /// numbers nodes pre-order over this order.
+    pub fn children(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (first, second): (Option<&LogicalPlan>, Option<&LogicalPlan>) = match self {
+            LogicalPlan::Scan { .. } => (None, None),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::HashAgg { input, .. }
+            | LogicalPlan::StreamAgg { input, .. }
+            | LogicalPlan::Sort { input, .. } => (Some(input), None),
+            LogicalPlan::HashJoin { build, probe, .. } => (Some(build), Some(probe)),
+            LogicalPlan::MergeJoin { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
     }
 }
 

@@ -1,13 +1,12 @@
 //! Independent plan-invariant verifier.
 //!
-//! [`lower`](crate::plan::lower) *establishes* a set of invariants when it
+//! [`lower`](crate::plan::lower) relies on a set of invariants when it
 //! turns a [`LogicalPlan`] into a physical pipeline: schemas stay
 //! consistent node to node, merge joins only ever see provably key-sorted
 //! inputs, order-destroying exchanges never end up under order-sensitive
 //! ancestors, partitioned exchanges route both lanes with agreeing keys,
 //! and every primitive-instantiating node carries a unique stats label.
-//! This module *re-checks* those invariants from scratch, sharing none of
-//! the lowering code paths that could hide a common bug:
+//! This module *re-checks* those invariants from scratch:
 //!
 //! 1. **Logical walk** ([`verify`], first phase): re-derives every node's
 //!    output schema bottom-up from expression/aggregate/join typing rules
@@ -15,16 +14,15 @@
 //!    merge-join input sortedness structurally; enforces stats-label
 //!    uniqueness across instantiating nodes; rejects float partition
 //!    keys with a typed error instead of a worker-thread panic.
-//! 2. **Physical sketch** ([`sketch`] + [`verify_sketch`]): a miniature
-//!    IR of the planner's exchange placement ([`PhysSketch`]). `sketch`
-//!    mirrors the planner's own verdict functions (sharding, merging,
-//!    partition counts) to predict where exchanges go; `verify_sketch`
-//!    then walks the sketch with an ordered-context flag and checks the
-//!    exchange-placement rules — no [`PhysSketch::Parallel`] or
-//!    [`PhysSketch::HashPartition`] under an ordered ancestor outside a
-//!    [`PhysSketch::Materialize`] boundary, lanes agree on key
-//!    count/class and partition count, no zero-lane consumers, no empty
-//!    producer sets, merge keys are single ascending integers.
+//! 2. **Physical plan** ([`verify_physical`]): translation validation of
+//!    the planner's actual output. It walks the very [`PhysicalPlan`]
+//!    [`instantiate`](crate::plan::instantiate) will build from, with one
+//!    bit of context — "an order-sensitive ancestor is live" — and checks
+//!    the exchange-placement rules: no [`Exchange::Parallel`] or
+//!    [`Exchange::HashPartition`] under an ordered ancestor short of a
+//!    materialization boundary, lanes agree on key count and class, no
+//!    zero-lane consumers, no empty producer sets, merge keys are
+//!    integers.
 //!
 //! In debug builds [`lower`](crate::plan::lower()) runs [`verify`] on
 //! every plan before lowering it, so any test executing a query exercises
@@ -34,19 +32,18 @@
 //! worker/partition/vector-size configurations.
 
 use std::collections::HashSet;
+use std::fmt::Display;
 
 use ma_vector::{DataType, Schema};
 
+use crate::analyze::AnalysisError;
 use crate::config::ExecConfig;
 use crate::expr::{CmpRhs, Expr, Pred};
 use crate::ops::{AggSpec, JoinKind, ProjItem};
 use crate::plan::builder::clustered_key_chain;
-use crate::plan::lower::{
-    agg_partition_count, child_order, join_partition_count, merge_workers, shard_workers, OrderCtx,
-};
-use crate::plan::LogicalPlan;
+use crate::plan::{plan_with_findings, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
-/// A plan invariant violation found by [`verify`] or [`verify_sketch`].
+/// A plan invariant violation found by [`verify`] or [`verify_physical`].
 ///
 /// Every variant names one distinct way a plan can be ill-formed, so
 /// tests can assert the *specific* failure and error messages can say
@@ -108,12 +105,6 @@ pub enum VerifyError {
         /// The join key column on that side.
         key: usize,
     },
-    /// A merging exchange was given a composite key; the K-way merge
-    /// compares a single column.
-    CompositeMergeKey {
-        /// Number of key columns found.
-        keys: usize,
-    },
     /// A merging exchange key is not an integer column.
     NonIntegerMergeKey {
         /// The key's type.
@@ -137,7 +128,7 @@ pub enum VerifyError {
     /// An order-destroying exchange sits under an order-sensitive
     /// ancestor without a materialization boundary in between.
     OrderViolation {
-        /// The offending sketch node (`"Parallel"` or `"HashPartition"`).
+        /// The offending exchange (`"Parallel"` or `"HashPartition"`).
         node: &'static str,
     },
     /// Two lanes of one partitioned exchange disagree on a key type
@@ -152,16 +143,6 @@ pub enum VerifyError {
         /// Type class the disagreeing lane routes with.
         found: DataType,
     },
-    /// A lane routes to a different partition count than the exchange's
-    /// consumers expect — tuples would be dropped or misrouted.
-    PartitionCountMismatch {
-        /// Index of the disagreeing lane.
-        lane: usize,
-        /// The exchange's consumer partition count.
-        expected: usize,
-        /// The lane's partition count.
-        found: usize,
-    },
     /// A partitioned exchange with no lanes: its consumers would be fed
     /// by nothing and hang at teardown.
     ZeroLaneConsumer,
@@ -173,7 +154,7 @@ pub enum VerifyError {
     },
     /// An exchange with zero workers/partitions.
     EmptyExchange {
-        /// The offending sketch node.
+        /// The offending exchange.
         node: &'static str,
     },
     /// The abstract interpreter (phase 3, [`mod@crate::analyze`]) proved a
@@ -181,7 +162,7 @@ pub enum VerifyError {
     /// interval contains zero.
     Analysis {
         /// The underlying hazard finding.
-        err: crate::analyze::AnalysisError,
+        err: AnalysisError,
     },
     /// The memory/cost pass (phase 4, [`mod@crate::cost`]) proved the
     /// plan's peak resident bytes exceed the configured budget, and
@@ -235,11 +216,6 @@ impl std::fmt::Display for VerifyError {
                 "{side} merge-join input sorts key column {key} descending; the merge \
                  scans ascending"
             ),
-            VerifyError::CompositeMergeKey { keys } => write!(
-                f,
-                "merging exchange given {keys} key columns; the K-way merge compares \
-                 exactly one"
-            ),
             VerifyError::NonIntegerMergeKey { ty } => {
                 write!(
                     f,
@@ -273,15 +249,6 @@ impl std::fmt::Display for VerifyError {
                 "partition lane {lane} key {pos} routes by {found} while lane 0 \
                  routes by {expected}; equal keys would hash to different partitions"
             ),
-            VerifyError::PartitionCountMismatch {
-                lane,
-                expected,
-                found,
-            } => write!(
-                f,
-                "partition lane {lane} routes to {found} partitions but the exchange \
-                 has {expected} consumers"
-            ),
             VerifyError::ZeroLaneConsumer => {
                 write!(
                     f,
@@ -308,27 +275,29 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies every invariant of `plan` that [`crate::lower`] relies on:
 /// the logical walk (schemas, types, labels, merge-input sortedness),
-/// then the physical sketch ([`sketch`] + [`verify_sketch`]) for the
-/// exchange placement `cfg` would produce. `Ok(())` means the plan is
-/// safe to lower under `cfg`.
+/// then [`verify_physical`] over the physical plan `cfg` produces.
+/// `Ok(())` means the plan is safe to lower under `cfg`.
 pub fn verify(plan: &LogicalPlan, cfg: &ExecConfig) -> Result<(), VerifyError> {
     let mut labels = HashSet::new();
     check_plan(plan, &mut labels)?;
-    verify_sketch(&sketch(plan, cfg))?;
-    // Phase 3: abstract interpretation. Only *hazards* (reachable traps)
-    // fail verification; warnings (possible wraps, checked-panic sum
-    // bounds, contradictions) are reported by `crate::analyze::analyze`
-    // and the `repro analyze` CLI instead — see
-    // `AnalysisError::is_hazard` for the rationale.
-    if let Some(err) = crate::analyze::analyze(plan).first_hazard() {
-        return Err(VerifyError::Analysis { err: err.clone() });
+    // Planning interprets the plan abstractly anyway, so its findings
+    // double as phase 3. Only *hazards* (reachable traps) fail
+    // verification; warnings (possible wraps, checked-panic sum bounds,
+    // contradictions) are reported by `crate::analyze::analyze` and the
+    // `repro analyze` CLI instead — see `AnalysisError::is_hazard` for the
+    // rationale.
+    let (phys, findings) = plan_with_findings(plan, cfg)
+        .expect("phase 1 proved every merge-join input sorted, the planner's one rejection");
+    verify_physical(&phys)?;
+    if let Some(err) = findings.into_iter().find(AnalysisError::is_hazard) {
+        return Err(VerifyError::Analysis { err });
     }
     // Phase 4: memory/cost bounds. Budget findings are warnings by
     // default (surfaced by `repro analyze` / `repro mem`); under
     // `strict_memory` a plan whose proven peak exceeds the budget is
     // rejected before any operator allocates.
     if cfg.strict_memory {
-        let report = crate::cost::cost(plan, cfg);
+        let report = crate::cost::report(&phys, cfg.memory_budget);
         if report.peak_bytes > cfg.memory_budget {
             return Err(VerifyError::MemoryBudget {
                 peak_bytes: report.peak_bytes,
@@ -359,11 +328,22 @@ fn fmt_types(types: &[DataType]) -> String {
     s
 }
 
-fn schema_types(schema: &Schema) -> Vec<DataType> {
-    schema.fields().iter().map(|f| f.ty).collect()
+fn schema_types(schema: &Schema) -> impl Iterator<Item = DataType> + Clone + '_ {
+    schema.fields().iter().map(|f| f.ty)
 }
 
-fn col_ty(schema: &Schema, col: usize, context: &str) -> Result<DataType, VerifyError> {
+/// The node an error names (`filter "Q1/sel"`), formatted only when an
+/// error is actually built: the success path of every check is
+/// allocation-free.
+struct Ctx<'a>(&'static str, &'a str);
+
+impl Display for Ctx<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {:?}", self.0, self.1)
+    }
+}
+
+fn col_ty(schema: &Schema, col: usize, context: &dyn Display) -> Result<DataType, VerifyError> {
     match schema.fields().get(col) {
         Some(f) => Ok(f.ty),
         None => Err(VerifyError::ColumnOutOfRange {
@@ -377,27 +357,26 @@ fn col_ty(schema: &Schema, col: usize, context: &str) -> Result<DataType, Verify
 /// Declared-vs-derived output schema comparison (types only: aliases are
 /// presentation, types are what operators execute against).
 fn expect_schema(
-    context: &str,
+    context: &dyn Display,
     declared: &Schema,
-    derived: &[DataType],
+    derived: impl Iterator<Item = DataType> + Clone,
 ) -> Result<(), VerifyError> {
-    let decl = schema_types(declared);
-    if decl != derived {
-        return Err(VerifyError::SchemaMismatch {
-            context: context.to_string(),
-            declared: fmt_types(&decl),
-            derived: fmt_types(derived),
-        });
+    if schema_types(declared).eq(derived.clone()) {
+        return Ok(());
     }
-    Ok(())
+    Err(VerifyError::SchemaMismatch {
+        context: context.to_string(),
+        declared: fmt_types(&schema_types(declared).collect::<Vec<_>>()),
+        derived: fmt_types(&derived.collect::<Vec<_>>()),
+    })
 }
 
 /// Stats labels must be unique *per plan* across nodes that instantiate
 /// primitives: per-worker/per-partition instances of one node share its
 /// label by design (their statistics fold), but two distinct nodes
 /// sharing one would merge unrelated bandit state.
-fn note_label(labels: &mut HashSet<String>, label: &str) -> Result<(), VerifyError> {
-    if !labels.insert(label.to_string()) {
+fn note_label<'a>(labels: &mut HashSet<&'a str>, label: &'a str) -> Result<(), VerifyError> {
+    if !labels.insert(label) {
         return Err(VerifyError::DuplicateLabel {
             label: label.to_string(),
         });
@@ -408,7 +387,7 @@ fn note_label(labels: &mut HashSet<String>, label: &str) -> Result<(), VerifyErr
 /// Re-derives an expression's output type against `input`, enforcing the
 /// evaluator's typing rules (same-type numeric arithmetic, numeric-only
 /// casts, string-only substr).
-fn expr_type(e: &Expr, input: &Schema, context: &str) -> Result<DataType, VerifyError> {
+fn expr_type(e: &Expr, input: &Schema, context: &dyn Display) -> Result<DataType, VerifyError> {
     match e {
         Expr::Col(i) => col_ty(input, *i, context),
         Expr::Const(v) => Ok(v.data_type()),
@@ -461,7 +440,7 @@ fn expr_type(e: &Expr, input: &Schema, context: &str) -> Result<DataType, Verify
 /// (the evaluator coerces numeric constant widths); column-column
 /// comparisons require exact type equality (they resolve to same-type
 /// primitives).
-fn check_pred(p: &Pred, input: &Schema, context: &str) -> Result<(), VerifyError> {
+fn check_pred(p: &Pred, input: &Schema, context: &dyn Display) -> Result<(), VerifyError> {
     match p {
         Pred::Cmp { col, rhs, .. } => {
             let ct = col_ty(input, *col, context)?;
@@ -511,7 +490,11 @@ fn check_pred(p: &Pred, input: &Schema, context: &str) -> Result<(), VerifyError
 
 /// Re-derives an aggregate's output type and checks its input column's
 /// role (integer class for the i64 family, f64 for the f64 family).
-fn agg_out_type(spec: &AggSpec, input: &Schema, context: &str) -> Result<DataType, VerifyError> {
+fn agg_out_type(
+    spec: &AggSpec,
+    input: &Schema,
+    context: &dyn Display,
+) -> Result<DataType, VerifyError> {
     let (col, float) = match spec {
         AggSpec::CountStar => return Ok(DataType::I64),
         AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => (*c, false),
@@ -563,7 +546,7 @@ fn merge_input_proof(
     }
 }
 
-fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), VerifyError> {
+fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Result<(), VerifyError> {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -592,9 +575,9 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             schema,
         } => {
             check_plan(input, labels)?;
-            let ctx = format!("filter {label:?}");
+            let ctx = Ctx("filter", label);
             check_pred(pred, input.schema(), &ctx)?;
-            expect_schema(&ctx, schema, &schema_types(input.schema()))?;
+            expect_schema(&ctx, schema, schema_types(input.schema()))?;
             note_label(labels, label)
         }
         LogicalPlan::Project {
@@ -604,7 +587,7 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             schema,
         } => {
             check_plan(input, labels)?;
-            let ctx = format!("project {label:?}");
+            let ctx = Ctx("project", label);
             let mut derived = Vec::with_capacity(items.len());
             let mut instantiates = false;
             for item in items {
@@ -616,7 +599,7 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
                     }
                 });
             }
-            expect_schema(&ctx, schema, &derived)?;
+            expect_schema(&ctx, schema, derived.iter().copied())?;
             // Pass-only projections compile to zero primitive instances,
             // so their label never reaches the stats registry — it can't
             // collide.
@@ -633,7 +616,7 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             schema,
         } => {
             check_plan(input, labels)?;
-            let ctx = format!("hash aggregation {label:?}");
+            let ctx = Ctx("hash aggregation", label);
             let mut derived = Vec::with_capacity(keys.len() + aggs.len());
             for (i, &k) in keys.iter().enumerate() {
                 let t = col_ty(input.schema(), k, &ctx)?;
@@ -647,7 +630,7 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             for a in aggs {
                 derived.push(agg_out_type(a, input.schema(), &ctx)?);
             }
-            expect_schema(&ctx, schema, &derived)?;
+            expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
         }
         LogicalPlan::StreamAgg {
@@ -657,12 +640,12 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             schema,
         } => {
             check_plan(input, labels)?;
-            let ctx = format!("stream aggregation {label:?}");
+            let ctx = Ctx("stream aggregation", label);
             let mut derived = Vec::with_capacity(aggs.len());
             for a in aggs {
                 derived.push(agg_out_type(a, input.schema(), &ctx)?);
             }
-            expect_schema(&ctx, schema, &derived)?;
+            expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
         }
         LogicalPlan::HashJoin {
@@ -679,7 +662,7 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
         } => {
             check_plan(build, labels)?;
             check_plan(probe, labels)?;
-            let ctx = format!("hash join {label:?}");
+            let ctx = Ctx("hash join", label);
             if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
                 return Err(VerifyError::KeyCountMismatch {
                     context: format!("{ctx} build vs probe keys"),
@@ -729,12 +712,12 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
                     }
                 }
             }
-            let mut derived = schema_types(probe.schema());
+            let mut derived: Vec<DataType> = schema_types(probe.schema()).collect();
             match kind {
                 JoinKind::Inner | JoinKind::LeftSingle => derived.extend(payload_types),
                 JoinKind::Semi | JoinKind::Anti => {}
             }
-            expect_schema(&ctx, schema, &derived)?;
+            expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
         }
         LogicalPlan::MergeJoin {
@@ -748,24 +731,20 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
         } => {
             check_plan(left, labels)?;
             check_plan(right, labels)?;
-            let ctx = format!("merge join {label:?}");
-            for (side, key, schema_in) in [
-                ("left", *left_key, left.schema()),
-                ("right", *right_key, right.schema()),
-            ] {
+            let ctx = Ctx("merge join", label);
+            for (key, schema_in) in [(*left_key, left.schema()), (*right_key, right.schema())] {
                 let t = col_ty(schema_in, key, &ctx)?;
                 if !is_integer(t) {
                     return Err(VerifyError::NonIntegerMergeKey { ty: t });
                 }
-                let _ = side;
             }
             merge_input_proof("left", left, *left_key)?;
             merge_input_proof("right", right, *right_key)?;
-            let mut derived = schema_types(right.schema());
+            let mut derived: Vec<DataType> = schema_types(right.schema()).collect();
             for &p in payload {
                 derived.push(col_ty(left.schema(), p, &ctx)?);
             }
-            expect_schema(&ctx, schema, &derived)?;
+            expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
         }
         LogicalPlan::Sort {
@@ -775,240 +754,33 @@ fn check_plan(plan: &LogicalPlan, labels: &mut HashSet<String>) -> Result<(), Ve
             ..
         } => {
             check_plan(input, labels)?;
-            let ctx = "sort".to_string();
+            let ctx = "sort";
             for k in keys {
                 col_ty(input.schema(), k.col, &ctx)?;
             }
-            expect_schema(&ctx, schema, &schema_types(input.schema()))
+            expect_schema(&ctx, schema, schema_types(input.schema()))
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// phase 2: the physical sketch
+// phase 2: the physical plan
 // ---------------------------------------------------------------------------
 
-/// One routed lane of a [`PhysSketch::HashPartition`] exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneSketch {
-    /// Producer fragments feeding the lane.
-    pub producers: usize,
-    /// The types of the columns the lane routes by (raw, before
-    /// normalization; [`verify_sketch`] compares *classes*: all integer
-    /// widths hash as `i64`).
-    pub key_types: Vec<DataType>,
-    /// The partition count the lane routes to.
-    pub partitions: usize,
-    /// The producer-side sub-plan (empty [`PhysSketch::Seq`] when the
-    /// producers are inlined scan fragments).
-    pub input: PhysSketch,
-}
-
-/// A miniature IR of the physical planner's exchange placement, built by
-/// [`sketch`] and independently checked by [`verify_sketch`].
+/// Checks a physical plan's exchange-placement invariants: no
+/// order-destroying exchange ([`Exchange::Parallel`],
+/// [`Exchange::HashPartition`]) under an order-sensitive ancestor without
+/// an intervening materialization boundary (sort, aggregate, join build);
+/// merging exchanges merge on an integer column; partitioned lanes pair
+/// up with the node's inputs and agree on key count and key type class
+/// (i16/i32 hash as i64); and no exchange is degenerate (zero lanes, empty
+/// producer sets, zero workers/partitions).
 ///
-/// The sketch keeps exactly what the exchange-placement invariants need —
-/// where parallelism is introduced, where order is materialized away, and
-/// how partitioned lanes route — and drops everything else (predicates,
-/// projections, operator internals). It is public so tests can hand-build
-/// ill-formed shapes that [`sketch`] itself would never produce and prove
-/// [`verify_sketch`] rejects them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysSketch {
-    /// A sequential node: order flows through unchanged.
-    Seq {
-        /// Child sub-plans (empty at leaves).
-        children: Vec<PhysSketch>,
-    },
-    /// A materialization boundary (sort, aggregate, join build): the
-    /// node re-establishes or discards order, so children run unordered.
-    Materialize {
-        /// Child sub-plans.
-        children: Vec<PhysSketch>,
-    },
-    /// An order-sensitive consumer (merge join): children must preserve
-    /// key order.
-    Ordered {
-        /// Child sub-plans.
-        children: Vec<PhysSketch>,
-    },
-    /// A morsel-sharded scan chain united in arrival order.
-    Parallel {
-        /// Worker fragment count.
-        workers: usize,
-    },
-    /// A morsel-sharded scan chain re-merged into key order.
-    Merge {
-        /// Producer fragment count.
-        producers: usize,
-        /// Merge key columns (must be exactly one).
-        key_cols: Vec<usize>,
-        /// Merge key types (must be integer).
-        key_types: Vec<DataType>,
-    },
-    /// A hash-partitioned exchange: lanes route producer tuples by key
-    /// hash to `partitions` private consumers.
-    HashPartition {
-        /// Consumer partition count.
-        partitions: usize,
-        /// Routed input lanes (one for aggregation, two for join
-        /// build/probe).
-        lanes: Vec<LaneSketch>,
-    },
-}
-
-/// Predicts the exchange placement [`crate::lower`] would produce for
-/// `plan` under `cfg`, using the planner's own verdict functions (shard/
-/// merge worker counts, aggregate/join partition counts) over a fresh
-/// tree walk. Feed the result to [`verify_sketch`].
-pub fn sketch(plan: &LogicalPlan, cfg: &ExecConfig) -> PhysSketch {
-    sketch_node(plan, cfg, OrderCtx::Free)
-}
-
-/// Lane producer count + producer-side sub-sketch, mirroring the
-/// planner's `lane_producers`: inlined worker fragments when the input
-/// shards, one serially-lowered producer otherwise.
-fn lane_sketch(
-    input: &LogicalPlan,
-    keys: &[usize],
-    cfg: &ExecConfig,
-    partitions: usize,
-) -> LaneSketch {
-    let key_types = keys
-        .iter()
-        .map(|&k| {
-            input
-                .schema()
-                .fields()
-                .get(k)
-                .map_or(DataType::I64, |f| f.ty)
-        })
-        .collect();
-    let workers = shard_workers(input, cfg);
-    if workers >= 2 {
-        LaneSketch {
-            producers: workers,
-            key_types,
-            partitions,
-            input: PhysSketch::Seq { children: vec![] },
-        }
-    } else {
-        LaneSketch {
-            producers: 1,
-            key_types,
-            partitions,
-            input: sketch_node(input, cfg, OrderCtx::Free),
-        }
-    }
-}
-
-fn sketch_node(plan: &LogicalPlan, cfg: &ExecConfig, order: OrderCtx) -> PhysSketch {
-    // Exchange introduction mirrors `lower_node`'s order match: a free
-    // pipeline shards into an arrival-order union, an ordered pipeline
-    // shards behind a merging exchange when the key provably carries the
-    // clustering order, and pinned pipelines stay sequential.
-    match order {
-        OrderCtx::Free => {
-            let workers = shard_workers(plan, cfg);
-            if workers >= 2 {
-                return PhysSketch::Parallel { workers };
-            }
-        }
-        OrderCtx::Key(key) => {
-            let producers = merge_workers(plan, key, cfg);
-            if producers >= 2 {
-                let ty = plan
-                    .schema()
-                    .fields()
-                    .get(key)
-                    .map_or(DataType::I64, |f| f.ty);
-                return PhysSketch::Merge {
-                    producers,
-                    key_cols: vec![key],
-                    key_types: vec![ty],
-                };
-            }
-        }
-        OrderCtx::Pinned => {}
-    }
-    match plan {
-        LogicalPlan::Scan { .. } => PhysSketch::Seq { children: vec![] },
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => PhysSketch::Seq {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-        LogicalPlan::HashAgg { input, keys, .. } => {
-            let partitions = if order == OrderCtx::Free {
-                agg_partition_count(input, keys, cfg)
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                PhysSketch::HashPartition {
-                    partitions,
-                    lanes: vec![lane_sketch(input, keys, cfg, partitions)],
-                }
-            } else {
-                PhysSketch::Materialize {
-                    children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-                }
-            }
-        }
-        LogicalPlan::StreamAgg { input, .. } => PhysSketch::Materialize {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            build_keys,
-            probe_keys,
-            ..
-        } => {
-            let partitions = if order == OrderCtx::Free {
-                join_partition_count(build, probe, cfg)
-            } else {
-                1
-            };
-            if partitions >= 2 {
-                PhysSketch::HashPartition {
-                    partitions,
-                    lanes: vec![
-                        lane_sketch(build, build_keys, cfg, partitions),
-                        lane_sketch(probe, probe_keys, cfg, partitions),
-                    ],
-                }
-            } else {
-                PhysSketch::Seq {
-                    children: vec![
-                        PhysSketch::Materialize {
-                            children: vec![sketch_node(build, cfg, child_order(plan, 0, order))],
-                        },
-                        sketch_node(probe, cfg, child_order(plan, 1, order)),
-                    ],
-                }
-            }
-        }
-        LogicalPlan::MergeJoin { left, right, .. } => PhysSketch::Ordered {
-            children: vec![
-                sketch_node(left, cfg, child_order(plan, 0, order)),
-                sketch_node(right, cfg, child_order(plan, 1, order)),
-            ],
-        },
-        LogicalPlan::Sort { input, .. } => PhysSketch::Materialize {
-            children: vec![sketch_node(input, cfg, child_order(plan, 0, order))],
-        },
-    }
-}
-
-/// Checks a physical sketch's exchange-placement invariants: no
-/// order-destroying exchange ([`PhysSketch::Parallel`],
-/// [`PhysSketch::HashPartition`]) under an order-sensitive ancestor
-/// without an intervening [`PhysSketch::Materialize`]; merging exchanges
-/// carry exactly one ascending integer key; partitioned lanes agree on
-/// key count, key type class (i16/i32 hash as i64) and partition count;
-/// and no exchange is degenerate (zero lanes, empty producer sets, zero
-/// workers/partitions).
-pub fn verify_sketch(s: &PhysSketch) -> Result<(), VerifyError> {
-    walk_sketch(s, false)
+/// The planner's own output always passes; the function is public so
+/// tests can hand-build ill-formed [`PhysicalPlan`]s and prove each rule
+/// fires.
+pub fn verify_physical(plan: &PhysicalPlan<'_>) -> Result<(), VerifyError> {
+    check_node(&plan.root, false)
 }
 
 fn key_class(ty: DataType) -> DataType {
@@ -1018,56 +790,30 @@ fn key_class(ty: DataType) -> DataType {
     }
 }
 
-fn walk_sketch(s: &PhysSketch, ordered: bool) -> Result<(), VerifyError> {
-    match s {
-        PhysSketch::Seq { children } => {
-            for c in children {
-                walk_sketch(c, ordered)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Materialize { children } => {
-            for c in children {
-                walk_sketch(c, false)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Ordered { children } => {
-            for c in children {
-                walk_sketch(c, true)?;
-            }
-            Ok(())
-        }
-        PhysSketch::Parallel { workers } => {
+/// `ordered`: an ancestor consumes this node's output in key order.
+fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
+    match &node.exchange {
+        Exchange::None => {}
+        Exchange::Parallel { workers, .. } => {
             if ordered {
                 return Err(VerifyError::OrderViolation { node: "Parallel" });
             }
             if *workers == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Parallel" });
             }
-            Ok(())
         }
-        PhysSketch::Merge {
-            producers,
-            key_cols,
-            key_types,
-        } => {
+        Exchange::Merge { producers, key, .. } => {
             if *producers == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Merge" });
             }
-            if key_cols.len() != 1 {
-                return Err(VerifyError::CompositeMergeKey {
-                    keys: key_cols.len(),
-                });
+            let ty = col_ty(node.logical.schema(), *key, &"merging exchange key")?;
+            if !is_integer(ty) {
+                return Err(VerifyError::NonIntegerMergeKey { ty });
             }
-            for &t in key_types {
-                if !is_integer(t) {
-                    return Err(VerifyError::NonIntegerMergeKey { ty: t });
-                }
-            }
-            Ok(())
         }
-        PhysSketch::HashPartition { partitions, lanes } => {
+        Exchange::HashPartition {
+            partitions, lanes, ..
+        } => {
             if ordered {
                 return Err(VerifyError::OrderViolation {
                     node: "HashPartition",
@@ -1081,51 +827,68 @@ fn walk_sketch(s: &PhysSketch, ordered: bool) -> Result<(), VerifyError> {
                     node: "HashPartition",
                 });
             }
-            let lane0 = &lanes[0].key_types;
-            for (i, lane) in lanes.iter().enumerate() {
+            if lanes.len() != node.children.len() {
+                return Err(VerifyError::KeyCountMismatch {
+                    context: "partition lanes vs node inputs".to_string(),
+                    left: lanes.len(),
+                    right: node.children.len(),
+                });
+            }
+            let mut lane0 = Vec::new();
+            for (i, (lane, child)) in lanes.iter().zip(&node.children).enumerate() {
                 if lane.producers == 0 {
                     return Err(VerifyError::EmptyLane { lane: i });
                 }
-                if lane.partitions != *partitions {
-                    return Err(VerifyError::PartitionCountMismatch {
-                        lane: i,
-                        expected: *partitions,
-                        found: lane.partitions,
-                    });
-                }
-                if lane.key_types.len() != lane0.len() {
+                if i > 0 && lane.key_cols.len() != lane0.len() {
                     return Err(VerifyError::KeyCountMismatch {
                         context: format!("partition lane {i} key columns vs lane 0"),
-                        left: lane.key_types.len(),
+                        left: lane.key_cols.len(),
                         right: lane0.len(),
                     });
                 }
-                for (j, (&t, &t0)) in lane.key_types.iter().zip(lane0).enumerate() {
+                for (j, &k) in lane.key_cols.iter().enumerate() {
+                    let context = format!("partition lane {i} key {j}");
+                    let t = col_ty(child.logical.schema(), k, &context)?;
                     if t == DataType::F64 {
-                        return Err(VerifyError::FloatPartitionKey {
-                            context: format!("partition lane {i} key {j}"),
-                        });
+                        return Err(VerifyError::FloatPartitionKey { context });
                     }
-                    if key_class(t) != key_class(t0) {
+                    if i == 0 {
+                        lane0.push(key_class(t));
+                    } else if key_class(t) != lane0[j] {
                         return Err(VerifyError::LaneKeyTypeMismatch {
                             lane: i,
                             pos: j,
-                            expected: key_class(t0),
+                            expected: lane0[j],
                             found: key_class(t),
                         });
                     }
                 }
-                walk_sketch(&lane.input, false)?;
             }
-            Ok(())
         }
     }
+    for (i, child) in node.children.iter().enumerate() {
+        let child_ordered = match node.logical {
+            // Order-sensitive: both inputs must preserve key order.
+            LogicalPlan::MergeJoin { .. } => true,
+            // Materialization boundaries re-establish or discard order.
+            LogicalPlan::Sort { .. }
+            | LogicalPlan::HashAgg { .. }
+            | LogicalPlan::StreamAgg { .. } => false,
+            // The build side materializes; the probe side streams.
+            LogicalPlan::HashJoin { .. } => i > 0 && ordered,
+            LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
+                ordered
+            }
+        };
+        check_node(child, child_ordered)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{col, count, sum_i64, NamedPred, PlanBuilder};
+    use crate::plan::{col, count, plan_physical, sum_i64, NamedPred, PlanBuilder};
     use crate::{CmpKind, Value};
     use ma_vector::{ColumnBuilder, Table};
     use std::collections::HashMap;
@@ -1177,59 +940,53 @@ mod tests {
     }
 
     #[test]
-    fn sharded_agg_sketches_as_partition_exchange() {
+    fn sharded_agg_plans_as_partition_exchange() {
         let c = catalog(40_000);
         let plan = PlanBuilder::scan(&c, "t", &["k", "id"])
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        let s = sketch(&plan, &cfg(4));
-        match &s {
-            PhysSketch::HashPartition { partitions, lanes } => {
+        let phys = plan_physical(&plan, &cfg(4)).unwrap();
+        match &phys.root.exchange {
+            Exchange::HashPartition {
+                partitions, lanes, ..
+            } => {
                 assert_eq!(*partitions, 4);
                 assert_eq!(lanes.len(), 1);
                 assert_eq!(lanes[0].producers, 4);
-                assert_eq!(lanes[0].key_types, vec![DataType::I32]);
+                assert_eq!(lanes[0].key_cols, vec![0]);
             }
             other => panic!("expected HashPartition, got {other:?}"),
         }
-        verify_sketch(&s).unwrap();
+        verify_physical(&phys).unwrap();
     }
 
     #[test]
-    fn single_worker_sketch_is_sequential() {
+    fn single_worker_plan_is_sequential() {
         let c = catalog(40_000);
         let plan = PlanBuilder::scan(&c, "t", &["k", "id"])
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
-        assert_eq!(
-            sketch(&plan, &cfg(1)),
-            PhysSketch::Materialize {
-                children: vec![PhysSketch::Seq { children: vec![] }]
-            }
-        );
+        let phys = plan_physical(&plan, &cfg(1)).unwrap();
+        assert!(phys.nodes().iter().all(|n| n.exchange == Exchange::None));
     }
 
     #[test]
-    fn merge_join_over_clustered_scans_sketches_merges() {
+    fn merge_join_over_clustered_scans_plans_merges() {
         let c = catalog(40_000);
         let left = PlanBuilder::scan(&c, "t", &["id", "k"]);
         let plan = PlanBuilder::scan(&c, "t", &["id as rid"])
             .merge_join(left, ("rid", "id"), &["k"], "mj")
             .build()
             .unwrap();
-        let s = sketch(&plan, &cfg(4));
-        match &s {
-            PhysSketch::Ordered { children } => {
-                for child in children {
-                    assert!(
-                        matches!(child, PhysSketch::Merge { producers: 4, .. }),
-                        "expected Merge under Ordered, got {child:?}"
-                    );
-                }
-            }
-            other => panic!("expected Ordered, got {other:?}"),
+        let phys = plan_physical(&plan, &cfg(4)).unwrap();
+        for child in &phys.root.children {
+            assert!(
+                matches!(child.exchange, Exchange::Merge { producers: 4, .. }),
+                "expected Merge under the merge join, got {:?}",
+                child.exchange
+            );
         }
         verify(&plan, &cfg(4)).unwrap();
     }

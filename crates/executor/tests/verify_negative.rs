@@ -1,13 +1,13 @@
 //! Negative suite for the plan-invariant verifier: hand-built ill-formed
-//! plans and physical sketches, each rejected with its *specific* typed
+//! logical and physical plans, each rejected with its *specific* typed
 //! [`VerifyError`] variant.
 //!
-//! The [`PlanBuilder`] API makes most of these shapes unrepresentable —
-//! which is exactly why the verifier must be tested against hand-built
-//! [`LogicalPlan`] / [`PhysSketch`] values: it is the safety net for plan
-//! *producers other than the builder* (future optimizer rewrites,
-//! deserialized plans, test rigs) and for regressions in the builder
-//! itself.
+//! The [`PlanBuilder`] API and the physical planner make these shapes
+//! unreachable — which is exactly why the verifier must be tested against
+//! hand-built [`LogicalPlan`] / [`PhysicalPlan`] values: it is the safety
+//! net for plan *producers other than the builder and the planner*
+//! (future optimizer rewrites, deserialized plans, test rigs) and for
+//! regressions in either.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,8 +15,8 @@ use std::sync::Arc;
 use ma_executor::ops::{AggSpec, ProjItem, SortKey};
 use ma_executor::plan::PlanBuilder;
 use ma_executor::{
-    sketch, verify, verify_sketch, ExecConfig, LaneSketch, LogicalPlan, PhysSketch, Pred,
-    VerifyError,
+    plan_physical, verify, verify_physical, Exchange, ExecConfig, Lane, LogicalPlan, PhysicalPlan,
+    Pred, VerifyError,
 };
 use ma_vector::{ColumnBuilder, DataType, Field, Schema, Table};
 
@@ -24,10 +24,12 @@ fn catalog(rows: usize) -> HashMap<String, Arc<Table>> {
     let mut id = ColumnBuilder::with_capacity(DataType::I64, rows);
     let mut k = ColumnBuilder::with_capacity(DataType::I32, rows);
     let mut f = ColumnBuilder::with_capacity(DataType::F64, rows);
+    let mut s = ColumnBuilder::with_capacity(DataType::Str, rows);
     for i in 0..rows {
         id.push_i64(i as i64);
         k.push_i32((i % 5) as i32);
         f.push_f64(i as f64);
+        s.push_str(if i % 2 == 0 { "even" } else { "odd" });
     }
     let t = Arc::new(
         Table::new(
@@ -36,6 +38,7 @@ fn catalog(rows: usize) -> HashMap<String, Arc<Table>> {
                 ("id".into(), id.finish()),
                 ("k".into(), k.finish()),
                 ("f".into(), f.finish()),
+                ("s".into(), s.finish()),
             ],
         )
         .unwrap(),
@@ -215,26 +218,68 @@ fn column_out_of_range_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// sketch-walk rejections (hand-built PhysSketches)
+// physical-plan rejections (planner output, mutated by hand)
 // ---------------------------------------------------------------------------
 
-fn lane(producers: usize, key_types: Vec<DataType>, partitions: usize) -> LaneSketch {
-    LaneSketch {
-        producers,
-        key_types,
-        partitions,
-        input: PhysSketch::Seq { children: vec![] },
+/// Big enough that 4 workers shard the scans and partition the operators.
+const BIG: usize = 100_000;
+
+fn cfg4() -> ExecConfig {
+    let mut cfg = cfg();
+    cfg.worker_threads = 4;
+    cfg
+}
+
+/// `t ⋈ t` on `k = id` (i32 probe key, i64 build key): a two-lane
+/// partitioned join over sharded scans under [`cfg4`].
+fn join_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
+    PlanBuilder::scan(c, "t", &["k", "s", "f"])
+        .hash_join(
+            PlanBuilder::scan(c, "t", &["id as bid", "k as bk"]),
+            &[("k", "bid")],
+            &["bk"],
+            ma_executor::ops::JoinKind::Inner,
+            false,
+            "j",
+        )
+        .build()
+        .unwrap()
+}
+
+fn lanes<'p>(phys: &'p mut PhysicalPlan<'_>) -> &'p mut Vec<Lane> {
+    match &mut phys.root.exchange {
+        Exchange::HashPartition { lanes, .. } => lanes,
+        other => panic!("expected a partitioned root, got {other:?}"),
     }
+}
+
+/// A merge join over two clustering-key chains: both inputs shard behind
+/// merging exchanges under [`cfg4`].
+fn merge_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
+    PlanBuilder::scan(c, "t", &["id", "s"])
+        .merge_join(
+            PlanBuilder::scan(c, "t", &["id as lid", "k as lk"]),
+            ("id", "lid"),
+            &["lk"],
+            "mj",
+        )
+        .build()
+        .unwrap()
 }
 
 /// An arrival-order exchange under an order-sensitive ancestor would
 /// interleave worker streams and break the merge contract.
 #[test]
 fn parallel_under_ordered_ancestor_rejected() {
-    let s = PhysSketch::Ordered {
-        children: vec![PhysSketch::Parallel { workers: 4 }],
+    let c = catalog(BIG);
+    let plan = merge_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    verify_physical(&phys).unwrap();
+    phys.root.children[1].exchange = Exchange::Parallel {
+        workers: 4,
+        chunk_bytes: 0,
     };
-    match verify_sketch(&s) {
+    match verify_physical(&phys) {
         Err(VerifyError::OrderViolation { node: "Parallel" }) => {}
         other => panic!("expected OrderViolation, got {other:?}"),
     }
@@ -244,28 +289,36 @@ fn parallel_under_ordered_ancestor_rejected() {
 /// (sort, aggregate, join build) resets the order requirement first.
 #[test]
 fn partition_under_ordered_ancestor_rejected_unless_materialized() {
-    let bad = PhysSketch::Ordered {
-        children: vec![PhysSketch::HashPartition {
-            partitions: 2,
-            lanes: vec![lane(2, vec![DataType::I64], 2)],
-        }],
-    };
-    match verify_sketch(&bad) {
+    let c = catalog(BIG);
+    // A partitioned aggregate, re-sorted, feeding a merge join: legal.
+    let plan = PlanBuilder::scan(&c, "t", &["id", "k"])
+        .hash_agg(&["id"], vec![ma_executor::plan::count()], "agg")
+        .sort(&[ma_executor::plan::asc("id")])
+        .merge_join(
+            PlanBuilder::scan(&c, "t", &["id as lid", "k as lk"]),
+            ("id", "lid"),
+            &["lk"],
+            "mj",
+        )
+        .build()
+        .unwrap();
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let sort = &mut phys.root.children[1];
+    assert!(matches!(
+        sort.children[0].exchange,
+        Exchange::HashPartition { partitions: 4, .. }
+    ));
+    verify_physical(&phys).unwrap();
+    // Splice the Sort out: the identical partitioned subtree, now directly
+    // under the merge join.
+    let agg = phys.root.children[1].children.remove(0);
+    phys.root.children[1] = agg;
+    match verify_physical(&phys) {
         Err(VerifyError::OrderViolation {
             node: "HashPartition",
         }) => {}
         other => panic!("expected OrderViolation, got {other:?}"),
     }
-    // A Materialize boundary legalizes the identical subtree.
-    let ok = PhysSketch::Ordered {
-        children: vec![PhysSketch::Materialize {
-            children: vec![PhysSketch::HashPartition {
-                partitions: 2,
-                lanes: vec![lane(2, vec![DataType::I64], 2)],
-            }],
-        }],
-    };
-    verify_sketch(&ok).unwrap();
 }
 
 /// Lanes routing by different key type classes would hash equal keys to
@@ -273,14 +326,14 @@ fn partition_under_ordered_ancestor_rejected_unless_materialized() {
 /// mismatch; str vs integer is).
 #[test]
 fn lane_key_type_mismatch_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I32], 2), // normalizes to i64
-            lane(1, vec![DataType::Str], 2),
-        ],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    // The i32 probe key and i64 build key agree by normalization.
+    verify_physical(&phys).unwrap();
+    // Route the probe lane by `s` (probe column 1) instead.
+    lanes(&mut phys)[1].key_cols = vec![1];
+    match verify_physical(&phys) {
         Err(VerifyError::LaneKeyTypeMismatch {
             lane: 1,
             pos: 0,
@@ -289,35 +342,36 @@ fn lane_key_type_mismatch_rejected() {
         }) => {}
         other => panic!("expected LaneKeyTypeMismatch, got {other:?}"),
     }
-    // The i16/i32/i64 widths agree by normalization.
-    let ok = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I32], 2),
-            lane(1, vec![DataType::I64], 2),
-        ],
-    };
-    verify_sketch(&ok).unwrap();
 }
 
-/// A lane routing to a different partition count than the exchange's
-/// consumers would drop or misroute every tuple hashed past the end.
+/// An f64 column does not hash-partition (±0.0, NaN bit patterns).
 #[test]
-fn partition_count_mismatch_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 4,
-        lanes: vec![
-            lane(2, vec![DataType::I64], 4),
-            lane(1, vec![DataType::I64], 2),
-        ],
-    };
-    match verify_sketch(&s) {
-        Err(VerifyError::PartitionCountMismatch {
-            lane: 1,
-            expected: 4,
-            found: 2,
+fn float_lane_key_rejected() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    // Probe column 2 is `f`.
+    lanes(&mut phys)[1].key_cols = vec![2];
+    match verify_physical(&phys) {
+        Err(VerifyError::FloatPartitionKey { context }) => {
+            assert_eq!(context, "partition lane 1 key 0");
+        }
+        other => panic!("expected FloatPartitionKey, got {other:?}"),
+    }
+}
+
+/// Lanes must route by the same number of key columns.
+#[test]
+fn lane_key_count_mismatch_rejected() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    lanes(&mut phys)[1].key_cols = vec![0, 0];
+    match verify_physical(&phys) {
+        Err(VerifyError::KeyCountMismatch {
+            left: 2, right: 1, ..
         }) => {}
-        other => panic!("expected PartitionCountMismatch, got {other:?}"),
+        other => panic!("expected KeyCountMismatch, got {other:?}"),
     }
 }
 
@@ -325,11 +379,11 @@ fn partition_count_mismatch_rejected() {
 /// and hang teardown.
 #[test]
 fn zero_lane_consumer_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    lanes(&mut phys).clear();
+    match verify_physical(&phys) {
         Err(VerifyError::ZeroLaneConsumer) => {}
         other => panic!("expected ZeroLaneConsumer, got {other:?}"),
     }
@@ -339,73 +393,93 @@ fn zero_lane_consumer_rejected() {
 /// silently yields an empty partition stream.
 #[test]
 fn empty_lane_rejected() {
-    let s = PhysSketch::HashPartition {
-        partitions: 2,
-        lanes: vec![
-            lane(2, vec![DataType::I64], 2),
-            lane(0, vec![DataType::I64], 2),
-        ],
-    };
-    match verify_sketch(&s) {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    lanes(&mut phys)[1].producers = 0;
+    match verify_physical(&phys) {
         Err(VerifyError::EmptyLane { lane: 1 }) => {}
         other => panic!("expected EmptyLane, got {other:?}"),
-    }
-}
-
-/// The K-way merge compares a single ascending integer key; composite
-/// keys get a descriptive typed error, not silent wrong answers.
-#[test]
-fn composite_merge_key_rejected() {
-    let s = PhysSketch::Merge {
-        producers: 4,
-        key_cols: vec![0, 1],
-        key_types: vec![DataType::I64, DataType::I64],
-    };
-    match verify_sketch(&s) {
-        Err(VerifyError::CompositeMergeKey { keys: 2 }) => {}
-        other => panic!("expected CompositeMergeKey, got {other:?}"),
     }
 }
 
 /// Non-integer merge keys cannot drive the K-way comparison.
 #[test]
 fn non_integer_merge_key_rejected() {
-    let s = PhysSketch::Merge {
+    let c = catalog(BIG);
+    let plan = merge_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    // Right input is (id, s): merge on `s`.
+    phys.root.children[1].exchange = Exchange::Merge {
         producers: 4,
-        key_cols: vec![0],
-        key_types: vec![DataType::Str],
+        key: 1,
+        chunk_bytes: 0,
     };
-    match verify_sketch(&s) {
+    match verify_physical(&phys) {
         Err(VerifyError::NonIntegerMergeKey { ty: DataType::Str }) => {}
         other => panic!("expected NonIntegerMergeKey, got {other:?}"),
     }
 }
 
-/// Degenerate exchanges (zero workers) are rejected outright.
+/// Degenerate exchanges (zero workers, producers or partitions) are
+/// rejected outright.
 #[test]
 fn empty_exchange_rejected() {
-    match verify_sketch(&PhysSketch::Parallel { workers: 0 }) {
+    let c = catalog(BIG);
+    let scan = PlanBuilder::scan(&c, "t", &["id"]).build().unwrap();
+    let mut phys = plan_physical(&scan, &cfg4()).unwrap();
+    assert!(matches!(
+        phys.root.exchange,
+        Exchange::Parallel { workers: 4, .. }
+    ));
+    phys.root.exchange = Exchange::Parallel {
+        workers: 0,
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
         Err(VerifyError::EmptyExchange { node: "Parallel" }) => {}
+        other => panic!("expected EmptyExchange, got {other:?}"),
+    }
+    let plan = merge_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    phys.root.children[0].exchange = Exchange::Merge {
+        producers: 0,
+        key: 0,
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
+        Err(VerifyError::EmptyExchange { node: "Merge" }) => {}
+        other => panic!("expected EmptyExchange, got {other:?}"),
+    }
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    if let Exchange::HashPartition { partitions, .. } = &mut phys.root.exchange {
+        *partitions = 0;
+    }
+    match verify_physical(&phys) {
+        Err(VerifyError::EmptyExchange {
+            node: "HashPartition",
+        }) => {}
         other => panic!("expected EmptyExchange, got {other:?}"),
     }
 }
 
-/// End-to-end: the sketch the verifier builds for a well-formed sharded
-/// plan passes its own checks (the negative cases above are unreachable
-/// from `sketch` — that is the point of hand-building them).
+/// What the verifier lets through, `instantiate` still refuses to build
+/// wrong: a sharding exchange over a node that is not a scan chain is a
+/// typed error, never a panic.
 #[test]
-fn sketch_of_well_formed_plan_passes() {
-    let c = catalog(100_000);
-    let plan = PlanBuilder::scan(&c, "t", &["k", "id"])
-        .hash_agg(
-            &["k"],
-            vec![ma_executor::plan::count(), ma_executor::plan::sum_i64("id")],
-            "agg",
-        )
-        .build()
-        .unwrap();
-    let mut cfg = cfg();
-    cfg.worker_threads = 4;
-    verify_sketch(&sketch(&plan, &cfg)).unwrap();
-    verify(&plan, &cfg).unwrap();
+fn sharding_a_non_chain_is_a_typed_instantiate_error() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    phys.root.exchange = Exchange::Parallel {
+        workers: 4,
+        chunk_bytes: 0,
+    };
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg4());
+    match ma_executor::instantiate(&phys, &ctx) {
+        Err(ma_executor::ExecError::Plan(_)) => {}
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("a join cannot compile into scan fragments"),
+    }
 }

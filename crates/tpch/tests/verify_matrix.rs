@@ -9,6 +9,11 @@
 //! partition-follows-workers, partitioning disabled, and fixed odd
 //! partition counts that disagree with the worker count.
 //!
+//! The same sweep is the planner's translation validation: for every
+//! query × configuration, what `lower` registers with the context is
+//! exactly what the `PhysicalPlan` says, and what `cost` prices is exactly
+//! that.
+//!
 //! It also pins the global stats-label discipline: labels are unique
 //! *within* each plan (a duplicate would silently merge two nodes'
 //! adaptive statistics — `verify` rejects it) and, thanks to the `QN/`
@@ -16,9 +21,12 @@
 //! stats dump never aliases two primitives.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use ma_executor::{sketch, verify, ExecConfig, LogicalPlan, PhysSketch};
+use ma_executor::{
+    cost, lower, plan_physical, verify, Exchange, ExecConfig, LogicalPlan, PhysicalPlan,
+    QueryContext,
+};
 use ma_tpch::queries::query_plan;
 use ma_tpch::{Params, TpchData};
 
@@ -39,27 +47,93 @@ fn config(workers: usize, agg_p: usize, join_p: usize, vsize: usize) -> ExecConf
     cfg
 }
 
-/// Counts exchange nodes in a sketch so the sweep can prove it exercised
-/// non-sequential shapes (a vacuously-sequential sweep would pass
-/// trivially).
-fn count_exchanges(s: &PhysSketch, tally: &mut (usize, usize, usize)) {
-    match s {
-        PhysSketch::Seq { children }
-        | PhysSketch::Materialize { children }
-        | PhysSketch::Ordered { children } => {
-            for c in children {
-                count_exchanges(c, tally);
-            }
-        }
-        PhysSketch::Parallel { .. } => tally.0 += 1,
-        PhysSketch::Merge { .. } => tally.1 += 1,
-        PhysSketch::HashPartition { lanes, .. } => {
-            tally.2 += 1;
-            for lane in lanes {
-                count_exchanges(&lane.input, tally);
-            }
+/// Counts exchange nodes in a physical plan so the sweep can prove it
+/// exercised non-sequential shapes (a vacuously-sequential sweep would
+/// pass trivially).
+fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize)) {
+    for node in phys.nodes() {
+        match node.exchange {
+            Exchange::None => {}
+            Exchange::Parallel { .. } => tally.0 += 1,
+            Exchange::Merge { .. } => tally.1 += 1,
+            Exchange::HashPartition { .. } => tally.2 += 1,
         }
     }
+}
+
+/// Translation validation of one plan under one configuration.
+///
+/// *Cost prices exactly what the IR says:* `cost` lists, per node in
+/// pre-order, the node's exchange stage (if any) priced as
+/// `buffered_chunks × chunk_bytes`, then the operator stage with the
+/// node's instance count and per-instance bytes. *Instantiate builds
+/// exactly what the IR says:* the multiset of `(label, bound)` trackers
+/// `lower` registers equals the tracked nodes of the physical plan,
+/// expanded by instance count — so every exchange is priced from the very
+/// chunk bound its tracker carries.
+fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) {
+    let phys = plan_physical(plan, cfg).unwrap();
+    let report = cost(plan, cfg);
+    let mut ops = report.ops.iter();
+    let mut expected: Vec<(String, u64)> = Vec::new();
+    for node in phys.nodes() {
+        let tracked = match node.logical {
+            LogicalPlan::HashAgg { label, .. } | LogicalPlan::HashJoin { label, .. } => {
+                Some(label.as_str())
+            }
+            LogicalPlan::Sort { .. } => Some("sort"),
+            _ => None,
+        };
+        let exchange = match node.exchange {
+            Exchange::None => None,
+            Exchange::Parallel { .. } => Some("exchange/parallel".to_string()),
+            Exchange::Merge { .. } => Some("exchange/merge".to_string()),
+            Exchange::HashPartition { .. } => {
+                Some(format!("{}/exchange", tracked.expect("a labeled consumer")))
+            }
+        };
+        if let Some(label) = exchange {
+            let chunk = node.exchange.chunk_bytes();
+            let op = ops.next().expect("an exchange stage");
+            assert_eq!(
+                (op.kind, op.per_instance_bytes),
+                ("exchange", node.exchange.buffered_chunks() * chunk),
+                "Q{q}: cost of {label} (node {})",
+                node.id.0
+            );
+            expected.push((label, chunk));
+        }
+        let op = ops.next().expect("an operator stage");
+        assert_eq!(
+            (op.instances, op.per_instance_bytes),
+            (node.instances(), node.instance_bytes),
+            "Q{q}: cost of {} {} (node {})",
+            op.kind,
+            op.label,
+            node.id.0
+        );
+        if let Some(label) = tracked {
+            expected
+                .extend((0..node.instances()).map(|_| (label.to_string(), node.instance_bytes)));
+        }
+    }
+    assert!(
+        ops.next().is_none(),
+        "Q{q}: cost lists a stage the plan lacks"
+    );
+
+    static DICT: OnceLock<Arc<ma_core::PrimitiveDictionary>> = OnceLock::new();
+    let dict = DICT.get_or_init(|| Arc::new(ma_primitives::build_dictionary()));
+    let ctx = QueryContext::new(Arc::clone(dict), cfg.clone());
+    drop(lower(plan, &ctx).unwrap());
+    let mut registered: Vec<(String, u64)> = ctx
+        .mem_reports()
+        .into_iter()
+        .map(|r| (r.label, r.bound))
+        .collect();
+    registered.sort();
+    expected.sort();
+    assert_eq!(registered, expected, "Q{q}: trackers vs physical plan");
 }
 
 /// Collects every *registry-visible* stats label in a plan: the labels of
@@ -133,7 +207,8 @@ fn all_queries_verify_across_config_matrix() {
                              vector_size={vsize}): {e}"
                         )
                     });
-                    count_exchanges(&sketch(&plan, &cfg), &mut tally);
+                    count_exchanges(&plan_physical(&plan, &cfg).unwrap(), &mut tally);
+                    assert_lowering_matches_plan(q, &plan, &cfg);
                     checked += 1;
                 }
             }
@@ -147,6 +222,29 @@ fn all_queries_verify_across_config_matrix() {
         partition > 0,
         "matrix never produced a HashPartition exchange"
     );
+}
+
+/// `plan_physical` interprets each logical node exactly once, pinned on
+/// the two deepest join trees: a helper that re-derived a subtree's row
+/// bound per decision (as every `*_bound` helper once did) would make
+/// planning quadratic in plan depth again.
+#[test]
+fn planning_runs_the_analyzer_once_per_node() {
+    fn nodes(plan: &LogicalPlan) -> u64 {
+        1 + plan.children().map(nodes).sum::<u64>()
+    }
+    let cfg = config(4, 0, 0, 1024);
+    for q in [5, 9] {
+        let plan = query_plan(q, db(), &Params::default())
+            .and_then(|pb| Ok(pb.build()?))
+            .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let before = ma_executor::analyze::transfer_count();
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let transfers = ma_executor::analyze::transfer_count() - before;
+        assert!(nodes(&plan) >= 15, "Q{q} is no longer a deep plan");
+        assert_eq!(transfers, nodes(&plan), "Q{q}");
+        assert_eq!(phys.nodes().len() as u64, nodes(&plan), "Q{q}");
+    }
 }
 
 /// All 22 TPC-H plans must pass the abstract-interpretation pass with

@@ -1,7 +1,7 @@
 //! Per-partition column encodings: dictionary, delta, frame-of-reference.
 //!
 //! Base tables are encoded at build time, one codec verdict per column,
-//! chosen from the column's exact [`ColumnStats`](crate::ColumnStats):
+//! chosen from the column's exact [`ColumnStats`]:
 //!
 //! * **Dictionary** ([`DictStr`]) for string columns with few distinct
 //!   values: a single *sorted* global dictionary plus bit-packed per-row
