@@ -1,15 +1,14 @@
 //! Join-scaling experiment: join-heavy TPC-H queries swept over worker
-//! counts, with partitioned hash-join builds on and off. Not a paper
-//! figure — it tracks the second Amdahl gap the unified exchange closes:
-//! with `single` builds every hash join serializes its build (and its
-//! probe stream) behind one instance; with `partitioned` builds the
-//! two-lane hash-partitioning exchange runs P private build tables whose
-//! probe work scales with the workers.
+//! counts and the three ways a hash join can run. Not a paper figure — it
+//! tracks the second Amdahl gap: with `single` joins every hash join
+//! serializes its probe stream behind one instance; `in-fragment` (the
+//! planner's choice) probes inside the sharded scan's worker fragments
+//! over one shared build table; `partitioned` (explicit
+//! `join_partitions = workers`) routes both sides through the two-lane
+//! hash-partitioning exchange into P private build tables.
 //!
-//! **Hardware caveat:** on a 1-hardware-thread container (the CI runner)
-//! this sweep measures routing/oversubscription overhead, not speedup —
-//! the render notes the host's thread count; re-run on a multi-core box
-//! for the real curve (EXPERIMENTS.md).
+//! Worker counts above the host's hardware threads measure
+//! oversubscription, not speedup — the render notes the host's count.
 
 use ma_core::cycles::ticks_now;
 use ma_executor::ExecConfig;
@@ -21,34 +20,61 @@ pub const JOIN_QUERIES: [usize; 4] = [3, 9, 10, 18];
 /// Worker counts swept by default.
 pub const DEFAULT_THREADS: [usize; 3] = [1, 2, 4];
 
+/// How the swept configuration runs its hash joins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinMode {
+    /// `join_partitions = 1`: one instance per join.
+    Single,
+    /// `join_partitions = 0`: the planner's choice, probes inside the
+    /// worker fragments over one shared build.
+    InFragment,
+    /// `join_partitions = workers`: the two-lane partitioning exchange.
+    Partitioned,
+}
+
+impl JoinMode {
+    fn name(self) -> &'static str {
+        match self {
+            JoinMode::Single => "single",
+            JoinMode::InFragment => "in-fragment",
+            JoinMode::Partitioned => "partitioned",
+        }
+    }
+}
+
 /// One swept point.
 #[derive(Debug, Clone, Copy)]
 pub struct JoinScalingPoint {
     /// Scan worker threads.
     pub threads: usize,
-    /// Whether hash-join builds were allowed to partition.
-    pub partitioned: bool,
+    /// How the joins ran.
+    pub mode: JoinMode,
     /// Wall ticks for the query subset.
     pub ticks: u64,
     /// Result checksum folded over the subset (cross-config validation).
     pub checksum: f64,
 }
 
-/// Runs the query subset per `(worker count, partitioning)` combination.
+/// Runs the query subset per `(worker count, join mode)` combination
+/// (`Partitioned` only above one worker, where it differs from `Single`).
 /// The first combination runs once extra as warmup so data is paged in
 /// before anything is timed.
 pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<JoinScalingPoint> {
-    let mut out = Vec::with_capacity(2 * thread_counts.len());
+    let mut out = Vec::with_capacity(3 * thread_counts.len());
     let mut warmed = false;
     for &threads in thread_counts {
-        for partitioned in [false, true] {
-            // `join_partitions = 1` pins every join to a single instance;
-            // `0` lets the planner partition to the worker count.
-            // Aggregation keeps its default in both modes so the only
+        let partitioned = (threads > 1).then_some(JoinMode::Partitioned);
+        let modes = [JoinMode::Single, JoinMode::InFragment];
+        for mode in modes.into_iter().chain(partitioned) {
+            // Aggregation keeps its default in every mode so the only
             // delta between the curves is the join strategy.
             let config = ExecConfig::fixed_default()
                 .with_workers(threads)
-                .with_join_partitions(if partitioned { 0 } else { 1 });
+                .with_join_partitions(match mode {
+                    JoinMode::Single => 1,
+                    JoinMode::InFragment => 0,
+                    JoinMode::Partitioned => threads,
+                });
             if !warmed {
                 run_subset(runner, &config).expect("warmup run");
                 warmed = true;
@@ -58,13 +84,13 @@ pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<JoinScalingPoint
             let ticks = ticks_now().saturating_sub(t0);
             out.push(JoinScalingPoint {
                 threads,
-                partitioned,
+                mode,
                 ticks,
                 checksum,
             });
         }
     }
-    // Hard cross-validation: a partitioned-vs-single result divergence at
+    // Hard cross-validation: a result divergence between join modes at
     // bench scale must fail the run (and CI), not just print a note — no
     // correctness test runs at these scale factors.
     if let Some(first) = out.first() {
@@ -73,11 +99,7 @@ pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<JoinScalingPoint
                 crate::experiments::checksums_match(first.checksum, p.checksum),
                 "join-scaling checksum mismatch: {} workers {} gave {}, baseline {}",
                 p.threads,
-                if p.partitioned {
-                    "partitioned"
-                } else {
-                    "single"
-                },
+                p.mode.name(),
                 p.checksum,
                 first.checksum
             );
@@ -94,7 +116,7 @@ fn run_subset(runner: &Runner, config: &ExecConfig) -> Result<f64, ma_executor::
     Ok(checksum)
 }
 
-/// Renders the sweep with speedups relative to 1-worker single builds.
+/// Renders the sweep with speedups relative to 1-worker single joins.
 pub fn render(points: &[JoinScalingPoint]) -> String {
     let mut out =
         String::from("--- Join scaling: join-heavy queries (Q3, Q9, Q10, Q18) by workers ---\n");
@@ -109,7 +131,7 @@ pub fn render(points: &[JoinScalingPoint]) -> String {
     let base = points.first().map_or(0, |p| p.ticks);
     out.push_str(&format!(
         "{:>8} {:>12} {:>16} {:>9}\n",
-        "workers", "join builds", "wall ticks", "speedup"
+        "workers", "joins", "wall ticks", "speedup"
     ));
     for p in points {
         let speedup = if p.ticks > 0 {
@@ -120,11 +142,7 @@ pub fn render(points: &[JoinScalingPoint]) -> String {
         out.push_str(&format!(
             "{:>8} {:>12} {:>16} {:>8.2}x\n",
             p.threads,
-            if p.partitioned {
-                "partitioned"
-            } else {
-                "single"
-            },
+            p.mode.name(),
             p.ticks,
             speedup
         ));
@@ -134,7 +152,7 @@ pub fn render(points: &[JoinScalingPoint]) -> String {
             .windows(2)
             .all(|w| crate::experiments::checksums_match(w[0].checksum, w[1].checksum));
         out.push_str(if all_match {
-            "checksums: identical across worker counts and join-build modes\n"
+            "checksums: identical across worker counts and join modes\n"
         } else {
             "checksums: MISMATCH across configurations\n"
         });
@@ -156,7 +174,7 @@ mod tests {
     fn sweep_measures_and_validates() {
         let runner = make_runner(0.005, 0x5CA1E);
         let points = measure(&runner, &[1, 2]);
-        assert_eq!(points.len(), 4);
+        assert_eq!(points.len(), 2 + 3);
         assert!(points.iter().all(|p| p.ticks > 0));
         for w in points.windows(2) {
             assert!(
@@ -165,7 +183,7 @@ mod tests {
             );
         }
         let txt = render(&points);
-        assert!(txt.contains("partitioned"));
+        assert!(txt.contains("in-fragment") && txt.contains("partitioned"));
         assert!(txt.contains("identical"));
     }
 }

@@ -159,7 +159,12 @@ pub fn run_experiment_with_metrics(
             let metrics = points
                 .iter()
                 .map(|p| {
-                    let mode = if p.partitioned { "part" } else { "single" };
+                    // `part` stays the two-lane exchange it always named.
+                    let mode = match p.mode {
+                        join_scaling::JoinMode::Single => "single",
+                        join_scaling::JoinMode::InFragment => "fragment",
+                        join_scaling::JoinMode::Partitioned => "part",
+                    };
                     (
                         format!("join_ticks_workers_{}_{mode}", p.threads),
                         p.ticks as f64,

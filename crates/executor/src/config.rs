@@ -88,13 +88,6 @@ pub const DEFAULT_REWARD_CLAMP: f64 = 8.0;
 /// in — partitioning a small aggregate buys nothing and costs routing.
 pub const DEFAULT_AGG_MIN_PARTITION_GROUPS: usize = 32 * 1024;
 
-/// Default minimum estimated row count (larger of the two join sides)
-/// before the planner partitions a hash join whose sides are not sharded
-/// scans. Row estimates come from exact base-table counts
-/// ([`crate::plan::Catalog::row_count`]); partitioning a small join costs
-/// more in routing than the build parallelism returns.
-pub const DEFAULT_JOIN_MIN_PARTITION_ROWS: usize = 64 * 1024;
-
 /// Default per-query memory budget (1 GiB) the static cost pass checks the
 /// proven peak-byte roll-up against. Exceeding it is a warning finding by
 /// default and a [`crate::verify::VerifyError::MemoryBudget`] rejection
@@ -136,18 +129,15 @@ pub struct ExecConfig {
     /// Without distinct-value statistics, a crude input-row estimate
     /// stands in for the group count.
     pub agg_min_partition_groups: usize,
-    /// Consumer partitions for partitioned hash-join builds. `0` (the
-    /// default) follows [`ExecConfig::worker_threads`]; `1` disables join
-    /// partitioning outright; `n > 1` forces `n` partitions. As with
-    /// aggregation, the *decision* to partition a given join stays with
-    /// the physical planner (`ma_executor::plan::lower`), which never
-    /// partitions under an ordered ancestor.
+    /// How hash joins parallelize. `0` (the default) leaves it to the
+    /// physical planner (`ma_executor::plan::lower`): a join whose probe
+    /// side is a sharded scan chain probes *inside* the worker fragments
+    /// over one shared build table, any other join runs as one inline
+    /// instance. `1` keeps every join one instance outside any fragment.
+    /// `n > 1` is an exact override: every join runs as `n` private
+    /// instances behind a two-lane hash-partitioning exchange — the
+    /// differential twin of the in-fragment probe.
     pub join_partitions: usize,
-    /// Minimum estimated row count (max of build and probe side) before
-    /// the planner partitions a hash join whose sides are not sharded
-    /// scans (a sharded-scan side always partitions: its producers are
-    /// already parallel).
-    pub join_min_partition_rows: usize,
     /// Per-query memory budget in bytes for the static cost pass
     /// (`ma_executor::cost`): a proven peak-byte roll-up above this is a
     /// warning finding, or a `verify()` rejection under
@@ -173,7 +163,6 @@ impl Default for ExecConfig {
             agg_partitions: 0,
             agg_min_partition_groups: DEFAULT_AGG_MIN_PARTITION_GROUPS,
             join_partitions: 0,
-            join_min_partition_rows: DEFAULT_JOIN_MIN_PARTITION_ROWS,
             memory_budget: DEFAULT_MEMORY_BUDGET,
             strict_memory: false,
             decode: DecodeMode::default(),
@@ -255,17 +244,11 @@ impl ExecConfig {
         self
     }
 
-    /// Returns a copy with an explicit join partition count
-    /// (`0` = follow worker threads, `1` = never partition).
+    /// Returns a copy with an explicit join partition count (`0` = probe
+    /// in the worker fragments, `1` = one instance, `n > 1` = exactly `n`
+    /// routed instances).
     pub fn with_join_partitions(mut self, n: usize) -> Self {
         self.join_partitions = n;
-        self
-    }
-
-    /// Returns a copy with the estimated-row threshold for partitioning
-    /// hash joins over non-sharded inputs.
-    pub fn with_join_min_rows(mut self, n: usize) -> Self {
-        self.join_min_partition_rows = n;
         self
     }
 
@@ -348,9 +331,8 @@ mod tests {
     fn join_partition_knobs() {
         let c = ExecConfig::default();
         assert_eq!(c.join_partitions, 0);
-        assert_eq!(c.join_min_partition_rows, DEFAULT_JOIN_MIN_PARTITION_ROWS);
         assert_eq!(c.clone().with_join_partitions(1).join_partitions, 1);
-        assert_eq!(c.with_join_min_rows(10).join_min_partition_rows, 10);
+        assert_eq!(c.with_join_partitions(3).join_partitions, 3);
     }
 
     #[test]

@@ -228,8 +228,8 @@ pub fn fmt_bytes(b: u64) -> String {
 /// Picks a partition count for a bound-triggered partitioned consumer:
 /// enough partitions that each stays under `threshold` units of demand
 /// (`ceil(demand / threshold)`), at least 2 (a single partition would be
-/// the sequential plan), at most `cap` (the worker count). Explicit
-/// `agg_partitions` / `join_partitions` knobs bypass this verdict.
+/// the sequential plan), at most `cap` (the worker count). An explicit
+/// `agg_partitions` knob bypasses this verdict.
 pub(crate) fn pick_partitions(demand: usize, threshold: usize, cap: usize) -> usize {
     let per = threshold.max(1);
     let need = demand
@@ -807,6 +807,40 @@ mod tests {
         assert_eq!(
             stage(&plan, "sort").per_instance_bytes,
             100 * 8 * 2 + 100 * 4
+        );
+    }
+
+    #[test]
+    fn in_fragment_join_prices_one_table_and_no_exchange_of_its_own() {
+        // Big enough that 4 workers shard the probe scan.
+        let cat = catalog(40_000);
+        let plan = PlanBuilder::scan(&cat, "t", &["k", "id"])
+            .hash_join(
+                PlanBuilder::scan(&cat, "d", &["dk", "dv"]),
+                &[("k", "dk")],
+                &["dv"],
+                JoinKind::Inner,
+                false,
+                "j",
+            )
+            .build()
+            .unwrap();
+        let stages = |cfg: &ExecConfig| -> Vec<(String, usize)> {
+            let ops = cost(&plan, cfg).ops.into_iter();
+            ops.filter(|o| o.label.starts_with('j') || o.kind == "exchange")
+                .map(|o| (o.label, o.instances))
+                .collect()
+        };
+        // Probing in the fragments: the chain's one Parallel, one table.
+        let auto = ExecConfig::default().with_workers(4);
+        assert_eq!(
+            stages(&auto),
+            [("scan-shard/exchange".to_string(), 4), ("j".to_string(), 1)]
+        );
+        // Routed: the join's own two-lane exchange and 4 private tables.
+        assert_eq!(
+            stages(&auto.with_join_partitions(4)),
+            [("j/exchange".to_string(), 4), ("j".to_string(), 4)]
         );
     }
 

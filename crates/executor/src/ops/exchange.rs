@@ -36,7 +36,7 @@ use std::sync::mpsc::SyncSender;
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
 
 use crate::ops::xrt::{Rt, RtJoinHandle, RtReceiver, RtSender, StdRt};
-use crate::ops::{normalize_keys_i64, BoxOp, Operator};
+use crate::ops::{normalize_keys_i64, BoxOp, Operator, SharedBuild};
 use crate::plan::PlanError;
 use crate::ExecError;
 
@@ -178,6 +178,8 @@ enum State {
 /// Streaming union over `n` plan-fragment workers.
 pub struct Parallel {
     state: State,
+    /// Join builds the fragments' probers share, run before they start.
+    builds: Vec<SharedBuild>,
     types: Vec<DataType>,
     tracker: Option<crate::adaptive::MemTracker>,
 }
@@ -191,9 +193,22 @@ impl Parallel {
         let types = same_out_types(&ops, "parallel fragment")?;
         Ok(Parallel {
             state: State::Pending(ops),
+            builds: Vec::new(),
             types,
             tracker: None,
         })
+    }
+
+    /// Makes the exchange run `builds` — the shared join builds whose
+    /// probers sit inside its fragments — before it starts any worker.
+    /// They run in order on the thread of the first [`Operator::next`]
+    /// call, so every table has one writer, strictly before its readers
+    /// exist as threads: no fragment ever waits on a build or sees a
+    /// half-built table. A failing build is that call's `Err`, reported
+    /// once, and ends the stream for good with no worker started.
+    pub fn after_builds(mut self, builds: Vec<SharedBuild>) -> Self {
+        self.builds = builds;
+        self
     }
 
     /// Attaches a byte-accounting tracker recording the size of every
@@ -203,6 +218,14 @@ impl Parallel {
         self.tracker = Some(tracker);
         self
     }
+}
+
+/// Runs the shared join builds of fragments about to start, on the calling
+/// thread; the first failure drops the builds not yet run.
+fn run_builds(builds: &mut Vec<SharedBuild>) -> Result<(), ExecError> {
+    std::mem::take(builds)
+        .into_iter()
+        .try_for_each(|mut build| build.run())
 }
 
 /// Output types shared by a non-empty operator set (a typed error names
@@ -263,6 +286,8 @@ impl Operator for Parallel {
             else {
                 unreachable!()
             };
+            // On `Err` the state stays the exhausted union: terminal.
+            run_builds(&mut self.builds)?;
             self.state = State::Running(Union::spawn(ops));
         }
         let State::Running(union) = &mut self.state else {
@@ -501,6 +526,9 @@ enum PartState {
 /// exactly like per-worker scan state.
 pub struct HashPartitionExchange {
     state: PartState,
+    /// Join builds the producer fragments' probers share, run before any
+    /// thread starts.
+    builds: Vec<SharedBuild>,
     types: Vec<DataType>,
     tracker: Option<crate::adaptive::MemTracker>,
 }
@@ -583,9 +611,16 @@ impl HashPartitionExchange {
                 lanes: pending,
                 consumers,
             },
+            builds: Vec::new(),
             types,
             tracker: None,
         })
+    }
+
+    /// [`Parallel::after_builds`] for the lanes' producer fragments.
+    pub fn after_builds(mut self, builds: Vec<SharedBuild>) -> Self {
+        self.builds = builds;
+        self
     }
 
     /// Attaches a byte-accounting tracker recording the size of every
@@ -635,6 +670,8 @@ impl Operator for HashPartitionExchange {
             else {
                 unreachable!()
             };
+            // On `Err` the state stays the exhausted union: terminal.
+            run_builds(&mut self.builds)?;
             self.state = PartState::Running(HashPartitionExchange::start(lanes, consumers));
         }
         let PartState::Running(union) = &mut self.state else {
@@ -1313,6 +1350,130 @@ mod tests {
         assert!(err.to_string().contains("injected"));
         assert!(par.next().unwrap().is_none(), "stream must stay terminated");
         assert!(par.next().unwrap().is_none());
+    }
+
+    // --- shared join builds -------------------------------------------------
+
+    /// `n` probers of `shared` (anti joins: an empty table passes every
+    /// tuple) over morsel scans of `t`.
+    fn probers(
+        shared: &SharedBuild,
+        t: &Arc<Table>,
+        n: usize,
+        ctx: &crate::QueryContext,
+    ) -> Vec<BoxOp> {
+        let probes = morsel_producers(t, n).into_iter();
+        probes
+            .map(|probe| -> BoxOp {
+                let kind = crate::ops::JoinKind::Anti;
+                Box::new(
+                    shared
+                        .prober(probe, vec![0], kind, vec![], ctx, "j")
+                        .unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// A [`Parallel`] over ready-made fragments.
+    fn parallel_over(fragments: Vec<BoxOp>) -> Parallel {
+        let n = fragments.len();
+        let fragments = std::sync::Mutex::new(fragments);
+        Parallel::new(n, &|_, _| Ok(fragments.lock().unwrap().pop().unwrap())).unwrap()
+    }
+
+    fn test_ctx() -> crate::QueryContext {
+        let dict = Arc::new(ma_primitives::build_dictionary());
+        crate::QueryContext::new(dict, crate::ExecConfig::fixed_default())
+    }
+
+    /// Yields `budget` one-row chunks, then fails with a typed error. With
+    /// a `gate`, the first poll announces itself on `started` and blocks
+    /// until the gate's sender is gone.
+    struct FailingBuild {
+        budget: usize,
+        gate: Option<(SyncSender<()>, std::sync::mpsc::Receiver<()>)>,
+    }
+
+    impl Operator for FailingBuild {
+        fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
+            if let Some((started, gate)) = self.gate.take() {
+                started.send(()).unwrap();
+                assert!(gate.recv().is_err(), "the gate only ever closes");
+            }
+            if self.budget == 0 {
+                return Err(ExecError::UnknownPrimitive("injected".into()));
+            }
+            self.budget -= 1;
+            Ok(Some(DataChunk::new(vec![Arc::new(Vector::I64(vec![1]))])))
+        }
+        fn out_types(&self) -> &[DataType] {
+            &[DataType::I64]
+        }
+    }
+
+    #[test]
+    fn failing_shared_build_reports_once_and_ends_the_stream() {
+        // The build child of a join probing in 4 fragments fails. The
+        // thread starting the fragments runs the build, so it alone sees
+        // the error — the original typed one — and no fragment ever
+        // starts over the table that was never published.
+        let ctx = test_ctx();
+        let t = table(8 * VECTOR_SIZE);
+        let failing = || -> BoxOp {
+            Box::new(FailingBuild {
+                budget: 3,
+                gate: None,
+            })
+        };
+        let assert_reports_once = |op: &mut dyn Operator| {
+            match op.next() {
+                Err(ExecError::UnknownPrimitive(m)) => assert_eq!(m, "injected"),
+                other => panic!("expected the build's typed error, got {other:?}"),
+            }
+            assert!(op.next().unwrap().is_none(), "stream must stay terminated");
+            assert!(op.next().unwrap().is_none());
+        };
+
+        let shared = SharedBuild::new(failing(), vec![0], vec![], false).unwrap();
+        let mut par = parallel_over(probers(&shared, &t, 4, &ctx)).after_builds(vec![shared]);
+        assert_reports_once(&mut par);
+
+        // Same contract where the fragments feed a partitioned consumer's
+        // lane directly.
+        let shared = SharedBuild::new(failing(), vec![0], vec![], false).unwrap();
+        let lanes = single_lane(probers(&shared, &t, 4, &ctx));
+        let consumer =
+            |mut src: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> { Ok(src.pop().unwrap()) };
+        let mut ex = HashPartitionExchange::new(lanes, 2, &consumer)
+            .unwrap()
+            .after_builds(vec![shared]);
+        assert_reports_once(&mut ex);
+    }
+
+    #[test]
+    fn drop_during_a_shared_build_does_not_hang() {
+        // An exchange running a shared build sits inside a fragment of an
+        // outer exchange that is dropped mid-build: the outer drop joins
+        // that fragment, which must come back — build finished or failed,
+        // inner workers reaped — rather than wait on anyone.
+        let ctx = test_ctx();
+        let t = table(8 * VECTOR_SIZE);
+        let (started_tx, started) = std::sync::mpsc::sync_channel(1);
+        let (gate_tx, gate) = std::sync::mpsc::sync_channel(1);
+        let build = FailingBuild {
+            budget: 200,
+            gate: Some((started_tx, gate)),
+        };
+        let shared = SharedBuild::new(Box::new(build), vec![0], vec![], false).unwrap();
+        let building = parallel_over(probers(&shared, &t, 2, &ctx)).after_builds(vec![shared]);
+        let mut outer = parallel_over(vec![Box::new(building), Box::new(Replay::over(&[7], 1))]);
+        // The replay fragment's chunk arrives; the other fragment is in
+        // its build, one poll in and held there until the gate closes.
+        assert!(outer.next().unwrap().is_some());
+        started.recv().unwrap();
+        drop(gate_tx);
+        drop(outer);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! primitive). The chain walk itself is plain code — §4.1 notes Vectorwise's
 //! hash-table lookup also bypasses the expression evaluator.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ma_primitives::hashing::{combine_hash, hash_u64};
 use ma_primitives::{BloomFilter, MapHash, MapRehash, SelBloom};
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
 
-use crate::adaptive::HeurKind;
+use crate::adaptive::{HeurKind, MemTracker};
 use crate::expr::Value;
 use crate::ops::fetch::FetchInst;
 use crate::ops::{normalize_keys_i64, BoxOp, FrozenStore, Operator, RowStore};
@@ -40,6 +40,9 @@ enum ProbeHashStep {
     Rest(PrimInstance<MapRehash<i64>>, usize),
 }
 
+/// A finished build table. Immutable from [`JoinBuild::finish`] on, so
+/// any number of probers read one behind an [`Arc`] with no
+/// synchronization (DESIGN.md §8).
 struct BuildSide {
     /// Normalized key columns, one `Vec<i64>` per key.
     keys: Vec<Vec<i64>>,
@@ -52,16 +55,9 @@ struct BuildSide {
 
 const NIL: u32 = u32::MAX;
 
-/// The *build phase* of a hash join, separated from probing: accumulates
-/// build-side chunks into normalized key columns plus a payload row store,
-/// then freezes them into the chained hash table a probe phase walks.
-///
-/// The split keeps the phases independently composable: a plain
-/// [`HashJoin`] drains its build child through one `JoinBuild`, and a
-/// *partitioned* join (see `plan::lower`) runs one `JoinBuild`-backed
-/// [`HashJoin`] per key partition behind a
-/// [`crate::ops::HashPartitionExchange`] — P private build tables, no
-/// shared-state contention.
+/// The accumulator of a join's build phase: collects build-side chunks
+/// into normalized key columns plus a payload row store, then freezes
+/// them into the chained hash table the probe phase walks.
 struct JoinBuild {
     key_idx: Vec<usize>,
     payload_idx: Vec<usize>,
@@ -104,7 +100,7 @@ impl JoinBuild {
     /// Freezes the accumulated rows into a chained hash table (plus an
     /// optional bloom filter over the row hashes). The build side bypasses
     /// the expression evaluator, like Vectorwise (§4.1).
-    fn finish(self, want_bloom: bool, tracker: Option<&crate::adaptive::MemTracker>) -> BuildSide {
+    fn finish(self, want_bloom: bool, tracker: Option<&MemTracker>) -> BuildSide {
         let rows = self.keys[0].len();
         let mut row_hashes = vec![0u64; rows];
         for (k, kv) in self.keys.iter().enumerate() {
@@ -173,75 +169,51 @@ impl BuildSide {
     }
 }
 
-/// Hash join operator.
-pub struct HashJoin {
-    build: Option<BoxOp>,
-    probe: BoxOp,
-    build_key_idx: Vec<usize>,
-    probe_key_idx: Vec<usize>,
+/// The *build phase* of a hash join, separated from probing: drains the
+/// build child once into one hash table that every prober made by
+/// [`SharedBuild::prober`] reads.
+///
+/// A plain [`HashJoin`] owns its build and runs it on its first `next()`.
+/// A join compiled into worker fragments (see `plan::lower`) has one
+/// `SharedBuild` and one prober per fragment, each with private primitive
+/// instances: the exchange that starts the fragments runs the build first,
+/// on the thread starting them ([`crate::ops::Parallel::after_builds`]),
+/// so the table has one writer, strictly before its N readers run. A
+/// build that fails publishes nothing — the exchange reports the error
+/// and never starts the fragments.
+pub struct SharedBuild {
+    /// The build child; `None` once [`SharedBuild::run`] took it.
+    child: Option<BoxOp>,
+    key_idx: Vec<usize>,
     payload_idx: Vec<usize>,
-    kind: JoinKind,
-    types: Vec<DataType>,
-    vector_size: usize,
-
-    probe_hash_steps: Vec<ProbeHashStep>,
-    bloom_inst: Option<PrimInstance<SelBloom>>,
-    probe_fetch: Vec<FetchInst>,
-    payload_fetch: Vec<FetchInst>,
-    defaults: Vec<Value>,
-
-    built: Option<BuildSide>,
+    payload_types: Vec<DataType>,
+    use_bloom: bool,
     /// Planner-proven build-row bound, used to pre-size build allocations.
-    build_hint: Option<usize>,
-    /// Byte-accounting slot the build phase reports its high-water to.
-    tracker: Option<crate::adaptive::MemTracker>,
-    /// Pending inner-join matches: source chunk + (probe pos, build row).
-    pending: Option<(DataChunk, Vec<u32>, Vec<u32>, usize)>,
-    // scratch
-    hashes: Vec<u64>,
-    probe_keys: Vec<Vec<i64>>,
-    /// Candidate probe positions of the chunk in flight.
-    bloom_buf: Vec<u32>,
+    row_hint: Option<usize>,
+    /// Byte-accounting slot the build reports its high-water to.
+    tracker: Option<MemTracker>,
+    table: Arc<OnceLock<BuildSide>>,
 }
 
-impl HashJoin {
-    /// Builds a hash join.
-    ///
-    /// * `build_keys`/`probe_keys`: integer key columns (index-aligned).
-    /// * `payload`: build-side columns appended to the output
-    ///   (Inner/LeftSingle only).
-    /// * `defaults`: LeftSingle payload values for unmatched probe tuples
-    ///   (must match payload types; empty otherwise).
-    /// * `use_bloom`: pre-filter probe positions with a bloom filter.
-    #[allow(clippy::too_many_arguments)]
+impl SharedBuild {
+    /// A build over `build`'s integer `build_keys`, keeping the `payload`
+    /// columns (and a bloom filter over the key hashes when `use_bloom`).
     pub fn new(
         build: BoxOp,
-        probe: BoxOp,
         build_keys: Vec<usize>,
-        probe_keys: Vec<usize>,
         payload: Vec<usize>,
-        kind: JoinKind,
         use_bloom: bool,
-        defaults: Vec<Value>,
-        ctx: &QueryContext,
-        label: &str,
     ) -> Result<Self, ExecError> {
-        if build_keys.is_empty() || build_keys.len() != probe_keys.len() {
+        let build_types = build.out_types();
+        if build_keys.is_empty() {
             return Err(ExecError::Plan("join key lists must match".into()));
         }
-        let build_types = build.out_types().to_vec();
-        let probe_types = probe.out_types().to_vec();
         for &k in &build_keys {
             if k >= build_types.len() {
                 return Err(ExecError::Plan(format!("build key {k} out of range")));
             }
         }
-        for &k in &probe_keys {
-            if k >= probe_types.len() {
-                return Err(ExecError::Plan(format!("probe key {k} out of range")));
-            }
-        }
-        let payload_types: Vec<DataType> = payload
+        let payload_types = payload
             .iter()
             .map(|&i| {
                 build_types
@@ -250,7 +222,77 @@ impl HashJoin {
                     .ok_or_else(|| ExecError::Plan(format!("payload column {i} out of range")))
             })
             .collect::<Result<_, _>>()?;
+        Ok(SharedBuild {
+            child: Some(build),
+            key_idx: build_keys,
+            payload_idx: payload,
+            payload_types,
+            use_bloom,
+            row_hint: None,
+            tracker: None,
+            table: Arc::new(OnceLock::new()),
+        })
+    }
 
+    /// Sets the planner-proven build-row bound, pre-sizing build
+    /// allocations (clamped inside `JoinBuild::new`).
+    pub fn with_build_rows(mut self, rows: usize) -> Self {
+        self.row_hint = Some(rows);
+        self
+    }
+
+    /// Attaches a byte-accounting tracker the build reports to.
+    pub fn with_tracker(mut self, tracker: MemTracker) -> Self {
+        self.tracker = Some(tracker);
+        self
+    }
+
+    /// Drains the build child and publishes the table to the probers. An
+    /// `Err` from the child publishes nothing; a second call is a no-op.
+    pub fn run(&mut self) -> Result<(), ExecError> {
+        let Some(mut child) = self.child.take() else {
+            return Ok(());
+        };
+        let mut build = JoinBuild::new(
+            self.key_idx.clone(),
+            self.payload_idx.clone(),
+            self.payload_types.clone(),
+            self.row_hint,
+        );
+        while let Some(chunk) = child.next()? {
+            build.add(&chunk);
+        }
+        let built = build.finish(self.use_bloom, self.tracker.as_ref());
+        assert!(self.table.set(built).is_ok(), "a join build runs once");
+        Ok(())
+    }
+
+    /// A probe instance over `probe` reading this build's table, with its
+    /// own primitive instances (registered under `label`) and scratch.
+    ///
+    /// * `probe_keys`: integer key columns, index-aligned with the build
+    ///   keys.
+    /// * `defaults`: LeftSingle payload values for unmatched probe tuples
+    ///   (must match payload types; empty otherwise).
+    pub fn prober(
+        &self,
+        probe: BoxOp,
+        probe_keys: Vec<usize>,
+        kind: JoinKind,
+        defaults: Vec<Value>,
+        ctx: &QueryContext,
+        label: &str,
+    ) -> Result<HashJoin, ExecError> {
+        if probe_keys.len() != self.key_idx.len() {
+            return Err(ExecError::Plan("join key lists must match".into()));
+        }
+        let probe_types = probe.out_types().to_vec();
+        for &k in &probe_keys {
+            if k >= probe_types.len() {
+                return Err(ExecError::Plan(format!("probe key {k} out of range")));
+            }
+        }
+        let payload_types = &self.payload_types;
         let types: Vec<DataType> = match kind {
             JoinKind::Inner | JoinKind::LeftSingle => probe_types
                 .iter()
@@ -265,7 +307,7 @@ impl HashJoin {
                     "LeftSingle needs one default per payload column".into(),
                 ));
             }
-            for (d, t) in defaults.iter().zip(&payload_types) {
+            for (d, t) in defaults.iter().zip(payload_types) {
                 if d.data_type() != *t {
                     return Err(ExecError::Plan(format!(
                         "default type {} does not match payload {t}",
@@ -297,7 +339,7 @@ impl HashJoin {
                 )
             });
         }
-        let bloom_inst = if use_bloom {
+        let bloom_inst = if self.use_bloom {
             Some(ctx.instance(
                 "sel_bloomfilter",
                 format!("{label}/sel_bloomfilter"),
@@ -324,13 +366,12 @@ impl HashJoin {
             Vec::new()
         };
 
-        let nkeys = build_keys.len();
+        let nkeys = probe_keys.len();
         Ok(HashJoin {
-            build: Some(build),
+            own_build: None,
+            table: Arc::clone(&self.table),
             probe,
-            build_key_idx: build_keys,
             probe_key_idx: probe_keys,
-            payload_idx: payload,
             kind,
             types,
             vector_size: ctx.vector_size(),
@@ -339,46 +380,75 @@ impl HashJoin {
             probe_fetch,
             payload_fetch,
             defaults,
-            built: None,
-            build_hint: None,
-            tracker: None,
             pending: None,
             hashes: Vec::new(),
             probe_keys: vec![Vec::new(); nkeys],
             bloom_buf: Vec::new(),
         })
     }
+}
 
-    /// Sets the planner-proven build-row bound, pre-sizing build
-    /// allocations (clamped inside `JoinBuild::new`).
+/// Hash join operator: the probe phase over one [`SharedBuild`]'s table.
+pub struct HashJoin {
+    /// The join's private build, run on the first `next()`; `None` for a
+    /// prober of a shared build (and once the private build ran).
+    own_build: Option<SharedBuild>,
+    /// The build table, empty until the build published it.
+    table: Arc<OnceLock<BuildSide>>,
+    probe: BoxOp,
+    probe_key_idx: Vec<usize>,
+    kind: JoinKind,
+    types: Vec<DataType>,
+    vector_size: usize,
+
+    probe_hash_steps: Vec<ProbeHashStep>,
+    bloom_inst: Option<PrimInstance<SelBloom>>,
+    probe_fetch: Vec<FetchInst>,
+    payload_fetch: Vec<FetchInst>,
+    defaults: Vec<Value>,
+
+    /// Pending inner-join matches: source chunk + (probe pos, build row).
+    pending: Option<(DataChunk, Vec<u32>, Vec<u32>, usize)>,
+    // scratch
+    hashes: Vec<u64>,
+    probe_keys: Vec<Vec<i64>>,
+    /// Candidate probe positions of the chunk in flight.
+    bloom_buf: Vec<u32>,
+}
+
+impl HashJoin {
+    /// Builds a hash join with a private build: a [`SharedBuild`] over
+    /// `build` and its one prober over `probe` (see those for the
+    /// parameters).
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        build: BoxOp,
+        probe: BoxOp,
+        build_keys: Vec<usize>,
+        probe_keys: Vec<usize>,
+        payload: Vec<usize>,
+        kind: JoinKind,
+        use_bloom: bool,
+        defaults: Vec<Value>,
+        ctx: &QueryContext,
+        label: &str,
+    ) -> Result<Self, ExecError> {
+        let build = SharedBuild::new(build, build_keys, payload, use_bloom)?;
+        let mut join = build.prober(probe, probe_keys, kind, defaults, ctx, label)?;
+        join.own_build = Some(build);
+        Ok(join)
+    }
+
+    /// [`SharedBuild::with_build_rows`] on the join's private build.
     pub fn with_build_rows(mut self, rows: usize) -> Self {
-        self.build_hint = Some(rows);
+        self.own_build = self.own_build.map(|b| b.with_build_rows(rows));
         self
     }
 
-    /// Attaches a byte-accounting tracker the build phase reports to.
-    pub fn with_tracker(mut self, tracker: crate::adaptive::MemTracker) -> Self {
-        self.tracker = Some(tracker);
+    /// [`SharedBuild::with_tracker`] on the join's private build.
+    pub fn with_tracker(mut self, tracker: MemTracker) -> Self {
+        self.own_build = self.own_build.map(|b| b.with_tracker(tracker));
         self
-    }
-
-    /// Drains the build child through the build phase.
-    fn do_build(&mut self) -> Result<(), ExecError> {
-        let mut child = self.build.take().expect("build called once");
-        let build_types = child.out_types().to_vec();
-        let payload_types: Vec<DataType> =
-            self.payload_idx.iter().map(|&i| build_types[i]).collect();
-        let mut build = JoinBuild::new(
-            self.build_key_idx.clone(),
-            self.payload_idx.clone(),
-            payload_types,
-            self.build_hint,
-        );
-        while let Some(chunk) = child.next()? {
-            build.add(&chunk);
-        }
-        self.built = Some(build.finish(self.bloom_inst.is_some(), self.tracker.as_ref()));
-        Ok(())
     }
 
     /// Emits up to `vector_size` pending inner-join pairs as one chunk.
@@ -391,7 +461,7 @@ impl HashJoin {
         }
         let pp = &ppos[*offset..][..n];
         let bb = &brow[*offset..][..n];
-        let built = self.built.as_ref().expect("built");
+        let built = self.table.get().expect("built");
         let mut cols: Vec<Arc<Vector>> = Vec::with_capacity(self.types.len());
         for (ci, inst) in self.probe_fetch.iter_mut().enumerate() {
             cols.push(Arc::new(inst.fetch(chunk.column(ci), pp)));
@@ -437,7 +507,7 @@ impl HashJoin {
             }
         }
 
-        let built = self.built.as_ref().expect("built");
+        let built = self.table.get().expect("built");
 
         // Bloom pre-filter (candidates that *may* match).
         let bloom_buf = &mut self.bloom_buf;
@@ -576,8 +646,13 @@ fn left_single_payload(
 
 impl Operator for HashJoin {
     fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-        if self.built.is_none() {
-            self.do_build()?;
+        if let Some(mut build) = self.own_build.take() {
+            build.run()?;
+        }
+        // A table never published means the build failed, and whoever ran
+        // it reported the error: this prober just ends.
+        if self.table.get().is_none() {
+            return Ok(None);
         }
         if let Some(out) = self.emit_pending() {
             return Ok(Some(out));
@@ -631,21 +706,24 @@ mod tests {
     }
 
     /// Fact table: fk = i % m, v = i.
-    fn fact(n: usize, m: usize) -> BoxOp {
+    fn fact_table(n: usize, m: usize) -> Arc<Table> {
         let mut fk = ColumnBuilder::with_capacity(DataType::I32, n);
         let mut v = ColumnBuilder::with_capacity(DataType::I64, n);
         for i in 0..n {
             fk.push_i32((i % m) as i32);
             v.push_i64(i as i64);
         }
-        let t = Arc::new(
+        Arc::new(
             Table::new(
                 "f",
                 vec![("fk".into(), fk.finish()), ("v".into(), v.finish())],
             )
             .unwrap(),
-        );
-        Box::new(Scan::new(t, &["fk", "v"], 128).unwrap())
+        )
+    }
+
+    fn fact(n: usize, m: usize) -> BoxOp {
+        Box::new(Scan::new(fact_table(n, m), &["fk", "v"], 128).unwrap())
     }
 
     fn join(kind: JoinKind, use_bloom: bool, dim_n: usize, fact_n: usize) -> HashJoin {
@@ -848,6 +926,155 @@ mod tests {
         for ch in &chunks {
             assert!(ch.len() <= 1024);
         }
+    }
+
+    // --- shared builds -----------------------------------------------------
+
+    /// Build side for the shared-build tests: keys `0..keys`, each `dups`
+    /// times over, with a distinct i64 payload per row.
+    fn dup_dim(keys: usize, dups: usize) -> BoxOp {
+        let n = keys * dups;
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, n);
+        let mut c = ColumnBuilder::with_capacity(DataType::I64, n);
+        for i in 0..n {
+            k.push_i32((i % keys) as i32);
+            c.push_i64(i as i64 * 1000);
+        }
+        let t = Arc::new(
+            Table::new(
+                "b",
+                vec![("k".into(), k.finish()), ("c".into(), c.finish())],
+            )
+            .unwrap(),
+        );
+        Box::new(Scan::new(t, &["k", "c"], 128).unwrap())
+    }
+
+    /// Every live row, rendered and sorted: the multiset a join emitted.
+    fn row_multiset(chunks: &[DataChunk]) -> Vec<String> {
+        let mut rows = Vec::new();
+        for ch in chunks {
+            for p in ch.live_positions() {
+                let cols = ch.columns().iter().map(|c| match c.as_ref() {
+                    Vector::I32(v) => v[p].to_string(),
+                    Vector::I64(v) => v[p].to_string(),
+                    other => panic!("unexpected column type {}", other.data_type()),
+                });
+                rows.push(cols.collect::<Vec<_>>().join("|"));
+            }
+        }
+        rows.sort_unstable();
+        rows
+    }
+
+    /// One join two ways over the same inputs — a plain [`HashJoin`], and
+    /// `n` probers over one [`SharedBuild`] splitting the probe side by
+    /// morsels behind a [`crate::ops::Parallel`] that runs the build —
+    /// returning both outputs as multisets plus the shared path's widest
+    /// chunk.
+    fn plain_and_shared(
+        kind: JoinKind,
+        bloom: bool,
+        build: &dyn Fn() -> BoxOp,
+        n: usize,
+    ) -> (Vec<String>, Vec<String>, usize) {
+        use crate::ops::Parallel;
+        use ma_vector::MorselQueue;
+        let c = ctx();
+        let payload = if matches!(kind, JoinKind::Inner | JoinKind::LeftSingle) {
+            vec![1]
+        } else {
+            vec![]
+        };
+        let defaults = if kind == JoinKind::LeftSingle {
+            vec![Value::I64(-1)]
+        } else {
+            vec![]
+        };
+        let mut plain = HashJoin::new(
+            build(),
+            fact(3000, 10),
+            vec![0],
+            vec![0],
+            payload.clone(),
+            kind,
+            bloom,
+            defaults.clone(),
+            &c,
+            "t",
+        )
+        .unwrap();
+        let want = row_multiset(&collect(&mut plain).unwrap());
+
+        let shared = SharedBuild::new(build(), vec![0], payload, bloom).unwrap();
+        let t = fact_table(3000, 10);
+        let queue = Arc::new(MorselQueue::with_morsel(t.rows(), 256));
+        let factory = |_w: usize, _n: usize| -> Result<BoxOp, ExecError> {
+            let scan = Scan::morsel(Arc::clone(&t), &["fk", "v"], 128, Arc::clone(&queue))?;
+            let probe: BoxOp = Box::new(scan);
+            let prober = shared.prober(probe, vec![0], kind, defaults.clone(), &c, "s")?;
+            Ok(Box::new(prober))
+        };
+        let mut par = Parallel::new(n, &factory)
+            .unwrap()
+            .after_builds(vec![shared]);
+        let chunks = collect(&mut par).unwrap();
+        let widest = chunks.iter().map(DataChunk::len).max().unwrap_or(0);
+        (want, row_multiset(&chunks), widest)
+    }
+
+    #[test]
+    fn probers_over_a_shared_build_match_the_plain_join() {
+        for bloom in [false, true] {
+            // Inner, 1:N: every 128-row probe chunk with a matching key
+            // yields 64 × 20 pairs, past the 1024-row vector size, so each
+            // prober's `pending` split is crossed many times over.
+            let (want, got, widest) =
+                plain_and_shared(JoinKind::Inner, bloom, &|| dup_dim(5, 20), 4);
+            assert_eq!(want.len(), 1500 * 20);
+            assert_eq!(want, got, "inner, bloom={bloom}");
+            assert_eq!(widest, 1024, "inner output must split at the vector size");
+            for kind in [JoinKind::Semi, JoinKind::Anti] {
+                let (want, got, _) = plain_and_shared(kind, bloom, &|| dup_dim(5, 20), 4);
+                assert_eq!(want.len(), 1500);
+                assert_eq!(want, got, "{kind:?}, bloom={bloom}");
+            }
+            // LeftSingle needs unique build keys.
+            let (want, got, _) =
+                plain_and_shared(JoinKind::LeftSingle, bloom, &|| dup_dim(5, 1), 4);
+            assert_eq!(want.len(), 3000);
+            assert_eq!(want, got, "left-single, bloom={bloom}");
+        }
+    }
+
+    #[test]
+    fn probers_over_an_empty_shared_build() {
+        // Nothing matches an empty table: Inner and Semi yield nothing,
+        // Anti and LeftSingle (with its defaults) pass every probe tuple.
+        for bloom in [false, true] {
+            for (kind, rows) in [
+                (JoinKind::Inner, 0),
+                (JoinKind::Semi, 0),
+                (JoinKind::Anti, 3000),
+                (JoinKind::LeftSingle, 3000),
+            ] {
+                let (want, got, _) = plain_and_shared(kind, bloom, &|| dup_dim(0, 0), 4);
+                assert_eq!(got.len(), rows, "{kind:?}, bloom={bloom}");
+                assert_eq!(want, got, "{kind:?}, bloom={bloom}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_prober_whose_build_never_published_just_ends() {
+        // The build's owner reports a failed build; a prober polled
+        // anyway must neither panic nor probe a table that is not there.
+        let c = ctx();
+        let shared = SharedBuild::new(dim(5), vec![0], vec![], false).unwrap();
+        let mut prober = shared
+            .prober(fact(100, 10), vec![0], JoinKind::Anti, vec![], &c, "s")
+            .unwrap();
+        assert!(prober.next().unwrap().is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub use aggregate::{AggSpec, HashAggregate, StreamAggregate};
 pub use exchange::{
     ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel, RoutedLane,
 };
-pub use hash_join::{HashJoin, JoinKind};
+pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;
 pub use project::{ProjItem, Project};
 pub use scan::Scan;

@@ -10,9 +10,11 @@
 //! [`explain_physical`] renders the [`PhysicalPlan`] the planner makes
 //! for a concrete [`ExecConfig`] — the same tree, annotated from the
 //! plan's own nodes: `HashAgg (partitioned ×P)` / `HashJoin (partitioned
-//! ×P)` where an [`Exchange::HashPartition`] routes the operator, and a
-//! `Merge ×N` line above each ordered chain that shards into `(morsel)`
-//! scans re-merged by an [`Exchange::Merge`].
+//! ×P)` where an [`Exchange::HashPartition`] routes the operator,
+//! `HashJoin (in fragment ×N, shared build)` where the join probes inside
+//! the `N` worker fragments of a sharded chain, and a `Merge ×N` line
+//! above each ordered chain that shards into `(morsel)` scans re-merged
+//! by an [`Exchange::Merge`].
 
 use std::fmt;
 
@@ -31,8 +33,9 @@ impl fmt::Display for LogicalPlan {
 
 /// Renders the physical plan of `plan` under `config` (worker count,
 /// partition knobs): operators the planner partitions are annotated
-/// `(partitioned ×P)`, and ordered chains it shards render under a
-/// `Merge ×N` node with `(morsel)` scans.
+/// `(partitioned ×P)`, joins probing in worker fragments `(in fragment ×N,
+/// shared build)`, and ordered chains it shards render under a `Merge ×N`
+/// node with `(morsel)` scans.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
     struct Physical<'p, 'a>(&'p PhysNode<'a>);
     impl fmt::Display for Physical<'_, '_> {
@@ -74,11 +77,15 @@ fn fmt_node(
         indent += 1;
         scan_mode = "morsel";
     }
-    let partitioned = match exchange {
+    // How the planner parallelized an aggregate or join.
+    let verdict = match exchange {
         Some(Exchange::HashPartition { partitions, .. }) => {
             format!("(partitioned \u{d7}{partitions}) ")
         }
-        _ => String::new(),
+        _ => match phys.map_or(1, |p| p.fragments) {
+            1 => String::new(),
+            n => format!("(in fragment \u{d7}{n}, shared build) "),
+        },
     };
     let child = |i: usize| phys.and_then(|p| p.children.get(i));
     write!(f, "{:indent$}", "", indent = indent * 2)?;
@@ -163,7 +170,7 @@ fn fmt_node(
                 .collect();
             writeln!(
                 f,
-                "HashAgg {partitioned}keys=[{}] aggs=[{}] -> {schema}",
+                "HashAgg {verdict}keys=[{}] aggs=[{}] -> {schema}",
                 key_names.join(", "),
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
@@ -214,11 +221,7 @@ fn fmt_node(
                 .iter()
                 .map(|&i| build.schema().field(i).name.as_str())
                 .collect();
-            write!(
-                f,
-                "HashJoin {partitioned}{kind_name} on ({})",
-                on.join(", ")
-            )?;
+            write!(f, "HashJoin {verdict}{kind_name} on ({})", on.join(", "))?;
             if !pay.is_empty() {
                 write!(f, " payload=[{}]", pay.join(", "))?;
             }

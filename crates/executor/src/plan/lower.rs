@@ -12,22 +12,30 @@
 //!
 //! The decisions:
 //!
-//! * **Sharding.** A [`LogicalPlan::Filter`] / [`LogicalPlan::Project`]
-//!   chain over a scan with `worker_threads > 1` and enough rows to bother
-//!   compiles *into* `n` morsel-driven worker fragments — the selection
-//!   and map primitives parallelize and every worker owns its own bandit
+//! * **Sharding.** A chain of [`LogicalPlan::Filter`] /
+//!   [`LogicalPlan::Project`] / [`LogicalPlan::HashJoin`]-probe stages over
+//!   a scan with `worker_threads > 1` and enough rows to bother compiles
+//!   *into* `n` morsel-driven worker fragments — the selection, map and
+//!   probe primitives parallelize and every worker owns its own bandit
 //!   state for them (DESIGN.md §5) — united by [`Exchange::Parallel`].
+//! * **Joins probe in the fragments.** A join stage of such a chain has
+//!   one build table, built once from its build child (which plans freely,
+//!   so a big build side shards on its own) and read by the `n` fragments'
+//!   probers (DESIGN.md §8). A join whose probe side does not shard runs
+//!   as one inline instance.
 //! * **Partitioned aggregation.** A [`LogicalPlan::HashAgg`] over a
 //!   sharded chain — or over any input with a large enough proven group
 //!   bound — runs as `P` private [`HashAggregate`] instances behind a
 //!   one-lane [`Exchange::HashPartition`]: producers route tuples by
 //!   `hash(group keys) % P`, and the disjoint results union in arrival
 //!   order (DESIGN.md §7).
-//! * **Partitioned join builds.** A [`LogicalPlan::HashJoin`] over big
-//!   enough inputs runs as `P` private [`HashJoin`] instances behind a
-//!   *two-lane* [`Exchange::HashPartition`]: equal keys land in the same
-//!   partition on both lanes, so the arrival-order union of the
-//!   per-partition outputs is exact for every join kind (DESIGN.md §8).
+//! * **Partitioned join builds, on request.** An explicit
+//!   `join_partitions ≥ 2` instead runs every [`LogicalPlan::HashJoin`] as
+//!   that many private [`HashJoin`] instances behind a *two-lane*
+//!   [`Exchange::HashPartition`]: equal keys land in the same partition on
+//!   both lanes, so the arrival-order union of the per-partition outputs
+//!   is exact for every join kind — the differential twin of the
+//!   in-fragment probe.
 //! * **Ordered inputs.** A [`LogicalPlan::MergeJoin`] needs key-sorted
 //!   inputs, and an arrival-order union would break that. Its inputs are
 //!   either a sort (which re-establishes order, so everything beneath it
@@ -46,7 +54,7 @@ use crate::cost::Width;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, RoutedLane,
-    Scan, Select, Sort, StreamAggregate,
+    Scan, Select, SharedBuild, Sort, StreamAggregate,
 };
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::LogicalPlan;
@@ -81,7 +89,7 @@ pub struct NodeId(pub usize);
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lane {
     /// Producer threads draining the child into the lane. `1` is the
-    /// child's own pipeline; `n ≥ 2` means the child is a scan chain
+    /// child's own pipeline; `n ≥ 2` means the child tops a scan chain
     /// compiled into `n` morsel fragments that feed the lane directly (no
     /// exchange of its own).
     pub producers: usize,
@@ -193,6 +201,13 @@ pub struct PhysNode<'a> {
     pub children: Vec<PhysNode<'a>>,
     /// How the node's instances are fed and united.
     pub exchange: Exchange,
+    /// Worker fragments the node's streaming operator is compiled into:
+    /// `n ≥ 2` for a stage of a scan chain sharded `n` ways — from the
+    /// chain top (which carries the uniting exchange or feeds a
+    /// multi-producer lane) down the probe path to the scan — and `1` for
+    /// everything else. A hash join with `fragments ≥ 2` probes in the
+    /// fragments: that many probers over its one build table.
+    pub fragments: usize,
     /// Proven upper bound on the rows the node emits. For a hash
     /// aggregate this is its group bound; a hash join reads its build
     /// child's as the build-table reservation hint.
@@ -204,7 +219,8 @@ pub struct PhysNode<'a> {
 
 impl PhysNode<'_> {
     /// Operator instances [`instantiate`] builds for the node's own
-    /// memory-tracked state: one per partition.
+    /// memory-tracked state: one per partition (the probers of an
+    /// in-fragment join share one build table).
     pub fn instances(&self) -> usize {
         match self.exchange {
             Exchange::HashPartition { partitions, .. } => partitions.max(1),
@@ -303,11 +319,18 @@ impl Planner<'_> {
     fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, ExecError> {
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        // This node tops a chain compiled into worker fragments.
+        // This node tops a chain compiled into worker fragments...
         let sharded = feed != Feed::Inline && self.shardable(plan);
+        // ... or is a stage of one.
+        let in_fragment = sharded || feed == Feed::Inline;
         let fanout = match plan {
-            LogicalPlan::HashAgg { .. } => fanout(self.cfg.agg_partitions, self.workers),
-            LogicalPlan::HashJoin { .. } => fanout(self.cfg.join_partitions, self.workers),
+            LogicalPlan::HashAgg { .. } => match self.cfg.agg_partitions {
+                0 => self.workers,
+                p => p,
+            },
+            // `0` probes in the fragments or inline and `1` is one inline
+            // instance: neither routes.
+            LogicalPlan::HashJoin { .. } => self.cfg.join_partitions.max(1),
             _ => 1,
         };
 
@@ -318,13 +341,13 @@ impl Planner<'_> {
         let mut lane_sharded = [false; 2];
         for (i, input) in plan.children().enumerate() {
             let feed = match plan {
-                LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
-                    if sharded || feed == Feed::Inline {
-                        Feed::Inline
-                    } else {
-                        Feed::Free
-                    }
-                }
+                // The rest of the chain: a filter's or projection's input,
+                // a join's probe side. The build side of a join stage is
+                // built once, outside the fragments, so it plans freely.
+                _ if in_fragment => match plan {
+                    LogicalPlan::HashJoin { .. } if i == 0 => Feed::Free,
+                    _ => Feed::Inline,
+                },
                 // A partitioned consumer takes a sharded input's fragments
                 // as its lane's producers (no double exchange); with any
                 // input sharded it always partitions.
@@ -376,9 +399,10 @@ impl Planner<'_> {
                 let threshold = self.cfg.agg_min_partition_groups;
                 let explicit = self.cfg.agg_partitions != 0;
                 let partitions =
-                    partition_count(fanout, lane_sharded[0], demand, threshold, explicit);
+                    agg_partitions(fanout, lane_sharded[0], demand, threshold, explicit);
                 self.hash_partition(partitions, &[keys], &lane_sharded, &in_widths, &out_widths)
             }
+            // An explicit partition count is an exact override.
             (
                 LogicalPlan::HashJoin {
                     build_keys,
@@ -386,25 +410,13 @@ impl Planner<'_> {
                     ..
                 },
                 _,
-            ) => {
-                // The larger side's row bound, each side discounted by its
-                // own encoded/raw row-width ratio.
-                let side =
-                    |i: usize| cost::enc_weighted_demand(children[i].rows, in_widths[i], None);
-                let demand = side(0).max(side(1));
-                let threshold = self.cfg.join_min_partition_rows;
-                let explicit = self.cfg.join_partitions != 0;
-                let any_sharded = lane_sharded[0] || lane_sharded[1];
-                let partitions = partition_count(fanout, any_sharded, demand, threshold, explicit);
-                let lane_keys = [build_keys, probe_keys];
-                self.hash_partition(
-                    partitions,
-                    &lane_keys,
-                    &lane_sharded,
-                    &in_widths,
-                    &out_widths,
-                )
-            }
+            ) => self.hash_partition(
+                fanout,
+                &[build_keys, probe_keys],
+                &lane_sharded,
+                &in_widths,
+                &out_widths,
+            ),
             _ => Exchange::None,
         };
 
@@ -419,6 +431,7 @@ impl Planner<'_> {
             logical: plan,
             children,
             exchange,
+            fragments: if in_fragment { self.workers } else { 1 },
             rows: facts.rows,
             instance_bytes,
         };
@@ -461,48 +474,47 @@ impl Planner<'_> {
         }
     }
 
-    /// Whether `plan` is a Filter/Project chain over a scan worth
-    /// compiling into per-worker morsel fragments.
+    /// Whether `plan` is a chain over a scan worth compiling into
+    /// per-worker morsel fragments: Filter/Project stages and — unless the
+    /// `join_partitions` knob asks for routed or single joins — hash joins
+    /// followed down their probe side.
     fn shardable(&self, plan: &LogicalPlan) -> bool {
+        fn scan_rows(plan: &LogicalPlan, joins: bool) -> Option<usize> {
+            match plan {
+                LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+                    scan_rows(input, joins)
+                }
+                LogicalPlan::HashJoin { probe, .. } if joins => scan_rows(probe, joins),
+                LogicalPlan::Scan { table, .. } => Some(table.rows()),
+                _ => None,
+            }
+        }
         // Sharding a table that yields only a couple of morsels buys
         // nothing.
         let morsel_rows = VECTORS_PER_MORSEL * self.cfg.vector_size;
-        self.workers > 1 && chain_scan(plan).is_some_and(|(t, _)| t.rows() >= 2 * morsel_rows)
+        self.workers > 1
+            && scan_rows(plan, self.cfg.join_partitions == 0)
+                .is_some_and(|rows| rows >= 2 * morsel_rows)
     }
 }
 
-/// The instance count a partitioned aggregate or join would fan out to:
-/// the explicit `*_partitions` knob, or every worker when it is 0.
-fn fanout(knob: usize, workers: usize) -> usize {
-    if knob == 0 {
-        workers
-    } else {
-        knob
-    }
-}
-
-/// The partitioning verdict for a hash aggregate or join (`< 2`: one
-/// instance). Partition when an input is itself a sharded scan chain (its
-/// producers are already parallel — serializing them behind one hash
-/// table would be the Amdahl bottleneck this exchange exists to remove),
-/// or when the proven `demand` reaches `threshold` (a heavy consumer
-/// behind serial producers still parallelizes its hash-table work):
-///
-/// * an aggregate's demand is its **proven group bound**, `min(row bound,
-///   Π key NDV)` — a low-NDV key provably caps the group count, so such
-///   an aggregate stays single however many rows feed it — against
-///   [`ExecConfig::agg_min_partition_groups`];
-/// * a join's is the larger side's row bound against
-///   [`ExecConfig::join_min_partition_rows`]. Row bounds are anchored on
-///   exact base-table counts and deliberately pessimistic above them (an
-///   N:M inner join is bounded by the product): a miss costs parallelism
-///   or routing overhead, never correctness.
-///
-/// Both demands are in raw-width units, discounted when the consumed
-/// columns arrive dictionary-coded (DESIGN.md §13). An `explicit`
-/// partition knob is an exact override; in auto mode the cost model sizes
-/// the count to the demand instead of fanning out to every worker.
-fn partition_count(
+/// The partitioning verdict for a hash aggregate (`< 2`: one instance).
+/// Partition when the input is itself a sharded scan chain (its producers
+/// are already parallel — serializing them behind one hash table would be
+/// the Amdahl bottleneck this exchange exists to remove), or when the
+/// proven `demand` reaches `threshold` (a heavy consumer behind serial
+/// producers still parallelizes its hash-table work). The demand is the
+/// **proven group bound**, `min(row bound, Π key NDV)` — a low-NDV key
+/// provably caps the group count, so such an aggregate stays single
+/// however many rows feed it — against
+/// [`ExecConfig::agg_min_partition_groups`], in raw-width units and
+/// discounted when the group keys arrive dictionary-coded (DESIGN.md
+/// §13). Row bounds are anchored on exact base-table counts and
+/// deliberately pessimistic above them: a miss costs parallelism or
+/// routing overhead, never correctness. An `explicit` partition knob is
+/// an exact override; in auto mode the cost model sizes the count to the
+/// demand instead of fanning out to every worker.
+fn agg_partitions(
     fanout: usize,
     input_sharded: bool,
     demand: usize,
@@ -538,40 +550,71 @@ fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, Exec
 // scan chains: the unit a worker fragment compiles
 // ---------------------------------------------------------------------------
 
-/// The scan under a Filter/Project chain, or `None` when `plan` contains
-/// any other node.
-fn chain_scan(plan: &LogicalPlan) -> Option<(&Arc<Table>, &[String])> {
-    match plan {
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => chain_scan(input),
-        LogicalPlan::Scan { table, cols, .. } => Some((table, cols)),
-        _ => None,
-    }
+/// One stage of a [`ScanChain`] above its scan.
+enum Stage<'a> {
+    /// A Filter or Project node.
+    Stream(&'a LogicalPlan),
+    /// A HashJoin node probing in the fragments, and its one build.
+    Probe(&'a LogicalPlan, SharedBuild),
 }
 
-/// A Filter/Project chain over a scan.
+/// The chain a sharding exchange or multi-producer lane compiles into
+/// fragments: Filter, Project and HashJoin-probe stages over a scan.
 struct ScanChain<'a> {
     table: &'a Arc<Table>,
     cols: &'a [String],
-    /// Filter and Project nodes above the scan, bottom-up.
-    stages: Vec<&'a LogicalPlan>,
+    /// The nodes above the scan, bottom-up.
+    stages: Vec<Stage<'a>>,
 }
 
 impl<'a> ScanChain<'a> {
-    /// Decomposes `plan`, or `None` when it contains any other node.
-    fn of(plan: &'a LogicalPlan) -> Option<ScanChain<'a>> {
-        let (table, cols) = chain_scan(plan)?;
+    /// Decomposes the chain `node` tops, following joins down their probe
+    /// side and constructing each join stage's build pipeline — once,
+    /// whatever the fragment count.
+    fn of(node: &PhysNode<'a>, ctx: &QueryContext) -> Result<ScanChain<'a>, ExecError> {
         let mut stages = Vec::new();
-        let mut cur = plan;
-        while let LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } = cur {
-            stages.push(cur);
-            cur = input;
+        let mut cur = node;
+        loop {
+            match cur.logical {
+                LogicalPlan::Scan { table, cols, .. } => {
+                    stages.reverse();
+                    return Ok(ScanChain {
+                        table,
+                        cols,
+                        stages,
+                    });
+                }
+                LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
+                    stages.push(Stage::Stream(cur.logical));
+                    cur = child(cur, 0)?;
+                }
+                LogicalPlan::HashJoin {
+                    build_keys,
+                    payload,
+                    bloom,
+                    label,
+                    ..
+                } => {
+                    let input = child(cur, 0)?;
+                    let shared = SharedBuild::new(
+                        build(input, ctx)?,
+                        build_keys.clone(),
+                        payload.clone(),
+                        *bloom,
+                    )?
+                    .with_build_rows(input.rows)
+                    .with_tracker(ctx.mem_tracker(label, cur.instance_bytes));
+                    stages.push(Stage::Probe(cur.logical, shared));
+                    cur = child(cur, 1)?;
+                }
+                _ => {
+                    return Err(ExecError::Plan(format!(
+                        "physical node {} shards into fragments but is not a scan chain",
+                        node.id.0
+                    )))
+                }
+            }
         }
-        stages.reverse();
-        Some(ScanChain {
-            table,
-            cols,
-            stages,
-        })
     }
 
     /// A fresh morsel queue over the chain's table. Morsels follow the
@@ -590,7 +633,8 @@ impl<'a> ScanChain<'a> {
     }
 
     /// One worker's fragment: a morsel scan plus the chain's stages, each
-    /// with private primitive instances (per-worker bandit state).
+    /// with private primitive instances (per-worker bandit state); a join
+    /// stage is a prober over the chain's one build of that join.
     fn fragment(&self, queue: &Arc<MorselQueue>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
         let names: Vec<&str> = self.cols.iter().map(String::as_str).collect();
         let scan = Scan::morsel(
@@ -601,9 +645,35 @@ impl<'a> ScanChain<'a> {
         )?;
         let mut op: BoxOp = Box::new(wire_decoders(scan, self.table, ctx)?);
         for stage in &self.stages {
-            op = stream_op(stage, op, ctx)?;
+            op = match stage {
+                Stage::Stream(plan) => stream_op(plan, op, ctx)?,
+                Stage::Probe(join, shared) => {
+                    let LogicalPlan::HashJoin {
+                        probe_keys,
+                        kind,
+                        defaults,
+                        label,
+                        ..
+                    } = join
+                    else {
+                        unreachable!("probe stages hold HashJoin nodes");
+                    };
+                    let keys = probe_keys.clone();
+                    Box::new(shared.prober(op, keys, *kind, defaults.clone(), ctx, label)?)
+                }
+            };
         }
         Ok(op)
+    }
+
+    /// The join stages' builds, for the exchange that starts the
+    /// fragments to run first.
+    fn into_builds(self) -> Vec<SharedBuild> {
+        let builds = self.stages.into_iter().filter_map(|stage| match stage {
+            Stage::Stream(_) => None,
+            Stage::Probe(_, shared) => Some(shared),
+        });
+        builds.collect()
     }
 }
 
@@ -614,7 +684,7 @@ fn stream_op(plan: &LogicalPlan, input: BoxOp, ctx: &QueryContext) -> Result<Box
         LogicalPlan::Project { items, label, .. } => {
             Box::new(crate::ops::Project::new(input, items.clone(), ctx, label)?)
         }
-        _ => unreachable!("scan chains hold only Filter and Project stages"),
+        _ => unreachable!("stream stages hold only Filter and Project nodes"),
     })
 }
 
@@ -643,17 +713,6 @@ pub fn instantiate(plan: &PhysicalPlan<'_>, ctx: &QueryContext) -> Result<BoxOp,
     build(&plan.root, ctx)
 }
 
-/// The scan chain a sharding exchange or multi-producer lane compiles
-/// into fragments.
-fn chain_of<'a>(node: &PhysNode<'a>) -> Result<ScanChain<'a>, ExecError> {
-    ScanChain::of(node.logical).ok_or_else(|| {
-        ExecError::Plan(format!(
-            "physical node {} shards into fragments but is not a scan chain",
-            node.id.0
-        ))
-    })
-}
-
 fn child<'p, 'a>(node: &'p PhysNode<'a>, i: usize) -> Result<&'p PhysNode<'a>, ExecError> {
     node.children
         .get(i)
@@ -672,11 +731,12 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                 chunk_bytes,
             },
         ) => {
-            let chain = chain_of(node)?;
+            let chain = ScanChain::of(node, ctx)?;
             let queue = chain.queue(ctx);
             let factory = |_worker: usize, _n: usize| chain.fragment(&queue, ctx);
             Box::new(
                 Parallel::new(*workers, &factory)?
+                    .after_builds(chain.into_builds())
                     .tracked(ctx.mem_tracker("exchange/parallel", *chunk_bytes)),
             )
         }
@@ -687,10 +747,19 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                 key,
                 chunk_bytes,
             },
-        ) => Box::new(
-            MergeExchange::new(chain_of(node)?.fragments(*producers, ctx)?, *key)?
-                .tracked(ctx.mem_tracker("exchange/merge", *chunk_bytes)),
-        ),
+        ) => {
+            let chain = ScanChain::of(node, ctx)?;
+            if chain.stages.iter().any(|s| matches!(s, Stage::Probe(..))) {
+                return Err(ExecError::Plan(format!(
+                    "physical node {} merges fragments that contain a join",
+                    node.id.0
+                )));
+            }
+            Box::new(
+                MergeExchange::new(chain.fragments(*producers, ctx)?, *key)?
+                    .tracked(ctx.mem_tracker("exchange/merge", *chunk_bytes)),
+            )
+        }
         (LogicalPlan::Scan { table, cols, .. }, _) => {
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
             let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
@@ -823,13 +892,17 @@ fn build_partitioned(
             node.children.len()
         )));
     }
+    let mut builds = Vec::new();
     let lanes = lanes
         .iter()
         .zip(&node.children)
         .map(|(lane, child)| {
             Ok(RoutedLane {
                 producers: if lane.producers >= 2 {
-                    chain_of(child)?.fragments(lane.producers, ctx)?
+                    let chain = ScanChain::of(child, ctx)?;
+                    let fragments = chain.fragments(lane.producers, ctx)?;
+                    builds.extend(chain.into_builds());
+                    fragments
                 } else {
                     vec![build(child, ctx)?]
                 },
@@ -840,6 +913,7 @@ fn build_partitioned(
     let consumer = |sources: Vec<BoxOp>, _p: usize| instance(sources);
     Ok(Box::new(
         HashPartitionExchange::new(lanes, *partitions, &consumer)?
+            .after_builds(builds)
             .tracked(ctx.mem_tracker(format!("{label}/exchange"), *chunk_bytes)),
     ))
 }
@@ -864,8 +938,15 @@ mod tests {
     }
 
     fn ctx_with_workers(workers: usize) -> QueryContext {
+        ctx_with(workers, 0)
+    }
+
+    /// `join_partitions`: 0 probes in the worker fragments, `n ≥ 2` routes
+    /// through the two-lane exchange.
+    fn ctx_with(workers: usize, join_partitions: usize) -> QueryContext {
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = workers;
+        cfg.join_partitions = join_partitions;
         QueryContext::new(Arc::new(build_dictionary()), cfg)
     }
 
@@ -1112,32 +1193,48 @@ mod tests {
         cfg.agg_min_partition_groups = 8;
         assert_eq!(root_verdict(&by_k, &cfg).0, 1);
 
-        // Join verdict: the larger side (the probe scan, 1000 exact rows)
-        // gates identically.
-        let join = PlanBuilder::scan(&c, "t", &["k", "v"])
-            .hash_join(
-                PlanBuilder::scan(&c, "d", &["dk", "dv"]),
-                &[("k", "dk")],
-                &["dv"],
-                JoinKind::Inner,
-                false,
-                "j",
-            )
-            .build()
-            .unwrap();
+        // Join verdict: no threshold of its own. A join probes in the
+        // worker fragments exactly when its probe chain shards, and a
+        // chain shards from two morsels up (here 2 × 16 vectors × 16
+        // rows) — one row short of that it is one inline instance.
+        let join_over = |rows: usize| {
+            let c = catalog(rows);
+            PlanBuilder::scan(&c, "t", &["k", "v"])
+                .hash_join(
+                    PlanBuilder::scan(&c, "d", &["dk", "dv"]),
+                    &[("k", "dk")],
+                    &["dv"],
+                    JoinKind::Inner,
+                    false,
+                    "j",
+                )
+                .build()
+                .unwrap()
+        };
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
-        cfg.join_min_partition_rows = rows;
-        assert_eq!(root_verdict(&join, &cfg).0, 2);
-        cfg.join_min_partition_rows = rows + 1;
-        assert_eq!(root_verdict(&join, &cfg).0, 1);
-        // Explicit partition count overrides worker-following; `1`
-        // disables outright.
-        cfg.join_min_partition_rows = rows;
-        cfg.join_partitions = 2;
-        assert_eq!(root_verdict(&join, &cfg).0, 2);
-        cfg.join_partitions = 1;
-        assert_eq!(root_verdict(&join, &cfg).0, 1);
+        cfg.vector_size = 16;
+        let cutoff = 2 * VECTORS_PER_MORSEL * cfg.vector_size;
+        let (at, below) = (join_over(cutoff), join_over(cutoff - 1));
+        let root = plan_physical(&at, &cfg).unwrap().root;
+        assert!(matches!(
+            root.exchange,
+            Exchange::Parallel { workers: 4, .. }
+        ));
+        assert_eq!((root.fragments, root.instances()), (4, 1));
+        let root = plan_physical(&below, &cfg).unwrap().root;
+        assert_eq!(root.exchange, Exchange::None);
+        assert_eq!((root.fragments, root.instances()), (1, 1));
+        // An explicit partition count is an exact override on either side
+        // of the cutoff; `1` is one instance outside any fragment.
+        for plan in [&at, &below] {
+            cfg.join_partitions = 2;
+            assert_eq!(root_verdict(plan, &cfg).0, 2);
+            cfg.join_partitions = 1;
+            let root = plan_physical(plan, &cfg).unwrap().root;
+            assert_eq!(root.exchange, Exchange::None);
+            assert_eq!((root.fragments, root.instances()), (1, 1));
+        }
     }
 
     #[test]
@@ -1239,10 +1336,12 @@ mod tests {
 
     #[test]
     fn partitioned_join_runs_one_instance_per_partition() {
-        // The probe side is a sharded scan chain, so the planner must
-        // partition the join: 4 private HashJoin instances (visible as 4
-        // probe-hash instances under the plan node's label), results
-        // identical to the single-instance join.
+        // The probe side is a sharded scan chain. Left to the planner the
+        // join probes in the 4 worker fragments over one shared build;
+        // with `join_partitions = 4` it routes to 4 private HashJoin
+        // instances. Either way 4 probe-hash instances register under the
+        // plan node's label and the results equal the single join's — but
+        // only the routed plan builds 4 tables.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         let mk_plan = |c: &HashMap<String, Arc<Table>>| {
@@ -1258,9 +1357,9 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let run = |workers: usize| {
+        let run = |workers: usize, join_partitions: usize| {
             let plan = mk_plan(&c);
-            let ctx = ctx_with_workers(workers);
+            let ctx = ctx_with(workers, join_partitions);
             let mut op = lower(&plan, &ctx).unwrap();
             let chunks = collect(op.as_mut()).unwrap();
             drop(op);
@@ -1282,9 +1381,7 @@ mod tests {
             out.sort_unstable();
             (out, ctx)
         };
-        let (seq, ctx1) = run(1);
-        let (par, ctx4) = run(4);
-        assert_eq!(seq, par, "partitioned join must match the single join");
+        let (seq, ctx1) = run(1, 0);
         assert_eq!(seq.len(), (0..rows).filter(|i| i % 7 < 3).count());
         for &(k, _, dv) in &seq {
             assert_eq!(dv, k as i64 * 100);
@@ -1295,23 +1392,32 @@ mod tests {
                 .filter(|r| r.label == "j/map_hash")
                 .count()
         };
-        assert_eq!(hash_instances(&ctx1), 1);
-        assert_eq!(
-            hash_instances(&ctx4),
-            4,
-            "expected one join instance per partition"
-        );
+        let tables = |ctx: &QueryContext| {
+            let reports = ctx.mem_reports();
+            reports.iter().filter(|r| r.label == "j").count()
+        };
+        assert_eq!((hash_instances(&ctx1), tables(&ctx1)), (1, 1));
+        for (join_partitions, expect_tables) in [(0, 1), (4, 4)] {
+            let (par, ctx4) = run(4, join_partitions);
+            assert_eq!(seq, par, "join_partitions={join_partitions}");
+            assert_eq!(
+                (hash_instances(&ctx4), tables(&ctx4)),
+                (4, expect_tables),
+                "join_partitions={join_partitions}"
+            );
+        }
     }
 
     #[test]
     fn semi_anti_and_left_single_joins_partition_exactly() {
-        // Every key lands in one partition on both lanes, so the
-        // partitioned union must be exact for all join kinds — including
-        // the ones that depend on *absence* of matches.
+        // The fragments' probers all read the whole build table, and the
+        // routed plan lands every key in one partition on both lanes, so
+        // both must be exact for all join kinds — including the ones that
+        // depend on *absence* of matches.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         for kind in [JoinKind::Semi, JoinKind::Anti] {
-            let run = |workers: usize| {
+            let run = |workers: usize, join_partitions: usize| {
                 let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
                     .hash_join(
                         PlanBuilder::scan(&c, "d", &["dk"]),
@@ -1323,7 +1429,7 @@ mod tests {
                     )
                     .build()
                     .unwrap();
-                let ctx = ctx_with_workers(workers);
+                let ctx = ctx_with(workers, join_partitions);
                 let mut op = lower(&plan, &ctx).unwrap();
                 let mut vals: Vec<i64> = collect(op.as_mut())
                     .unwrap()
@@ -1338,11 +1444,12 @@ mod tests {
                 vals.sort_unstable();
                 vals
             };
-            assert_eq!(run(1), run(4), "{kind:?} join not partition-exact");
+            assert_eq!(run(1, 0), run(4, 0), "{kind:?} join not fragment-exact");
+            assert_eq!(run(1, 0), run(4, 4), "{kind:?} join not partition-exact");
         }
-        // LeftSingle: unmatched probe tuples must get defaults in their
-        // partition, exactly once.
-        let run_ls = |workers: usize| {
+        // LeftSingle: unmatched probe tuples must get defaults, exactly
+        // once.
+        let run_ls = |workers: usize, join_partitions: usize| {
             let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
                 .left_single_join(
                     PlanBuilder::scan(&c, "d", &["dk", "dv"]),
@@ -1352,7 +1459,7 @@ mod tests {
                 )
                 .build()
                 .unwrap();
-            let ctx = ctx_with_workers(workers);
+            let ctx = ctx_with(workers, join_partitions);
             let mut op = lower(&plan, &ctx).unwrap();
             let mut vals: Vec<(i64, i64)> = collect(op.as_mut())
                 .unwrap()
@@ -1367,9 +1474,209 @@ mod tests {
             vals.sort_unstable();
             vals
         };
-        let (one, four) = (run_ls(1), run_ls(4));
+        let one = run_ls(1, 0);
         assert_eq!(one.len(), rows, "left-single keeps every probe tuple");
-        assert_eq!(one, four);
+        assert_eq!(one, run_ls(4, 0));
+        assert_eq!(one, run_ls(4, 4));
+    }
+
+    /// `lineitem`-like fact `t` joined to `d` four times over (each join
+    /// keeps `k`, so the next one can probe on it).
+    fn four_join_chain(c: &HashMap<String, Arc<Table>>) -> PlanBuilder {
+        let mut pb = PlanBuilder::scan(c, "t", &["k", "v"]);
+        for (i, kind) in [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Inner,
+            JoinKind::Anti,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let payload = format!("dv as dv{i}");
+            let inner = kind == JoinKind::Inner;
+            let build_cols: &[&str] = if inner { &["dk", &payload] } else { &["dk"] };
+            let keep = format!("dv{i}");
+            let keep: &[&str] = if inner { &[&keep] } else { &[] };
+            // The anti join's build side drops key 0, so key 0 survives.
+            let build = PlanBuilder::scan(c, "d", build_cols).filter(
+                NamedPred::cmp_val("dk", CmpKind::Ge, Value::I32(i as i32 / 3)),
+                &format!("dsel{i}"),
+            );
+            pb = pb.hash_join(
+                build,
+                &[("k", "dk")],
+                keep,
+                kind,
+                i % 2 == 0,
+                &format!("j{i}"),
+            );
+        }
+        pb
+    }
+
+    #[test]
+    fn a_join_chain_over_a_sharded_scan_plans_one_exchange() {
+        let rows = 3 * VECTORS_PER_MORSEL * 1024;
+        let c = catalog(rows);
+        let mut cfg = ExecConfig::fixed_default();
+        cfg.worker_threads = 4;
+        let joins = |phys: &PhysicalPlan<'_>| -> Vec<(Exchange, usize, usize)> {
+            let nodes = phys.nodes().into_iter();
+            nodes
+                .filter(|n| matches!(n.logical, LogicalPlan::HashJoin { .. }))
+                .map(|n| (n.exchange.clone(), n.fragments, n.instances()))
+                .collect()
+        };
+        let exchanges = |phys: &PhysicalPlan<'_>| {
+            let nodes = phys.nodes().into_iter();
+            nodes.filter(|n| n.exchange != Exchange::None).count()
+        };
+        // Under a sort the chain top — the last join — carries the one
+        // Parallel; the three joins beneath it and all four small build
+        // scans carry nothing.
+        let plan = four_join_chain(&c).sort(&[asc("v")]).build().unwrap();
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let js = joins(&phys);
+        assert_eq!(js.len(), 4);
+        assert!(matches!(js[0].0, Exchange::Parallel { workers: 4, .. }));
+        assert!(js[1..].iter().all(|j| j.0 == Exchange::None), "{js:?}");
+        assert!(js.iter().all(|j| (j.1, j.2) == (4, 1)), "{js:?}");
+        assert_eq!(exchanges(&phys), 1);
+        // Under an aggregate the fragments feed its lane directly: one
+        // multi-producer HashPartition, every join bare.
+        let plan = four_join_chain(&c)
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        match &phys.root.exchange {
+            Exchange::HashPartition { lanes, .. } => assert_eq!(lanes[0].producers, 4),
+            other => panic!("expected a partitioned aggregate, got {other:?}"),
+        }
+        let js = joins(&phys);
+        assert!(js.iter().all(|j| *j == (Exchange::None, 4, 1)), "{js:?}");
+        assert_eq!(exchanges(&phys), 1);
+        // It runs, too: 4 probers per join over one table each, and the
+        // same groups as the sequential plan.
+        let run = |workers: usize| {
+            let ctx = ctx_with_workers(workers);
+            let mut op = lower(&plan, &ctx).unwrap();
+            let chunks = collect(op.as_mut()).unwrap();
+            drop(op);
+            let mut out: Vec<(i32, i64)> = chunks
+                .iter()
+                .flat_map(|ch| {
+                    ch.live_positions()
+                        .into_iter()
+                        .map(|p| (ch.column(0).as_i32()[p], ch.column(1).as_i64()[p]))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            out.sort_unstable();
+            (out, ctx)
+        };
+        let (seq, _) = run(1);
+        let (par, ctx4) = run(4);
+        // `d` holds keys 0..3 and the anti join removes 1 and 2.
+        assert_eq!(seq, [(0, rows.div_ceil(7) as i64)]);
+        assert_eq!(seq, par);
+        for i in 0..4 {
+            let label = format!("j{i}/map_hash");
+            let probers = ctx4.reports().iter().filter(|r| r.label == label).count();
+            let label = format!("j{i}");
+            let tables = ctx4
+                .mem_reports()
+                .iter()
+                .filter(|r| r.label == label)
+                .count();
+            assert_eq!((probers, tables), (4, 1), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_join_over_small_tables_plans_no_exchange() {
+        // Neither side reaches two morsels: nothing shards, and with the
+        // demand-triggered two-lane verdict gone nothing routes either —
+        // however many workers there are.
+        let c = catalog(1000);
+        let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
+            .hash_join(
+                PlanBuilder::scan(&c, "t", &["v as bv", "k as bk"]),
+                &[("v", "bv")],
+                &["bk"],
+                JoinKind::Inner,
+                true,
+                "j",
+            )
+            .build()
+            .unwrap();
+        let mut cfg = ExecConfig::fixed_default();
+        cfg.worker_threads = 4;
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        for n in phys.nodes() {
+            assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
+        }
+    }
+
+    #[test]
+    fn explicit_join_partitions_keep_the_two_lane_exchange() {
+        let rows = 3 * VECTORS_PER_MORSEL * 1024;
+        let c = catalog(rows);
+        let plan = four_join_chain(&c).build().unwrap();
+        let mut cfg = ExecConfig::fixed_default();
+        cfg.worker_threads = 4;
+        // `2`: every join is two routed instances; the innermost takes
+        // the sharded scan's fragments as its probe lane's producers.
+        cfg.join_partitions = 2;
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let nodes = phys.nodes();
+        let joins: Vec<_> = nodes
+            .iter()
+            .filter(|n| matches!(n.logical, LogicalPlan::HashJoin { .. }))
+            .collect();
+        for (depth, j) in joins.iter().enumerate() {
+            let Exchange::HashPartition {
+                partitions, lanes, ..
+            } = &j.exchange
+            else {
+                panic!("expected a routed join, got {:?}", j.exchange);
+            };
+            let producers: Vec<usize> = lanes.iter().map(|l| l.producers).collect();
+            let innermost = depth + 1 == joins.len();
+            assert_eq!(*partitions, 2);
+            assert_eq!(producers, [1, if innermost { 4 } else { 1 }]);
+            assert_eq!((j.fragments, j.instances()), (1, 2));
+        }
+        // `1`: one instance each, outside any fragment — only the scan
+        // shards.
+        cfg.join_partitions = 1;
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        for n in phys.nodes() {
+            match n.logical {
+                LogicalPlan::HashJoin { .. } => {
+                    assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
+                }
+                LogicalPlan::Scan { table, .. } if table.name() == "t" => {
+                    assert!(matches!(n.exchange, Exchange::Parallel { workers: 4, .. }));
+                }
+                _ => assert_eq!(n.exchange, Exchange::None),
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_plans_carry_no_exchange_and_no_fragments() {
+        let rows = 3 * VECTORS_PER_MORSEL * 1024;
+        let c = catalog(rows);
+        let plan = four_join_chain(&c)
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        let phys = plan_physical(&plan, &ExecConfig::fixed_default()).unwrap();
+        for n in phys.nodes() {
+            assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
+        }
     }
 
     #[test]

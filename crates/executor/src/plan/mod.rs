@@ -17,9 +17,10 @@
 //! * large scans under order-insensitive consumers are sharded into
 //!   morsel-driven worker fragments united by a [`crate::ops::Parallel`]
 //!   exchange;
-//! * selections sitting directly on a scan are pushed *into* the scan
-//!   fragments, so the paper's hot selection primitives parallelize with
-//!   per-worker bandit state;
+//! * selections, projections and hash-join probes sitting on a scan are
+//!   pushed *into* the scan fragments, so the paper's hot selection, map
+//!   and probe primitives parallelize with per-worker bandit state, each
+//!   join over one build table the fragments share;
 //! * pipelines feeding order-sensitive consumers (merge join) are safe
 //!   **by construction**: a merge-join input whose key carries the
 //!   table's clustering order shards into morsel fragments re-merged by a
@@ -63,12 +64,11 @@ pub trait Catalog {
 
     /// The **exact** row count of a base table, or `None` when the table
     /// doesn't exist. This is the planner's cardinality anchor: scan
-    /// nodes report it as their row estimate, so partitioning verdicts
-    /// (`ExecConfig::agg_min_partition_groups`,
-    /// `ExecConfig::join_min_partition_rows`) never over-trigger on small
-    /// base tables. Implementations backed by materialized tables get it
-    /// for free; a future disk-backed catalog must answer from metadata
-    /// without loading the table.
+    /// nodes report it as their row estimate, so the aggregate
+    /// partitioning verdict (`ExecConfig::agg_min_partition_groups`) never
+    /// over-triggers on small base tables. Implementations backed by
+    /// materialized tables get it for free; a future disk-backed catalog
+    /// must answer from metadata without loading the table.
     fn row_count(&self, name: &str) -> Option<usize> {
         self.lookup(name).map(|t| t.rows())
     }

@@ -22,7 +22,10 @@
 //!    [`Exchange::HashPartition`] under an ordered ancestor short of a
 //!    materialization boundary, lanes agree on key count and class, no
 //!    zero-lane consumers, no empty producer sets, merge keys are
-//!    integers.
+//!    integers; and the fragment rules — a stage beneath a chain top
+//!    carries no exchange of its own, every node's `fragments` says what
+//!    its position says, an in-fragment join's build child stays outside
+//!    the fragments, and no merging exchange tops a chain with a join.
 //!
 //! In debug builds [`lower`](crate::plan::lower()) runs [`verify`] on
 //! every plan before lowering it, so any test executing a query exercises
@@ -157,6 +160,38 @@ pub enum VerifyError {
         /// The offending exchange.
         node: &'static str,
     },
+    /// A stage inside a sharded chain's fragments carries an exchange of
+    /// its own: fragments are single pipelines, nothing unites a nested
+    /// exchange's outputs.
+    NestedExchange {
+        /// The offending exchange.
+        node: &'static str,
+    },
+    /// A node's `fragments` disagrees with its position: a chain top and
+    /// the stages down its probe path say the fan-out of the exchange (or
+    /// lane) that shards them, everything else says 1.
+    FragmentCountMismatch {
+        /// The node's pre-order id.
+        node: usize,
+        /// What the node's position implies.
+        expected: usize,
+        /// What the node says.
+        found: usize,
+    },
+    /// The build child of a join that probes in the fragments is itself
+    /// marked as a fragment stage: the build runs once, outside them.
+    BuildInsideFragment {
+        /// The join's stats label.
+        label: String,
+    },
+    /// A merging exchange tops a chain that contains a join: the K-way
+    /// merge needs every fragment key-sorted, which is proven for
+    /// Filter/Project chains only (an inner join's expansion order is
+    /// not).
+    MergeOverJoin {
+        /// The join's stats label.
+        label: String,
+    },
     /// The abstract interpreter (phase 3, [`mod@crate::analyze`]) proved a
     /// runtime trap reachable — e.g. an integer division whose divisor
     /// interval contains zero.
@@ -261,6 +296,29 @@ impl std::fmt::Display for VerifyError {
             VerifyError::EmptyExchange { node } => {
                 write!(f, "{node} exchange with zero workers/partitions")
             }
+            VerifyError::NestedExchange { node } => write!(
+                f,
+                "{node} exchange on a stage inside a sharded chain's fragments"
+            ),
+            VerifyError::FragmentCountMismatch {
+                node,
+                expected,
+                found,
+            } => write!(
+                f,
+                "physical node {node} says {found} fragments where its position implies \
+                 {expected}"
+            ),
+            VerifyError::BuildInsideFragment { label } => write!(
+                f,
+                "the build side of in-fragment hash join {label:?} is marked as a fragment \
+                 stage; it runs once, outside the fragments"
+            ),
+            VerifyError::MergeOverJoin { label } => write!(
+                f,
+                "a merging exchange tops a chain containing hash join {label:?}, whose \
+                 fragments are not proven key-sorted"
+            ),
             VerifyError::Analysis { err } => write!(f, "analysis: {err}"),
             VerifyError::MemoryBudget { peak_bytes, budget } => write!(
                 f,
@@ -773,14 +831,18 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
 /// an intervening materialization boundary (sort, aggregate, join build);
 /// merging exchanges merge on an integer column; partitioned lanes pair
 /// up with the node's inputs and agree on key count and key type class
-/// (i16/i32 hash as i64); and no exchange is degenerate (zero lanes, empty
-/// producer sets, zero workers/partitions).
+/// (i16/i32 hash as i64); no exchange is degenerate (zero lanes, empty
+/// producer sets, zero workers/partitions); and the fragment rules: a
+/// chain's stages carry no exchange beneath its top, `fragments` matches
+/// position on every node, a join probing in the fragments keeps its
+/// build child outside them, and no [`Exchange::Merge`] tops a chain with
+/// a join.
 ///
 /// The planner's own output always passes; the function is public so
 /// tests can hand-build ill-formed [`PhysicalPlan`]s and prove each rule
 /// fires.
 pub fn verify_physical(plan: &PhysicalPlan<'_>) -> Result<(), VerifyError> {
-    check_node(&plan.root, false)
+    check_node(&plan.root, false, None)
 }
 
 fn key_class(ty: DataType) -> DataType {
@@ -790,10 +852,24 @@ fn key_class(ty: DataType) -> DataType {
     }
 }
 
+/// The sharded chain a node is a stage of.
+#[derive(Clone, Copy)]
+struct Chain {
+    fragments: usize,
+    /// United by an [`Exchange::Merge`].
+    merging: bool,
+}
+
 /// `ordered`: an ancestor consumes this node's output in key order.
-fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
-    match &node.exchange {
-        Exchange::None => {}
+/// `within`: the node is a stage of that chain, beneath its top or fed
+/// into a multi-producer lane.
+fn check_node(
+    node: &PhysNode<'_>,
+    ordered: bool,
+    within: Option<Chain>,
+) -> Result<(), VerifyError> {
+    let (exchange_name, tops) = match &node.exchange {
+        Exchange::None => ("None", None),
         Exchange::Parallel { workers, .. } => {
             if ordered {
                 return Err(VerifyError::OrderViolation { node: "Parallel" });
@@ -801,6 +877,11 @@ fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
             if *workers == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Parallel" });
             }
+            let chain = Chain {
+                fragments: *workers,
+                merging: false,
+            };
+            ("Parallel", Some(chain))
         }
         Exchange::Merge { producers, key, .. } => {
             if *producers == 0 {
@@ -810,6 +891,11 @@ fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
             if !is_integer(ty) {
                 return Err(VerifyError::NonIntegerMergeKey { ty });
             }
+            let chain = Chain {
+                fragments: *producers,
+                merging: true,
+            };
+            ("Merge", Some(chain))
         }
         Exchange::HashPartition {
             partitions, lanes, ..
@@ -864,6 +950,34 @@ fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
                     }
                 }
             }
+            ("HashPartition", None)
+        }
+    };
+    if within.is_some() && node.exchange != Exchange::None {
+        return Err(VerifyError::NestedExchange {
+            node: exchange_name,
+        });
+    }
+    let chain = within.or(tops);
+    let expected = chain.map_or(1, |c| c.fragments);
+    if node.fragments != expected {
+        return Err(VerifyError::FragmentCountMismatch {
+            node: node.id.0,
+            expected,
+            found: node.fragments,
+        });
+    }
+    if let (Some(chain), LogicalPlan::HashJoin { label, .. }) = (chain, node.logical) {
+        if chain.merging {
+            return Err(VerifyError::MergeOverJoin {
+                label: label.clone(),
+            });
+        }
+        let outside = |b: &PhysNode<'_>| b.fragments == 1 || b.exchange != Exchange::None;
+        if !node.children.first().is_some_and(outside) {
+            return Err(VerifyError::BuildInsideFragment {
+                label: label.clone(),
+            });
         }
     }
     for (i, child) in node.children.iter().enumerate() {
@@ -880,7 +994,19 @@ fn check_node(node: &PhysNode<'_>, ordered: bool) -> Result<(), VerifyError> {
                 ordered
             }
         };
-        check_node(child, child_ordered)?;
+        // A chain continues into a filter's or projection's input and a
+        // join's probe side; a multi-producer lane starts one.
+        let child_chain = match (&node.exchange, node.logical) {
+            (Exchange::HashPartition { lanes, .. }, _) => {
+                lanes.get(i).filter(|l| l.producers >= 2).map(|l| Chain {
+                    fragments: l.producers,
+                    merging: false,
+                })
+            }
+            (_, LogicalPlan::HashJoin { .. }) if i == 0 => None,
+            _ => chain,
+        };
+        check_node(child, child_ordered, child_chain)?;
     }
     Ok(())
 }

@@ -230,8 +230,15 @@ fn cfg4() -> ExecConfig {
     cfg
 }
 
-/// `t ⋈ t` on `k = id` (i32 probe key, i64 build key): a two-lane
-/// partitioned join over sharded scans under [`cfg4`].
+/// [`cfg4`] with every join routed through a 4-way two-lane exchange.
+fn cfg4_split() -> ExecConfig {
+    cfg4().with_join_partitions(4)
+}
+
+/// `t ⋈ t` on `k = id` (i32 probe key, i64 build key) over sharded scans:
+/// under [`cfg4`] the join probes in the probe scan's 4 fragments (and its
+/// build side shards on its own); under [`cfg4_split`] it is a two-lane
+/// partitioned join.
 fn join_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
     PlanBuilder::scan(c, "t", &["k", "s", "f"])
         .hash_join(
@@ -328,7 +335,7 @@ fn partition_under_ordered_ancestor_rejected_unless_materialized() {
 fn lane_key_type_mismatch_rejected() {
     let c = catalog(BIG);
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     // The i32 probe key and i64 build key agree by normalization.
     verify_physical(&phys).unwrap();
     // Route the probe lane by `s` (probe column 1) instead.
@@ -349,7 +356,7 @@ fn lane_key_type_mismatch_rejected() {
 fn float_lane_key_rejected() {
     let c = catalog(BIG);
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     // Probe column 2 is `f`.
     lanes(&mut phys)[1].key_cols = vec![2];
     match verify_physical(&phys) {
@@ -365,7 +372,7 @@ fn float_lane_key_rejected() {
 fn lane_key_count_mismatch_rejected() {
     let c = catalog(BIG);
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     lanes(&mut phys)[1].key_cols = vec![0, 0];
     match verify_physical(&phys) {
         Err(VerifyError::KeyCountMismatch {
@@ -381,7 +388,7 @@ fn lane_key_count_mismatch_rejected() {
 fn zero_lane_consumer_rejected() {
     let c = catalog(BIG);
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     lanes(&mut phys).clear();
     match verify_physical(&phys) {
         Err(VerifyError::ZeroLaneConsumer) => {}
@@ -395,7 +402,7 @@ fn zero_lane_consumer_rejected() {
 fn empty_lane_rejected() {
     let c = catalog(BIG);
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     lanes(&mut phys)[1].producers = 0;
     match verify_physical(&phys) {
         Err(VerifyError::EmptyLane { lane: 1 }) => {}
@@ -452,7 +459,7 @@ fn empty_exchange_rejected() {
         other => panic!("expected EmptyExchange, got {other:?}"),
     }
     let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
     if let Exchange::HashPartition { partitions, .. } = &mut phys.root.exchange {
         *partitions = 0;
     }
@@ -464,13 +471,143 @@ fn empty_exchange_rejected() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// fragment rules (joins probing inside a sharded chain's fragments)
+// ---------------------------------------------------------------------------
+
+/// `join_plan` under [`cfg4`]: the root join tops the probe scan's chain
+/// (`Parallel ×4`, `fragments = 4` down to the probe scan) and its build
+/// child is a sharded scan of its own.
+fn in_fragment_join<'a>(plan: &'a LogicalPlan) -> PhysicalPlan<'a> {
+    let phys = plan_physical(plan, &cfg4()).unwrap();
+    verify_physical(&phys).unwrap();
+    let root = &phys.root;
+    assert!(matches!(
+        root.exchange,
+        Exchange::Parallel { workers: 4, .. }
+    ));
+    assert_eq!((root.fragments, root.children[1].fragments), (4, 4));
+    assert!(matches!(
+        root.children[0].exchange,
+        Exchange::Parallel { workers: 4, .. }
+    ));
+    phys
+}
+
+/// A fragment is one pipeline: nothing would unite the outputs of an
+/// exchange nested on its probe path.
+#[test]
+fn exchange_inside_a_fragment_rejected() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = in_fragment_join(&plan);
+    phys.root.children[1].exchange = Exchange::Parallel {
+        workers: 4,
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
+        Err(VerifyError::NestedExchange { node: "Parallel" }) => {}
+        other => panic!("expected NestedExchange, got {other:?}"),
+    }
+    // Whatever its kind.
+    let mut phys = in_fragment_join(&plan);
+    phys.root.children[1].exchange = Exchange::Merge {
+        producers: 4,
+        key: 0,
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
+        Err(VerifyError::NestedExchange { node: "Merge" }) => {}
+        other => panic!("expected NestedExchange, got {other:?}"),
+    }
+}
+
+/// `fragments` is what position implies, on every node: explain and the
+/// translation validation read it as the prober count.
+#[test]
+fn fragment_count_must_match_position() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    // A stage claiming a different fan-out than the exchange above it.
+    let mut phys = in_fragment_join(&plan);
+    phys.root.children[1].fragments = 2;
+    match verify_physical(&phys) {
+        Err(VerifyError::FragmentCountMismatch {
+            expected: 4,
+            found: 2,
+            ..
+        }) => {}
+        other => panic!("expected FragmentCountMismatch, got {other:?}"),
+    }
+    // A node outside any chain claiming to be a fragment stage.
+    let agg = PlanBuilder::scan(&c, "t", &["id", "k"])
+        .hash_agg(&["id"], vec![ma_executor::plan::count()], "agg")
+        .build()
+        .unwrap();
+    let mut phys = plan_physical(&agg, &cfg4()).unwrap();
+    verify_physical(&phys).unwrap();
+    phys.root.fragments = 4;
+    match verify_physical(&phys) {
+        Err(VerifyError::FragmentCountMismatch {
+            node: 0,
+            expected: 1,
+            found: 4,
+        }) => {}
+        other => panic!("expected FragmentCountMismatch, got {other:?}"),
+    }
+}
+
+/// The build side of a join probing in the fragments runs once, outside
+/// them: a build child marked as a stage of the fragments (and carrying no
+/// exchange of its own) contradicts the one shared table.
+#[test]
+fn in_fragment_join_build_must_stay_outside() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = in_fragment_join(&plan);
+    phys.root.children[0].exchange = Exchange::None;
+    match verify_physical(&phys) {
+        Err(VerifyError::BuildInsideFragment { label }) => assert_eq!(label, "j"),
+        other => panic!("expected BuildInsideFragment, got {other:?}"),
+    }
+}
+
+/// The K-way merge needs every fragment key-sorted; that is proven for
+/// Filter/Project chains only, so a merging exchange must not top a chain
+/// with a join in it.
+#[test]
+fn merge_over_a_join_chain_rejected() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = in_fragment_join(&plan);
+    phys.root.exchange = Exchange::Merge {
+        producers: 4,
+        key: 0,
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
+        Err(VerifyError::MergeOverJoin { label }) => assert_eq!(label, "j"),
+        other => panic!("expected MergeOverJoin, got {other:?}"),
+    }
+    // `instantiate` refuses it too (release builds skip the verifier).
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg4());
+    match ma_executor::instantiate(&phys, &ctx) {
+        Err(ma_executor::ExecError::Plan(_)) => {}
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("a join chain cannot merge"),
+    }
+}
+
 /// What the verifier lets through, `instantiate` still refuses to build
 /// wrong: a sharding exchange over a node that is not a scan chain is a
 /// typed error, never a panic.
 #[test]
 fn sharding_a_non_chain_is_a_typed_instantiate_error() {
     let c = catalog(BIG);
-    let plan = join_plan(&c);
+    let plan = PlanBuilder::scan(&c, "t", &["id", "k"])
+        .hash_agg(&["id"], vec![ma_executor::plan::count()], "agg")
+        .build()
+        .unwrap();
     let mut phys = plan_physical(&plan, &cfg4()).unwrap();
     phys.root.exchange = Exchange::Parallel {
         workers: 4,
@@ -480,6 +617,6 @@ fn sharding_a_non_chain_is_a_typed_instantiate_error() {
     match ma_executor::instantiate(&phys, &ctx) {
         Err(ma_executor::ExecError::Plan(_)) => {}
         Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
-        Ok(_) => panic!("a join cannot compile into scan fragments"),
+        Ok(_) => panic!("an aggregate cannot compile into scan fragments"),
     }
 }

@@ -47,23 +47,28 @@ use crate::TpchData;
 // ---------------------------------------------------------------------------
 
 /// The differential configuration matrix: worker counts × partitioning
-/// regimes × vector sizes, all fixed-flavor (deterministic). Partition
-/// thresholds are lowered so partitioned aggregation and join builds
-/// actually engage at the small fuzzing scale factor; `single` forces
-/// one partition (the sequential build path), `auto` follows the worker
-/// count. The first entry is the reference everything else is compared
-/// against.
+/// regimes × vector sizes, all fixed-flavor (deterministic). The aggregate
+/// partition threshold is lowered so partitioned aggregation actually
+/// engages at the small fuzzing scale factor. `single` forces one
+/// aggregate and join instance (the sequential build path); `auto` leaves
+/// both to the planner (aggregates follow the worker count, joins probe in
+/// the worker fragments over a shared build); `split` — multi-worker only
+/// — keeps aggregates on auto and routes every join through the two-lane
+/// hash-partitioning exchange, one instance per worker, which `auto` no
+/// longer reaches. The first entry is the reference everything else is
+/// compared against.
 pub fn config_matrix() -> Vec<(String, ExecConfig)> {
     let mut out = Vec::new();
     for workers in [1usize, 2, 4] {
-        for (pname, parts) in [("single", 1usize), ("auto", 0usize)] {
+        let split = (workers > 1).then_some(("split", 0, workers));
+        let regimes = [("single", 1usize, 1usize), ("auto", 0, 0)];
+        for (pname, agg_parts, join_parts) in regimes.into_iter().chain(split) {
             for vs in [1024usize, 64] {
                 let mut cfg = ExecConfig::fixed_default()
                     .with_workers(workers)
-                    .with_agg_partitions(parts)
-                    .with_join_partitions(parts)
-                    .with_agg_min_groups(256)
-                    .with_join_min_rows(1024);
+                    .with_agg_partitions(agg_parts)
+                    .with_join_partitions(join_parts)
+                    .with_agg_min_groups(256);
                 cfg.vector_size = vs;
                 out.push((format!("{workers}w/{pname}/v{vs}"), cfg));
             }

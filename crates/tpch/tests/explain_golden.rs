@@ -126,24 +126,52 @@ fn q12_structural_explain_keeps_order_constraint_visible() {
 }
 
 #[test]
+fn q03_physical_explain_shows_in_fragment_joins() {
+    // Left to the planner, a join whose probe side shards probes inside
+    // the worker fragments over one shared build. The golden database is
+    // below the default sharding cutoff, so the vector size is shrunk
+    // (morsels follow it) as in the Q12 golden. Both of Q3's joins
+    // qualify: the outer one is a stage of the lineitem chain, whose 4
+    // fragments feed the aggregate's lane directly; the semi join tops
+    // the orders chain that is the outer join's build side.
+    let mut cfg = ExecConfig::fixed_default().with_workers(4);
+    cfg.vector_size = 32;
+    let text = explain_query_with(3, &db(), &Params::default(), &cfg).unwrap();
+    let expected = "\
+Sort [sum_rev desc, o_orderdate asc] limit=10 -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
+  Project [l_orderkey, sum_rev, o_orderdate, o_shippriority] -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
+    HashAgg (partitioned \u{d7}4) keys=[l_orderkey, o_orderdate, o_shippriority] aggs=[sum_rev=sum_f64(rev)] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, sum_rev:f64)
+      Project [l_orderkey, o_orderdate, o_shippriority, rev=(f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1))] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, rev:f64)
+        HashJoin (in fragment \u{d7}4, shared build) inner on (l_orderkey = o_orderkey) payload=[o_orderdate, o_shippriority] bloom -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64, o_orderdate:i32, o_shippriority:i32)
+          build: HashJoin (in fragment \u{d7}4, shared build) semi on (o_custkey = c_custkey) bloom -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
+            build: Filter c_mktsegment = 'BUILDING' -> (c_custkey:i32, c_mktsegment:str)
+              Scan customer (shardable) enc=[c_custkey:delta, c_mktsegment:dict] -> (c_custkey:i32, c_mktsegment:str)
+            probe: Filter o_orderdate < 1169 -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
+              Scan orders (shardable) enc=[o_orderkey:delta, o_custkey:for, o_orderdate:for, o_shippriority:for] -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
+          probe: Filter l_shipdate > 1169 -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
+            Scan lineitem (shardable) enc=[l_orderkey:delta, l_shipdate:for, l_extendedprice:for, l_discount:for] -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
+";
+    assert_eq!(text, expected);
+    assert_eq!(text.matches("shared build").count(), 2);
+    assert!(!text.contains("HashJoin (partitioned"));
+}
+
+#[test]
 fn q03_physical_explain_shows_partitioned_joins() {
-    // Join partitioning renders from the same decision function lowering
-    // uses. The golden database is below the scan-sharding cutoff, so the
-    // row-estimate trigger is lowered to engage the verdict: both of
-    // Q3's joins split into P private build tables. The outer join sits
-    // on shardable scan chains (P follows the 4-worker cap); the semi
-    // join engages on the row-estimate trigger alone, so the cost model
-    // sizes it to the demand/threshold ratio (clamped to 2).
+    // An explicit `join_partitions` is an exact override: both of Q3's
+    // joins split into that many private build tables behind two-lane
+    // exchanges, whatever their inputs' sizes (the golden database is
+    // below the scan-sharding cutoff) and whatever the worker count.
     let cfg = ExecConfig::fixed_default()
         .with_workers(4)
-        .with_join_min_rows(1024);
+        .with_join_partitions(2);
     let text = explain_query_with(3, &db(), &Params::default(), &cfg).unwrap();
     let expected = "\
 Sort [sum_rev desc, o_orderdate asc] limit=10 -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
   Project [l_orderkey, sum_rev, o_orderdate, o_shippriority] -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
     HashAgg keys=[l_orderkey, o_orderdate, o_shippriority] aggs=[sum_rev=sum_f64(rev)] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, sum_rev:f64)
       Project [l_orderkey, o_orderdate, o_shippriority, rev=(f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1))] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, rev:f64)
-        HashJoin (partitioned \u{d7}4) inner on (l_orderkey = o_orderkey) payload=[o_orderdate, o_shippriority] bloom -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64, o_orderdate:i32, o_shippriority:i32)
+        HashJoin (partitioned \u{d7}2) inner on (l_orderkey = o_orderkey) payload=[o_orderdate, o_shippriority] bloom -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64, o_orderdate:i32, o_shippriority:i32)
           build: HashJoin (partitioned \u{d7}2) semi on (o_custkey = c_custkey) bloom -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
             build: Filter c_mktsegment = 'BUILDING' -> (c_custkey:i32, c_mktsegment:str)
               Scan customer (shardable) enc=[c_custkey:delta, c_mktsegment:dict] -> (c_custkey:i32, c_mktsegment:str)

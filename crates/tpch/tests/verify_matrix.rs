@@ -6,8 +6,10 @@
 //! its exchanges legally under the given configuration. This sweep proves
 //! those invariants hold for all 22 queries across every parallelism
 //! shape the planner can take: sequential, sharded, merge-sharded,
-//! partition-follows-workers, partitioning disabled, and fixed odd
-//! partition counts that disagree with the worker count.
+//! joins probing in the worker fragments, partition-follows-workers,
+//! partitioning disabled, fixed odd partition counts that disagree with
+//! the worker count, and the fuzzer's `split` regime (aggregates on auto,
+//! every join routed one instance per worker).
 //!
 //! The same sweep is the planner's translation validation: for every
 //! query × configuration, what `lower` registers with the context is
@@ -47,11 +49,14 @@ fn config(workers: usize, agg_p: usize, join_p: usize, vsize: usize) -> ExecConf
     cfg
 }
 
-/// Counts exchange nodes in a physical plan so the sweep can prove it
-/// exercised non-sequential shapes (a vacuously-sequential sweep would
-/// pass trivially).
-fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize)) {
+/// Counts exchange nodes (and joins probing in worker fragments) in a
+/// physical plan so the sweep can prove it exercised non-sequential
+/// shapes (a vacuously-sequential sweep would pass trivially).
+fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, usize)) {
     for node in phys.nodes() {
+        if matches!(node.logical, LogicalPlan::HashJoin { .. }) && node.fragments > 1 {
+            tally.3 += 1;
+        }
         match node.exchange {
             Exchange::None => {}
             Exchange::Parallel { .. } => tally.0 += 1,
@@ -70,13 +75,33 @@ fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize)) {
 /// exactly what the IR says:* the multiset of `(label, bound)` trackers
 /// `lower` registers equals the tracked nodes of the physical plan,
 /// expanded by instance count — so every exchange is priced from the very
-/// chunk bound its tracker carries.
+/// chunk bound its tracker carries. A join probing in the fragments is one
+/// table (one tracker, priced `x1`, no exchange stage of its own) read by
+/// `fragments` probers, each registering its own probe-hash instance.
 fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) {
     let phys = plan_physical(plan, cfg).unwrap();
     let report = cost(plan, cfg);
     let mut ops = report.ops.iter();
     let mut expected: Vec<(String, u64)> = Vec::new();
+    let mut probers: Vec<(String, usize)> = Vec::new();
     for node in phys.nodes() {
+        if let LogicalPlan::HashJoin { label, .. } = node.logical {
+            let in_fragment = node.fragments > 1;
+            assert!(
+                !in_fragment || cfg.join_partitions == 0,
+                "Q{q}: {label} probes in the fragments against an explicit join_partitions"
+            );
+            // Left to the planner, no join routes.
+            assert!(
+                cfg.join_partitions != 0
+                    || !matches!(node.exchange, Exchange::HashPartition { .. }),
+                "Q{q}: {label} is hash-partitioned in auto mode"
+            );
+            probers.push((
+                format!("{label}/map_hash"),
+                node.fragments * node.instances(),
+            ));
+        }
         let tracked = match node.logical {
             LogicalPlan::HashAgg { label, .. } | LogicalPlan::HashJoin { label, .. } => {
                 Some(label.as_str())
@@ -134,6 +159,20 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
     registered.sort();
     expected.sort();
     assert_eq!(registered, expected, "Q{q}: trackers vs physical plan");
+    let reports = ctx.reports();
+    for (label, want) in probers {
+        let got = reports.iter().filter(|r| r.label == label).count();
+        assert_eq!(got, want, "Q{q}: {label} instances vs physical plan");
+    }
+}
+
+/// The `(agg_partitions, join_partitions)` regimes swept at `workers`.
+fn partition_regimes(workers: usize) -> Vec<(usize, usize)> {
+    let mut regimes = vec![(0, 0), (1, 1), (3, 2)];
+    if workers > 1 {
+        regimes.push((0, workers));
+    }
+    regimes
 }
 
 /// Collects every *registry-visible* stats label in a plan: the labels of
@@ -189,7 +228,7 @@ fn collect_labels(plan: &LogicalPlan, out: &mut Vec<String>) {
 fn all_queries_verify_across_config_matrix() {
     let db = db();
     let params = Params::default();
-    let mut tally = (0usize, 0usize, 0usize);
+    let mut tally = (0usize, 0usize, 0usize, 0usize);
     let mut checked = 0usize;
     for q in 1..=22 {
         let plan = query_plan(q, db, &params)
@@ -197,7 +236,7 @@ fn all_queries_verify_across_config_matrix() {
             .build()
             .unwrap_or_else(|e| panic!("Q{q}: build failed: {e}"));
         for workers in [1, 2, 4] {
-            for (agg_p, join_p) in [(0, 0), (1, 1), (3, 2)] {
+            for (agg_p, join_p) in partition_regimes(workers) {
                 for vsize in [64, 1024] {
                     let cfg = config(workers, agg_p, join_p, vsize);
                     verify(&plan, &cfg).unwrap_or_else(|e| {
@@ -214,8 +253,12 @@ fn all_queries_verify_across_config_matrix() {
             }
         }
     }
-    assert_eq!(checked, 22 * 3 * 3 * 2);
-    let (parallel, merge, partition) = tally;
+    assert_eq!(checked, 22 * (3 + 4 + 4) * 2);
+    let (parallel, merge, partition, in_fragment) = tally;
+    assert!(
+        in_fragment > 0,
+        "matrix never probed a join in the fragments"
+    );
     assert!(parallel > 0, "matrix never produced a Parallel exchange");
     assert!(merge > 0, "matrix never produced a Merge exchange");
     assert!(
@@ -295,7 +338,7 @@ fn all_queries_get_finite_byte_bounds() {
             .build()
             .unwrap_or_else(|e| panic!("Q{q}: {e}"));
         for workers in [1, 2, 4] {
-            for (agg_p, join_p) in [(0, 0), (1, 1), (3, 2)] {
+            for (agg_p, join_p) in partition_regimes(workers) {
                 for vsize in [64, 1024] {
                     let cfg = config(workers, agg_p, join_p, vsize);
                     let report = ma_executor::cost(&plan, &cfg);

@@ -58,10 +58,10 @@ fn normalized_rows(out: &QueryOutput) -> Vec<String> {
 #[test]
 fn every_query_is_worker_count_invariant_under_fixed_flavors() {
     // 1 worker runs single aggregate and join instances; 2 and 4 workers
-    // run hash-partitioned aggregation AND hash-partitioned join builds
-    // (both planner defaults when workers shard), with Q12's merge-join
-    // inputs sharded behind merging exchanges — results must be identical
-    // either way.
+    // run hash-partitioned aggregation AND joins probing inside the
+    // worker fragments over shared builds (both planner defaults when
+    // workers shard), with Q12's merge-join inputs sharded behind merging
+    // exchanges — results must be identical either way.
     for q in 1..=22 {
         let (one, _) = run(q, ExecConfig::fixed_default());
         for workers in [2, 4] {
@@ -141,11 +141,11 @@ fn partitioning_can_be_disabled_per_config() {
     }
 }
 
-/// The planner must actually engage partitioned join builds on the
-/// join-heavy queries: one private `HashJoin` instance per partition
-/// (visible as per-partition probe-hash and bloom instances under the
-/// plan node's label), with merged `hash_*`/fetch tuple totals equal to
-/// the single-thread run (calls differ: routing splits chunks).
+/// The planner must actually parallelize the probes of the join-heavy
+/// queries: one prober per worker fragment (visible as per-fragment
+/// probe-hash and bloom instances under the plan node's label) over
+/// **one** build table per join, with merged `hash_*`/fetch tuple totals
+/// equal to the single-thread run.
 #[test]
 fn partitioned_join_builds_engage_with_private_instances() {
     let (_, ctx1) = run(3, ExecConfig::fixed_default());
@@ -161,7 +161,7 @@ fn partitioned_join_builds_engage_with_private_instances() {
         assert_eq!(
             count_instances(&ctx4, label),
             4,
-            "{label}: expected one instance per join partition"
+            "{label}: expected one prober per worker fragment"
         );
     }
     let join_tuples = |ctx: &QueryContext| {
@@ -174,13 +174,24 @@ fn partitioned_join_builds_engage_with_private_instances() {
     assert_eq!(
         join_tuples(&ctx1),
         join_tuples(&ctx4),
-        "merged per-partition join tuple totals must equal single-thread totals"
+        "merged per-fragment join tuple totals must equal single-thread totals"
     );
+    // Q9's five-join lineitem pipeline: every join probes in the 4
+    // fragments and builds its table once.
+    let (_, ctx4) = run(9, ExecConfig::fixed_default().with_workers(4));
+    assert_eq!(count_instances(&ctx4, "Q9/join_part/map_hash"), 4);
+    let tables = |label: &str| {
+        let trackers = ctx4.mem_reports();
+        trackers.iter().filter(|r| r.label == label).count()
+    };
+    assert_eq!(tables("Q9/join_part"), 1, "one shared build table");
+    assert_eq!(tables("Q9/join_part/exchange"), 0, "no routing exchange");
 }
 
-/// Forcing `join_partitions = 1` disables join partitioning even when the
-/// inputs shard — and the results still match, so the partitioned and
-/// single join paths are interchangeable.
+/// Forcing `join_partitions = 1` keeps every join a single instance
+/// outside the fragments even when the inputs shard — and the results
+/// still match, so the in-fragment and single join paths are
+/// interchangeable.
 #[test]
 fn join_partitioning_can_be_disabled_per_config() {
     for (q, probe_label) in [
@@ -197,7 +208,7 @@ fn join_partitioning_can_be_disabled_per_config() {
         assert_eq!(
             normalized_rows(&single),
             normalized_rows(&part),
-            "Q{q} partitioned vs single join"
+            "Q{q} in-fragment vs single join"
         );
         let join_instances = ctx_s
             .reports()
@@ -240,10 +251,10 @@ fn two_parallel_runs_agree_with_each_other() {
 /// boundary multiset thread-count-invariant, and under fixed flavors every
 /// call lands on flavor 0, so calls/tuples/flavor-calls line up exactly.
 /// The one exception is `sel_bloomfilter`, which lives *inside* joins:
-/// when a join partitions, routing splits its probe chunks by key hash,
-/// so the bloom filter sees more, smaller calls — tuple totals still
-/// merge exactly, call counts don't (the same chunk-granularity caveat as
-/// partitioned aggregation).
+/// a join downstream of another operator sees chunks whose boundaries
+/// depend on what that operator emitted (an inner join re-chunks its
+/// matches per fragment), so its bloom filter may see differently sized
+/// calls — tuple totals still merge exactly, call counts need not.
 #[test]
 fn merged_worker_stats_equal_single_thread_totals() {
     for q in [1, 4, 6, 10] {
