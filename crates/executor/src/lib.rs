@@ -37,7 +37,7 @@ pub use eval::{CompiledExpr, CompiledPred};
 pub use expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
 pub use ops::{collect, BoxOp, Operator};
 pub use plan::{
-    instantiate, lower, plan_physical, Catalog, Exchange, Lane, LogicalPlan, NodeId, PhysNode,
+    instantiate, lower, plan_physical, Catalog, Exchange, LogicalPlan, NodeId, PhysNode,
     PhysicalPlan, PlanBuilder, PlanError,
 };
 pub use stage::StageProfile;

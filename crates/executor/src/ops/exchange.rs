@@ -3,11 +3,10 @@
 //!
 //! * [`Parallel`] runs N copies of a plan fragment on worker threads and
 //!   streams their union to the parent (Vectorwise's `Xchg`);
-//! * [`HashPartitionExchange`] *repartitions* one or more producer streams
-//!   ("lanes") by a key hash so that P consumer pipelines each see a
-//!   disjoint, complete key range (Vectorwise's `XchgHashSplit`). One lane
-//!   feeds a partitioned aggregation; a hash join partitions both its
-//!   build and probe streams as two lanes of the same exchange;
+//! * [`HashPartitionExchange`] *repartitions* a set of producer streams
+//!   by a key hash so that P consumer pipelines each see a disjoint,
+//!   complete key range (Vectorwise's `XchgHashSplit`) — the shape of a
+//!   partitioned aggregation;
 //! * [`MergeExchange`] K-way-merges key-sorted worker streams back into
 //!   one globally sorted stream, so ordered pipelines (merge-join inputs)
 //!   can shard too.
@@ -309,23 +308,9 @@ impl Operator for Parallel {
 // hash-partitioning exchange
 // ---------------------------------------------------------------------------
 
-/// One routed input of a [`HashPartitionExchange`]: a set of producer
-/// fragments whose tuples are split by `hash(key_cols) % P`. All lanes of
-/// an exchange route with the same hash, so equal key values land in the
-/// same partition across lanes — the property a partitioned join build
-/// relies on.
-pub struct RoutedLane {
-    /// Producer fragments, drained concurrently.
-    pub producers: Vec<BoxOp>,
-    /// Key columns (in the producers' output schema) the routing hash
-    /// folds, in order.
-    pub key_cols: Vec<usize>,
-}
-
-/// Builds one partition's consumer pipeline over its per-lane tuple
-/// streams. Arguments: one source operator per lane (in lane order), the
-/// partition index.
-pub type ConsumerFactory<'a> = dyn Fn(Vec<BoxOp>, usize) -> Result<BoxOp, ExecError> + 'a;
+/// Builds one partition's consumer pipeline over its tuple stream.
+/// Arguments: the partition's source operator, the partition index.
+pub type ConsumerFactory<'a> = dyn Fn(BoxOp, usize) -> Result<BoxOp, ExecError> + 'a;
 
 /// Finalizer of splitmix64: cheap, well-mixed 64-bit hash for routing.
 fn splitmix64(mut z: u64) -> u64 {
@@ -349,8 +334,7 @@ fn fnv1a(s: &str) -> u64 {
 /// producer must route a given key to the same partition, and the split
 /// must stay identical run to run, so a fixed function is the simple,
 /// correct choice. Integer widths normalize through `i64` (consistent with
-/// the group tables' key normalization), so an `i32` build key and an
-/// `i64` probe key hash identically.
+/// the group tables' key normalization).
 fn fold_key_hashes(v: &Vector, positions: &[usize], hashes: &mut [u64]) {
     match v {
         Vector::I16(c) => {
@@ -489,18 +473,13 @@ impl Operator for PartitionSource {
     }
 }
 
-/// A lane whose channels are wired but whose producers haven't started.
-struct PendingLane {
-    producers: Vec<BoxOp>,
-    /// One sender per partition.
-    part_txs: Vec<SyncSender<Batch>>,
-    key_cols: Vec<usize>,
-}
-
 enum PartState {
-    /// Everything built, no thread started yet.
+    /// Everything built and wired, no thread started yet.
     Pending {
-        lanes: Vec<PendingLane>,
+        producers: Vec<BoxOp>,
+        /// One sender per partition.
+        part_txs: Vec<SyncSender<Batch>>,
+        key_cols: Vec<usize>,
         consumers: Vec<BoxOp>,
     },
     /// Producers and consumers running (or finished); consumer outputs
@@ -508,22 +487,18 @@ enum PartState {
     Running(Union),
 }
 
-/// Hash-partitioning exchange: per lane, N producer fragments route tuples
-/// by `hash(key columns) % P` to P consumer pipelines whose outputs union
-/// in arrival order.
+/// Hash-partitioning exchange: N producer fragments route tuples by
+/// `hash(key columns) % P` to P consumer pipelines whose outputs union in
+/// arrival order.
 ///
-/// Because a key value lands in exactly one partition — and in the *same*
-/// partition for every lane — a *blocking, key-partitionable* consumer
-/// computes its full answer per partition with no final merge step: the
-/// union of the P outputs is the result. A hash aggregation is one lane
-/// feeding P private `HashAggregate` instances (disjoint complete groups);
-/// a hash join is two lanes (build, probe) feeding P private `HashJoin`
-/// instances (every build row with a probe tuple's key lives in that
-/// tuple's partition, so per-partition joins are exact for inner, semi,
-/// anti and left-single semantics alike). Each consumer is built by the
-/// factory on the caller thread and owns private primitive instances, so
-/// bandit state stays per-partition and merges through the registry
-/// exactly like per-worker scan state.
+/// Because a key value lands in exactly one partition, a *blocking,
+/// key-partitionable* consumer computes its full answer per partition with
+/// no final merge step: the union of the P outputs is the result. A hash
+/// aggregation is P private `HashAggregate` instances over disjoint
+/// complete groups. Each consumer is built by the factory on the caller
+/// thread and owns private primitive instances, so bandit state stays
+/// per-partition and merges through the registry exactly like per-worker
+/// scan state.
 pub struct HashPartitionExchange {
     state: PartState,
     /// Join builds the producer fragments' probers share, run before any
@@ -534,81 +509,62 @@ pub struct HashPartitionExchange {
 }
 
 impl HashPartitionExchange {
-    /// Builds the exchange: each lane's `producers` are drained
-    /// concurrently, their tuples routed by the lane's `key_cols` into
-    /// `partitions` consumer pipelines built by `consumer` (all
-    /// construction on the calling thread; consumers receive one source
-    /// per lane, in lane order).
+    /// Builds the exchange: `producers` are drained concurrently, their
+    /// tuples routed by `key_cols` (columns of the producers' output
+    /// schema, folded in order) into `partitions` consumer pipelines built
+    /// by `consumer` (all construction on the calling thread).
     pub fn new(
-        lanes: Vec<RoutedLane>,
+        producers: Vec<BoxOp>,
+        key_cols: Vec<usize>,
         partitions: usize,
         consumer: &ConsumerFactory<'_>,
     ) -> Result<Self, ExecError> {
-        if lanes.is_empty() {
-            return Err(ExecError::Plan("partitioning exchange needs lanes".into()));
+        if key_cols.is_empty() {
+            return Err(ExecError::Plan(
+                "partitioning exchange needs partition key columns".into(),
+            ));
         }
-        let mut lane_types = Vec::with_capacity(lanes.len());
-        for (l, lane) in lanes.iter().enumerate() {
-            if lane.producers.is_empty() {
-                return Err(ExecError::Plan(format!("lane {l} needs producers")));
-            }
-            if lane.key_cols.is_empty() {
-                return Err(ExecError::Plan(format!(
-                    "lane {l} needs partition key columns"
-                )));
-            }
-            let in_types = same_out_types(&lane.producers, "partition producer")?;
-            for &c in &lane.key_cols {
-                match in_types.get(c) {
-                    None => {
-                        return Err(ExecError::Plan(format!(
-                            "lane {l} partition key column {c} out of range"
-                        )))
-                    }
-                    Some(DataType::F64) => {
-                        // Typed, not stringly: hand-built plans that smuggle
-                        // a float key past the builder get the same error
-                        // shape the builder and verifier report.
-                        return Err(PlanError::TypeMismatch {
-                            context: format!("lane {l} partition key column {c}"),
-                            expected: "hashable key (integer or string)".into(),
-                            found: DataType::F64,
-                        }
-                        .into());
-                    }
-                    Some(_) => {}
+        let in_types = same_out_types(&producers, "partition producer")?;
+        for &c in &key_cols {
+            match in_types.get(c) {
+                None => {
+                    return Err(ExecError::Plan(format!(
+                        "partition key column {c} out of range"
+                    )))
                 }
+                Some(DataType::F64) => {
+                    // Typed, not stringly: hand-built plans that smuggle
+                    // a float key past the builder get the same error
+                    // shape the builder and verifier report.
+                    return Err(PlanError::TypeMismatch {
+                        context: format!("partition key column {c}"),
+                        expected: "hashable key (integer or string)".into(),
+                        found: DataType::F64,
+                    }
+                    .into());
+                }
+                Some(_) => {}
             }
-            lane_types.push(in_types);
         }
         let nparts = partitions.max(1);
-        let mut pending: Vec<PendingLane> = lanes
-            .into_iter()
-            .map(|lane| PendingLane {
-                producers: lane.producers,
-                part_txs: Vec::with_capacity(nparts),
-                key_cols: lane.key_cols,
-            })
-            .collect();
+        let mut part_txs = Vec::with_capacity(nparts);
         let mut consumers = Vec::with_capacity(nparts);
         for p in 0..nparts {
-            let mut sources: Vec<BoxOp> = Vec::with_capacity(pending.len());
-            for (lane, types) in pending.iter_mut().zip(&lane_types) {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(
-                    lane.producers.len() * CHANNEL_DEPTH_PER_WORKER,
-                );
-                sources.push(Box::new(PartitionSource {
-                    union: Union::over(rx, Vec::new()),
-                    types: types.clone(),
-                }));
-                lane.part_txs.push(tx);
-            }
-            consumers.push(consumer(sources, p)?);
+            let (tx, rx) =
+                std::sync::mpsc::sync_channel::<Batch>(producers.len() * CHANNEL_DEPTH_PER_WORKER);
+            part_txs.push(tx);
+            let source = PartitionSource {
+                union: Union::over(rx, Vec::new()),
+                types: in_types.clone(),
+            };
+            consumers.push(consumer(Box::new(source), p)?);
         }
         let types = same_out_types(&consumers, "partition consumer")?;
         Ok(HashPartitionExchange {
             state: PartState::Pending {
-                lanes: pending,
+                producers,
+                part_txs,
+                key_cols,
                 consumers,
             },
             builds: Vec::new(),
@@ -617,7 +573,7 @@ impl HashPartitionExchange {
         })
     }
 
-    /// [`Parallel::after_builds`] for the lanes' producer fragments.
+    /// [`Parallel::after_builds`] for the producer fragments.
     pub fn after_builds(mut self, builds: Vec<SharedBuild>) -> Self {
         self.builds = builds;
         self
@@ -631,29 +587,32 @@ impl HashPartitionExchange {
         self
     }
 
-    /// Spawns every lane's producers (routing) and the consumers,
-    /// returning their union.
+    /// Spawns the producers (routing) and the consumers, returning their
+    /// union.
     ///
     /// On drop, the [`Union`] closes the consumer-output receiver first:
     /// consumers blocked sending fail and exit, dropping their partition
     /// receivers, which in turn unblocks any producer mid-send — the joins
     /// are bounded by in-flight batches.
-    fn start(lanes: Vec<PendingLane>, consumers: Vec<BoxOp>) -> Union {
+    fn start(
+        producers: Vec<BoxOp>,
+        part_txs: Vec<SyncSender<Batch>>,
+        key_cols: &[usize],
+        consumers: Vec<BoxOp>,
+    ) -> Union {
         let (union_tx, union_rx) =
             std::sync::mpsc::sync_channel::<Batch>(consumers.len() * CHANNEL_DEPTH_PER_WORKER);
         let mut handles = Vec::new();
-        for lane in lanes {
-            for op in lane.producers {
-                let txs = lane.part_txs.clone();
-                let keys = lane.key_cols.clone();
-                handles.push(std::thread::spawn(move || {
-                    run_partitioning_worker(op, &keys, txs)
-                }));
-            }
-            // Drop the construction-time senders so a lane's partition
-            // channels close once every producer of that lane finishes.
-            drop(lane.part_txs);
+        for op in producers {
+            let txs = part_txs.clone();
+            let keys = key_cols.to_vec();
+            handles.push(std::thread::spawn(move || {
+                run_partitioning_worker(op, &keys, txs)
+            }));
         }
+        // Drop the construction-time senders so the partition channels
+        // close once every producer finishes.
+        drop(part_txs);
         for op in consumers {
             let tx = union_tx.clone();
             handles.push(std::thread::spawn(move || run_worker(op, &tx)));
@@ -665,14 +624,19 @@ impl HashPartitionExchange {
 impl Operator for HashPartitionExchange {
     fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
         if let PartState::Pending { .. } = self.state {
-            let PartState::Pending { lanes, consumers } =
-                std::mem::replace(&mut self.state, PartState::Running(Union::done()))
+            let PartState::Pending {
+                producers,
+                part_txs,
+                key_cols,
+                consumers,
+            } = std::mem::replace(&mut self.state, PartState::Running(Union::done()))
             else {
                 unreachable!()
             };
             // On `Err` the state stays the exhausted union: terminal.
             run_builds(&mut self.builds)?;
-            self.state = PartState::Running(HashPartitionExchange::start(lanes, consumers));
+            let union = HashPartitionExchange::start(producers, part_txs, &key_cols, consumers);
+            self.state = PartState::Running(union);
         }
         let PartState::Running(union) = &mut self.state else {
             unreachable!()
@@ -1060,26 +1024,18 @@ mod tests {
             .unwrap()
     }
 
-    fn single_lane(producers: Vec<BoxOp>) -> Vec<RoutedLane> {
-        vec![RoutedLane {
-            producers,
-            key_cols: vec![0],
-        }]
-    }
-
     fn partitioned_counts(workers: usize, partitions: usize, rows: usize) -> Vec<(i64, i64, i64)> {
         let t = table(rows);
         let producers = morsel_producers(&t, workers);
-        let consumer = |mut src: Vec<BoxOp>, p: usize| -> Result<BoxOp, ExecError> {
+        let consumer = |child: BoxOp, p: usize| -> Result<BoxOp, ExecError> {
             Ok(Box::new(CountConsumer {
-                child: src.pop().unwrap(),
+                child,
                 partition: p as i64,
                 types: vec![DataType::I64; 3],
                 done: false,
             }))
         };
-        let mut ex =
-            HashPartitionExchange::new(single_lane(producers), partitions, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], partitions, &consumer).unwrap();
         let chunks = collect(&mut ex).unwrap();
         let mut out: Vec<(i64, i64, i64)> = chunks
             .iter()
@@ -1119,113 +1075,15 @@ mod tests {
         );
     }
 
-    /// Drains two lane sources and emits one row per partition:
-    /// `(partition, keysets_equal, count0, count1)` where `keysets_equal`
-    /// is 1 when both lanes saw exactly the same set of distinct keys.
-    struct KeySetConsumer {
-        lanes: Vec<BoxOp>,
-        partition: i64,
-        types: Vec<DataType>,
-        done: bool,
-    }
-
-    impl Operator for KeySetConsumer {
-        fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-            if self.done {
-                return Ok(None);
-            }
-            let mut sets = Vec::new();
-            let mut counts = Vec::new();
-            for lane in &mut self.lanes {
-                let mut set = std::collections::BTreeSet::new();
-                let mut count = 0i64;
-                while let Some(chunk) = lane.next()? {
-                    for p in chunk.live_positions() {
-                        set.insert(chunk.column(0).as_i64()[p]);
-                        count += 1;
-                    }
-                }
-                sets.push(set);
-                counts.push(count);
-            }
-            self.done = true;
-            Ok(Some(DataChunk::new(vec![
-                Arc::new(Vector::I64(vec![self.partition])),
-                Arc::new(Vector::I64(vec![i64::from(sets[0] == sets[1])])),
-                Arc::new(Vector::I64(vec![counts[0]])),
-                Arc::new(Vector::I64(vec![counts[1]])),
-            ])))
-        }
-
-        fn out_types(&self) -> &[DataType] {
-            &self.types
-        }
-    }
-
-    #[test]
-    fn two_lanes_route_equal_keys_to_the_same_partition() {
-        // Build-lane and probe-lane streams over the same key domain must
-        // agree partition-by-partition on the key sets they see — the
-        // invariant a partitioned hash join build rests on.
-        let rows = 6 * VECTOR_SIZE + 17;
-        let t = table(rows);
-        let lanes = vec![
-            RoutedLane {
-                producers: morsel_producers(&t, 2),
-                key_cols: vec![0],
-            },
-            RoutedLane {
-                producers: morsel_producers(&t, 3),
-                key_cols: vec![0],
-            },
-        ];
-        let consumer = |src: Vec<BoxOp>, p: usize| -> Result<BoxOp, ExecError> {
-            Ok(Box::new(KeySetConsumer {
-                lanes: src,
-                partition: p as i64,
-                types: vec![DataType::I64; 4],
-                done: false,
-            }))
-        };
-        let mut ex = HashPartitionExchange::new(lanes, 4, &consumer).unwrap();
-        let chunks = collect(&mut ex).unwrap();
-        assert_eq!(chunks.len(), 4);
-        let mut total0 = 0;
-        let mut total1 = 0;
-        for c in &chunks {
-            assert_eq!(c.column(1).as_i64()[0], 1, "lane key sets must agree");
-            total0 += c.column(2).as_i64()[0];
-            total1 += c.column(3).as_i64()[0];
-        }
-        assert_eq!(total0 as usize, rows);
-        assert_eq!(total1 as usize, rows);
-    }
-
     #[test]
     fn partitioned_exchange_rejects_bad_keys() {
         let t = table(16);
         let mk =
             || -> Vec<BoxOp> { vec![Box::new(Scan::new(Arc::clone(&t), &["a"], 16).unwrap())] };
-        let consumer =
-            |mut src: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> { Ok(src.pop().unwrap()) };
-        let lane = |key_cols: Vec<usize>| {
-            vec![RoutedLane {
-                producers: mk(),
-                key_cols,
-            }]
-        };
-        assert!(HashPartitionExchange::new(lane(vec![]), 2, &consumer).is_err());
-        assert!(HashPartitionExchange::new(lane(vec![3]), 2, &consumer).is_err());
-        assert!(HashPartitionExchange::new(
-            vec![RoutedLane {
-                producers: Vec::new(),
-                key_cols: vec![0],
-            }],
-            2,
-            &consumer
-        )
-        .is_err());
-        assert!(HashPartitionExchange::new(Vec::new(), 2, &consumer).is_err());
+        let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
+        assert!(HashPartitionExchange::new(mk(), vec![], 2, &consumer).is_err());
+        assert!(HashPartitionExchange::new(mk(), vec![3], 2, &consumer).is_err());
+        assert!(HashPartitionExchange::new(Vec::new(), vec![0], 2, &consumer).is_err());
     }
 
     /// An f64 partition key is a *typed* construction-time error
@@ -1239,13 +1097,9 @@ mod tests {
             f.push_f64(i as f64);
         }
         let t = Arc::new(Table::new("tf", vec![("f".into(), f.finish())]).unwrap());
-        let consumer =
-            |mut src: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> { Ok(src.pop().unwrap()) };
-        let lanes = vec![RoutedLane {
-            producers: vec![Box::new(Scan::new(t, &["f"], 16).unwrap()) as BoxOp],
-            key_cols: vec![0],
-        }];
-        match HashPartitionExchange::new(lanes, 2, &consumer) {
+        let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
+        let producers = vec![Box::new(Scan::new(t, &["f"], 16).unwrap()) as BoxOp];
+        match HashPartitionExchange::new(producers, vec![0], 2, &consumer) {
             Err(ExecError::Plan(msg)) => {
                 assert!(msg.contains("hashable key"), "unexpected message: {msg}");
                 assert!(msg.contains("f64"), "unexpected message: {msg}");
@@ -1261,9 +1115,8 @@ mod tests {
         let t = table(rows);
         let producers = morsel_producers(&t, 2);
         // Pass-through consumers so chunks stream (not block) to the union.
-        let consumer =
-            |mut src: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> { Ok(src.pop().unwrap()) };
-        let mut ex = HashPartitionExchange::new(single_lane(producers), 2, &consumer).unwrap();
+        let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
+        let mut ex = HashPartitionExchange::new(producers, vec![0], 2, &consumer).unwrap();
         assert!(ex.next().unwrap().is_some());
         drop(ex); // blocked producers/consumers must unblock
     }
@@ -1286,19 +1139,19 @@ mod tests {
                 &self.0
             }
         }
-        let consumer = |mut src: Vec<BoxOp>, p: usize| -> Result<BoxOp, ExecError> {
+        let consumer = |child: BoxOp, p: usize| -> Result<BoxOp, ExecError> {
             if p == 0 {
                 Ok(Box::new(EarlyExit(vec![DataType::I64; 3])))
             } else {
                 Ok(Box::new(CountConsumer {
-                    child: src.pop().unwrap(),
+                    child,
                     partition: p as i64,
                     types: vec![DataType::I64; 3],
                     done: false,
                 }))
             }
         };
-        let mut ex = HashPartitionExchange::new(single_lane(producers), 4, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], 4, &consumer).unwrap();
         let chunks = collect(&mut ex).unwrap();
         let mut got: Vec<(i64, i64, i64)> = chunks
             .iter()
@@ -1439,13 +1292,12 @@ mod tests {
         let mut par = parallel_over(probers(&shared, &t, 4, &ctx)).after_builds(vec![shared]);
         assert_reports_once(&mut par);
 
-        // Same contract where the fragments feed a partitioned consumer's
-        // lane directly.
+        // Same contract where the fragments route into a partitioned
+        // consumer directly.
         let shared = SharedBuild::new(failing(), vec![0], vec![], false).unwrap();
-        let lanes = single_lane(probers(&shared, &t, 4, &ctx));
-        let consumer =
-            |mut src: Vec<BoxOp>, _p: usize| -> Result<BoxOp, ExecError> { Ok(src.pop().unwrap()) };
-        let mut ex = HashPartitionExchange::new(lanes, 2, &consumer)
+        let producers = probers(&shared, &t, 4, &ctx);
+        let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
+        let mut ex = HashPartitionExchange::new(producers, vec![0], 2, &consumer)
             .unwrap()
             .after_builds(vec![shared]);
         assert_reports_once(&mut ex);

@@ -14,7 +14,7 @@ pub(crate) mod xrt;
 pub(crate) use aggregate::key_row_width;
 pub use aggregate::{AggSpec, HashAggregate, StreamAggregate};
 pub use exchange::{
-    ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel, RoutedLane,
+    ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel,
 };
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;

@@ -25,17 +25,10 @@
 //!   as one inline instance.
 //! * **Partitioned aggregation.** A [`LogicalPlan::HashAgg`] over a
 //!   sharded chain — or over any input with a large enough proven group
-//!   bound — runs as `P` private [`HashAggregate`] instances behind a
-//!   one-lane [`Exchange::HashPartition`]: producers route tuples by
+//!   bound — runs as `P` private [`HashAggregate`] instances behind an
+//!   [`Exchange::HashPartition`]: producers route tuples by
 //!   `hash(group keys) % P`, and the disjoint results union in arrival
 //!   order (DESIGN.md §7).
-//! * **Partitioned join builds, on request.** An explicit
-//!   `join_partitions ≥ 2` instead runs every [`LogicalPlan::HashJoin`] as
-//!   that many private [`HashJoin`] instances behind a *two-lane*
-//!   [`Exchange::HashPartition`]: equal keys land in the same partition on
-//!   both lanes, so the arrival-order union of the per-partition outputs
-//!   is exact for every join kind — the differential twin of the
-//!   in-fragment probe.
 //! * **Ordered inputs.** A [`LogicalPlan::MergeJoin`] needs key-sorted
 //!   inputs, and an arrival-order union would break that. Its inputs are
 //!   either a sort (which re-establishes order, so everything beneath it
@@ -53,8 +46,8 @@ use crate::config::{DecodeMode, ExecConfig};
 use crate::cost::Width;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, RoutedLane,
-    Scan, Select, SharedBuild, Sort, StreamAggregate,
+    HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, Scan,
+    Select, SharedBuild, Sort, StreamAggregate,
 };
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::LogicalPlan;
@@ -84,19 +77,6 @@ pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError>
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
-/// One routed input of an [`Exchange::HashPartition`]: lane `i` is fed by
-/// the node's child `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lane {
-    /// Producer threads draining the child into the lane. `1` is the
-    /// child's own pipeline; `n ≥ 2` means the child tops a scan chain
-    /// compiled into `n` morsel fragments that feed the lane directly (no
-    /// exchange of its own).
-    pub producers: usize,
-    /// Columns of the child's output the routing hash folds, in order.
-    pub key_cols: Vec<usize>,
-}
-
 /// How a node's operator instances are fed and their outputs united.
 ///
 /// `chunk_bytes` is the byte bound of one chunk crossing the exchange —
@@ -124,16 +104,21 @@ pub enum Exchange {
         /// Byte bound of one output chunk of the chain.
         chunk_bytes: u64,
     },
-    /// The node (a hash aggregate or hash join) runs as `partitions`
-    /// private instances; each child is routed to them by key hash, and
-    /// their outputs unite in arrival order.
+    /// The node (a hash aggregate) runs as `partitions` private
+    /// instances; its input is routed to them by key hash, and their
+    /// outputs unite in arrival order.
     HashPartition {
         /// Consumer instance count.
         partitions: usize,
-        /// One lane per child, in child order.
-        lanes: Vec<Lane>,
-        /// Byte bound of the widest chunk crossing the exchange: any
-        /// lane's input chunk or a consumer's output chunk.
+        /// Producer threads draining the input into the exchange. `1` is
+        /// the input's own pipeline; `n ≥ 2` means the input tops a scan
+        /// chain compiled into `n` morsel fragments that route directly
+        /// (no exchange of its own).
+        producers: usize,
+        /// Columns of the input's output the routing hash folds, in order.
+        key_cols: Vec<usize>,
+        /// Byte bound of the widest chunk crossing the exchange: an input
+        /// chunk or a consumer's output chunk.
         chunk_bytes: u64,
     },
 }
@@ -150,14 +135,13 @@ impl Exchange {
         }
     }
 
-    /// The largest producer count feeding any one input of the exchange.
+    /// The producer threads feeding the exchange.
     pub fn producers(&self) -> usize {
         match self {
             Exchange::None => 0,
-            Exchange::Parallel { workers: n, .. } | Exchange::Merge { producers: n, .. } => *n,
-            Exchange::HashPartition { lanes, .. } => {
-                lanes.iter().map(|l| l.producers).max().unwrap_or(0)
-            }
+            Exchange::Parallel { workers: n, .. }
+            | Exchange::Merge { producers: n, .. }
+            | Exchange::HashPartition { producers: n, .. } => *n,
         }
     }
 
@@ -178,10 +162,10 @@ impl Exchange {
                 routes(*n, 1)
             }
             Exchange::HashPartition {
-                partitions, lanes, ..
-            } => lanes.iter().fold(0u64, |a, l| {
-                a.saturating_add(routes(l.producers, *partitions))
-            }),
+                partitions,
+                producers,
+                ..
+            } => routes(*producers, *partitions),
         };
         slots
             .saturating_mul((CHANNEL_DEPTH_PER_WORKER as u64).saturating_add(1))
@@ -203,9 +187,9 @@ pub struct PhysNode<'a> {
     pub exchange: Exchange,
     /// Worker fragments the node's streaming operator is compiled into:
     /// `n ≥ 2` for a stage of a scan chain sharded `n` ways — from the
-    /// chain top (which carries the uniting exchange or feeds a
-    /// multi-producer lane) down the probe path to the scan — and `1` for
-    /// everything else. A hash join with `fragments ≥ 2` probes in the
+    /// chain top (which carries the uniting exchange or routes into a
+    /// partitioned aggregate) down the probe path to the scan — and `1`
+    /// for everything else. A hash join with `fragments ≥ 2` probes in the
     /// fragments: that many probers over its one build table.
     pub fragments: usize,
     /// Proven upper bound on the rows the node emits. For a hash
@@ -292,7 +276,8 @@ enum Feed {
     /// its fragments on it.
     Sorted(usize),
     /// Inside the consumer's own fragments (the rest of a sharded chain,
-    /// or a multi-producer lane): no exchange here or below.
+    /// or the routing producers of a partitioned aggregate): no exchange
+    /// here or below.
     Inline,
 }
 
@@ -323,22 +308,18 @@ impl Planner<'_> {
         let sharded = feed != Feed::Inline && self.shardable(plan);
         // ... or is a stage of one.
         let in_fragment = sharded || feed == Feed::Inline;
-        let fanout = match plan {
-            LogicalPlan::HashAgg { .. } => match self.cfg.agg_partitions {
-                0 => self.workers,
-                p => p,
-            },
-            // `0` probes in the fragments or inline and `1` is one inline
-            // instance: neither routes.
-            LogicalPlan::HashJoin { .. } => self.cfg.join_partitions.max(1),
-            _ => 1,
+        // The most instances a hash aggregate here may partition into.
+        let fanout = match self.cfg.agg_partitions {
+            0 => self.workers,
+            p => p,
         };
 
         let mut children = Vec::new();
         let mut facts = [Facts::default(), Facts::default()];
         let mut widths = [Vec::new(), Vec::new()];
-        // Inputs whose worker fragments feed this node's lanes directly.
-        let mut lane_sharded = [false; 2];
+        // A hash aggregate's input whose worker fragments route into its
+        // exchange directly.
+        let mut input_sharded = false;
         for (i, input) in plan.children().enumerate() {
             let feed = match plan {
                 // The rest of the chain: a filter's or projection's input,
@@ -348,12 +329,12 @@ impl Planner<'_> {
                     LogicalPlan::HashJoin { .. } if i == 0 => Feed::Free,
                     _ => Feed::Inline,
                 },
-                // A partitioned consumer takes a sharded input's fragments
-                // as its lane's producers (no double exchange); with any
-                // input sharded it always partitions.
-                LogicalPlan::HashAgg { .. } | LogicalPlan::HashJoin { .. } => {
-                    lane_sharded[i] = fanout >= 2 && self.shardable(input);
-                    if lane_sharded[i] {
+                // A partitioned aggregate takes a sharded input's
+                // fragments as its exchange's producers (no double
+                // exchange); with its input sharded it always partitions.
+                LogicalPlan::HashAgg { .. } => {
+                    input_sharded = fanout >= 2 && self.shardable(input);
+                    if input_sharded {
                         Feed::Inline
                     } else {
                         Feed::Free
@@ -398,25 +379,16 @@ impl Planner<'_> {
                 let demand = cost::enc_weighted_demand(facts.rows, in_widths[0], Some(keys));
                 let threshold = self.cfg.agg_min_partition_groups;
                 let explicit = self.cfg.agg_partitions != 0;
-                let partitions =
-                    agg_partitions(fanout, lane_sharded[0], demand, threshold, explicit);
-                self.hash_partition(partitions, &[keys], &lane_sharded, &in_widths, &out_widths)
+                match agg_partitions(fanout, input_sharded, demand, threshold, explicit) {
+                    0 | 1 => Exchange::None,
+                    partitions => Exchange::HashPartition {
+                        partitions,
+                        producers: if input_sharded { self.workers } else { 1 },
+                        key_cols: keys.clone(),
+                        chunk_bytes: chunk(&out_widths).max(chunk(in_widths[0])),
+                    },
+                }
             }
-            // An explicit partition count is an exact override.
-            (
-                LogicalPlan::HashJoin {
-                    build_keys,
-                    probe_keys,
-                    ..
-                },
-                _,
-            ) => self.hash_partition(
-                fanout,
-                &[build_keys, probe_keys],
-                &lane_sharded,
-                &in_widths,
-                &out_widths,
-            ),
             _ => Exchange::None,
         };
 
@@ -442,49 +414,15 @@ impl Planner<'_> {
         })
     }
 
-    /// The exchange of an aggregate or join running as `partitions`
-    /// instances (`< 2`: none). Input `i` routes by `lane_keys[i]`.
-    fn hash_partition(
-        &self,
-        partitions: usize,
-        lane_keys: &[&Vec<usize>],
-        lane_sharded: &[bool; 2],
-        in_widths: &[&[Width]; 2],
-        out_widths: &[Width],
-    ) -> Exchange {
-        if partitions < 2 {
-            return Exchange::None;
-        }
-        let lanes = lane_keys
-            .iter()
-            .zip(lane_sharded)
-            .map(|(keys, &sharded)| Lane {
-                producers: if sharded { self.workers } else { 1 },
-                key_cols: (*keys).clone(),
-            });
-        let widest = in_widths[..lane_keys.len()]
-            .iter()
-            .fold(cost::row_width(out_widths), |w, i| {
-                w.max(cost::row_width(i))
-            });
-        Exchange::HashPartition {
-            partitions,
-            lanes: lanes.collect(),
-            chunk_bytes: (self.cfg.vector_size as u64).saturating_mul(widest),
-        }
-    }
-
     /// Whether `plan` is a chain over a scan worth compiling into
-    /// per-worker morsel fragments: Filter/Project stages and — unless the
-    /// `join_partitions` knob asks for routed or single joins — hash joins
+    /// per-worker morsel fragments: Filter/Project stages and hash joins
     /// followed down their probe side.
     fn shardable(&self, plan: &LogicalPlan) -> bool {
-        fn scan_rows(plan: &LogicalPlan, joins: bool) -> Option<usize> {
+        fn scan_rows(plan: &LogicalPlan) -> Option<usize> {
             match plan {
-                LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-                    scan_rows(input, joins)
-                }
-                LogicalPlan::HashJoin { probe, .. } if joins => scan_rows(probe, joins),
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Project { input, .. }
+                | LogicalPlan::HashJoin { probe: input, .. } => scan_rows(input),
                 LogicalPlan::Scan { table, .. } => Some(table.rows()),
                 _ => None,
             }
@@ -492,9 +430,7 @@ impl Planner<'_> {
         // Sharding a table that yields only a couple of morsels buys
         // nothing.
         let morsel_rows = VECTORS_PER_MORSEL * self.cfg.vector_size;
-        self.workers > 1
-            && scan_rows(plan, self.cfg.join_partitions == 0)
-                .is_some_and(|rows| rows >= 2 * morsel_rows)
+        self.workers > 1 && scan_rows(plan).is_some_and(|rows| rows >= 2 * morsel_rows)
     }
 }
 
@@ -558,8 +494,9 @@ enum Stage<'a> {
     Probe(&'a LogicalPlan, SharedBuild),
 }
 
-/// The chain a sharding exchange or multi-producer lane compiles into
-/// fragments: Filter, Project and HashJoin-probe stages over a scan.
+/// The chain a sharding exchange or a partitioned aggregate's producer
+/// set compiles into fragments: Filter, Project and HashJoin-probe stages
+/// over a scan.
 struct ScanChain<'a> {
     table: &'a Arc<Table>,
     cols: &'a [String],
@@ -760,14 +697,6 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                     .tracked(ctx.mem_tracker("exchange/merge", *chunk_bytes)),
             )
         }
-        (LogicalPlan::Scan { table, cols, .. }, _) => {
-            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
-            Box::new(wire_decoders(scan, table, ctx)?)
-        }
-        (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
-            stream_op(node.logical, input(0)?, ctx)?
-        }
         (
             LogicalPlan::HashAgg {
                 keys, aggs, label, ..
@@ -781,17 +710,49 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                         .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
                 ))
             };
-            match exchange {
-                // Group keys are disjoint across partitions, so the
-                // arrival-order union of partition outputs *is* the
-                // aggregate — no merge step.
-                Exchange::HashPartition { .. } => {
-                    build_partitioned(node, label, ctx, &|mut sources| {
-                        instance(sources.pop().expect("one lane"))
-                    })?
-                }
-                _ => instance(input(0)?)?,
-            }
+            let Exchange::HashPartition {
+                partitions,
+                producers,
+                key_cols,
+                chunk_bytes,
+            } = exchange
+            else {
+                return instance(input(0)?);
+            };
+            // The producers are the input's morsel fragments or its own
+            // pipeline. Group keys are disjoint across partitions, so the
+            // arrival-order union of partition outputs *is* the aggregate
+            // — no merge step.
+            let feed = child(node, 0)?;
+            let (producers, builds) = if *producers >= 2 {
+                let chain = ScanChain::of(feed, ctx)?;
+                (chain.fragments(*producers, ctx)?, chain.into_builds())
+            } else {
+                (vec![build(feed, ctx)?], Vec::new())
+            };
+            let consumer = |source: BoxOp, _p: usize| instance(source);
+            Box::new(
+                HashPartitionExchange::new(producers, key_cols.clone(), *partitions, &consumer)?
+                    .after_builds(builds)
+                    .tracked(ctx.mem_tracker(format!("{label}/exchange"), *chunk_bytes)),
+            )
+        }
+        // Only hash aggregates partition: anything else would fall through
+        // to its plain constructor and quietly run unpartitioned.
+        (_, Exchange::HashPartition { .. }) => {
+            return Err(ExecError::Plan(format!(
+                "physical node {} carries a hash-partitioning exchange but is not a hash \
+                 aggregate",
+                node.id.0
+            )))
+        }
+        (LogicalPlan::Scan { table, cols, .. }, _) => {
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
+            Box::new(wire_decoders(scan, table, ctx)?)
+        }
+        (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
+            stream_op(node.logical, input(0)?, ctx)?
         }
         (LogicalPlan::StreamAgg { aggs, label, .. }, _) => {
             Box::new(StreamAggregate::new(input(0)?, aggs.clone(), ctx, label)?)
@@ -807,41 +768,23 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                 label,
                 ..
             },
-            exchange,
-        ) => {
-            let build_rows = child(node, 0)?.rows;
-            let instance = |build: BoxOp, probe: BoxOp| -> Result<BoxOp, ExecError> {
-                Ok(Box::new(
-                    HashJoin::new(
-                        build,
-                        probe,
-                        build_keys.clone(),
-                        probe_keys.clone(),
-                        payload.clone(),
-                        *kind,
-                        *bloom,
-                        defaults.clone(),
-                        ctx,
-                        label,
-                    )?
-                    .with_build_rows(build_rows)
-                    .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
-                ))
-            };
-            match exchange {
-                // P private build tables, no shared state; key equality
-                // across lanes routes to the same partition, so the
-                // per-partition joins are exact for inner, semi, anti and
-                // left-single semantics.
-                Exchange::HashPartition { .. } => {
-                    build_partitioned(node, label, ctx, &|mut sources| {
-                        let probe = sources.pop().expect("probe lane");
-                        instance(sources.pop().expect("build lane"), probe)
-                    })?
-                }
-                _ => instance(input(0)?, input(1)?)?,
-            }
-        }
+            _,
+        ) => Box::new(
+            HashJoin::new(
+                input(0)?,
+                input(1)?,
+                build_keys.clone(),
+                probe_keys.clone(),
+                payload.clone(),
+                *kind,
+                *bloom,
+                defaults.clone(),
+                ctx,
+                label,
+            )?
+            .with_build_rows(child(node, 0)?.rows)
+            .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
+        ),
         (
             LogicalPlan::MergeJoin {
                 left_key,
@@ -867,57 +810,6 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
     })
 }
 
-/// Builds `node`'s [`Exchange::HashPartition`]: each lane's producers are
-/// its child's morsel fragments (a multi-producer lane) or the child's own
-/// pipeline, and `instance` builds one partition's consumer over its
-/// per-lane sources.
-fn build_partitioned(
-    node: &PhysNode<'_>,
-    label: &str,
-    ctx: &QueryContext,
-    instance: &dyn Fn(Vec<BoxOp>) -> Result<BoxOp, ExecError>,
-) -> Result<BoxOp, ExecError> {
-    let Exchange::HashPartition {
-        partitions,
-        lanes,
-        chunk_bytes,
-    } = &node.exchange
-    else {
-        unreachable!("build_partitioned() is only called on HashPartition nodes");
-    };
-    if lanes.len() != node.children.len() {
-        return Err(ExecError::Plan(format!(
-            "{label}: {} partition lanes over {} inputs",
-            lanes.len(),
-            node.children.len()
-        )));
-    }
-    let mut builds = Vec::new();
-    let lanes = lanes
-        .iter()
-        .zip(&node.children)
-        .map(|(lane, child)| {
-            Ok(RoutedLane {
-                producers: if lane.producers >= 2 {
-                    let chain = ScanChain::of(child, ctx)?;
-                    let fragments = chain.fragments(lane.producers, ctx)?;
-                    builds.extend(chain.into_builds());
-                    fragments
-                } else {
-                    vec![build(child, ctx)?]
-                },
-                key_cols: lane.key_cols.clone(),
-            })
-        })
-        .collect::<Result<Vec<_>, ExecError>>()?;
-    let consumer = |sources: Vec<BoxOp>, _p: usize| instance(sources);
-    Ok(Box::new(
-        HashPartitionExchange::new(lanes, *partitions, &consumer)?
-            .after_builds(builds)
-            .tracked(ctx.mem_tracker(format!("{label}/exchange"), *chunk_bytes)),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,15 +830,8 @@ mod tests {
     }
 
     fn ctx_with_workers(workers: usize) -> QueryContext {
-        ctx_with(workers, 0)
-    }
-
-    /// `join_partitions`: 0 probes in the worker fragments, `n ≥ 2` routes
-    /// through the two-lane exchange.
-    fn ctx_with(workers: usize, join_partitions: usize) -> QueryContext {
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = workers;
-        cfg.join_partitions = join_partitions;
         QueryContext::new(Arc::new(build_dictionary()), cfg)
     }
 
@@ -1225,16 +1110,6 @@ mod tests {
         let root = plan_physical(&below, &cfg).unwrap().root;
         assert_eq!(root.exchange, Exchange::None);
         assert_eq!((root.fragments, root.instances()), (1, 1));
-        // An explicit partition count is an exact override on either side
-        // of the cutoff; `1` is one instance outside any fragment.
-        for plan in [&at, &below] {
-            cfg.join_partitions = 2;
-            assert_eq!(root_verdict(plan, &cfg).0, 2);
-            cfg.join_partitions = 1;
-            let root = plan_physical(plan, &cfg).unwrap().root;
-            assert_eq!(root.exchange, Exchange::None);
-            assert_eq!((root.fragments, root.instances()), (1, 1));
-        }
     }
 
     #[test]
@@ -1336,12 +1211,10 @@ mod tests {
 
     #[test]
     fn partitioned_join_runs_one_instance_per_partition() {
-        // The probe side is a sharded scan chain. Left to the planner the
-        // join probes in the 4 worker fragments over one shared build;
-        // with `join_partitions = 4` it routes to 4 private HashJoin
-        // instances. Either way 4 probe-hash instances register under the
-        // plan node's label and the results equal the single join's — but
-        // only the routed plan builds 4 tables.
+        // The probe side is a sharded scan chain: the join probes in the 4
+        // worker fragments over one shared build. 4 probe-hash instances
+        // register under the plan node's label, one table is built, and
+        // the results equal the single join's.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         let mk_plan = |c: &HashMap<String, Arc<Table>>| {
@@ -1357,9 +1230,9 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let run = |workers: usize, join_partitions: usize| {
+        let run = |workers: usize| {
             let plan = mk_plan(&c);
-            let ctx = ctx_with(workers, join_partitions);
+            let ctx = ctx_with_workers(workers);
             let mut op = lower(&plan, &ctx).unwrap();
             let chunks = collect(op.as_mut()).unwrap();
             drop(op);
@@ -1381,7 +1254,7 @@ mod tests {
             out.sort_unstable();
             (out, ctx)
         };
-        let (seq, ctx1) = run(1, 0);
+        let (seq, ctx1) = run(1);
         assert_eq!(seq.len(), (0..rows).filter(|i| i % 7 < 3).count());
         for &(k, _, dv) in &seq {
             assert_eq!(dv, k as i64 * 100);
@@ -1397,27 +1270,20 @@ mod tests {
             reports.iter().filter(|r| r.label == "j").count()
         };
         assert_eq!((hash_instances(&ctx1), tables(&ctx1)), (1, 1));
-        for (join_partitions, expect_tables) in [(0, 1), (4, 4)] {
-            let (par, ctx4) = run(4, join_partitions);
-            assert_eq!(seq, par, "join_partitions={join_partitions}");
-            assert_eq!(
-                (hash_instances(&ctx4), tables(&ctx4)),
-                (4, expect_tables),
-                "join_partitions={join_partitions}"
-            );
-        }
+        let (par, ctx4) = run(4);
+        assert_eq!(seq, par);
+        assert_eq!((hash_instances(&ctx4), tables(&ctx4)), (4, 1));
     }
 
     #[test]
     fn semi_anti_and_left_single_joins_partition_exactly() {
-        // The fragments' probers all read the whole build table, and the
-        // routed plan lands every key in one partition on both lanes, so
-        // both must be exact for all join kinds — including the ones that
-        // depend on *absence* of matches.
+        // The fragments' probers all read the whole build table, so the
+        // sharded plan must be exact for all join kinds — including the
+        // ones that depend on *absence* of matches.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         for kind in [JoinKind::Semi, JoinKind::Anti] {
-            let run = |workers: usize, join_partitions: usize| {
+            let run = |workers: usize| {
                 let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
                     .hash_join(
                         PlanBuilder::scan(&c, "d", &["dk"]),
@@ -1429,7 +1295,7 @@ mod tests {
                     )
                     .build()
                     .unwrap();
-                let ctx = ctx_with(workers, join_partitions);
+                let ctx = ctx_with_workers(workers);
                 let mut op = lower(&plan, &ctx).unwrap();
                 let mut vals: Vec<i64> = collect(op.as_mut())
                     .unwrap()
@@ -1444,12 +1310,11 @@ mod tests {
                 vals.sort_unstable();
                 vals
             };
-            assert_eq!(run(1, 0), run(4, 0), "{kind:?} join not fragment-exact");
-            assert_eq!(run(1, 0), run(4, 4), "{kind:?} join not partition-exact");
+            assert_eq!(run(1), run(4), "{kind:?} join not fragment-exact");
         }
         // LeftSingle: unmatched probe tuples must get defaults, exactly
         // once.
-        let run_ls = |workers: usize, join_partitions: usize| {
+        let run_ls = |workers: usize| {
             let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
                 .left_single_join(
                     PlanBuilder::scan(&c, "d", &["dk", "dv"]),
@@ -1459,7 +1324,7 @@ mod tests {
                 )
                 .build()
                 .unwrap();
-            let ctx = ctx_with(workers, join_partitions);
+            let ctx = ctx_with_workers(workers);
             let mut op = lower(&plan, &ctx).unwrap();
             let mut vals: Vec<(i64, i64)> = collect(op.as_mut())
                 .unwrap()
@@ -1474,10 +1339,9 @@ mod tests {
             vals.sort_unstable();
             vals
         };
-        let one = run_ls(1, 0);
+        let one = run_ls(1);
         assert_eq!(one.len(), rows, "left-single keeps every probe tuple");
-        assert_eq!(one, run_ls(4, 0));
-        assert_eq!(one, run_ls(4, 4));
+        assert_eq!(one, run_ls(4));
     }
 
     /// `lineitem`-like fact `t` joined to `d` four times over (each join
@@ -1543,15 +1407,15 @@ mod tests {
         assert!(js[1..].iter().all(|j| j.0 == Exchange::None), "{js:?}");
         assert!(js.iter().all(|j| (j.1, j.2) == (4, 1)), "{js:?}");
         assert_eq!(exchanges(&phys), 1);
-        // Under an aggregate the fragments feed its lane directly: one
-        // multi-producer HashPartition, every join bare.
+        // Under an aggregate the fragments route into its exchange
+        // directly: one multi-producer HashPartition, every join bare.
         let plan = four_join_chain(&c)
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
         let phys = plan_physical(&plan, &cfg).unwrap();
         match &phys.root.exchange {
-            Exchange::HashPartition { lanes, .. } => assert_eq!(lanes[0].producers, 4),
+            Exchange::HashPartition { producers, .. } => assert_eq!(*producers, 4),
             other => panic!("expected a partitioned aggregate, got {other:?}"),
         }
         let js = joins(&phys);
@@ -1596,9 +1460,8 @@ mod tests {
 
     #[test]
     fn a_join_over_small_tables_plans_no_exchange() {
-        // Neither side reaches two morsels: nothing shards, and with the
-        // demand-triggered two-lane verdict gone nothing routes either —
-        // however many workers there are.
+        // Neither side reaches two morsels: nothing shards, and joins
+        // never route — however many workers there are.
         let c = catalog(1000);
         let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
             .hash_join(
@@ -1616,52 +1479,6 @@ mod tests {
         let phys = plan_physical(&plan, &cfg).unwrap();
         for n in phys.nodes() {
             assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
-        }
-    }
-
-    #[test]
-    fn explicit_join_partitions_keep_the_two_lane_exchange() {
-        let rows = 3 * VECTORS_PER_MORSEL * 1024;
-        let c = catalog(rows);
-        let plan = four_join_chain(&c).build().unwrap();
-        let mut cfg = ExecConfig::fixed_default();
-        cfg.worker_threads = 4;
-        // `2`: every join is two routed instances; the innermost takes
-        // the sharded scan's fragments as its probe lane's producers.
-        cfg.join_partitions = 2;
-        let phys = plan_physical(&plan, &cfg).unwrap();
-        let nodes = phys.nodes();
-        let joins: Vec<_> = nodes
-            .iter()
-            .filter(|n| matches!(n.logical, LogicalPlan::HashJoin { .. }))
-            .collect();
-        for (depth, j) in joins.iter().enumerate() {
-            let Exchange::HashPartition {
-                partitions, lanes, ..
-            } = &j.exchange
-            else {
-                panic!("expected a routed join, got {:?}", j.exchange);
-            };
-            let producers: Vec<usize> = lanes.iter().map(|l| l.producers).collect();
-            let innermost = depth + 1 == joins.len();
-            assert_eq!(*partitions, 2);
-            assert_eq!(producers, [1, if innermost { 4 } else { 1 }]);
-            assert_eq!((j.fragments, j.instances()), (1, 2));
-        }
-        // `1`: one instance each, outside any fragment — only the scan
-        // shards.
-        cfg.join_partitions = 1;
-        let phys = plan_physical(&plan, &cfg).unwrap();
-        for n in phys.nodes() {
-            match n.logical {
-                LogicalPlan::HashJoin { .. } => {
-                    assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
-                }
-                LogicalPlan::Scan { table, .. } if table.name() == "t" => {
-                    assert!(matches!(n.exchange, Exchange::Parallel { workers: 4, .. }));
-                }
-                _ => assert_eq!(n.exchange, Exchange::None),
-            }
         }
     }
 

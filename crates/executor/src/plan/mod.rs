@@ -46,9 +46,7 @@ pub use expr::{
     sum_i64, Agg, NamedCmpRhs, NamedExpr, NamedPred, SortSpec,
 };
 pub(crate) use lower::plan_with_findings;
-pub use lower::{
-    instantiate, lower, plan_physical, Exchange, Lane, NodeId, PhysNode, PhysicalPlan,
-};
+pub use lower::{instantiate, lower, plan_physical, Exchange, NodeId, PhysNode, PhysicalPlan};
 
 use std::sync::Arc;
 

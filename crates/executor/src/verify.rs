@@ -4,8 +4,8 @@
 //! turns a [`LogicalPlan`] into a physical pipeline: schemas stay
 //! consistent node to node, merge joins only ever see provably key-sorted
 //! inputs, order-destroying exchanges never end up under order-sensitive
-//! ancestors, partitioned exchanges route both lanes with agreeing keys,
-//! and every primitive-instantiating node carries a unique stats label.
+//! ancestors, only hash aggregates partition, and every
+//! primitive-instantiating node carries a unique stats label.
 //! This module *re-checks* those invariants from scratch:
 //!
 //! 1. **Logical walk** ([`verify`], first phase): re-derives every node's
@@ -20,9 +20,9 @@
 //!    bit of context — "an order-sensitive ancestor is live" — and checks
 //!    the exchange-placement rules: no [`Exchange::Parallel`] or
 //!    [`Exchange::HashPartition`] under an ordered ancestor short of a
-//!    materialization boundary, lanes agree on key count and class, no
-//!    zero-lane consumers, no empty producer sets, merge keys are
-//!    integers; and the fragment rules — a stage beneath a chain top
+//!    materialization boundary, a partitioning exchange sits on a hash
+//!    aggregate and routes by hashable keys, no empty producer sets,
+//!    merge keys are integers; and the fragment rules — a stage beneath a chain top
 //!    carries no exchange of its own, every node's `fragments` says what
 //!    its position says, an in-fragment join's build child stays outside
 //!    the fragments, and no merging exchange tops a chain with a join.
@@ -134,28 +134,15 @@ pub enum VerifyError {
         /// The offending exchange (`"Parallel"` or `"HashPartition"`).
         node: &'static str,
     },
-    /// Two lanes of one partitioned exchange disagree on a key type
-    /// class (after i32/i16 → i64 normalization).
-    LaneKeyTypeMismatch {
-        /// Index of the disagreeing lane.
-        lane: usize,
-        /// Key position within the lane.
-        pos: usize,
-        /// Type class lane 0 routes with.
-        expected: DataType,
-        /// Type class the disagreeing lane routes with.
-        found: DataType,
+    /// A hash-partitioning exchange on a node that is not a hash
+    /// aggregate: no other operator has a partitioned form, so it would
+    /// run unpartitioned while the plan says otherwise.
+    PartitionedNonAggregate {
+        /// The node's pre-order id.
+        node: usize,
     },
-    /// A partitioned exchange with no lanes: its consumers would be fed
-    /// by nothing and hang at teardown.
-    ZeroLaneConsumer,
-    /// A lane with an empty producer set: the partition channels would
-    /// close immediately and silently emit nothing.
-    EmptyLane {
-        /// Index of the empty lane.
-        lane: usize,
-    },
-    /// An exchange with zero workers/partitions.
+    /// An exchange with zero workers, producers or partitions: its
+    /// channels would close immediately and silently emit nothing.
     EmptyExchange {
         /// The offending exchange.
         node: &'static str,
@@ -168,8 +155,8 @@ pub enum VerifyError {
         node: &'static str,
     },
     /// A node's `fragments` disagrees with its position: a chain top and
-    /// the stages down its probe path say the fan-out of the exchange (or
-    /// lane) that shards them, everything else says 1.
+    /// the stages down its probe path say the fan-out of the exchange
+    /// that shards them, everything else says 1.
     FragmentCountMismatch {
         /// The node's pre-order id.
         node: usize,
@@ -274,27 +261,13 @@ impl std::fmt::Display for VerifyError {
                 "{node} exchange under an order-sensitive ancestor would interleave \
                  its outputs in arrival order"
             ),
-            VerifyError::LaneKeyTypeMismatch {
-                lane,
-                pos,
-                expected,
-                found,
-            } => write!(
+            VerifyError::PartitionedNonAggregate { node } => write!(
                 f,
-                "partition lane {lane} key {pos} routes by {found} while lane 0 \
-                 routes by {expected}; equal keys would hash to different partitions"
+                "physical node {node} carries a HashPartition exchange but is not a \
+                 hash aggregate"
             ),
-            VerifyError::ZeroLaneConsumer => {
-                write!(
-                    f,
-                    "partitioned exchange with zero lanes feeds its consumers nothing"
-                )
-            }
-            VerifyError::EmptyLane { lane } => {
-                write!(f, "partition lane {lane} has an empty producer set")
-            }
             VerifyError::EmptyExchange { node } => {
-                write!(f, "{node} exchange with zero workers/partitions")
+                write!(f, "{node} exchange with zero workers/producers/partitions")
             }
             VerifyError::NestedExchange { node } => write!(
                 f,
@@ -829,10 +802,10 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
 /// order-destroying exchange ([`Exchange::Parallel`],
 /// [`Exchange::HashPartition`]) under an order-sensitive ancestor without
 /// an intervening materialization boundary (sort, aggregate, join build);
-/// merging exchanges merge on an integer column; partitioned lanes pair
-/// up with the node's inputs and agree on key count and key type class
-/// (i16/i32 hash as i64); no exchange is degenerate (zero lanes, empty
-/// producer sets, zero workers/partitions); and the fragment rules: a
+/// merging exchanges merge on an integer column; a partitioning exchange
+/// sits on a hash aggregate and routes by hashable (non-float) columns of
+/// its input; no exchange is degenerate (zero workers, producers or
+/// partitions); and the fragment rules: a
 /// chain's stages carry no exchange beneath its top, `fragments` matches
 /// position on every node, a join probing in the fragments keeps its
 /// build child outside them, and no [`Exchange::Merge`] tops a chain with
@@ -845,13 +818,6 @@ pub fn verify_physical(plan: &PhysicalPlan<'_>) -> Result<(), VerifyError> {
     check_node(&plan.root, false, None)
 }
 
-fn key_class(ty: DataType) -> DataType {
-    match ty {
-        DataType::I16 | DataType::I32 | DataType::I64 => DataType::I64,
-        other => other,
-    }
-}
-
 /// The sharded chain a node is a stage of.
 #[derive(Clone, Copy)]
 struct Chain {
@@ -861,8 +827,8 @@ struct Chain {
 }
 
 /// `ordered`: an ancestor consumes this node's output in key order.
-/// `within`: the node is a stage of that chain, beneath its top or fed
-/// into a multi-producer lane.
+/// `within`: the node is a stage of that chain, beneath its top or
+/// routing into a partitioned aggregate.
 fn check_node(
     node: &PhysNode<'_>,
     ordered: bool,
@@ -898,56 +864,28 @@ fn check_node(
             ("Merge", Some(chain))
         }
         Exchange::HashPartition {
-            partitions, lanes, ..
+            partitions,
+            producers,
+            key_cols,
+            ..
         } => {
             if ordered {
                 return Err(VerifyError::OrderViolation {
                     node: "HashPartition",
                 });
             }
-            if lanes.is_empty() {
-                return Err(VerifyError::ZeroLaneConsumer);
-            }
-            if *partitions == 0 {
+            let LogicalPlan::HashAgg { input, .. } = node.logical else {
+                return Err(VerifyError::PartitionedNonAggregate { node: node.id.0 });
+            };
+            if *partitions == 0 || *producers == 0 {
                 return Err(VerifyError::EmptyExchange {
                     node: "HashPartition",
                 });
             }
-            if lanes.len() != node.children.len() {
-                return Err(VerifyError::KeyCountMismatch {
-                    context: "partition lanes vs node inputs".to_string(),
-                    left: lanes.len(),
-                    right: node.children.len(),
-                });
-            }
-            let mut lane0 = Vec::new();
-            for (i, (lane, child)) in lanes.iter().zip(&node.children).enumerate() {
-                if lane.producers == 0 {
-                    return Err(VerifyError::EmptyLane { lane: i });
-                }
-                if i > 0 && lane.key_cols.len() != lane0.len() {
-                    return Err(VerifyError::KeyCountMismatch {
-                        context: format!("partition lane {i} key columns vs lane 0"),
-                        left: lane.key_cols.len(),
-                        right: lane0.len(),
-                    });
-                }
-                for (j, &k) in lane.key_cols.iter().enumerate() {
-                    let context = format!("partition lane {i} key {j}");
-                    let t = col_ty(child.logical.schema(), k, &context)?;
-                    if t == DataType::F64 {
-                        return Err(VerifyError::FloatPartitionKey { context });
-                    }
-                    if i == 0 {
-                        lane0.push(key_class(t));
-                    } else if key_class(t) != lane0[j] {
-                        return Err(VerifyError::LaneKeyTypeMismatch {
-                            lane: i,
-                            pos: j,
-                            expected: lane0[j],
-                            found: key_class(t),
-                        });
-                    }
+            for (j, &k) in key_cols.iter().enumerate() {
+                let context = format!("partition key {j}");
+                if col_ty(input.schema(), k, &context)? == DataType::F64 {
+                    return Err(VerifyError::FloatPartitionKey { context });
                 }
             }
             ("HashPartition", None)
@@ -995,14 +933,13 @@ fn check_node(
             }
         };
         // A chain continues into a filter's or projection's input and a
-        // join's probe side; a multi-producer lane starts one.
+        // join's probe side; a multi-producer partitioning exchange
+        // starts one.
         let child_chain = match (&node.exchange, node.logical) {
-            (Exchange::HashPartition { lanes, .. }, _) => {
-                lanes.get(i).filter(|l| l.producers >= 2).map(|l| Chain {
-                    fragments: l.producers,
-                    merging: false,
-                })
-            }
+            (Exchange::HashPartition { producers, .. }, _) => (*producers >= 2).then_some(Chain {
+                fragments: *producers,
+                merging: false,
+            }),
             (_, LogicalPlan::HashJoin { .. }) if i == 0 => None,
             _ => chain,
         };
@@ -1075,12 +1012,13 @@ mod tests {
         let phys = plan_physical(&plan, &cfg(4)).unwrap();
         match &phys.root.exchange {
             Exchange::HashPartition {
-                partitions, lanes, ..
+                partitions,
+                producers,
+                key_cols,
+                ..
             } => {
-                assert_eq!(*partitions, 4);
-                assert_eq!(lanes.len(), 1);
-                assert_eq!(lanes[0].producers, 4);
-                assert_eq!(lanes[0].key_cols, vec![0]);
+                assert_eq!((*partitions, *producers), (4, 4));
+                assert_eq!(*key_cols, vec![0]);
             }
             other => panic!("expected HashPartition, got {other:?}"),
         }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use ma_executor::ops::{AggSpec, ProjItem, SortKey};
 use ma_executor::plan::PlanBuilder;
 use ma_executor::{
-    plan_physical, verify, verify_physical, Exchange, ExecConfig, Lane, LogicalPlan, PhysicalPlan,
-    Pred, VerifyError,
+    plan_physical, verify, verify_physical, Exchange, ExecConfig, LogicalPlan, PhysicalPlan, Pred,
+    VerifyError,
 };
 use ma_vector::{ColumnBuilder, DataType, Field, Schema, Table};
 
@@ -230,15 +230,9 @@ fn cfg4() -> ExecConfig {
     cfg
 }
 
-/// [`cfg4`] with every join routed through a 4-way two-lane exchange.
-fn cfg4_split() -> ExecConfig {
-    cfg4().with_join_partitions(4)
-}
-
 /// `t ⋈ t` on `k = id` (i32 probe key, i64 build key) over sharded scans:
 /// under [`cfg4`] the join probes in the probe scan's 4 fragments (and its
-/// build side shards on its own); under [`cfg4_split`] it is a two-lane
-/// partitioned join.
+/// build side shards on its own).
 fn join_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
     PlanBuilder::scan(c, "t", &["k", "s", "f"])
         .hash_join(
@@ -253,11 +247,31 @@ fn join_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
         .unwrap()
 }
 
-fn lanes<'p>(phys: &'p mut PhysicalPlan<'_>) -> &'p mut Vec<Lane> {
-    match &mut phys.root.exchange {
-        Exchange::HashPartition { lanes, .. } => lanes,
+/// `count(*) group by id` over the sharded scan of `(id, k, f)`: under
+/// [`cfg4`] the root is a 4-way partitioned aggregate whose exchange the
+/// scan's 4 fragments route into by `id`.
+fn agg_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
+    PlanBuilder::scan(c, "t", &["id", "k", "f"])
+        .hash_agg(&["id"], vec![ma_executor::plan::count()], "agg")
+        .build()
+        .unwrap()
+}
+
+/// The planner's physical plan of `plan` under [`cfg4`], checked to be
+/// rooted in `HashPartition { partitions: 4, producers: 4, key_cols: [0] }`.
+fn partitioned_root<'a>(plan: &'a LogicalPlan) -> PhysicalPlan<'a> {
+    let phys = plan_physical(plan, &cfg4()).unwrap();
+    verify_physical(&phys).unwrap();
+    match &phys.root.exchange {
+        Exchange::HashPartition {
+            partitions: 4,
+            producers: 4,
+            key_cols,
+            ..
+        } => assert_eq!(*key_cols, [0]),
         other => panic!("expected a partitioned root, got {other:?}"),
     }
+    phys
 }
 
 /// A merge join over two clustering-key chains: both inputs shard behind
@@ -328,85 +342,66 @@ fn partition_under_ordered_ancestor_rejected_unless_materialized() {
     }
 }
 
-/// Lanes routing by different key type classes would hash equal keys to
-/// different partitions (i16/i32 normalize to i64 and are *not* a
-/// mismatch; str vs integer is).
-#[test]
-fn lane_key_type_mismatch_rejected() {
-    let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
-    // The i32 probe key and i64 build key agree by normalization.
-    verify_physical(&phys).unwrap();
-    // Route the probe lane by `s` (probe column 1) instead.
-    lanes(&mut phys)[1].key_cols = vec![1];
-    match verify_physical(&phys) {
-        Err(VerifyError::LaneKeyTypeMismatch {
-            lane: 1,
-            pos: 0,
-            expected: DataType::I64,
-            found: DataType::Str,
-        }) => {}
-        other => panic!("expected LaneKeyTypeMismatch, got {other:?}"),
-    }
-}
-
 /// An f64 column does not hash-partition (±0.0, NaN bit patterns).
 #[test]
 fn float_lane_key_rejected() {
     let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
-    // Probe column 2 is `f`.
-    lanes(&mut phys)[1].key_cols = vec![2];
+    let plan = agg_plan(&c);
+    let mut phys = partitioned_root(&plan);
+    // Input column 2 is `f`.
+    if let Exchange::HashPartition { key_cols, .. } = &mut phys.root.exchange {
+        *key_cols = vec![2];
+    }
     match verify_physical(&phys) {
         Err(VerifyError::FloatPartitionKey { context }) => {
-            assert_eq!(context, "partition lane 1 key 0");
+            assert_eq!(context, "partition key 0");
         }
         other => panic!("expected FloatPartitionKey, got {other:?}"),
     }
 }
 
-/// Lanes must route by the same number of key columns.
-#[test]
-fn lane_key_count_mismatch_rejected() {
-    let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
-    lanes(&mut phys)[1].key_cols = vec![0, 0];
-    match verify_physical(&phys) {
-        Err(VerifyError::KeyCountMismatch {
-            left: 2, right: 1, ..
-        }) => {}
-        other => panic!("expected KeyCountMismatch, got {other:?}"),
-    }
-}
-
-/// A partitioned exchange with no lanes would feed its consumers nothing
-/// and hang teardown.
-#[test]
-fn zero_lane_consumer_rejected() {
-    let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
-    lanes(&mut phys).clear();
-    match verify_physical(&phys) {
-        Err(VerifyError::ZeroLaneConsumer) => {}
-        other => panic!("expected ZeroLaneConsumer, got {other:?}"),
-    }
-}
-
-/// A lane with an empty producer set closes its channels immediately and
-/// silently yields an empty partition stream.
+/// An empty producer set closes the partition channels immediately and
+/// silently yields empty partition streams.
 #[test]
 fn empty_lane_rejected() {
     let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
-    lanes(&mut phys)[1].producers = 0;
+    let plan = agg_plan(&c);
+    let mut phys = partitioned_root(&plan);
+    if let Exchange::HashPartition { producers, .. } = &mut phys.root.exchange {
+        *producers = 0;
+    }
     match verify_physical(&phys) {
-        Err(VerifyError::EmptyLane { lane: 1 }) => {}
-        other => panic!("expected EmptyLane, got {other:?}"),
+        Err(VerifyError::EmptyExchange {
+            node: "HashPartition",
+        }) => {}
+        other => panic!("expected EmptyExchange, got {other:?}"),
+    }
+}
+
+/// Only hash aggregates have a partitioned form: a partitioning exchange
+/// on any other node is rejected — by the verifier and by `instantiate`
+/// (release builds skip the verifier) — instead of quietly running that
+/// node unpartitioned.
+#[test]
+fn partitioning_a_non_aggregate_rejected() {
+    let c = catalog(BIG);
+    let plan = join_plan(&c);
+    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
+    phys.root.exchange = Exchange::HashPartition {
+        partitions: 4,
+        producers: 1,
+        key_cols: vec![0],
+        chunk_bytes: 0,
+    };
+    match verify_physical(&phys) {
+        Err(VerifyError::PartitionedNonAggregate { node: 0 }) => {}
+        other => panic!("expected PartitionedNonAggregate, got {other:?}"),
+    }
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg4());
+    match ma_executor::instantiate(&phys, &ctx) {
+        Err(ma_executor::ExecError::Plan(_)) => {}
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("a join cannot run partitioned"),
     }
 }
 
@@ -458,8 +453,8 @@ fn empty_exchange_rejected() {
         Err(VerifyError::EmptyExchange { node: "Merge" }) => {}
         other => panic!("expected EmptyExchange, got {other:?}"),
     }
-    let plan = join_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4_split()).unwrap();
+    let plan = agg_plan(&c);
+    let mut phys = partitioned_root(&plan);
     if let Exchange::HashPartition { partitions, .. } = &mut phys.root.exchange {
         *partitions = 0;
     }

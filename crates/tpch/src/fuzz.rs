@@ -8,7 +8,7 @@
 //! 2. compiled and checked with [`ma_executor::verify()`] under every
 //!    configuration of the differential matrix, and
 //! 3. executed under every configuration — 1/2/4 workers, partitioned vs
-//!    single-partition aggregation and joins, small vs large vectors —
+//!    single-partition aggregation, small vs large vectors —
 //!    with all results compared as multisets under a float-tolerant
 //!    oracle ([`compare_stores`]).
 //!
@@ -46,28 +46,24 @@ use crate::TpchData;
 // configuration matrix
 // ---------------------------------------------------------------------------
 
-/// The differential configuration matrix: worker counts × partitioning
-/// regimes × vector sizes, all fixed-flavor (deterministic). The aggregate
-/// partition threshold is lowered so partitioned aggregation actually
-/// engages at the small fuzzing scale factor. `single` forces one
-/// aggregate and join instance (the sequential build path); `auto` leaves
-/// both to the planner (aggregates follow the worker count, joins probe in
-/// the worker fragments over a shared build); `split` — multi-worker only
-/// — keeps aggregates on auto and routes every join through the two-lane
-/// hash-partitioning exchange, one instance per worker, which `auto` no
-/// longer reaches. The first entry is the reference everything else is
-/// compared against.
+/// The differential configuration matrix: worker counts × aggregate
+/// partitioning regimes × vector sizes, all fixed-flavor (deterministic).
+/// The aggregate partition threshold is lowered so partitioned aggregation
+/// actually engages at the small fuzzing scale factor. `single` forces one
+/// aggregate instance; `auto` leaves the count to the planner (aggregates
+/// follow the worker count). Joins have one parallel shape either way: at
+/// one worker every join is a plain `HashJoin` with a private build, at
+/// more they probe in the worker fragments over a shared build — so the
+/// first entry, the reference everything else is compared against, is the
+/// in-fragment probe's differential twin.
 pub fn config_matrix() -> Vec<(String, ExecConfig)> {
     let mut out = Vec::new();
     for workers in [1usize, 2, 4] {
-        let split = (workers > 1).then_some(("split", 0, workers));
-        let regimes = [("single", 1usize, 1usize), ("auto", 0, 0)];
-        for (pname, agg_parts, join_parts) in regimes.into_iter().chain(split) {
+        for (pname, agg_parts) in [("single", 1usize), ("auto", 0)] {
             for vs in [1024usize, 64] {
                 let mut cfg = ExecConfig::fixed_default()
                     .with_workers(workers)
                     .with_agg_partitions(agg_parts)
-                    .with_join_partitions(join_parts)
                     .with_agg_min_groups(256);
                 cfg.vector_size = vs;
                 out.push((format!("{workers}w/{pname}/v{vs}"), cfg));
@@ -1616,6 +1612,65 @@ mod tests {
 
     fn small_db() -> Arc<TpchData> {
         Arc::new(TpchData::generate(0.002, 0xF022))
+    }
+
+    #[test]
+    fn matrices_are_pinned() {
+        // Twelve base configurations, the reference (one worker, single
+        // aggregates: every join a plain `HashJoin`) first.
+        let base = config_matrix();
+        let names: Vec<&str> = base.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "1w/single/v1024",
+                "1w/single/v64",
+                "1w/auto/v1024",
+                "1w/auto/v64",
+                "2w/single/v1024",
+                "2w/single/v64",
+                "2w/auto/v1024",
+                "2w/auto/v64",
+                "4w/single/v1024",
+                "4w/single/v64",
+                "4w/auto/v1024",
+                "4w/auto/v64",
+            ]
+        );
+        // Plus four storage variants: the reference and the most parallel
+        // planner-chosen configuration (`4w/auto/v64`), each on the
+        // reference decoder and on raw storage.
+        let storage = storage_matrix();
+        assert_eq!(storage.len(), 16);
+        let knobs = |c: &ExecConfig| (c.worker_threads, c.agg_partitions, c.vector_size);
+        for (i, (name, cfg)) in base.iter().enumerate() {
+            assert_eq!((&storage[i].0, storage[i].2), (name, Storage::Encoded));
+            assert_eq!(knobs(&storage[i].1), knobs(cfg));
+        }
+        let variants: Vec<_> = storage[12..]
+            .iter()
+            .map(|(n, c, s)| (n.as_str(), knobs(c), c.decode, *s))
+            .collect();
+        let (seq, par) = ((1, 1, 1024), (4, 0, 64));
+        assert_eq!(
+            variants,
+            [
+                (
+                    "seq/refdecode",
+                    seq,
+                    DecodeMode::Reference,
+                    Storage::Encoded
+                ),
+                ("seq/raw", seq, DecodeMode::Primitive, Storage::Raw),
+                (
+                    "par/refdecode",
+                    par,
+                    DecodeMode::Reference,
+                    Storage::Encoded
+                ),
+                ("par/raw", par, DecodeMode::Primitive, Storage::Raw),
+            ]
+        );
     }
 
     #[test]

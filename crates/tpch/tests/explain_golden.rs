@@ -132,8 +132,8 @@ fn q03_physical_explain_shows_in_fragment_joins() {
     // below the default sharding cutoff, so the vector size is shrunk
     // (morsels follow it) as in the Q12 golden. Both of Q3's joins
     // qualify: the outer one is a stage of the lineitem chain, whose 4
-    // fragments feed the aggregate's lane directly; the semi join tops
-    // the orders chain that is the outer join's build side.
+    // fragments route into the aggregate's exchange directly; the semi
+    // join tops the orders chain that is the outer join's build side.
     let mut cfg = ExecConfig::fixed_default().with_workers(4);
     cfg.vector_size = 32;
     let text = explain_query_with(3, &db(), &Params::default(), &cfg).unwrap();
@@ -154,34 +154,7 @@ Sort [sum_rev desc, o_orderdate asc] limit=10 -> (l_orderkey:i32, sum_rev:f64, o
     assert_eq!(text, expected);
     assert_eq!(text.matches("shared build").count(), 2);
     assert!(!text.contains("HashJoin (partitioned"));
-}
-
-#[test]
-fn q03_physical_explain_shows_partitioned_joins() {
-    // An explicit `join_partitions` is an exact override: both of Q3's
-    // joins split into that many private build tables behind two-lane
-    // exchanges, whatever their inputs' sizes (the golden database is
-    // below the scan-sharding cutoff) and whatever the worker count.
-    let cfg = ExecConfig::fixed_default()
-        .with_workers(4)
-        .with_join_partitions(2);
-    let text = explain_query_with(3, &db(), &Params::default(), &cfg).unwrap();
-    let expected = "\
-Sort [sum_rev desc, o_orderdate asc] limit=10 -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
-  Project [l_orderkey, sum_rev, o_orderdate, o_shippriority] -> (l_orderkey:i32, sum_rev:f64, o_orderdate:i32, o_shippriority:i32)
-    HashAgg keys=[l_orderkey, o_orderdate, o_shippriority] aggs=[sum_rev=sum_f64(rev)] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, sum_rev:f64)
-      Project [l_orderkey, o_orderdate, o_shippriority, rev=(f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1))] -> (l_orderkey:i32, o_orderdate:i32, o_shippriority:i32, rev:f64)
-        HashJoin (partitioned \u{d7}2) inner on (l_orderkey = o_orderkey) payload=[o_orderdate, o_shippriority] bloom -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64, o_orderdate:i32, o_shippriority:i32)
-          build: HashJoin (partitioned \u{d7}2) semi on (o_custkey = c_custkey) bloom -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
-            build: Filter c_mktsegment = 'BUILDING' -> (c_custkey:i32, c_mktsegment:str)
-              Scan customer (shardable) enc=[c_custkey:delta, c_mktsegment:dict] -> (c_custkey:i32, c_mktsegment:str)
-            probe: Filter o_orderdate < 1169 -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
-              Scan orders (shardable) enc=[o_orderkey:delta, o_custkey:for, o_orderdate:for, o_shippriority:for] -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
-          probe: Filter l_shipdate > 1169 -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
-            Scan lineitem (shardable) enc=[l_orderkey:delta, l_shipdate:for, l_extendedprice:for, l_discount:for] -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
-";
-    assert_eq!(text, expected);
-    // A single-worker config renders structurally (no partition verdict).
+    // A single-worker config renders structurally (no parallel verdict).
     let plain = explain_query_with(3, &db(), &Params::default(), &ExecConfig::fixed_default());
     assert_eq!(
         plain.unwrap(),

@@ -188,3 +188,36 @@ fn fixed_seed_differential_sweep() {
             .collect::<Vec<_>>()
     );
 }
+
+/// The fuzzer has to *reach* the one parallel join shape for its
+/// comparison against the one-worker reference to mean anything: at SF
+/// 0.002 lineitem holds ~12k rows, enough for two morsels of 16 × 64-row
+/// vectors, so under `4w/auto/v64` the fixed-seed sweep above must plan
+/// hash joins that probe in the worker fragments over a shared build.
+#[test]
+fn fixed_seed_sweep_reaches_a_shared_build() {
+    let db = Arc::new(TpchData::generate(0.002, 0xDBD1));
+    let fz = Fuzzer::new(Arc::clone(&db));
+    let matrix = ma_tpch::fuzz::config_matrix();
+    let (_, cfg) = matrix
+        .iter()
+        .find(|(name, _)| name == "4w/auto/v64")
+        .expect("the most parallel planner-chosen configuration");
+    let mut shared_builds = 0;
+    for case in 0..24 {
+        let plan = frontend::compile(&fz.generate(0xF022, case), db.as_ref())
+            .unwrap_or_else(|e| panic!("case {case} no longer compiles: {e}"))
+            .build()
+            .unwrap_or_else(|e| panic!("case {case} no longer builds: {e}"));
+        let phys = ma_executor::plan_physical(&plan, cfg).expect("plans");
+        let nodes = phys.nodes().into_iter();
+        shared_builds += nodes
+            .filter(|n| matches!(n.logical, ma_executor::LogicalPlan::HashJoin { .. }))
+            .filter(|n| n.fragments >= 2)
+            .count();
+    }
+    assert!(
+        shared_builds > 0,
+        "no generated join probes in the fragments under 4w/auto/v64"
+    );
+}

@@ -7,9 +7,8 @@
 //! those invariants hold for all 22 queries across every parallelism
 //! shape the planner can take: sequential, sharded, merge-sharded,
 //! joins probing in the worker fragments, partition-follows-workers,
-//! partitioning disabled, fixed odd partition counts that disagree with
-//! the worker count, and the fuzzer's `split` regime (aggregates on auto,
-//! every join routed one instance per worker).
+//! partitioning disabled, and fixed odd partition counts that disagree
+//! with the worker count.
 //!
 //! The same sweep is the planner's translation validation: for every
 //! query × configuration, what `lower` registers with the context is
@@ -40,11 +39,10 @@ fn db() -> &'static TpchData {
     DB.get_or_init(|| TpchData::generate(0.01, 0xDBD1))
 }
 
-fn config(workers: usize, agg_p: usize, join_p: usize, vsize: usize) -> ExecConfig {
+fn config(workers: usize, agg_p: usize, vsize: usize) -> ExecConfig {
     let mut cfg = ExecConfig::fixed_default();
     cfg.worker_threads = workers;
     cfg.agg_partitions = agg_p;
-    cfg.join_partitions = join_p;
     cfg.vector_size = vsize;
     cfg
 }
@@ -86,21 +84,12 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
     let mut probers: Vec<(String, usize)> = Vec::new();
     for node in phys.nodes() {
         if let LogicalPlan::HashJoin { label, .. } = node.logical {
-            let in_fragment = node.fragments > 1;
+            // No join routes: one table, `fragments` probers.
             assert!(
-                !in_fragment || cfg.join_partitions == 0,
-                "Q{q}: {label} probes in the fragments against an explicit join_partitions"
+                !matches!(node.exchange, Exchange::HashPartition { .. }),
+                "Q{q}: {label} is hash-partitioned"
             );
-            // Left to the planner, no join routes.
-            assert!(
-                cfg.join_partitions != 0
-                    || !matches!(node.exchange, Exchange::HashPartition { .. }),
-                "Q{q}: {label} is hash-partitioned in auto mode"
-            );
-            probers.push((
-                format!("{label}/map_hash"),
-                node.fragments * node.instances(),
-            ));
+            probers.push((format!("{label}/map_hash"), node.fragments));
         }
         let tracked = match node.logical {
             LogicalPlan::HashAgg { label, .. } | LogicalPlan::HashJoin { label, .. } => {
@@ -166,14 +155,9 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
     }
 }
 
-/// The `(agg_partitions, join_partitions)` regimes swept at `workers`.
-fn partition_regimes(workers: usize) -> Vec<(usize, usize)> {
-    let mut regimes = vec![(0, 0), (1, 1), (3, 2)];
-    if workers > 1 {
-        regimes.push((0, workers));
-    }
-    regimes
-}
+/// The `agg_partitions` regimes swept at every worker count: follow the
+/// workers, never partition, a fixed odd count.
+const PARTITION_REGIMES: [usize; 3] = [0, 1, 3];
 
 /// Collects every *registry-visible* stats label in a plan: the labels of
 /// nodes that instantiate primitives. Pass-only projections compile to
@@ -236,14 +220,13 @@ fn all_queries_verify_across_config_matrix() {
             .build()
             .unwrap_or_else(|e| panic!("Q{q}: build failed: {e}"));
         for workers in [1, 2, 4] {
-            for (agg_p, join_p) in partition_regimes(workers) {
+            for agg_p in PARTITION_REGIMES {
                 for vsize in [64, 1024] {
-                    let cfg = config(workers, agg_p, join_p, vsize);
+                    let cfg = config(workers, agg_p, vsize);
                     verify(&plan, &cfg).unwrap_or_else(|e| {
                         panic!(
                             "Q{q} failed verification (workers={workers}, \
-                             agg_partitions={agg_p}, join_partitions={join_p}, \
-                             vector_size={vsize}): {e}"
+                             agg_partitions={agg_p}, vector_size={vsize}): {e}"
                         )
                     });
                     count_exchanges(&plan_physical(&plan, &cfg).unwrap(), &mut tally);
@@ -253,7 +236,7 @@ fn all_queries_verify_across_config_matrix() {
             }
         }
     }
-    assert_eq!(checked, 22 * (3 + 4 + 4) * 2);
+    assert_eq!(checked, 22 * 9 * 2);
     let (parallel, merge, partition, in_fragment) = tally;
     assert!(
         in_fragment > 0,
@@ -276,7 +259,7 @@ fn planning_runs_the_analyzer_once_per_node() {
     fn nodes(plan: &LogicalPlan) -> u64 {
         1 + plan.children().map(nodes).sum::<u64>()
     }
-    let cfg = config(4, 0, 0, 1024);
+    let cfg = config(4, 0, 1024);
     for q in [5, 9] {
         let plan = query_plan(q, db(), &Params::default())
             .and_then(|pb| Ok(pb.build()?))
@@ -338,15 +321,14 @@ fn all_queries_get_finite_byte_bounds() {
             .build()
             .unwrap_or_else(|e| panic!("Q{q}: {e}"));
         for workers in [1, 2, 4] {
-            for (agg_p, join_p) in partition_regimes(workers) {
+            for agg_p in PARTITION_REGIMES {
                 for vsize in [64, 1024] {
-                    let cfg = config(workers, agg_p, join_p, vsize);
+                    let cfg = config(workers, agg_p, vsize);
                     let report = ma_executor::cost(&plan, &cfg);
                     assert!(
                         report.peak_bytes > 0 && report.peak_bytes < SAT,
                         "Q{q} peak bound degenerate (workers={workers}, \
-                         agg_partitions={agg_p}, join_partitions={join_p}, \
-                         vector_size={vsize}): {} ({})",
+                         agg_partitions={agg_p}, vector_size={vsize}): {} ({})",
                         report.peak_bytes,
                         ma_executor::cost::fmt_bytes(report.peak_bytes)
                     );

@@ -188,37 +188,6 @@ fn partitioned_join_builds_engage_with_private_instances() {
     assert_eq!(tables("Q9/join_part/exchange"), 0, "no routing exchange");
 }
 
-/// Forcing `join_partitions = 1` keeps every join a single instance
-/// outside the fragments even when the inputs shard — and the results
-/// still match, so the in-fragment and single join paths are
-/// interchangeable.
-#[test]
-fn join_partitioning_can_be_disabled_per_config() {
-    for (q, probe_label) in [
-        (3, "Q3/join_orders/map_hash"),
-        (10, "Q10/join_cust/map_hash"),
-    ] {
-        let (single, ctx_s) = run(
-            q,
-            ExecConfig::fixed_default()
-                .with_workers(4)
-                .with_join_partitions(1),
-        );
-        let (part, _) = run(q, ExecConfig::fixed_default().with_workers(4));
-        assert_eq!(
-            normalized_rows(&single),
-            normalized_rows(&part),
-            "Q{q} in-fragment vs single join"
-        );
-        let join_instances = ctx_s
-            .reports()
-            .iter()
-            .filter(|r| r.label == probe_label)
-            .count();
-        assert_eq!(join_instances, 1, "Q{q} should run a single join");
-    }
-}
-
 #[test]
 fn adaptive_runs_are_worker_count_invariant() {
     // Flavor choices race across workers, but flavors are extensionally
