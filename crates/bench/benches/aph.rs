@@ -14,7 +14,7 @@ fn bench_aph(c: &mut Criterion) {
             std::hint::black_box(aph.total_calls())
         })
     });
-    let mut profile = PrimitiveProfile::with_aph();
+    let mut profile = PrimitiveProfile::default();
     group.bench_function("profile_record", |b| {
         b.iter(|| {
             profile.record(1024, 4096);

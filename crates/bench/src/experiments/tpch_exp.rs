@@ -54,8 +54,8 @@ pub fn table1(runner: &Runner) -> String {
     let rows: usize = chunks.iter().map(ma_vector::DataChunk::live_count).sum();
     let postprocess = ticks_now().saturating_sub(t2);
 
-    // Instance stats publish at batch granularity; drop the plan so the
-    // final partial batch lands before the primitive-tick readout.
+    // Instances publish their stats when dropped: drop the plan before
+    // the primitive-tick readout.
     drop(proj);
     let stages = StageProfile {
         preprocess,
@@ -101,8 +101,8 @@ pub fn fig02(runner: &Runner) -> String {
         .expect("predicate");
         let mut op: BoxOp = Box::new(sel);
         while op.next().expect("run").is_some() {}
-        // Instance stats publish at batch granularity; drop the plan so
-        // the final partial batch lands before reading reports.
+        // Instances publish their stats when dropped: drop the plan
+        // before reading reports.
         drop(op);
         let report = ctx
             .reports()

@@ -22,7 +22,6 @@
 //!   against any policy and score it against the per-call oracle OPT
 //!   (Absolute/OPT and Relative/OPT, Table 5).
 
-pub mod adaptive;
 pub mod aph;
 pub mod cycles;
 pub mod dictionary;
@@ -34,7 +33,6 @@ pub mod scores;
 pub mod sim;
 pub mod trace;
 
-pub use adaptive::AdaptiveDispatch;
 pub use aph::{Aph, AphBucket};
 pub use cycles::{instant_ticks, ticks_now};
 pub use dictionary::PrimitiveDictionary;

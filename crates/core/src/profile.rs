@@ -2,14 +2,14 @@
 //!
 //! Vectorwise keeps, for every primitive *instance* in a query plan, the
 //! total tuples processed, total calls made and total cycles spent (§1.1).
-//! Micro Adaptivity extends this with the APH. The same structure doubles as
-//! the paper's "classical primitive profiling" block at the top of the
+//! Micro Adaptivity extends this with the APH. The totals double as the
+//! paper's "classical primitive profiling" block at the top of the
 //! vw-greedy listing.
 
 use crate::aph::Aph;
 
 /// Cumulative + historical cost statistics for one primitive instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PrimitiveProfile {
     /// Total calls so far.
     pub calls: u64,
@@ -17,46 +17,18 @@ pub struct PrimitiveProfile {
     pub tot_tuples: u64,
     /// Total ticks spent.
     pub tot_ticks: u64,
-    /// Optional bounded performance history.
-    pub aph: Option<Aph>,
-}
-
-impl Default for PrimitiveProfile {
-    fn default() -> Self {
-        PrimitiveProfile::with_aph()
-    }
+    /// Bounded performance history.
+    pub aph: Aph,
 }
 
 impl PrimitiveProfile {
-    /// Profile keeping only cumulative totals (classic Vectorwise profiling).
-    pub fn totals_only() -> Self {
-        PrimitiveProfile {
-            calls: 0,
-            tot_tuples: 0,
-            tot_ticks: 0,
-            aph: None,
-        }
-    }
-
-    /// Profile that additionally maintains an APH.
-    pub fn with_aph() -> Self {
-        PrimitiveProfile {
-            calls: 0,
-            tot_tuples: 0,
-            tot_ticks: 0,
-            aph: Some(Aph::default()),
-        }
-    }
-
     /// Records one call.
     #[inline]
     pub fn record(&mut self, tuples: u64, ticks: u64) {
         self.calls += 1;
         self.tot_tuples += tuples;
         self.tot_ticks += ticks;
-        if let Some(aph) = &mut self.aph {
-            aph.record(tuples, ticks);
-        }
+        self.aph.record(tuples, ticks);
     }
 
     /// Lifetime average cost in ticks/tuple.
@@ -82,25 +54,23 @@ mod tests {
 
     #[test]
     fn records_totals() {
-        let mut p = PrimitiveProfile::totals_only();
+        let mut p = PrimitiveProfile::default();
         p.record(1000, 4000);
         p.record(1000, 6000);
         assert_eq!(p.calls, 2);
         assert_eq!(p.tot_tuples, 2000);
         assert_eq!(p.tot_ticks, 10_000);
         assert_eq!(p.avg_cost(), 5.0);
-        assert!(p.aph.is_none());
     }
 
     #[test]
     fn with_aph_tracks_history() {
-        let mut p = PrimitiveProfile::with_aph();
+        let mut p = PrimitiveProfile::default();
         for _ in 0..10 {
             p.record(100, 300);
         }
-        let aph = p.aph.as_ref().unwrap();
-        assert_eq!(aph.total_calls(), 10);
-        assert_eq!(aph.total_ticks(), 3000);
+        assert_eq!(p.aph.total_calls(), 10);
+        assert_eq!(p.aph.total_ticks(), 3000);
     }
 
     #[test]
@@ -110,9 +80,9 @@ mod tests {
 
     #[test]
     fn merge_totals_adds_up() {
-        let mut a = PrimitiveProfile::totals_only();
+        let mut a = PrimitiveProfile::default();
         a.record(10, 100);
-        let mut b = PrimitiveProfile::totals_only();
+        let mut b = PrimitiveProfile::default();
         b.record(30, 50);
         a.merge_totals(&b);
         assert_eq!(a.calls, 2);

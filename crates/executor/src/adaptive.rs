@@ -7,8 +7,8 @@
 //! instances (per-worker bandit state, the Cuttlefish design) while all
 //! stats land in one place. The hot path takes no locks: each
 //! [`PrimInstance`] accumulates into private stats and publishes them into
-//! its registry slot at batch granularity ([`FLUSH_EVERY`] calls) and on
-//! drop. See DESIGN.md, "Per-worker statistics merge".
+//! its registry slot when it is dropped (or on an explicit
+//! [`PrimInstance::flush`]). See DESIGN.md, "Per-worker statistics merge".
 //!
 //! Operators ask the context for typed [`PrimInstance`]s by signature; the
 //! context resolves the flavor subset according to the configured
@@ -23,12 +23,9 @@ use ma_core::cycles::ticks_now;
 use ma_core::policy::{ClampedPolicy, FixedPolicy, Policy};
 use ma_core::{Aph, FlavorSet, PrimitiveDictionary, PrimitiveProfile};
 
-use crate::config::{ExecConfig, FlavorMode};
+use crate::config::{ExecConfig, FlavorMode, DEFAULT_REWARD_CLAMP};
 use crate::heuristics::{tuned, HeuristicPolicy, HeuristicRule};
 use crate::ExecError;
-
-/// Calls between hot-path stats publications into the shared registry slot.
-pub const FLUSH_EVERY: u32 = 64;
 
 /// Family hint used to pick the right hard-coded heuristic in
 /// [`FlavorMode::Heuristic`] mode.
@@ -50,8 +47,8 @@ pub enum HeurKind {
 }
 
 /// Per-instance statistics. Each live [`PrimInstance`] owns a private copy
-/// it updates lock-free; the registry holds a periodically refreshed
-/// snapshot behind a mutex.
+/// it updates lock-free; the registry slot behind a mutex holds what the
+/// instance last published.
 #[derive(Debug, Clone)]
 pub struct InstanceStats {
     /// Operator-assigned label, e.g. `"Q12/sel_ge"`.
@@ -75,7 +72,6 @@ pub struct PrimInstance<F: Copy> {
     policy: Box<dyn Policy>,
     local: InstanceStats,
     shared: Arc<Mutex<InstanceStats>>,
-    unflushed: u32,
     last: usize,
 }
 
@@ -92,22 +88,17 @@ impl<F: Copy> PrimInstance<F> {
         self.policy.observe(fi, tuples, ticks);
         self.local.profile.record(tuples, ticks);
         self.local.flavor_calls[fi] += 1;
-        self.unflushed += 1;
-        if self.unflushed >= FLUSH_EVERY {
-            self.flush();
-        }
         out
     }
 
     /// Publishes the private stats into the shared registry slot. Called
-    /// automatically every [`FLUSH_EVERY`] calls and on drop; call it
-    /// manually only when reading [`QueryContext::reports`] while the
-    /// instance is still live.
+    /// on drop; call it manually only to read [`QueryContext::reports`]
+    /// while the instance is still live.
     pub fn flush(&mut self) {
-        let mut shared = self.shared.lock().expect("stats slot poisoned");
-        shared.profile = self.local.profile.clone();
+        // Never panic here: this runs in `drop`, possibly while unwinding.
+        let mut shared = self.shared.lock().unwrap_or_else(|e| e.into_inner());
+        shared.profile.clone_from(&self.local.profile);
         shared.flavor_calls.clone_from(&self.local.flavor_calls);
-        self.unflushed = 0;
     }
 
     /// Supplies a context hint to the policy (used by heuristics mode).
@@ -134,9 +125,7 @@ impl<F: Copy> PrimInstance<F> {
 
 impl<F: Copy> Drop for PrimInstance<F> {
     fn drop(&mut self) {
-        if self.unflushed > 0 {
-            self.flush();
-        }
+        self.flush();
     }
 }
 
@@ -153,7 +142,8 @@ pub struct InstanceReport {
     pub tuples: u64,
     /// Total ticks spent.
     pub ticks: u64,
-    /// APH, if collected.
+    /// APH ([`QueryContext::merged_reports`] carries none: histories are
+    /// per worker).
     pub aph: Option<Aph>,
     /// `(flavor name, calls)` pairs.
     pub flavor_calls: Vec<(String, u64)>,
@@ -321,10 +311,7 @@ impl QueryContext {
                     Box::new(FixedPolicy::new(1, 0))
                 } else {
                     let inner = policy.build(arms, self.fresh_seed());
-                    match config.reward_clamp {
-                        Some(k) => Box::new(ClampedPolicy::new(inner, k)),
-                        None => inner,
-                    }
+                    Box::new(ClampedPolicy::new(inner, DEFAULT_REWARD_CLAMP))
                 };
                 (Arc::new(sub), pol)
             }
@@ -347,16 +334,11 @@ impl QueryContext {
             }
         };
 
-        let profile = if config.collect_aph {
-            PrimitiveProfile::with_aph()
-        } else {
-            PrimitiveProfile::totals_only()
-        };
         let local = InstanceStats {
             label: label.into(),
             signature: signature.to_string(),
             flavor_names: set.infos().iter().map(|i| i.name.to_string()).collect(),
-            profile,
+            profile: PrimitiveProfile::default(),
             flavor_calls: vec![0; set.len()],
         };
         let shared = Arc::new(Mutex::new(local.clone()));
@@ -370,14 +352,13 @@ impl QueryContext {
             policy,
             local,
             shared,
-            unflushed: 0,
             last: 0,
         })
     }
 
-    /// Reports of all instances created so far. Numbers for still-live
-    /// instances lag by up to [`FLUSH_EVERY`] calls unless
-    /// [`PrimInstance::flush`] is called first; dropped instances are exact.
+    /// Reports of all instances created so far: exact for dropped
+    /// instances, whatever was last [`PrimInstance::flush`]ed (nothing, by
+    /// default) for live ones — read after the operator tree is gone.
     pub fn reports(&self) -> Vec<InstanceReport> {
         self.inner
             .registry
@@ -392,7 +373,7 @@ impl QueryContext {
                     calls: s.profile.calls,
                     tuples: s.profile.tot_tuples,
                     ticks: s.profile.tot_ticks,
-                    aph: s.profile.aph.clone(),
+                    aph: Some(s.profile.aph.clone()),
                     flavor_calls: s
                         .flavor_names
                         .iter()
@@ -620,9 +601,8 @@ mod tests {
         for _ in 0..100 {
             run_sel(&mut i, &col, 512);
         }
-        // 100 calls = one 64-call flush + 36 pending; the registry lags
-        // until the instance flushes (explicitly or on drop).
-        assert_eq!(c.reports()[0].calls, 64);
+        // Nothing is published while the instance lives, unless asked.
+        assert_eq!(c.reports()[0].calls, 0);
         i.flush();
         let reports = c.reports();
         assert_eq!(reports.len(), 1);
@@ -647,11 +627,53 @@ mod tests {
         for _ in 0..5 {
             run_sel(&mut i, &[1, 2, 3, 4], 3);
         }
-        assert_eq!(c.reports()[0].calls, 0, "below flush granularity");
+        assert_eq!(c.reports()[0].calls, 0, "published on drop");
         drop(i);
         let r = c.reports();
         assert_eq!(r[0].calls, 5);
         assert_eq!(r[0].tuples, 20);
+    }
+
+    #[test]
+    fn invoke_runs_and_profiles() {
+        let c = ctx(ExecConfig::fixed("no_branching"));
+        let mut i = c
+            .instance::<SelColVal<i32>>("sel_lt_i32_col_val", "t", HeurKind::Selection)
+            .unwrap();
+        let col: Vec<i32> = (0..1000).collect();
+        assert_eq!(run_sel(&mut i, &col, 400), 400);
+        assert_eq!(i.last_flavor(), 1);
+        drop(i);
+        let r = &c.reports()[0];
+        assert_eq!((r.calls, r.tuples), (1, 1000));
+    }
+
+    #[test]
+    fn adaptive_policy_exercises_both_flavors() {
+        let c = ctx(ExecConfig::adaptive_with(
+            FlavorAxis::Branching,
+            ma_core::PolicyKind::VwGreedy(ma_core::VwGreedyParams {
+                explore_period: 64,
+                exploit_period: 16,
+                explore_length: 4,
+            }),
+        ));
+        let mut i = c
+            .instance::<SelColVal<i32>>("sel_lt_i32_col_val", "t", HeurKind::Selection)
+            .unwrap();
+        let col: Vec<i32> = (0..1024).collect();
+        for _ in 0..512 {
+            run_sel(&mut i, &col, 512);
+        }
+        drop(i);
+        let r = &c.reports()[0];
+        assert_eq!(r.calls, 512);
+        assert!(r.ticks > 0);
+        assert!(
+            r.flavor_calls.iter().all(|(_, n)| *n > 0),
+            "both flavors should be exercised: {:?}",
+            r.flavor_calls
+        );
     }
 
     #[test]

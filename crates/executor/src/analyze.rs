@@ -685,7 +685,7 @@ fn narrow_pred(pred: &Pred, cols: &mut [ColFact]) -> Option<usize> {
             }
             (!was_empty && cols[*col].domain.is_empty()).then_some(*col)
         }
-        Pred::Like { .. } | Pred::NotLike { .. } => None,
+        Pred::Like { .. } => None,
         Pred::InStr { col, values } => {
             cols[*col].ndv = cols[*col].ndv.min(values.len());
             None

@@ -78,8 +78,9 @@ pub enum DecodeMode {
     Reference,
 }
 
-/// Default clamp factor for reward observations: costs above `8×` the
-/// running per-tuple median are treated as preemption outliers.
+/// Clamp factor for bandit reward observations: costs above `8×` the
+/// instance's running per-tuple median are treated as preemption outliers
+/// and capped before the policy sees them (OS-preemption robustness).
 pub const DEFAULT_REWARD_CLAMP: f64 = 8.0;
 
 /// Default minimum *proven group bound* for partitioning a hash
@@ -104,17 +105,11 @@ pub struct ExecConfig {
     pub seed: u64,
     /// Tuples per vector.
     pub vector_size: usize,
-    /// Whether instances keep APHs (small overhead; needed for figures).
-    pub collect_aph: bool,
     /// Worker threads for sharded scans. `1` (the default) keeps every
     /// pipeline single-threaded and bit-identical to the pre-parallel
     /// engine; `n > 1` splits each large scan into morsels processed by
     /// `n` workers with per-worker primitive instances.
     pub worker_threads: usize,
-    /// Clamp factor `k` for bandit reward observations: costs above `k×`
-    /// the instance's running per-tuple median are capped before the
-    /// policy sees them (OS-preemption robustness). `None` disables.
-    pub reward_clamp: Option<f64>,
     /// Consumer partitions for partitioned hash aggregation. `0` (the
     /// default) follows [`ExecConfig::worker_threads`]; `1` disables
     /// partitioning outright (every aggregate runs as a single instance);
@@ -151,9 +146,7 @@ impl Default for ExecConfig {
             flavors: FlavorMode::Fixed(None),
             seed: 0x5EED,
             vector_size: ma_vector::VECTOR_SIZE,
-            collect_aph: true,
             worker_threads: 1,
-            reward_clamp: Some(DEFAULT_REWARD_CLAMP),
             agg_partitions: 0,
             agg_min_partition_groups: DEFAULT_AGG_MIN_PARTITION_GROUPS,
             memory_budget: DEFAULT_MEMORY_BUDGET,
@@ -214,12 +207,6 @@ impl ExecConfig {
     /// Returns a copy with `n` scan worker threads (clamped to ≥ 1).
     pub fn with_workers(mut self, n: usize) -> Self {
         self.worker_threads = n.max(1);
-        self
-    }
-
-    /// Returns a copy with the reward clamp set (`None` disables).
-    pub fn with_reward_clamp(mut self, k: Option<f64>) -> Self {
-        self.reward_clamp = k;
         self
     }
 
@@ -297,10 +284,8 @@ mod tests {
     fn worker_and_clamp_knobs() {
         let c = ExecConfig::default();
         assert_eq!(c.worker_threads, 1);
-        assert_eq!(c.reward_clamp, Some(DEFAULT_REWARD_CLAMP));
         assert_eq!(c.clone().with_workers(4).worker_threads, 4);
-        assert_eq!(c.clone().with_workers(0).worker_threads, 1);
-        assert_eq!(c.with_reward_clamp(None).reward_clamp, None);
+        assert_eq!(c.with_workers(0).worker_threads, 1);
     }
 
     #[test]

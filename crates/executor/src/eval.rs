@@ -540,24 +540,22 @@ impl CompiledPred {
                     }
                 }
             }
-            Pred::Like { col, pattern } => PredNode::Like {
-                inst: ctx.instance(
-                    "sel_like_str_col_val",
-                    format!("{label}/sel_like"),
-                    HeurKind::None,
-                )?,
-                col: *col,
-                pat: LikePattern::compile(pattern),
-            },
-            Pred::NotLike { col, pattern } => PredNode::Like {
-                inst: ctx.instance(
-                    "sel_notlike_str_col_val",
-                    format!("{label}/sel_notlike"),
-                    HeurKind::None,
-                )?,
-                col: *col,
-                pat: LikePattern::compile(pattern),
-            },
+            Pred::Like {
+                col,
+                pattern,
+                negated,
+            } => {
+                let (sig, name) = if *negated {
+                    ("sel_notlike_str_col_val", "sel_notlike")
+                } else {
+                    ("sel_like_str_col_val", "sel_like")
+                };
+                PredNode::Like {
+                    inst: ctx.instance(sig, format!("{label}/{name}"), HeurKind::None)?,
+                    col: *col,
+                    pat: LikePattern::compile(pattern),
+                }
+            }
             Pred::InStr { col, values } => {
                 let branches: Vec<Pred> = values
                     .iter()
@@ -751,7 +749,7 @@ fn union_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::config::ExecConfig;
-    use crate::expr::CmpKind;
+    use crate::expr::{lit_i64, CmpKind};
     use ma_primitives::build_dictionary;
 
     fn ctx() -> QueryContext {
@@ -773,7 +771,7 @@ mod tests {
     #[test]
     fn arith_col_col_and_col_val() {
         let c = ctx();
-        let e = Expr::mul(Expr::col(0), Expr::add(Expr::col(1), Expr::i64(10)));
+        let e = Expr::Col(0).mul(Expr::Col(1).add(lit_i64(10)));
         let mut ce = CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c, "t").unwrap();
         assert_eq!(ce.out_type(), DataType::I64);
         let ch = chunk();
@@ -785,7 +783,7 @@ mod tests {
     fn cast_then_arith() {
         let c = ctx();
         // (i32 col 2 as i64) - col 1
-        let e = Expr::sub(Expr::cast(DataType::I64, Expr::col(2)), Expr::col(1));
+        let e = Expr::Col(2).cast(DataType::I64).sub(Expr::Col(1));
         let types = [DataType::I64, DataType::I64, DataType::I32];
         let mut ce = CompiledExpr::compile(&e, &types, &c, "t").unwrap();
         let v = ce.eval(&chunk()).unwrap();
@@ -795,7 +793,7 @@ mod tests {
     #[test]
     fn eval_respects_selection_vector() {
         let c = ctx();
-        let e = Expr::add(Expr::col(1), Expr::i64(100));
+        let e = Expr::Col(1).add(lit_i64(100));
         let mut ce = CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c, "t").unwrap();
         let mut ch = chunk();
         ch.set_sel(Some(SelVec::from_positions(vec![1, 3])));
@@ -824,7 +822,7 @@ mod tests {
     #[test]
     fn type_mismatch_rejected() {
         let c = ctx();
-        let e = Expr::add(Expr::col(0), Expr::col(2)); // i64 + i32
+        let e = Expr::Col(0).add(Expr::Col(2)); // i64 + i32
         let types = [DataType::I64, DataType::I64, DataType::I32];
         assert!(matches!(
             CompiledExpr::compile(&e, &types, &c, "t"),
@@ -902,16 +900,10 @@ mod tests {
     #[test]
     fn like_predicate() {
         let c = ctx();
-        let p = Pred::Like {
-            col: 3,
-            pattern: "%AIL".into(),
-        };
+        let p = Pred::like(3, "%AIL");
         let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[0, 2, 3]);
-        let p = Pred::NotLike {
-            col: 3,
-            pattern: "%AIL".into(),
-        };
+        let p = Pred::not_like(3, "%AIL");
         let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[1]);
     }

@@ -1,12 +1,19 @@
-//! Expression and predicate ASTs, as built by query plans.
+//! Expression and predicate trees, as built by query plans.
 //!
-//! Plans construct these trees; [`crate::eval`] compiles them into chains of
-//! primitive instances resolved through the Primitive Dictionary — the point
-//! where Micro Adaptivity hooks into execution (§3.2: "the expression
-//! evaluator is the component that calls implementation functions for
-//! primitives").
+//! There is one tree of each kind, generic over how it names a column:
+//! [`Expr`] / [`Pred`] (`C = usize`) are what plan nodes hold and what
+//! [`crate::eval`] compiles into chains of primitive instances resolved
+//! through the Primitive Dictionary — the point where Micro Adaptivity
+//! hooks into execution (§3.2: "the expression evaluator is the component
+//! that calls implementation functions for primitives"); `Expr<String>` /
+//! `Pred<String>` ([`crate::plan::NamedExpr`], [`crate::plan::NamedPred`])
+//! are what query authors and the text front end write. Names become
+//! indices in one place ([`Expr::try_map_cols`] with the builder's column
+//! resolver), and types are checked in one place ([`Expr::type_of`],
+//! [`Pred::check`]) — the plan builder, the verifier and the text front
+//! end all call that pass.
 
-use ma_vector::DataType;
+use ma_vector::{DataType, Schema};
 
 /// A constant value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,13 +99,33 @@ impl CmpKind {
     }
 }
 
-/// A projection expression.
+/// What a builder helper accepts as a column of reference type `C`: the
+/// index itself in a positional tree, anything string-like in a named one
+/// (so `Pred::cmp_val(0, ..)` and `NamedPred::cmp_val("l_shipdate", ..)`
+/// are the same function).
+pub trait ColArg<C> {
+    /// The column reference.
+    fn into_col(self) -> C;
+}
+
+impl ColArg<usize> for usize {
+    fn into_col(self) -> usize {
+        self
+    }
+}
+
+impl<S: Into<String>> ColArg<String> for S {
+    fn into_col(self) -> String {
+        self.into()
+    }
+}
+
+/// A projection expression over columns referenced as `C`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// Input column by index.
-    Col(usize),
-    /// A constant (only valid as the rhs of [`Expr::Arith`]; constant
-    /// folding happens in the plan builder).
+pub enum Expr<C = usize> {
+    /// Input column.
+    Col(C),
+    /// A constant (only valid as the rhs of [`Expr::Arith`]).
     Const(Value),
     /// Binary arithmetic. Both sides must have the same numeric type
     /// (`i64` or `f64`); insert [`Expr::Cast`]s as needed.
@@ -106,22 +133,22 @@ pub enum Expr {
         /// `op`.
         op: ArithKind,
         /// `lhs`.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<C>>,
         /// `rhs`.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<C>>,
     },
     /// Numeric widening cast.
     Cast {
         /// Target type.
         to: DataType,
         /// The expression being cast.
-        inner: Box<Expr>,
+        inner: Box<Expr<C>>,
     },
     /// `substring(col from start+1 for len)` over a string column
     /// (byte-indexed, `start` is 0-based).
     Substr {
         /// `col`.
-        col: usize,
+        col: C,
         /// `start`.
         start: usize,
         /// `len`.
@@ -129,136 +156,372 @@ pub enum Expr {
     },
 }
 
+/// i64 constant.
+pub fn lit_i64<C>(v: i64) -> Expr<C> {
+    Expr::Const(Value::I64(v))
+}
+
+/// f64 constant.
+pub fn lit_f64<C>(v: f64) -> Expr<C> {
+    Expr::Const(Value::F64(v))
+}
+
 #[allow(clippy::should_implement_trait)] // builder fns, not operator impls
-impl Expr {
-    /// Column reference.
-    pub fn col(i: usize) -> Expr {
-        Expr::Col(i)
-    }
-    /// i64 constant.
-    pub fn i64(v: i64) -> Expr {
-        Expr::Const(Value::I64(v))
-    }
-    /// f64 constant.
-    pub fn f64(v: f64) -> Expr {
-        Expr::Const(Value::F64(v))
-    }
-    /// Arithmetic node.
-    pub fn arith(op: ArithKind, lhs: Expr, rhs: Expr) -> Expr {
+impl<C> Expr<C> {
+    fn arith(self, op: ArithKind, rhs: Expr<C>) -> Expr<C> {
         Expr::Arith {
             op,
-            lhs: Box::new(lhs),
+            lhs: Box::new(self),
             rhs: Box::new(rhs),
         }
     }
-    /// `lhs + rhs`.
-    pub fn add(lhs: Expr, rhs: Expr) -> Expr {
-        Expr::arith(ArithKind::Add, lhs, rhs)
+    /// `self + rhs`.
+    pub fn add(self, rhs: Expr<C>) -> Expr<C> {
+        self.arith(ArithKind::Add, rhs)
     }
-    /// `lhs - rhs`.
-    pub fn sub(lhs: Expr, rhs: Expr) -> Expr {
-        Expr::arith(ArithKind::Sub, lhs, rhs)
+    /// `self - rhs`.
+    pub fn sub(self, rhs: Expr<C>) -> Expr<C> {
+        self.arith(ArithKind::Sub, rhs)
     }
-    /// `lhs * rhs`.
-    pub fn mul(lhs: Expr, rhs: Expr) -> Expr {
-        Expr::arith(ArithKind::Mul, lhs, rhs)
+    /// `self * rhs`.
+    pub fn mul(self, rhs: Expr<C>) -> Expr<C> {
+        self.arith(ArithKind::Mul, rhs)
     }
-    /// `lhs / rhs`.
-    pub fn div(lhs: Expr, rhs: Expr) -> Expr {
-        Expr::arith(ArithKind::Div, lhs, rhs)
+    /// `self / rhs`.
+    pub fn div(self, rhs: Expr<C>) -> Expr<C> {
+        self.arith(ArithKind::Div, rhs)
     }
-    /// Cast node.
-    pub fn cast(to: DataType, inner: Expr) -> Expr {
+    /// Numeric widening cast.
+    pub fn cast(self, to: DataType) -> Expr<C> {
         Expr::Cast {
             to,
-            inner: Box::new(inner),
+            inner: Box::new(self),
         }
+    }
+
+    /// The same tree over another column reference type: `f` maps each
+    /// column, left to right, and the first failure wins.
+    pub fn try_map_cols<D, E>(&self, f: &mut impl FnMut(&C) -> Result<D, E>) -> Result<Expr<D>, E> {
+        Ok(match self {
+            Expr::Col(c) => Expr::Col(f(c)?),
+            Expr::Const(v) => Expr::Const(v.clone()),
+            Expr::Arith { op, lhs, rhs } => Expr::Arith {
+                op: *op,
+                lhs: Box::new(lhs.try_map_cols(f)?),
+                rhs: Box::new(rhs.try_map_cols(f)?),
+            },
+            Expr::Cast { to, inner } => inner.try_map_cols(f)?.cast(*to),
+            Expr::Substr { col, start, len } => Expr::Substr {
+                col: f(col)?,
+                start: *start,
+                len: *len,
+            },
+        })
     }
 }
 
 /// The comparison target of a predicate.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CmpRhs {
+pub enum CmpRhs<C = usize> {
     /// Compare against a constant (`col op const` → `_col_val` primitive).
     Const(Value),
     /// Compare against another column (`col op col` → `_col_col`).
-    Col(usize),
+    Col(C),
 }
 
-/// A selection predicate tree.
+/// A selection predicate tree over columns referenced as `C`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Pred {
+pub enum Pred<C = usize> {
     /// `col op rhs`.
     Cmp {
         /// `col`.
-        col: usize,
+        col: C,
         /// `op`.
         op: CmpKind,
         /// `rhs`.
-        rhs: CmpRhs,
+        rhs: CmpRhs<C>,
     },
-    /// `col LIKE pattern`.
+    /// `col LIKE pattern` / `col NOT LIKE pattern`.
     Like {
-        /// String column index.
-        col: usize,
-        /// LIKE pattern text.
+        /// String column.
+        col: C,
+        /// LIKE pattern text (`%` and `_` wildcards).
         pattern: String,
-    },
-    /// `col NOT LIKE pattern`.
-    NotLike {
-        /// String column index.
-        col: usize,
-        /// LIKE pattern text.
-        pattern: String,
+        /// `NOT LIKE`.
+        negated: bool,
     },
     /// `col IN (strings...)` — compiled to an OR of equalities.
     InStr {
-        /// String column index.
-        col: usize,
+        /// String column.
+        col: C,
         /// Accepted values.
         values: Vec<String>,
     },
     /// Conjunction, evaluated left to right (cheapest/most selective first
-    /// is the plan builder's job).
-    And(Vec<Pred>),
+    /// is the plan author's job).
+    And(Vec<Pred<C>>),
     /// Disjunction (union of the branch selection vectors).
-    Or(Vec<Pred>),
+    Or(Vec<Pred<C>>),
 }
 
-impl Pred {
+impl<C> Pred<C> {
     /// `col op const`.
-    pub fn cmp_val(col: usize, op: CmpKind, v: Value) -> Pred {
+    pub fn cmp_val(col: impl ColArg<C>, op: CmpKind, v: Value) -> Pred<C> {
         Pred::Cmp {
-            col,
+            col: col.into_col(),
             op,
             rhs: CmpRhs::Const(v),
         }
     }
-    /// `col op col`.
-    pub fn cmp_col(col: usize, op: CmpKind, other: usize) -> Pred {
+    /// `col op other`.
+    pub fn cmp_col(col: impl ColArg<C>, op: CmpKind, other: impl ColArg<C>) -> Pred<C> {
         Pred::Cmp {
-            col,
+            col: col.into_col(),
             op,
-            rhs: CmpRhs::Col(other),
+            rhs: CmpRhs::Col(other.into_col()),
         }
     }
-    /// `lo <= col AND col <= hi` (BETWEEN).
-    pub fn between_i32(col: usize, lo: i32, hi: i32) -> Pred {
+    fn between(col: impl ColArg<C>, lo: Value, hi: Value) -> Pred<C>
+    where
+        C: Clone,
+    {
+        let col = col.into_col();
         Pred::And(vec![
-            Pred::cmp_val(col, CmpKind::Ge, Value::I32(lo)),
-            Pred::cmp_val(col, CmpKind::Le, Value::I32(hi)),
+            Pred::Cmp {
+                col: col.clone(),
+                op: CmpKind::Ge,
+                rhs: CmpRhs::Const(lo),
+            },
+            Pred::Cmp {
+                col,
+                op: CmpKind::Le,
+                rhs: CmpRhs::Const(hi),
+            },
         ])
+    }
+    /// `lo <= col AND col <= hi` (BETWEEN) over i32.
+    pub fn between_i32(col: impl ColArg<C>, lo: i32, hi: i32) -> Pred<C>
+    where
+        C: Clone,
+    {
+        Pred::between(col, Value::I32(lo), Value::I32(hi))
     }
     /// `lo <= col AND col <= hi` over i64 (decimals ×100).
-    pub fn between_i64(col: usize, lo: i64, hi: i64) -> Pred {
-        Pred::And(vec![
-            Pred::cmp_val(col, CmpKind::Ge, Value::I64(lo)),
-            Pred::cmp_val(col, CmpKind::Le, Value::I64(hi)),
-        ])
+    pub fn between_i64(col: impl ColArg<C>, lo: i64, hi: i64) -> Pred<C>
+    where
+        C: Clone,
+    {
+        Pred::between(col, Value::I64(lo), Value::I64(hi))
     }
     /// String equality.
-    pub fn str_eq(col: usize, v: impl Into<String>) -> Pred {
+    pub fn str_eq(col: impl ColArg<C>, v: impl Into<String>) -> Pred<C> {
         Pred::cmp_val(col, CmpKind::Eq, Value::Str(v.into()))
+    }
+    /// `col LIKE pattern`.
+    pub fn like(col: impl ColArg<C>, pattern: impl Into<String>) -> Pred<C> {
+        Pred::Like {
+            col: col.into_col(),
+            pattern: pattern.into(),
+            negated: false,
+        }
+    }
+    /// `col NOT LIKE pattern`.
+    pub fn not_like(col: impl ColArg<C>, pattern: impl Into<String>) -> Pred<C> {
+        Pred::Like {
+            col: col.into_col(),
+            pattern: pattern.into(),
+            negated: true,
+        }
+    }
+    /// `col IN (values...)`.
+    pub fn in_str<S: Into<String>>(
+        col: impl ColArg<C>,
+        values: impl IntoIterator<Item = S>,
+    ) -> Pred<C> {
+        Pred::InStr {
+            col: col.into_col(),
+            values: values.into_iter().map(Into::into).collect(),
+        }
+    }
+
+    /// The same tree over another column reference type (see
+    /// [`Expr::try_map_cols`]): a comparison's column, then its right-hand
+    /// side.
+    pub fn try_map_cols<D, E>(&self, f: &mut impl FnMut(&C) -> Result<D, E>) -> Result<Pred<D>, E> {
+        let branches = |ps: &[Pred<C>], f: &mut _| {
+            ps.iter()
+                .map(|p| p.try_map_cols(f))
+                .collect::<Result<Vec<_>, E>>()
+        };
+        Ok(match self {
+            Pred::Cmp { col, op, rhs } => Pred::Cmp {
+                col: f(col)?,
+                op: *op,
+                rhs: match rhs {
+                    CmpRhs::Const(v) => CmpRhs::Const(v.clone()),
+                    CmpRhs::Col(other) => CmpRhs::Col(f(other)?),
+                },
+            },
+            Pred::Like {
+                col,
+                pattern,
+                negated,
+            } => Pred::Like {
+                col: f(col)?,
+                pattern: pattern.clone(),
+                negated: *negated,
+            },
+            Pred::InStr { col, values } => Pred::InStr {
+                col: f(col)?,
+                values: values.clone(),
+            },
+            Pred::And(ps) => Pred::And(branches(ps, f)?),
+            Pred::Or(ps) => Pred::Or(branches(ps, f)?),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// typing
+// ---------------------------------------------------------------------------
+
+/// Why a positional tree does not type against a schema. Converts into
+/// [`crate::plan::PlanError`] for the builder and into
+/// [`crate::VerifyError`] for the verifier.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TypeError {
+    /// A column index beyond the schema's arity.
+    ColumnOutOfRange {
+        /// The offending index.
+        col: usize,
+        /// The schema's arity.
+        arity: usize,
+    },
+    /// A column, constant or operand of the wrong type for its role.
+    Mismatch {
+        /// What was being typed (`comparison k lt const`).
+        context: String,
+        /// The type the role requires.
+        expected: String,
+        /// The type found.
+        found: DataType,
+    },
+    /// A structurally invalid tree (misplaced constant, empty `AND`).
+    Invalid(String),
+}
+
+fn mismatch<T>(context: String, expected: impl ToString, found: DataType) -> Result<T, TypeError> {
+    Err(TypeError::Mismatch {
+        context,
+        expected: expected.to_string(),
+        found,
+    })
+}
+
+fn col_type(schema: &Schema, col: usize) -> Result<DataType, TypeError> {
+    match schema.fields().get(col) {
+        Some(f) => Ok(f.ty),
+        None => Err(TypeError::ColumnOutOfRange {
+            col,
+            arity: schema.len(),
+        }),
+    }
+}
+
+impl Expr {
+    /// The expression's output type against `schema`, by the evaluator's
+    /// rules: constants only as the right operand of arithmetic, both
+    /// operands the same `i64`/`f64` type, casts numeric and widening,
+    /// `substr` over a string column.
+    pub fn type_of(&self, schema: &Schema) -> Result<DataType, TypeError> {
+        match self {
+            Expr::Col(c) => col_type(schema, *c),
+            Expr::Const(v) => Err(TypeError::Invalid(format!(
+                "constant {v:?} is only valid as the right-hand side of arithmetic \
+                 (write `col.sub(lit)`, not `lit.sub(col)`)"
+            ))),
+            Expr::Arith { op, lhs, rhs } => {
+                let lty = lhs.type_of(schema)?;
+                let rty = match rhs.as_ref() {
+                    Expr::Const(v) => v.data_type(),
+                    other => other.type_of(schema)?,
+                };
+                let context = || format!("{} operands", op.sig_name());
+                if lty != rty {
+                    mismatch(context(), lty, rty)
+                } else if lty != DataType::I64 && lty != DataType::F64 {
+                    mismatch(context(), "i64 or f64 (cast first)", lty)
+                } else {
+                    Ok(lty)
+                }
+            }
+            Expr::Cast { to, inner } => {
+                let ity = inner.type_of(schema)?;
+                let widening = matches!(
+                    (ity, *to),
+                    (DataType::I16, DataType::I32 | DataType::I64 | DataType::F64)
+                        | (DataType::I32, DataType::I64 | DataType::F64)
+                        | (DataType::I64, DataType::F64)
+                );
+                if widening {
+                    Ok(*to)
+                } else {
+                    mismatch(format!("cast to {to}"), "a narrower numeric type", ity)
+                }
+            }
+            Expr::Substr { col, .. } => match col_type(schema, *col)? {
+                DataType::Str => Ok(DataType::Str),
+                ty => mismatch(
+                    format!("substr({})", schema.field(*col).name),
+                    DataType::Str,
+                    ty,
+                ),
+            },
+        }
+    }
+}
+
+impl Pred {
+    /// Checks the predicate against `schema`, by the evaluator's rules: a
+    /// constant has exactly its column's type, a string column compares
+    /// by `=` / `!=` and against constants only, column-column comparisons
+    /// are same-typed, `LIKE` / `IN` take a string column, `AND` / `OR`
+    /// have branches.
+    pub fn check(&self, schema: &Schema) -> Result<(), TypeError> {
+        let name = |c: &usize| &schema.field(*c).name;
+        match self {
+            Pred::Cmp { col, op, rhs } => {
+                let cty = col_type(schema, *col)?;
+                let (what, rty, constant) = match rhs {
+                    CmpRhs::Const(v) => ("const", v.data_type(), true),
+                    CmpRhs::Col(other) => (name(other).as_str(), col_type(schema, *other)?, false),
+                };
+                let context = || format!("comparison {} {} {what}", name(col), op.sig_name());
+                if cty == DataType::Str && !(constant && matches!(op, CmpKind::Eq | CmpKind::Ne)) {
+                    let only = "a numeric column (strings compare by = and != with constants only)";
+                    mismatch(context(), only, cty)
+                } else if rty != cty {
+                    mismatch(context(), cty, rty)
+                } else {
+                    Ok(())
+                }
+            }
+            Pred::Like { col, .. } | Pred::InStr { col, .. } => match col_type(schema, *col)? {
+                DataType::Str => Ok(()),
+                ty => {
+                    let what = match self {
+                        Pred::Like { negated: false, .. } => "LIKE",
+                        Pred::Like { .. } => "NOT LIKE",
+                        _ => "IN",
+                    };
+                    mismatch(format!("{what} over {}", name(col)), DataType::Str, ty)
+                }
+            },
+            Pred::And(ps) | Pred::Or(ps) if ps.is_empty() => {
+                Err(TypeError::Invalid("empty AND / OR".into()))
+            }
+            Pred::And(ps) | Pred::Or(ps) => ps.iter().try_for_each(|p| p.check(schema)),
+        }
     }
 }
 
@@ -274,7 +537,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let e = Expr::mul(Expr::col(0), Expr::sub(Expr::i64(100), Expr::col(1)));
+        let e: Expr = Expr::Col(0).mul(lit_i64(100).sub(Expr::Col(1)));
         match e {
             Expr::Arith {
                 op: ArithKind::Mul,
@@ -296,32 +559,70 @@ mod tests {
 
     #[test]
     fn between_desugars_to_and() {
-        let p = Pred::between_i32(2, 10, 20);
-        match p {
-            Pred::And(v) => {
-                assert_eq!(v.len(), 2);
-                assert!(matches!(
-                    v[0],
-                    Pred::Cmp {
-                        op: CmpKind::Ge,
-                        ..
-                    }
-                ));
-                assert!(matches!(
-                    v[1],
-                    Pred::Cmp {
-                        op: CmpKind::Le,
-                        ..
-                    }
-                ));
-            }
-            _ => panic!("wrong shape"),
-        }
+        let p: Pred = Pred::between_i32(2, 10, 20);
+        assert_eq!(
+            p,
+            Pred::And(vec![
+                Pred::cmp_val(2, CmpKind::Ge, Value::I32(10)),
+                Pred::cmp_val(2, CmpKind::Le, Value::I32(20)),
+            ])
+        );
     }
 
     #[test]
     fn sig_names() {
         assert_eq!(ArithKind::Mul.sig_name(), "mul");
         assert_eq!(CmpKind::Ge.sig_name(), "ge");
+    }
+
+    /// One of every variant, `Like { negated: true }` and nested
+    /// `And`/`Or` included.
+    fn every_variant() -> (Expr<String>, Pred<String>) {
+        let e = Expr::Col("v".to_string())
+            .cast(DataType::F64)
+            .mul(lit_f64(2.0))
+            .add(Expr::Col("f".to_string()))
+            .div(
+                Expr::Substr {
+                    col: "s".to_string(),
+                    start: 1,
+                    len: 2,
+                }
+                .sub(Expr::Const(Value::Str("x".into()))),
+            );
+        let p = Pred::And(vec![
+            Pred::cmp_val("k", CmpKind::Lt, Value::I32(7)),
+            Pred::Or(vec![
+                Pred::cmp_col("v", CmpKind::Ne, "w"),
+                Pred::like("s", "a%"),
+                Pred::And(vec![
+                    Pred::not_like("s", "%z"),
+                    Pred::in_str("s", ["a", "b"]),
+                ]),
+            ]),
+        ]);
+        (e, p)
+    }
+
+    #[test]
+    fn try_map_cols_identity_law() {
+        let (e, p) = every_variant();
+        let mut id = |c: &String| Ok::<_, ()>(c.clone());
+        assert_eq!(e.try_map_cols(&mut id), Ok(e.clone()));
+        assert_eq!(p.try_map_cols(&mut id), Ok(p.clone()));
+        // Columns are visited left to right and the first failure wins.
+        let mut seen = Vec::new();
+        let stop = p.try_map_cols(&mut |c: &String| {
+            seen.push(c.clone());
+            if c == "w" {
+                Err("no w")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(
+            (stop, seen),
+            (Err("no w"), vec!["k".into(), "v".into(), "w".into()])
+        );
     }
 }

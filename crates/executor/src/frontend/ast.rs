@@ -1,11 +1,19 @@
-//! The typed abstract syntax tree of the query DSL.
+//! The abstract syntax tree of the query DSL.
 //!
-//! Every node that can fail resolution carries the [`Span`] of the text it
-//! came from, so both parse errors and plan errors point at the offending
+//! A query is a scan plus a pipeline of [`Stage`]s. Scalar expressions and
+//! predicates are the engine's own trees over column *names*
+//! ([`NamedExpr`], [`NamedPred`] — the very types the plan builder takes),
+//! with literals as written: `Value::I64`, `Value::F64` or `Value::Str`,
+//! coerced to the column type they meet when the query is compiled.
+//!
+//! Everything that can fail resolution has a [`Span`]: identifiers carry
+//! theirs, and the leaves of an expression or predicate (its column
+//! references and literals) keep theirs in a [`LeafSpans`] side table, in
+//! leaf order, so both parse errors and plan errors point at the offending
 //! characters. Spans are **diagnostic only**: they deliberately compare
-//! equal (`PartialEq` on [`Span`] is vacuous) so the parser round-trip
-//! property — `parse(display(ast)) == ast` — holds structurally even
-//! though re-rendered text has different offsets.
+//! equal (`PartialEq` on [`Span`] and [`LeafSpans`] is vacuous) so the
+//! parser round-trip property — `parse(display(ast)) == ast` — holds
+//! structurally even though re-rendered text has different offsets.
 //!
 //! [`Display`](std::fmt::Display) renders the canonical single-line form
 //! of a query; the parser accepts exactly that form back (plus redundant
@@ -14,7 +22,8 @@
 
 use ma_vector::DataType;
 
-use crate::expr::{ArithKind, CmpKind};
+use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::plan::{NamedExpr, NamedPred};
 
 /// A half-open byte range `start..end` into the query text.
 #[derive(Debug, Clone, Copy, Default, Eq)]
@@ -39,6 +48,26 @@ impl Span {
 /// source offsets are the same query, which is exactly what the
 /// round-trip property needs.
 impl PartialEq for Span {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The source spans of a tree's leaves — its column references and
+/// literals, left to right. Programmatically built trees (the fuzzer's
+/// generator) carry an empty table.
+#[derive(Debug, Clone, Default, Eq)]
+pub struct LeafSpans(pub Vec<Span>);
+
+impl LeafSpans {
+    /// The smallest span covering every leaf.
+    pub fn all(&self) -> Span {
+        self.0.iter().copied().reduce(Span::to).unwrap_or_default()
+    }
+}
+
+/// Diagnostics, not semantics — as for [`Span`].
+impl PartialEq for LeafSpans {
     fn eq(&self, _: &Self) -> bool {
         true
     }
@@ -122,101 +151,32 @@ impl std::fmt::Display for ColSpec {
     }
 }
 
-/// A literal value as written (type assignment happens at resolution,
-/// where integer literals coerce to the column type they meet).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Lit {
-    /// Integer literal (any width; coerced at resolution).
-    Int(i64),
-    /// Float literal.
-    Float(f64),
-    /// String literal.
-    Str(String),
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-impl std::fmt::Display for Lit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Lit::Int(v) => write!(f, "{v}"),
-            // `{:?}` prints the shortest digits that round-trip, and
-            // always marks the value as a float ("1.0", "1e-5").
-            Lit::Float(v) => write!(f, "{v:?}"),
-            Lit::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        _ => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
-        }
+/// A literal in the canonical text. After parsing only `I64`, `F64` and
+/// `Str` occur; the narrow integers render like `I64` would.
+fn lit(v: &Value) -> String {
+    match v {
+        Value::I16(v) => v.to_string(),
+        Value::I32(v) => v.to_string(),
+        Value::I64(v) => v.to_string(),
+        // `{:?}` prints the shortest digits that round-trip, and always
+        // marks the value as a float ("1.0", "1e-5").
+        Value::F64(v) => format!("{v:?}"),
+        Value::Str(s) => quoted(s),
     }
 }
 
-/// A scalar expression (the `select` surface).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExprAst {
-    /// Column reference.
-    Col(Ident),
-    /// Literal (valid only as the right operand of arithmetic).
-    Lit(Lit, Span),
-    /// Binary arithmetic.
-    Binary {
-        /// Operator.
-        op: ArithKind,
-        /// Left operand.
-        lhs: Box<ExprAst>,
-        /// Right operand.
-        rhs: Box<ExprAst>,
-    },
-    /// Widening cast, written `i32(e)` / `i64(e)` / `f64(e)`.
-    Cast {
-        /// Target type.
-        to: DataType,
-        /// Operand.
-        inner: Box<ExprAst>,
-        /// Span of the whole cast call.
-        span: Span,
-    },
-    /// `substr(col, start, len)`.
-    Substr {
-        /// String column.
-        col: Ident,
-        /// 0-based byte offset.
-        start: u64,
-        /// Byte length.
-        len: u64,
-        /// Span of the whole call.
-        span: Span,
-    },
-}
-
-impl ExprAst {
-    /// The span of the expression's text.
-    pub fn span(&self) -> Span {
-        match self {
-            ExprAst::Col(id) => id.span,
-            ExprAst::Lit(_, s) => *s,
-            ExprAst::Binary { lhs, rhs, .. } => lhs.span().to(rhs.span()),
-            ExprAst::Cast { span, .. } | ExprAst::Substr { span, .. } => *span,
-        }
-    }
-
-    fn prec(&self) -> u8 {
-        match self {
-            ExprAst::Binary {
-                op: ArithKind::Add | ArithKind::Sub,
-                ..
-            } => 1,
-            ExprAst::Binary {
-                op: ArithKind::Mul | ArithKind::Div,
-                ..
-            } => 2,
-            _ => 3,
-        }
+fn prec(e: &NamedExpr) -> u8 {
+    match e {
+        Expr::Arith {
+            op: ArithKind::Add | ArithKind::Sub,
+            ..
+        } => 1,
+        Expr::Arith { .. } => 2,
+        _ => 3,
     }
 }
 
@@ -229,29 +189,32 @@ fn arith_sym(op: ArithKind) -> &'static str {
     }
 }
 
-impl std::fmt::Display for ExprAst {
+/// The canonical DSL text of a scalar expression (the `select` surface):
+/// casts are written `i32(e)` / `i64(e)` / `f64(e)`, a literal is valid
+/// only as the right operand of arithmetic.
+impl std::fmt::Display for NamedExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExprAst::Col(id) => write!(f, "{id}"),
-            ExprAst::Lit(l, _) => write!(f, "{l}"),
-            ExprAst::Binary { op, lhs, rhs } => {
+            Expr::Col(name) => f.write_str(name),
+            Expr::Const(v) => f.write_str(&lit(v)),
+            Expr::Arith { op, lhs, rhs } => {
                 // Minimal parens: the tree is left-leaning after parsing,
                 // so the left child may share this precedence but the
                 // right child needs parens at equal precedence.
-                let p = self.prec();
-                if lhs.prec() < p {
+                let p = prec(self);
+                if prec(lhs) < p {
                     write!(f, "({lhs})")?;
                 } else {
                     write!(f, "{lhs}")?;
                 }
                 write!(f, " {} ", arith_sym(*op))?;
-                if rhs.prec() <= p {
+                if prec(rhs) <= p {
                     write!(f, "({rhs})")
                 } else {
                     write!(f, "{rhs}")
                 }
             }
-            ExprAst::Cast { to, inner, .. } => {
+            Expr::Cast { to, inner } => {
                 let name = match to {
                     DataType::I16 => "i16",
                     DataType::I32 => "i32",
@@ -261,85 +224,7 @@ impl std::fmt::Display for ExprAst {
                 };
                 write!(f, "{name}({inner})")
             }
-            ExprAst::Substr {
-                col, start, len, ..
-            } => {
-                write!(f, "substr({col}, {start}, {len})")
-            }
-        }
-    }
-}
-
-/// The right-hand side of a comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CmpRhsAst {
-    /// Literal, coerced to the column's type at resolution.
-    Lit(Lit, Span),
-    /// Another column (same type required).
-    Col(Ident),
-}
-
-impl std::fmt::Display for CmpRhsAst {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CmpRhsAst::Lit(l, _) => write!(f, "{l}"),
-            CmpRhsAst::Col(id) => write!(f, "{id}"),
-        }
-    }
-}
-
-/// A filter predicate (the `where` surface).
-///
-/// `And`/`Or` hold **two or more** branches and never nest the same
-/// variant directly (the parser flattens chains); the canonical rendering
-/// relies on both invariants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PredAst {
-    /// `col op rhs`.
-    Cmp {
-        /// Column.
-        col: Ident,
-        /// Comparison operator.
-        op: CmpKind,
-        /// Literal or column.
-        rhs: CmpRhsAst,
-    },
-    /// `col like "pat"` / `col not like "pat"` (`%` and `_` wildcards).
-    Like {
-        /// String column.
-        col: Ident,
-        /// Pattern.
-        pattern: String,
-        /// `not like`.
-        negated: bool,
-    },
-    /// `col in ("a", "b", ...)`.
-    InStr {
-        /// String column.
-        col: Ident,
-        /// Accepted values.
-        values: Vec<String>,
-    },
-    /// Conjunction.
-    And(Vec<PredAst>),
-    /// Disjunction.
-    Or(Vec<PredAst>),
-}
-
-impl PredAst {
-    /// The span of the predicate's text (anchored at column idents).
-    pub fn span(&self) -> Span {
-        match self {
-            PredAst::Cmp { col, rhs, .. } => match rhs {
-                CmpRhsAst::Lit(_, s) => col.span.to(*s),
-                CmpRhsAst::Col(c) => col.span.to(c.span),
-            },
-            PredAst::Like { col, .. } | PredAst::InStr { col, .. } => col.span,
-            PredAst::And(ps) | PredAst::Or(ps) => ps
-                .iter()
-                .map(PredAst::span)
-                .reduce(Span::to)
-                .unwrap_or_default(),
+            Expr::Substr { col, start, len } => write!(f, "substr({col}, {start}, {len})"),
         }
     }
 }
@@ -355,36 +240,46 @@ fn cmp_sym(op: CmpKind) -> &'static str {
     }
 }
 
-impl std::fmt::Display for PredAst {
+/// The canonical DSL text of a filter predicate (the `where` surface).
+/// The rendering relies on two invariants the parser establishes: `And` /
+/// `Or` hold **two or more** branches and never nest the same variant
+/// directly (chains are flattened).
+impl std::fmt::Display for NamedPred {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PredAst::Cmp { col, op, rhs } => write!(f, "{col} {} {rhs}", cmp_sym(*op)),
-            PredAst::Like {
+            Pred::Cmp { col, op, rhs } => {
+                write!(f, "{col} {} ", cmp_sym(*op))?;
+                match rhs {
+                    CmpRhs::Const(v) => f.write_str(&lit(v)),
+                    CmpRhs::Col(other) => f.write_str(other),
+                }
+            }
+            Pred::Like {
                 col,
                 pattern,
                 negated,
             } => {
                 let not = if *negated { "not " } else { "" };
-                write!(f, "{col} {not}like {}", Lit::Str(pattern.clone()))
+                write!(f, "{col} {not}like {}", quoted(pattern))
             }
-            PredAst::InStr { col, values } => {
+            Pred::InStr { col, values } => {
                 write!(f, "{col} in (")?;
                 for (i, v) in values.iter().enumerate() {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{}", Lit::Str(v.clone()))?;
+                    f.write_str(&quoted(v))?;
                 }
                 f.write_str(")")
             }
-            PredAst::And(ps) => {
+            Pred::And(ps) => {
                 // `and` binds tighter than `or`: direct `or` children need
                 // parens, atoms don't.
                 for (i, p) in ps.iter().enumerate() {
                     if i > 0 {
                         f.write_str(" and ")?;
                     }
-                    if matches!(p, PredAst::Or(_)) {
+                    if matches!(p, Pred::Or(_)) {
                         write!(f, "({p})")?;
                     } else {
                         write!(f, "{p}")?;
@@ -392,7 +287,7 @@ impl std::fmt::Display for PredAst {
                 }
                 Ok(())
             }
-            PredAst::Or(ps) => {
+            Pred::Or(ps) => {
                 for (i, p) in ps.iter().enumerate() {
                     if i > 0 {
                         f.write_str(" or ")?;
@@ -411,7 +306,9 @@ pub struct SelectItem {
     /// Output column name.
     pub name: Ident,
     /// Defining expression.
-    pub expr: ExprAst,
+    pub expr: NamedExpr,
+    /// Where the expression's leaves were written.
+    pub spans: LeafSpans,
 }
 
 impl std::fmt::Display for SelectItem {
@@ -505,8 +402,8 @@ impl std::fmt::Display for JoinKindAst {
 /// One pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stage {
-    /// `where <pred>`.
-    Where(PredAst),
+    /// `where <pred>`, with where the predicate's leaves were written.
+    Where(NamedPred, LeafSpans),
     /// `select name = expr, ...`.
     Select(Vec<SelectItem>),
     /// `keep [col, ...]` — reorder/drop/rename without computing.
@@ -538,7 +435,7 @@ pub enum Stage {
         /// `(probe, build)` key pairs.
         on: Vec<(Ident, Ident)>,
         /// Payload columns with per-column defaults for unmatched rows.
-        payload: Vec<(ColSpec, Lit)>,
+        payload: Vec<(ColSpec, Value)>,
     },
     /// `merge join (<query>) on right_key = left_key payload [cols]`.
     MergeJoin {
@@ -587,7 +484,7 @@ fn write_on(f: &mut std::fmt::Formatter<'_>, on: &[(Ident, Ident)]) -> std::fmt:
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Stage::Where(p) => write!(f, "where {p}"),
+            Stage::Where(p, _) => write!(f, "where {p}"),
             Stage::Select(items) => {
                 f.write_str("select ")?;
                 for (i, it) in items.iter().enumerate() {
@@ -637,7 +534,7 @@ impl std::fmt::Display for Stage {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{c} default {d}")?;
+                    write!(f, "{c} default {}", lit(d))?;
                 }
                 f.write_str("]")
             }
@@ -678,7 +575,7 @@ impl Stage {
     /// anchor): the span of the first identifier-ish token inside it.
     pub fn span(&self) -> Span {
         match self {
-            Stage::Where(p) => p.span(),
+            Stage::Where(_, spans) => spans.all(),
             Stage::Select(items) => items.first().map(|i| i.name.span).unwrap_or_default(),
             Stage::Keep(cols) => cols.first().map(|c| c.name.span).unwrap_or_default(),
             Stage::Agg { keys, aggs } => keys

@@ -1,16 +1,20 @@
-//! AST → [`PlanBuilder`] compilation (name/type resolution).
+//! AST → [`PlanBuilder`] compilation.
 //!
-//! The compiler walks the parsed [`Query`] stage by stage, peeking at the
-//! builder's schema between stages to:
+//! The parsed [`Query`] already holds the trees the builder takes, so the
+//! compiler walks it stage by stage and adds only what text needs, peeking
+//! at the builder's schema between stages to:
 //!
 //! * coerce integer literals to the column type they meet (`l_shipdate <=
 //!   19980902` compares an `i32` column against an `i32` value, with a
-//!   range check — the builder itself requires exact [`Value`] types);
+//!   range check — the builder itself requires exact [`Value`] types; in
+//!   arithmetic the type met is the left operand's, which the typing pass
+//!   answers);
 //! * pick the typed aggregate (`sum` over an `i64` column is `sum_i64`,
 //!   over `f64` is `sum_f64`);
 //! * attach a [`Span`] to every resolution failure, so a
 //!   [`FrontendError::Plan`] points at the offending text just like a
-//!   parse error does.
+//!   parse error does: every column is resolved, every literal coerced and
+//!   every comparison typed at the span its leaves were written at.
 //!
 //! Stats labels are generated automatically (`f0`, `p1`, `a2`, ... in
 //! stage order, one shared counter across subqueries) so DSL text stays
@@ -19,16 +23,14 @@
 
 use ma_vector::{DataType, Schema};
 
-use super::ast::{
-    AggFunc, AggItem, CmpRhsAst, ExprAst, JoinKindAst, Lit, PredAst, Query, SortKeyAst, Span, Stage,
-};
+use super::ast::{AggFunc, AggItem, JoinKindAst, Query, SortKeyAst, Span, Stage};
 use super::FrontendError;
-use crate::expr::{CmpKind, Value};
+use crate::expr::{CmpRhs, Expr, Pred, Value};
 use crate::ops::JoinKind;
 use crate::plan::expr::resolve_col;
 use crate::plan::{
-    asc, col, count, desc, lit_f64, lit_i64, max_f64, max_i64, min_f64, min_i64, substr, sum_f64,
-    sum_i64, Agg, Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError, SortSpec,
+    asc, count, desc, max_f64, max_i64, min_f64, min_i64, sum_f64, sum_i64, Agg, Catalog,
+    NamedExpr, NamedPred, PlanBuilder, PlanError, SortSpec,
 };
 
 /// Compiles a parsed query against `catalog` into a finished
@@ -98,15 +100,18 @@ fn compile_stage(
     let span = stage.span();
     let schema = schema_or(&pb);
     match stage {
-        Stage::Where(p) => {
-            let pred = compile_pred(p, &schema)?;
+        Stage::Where(p, spans) => {
+            let pred = compile_pred(p, &schema, &mut spans.0.iter().copied())?;
             let label = next_label(labels, "f");
             check(pb.filter(pred, &label), span)
         }
         Stage::Select(items) => {
             let mut out: Vec<(&str, NamedExpr)> = Vec::with_capacity(items.len());
             for it in items {
-                out.push((&it.name.name, compile_expr(&it.expr, &schema)?));
+                let expr = compile_expr(&it.expr, &schema, &mut it.spans.0.iter().copied())?;
+                expr.resolve(&schema)
+                    .or_else(|err| plan_err(err, it.spans.all()))?;
+                out.push((&it.name.name, expr));
             }
             let label = next_label(labels, "p");
             check(pb.project(out, &label), span)
@@ -164,14 +169,9 @@ fn compile_stage(
                 .collect();
             let mut specs: Vec<(String, Value)> = Vec::with_capacity(payload.len());
             for (c, d) in payload {
-                let i = resolve_col(&build_schema, &c.name.name).map_err(|err| {
-                    FrontendError::Plan {
-                        err,
-                        span: c.name.span,
-                    }
-                })?;
-                let ty = build_schema.field(i).ty;
-                let v = coerce_lit(d, ty, c.name.span, "left-single default")?;
+                let ty = col_type(&build_schema, &c.name.name, c.name.span)?;
+                let v = coerce_lit(d, ty, "left-single default")
+                    .or_else(|err| plan_err(err, c.name.span))?;
                 specs.push((c.spec(), v));
             }
             let refs: Vec<(&str, Value)> =
@@ -210,211 +210,119 @@ fn sort_specs(keys: &[SortKeyAst]) -> Vec<SortSpec> {
 // literals
 // ---------------------------------------------------------------------------
 
-/// Coerces a written literal to the column type it meets. Integer
-/// literals narrow with a range check; everything else must match.
-fn coerce_lit(lit: &Lit, ty: DataType, span: Span, ctx: &str) -> Result<Value, FrontendError> {
-    let mismatch = |found: DataType| {
-        plan_err(
-            PlanError::TypeMismatch {
-                context: ctx.to_string(),
-                expected: ty.to_string(),
-                found,
-            },
-            span,
-        )
+/// Coerces a written literal to the column type it meets: integer
+/// literals narrow with a range check and widen to `f64`. Anything else
+/// stays as written — whether it fits is the typing pass's verdict.
+fn coerce_lit(lit: &Value, ty: DataType, ctx: &str) -> Result<Value, PlanError> {
+    let narrowed = match (lit, ty) {
+        (Value::I64(v), DataType::I16) => i16::try_from(*v).map(Value::I16).ok(),
+        (Value::I64(v), DataType::I32) => i32::try_from(*v).map(Value::I32).ok(),
+        (Value::I64(v), DataType::F64) => Some(Value::F64(*v as f64)),
+        _ => Some(lit.clone()),
     };
-    match (lit, ty) {
-        (Lit::Int(v), DataType::I16) => match i16::try_from(*v) {
-            Ok(x) => Ok(Value::I16(x)),
-            Err(_) => plan_err(
-                PlanError::Invalid(format!(
-                    "literal {v} out of range for an i16 column ({ctx})"
-                )),
-                span,
-            ),
-        },
-        (Lit::Int(v), DataType::I32) => match i32::try_from(*v) {
-            Ok(x) => Ok(Value::I32(x)),
-            Err(_) => plan_err(
-                PlanError::Invalid(format!(
-                    "literal {v} out of range for an i32 column ({ctx})"
-                )),
-                span,
-            ),
-        },
-        (Lit::Int(v), DataType::I64) => Ok(Value::I64(*v)),
-        (Lit::Int(v), DataType::F64) => Ok(Value::F64(*v as f64)),
-        (Lit::Int(_), DataType::Str) => mismatch(DataType::I64),
-        (Lit::Float(v), DataType::F64) => Ok(Value::F64(*v)),
-        (Lit::Float(_), _) => mismatch(DataType::F64),
-        (Lit::Str(s), DataType::Str) => Ok(Value::Str(s.clone())),
-        (Lit::Str(_), _) => mismatch(DataType::Str),
+    narrowed.ok_or_else(|| {
+        PlanError::Invalid(format!(
+            "literal {lit:?} out of range for an {ty} column ({ctx})"
+        ))
+    })
+}
+
+/// The type of the column `name`, written at `span`, or its resolution
+/// failure there.
+fn col_type(schema: &Schema, name: &str, span: Span) -> Result<DataType, FrontendError> {
+    match resolve_col(schema, name) {
+        Ok(i) => Ok(schema.field(i).ty),
+        Err(err) => plan_err(err, span),
     }
 }
 
-// ---------------------------------------------------------------------------
-// predicates
-// ---------------------------------------------------------------------------
+/// The spans of a tree's leaves, in the order a walk meets them.
+type Leaves<'a> = dyn Iterator<Item = Span> + 'a;
 
-fn compile_pred(p: &PredAst, schema: &Schema) -> Result<NamedPred, FrontendError> {
-    match p {
-        PredAst::Cmp { col, op, rhs } => {
-            let i = resolve_col(schema, &col.name).map_err(|err| FrontendError::Plan {
-                err,
-                span: col.span,
-            })?;
-            let ty = schema.field(i).ty;
-            match rhs {
-                CmpRhsAst::Lit(lit, lspan) => {
-                    if ty == DataType::Str && !matches!(op, CmpKind::Eq | CmpKind::Ne) {
-                        return plan_err(
-                            PlanError::TypeMismatch {
-                                context: format!("ordering comparison on {}", col.name),
-                                expected: "a numeric column (strings support only = and !=)".into(),
-                                found: DataType::Str,
-                            },
-                            col.span.to(*lspan),
-                        );
-                    }
-                    let v = coerce_lit(
-                        lit,
-                        ty,
-                        col.span.to(*lspan),
-                        &format!("comparison on {}", col.name),
-                    )?;
-                    Ok(NamedPred::cmp_val(&col.name, *op, v))
-                }
-                CmpRhsAst::Col(other) => {
-                    let j =
-                        resolve_col(schema, &other.name).map_err(|err| FrontendError::Plan {
-                            err,
-                            span: other.span,
-                        })?;
-                    let oty = schema.field(j).ty;
-                    if oty != ty {
-                        return plan_err(
-                            PlanError::TypeMismatch {
-                                context: format!("comparison {} vs {}", col.name, other.name),
-                                expected: ty.to_string(),
-                                found: oty,
-                            },
-                            col.span.to(other.span),
-                        );
-                    }
-                    Ok(NamedPred::cmp_col(&col.name, *op, &other.name))
-                }
-            }
-        }
-        PredAst::Like {
-            col,
-            pattern,
-            negated,
-        } => {
-            if *negated {
-                Ok(NamedPred::not_like(&col.name, pattern))
-            } else {
-                Ok(NamedPred::like(&col.name, pattern))
-            }
-        }
-        PredAst::InStr { col, values } => Ok(NamedPred::in_str(&col.name, values.iter().cloned())),
-        PredAst::And(ps) => Ok(NamedPred::And(
-            ps.iter()
-                .map(|p| compile_pred(p, schema))
-                .collect::<Result<_, _>>()?,
-        )),
-        PredAst::Or(ps) => Ok(NamedPred::Or(
-            ps.iter()
-                .map(|p| compile_pred(p, schema))
-                .collect::<Result<_, _>>()?,
-        )),
-    }
+/// The next leaf's span (a programmatically built tree has none).
+fn next(leaves: &mut Leaves) -> Span {
+    leaves.next().unwrap_or_default()
 }
 
-// ---------------------------------------------------------------------------
-// expressions
-// ---------------------------------------------------------------------------
-
-/// Best-effort type of an expression (`None` defers the failure to the
-/// builder's own resolution). Mirrors the evaluator's rules: arithmetic
-/// carries its left operand's type, casts their target, `substr` is a
-/// string.
-fn infer_ty(e: &ExprAst, schema: &Schema) -> Option<DataType> {
-    match e {
-        ExprAst::Col(id) => schema.index_of(&id.name).map(|i| schema.field(i).ty),
-        ExprAst::Lit(Lit::Int(_), _) => Some(DataType::I64),
-        ExprAst::Lit(Lit::Float(_), _) => Some(DataType::F64),
-        ExprAst::Lit(Lit::Str(_), _) => Some(DataType::Str),
-        ExprAst::Binary { lhs, .. } => infer_ty(lhs, schema),
-        ExprAst::Cast { to, .. } => Some(*to),
-        ExprAst::Substr { .. } => Some(DataType::Str),
-    }
-}
-
-fn compile_expr(e: &ExprAst, schema: &Schema) -> Result<NamedExpr, FrontendError> {
-    match e {
-        ExprAst::Col(id) => {
-            // Pre-resolve for the span; the builder will resolve again.
-            resolve_col(schema, &id.name)
-                .map_err(|err| FrontendError::Plan { err, span: id.span })?;
-            Ok(col(&id.name))
-        }
-        ExprAst::Lit(_, span) => plan_err(
-            PlanError::Invalid(
-                "a bare literal is not a projection; combine it with a column".into(),
-            ),
-            *span,
-        ),
-        ExprAst::Binary { op, lhs, rhs } => {
-            if let ExprAst::Lit(_, lspan) = lhs.as_ref() {
-                return plan_err(
-                    PlanError::Invalid(
-                        "a literal may only be the right operand of arithmetic".into(),
-                    ),
-                    *lspan,
-                );
-            }
-            let l = compile_expr(lhs, schema)?;
-            let r = match rhs.as_ref() {
-                ExprAst::Lit(lit, lspan) => {
-                    // The evaluator needs both operands the same type:
-                    // coerce the literal to the left side's type.
-                    let lty = infer_ty(lhs, schema).unwrap_or(DataType::I64);
-                    match (lit, lty) {
-                        (Lit::Int(v), DataType::I64) => lit_i64(*v),
-                        (Lit::Int(v), DataType::F64) => lit_f64(*v as f64),
-                        (Lit::Float(v), DataType::F64) => lit_f64(*v),
-                        _ => {
-                            return plan_err(
-                                PlanError::TypeMismatch {
-                                    context: "arithmetic literal".into(),
-                                    expected: format!(
-                                        "a {lty} literal (arithmetic runs on i64/f64; cast first)"
-                                    ),
-                                    found: match lit {
-                                        Lit::Float(_) => DataType::F64,
-                                        Lit::Str(_) => DataType::Str,
-                                        Lit::Int(_) => DataType::I64,
-                                    },
-                                },
-                                *lspan,
-                            )
-                        }
-                    }
+/// A `where` predicate ready for the builder: every column resolved at
+/// its own span, every comparison literal coerced to its column's type,
+/// and every atom typed — by [`NamedPred::resolve`] — at the atom's span.
+fn compile_pred(
+    p: &NamedPred,
+    schema: &Schema,
+    leaves: &mut Leaves,
+) -> Result<NamedPred, FrontendError> {
+    let mut branches = |ps: &[NamedPred]| {
+        ps.iter()
+            .map(|p| compile_pred(p, schema, leaves))
+            .collect::<Result<_, _>>()
+    };
+    let (atom, span) = match p {
+        Pred::And(ps) => return Ok(Pred::And(branches(ps)?)),
+        Pred::Or(ps) => return Ok(Pred::Or(branches(ps)?)),
+        Pred::Cmp { col, op, rhs } => {
+            let cspan = next(leaves);
+            let ty = col_type(schema, col, cspan)?;
+            let rspan = next(leaves);
+            let span = cspan.to(rspan);
+            let rhs = match rhs {
+                CmpRhs::Const(lit) => {
+                    let ctx = format!("comparison on {col}");
+                    CmpRhs::Const(coerce_lit(lit, ty, &ctx).or_else(|err| plan_err(err, span))?)
                 }
-                other => compile_expr(other, schema)?,
+                CmpRhs::Col(other) => {
+                    col_type(schema, other, rspan)?;
+                    rhs.clone()
+                }
             };
-            Ok(match op {
-                crate::expr::ArithKind::Add => l.add(r),
-                crate::expr::ArithKind::Sub => l.sub(r),
-                crate::expr::ArithKind::Mul => l.mul(r),
-                crate::expr::ArithKind::Div => l.div(r),
-            })
+            let (col, op) = (col.clone(), *op);
+            (Pred::Cmp { col, op, rhs }, span)
         }
-        ExprAst::Cast { to, inner, .. } => Ok(compile_expr(inner, schema)?.cast(*to)),
-        ExprAst::Substr {
-            col: c, start, len, ..
-        } => Ok(substr(&c.name, *start as usize, *len as usize)),
-    }
+        Pred::Like { .. } | Pred::InStr { .. } => (p.clone(), next(leaves)),
+    };
+    atom.resolve(schema).or_else(|err| plan_err(err, span))?;
+    Ok(atom)
+}
+
+/// A `select` expression ready for the builder: every leaf resolved and
+/// typed at its own span, every arithmetic literal coerced to the type of
+/// the left operand it meets — asked of [`NamedExpr::resolve`]; what is
+/// wrong with an operand as a whole is left for the caller's resolution of
+/// the whole expression to report.
+fn compile_expr(
+    e: &NamedExpr,
+    schema: &Schema,
+    leaves: &mut Leaves,
+) -> Result<NamedExpr, FrontendError> {
+    Ok(match e {
+        Expr::Col(_) | Expr::Const(_) | Expr::Substr { .. } => {
+            let span = next(leaves);
+            e.resolve(schema).or_else(|err| plan_err(err, span))?;
+            e.clone()
+        }
+        Expr::Cast { to, inner } => compile_expr(inner, schema, leaves)?.cast(*to),
+        Expr::Arith { op, lhs, rhs } => {
+            let lhs = compile_expr(lhs, schema, leaves)?;
+            let rhs = match rhs.as_ref() {
+                Expr::Const(lit) => {
+                    let span = next(leaves);
+                    match lhs.resolve(schema) {
+                        Ok((_, lty)) => Expr::Const(
+                            coerce_lit(lit, lty, "arithmetic literal")
+                                .or_else(|err| plan_err(err, span))?,
+                        ),
+                        Err(_) => Expr::Const(lit.clone()),
+                    }
+                }
+                rhs => compile_expr(rhs, schema, leaves)?,
+            };
+            Expr::Arith {
+                op: *op,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+            }
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -425,9 +333,7 @@ fn compile_agg(a: &AggItem, schema: &Schema) -> Result<Agg, FrontendError> {
     let agg = match (a.func, &a.col) {
         (AggFunc::Count, _) => count(),
         (f, Some(c)) => {
-            let i = resolve_col(schema, &c.name)
-                .map_err(|err| FrontendError::Plan { err, span: c.span })?;
-            let ty = schema.field(i).ty;
+            let ty = col_type(schema, &c.name, c.span)?;
             let name = match f {
                 AggFunc::Sum => "sum",
                 AggFunc::Min => "min",

@@ -1,23 +1,29 @@
 //! Recursive-descent parser for the query DSL.
 //!
 //! The grammar is LL(1) over the token stream (see DESIGN.md §10 for the
-//! EBNF). The parser produces the typed AST of [`super::ast`]; all
-//! name/type resolution is left to [`super::compile`], so a parsed query
-//! is well-formed text, not yet a well-typed plan.
+//! EBNF). The parser produces the AST of [`super::ast`], whose expressions
+//! and predicates are the engine's own named trees with literals as
+//! written; all name/type resolution is left to [`super::compile`], so a
+//! parsed query is well-formed text, not yet a well-typed plan.
 
 use ma_vector::DataType;
 
 use super::ast::{
-    AggFunc, AggItem, CmpRhsAst, ColSpec, ExprAst, Ident, JoinKindAst, Lit, PredAst, Query,
-    SelectItem, SortKeyAst, Span, Stage,
+    AggFunc, AggItem, ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, SortKeyAst, Span,
+    Stage,
 };
 use super::lex::{lex, ParseError, ParseErrorKind, Token, TokenKind};
-use crate::expr::{ArithKind, CmpKind};
+use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::plan::{NamedExpr, NamedPred};
 
 /// Parses a complete query, rejecting trailing input.
 pub fn parse(text: &str) -> Result<Query, ParseError> {
     let toks = lex(text)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        leaves: Vec::new(),
+    };
     let q = p.query()?;
     if !matches!(p.peek().kind, TokenKind::Eof) {
         return Err(ParseError {
@@ -31,6 +37,10 @@ pub fn parse(text: &str) -> Result<Query, ParseError> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Spans of the leaves (column references and literals) of the
+    /// expression or predicate being parsed, in source order — which is
+    /// the tree's leaf order.
+    leaves: Vec<Span>,
 }
 
 impl Parser {
@@ -141,7 +151,8 @@ impl Parser {
         match &self.peek().kind {
             TokenKind::Keyword("where") => {
                 self.bump();
-                Ok(Stage::Where(self.pred()?))
+                let pred = self.pred()?;
+                Ok(Stage::Where(pred, self.take_leaves()))
             }
             TokenKind::Keyword("select") => {
                 self.bump();
@@ -285,7 +296,7 @@ impl Parser {
         Ok((probe, build))
     }
 
-    fn default_item(&mut self) -> Result<(ColSpec, Lit), ParseError> {
+    fn default_item(&mut self) -> Result<(ColSpec, Value), ParseError> {
         let col = self.colspec()?;
         self.eat_kw("default")?;
         let (lit, _) = self.literal()?;
@@ -296,7 +307,11 @@ impl Parser {
         let name = self.ident()?;
         self.eat_sym("=")?;
         let expr = self.expr()?;
-        Ok(SelectItem { name, expr })
+        Ok(SelectItem {
+            name,
+            expr,
+            spans: self.take_leaves(),
+        })
     }
 
     fn agg_item(&mut self) -> Result<AggItem, ParseError> {
@@ -352,17 +367,19 @@ impl Parser {
     }
 
     /// A literal, with optional leading `-` on numbers.
-    fn literal(&mut self) -> Result<(Lit, Span), ParseError> {
+    fn literal(&mut self) -> Result<(Value, Span), ParseError> {
         let neg = if self.at_sym("-") {
             Some(self.bump().span)
         } else {
             None
         };
         let t = self.peek().clone();
-        let lit = match t.kind {
-            TokenKind::Int(v) => Lit::Int(v),
-            TokenKind::Float(v) => Lit::Float(v),
-            TokenKind::Str(ref s) if neg.is_none() => Lit::Str(s.clone()),
+        let lit = match (t.kind, neg) {
+            (TokenKind::Int(v), None) => Value::I64(v),
+            (TokenKind::Int(v), Some(_)) => Value::I64(-v),
+            (TokenKind::Float(v), None) => Value::F64(v),
+            (TokenKind::Float(v), Some(_)) => Value::F64(-v),
+            (TokenKind::Str(s), None) => Value::Str(s),
             _ => return self.err("a literal"),
         };
         self.bump();
@@ -370,17 +387,30 @@ impl Parser {
             Some(s) => s.to(t.span),
             None => t.span,
         };
-        let lit = match (neg, lit) {
-            (Some(_), Lit::Int(v)) => Lit::Int(-v),
-            (Some(_), Lit::Float(v)) => Lit::Float(-v),
-            (_, l) => l,
-        };
         Ok((lit, span))
+    }
+
+    /// A column reference or literal of the tree being parsed: its span
+    /// joins the leaf table.
+    fn leaf_ident(&mut self) -> Result<String, ParseError> {
+        let id = self.ident()?;
+        self.leaves.push(id.span);
+        Ok(id.name)
+    }
+
+    fn leaf_literal(&mut self) -> Result<Value, ParseError> {
+        let (lit, span) = self.literal()?;
+        self.leaves.push(span);
+        Ok(lit)
+    }
+
+    fn take_leaves(&mut self) -> LeafSpans {
+        LeafSpans(std::mem::take(&mut self.leaves))
     }
 
     // -- predicates ---------------------------------------------------------
 
-    fn pred(&mut self) -> Result<PredAst, ParseError> {
+    fn pred(&mut self) -> Result<NamedPred, ParseError> {
         let first = self.and_pred()?;
         if !self.at_kw("or") {
             return Ok(first);
@@ -390,10 +420,10 @@ impl Parser {
             self.bump();
             branches.push(self.and_pred()?);
         }
-        Ok(PredAst::Or(branches))
+        Ok(Pred::Or(branches))
     }
 
-    fn and_pred(&mut self) -> Result<PredAst, ParseError> {
+    fn and_pred(&mut self) -> Result<NamedPred, ParseError> {
         let first = self.pred_atom()?;
         if !self.at_kw("and") {
             return Ok(first);
@@ -403,36 +433,26 @@ impl Parser {
             self.bump();
             branches.push(self.pred_atom()?);
         }
-        Ok(PredAst::And(branches))
+        Ok(Pred::And(branches))
     }
 
-    fn pred_atom(&mut self) -> Result<PredAst, ParseError> {
+    fn pred_atom(&mut self) -> Result<NamedPred, ParseError> {
         if self.at_sym("(") {
             self.bump();
             let p = self.pred()?;
             self.eat_sym(")")?;
             return Ok(p);
         }
-        let col = self.ident()?;
+        let col = self.leaf_ident()?;
         match &self.peek().kind {
             TokenKind::Keyword("like") => {
                 self.bump();
-                let pattern = self.str_lit()?;
-                Ok(PredAst::Like {
-                    col,
-                    pattern,
-                    negated: false,
-                })
+                Ok(Pred::like(col, self.str_lit()?))
             }
             TokenKind::Keyword("not") => {
                 self.bump();
                 self.eat_kw("like")?;
-                let pattern = self.str_lit()?;
-                Ok(PredAst::Like {
-                    col,
-                    pattern,
-                    negated: true,
-                })
+                Ok(Pred::not_like(col, self.str_lit()?))
             }
             TokenKind::Keyword("in") => {
                 self.bump();
@@ -443,7 +463,7 @@ impl Parser {
                     values.push(self.str_lit()?);
                 }
                 self.eat_sym(")")?;
-                Ok(PredAst::InStr { col, values })
+                Ok(Pred::InStr { col, values })
             }
             TokenKind::Sym(s) => {
                 let op = match *s {
@@ -457,13 +477,10 @@ impl Parser {
                 };
                 self.bump();
                 let rhs = match &self.peek().kind {
-                    TokenKind::Ident(_) => CmpRhsAst::Col(self.ident()?),
-                    _ => {
-                        let (lit, span) = self.literal()?;
-                        CmpRhsAst::Lit(lit, span)
-                    }
+                    TokenKind::Ident(_) => CmpRhs::Col(self.leaf_ident()?),
+                    _ => CmpRhs::Const(self.leaf_literal()?),
                 };
-                Ok(PredAst::Cmp { col, op, rhs })
+                Ok(Pred::Cmp { col, op, rhs })
             }
             _ => self.err("a comparison, `like`, `not like`, or `in`"),
         }
@@ -484,7 +501,7 @@ impl Parser {
 
     // -- expressions --------------------------------------------------------
 
-    fn expr(&mut self) -> Result<ExprAst, ParseError> {
+    fn expr(&mut self) -> Result<NamedExpr, ParseError> {
         let mut lhs = self.term()?;
         loop {
             let op = if self.at_sym("+") {
@@ -496,7 +513,7 @@ impl Parser {
             };
             self.bump();
             let rhs = self.term()?;
-            lhs = ExprAst::Binary {
+            lhs = Expr::Arith {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
@@ -504,7 +521,7 @@ impl Parser {
         }
     }
 
-    fn term(&mut self) -> Result<ExprAst, ParseError> {
+    fn term(&mut self) -> Result<NamedExpr, ParseError> {
         let mut lhs = self.factor()?;
         loop {
             let op = if self.at_sym("*") {
@@ -516,7 +533,7 @@ impl Parser {
             };
             self.bump();
             let rhs = self.factor()?;
-            lhs = ExprAst::Binary {
+            lhs = Expr::Arith {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
@@ -524,7 +541,7 @@ impl Parser {
         }
     }
 
-    fn factor(&mut self) -> Result<ExprAst, ParseError> {
+    fn factor(&mut self) -> Result<NamedExpr, ParseError> {
         match &self.peek().kind {
             TokenKind::Sym("(") => {
                 self.bump();
@@ -533,8 +550,7 @@ impl Parser {
                 Ok(e)
             }
             TokenKind::Sym("-") | TokenKind::Int(_) | TokenKind::Float(_) | TokenKind::Str(_) => {
-                let (lit, span) = self.literal()?;
-                Ok(ExprAst::Lit(lit, span))
+                Ok(Expr::Const(self.leaf_literal()?))
             }
             TokenKind::Keyword(k @ ("i32" | "i64" | "f64")) => {
                 let to = match *k {
@@ -542,41 +558,32 @@ impl Parser {
                     "i64" => DataType::I64,
                     _ => DataType::F64,
                 };
-                let start = self.bump().span;
+                self.bump();
                 self.eat_sym("(")?;
                 let inner = self.expr()?;
-                let end = self.eat_sym(")")?;
-                Ok(ExprAst::Cast {
-                    to,
-                    inner: Box::new(inner),
-                    span: start.to(end),
-                })
+                self.eat_sym(")")?;
+                Ok(inner.cast(to))
             }
             TokenKind::Keyword("substr") => {
-                let start = self.bump().span;
+                self.bump();
                 self.eat_sym("(")?;
-                let col = self.ident()?;
+                let col = self.leaf_ident()?;
                 self.eat_sym(",")?;
-                let s = self.uint()?;
+                let start = self.uint()?;
                 self.eat_sym(",")?;
-                let l = self.uint()?;
-                let end = self.eat_sym(")")?;
-                Ok(ExprAst::Substr {
-                    col,
-                    start: s,
-                    len: l,
-                    span: start.to(end),
-                })
+                let len = self.uint()?;
+                self.eat_sym(")")?;
+                Ok(Expr::Substr { col, start, len })
             }
-            TokenKind::Ident(_) => Ok(ExprAst::Col(self.ident()?)),
+            TokenKind::Ident(_) => Ok(Expr::Col(self.leaf_ident()?)),
             _ => self.err("an expression"),
         }
     }
 
-    fn uint(&mut self) -> Result<u64, ParseError> {
+    fn uint(&mut self) -> Result<usize, ParseError> {
         match &self.peek().kind {
-            TokenKind::Int(v) if *v >= 0 => {
-                let v = *v as u64;
+            TokenKind::Int(v) if usize::try_from(*v).is_ok() => {
+                let v = *v as usize;
                 self.bump();
                 Ok(v)
             }

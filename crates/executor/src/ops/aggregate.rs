@@ -1168,7 +1168,7 @@ mod tests {
             scan(50),
             vec![
                 ProjItem::Pass(0),
-                ProjItem::Expr(Expr::cast(DataType::F64, Expr::col(1))),
+                ProjItem::Expr(Expr::Col(1).cast(DataType::F64)),
             ],
             &c,
             "p",

@@ -93,7 +93,7 @@ impl Operator for Project {
 mod tests {
     use super::*;
     use crate::config::ExecConfig;
-    use crate::expr::{CmpKind, Pred, Value};
+    use crate::expr::{lit_i64, CmpKind, Pred, Value};
     use crate::ops::{collect, Scan, Select};
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, Table};
@@ -126,8 +126,8 @@ mod tests {
             scan(300),
             vec![
                 ProjItem::Pass(0),
-                ProjItem::Expr(Expr::mul(Expr::col(0), Expr::col(1))),
-                ProjItem::Expr(Expr::add(Expr::col(1), Expr::i64(5))),
+                ProjItem::Expr(Expr::Col(0).mul(Expr::Col(1))),
+                ProjItem::Expr(Expr::Col(1).add(lit_i64(5))),
             ],
             &c,
             "t",
@@ -153,7 +153,7 @@ mod tests {
         let sel = Select::new(scan(100), &pred, &c, "s").unwrap();
         let mut p = Project::new(
             Box::new(sel),
-            vec![ProjItem::Expr(Expr::mul(Expr::col(0), Expr::i64(3)))],
+            vec![ProjItem::Expr(Expr::Col(0).mul(lit_i64(3)))],
             &c,
             "p",
         )

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use ma_vector::{DataType, Field, Schema, Table};
 
-use crate::expr::Value;
+use crate::expr::{Expr, Value};
 use crate::ops::{JoinKind, ProjItem, SortKey};
 use crate::plan::expr::{resolve_col, Agg, NamedExpr, NamedPred, SortSpec};
 use crate::plan::{Catalog, LogicalPlan, PlanError};
@@ -172,7 +172,7 @@ impl PlanBuilder {
             let mut fields = Vec::with_capacity(items.len());
             for (name, expr) in &items {
                 match expr {
-                    NamedExpr::Col(c) => {
+                    Expr::Col(c) => {
                         let i = resolve_col(in_schema, c)?;
                         proj.push(ProjItem::Pass(i));
                         fields.push(Field::new(name, in_schema.field(i).ty));
@@ -543,7 +543,7 @@ impl PlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::expr::{asc, col, count, lit_i64, sum_i64};
+    use crate::plan::{asc, col, count, lit_i64, sum_i64};
     use crate::CmpKind;
     use ma_vector::ColumnBuilder;
     use std::collections::HashMap;

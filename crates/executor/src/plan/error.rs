@@ -9,6 +9,7 @@
 
 use ma_vector::DataType;
 
+use crate::expr::TypeError;
 use crate::ExecError;
 
 /// An error detected while building or resolving a [`crate::plan::LogicalPlan`].
@@ -64,6 +65,26 @@ impl std::fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+impl From<TypeError> for PlanError {
+    fn from(e: TypeError) -> Self {
+        match e {
+            TypeError::Mismatch {
+                context,
+                expected,
+                found,
+            } => PlanError::TypeMismatch {
+                context,
+                expected,
+                found,
+            },
+            TypeError::Invalid(m) => PlanError::Invalid(m),
+            TypeError::ColumnOutOfRange { col, arity } => {
+                PlanError::Invalid(format!("column {col} out of range (arity {arity})"))
+            }
+        }
+    }
+}
 
 impl From<PlanError> for ExecError {
     fn from(e: PlanError) -> Self {

@@ -339,9 +339,13 @@ pub(crate) fn render_pred(pred: &Pred, schema: &Schema) -> String {
             };
             format!("{lhs} {} {rhs}", cmp_symbol(*op))
         }
-        Pred::Like { col, pattern } => format!("{} LIKE '{pattern}'", schema.field(*col).name),
-        Pred::NotLike { col, pattern } => {
-            format!("{} NOT LIKE '{pattern}'", schema.field(*col).name)
+        Pred::Like {
+            col,
+            pattern,
+            negated,
+        } => {
+            let not = if *negated { "NOT " } else { "" };
+            format!("{} {not}LIKE '{pattern}'", schema.field(*col).name)
         }
         Pred::InStr { col, values } => {
             let vs: Vec<String> = values.iter().map(|v| format!("'{v}'")).collect();
@@ -395,8 +399,7 @@ pub(crate) fn render_expr(expr: &Expr, schema: &Schema) -> String {
 #[cfg(test)]
 mod tests {
     use crate::ops::JoinKind;
-    use crate::plan::expr::{asc, col, count, lit_f64, sum_f64};
-    use crate::plan::{NamedPred, PlanBuilder};
+    use crate::plan::{asc, col, count, lit_f64, sum_f64, NamedPred, PlanBuilder};
     use ma_vector::{ColumnBuilder, DataType, Table};
     use std::collections::HashMap;
     use std::sync::Arc;

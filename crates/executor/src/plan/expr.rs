@@ -1,400 +1,56 @@
 //! Named expressions, predicates, aggregates and sort keys.
 //!
-//! These mirror the positional ASTs of [`crate::expr`] but reference
-//! columns **by name**. The [`crate::plan::PlanBuilder`] resolves them
-//! against the input node's [`Schema`] while the plan is built, applying
-//! the same typing rules the expression compiler enforces
-//! ([`crate::eval`]), so every name/type mistake surfaces as a typed
-//! [`PlanError`] before an operator exists.
+//! Query authors reference columns **by name**: [`NamedExpr`] and
+//! [`NamedPred`] are the trees of [`crate::expr`] over `String` column
+//! references. The [`crate::plan::PlanBuilder`] resolves them against the
+//! input node's [`Schema`] while the plan is built — names become indices
+//! through [`Expr::try_map_cols`], then the positional tree goes through
+//! the one typing pass ([`Expr::type_of`], [`Pred::check`]) — so every
+//! name/type mistake surfaces as a typed [`PlanError`] before an operator
+//! exists.
 
 use ma_vector::{DataType, Schema};
 
-use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::expr::{Expr, Pred};
 use crate::ops::AggSpec;
 use crate::plan::PlanError;
 
 /// A projection expression over named columns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NamedExpr {
-    /// Input column by name.
-    Col(String),
-    /// A constant (valid only as the right-hand side of arithmetic, like
-    /// [`Expr::Const`]).
-    Const(Value),
-    /// Binary arithmetic; both sides must resolve to the same numeric
-    /// type (`i64` or `f64`).
-    Arith {
-        /// Operator.
-        op: ArithKind,
-        /// Left operand.
-        lhs: Box<NamedExpr>,
-        /// Right operand.
-        rhs: Box<NamedExpr>,
-    },
-    /// Numeric widening cast.
-    Cast {
-        /// Target type.
-        to: DataType,
-        /// Operand.
-        inner: Box<NamedExpr>,
-    },
-    /// `substring(col from start+1 for len)` over a string column.
-    Substr {
-        /// Column name.
-        col: String,
-        /// 0-based byte start.
-        start: usize,
-        /// Byte length.
-        len: usize,
-    },
-}
+pub type NamedExpr = Expr<String>;
+
+/// A selection predicate over named columns.
+pub type NamedPred = Pred<String>;
 
 /// Column reference by name — the entry point of most expressions.
 pub fn col(name: impl Into<String>) -> NamedExpr {
-    NamedExpr::Col(name.into())
-}
-
-/// i64 constant.
-pub fn lit_i64(v: i64) -> NamedExpr {
-    NamedExpr::Const(Value::I64(v))
-}
-
-/// f64 constant.
-pub fn lit_f64(v: f64) -> NamedExpr {
-    NamedExpr::Const(Value::F64(v))
+    Expr::Col(name.into())
 }
 
 /// `substring(col from start+1 for len)`.
 pub fn substr(name: impl Into<String>, start: usize, len: usize) -> NamedExpr {
-    NamedExpr::Substr {
+    Expr::Substr {
         col: name.into(),
         start,
         len,
     }
 }
 
-#[allow(clippy::should_implement_trait)] // builder fns (mirroring Expr), not operator impls
-impl NamedExpr {
-    fn arith(self, op: ArithKind, rhs: NamedExpr) -> NamedExpr {
-        NamedExpr::Arith {
-            op,
-            lhs: Box::new(self),
-            rhs: Box::new(rhs),
-        }
-    }
-    /// `self + rhs`.
-    pub fn add(self, rhs: NamedExpr) -> NamedExpr {
-        self.arith(ArithKind::Add, rhs)
-    }
-    /// `self - rhs`.
-    pub fn sub(self, rhs: NamedExpr) -> NamedExpr {
-        self.arith(ArithKind::Sub, rhs)
-    }
-    /// `self * rhs`.
-    pub fn mul(self, rhs: NamedExpr) -> NamedExpr {
-        self.arith(ArithKind::Mul, rhs)
-    }
-    /// `self / rhs`.
-    pub fn div(self, rhs: NamedExpr) -> NamedExpr {
-        self.arith(ArithKind::Div, rhs)
-    }
-    /// Numeric widening cast.
-    pub fn cast(self, to: DataType) -> NamedExpr {
-        NamedExpr::Cast {
-            to,
-            inner: Box::new(self),
-        }
-    }
-
+impl Expr<String> {
     /// Resolves against `schema`, returning the positional expression and
     /// its output type.
     pub(crate) fn resolve(&self, schema: &Schema) -> Result<(Expr, DataType), PlanError> {
-        match self {
-            NamedExpr::Col(name) => {
-                let i = resolve_col(schema, name)?;
-                Ok((Expr::Col(i), schema.field(i).ty))
-            }
-            // The expression compiler only accepts constants as the rhs of
-            // arithmetic (that position is special-cased below); reject
-            // every other use here so the mistake is a typed error at
-            // build(), not an ExecError at lowering.
-            NamedExpr::Const(v) => Err(PlanError::Invalid(format!(
-                "constant {v:?} is only valid as the right-hand side of arithmetic \
-                 (write `col.sub(lit)`, not `lit.sub(col)`)"
-            ))),
-            NamedExpr::Arith { op, lhs, rhs } => {
-                let (le, lty) = lhs.resolve(schema)?;
-                let (re, rty) = match rhs.as_ref() {
-                    NamedExpr::Const(v) => (Expr::Const(v.clone()), v.data_type()),
-                    other => other.resolve(schema)?,
-                };
-                if lty != rty {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("{} operands", op.sig_name()),
-                        expected: lty.to_string(),
-                        found: rty,
-                    });
-                }
-                if lty != DataType::I64 && lty != DataType::F64 {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("{} operands", op.sig_name()),
-                        expected: "i64 or f64 (cast first)".into(),
-                        found: lty,
-                    });
-                }
-                Ok((Expr::arith(*op, le, re), lty))
-            }
-            NamedExpr::Cast { to, inner } => {
-                let (ie, ity) = inner.resolve(schema)?;
-                let ok = matches!(
-                    (ity, *to),
-                    (DataType::I16, DataType::I32 | DataType::I64 | DataType::F64)
-                        | (DataType::I32, DataType::I64 | DataType::F64)
-                        | (DataType::I64, DataType::F64)
-                );
-                if !ok {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("cast to {to}"),
-                        expected: "a narrower numeric type".into(),
-                        found: ity,
-                    });
-                }
-                Ok((Expr::cast(*to, ie), *to))
-            }
-            NamedExpr::Substr { col, start, len } => {
-                let i = resolve_col(schema, col)?;
-                if schema.field(i).ty != DataType::Str {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("substr({col})"),
-                        expected: DataType::Str.to_string(),
-                        found: schema.field(i).ty,
-                    });
-                }
-                Ok((
-                    Expr::Substr {
-                        col: i,
-                        start: *start,
-                        len: *len,
-                    },
-                    DataType::Str,
-                ))
-            }
-        }
+        let e = self.try_map_cols(&mut |name| resolve_col(schema, name))?;
+        let ty = e.type_of(schema)?;
+        Ok((e, ty))
     }
 }
 
-/// A selection predicate over named columns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NamedPred {
-    /// `col op const` or `col op col`.
-    Cmp {
-        /// Left column name.
-        col: String,
-        /// Comparison operator.
-        op: CmpKind,
-        /// Right-hand side.
-        rhs: NamedCmpRhs,
-    },
-    /// `col LIKE pattern`.
-    Like {
-        /// String column name.
-        col: String,
-        /// LIKE pattern.
-        pattern: String,
-    },
-    /// `col NOT LIKE pattern`.
-    NotLike {
-        /// String column name.
-        col: String,
-        /// LIKE pattern.
-        pattern: String,
-    },
-    /// `col IN (strings...)`.
-    InStr {
-        /// String column name.
-        col: String,
-        /// Accepted values.
-        values: Vec<String>,
-    },
-    /// Conjunction (evaluated left to right).
-    And(Vec<NamedPred>),
-    /// Disjunction.
-    Or(Vec<NamedPred>),
-}
-
-/// Right-hand side of a named comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NamedCmpRhs {
-    /// Compare against a constant.
-    Const(Value),
-    /// Compare against another column.
-    Col(String),
-}
-
-impl NamedPred {
-    /// `col op const`.
-    pub fn cmp_val(col: impl Into<String>, op: CmpKind, v: Value) -> NamedPred {
-        NamedPred::Cmp {
-            col: col.into(),
-            op,
-            rhs: NamedCmpRhs::Const(v),
-        }
-    }
-    /// `col op other_col`.
-    pub fn cmp_col(col: impl Into<String>, op: CmpKind, other: impl Into<String>) -> NamedPred {
-        NamedPred::Cmp {
-            col: col.into(),
-            op,
-            rhs: NamedCmpRhs::Col(other.into()),
-        }
-    }
-    /// `lo <= col AND col <= hi` over i32.
-    pub fn between_i32(col: impl Into<String>, lo: i32, hi: i32) -> NamedPred {
-        let col = col.into();
-        NamedPred::And(vec![
-            NamedPred::cmp_val(col.clone(), CmpKind::Ge, Value::I32(lo)),
-            NamedPred::cmp_val(col, CmpKind::Le, Value::I32(hi)),
-        ])
-    }
-    /// `lo <= col AND col <= hi` over i64 (decimals ×100).
-    pub fn between_i64(col: impl Into<String>, lo: i64, hi: i64) -> NamedPred {
-        let col = col.into();
-        NamedPred::And(vec![
-            NamedPred::cmp_val(col.clone(), CmpKind::Ge, Value::I64(lo)),
-            NamedPred::cmp_val(col, CmpKind::Le, Value::I64(hi)),
-        ])
-    }
-    /// String equality.
-    pub fn str_eq(col: impl Into<String>, v: impl Into<String>) -> NamedPred {
-        NamedPred::cmp_val(col, CmpKind::Eq, Value::Str(v.into()))
-    }
-    /// `col LIKE pattern`.
-    pub fn like(col: impl Into<String>, pattern: impl Into<String>) -> NamedPred {
-        NamedPred::Like {
-            col: col.into(),
-            pattern: pattern.into(),
-        }
-    }
-    /// `col NOT LIKE pattern`.
-    pub fn not_like(col: impl Into<String>, pattern: impl Into<String>) -> NamedPred {
-        NamedPred::NotLike {
-            col: col.into(),
-            pattern: pattern.into(),
-        }
-    }
-    /// `col IN (values...)`.
-    pub fn in_str<S: Into<String>>(
-        col: impl Into<String>,
-        values: impl IntoIterator<Item = S>,
-    ) -> NamedPred {
-        NamedPred::InStr {
-            col: col.into(),
-            values: values.into_iter().map(Into::into).collect(),
-        }
-    }
-
+impl Pred<String> {
     /// Resolves against `schema`, producing a positional predicate.
     pub(crate) fn resolve(&self, schema: &Schema) -> Result<Pred, PlanError> {
-        match self {
-            NamedPred::Cmp { col, op, rhs } => {
-                let i = resolve_col(schema, col)?;
-                let cty = schema.field(i).ty;
-                match rhs {
-                    NamedCmpRhs::Const(v) => {
-                        if cty == DataType::Str {
-                            if !matches!(v, Value::Str(_)) {
-                                return Err(PlanError::TypeMismatch {
-                                    context: format!("comparison {col} {} const", op.sig_name()),
-                                    expected: DataType::Str.to_string(),
-                                    found: v.data_type(),
-                                });
-                            }
-                            if !matches!(op, CmpKind::Eq | CmpKind::Ne) {
-                                return Err(PlanError::Invalid(format!(
-                                    "string comparison {} unsupported on {col}",
-                                    op.sig_name()
-                                )));
-                            }
-                        } else if v.data_type() != cty {
-                            return Err(PlanError::TypeMismatch {
-                                context: format!("comparison {col} {} const", op.sig_name()),
-                                expected: cty.to_string(),
-                                found: v.data_type(),
-                            });
-                        }
-                        Ok(Pred::Cmp {
-                            col: i,
-                            op: *op,
-                            rhs: CmpRhs::Const(v.clone()),
-                        })
-                    }
-                    NamedCmpRhs::Col(other) => {
-                        let j = resolve_col(schema, other)?;
-                        let oty = schema.field(j).ty;
-                        if cty == DataType::Str || oty == DataType::Str {
-                            return Err(PlanError::TypeMismatch {
-                                context: format!("comparison {col} {} {other}", op.sig_name()),
-                                expected: "numeric columns".into(),
-                                found: DataType::Str,
-                            });
-                        }
-                        if cty != oty {
-                            return Err(PlanError::TypeMismatch {
-                                context: format!("comparison {col} {} {other}", op.sig_name()),
-                                expected: cty.to_string(),
-                                found: oty,
-                            });
-                        }
-                        Ok(Pred::Cmp {
-                            col: i,
-                            op: *op,
-                            rhs: CmpRhs::Col(j),
-                        })
-                    }
-                }
-            }
-            NamedPred::Like { col, pattern } => {
-                let i = resolve_str_col(schema, col, "LIKE")?;
-                Ok(Pred::Like {
-                    col: i,
-                    pattern: pattern.clone(),
-                })
-            }
-            NamedPred::NotLike { col, pattern } => {
-                let i = resolve_str_col(schema, col, "NOT LIKE")?;
-                Ok(Pred::NotLike {
-                    col: i,
-                    pattern: pattern.clone(),
-                })
-            }
-            NamedPred::InStr { col, values } => {
-                let i = resolve_str_col(schema, col, "IN")?;
-                Ok(Pred::InStr {
-                    col: i,
-                    values: values.clone(),
-                })
-            }
-            NamedPred::And(ps) => {
-                if ps.is_empty() {
-                    return Err(PlanError::Invalid("empty AND".into()));
-                }
-                Ok(Pred::And(
-                    ps.iter()
-                        .map(|p| p.resolve(schema))
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
-            NamedPred::Or(ps) => {
-                if ps.is_empty() {
-                    return Err(PlanError::Invalid("empty OR".into()));
-                }
-                Ok(Pred::Or(
-                    ps.iter()
-                        .map(|p| p.resolve(schema))
-                        .collect::<Result<_, _>>()?,
-                ))
-            }
-        }
+        let p = self.try_map_cols(&mut |name| resolve_col(schema, name))?;
+        p.check(schema)?;
+        Ok(p)
     }
 }
 
@@ -558,21 +214,10 @@ pub(crate) fn resolve_col(schema: &Schema, name: &str) -> Result<usize, PlanErro
         })
 }
 
-fn resolve_str_col(schema: &Schema, name: &str, what: &str) -> Result<usize, PlanError> {
-    let i = resolve_col(schema, name)?;
-    if schema.field(i).ty != DataType::Str {
-        return Err(PlanError::TypeMismatch {
-            context: format!("{what} over {name}"),
-            expected: DataType::Str.to_string(),
-            found: schema.field(i).ty,
-        });
-    }
-    Ok(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{lit_f64, lit_i64, CmpKind, Value};
     use ma_vector::Field;
 
     fn schema() -> Schema {
@@ -589,7 +234,7 @@ mod tests {
         let s = schema();
         let (e, ty) = col("v").mul(lit_i64(5)).resolve(&s).unwrap();
         assert_eq!(ty, DataType::I64);
-        assert!(matches!(e, Expr::Arith { .. }));
+        assert_eq!(e, Expr::Col(1).mul(lit_i64(5)));
         let (_, ty) = col("k").cast(DataType::F64).resolve(&s).unwrap();
         assert_eq!(ty, DataType::F64);
     }
@@ -617,7 +262,7 @@ mod tests {
     #[test]
     fn expr_unknown_column() {
         assert!(matches!(
-            col("nope").resolve(&schema()),
+            col("v").add(col("nope")).resolve(&schema()),
             Err(PlanError::UnknownColumn { .. })
         ));
     }
@@ -653,7 +298,7 @@ mod tests {
         let p = NamedPred::cmp_val("k", CmpKind::Lt, Value::I32(7))
             .resolve(&s)
             .unwrap();
-        assert!(matches!(p, Pred::Cmp { col: 0, .. }));
+        assert_eq!(p, Pred::cmp_val(0, CmpKind::Lt, Value::I32(7)));
         // const type must match the column type exactly
         assert!(matches!(
             NamedPred::cmp_val("k", CmpKind::Lt, Value::I64(7)).resolve(&s),
@@ -667,12 +312,20 @@ mod tests {
         // string ordering comparison unsupported
         assert!(matches!(
             NamedPred::cmp_val("s", CmpKind::Lt, Value::Str("x".into())).resolve(&s),
-            Err(PlanError::Invalid(_))
+            Err(PlanError::TypeMismatch {
+                found: DataType::Str,
+                ..
+            })
         ));
         // col-col across types
         assert!(matches!(
             NamedPred::cmp_col("k", CmpKind::Eq, "v").resolve(&s),
             Err(PlanError::TypeMismatch { .. })
+        ));
+        // an empty conjunction
+        assert!(matches!(
+            NamedPred::And(vec![]).resolve(&s),
+            Err(PlanError::Invalid(_))
         ));
     }
 

@@ -815,7 +815,7 @@ mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::ops::{collect, total_rows, JoinKind};
-    use crate::plan::expr::{asc, col, count, desc, lit_i64, sum_i64};
+    use crate::plan::{asc, col, count, desc, lit_i64, sum_i64};
     use crate::plan::{NamedPred, PlanBuilder};
     use crate::CmpKind;
     use ma_primitives::build_dictionary;

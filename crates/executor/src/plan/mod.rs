@@ -38,12 +38,13 @@ mod explain;
 pub(crate) mod expr;
 mod lower;
 
+pub use crate::expr::{lit_f64, lit_i64};
 pub use builder::PlanBuilder;
 pub use error::PlanError;
 pub use explain::explain_physical;
 pub use expr::{
-    asc, col, count, desc, lit_f64, lit_i64, max_f64, max_i64, min_f64, min_i64, substr, sum_f64,
-    sum_i64, Agg, NamedCmpRhs, NamedExpr, NamedPred, SortSpec,
+    asc, col, count, desc, max_f64, max_i64, min_f64, min_i64, substr, sum_f64, sum_i64, Agg,
+    NamedExpr, NamedPred, SortSpec,
 };
 pub(crate) use lower::plan_with_findings;
 pub use lower::{instantiate, lower, plan_physical, Exchange, NodeId, PhysNode, PhysicalPlan};

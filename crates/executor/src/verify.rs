@@ -9,8 +9,11 @@
 //! This module *re-checks* those invariants from scratch:
 //!
 //! 1. **Logical walk** ([`verify`], first phase): re-derives every node's
-//!    output schema bottom-up from expression/aggregate/join typing rules
-//!    and compares it against the schema the node declares; re-proves
+//!    output schema bottom-up — expressions and predicates through the one
+//!    typing pass the builder also runs ([`crate::Expr::type_of`],
+//!    [`crate::Pred::check`], exactly as strict as the evaluator),
+//!    aggregates and joins from rules of its own — and compares it against
+//!    the schema the node declares; re-proves
 //!    merge-join input sortedness structurally; enforces stats-label
 //!    uniqueness across instantiating nodes; rejects float partition
 //!    keys with a typed error instead of a worker-thread panic.
@@ -41,7 +44,7 @@ use ma_vector::{DataType, Schema};
 
 use crate::analyze::AnalysisError;
 use crate::config::ExecConfig;
-use crate::expr::{CmpRhs, Expr, Pred};
+use crate::expr::TypeError;
 use crate::ops::{AggSpec, JoinKind, ProjItem};
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::{plan_with_findings, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
@@ -75,6 +78,15 @@ pub enum VerifyError {
         expected: String,
         /// The type actually derived.
         found: DataType,
+    },
+    /// An expression or predicate tree no evaluator form exists for (a
+    /// constant outside the right-hand side of arithmetic, an empty
+    /// `AND`).
+    InvalidExpression {
+        /// Which node holds the tree.
+        context: String,
+        /// What is wrong with it.
+        reason: String,
     },
     /// A node's declared output schema disagrees with the schema the
     /// verifier re-derived from its inputs.
@@ -216,6 +228,7 @@ impl std::fmt::Display for VerifyError {
                 expected,
                 found,
             } => write!(f, "{context}: expected {expected}, found {found}"),
+            VerifyError::InvalidExpression { context, reason } => write!(f, "{context}: {reason}"),
             VerifyError::SchemaMismatch {
                 context,
                 declared,
@@ -415,107 +428,28 @@ fn note_label<'a>(labels: &mut HashSet<&'a str>, label: &'a str) -> Result<(), V
     Ok(())
 }
 
-/// Re-derives an expression's output type against `input`, enforcing the
-/// evaluator's typing rules (same-type numeric arithmetic, numeric-only
-/// casts, string-only substr).
-fn expr_type(e: &Expr, input: &Schema, context: &dyn Display) -> Result<DataType, VerifyError> {
-    match e {
-        Expr::Col(i) => col_ty(input, *i, context),
-        Expr::Const(v) => Ok(v.data_type()),
-        Expr::Arith { lhs, rhs, .. } => {
-            let lt = expr_type(lhs, input, context)?;
-            let rt = expr_type(rhs, input, context)?;
-            if lt != rt {
-                return Err(VerifyError::TypeMismatch {
-                    context: context.to_string(),
-                    expected: format!("matching arithmetic operand types (lhs is {lt})"),
-                    found: rt,
-                });
-            }
-            if !matches!(lt, DataType::I64 | DataType::F64) {
-                return Err(VerifyError::TypeMismatch {
-                    context: context.to_string(),
-                    expected: "i64 or f64 arithmetic operands".to_string(),
-                    found: lt,
-                });
-            }
-            Ok(lt)
-        }
-        Expr::Cast { to, inner } => {
-            let it = expr_type(inner, input, context)?;
-            if it == DataType::Str || *to == DataType::Str {
-                return Err(VerifyError::TypeMismatch {
-                    context: context.to_string(),
-                    expected: "numeric cast".to_string(),
-                    found: DataType::Str,
-                });
-            }
-            Ok(*to)
-        }
-        Expr::Substr { col, .. } => {
-            let t = col_ty(input, *col, context)?;
-            if t != DataType::Str {
-                return Err(VerifyError::TypeMismatch {
-                    context: context.to_string(),
-                    expected: "string column for substr".to_string(),
-                    found: t,
-                });
-            }
-            Ok(DataType::Str)
-        }
-    }
-}
-
-/// Checks a predicate tree's column references and type roles against
-/// `input`. Constant comparisons only require string/non-string agreement
-/// (the evaluator coerces numeric constant widths); column-column
-/// comparisons require exact type equality (they resolve to same-type
-/// primitives).
-fn check_pred(p: &Pred, input: &Schema, context: &dyn Display) -> Result<(), VerifyError> {
-    match p {
-        Pred::Cmp { col, rhs, .. } => {
-            let ct = col_ty(input, *col, context)?;
-            match rhs {
-                CmpRhs::Const(v) => {
-                    let vt = v.data_type();
-                    if (ct == DataType::Str) != (vt == DataType::Str) {
-                        return Err(VerifyError::TypeMismatch {
-                            context: context.to_string(),
-                            expected: format!("comparison constant compatible with {ct}"),
-                            found: vt,
-                        });
-                    }
-                }
-                CmpRhs::Col(o) => {
-                    let ot = col_ty(input, *o, context)?;
-                    if ot != ct {
-                        return Err(VerifyError::TypeMismatch {
-                            context: context.to_string(),
-                            expected: format!("column comparison against {ct}"),
-                            found: ot,
-                        });
-                    }
-                }
-            }
-            Ok(())
-        }
-        Pred::Like { col, .. } | Pred::NotLike { col, .. } | Pred::InStr { col, .. } => {
-            let t = col_ty(input, *col, context)?;
-            if t != DataType::Str {
-                return Err(VerifyError::TypeMismatch {
-                    context: context.to_string(),
-                    expected: "string column for LIKE/IN".to_string(),
-                    found: t,
-                });
-            }
-            Ok(())
-        }
-        Pred::And(parts) | Pred::Or(parts) => {
-            for part in parts {
-                check_pred(part, input, context)?;
-            }
-            Ok(())
-        }
+/// A failure of the shared typing pass ([`crate::Expr::type_of`],
+/// [`crate::Pred::check`]) at the node `context` names.
+fn typing(err: TypeError, context: &dyn Display) -> VerifyError {
+    match err {
+        TypeError::ColumnOutOfRange { col, arity } => VerifyError::ColumnOutOfRange {
+            context: context.to_string(),
+            col,
+            arity,
+        },
+        TypeError::Mismatch {
+            context: what,
+            expected,
+            found,
+        } => VerifyError::TypeMismatch {
+            context: format!("{context}: {what}"),
+            expected,
+            found,
+        },
+        TypeError::Invalid(reason) => VerifyError::InvalidExpression {
+            context: context.to_string(),
+            reason,
+        },
     }
 }
 
@@ -607,7 +541,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
         } => {
             check_plan(input, labels)?;
             let ctx = Ctx("filter", label);
-            check_pred(pred, input.schema(), &ctx)?;
+            pred.check(input.schema()).map_err(|e| typing(e, &ctx))?;
             expect_schema(&ctx, schema, schema_types(input.schema()))?;
             note_label(labels, label)
         }
@@ -626,7 +560,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
                     ProjItem::Pass(i) => col_ty(input.schema(), *i, &ctx)?,
                     ProjItem::Expr(e) => {
                         instantiates = true;
-                        expr_type(e, input.schema(), &ctx)?
+                        e.type_of(input.schema()).map_err(|e| typing(e, &ctx))?
                     }
                 });
             }

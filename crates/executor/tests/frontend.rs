@@ -207,11 +207,39 @@ fn type_mismatch_is_typed_and_spanned() {
     assert_eq!(&text[span.start..span.end], "s");
 }
 
+/// A column inside `like` / `not like` / `in` is spanned at its own
+/// identifier, wherever in a compound predicate it sits.
+#[test]
+fn like_and_in_columns_are_spanned_inside_compound_predicates() {
+    let text = "from t [id, k] | where k < 5 and missing like \"x%\"";
+    let (err, span) = plan_err(text);
+    assert!(matches!(err, PlanError::UnknownColumn { .. }), "{err:?}");
+    assert_eq!(&text[span.start..span.end], "missing");
+
+    let text = "from t [id, k] | where k < 5 and k like \"x%\"";
+    let (err, span) = plan_err(text);
+    match &err {
+        PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::I32),
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    }
+    assert_eq!((span.start, &text[span.start..span.end]), (33, "k"));
+
+    let text = "from t [id, k] | where k < 5 and id in (\"a\")";
+    let (err, span) = plan_err(text);
+    match &err {
+        PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::I64),
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    }
+    assert_eq!(&text[span.start..span.end], "id");
+}
+
 #[test]
 fn out_of_range_literal_is_rejected() {
     // k is i32; this literal does not fit.
-    let (err, _) = plan_err("from t [id, k] | where k < 99999999999");
+    let text = "from t [id, k] | where k < 99999999999";
+    let (err, span) = plan_err(text);
     assert!(matches!(err, PlanError::Invalid(_)), "{err:?}");
+    assert_eq!(&text[span.start..span.end], "k < 99999999999");
 }
 
 #[test]

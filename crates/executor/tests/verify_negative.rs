@@ -13,10 +13,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ma_executor::ops::{AggSpec, ProjItem, SortKey};
+use ma_executor::plan::lit_i64;
 use ma_executor::plan::PlanBuilder;
 use ma_executor::{
-    plan_physical, verify, verify_physical, Exchange, ExecConfig, LogicalPlan, PhysicalPlan, Pred,
-    VerifyError,
+    plan_physical, verify, verify_physical, CmpKind, Exchange, ExecConfig, Expr, LogicalPlan,
+    PhysicalPlan, Pred, Value, VerifyError,
 };
 use ma_vector::{ColumnBuilder, DataType, Field, Schema, Table};
 
@@ -214,6 +215,84 @@ fn column_out_of_range_rejected() {
             col: 9, arity: 3, ..
         }) => {}
         other => panic!("expected ColumnOutOfRange, got {other:?}"),
+    }
+}
+
+/// Phase 1 types expressions and predicates with the builder's own pass,
+/// so it is exactly as strict as the evaluator: each of these plans got
+/// `Ok` from a verifier with typing rules of its own and then failed in
+/// `instantiate`.
+#[test]
+fn predicates_the_evaluator_rejects_are_rejected() {
+    let c = catalog(100);
+    let scan = || {
+        PlanBuilder::scan(&c, "t", &["id", "k", "f", "s"])
+            .build()
+            .unwrap()
+    };
+    let filter = |pred: Pred| {
+        let input = scan();
+        let schema = input.schema().clone();
+        LogicalPlan::Filter {
+            input: Box::new(input),
+            pred,
+            label: "sel".to_string(),
+            schema,
+        }
+    };
+    let mismatch = |pred: Pred, found: DataType| match verify(&filter(pred), &cfg()) {
+        Err(VerifyError::TypeMismatch {
+            context, found: f, ..
+        }) => {
+            assert!(context.starts_with("filter \"sel\": "), "{context}");
+            assert_eq!(f, found, "{context}");
+        }
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    };
+    // A numeric constant of another width than its column.
+    mismatch(Pred::cmp_val(1, CmpKind::Lt, Value::I64(3)), DataType::I64);
+    // An ordering comparison on a string column.
+    mismatch(
+        Pred::cmp_val(3, CmpKind::Lt, Value::Str("m".into())),
+        DataType::Str,
+    );
+    // A string column compared with a column.
+    mismatch(Pred::cmp_col(3, CmpKind::Eq, 3), DataType::Str);
+    // An empty conjunction.
+    match verify(&filter(Pred::And(vec![])), &cfg()) {
+        Err(VerifyError::InvalidExpression { .. }) => {}
+        other => panic!("expected InvalidExpression, got {other:?}"),
+    }
+}
+
+#[test]
+fn expressions_the_evaluator_rejects_are_rejected() {
+    let c = catalog(100);
+    let project = |e: Expr, ty: DataType| LogicalPlan::Project {
+        input: Box::new(base_scan(&c)),
+        items: vec![ProjItem::Expr(e)],
+        label: "proj".to_string(),
+        schema: Schema::new(vec![Field::new("x", ty)]),
+    };
+    // Narrowing and identity casts.
+    for to in [DataType::I32, DataType::I64] {
+        match verify(&project(Expr::Col(0).cast(to), to), &cfg()) {
+            Err(VerifyError::TypeMismatch {
+                found: DataType::I64,
+                ..
+            }) => {}
+            other => panic!("expected TypeMismatch, got {other:?}"),
+        }
+    }
+    // A constant as the left operand of arithmetic, and as a bare
+    // projection.
+    for e in [lit_i64(1).sub(Expr::Col(0)), lit_i64(1)] {
+        match verify(&project(e, DataType::I64), &cfg()) {
+            Err(VerifyError::InvalidExpression { context, .. }) => {
+                assert_eq!(context, "project \"proj\"");
+            }
+            other => panic!("expected InvalidExpression, got {other:?}"),
+        }
     }
 }
 

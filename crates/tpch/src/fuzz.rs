@@ -31,12 +31,14 @@ use std::sync::Arc;
 
 use ma_core::{PrimitiveDictionary, SplitMix64};
 use ma_executor::frontend::ast::{
-    AggFunc, AggItem, CmpRhsAst, ColSpec, ExprAst, Ident, JoinKindAst, Lit, PredAst, Query,
-    SelectItem, SortKeyAst, Span, Stage,
+    AggFunc, AggItem, ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, SortKeyAst, Stage,
 };
 use ma_executor::frontend::{self, parse};
 use ma_executor::ops::FrozenStore;
-use ma_executor::{lower, verify, ArithKind, CmpKind, DecodeMode, ExecConfig, QueryContext};
+use ma_executor::plan::{col, lit_f64, lit_i64, substr, NamedExpr, NamedPred};
+use ma_executor::{
+    lower, verify, ArithKind, CmpKind, DecodeMode, ExecConfig, Expr, Pred, QueryContext, Value,
+};
 use ma_primitives::build_dictionary;
 use ma_vector::{DataType, Vector};
 
@@ -625,9 +627,9 @@ fn shrink_candidates(q: &Query) -> Vec<Query> {
             out.push(c);
         };
         match st {
-            Stage::Where(PredAst::And(ps)) | Stage::Where(PredAst::Or(ps)) => {
+            Stage::Where(Pred::And(ps) | Pred::Or(ps), _) => {
                 for p in ps {
-                    replace(Stage::Where(p.clone()));
+                    replace(Stage::Where(p.clone(), LeafSpans::default()));
                 }
             }
             Stage::Select(items) if items.len() > 1 => {
@@ -842,16 +844,16 @@ impl Gen<'_> {
 
     /// A literal sampled from the column's actual data (a random row),
     /// so predicates hit real values.
-    fn sample_lit(&mut self, table: &str, col: &str) -> Lit {
+    fn sample_lit(&mut self, table: &str, col: &str) -> Value {
         let t = self.db.table(table).expect("generator table");
         let c = t.column(col).expect("generator column");
         let r = self.rng.gen_range(t.rows());
         match c.slice_vector(r, 1) {
-            Vector::I16(v) => Lit::Int(v[0] as i64),
-            Vector::I32(v) => Lit::Int(v[0] as i64),
-            Vector::I64(v) => Lit::Int(v[0]),
-            Vector::F64(v) => Lit::Float(v[0]),
-            Vector::Str(s) => Lit::Str(s.get(0).to_string()),
+            Vector::I16(v) => Value::I64(v[0] as i64),
+            Vector::I32(v) => Value::I64(v[0] as i64),
+            Vector::I64(v) => Value::I64(v[0]),
+            Vector::F64(v) => Value::F64(v[0]),
+            Vector::Str(s) => Value::Str(s.get(0).to_string()),
         }
     }
 
@@ -950,7 +952,7 @@ impl Gen<'_> {
             .map(|(_, k)| *k)
             .expect("weights cover the roll");
         match kind {
-            0 => Some(Stage::Where(self.pred(cols))),
+            0 => Some(Stage::Where(self.pred(cols), LeafSpans::default())),
             1 => Some(self.select(cols)),
             2 => Some(self.keep(cols)),
             3 => Some(self.agg(cols)),
@@ -985,27 +987,23 @@ impl Gen<'_> {
         None
     }
 
-    fn pred(&mut self, cols: &[GenCol]) -> PredAst {
+    fn pred(&mut self, cols: &[GenCol]) -> NamedPred {
         match self.rng.gen_range(10) {
             0..=5 => self.atom(cols),
-            6 | 7 => PredAst::And(vec![self.atom(cols), self.atom(cols)]),
-            8 => PredAst::Or(vec![self.atom(cols), self.atom(cols)]),
-            _ => PredAst::And(vec![
+            6 | 7 => Pred::And(vec![self.atom(cols), self.atom(cols)]),
+            8 => Pred::Or(vec![self.atom(cols), self.atom(cols)]),
+            _ => Pred::And(vec![
                 self.atom(cols),
-                PredAst::Or(vec![self.atom(cols), self.atom(cols)]),
+                Pred::Or(vec![self.atom(cols), self.atom(cols)]),
             ]),
         }
     }
 
-    fn atom(&mut self, cols: &[GenCol]) -> PredAst {
+    fn atom(&mut self, cols: &[GenCol]) -> NamedPred {
         // Column-vs-column comparison ~20% of the time when possible.
         if self.chance(0.2) {
             if let Some((i, j)) = self.col_pair(cols) {
-                return PredAst::Cmp {
-                    col: Ident::synth(&cols[i].name),
-                    op: self.cmp_op(),
-                    rhs: CmpRhsAst::Col(Ident::synth(&cols[j].name)),
-                };
+                return Pred::cmp_col(&cols[i].name, self.cmp_op(), &cols[j].name);
             }
         }
         let based: Vec<&GenCol> = cols.iter().filter(|c| c.base.is_some()).collect();
@@ -1016,54 +1014,42 @@ impl Gen<'_> {
             let nums: Vec<&GenCol> = cols.iter().filter(|c| c.ty != DataType::Str).collect();
             let c = nums[self.rng.gen_range(nums.len())];
             let lit = match c.ty {
-                DataType::F64 => Lit::Float([0.0, 1.0, 100.0][self.rng.gen_range(3)]),
-                _ => Lit::Int([0, 1, 7, 100][self.rng.gen_range(4)]),
+                DataType::F64 => Value::F64([0.0, 1.0, 100.0][self.rng.gen_range(3)]),
+                _ => Value::I64([0, 1, 7, 100][self.rng.gen_range(4)]),
             };
-            return PredAst::Cmp {
-                col: Ident::synth(&c.name),
-                op: self.cmp_op(),
-                rhs: CmpRhsAst::Lit(lit, Span::default()),
-            };
+            return Pred::cmp_val(&c.name, self.cmp_op(), lit);
         }
         let c = based[self.rng.gen_range(based.len())].clone();
         let (table, src) = c.base.as_ref().expect("filtered to based");
         let lit = self.sample_lit(table, src);
         if c.ty == DataType::Str {
-            let Lit::Str(s) = &lit else {
+            let Value::Str(s) = &lit else {
                 unreachable!("string column samples a string")
             };
             match self.rng.gen_range(4) {
-                0 => PredAst::Like {
-                    col: Ident::synth(&c.name),
+                0 => Pred::Like {
+                    col: c.name.clone(),
                     pattern: format!("{}%", s.chars().take(3).collect::<String>()),
                     negated: self.chance(0.3),
                 },
                 1 => {
                     let extra = self.sample_lit(table, src);
-                    let Lit::Str(s2) = extra else {
+                    let Value::Str(s2) = extra else {
                         unreachable!("string column samples a string")
                     };
-                    PredAst::InStr {
-                        col: Ident::synth(&c.name),
-                        values: vec![s.clone(), s2],
-                    }
+                    Pred::in_str(&c.name, [s.clone(), s2])
                 }
-                _ => PredAst::Cmp {
-                    col: Ident::synth(&c.name),
-                    op: if self.chance(0.5) {
+                _ => {
+                    let op = if self.chance(0.5) {
                         CmpKind::Eq
                     } else {
                         CmpKind::Ne
-                    },
-                    rhs: CmpRhsAst::Lit(lit, Span::default()),
-                },
+                    };
+                    Pred::cmp_val(&c.name, op, lit)
+                }
             }
         } else {
-            PredAst::Cmp {
-                col: Ident::synth(&c.name),
-                op: self.cmp_op(),
-                rhs: CmpRhsAst::Lit(lit, Span::default()),
-            }
+            Pred::cmp_val(&c.name, self.cmp_op(), lit)
         }
     }
 
@@ -1086,7 +1072,8 @@ impl Gen<'_> {
             .iter()
             .map(|&i| SelectItem {
                 name: Ident::synth(&cols[i].name),
-                expr: ExprAst::Col(Ident::synth(&cols[i].name)),
+                expr: col(&cols[i].name),
+                spans: LeafSpans::default(),
             })
             .collect();
         let mut out: Vec<GenCol> = pass_idx.iter().map(|&i| cols[i].clone()).collect();
@@ -1106,12 +1093,8 @@ impl Gen<'_> {
                 let name = self.fresh("e");
                 items.push(SelectItem {
                     name: Ident::synth(&name),
-                    expr: ExprAst::Substr {
-                        col: Ident::synth(&c.name),
-                        start: self.rng.gen_range(4) as u64,
-                        len: 1 + self.rng.gen_range(6) as u64,
-                        span: Span::default(),
-                    },
+                    expr: substr(&c.name, self.rng.gen_range(4), 1 + self.rng.gen_range(6)),
+                    spans: LeafSpans::default(),
                 });
                 out.push(GenCol {
                     name,
@@ -1126,6 +1109,7 @@ impl Gen<'_> {
                 items.push(SelectItem {
                     name: Ident::synth(&name),
                     expr,
+                    spans: LeafSpans::default(),
                 });
                 out.push(GenCol {
                     name,
@@ -1144,23 +1128,16 @@ impl Gen<'_> {
     /// stay small, division is by a nonzero literal only (no NaN, no
     /// divide-by-zero trap) — divergences should come from the engine,
     /// not from undefined arithmetic.
-    fn num_expr(&mut self, c: &GenCol, nums: &[GenCol]) -> (ExprAst, DataType) {
-        let base = ExprAst::Col(Ident::synth(&c.name));
+    fn num_expr(&mut self, c: &GenCol, nums: &[GenCol]) -> (NamedExpr, DataType) {
+        let base = col(&c.name);
         let (mut expr, ty) = match c.ty {
             DataType::I64 => (base, DataType::I64),
-            DataType::I16 | DataType::I32 => (
-                ExprAst::Cast {
-                    to: DataType::I64,
-                    inner: Box::new(base),
-                    span: Span::default(),
-                },
-                DataType::I64,
-            ),
+            DataType::I16 | DataType::I32 => (base.cast(DataType::I64), DataType::I64),
             _ => (base, DataType::F64),
         };
         for _ in 0..self.range(1, 2) {
             let (op, rhs) = self.arith_rhs(ty, nums);
-            expr = ExprAst::Binary {
+            expr = Expr::Arith {
                 op,
                 lhs: Box::new(expr),
                 rhs: Box::new(rhs),
@@ -1169,20 +1146,13 @@ impl Gen<'_> {
         // Cast the finished integer expression to f64 sometimes, for
         // float pipeline coverage downstream.
         if ty == DataType::I64 && self.chance(0.25) {
-            (
-                ExprAst::Cast {
-                    to: DataType::F64,
-                    inner: Box::new(expr),
-                    span: Span::default(),
-                },
-                DataType::F64,
-            )
+            (expr.cast(DataType::F64), DataType::F64)
         } else {
             (expr, ty)
         }
     }
 
-    fn arith_rhs(&mut self, ty: DataType, nums: &[GenCol]) -> (ArithKind, ExprAst) {
+    fn arith_rhs(&mut self, ty: DataType, nums: &[GenCol]) -> (ArithKind, NamedExpr) {
         // Column rhs (same evaluated type) ~25% of the time; only for
         // add/sub so products cannot overflow i64.
         if self.chance(0.25) {
@@ -1203,41 +1173,29 @@ impl Gen<'_> {
                 } else {
                     ArithKind::Sub
                 };
-                let col = ExprAst::Col(Ident::synth(&c.name));
                 let rhs = if ty == DataType::I64 && c.ty != DataType::I64 {
-                    ExprAst::Cast {
-                        to: DataType::I64,
-                        inner: Box::new(col),
-                        span: Span::default(),
-                    }
+                    col(&c.name).cast(DataType::I64)
                 } else {
-                    col
+                    col(&c.name)
                 };
                 return (op, rhs);
             }
         }
-        let (op, lit) = if ty == DataType::F64 {
+        if ty == DataType::F64 {
             match self.rng.gen_range(4) {
-                0 => (ArithKind::Add, Lit::Float(1.5)),
-                1 => (ArithKind::Sub, Lit::Float(100.0)),
-                2 => (ArithKind::Mul, Lit::Float(0.01)),
-                _ => (ArithKind::Div, Lit::Float(4.0)),
+                0 => (ArithKind::Add, lit_f64(1.5)),
+                1 => (ArithKind::Sub, lit_f64(100.0)),
+                2 => (ArithKind::Mul, lit_f64(0.01)),
+                _ => (ArithKind::Div, lit_f64(4.0)),
             }
         } else {
             match self.rng.gen_range(4) {
-                0 => (
-                    ArithKind::Add,
-                    Lit::Int(1 + self.rng.gen_range(1000) as i64),
-                ),
-                1 => (
-                    ArithKind::Sub,
-                    Lit::Int(1 + self.rng.gen_range(1000) as i64),
-                ),
-                2 => (ArithKind::Mul, Lit::Int(self.rng.gen_range(9) as i64)),
-                _ => (ArithKind::Div, Lit::Int(1 + self.rng.gen_range(9) as i64)),
+                0 => (ArithKind::Add, lit_i64(1 + self.rng.gen_range(1000) as i64)),
+                1 => (ArithKind::Sub, lit_i64(1 + self.rng.gen_range(1000) as i64)),
+                2 => (ArithKind::Mul, lit_i64(self.rng.gen_range(9) as i64)),
+                _ => (ArithKind::Div, lit_i64(1 + self.rng.gen_range(9) as i64)),
             }
-        };
-        (op, ExprAst::Lit(lit, Span::default()))
+        }
     }
 
     fn keep(&mut self, cols: &mut Vec<GenCol>) -> Stage {
@@ -1354,7 +1312,8 @@ impl Gen<'_> {
             stages: Vec::new(),
         };
         if with_filter && self.chance(0.4) {
-            q.stages.push(Stage::Where(self.atom(&cols)));
+            q.stages
+                .push(Stage::Where(self.atom(&cols), LeafSpans::default()));
         }
         (q, cols)
     }
@@ -1479,8 +1438,8 @@ impl Gen<'_> {
             if c.name != pk && c.ty != DataType::Str && payload.len() < 2 {
                 let alias = self.fresh("j");
                 let default = match c.ty {
-                    DataType::F64 => Lit::Float(-1.0),
-                    _ => Lit::Int(-1),
+                    DataType::F64 => Value::F64(-1.0),
+                    _ => Value::I64(-1),
                 };
                 payload.push((ColSpec::synth_as(&c.name, &alias), default));
                 cols.push(GenCol {
@@ -1682,6 +1641,24 @@ mod tests {
             assert_eq!(a, b, "case {case} not deterministic");
             assert_eq!(a.to_string(), b.to_string());
         }
+    }
+
+    /// The generator emits the builder's own expression types; the text
+    /// it produces is pinned across that swap (FNV-1a over the canonical
+    /// text of seed 0xF022, cases 0..64, recorded at the last commit that
+    /// generated a mirror AST).
+    #[test]
+    fn generated_text_is_pinned() {
+        let fz = Fuzzer::new(small_db());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut bytes = 0usize;
+        for case in 0..64 {
+            for b in fz.generate(0xF022, case).to_string().bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                bytes += 1;
+            }
+        }
+        assert_eq!((h, bytes), (0x4faf_17ab_384c_c819, 15168));
     }
 
     #[test]

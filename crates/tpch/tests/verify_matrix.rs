@@ -250,6 +250,80 @@ fn all_queries_verify_across_config_matrix() {
     );
 }
 
+/// Names become indices in one place, and that place is invertible:
+/// over every `Filter` / `Project` node of the 22 plans, mapping the
+/// positional tree back to names through the node's input schema and
+/// resolving it again — through the builder, over an empty table with that
+/// schema — yields the identical positional tree and output type.
+#[test]
+fn expression_trees_round_trip_through_names() {
+    use ma_executor::ops::ProjItem;
+    use ma_executor::plan::PlanBuilder;
+    use ma_vector::{ColumnBuilder, Schema, Table};
+
+    fn over(schema: &Schema) -> PlanBuilder {
+        let cols = schema
+            .fields()
+            .iter()
+            .map(|f| {
+                (
+                    f.name.clone(),
+                    ColumnBuilder::with_capacity(f.ty, 0).finish(),
+                )
+            })
+            .collect();
+        let names = schema.names();
+        PlanBuilder::from_table(Arc::new(Table::new("in", cols).unwrap()), &names)
+    }
+    fn check(q: usize, plan: &LogicalPlan, seen: &mut (usize, usize)) {
+        plan.children().for_each(|c| check(q, c, seen));
+        let name =
+            |input: &LogicalPlan, i: &usize| Ok::<_, ()>(input.schema().field(*i).name.clone());
+        match plan {
+            LogicalPlan::Filter { input, pred, .. } => {
+                let named = pred.try_map_cols(&mut |i| name(input, i)).unwrap();
+                let again = over(input.schema()).filter(named, "f").build();
+                match again {
+                    Ok(LogicalPlan::Filter { pred: p, .. }) => assert_eq!(&p, pred, "Q{q}"),
+                    other => panic!("Q{q}: {other:?}"),
+                }
+                seen.0 += 1;
+            }
+            LogicalPlan::Project {
+                input,
+                items,
+                schema,
+                ..
+            } => {
+                for (item, field) in items.iter().zip(schema.fields()) {
+                    let ProjItem::Expr(e) = item else { continue };
+                    let named = e.try_map_cols(&mut |i| name(input, i)).unwrap();
+                    let again = over(input.schema())
+                        .project(vec![("x", named)], "p")
+                        .build();
+                    match again {
+                        Ok(LogicalPlan::Project { items, schema, .. }) => {
+                            assert_eq!(items, std::slice::from_ref(item), "Q{q}");
+                            assert_eq!(schema.field(0).ty, field.ty, "Q{q}");
+                        }
+                        other => panic!("Q{q}: {other:?}"),
+                    }
+                    seen.1 += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut seen = (0, 0);
+    for q in 1..=22 {
+        let plan = query_plan(q, db(), &Params::default())
+            .and_then(|pb| Ok(pb.build()?))
+            .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        check(q, &plan, &mut seen);
+    }
+    assert!(seen.0 >= 30 && seen.1 >= 20, "{seen:?}");
+}
+
 /// `plan_physical` interprets each logical node exactly once, pinned on
 /// the two deepest join trees: a helper that re-derived a subtree's row
 /// bound per decision (as every `*_bound` helper once did) would make

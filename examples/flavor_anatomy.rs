@@ -11,12 +11,12 @@
 
 use std::sync::Arc;
 
-use micro_adaptivity::core::policy::{VwGreedy, VwGreedyParams};
-use micro_adaptivity::core::{AdaptiveDispatch, PolicyKind, SplitMix64};
+use micro_adaptivity::core::{PolicyKind, SplitMix64, VwGreedyParams};
+use micro_adaptivity::executor::{ExecConfig, FlavorAxis, HeurKind, QueryContext};
 use micro_adaptivity::primitives::{build_dictionary, SelColVal};
 
 fn main() {
-    let dict = build_dictionary();
+    let dict = Arc::new(build_dictionary());
     println!("Primitive Dictionary: {} signatures\n", dict.len());
     for sig in [
         "sel_lt_i32_col_val",
@@ -40,22 +40,19 @@ fn main() {
 
     // Watch vw-greedy converge, then react to a mid-stream flip.
     println!("\nvw-greedy(256,32,8) over a selection whose selectivity flips at call 2000:");
-    let set = dict
-        .lookup::<SelColVal<i32>>("sel_lt_i32_col_val")
-        .unwrap()
-        .subset(&["branching", "no_branching"])
+    // The engine's own dispatch: a per-query context hands out primitive
+    // instances, each with the configured axis' flavor subset and its own
+    // bandit (see PolicyKind for the full policy zoo).
+    let policy = PolicyKind::VwGreedy(VwGreedyParams {
+        explore_period: 256,
+        exploit_period: 32,
+        explore_length: 8,
+    });
+    let config = ExecConfig::adaptive_with(FlavorAxis::Branching, policy).with_seed(7);
+    let ctx = QueryContext::new(Arc::clone(&dict), config);
+    let mut dispatch = ctx
+        .instance::<SelColVal<i32>>("sel_lt_i32_col_val", "anatomy/sel", HeurKind::Selection)
         .unwrap();
-    let policy = VwGreedy::new(
-        2,
-        VwGreedyParams {
-            explore_period: 256,
-            exploit_period: 32,
-            explore_length: 8,
-        },
-        SplitMix64::new(7),
-    );
-    let _ = PolicyKind::Fixed(0); // (see PolicyKind for the full policy zoo)
-    let mut dispatch = AdaptiveDispatch::new(Arc::new(set), Box::new(policy));
 
     let mut rng = SplitMix64::new(99);
     let n = 1024;
@@ -86,10 +83,12 @@ fn main() {
             }
         );
     }
-    let profile = dispatch.profile();
+    // An instance publishes its statistics when it is dropped.
+    drop(dispatch);
+    let report = &ctx.reports()[0];
     println!(
         "\n{} calls, {:.2} ticks/tuple lifetime average",
-        profile.calls,
-        profile.avg_cost()
+        report.calls,
+        report.avg_cost()
     );
 }

@@ -48,8 +48,8 @@ fn main() {
         while let Some(chunk) = op.next().unwrap() {
             rows += chunk.live_count();
         }
-        // Stats publish at batch granularity; drop the pipeline (and its
-        // primitive instance) so the final partial batch lands first.
+        // A primitive instance publishes its statistics when it is
+        // dropped: drop the pipeline before reading them.
         drop(op);
         let report = &ctx.reports()[0];
         println!(

@@ -47,8 +47,8 @@ fn run_selection_once(table: &Arc<Table>, config: ExecConfig) -> (u64, usize) {
     .unwrap();
     let chunks = collect(&mut sel).unwrap();
     let rows = chunks.iter().map(|c| c.live_count()).sum();
-    // Stats publish at batch granularity; drop the operator so the final
-    // partial batch lands before the tick readout.
+    // The instance publishes its stats when dropped: drop the operator
+    // before the tick readout.
     drop(sel);
     (ctx.total_primitive_ticks(), rows)
 }
