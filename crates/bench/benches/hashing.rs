@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ma_executor::ops::{collect, AggSpec, HashAggregate, Scan};
+use ma_executor::ops::{collect, Agg, HashAggregate, Scan};
 use ma_executor::{ExecConfig, QueryContext};
 use ma_primitives::build_dictionary;
 use ma_primitives::group_table::{
@@ -111,7 +111,7 @@ fn bench_composite_keys(c: &mut Criterion) {
                 let mut agg = HashAggregate::new(
                     Box::new(scan),
                     vec![0, 1],
-                    vec![AggSpec::CountStar],
+                    vec![Agg::count()],
                     &ctx,
                     "bench",
                 )

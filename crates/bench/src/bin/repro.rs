@@ -1,8 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment|all> [--sf F] [--seed S] [--json PATH]
-//! repro compare OLD.json NEW.json [--threshold PCT]
+//! repro <experiment|all> [--sf F] [--seed S]
 //! repro query "<dsl>" [--sf F] [--limit N]
 //! repro fuzz [--cases N] [--seed S] [--sf F]
 //! repro analyze <query|all|"dsl"> [--sf F] [--budget BYTES]
@@ -23,24 +22,13 @@
 //! TPC-H experiments default to scale factor 0.05 (≈300K lineitems); the
 //! micro-benchmarks run on fixed synthetic data. Output goes to stdout;
 //! absolute tick counts are host-specific, shapes and factors are the
-//! reproduction targets (see EXPERIMENTS.md). `--json` additionally writes
-//! a machine-readable report (per-experiment wall ticks + metrics) — the
-//! artifact the CI bench-smoke job uploads as the bench baseline.
-//!
-//! `compare` diffs two such reports: it prints a per-experiment table and
-//! exits nonzero when any experiment's `wall_ticks` regressed more than
-//! the threshold (default 10%) — the CI job feeds it the previous
-//! commit's artifact.
+//! reproduction targets (see EXPERIMENTS.md). The committed benchmark
+//! trajectory (`BENCH_<pr>.json`) is written from `perf/`, not from here.
 
-use ma_bench::experiments::{make_runner, run_experiment_with_metrics, ALL_EXPERIMENTS};
-use ma_bench::report::{json_report, JsonEntry};
-use ma_core::cycles::ticks_now;
+use ma_bench::experiments::{make_runner, run_experiment, ALL_EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        compare_main(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("query") {
         query_main(&args[1..]);
     }
@@ -56,7 +44,6 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut sf = 0.05f64;
     let mut seed = 0xC0FFEEu64;
-    let mut json_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -74,14 +61,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--json needs a path")),
-                );
-            }
             "--help" | "-h" => usage(""),
             other => ids.push(other.to_string()),
         }
@@ -96,90 +75,15 @@ fn main() {
 
     eprintln!("generating TPC-H data at SF {sf} (seed {seed:#x}) ...");
     let runner = make_runner(sf, seed);
-    let mut entries: Vec<JsonEntry> = Vec::new();
     for id in &ids {
-        let t0 = ticks_now();
-        match run_experiment_with_metrics(id, &runner, seed) {
-            Some((report, metrics)) => {
-                let wall = ticks_now().saturating_sub(t0);
-                println!("{report}");
-                entries.push((id.clone(), wall, metrics));
-            }
+        match run_experiment(id, &runner, seed) {
+            Some(report) => println!("{report}"),
             None => {
                 eprintln!("unknown experiment: {id}");
                 usage("");
             }
         }
     }
-    if let Some(path) = json_path {
-        let doc = json_report(sf, seed, &entries);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote JSON report to {path}");
-    }
-}
-
-/// `repro compare OLD.json NEW.json [--threshold PCT]` — never returns.
-fn compare_main(args: &[String]) -> ! {
-    let mut files: Vec<String> = Vec::new();
-    let mut threshold = 0.10f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                let pct: f64 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--threshold needs a percentage"));
-                threshold = pct / 100.0;
-            }
-            "--help" | "-h" => usage(""),
-            other => files.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if files.len() != 2 {
-        usage("compare needs exactly two report paths");
-    }
-    let load = |path: &str| -> ma_bench::compare::BenchReport {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        ma_bench::compare::parse_report(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = load(&files[0]);
-    let new = load(&files[1]);
-    if !ma_bench::compare::comparable(&old, &new) {
-        // A changed --sf/--seed would make every delta meaningless; treat
-        // it like a missing baseline rather than hard-failing on noise.
-        eprintln!(
-            "note: reports are not comparable (old: sf {} seed {}, new: sf {} seed {}); \
-             skipping regression gate",
-            old.sf, old.seed, new.sf, new.seed
-        );
-        std::process::exit(0);
-    }
-    let cmp = ma_bench::compare::compare(&old, &new, threshold);
-    print!("{}", cmp.render());
-    if cmp.any_regression() {
-        eprintln!(
-            "FAIL: at least one experiment regressed more than {:.0}%",
-            threshold * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "OK: no experiment regressed more than {:.0}%",
-        threshold * 100.0
-    );
-    std::process::exit(0);
 }
 
 /// `repro query "<dsl>" [--sf F] [--limit N]` — never returns.
@@ -296,13 +200,11 @@ fn fuzz_main(args: &[String]) -> ! {
     let db = std::sync::Arc::new(ma_tpch::TpchData::generate(sf, 0xDBD1));
     let fuzzer = ma_tpch::fuzz::Fuzzer::new(db);
     eprintln!("fuzzing {cases} cases from seed {seed:#x} ...");
-    let t0 = ticks_now();
     let report = fuzzer.run(seed, cases, |done, fails| {
         if done % 50 == 0 || done == cases {
             eprintln!("  {done}/{cases} cases, {fails} failure(s)");
         }
     });
-    let _ = ticks_now().saturating_sub(t0);
     for f in &report.failures {
         println!("FAIL case {} (seed {:#x})", f.case, f.seed);
         println!("  query:     {}", f.query);
@@ -541,8 +443,7 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!("usage: repro <experiment|all> [--sf F] [--seed S] [--json PATH]");
-    eprintln!("       repro compare OLD.json NEW.json [--threshold PCT]");
+    eprintln!("usage: repro <experiment|all> [--sf F] [--seed S]");
     eprintln!("       repro query \"<dsl>\" [--sf F] [--limit N]");
     eprintln!("       repro fuzz [--cases N] [--seed S] [--sf F]");
     eprintln!("       repro analyze <query|all|\"dsl\"> [--sf F] [--budget BYTES]");

@@ -123,54 +123,6 @@ pub fn run_experiment(id: &str, runner: &Runner, seed: u64) -> Option<String> {
     })
 }
 
-/// Like [`run_experiment`], additionally returning numeric metrics for
-/// machine-readable reports. Most experiments expose no metrics; "scaling"
-/// exposes its per-worker-count power-run ticks.
-pub fn run_experiment_with_metrics(
-    id: &str,
-    runner: &Runner,
-    seed: u64,
-) -> Option<(String, Vec<(String, f64)>)> {
-    match id {
-        "scaling" => {
-            let points = scaling::measure(runner, &scaling::DEFAULT_THREADS);
-            let metrics = points
-                .iter()
-                .map(|p| (format!("power_ticks_workers_{}", p.threads), p.ticks as f64))
-                .collect();
-            Some((scaling::render(&points), metrics))
-        }
-        "agg-scaling" => {
-            let points = agg_scaling::measure(runner, &agg_scaling::DEFAULT_THREADS);
-            let metrics = points
-                .iter()
-                .map(|p| {
-                    let mode = if p.partitioned { "part" } else { "single" };
-                    (
-                        format!("agg_ticks_workers_{}_{mode}", p.threads),
-                        p.ticks as f64,
-                    )
-                })
-                .collect();
-            Some((agg_scaling::render(&points), metrics))
-        }
-        "join-scaling" => {
-            let points = join_scaling::measure(runner, &join_scaling::DEFAULT_THREADS);
-            let metrics = points
-                .iter()
-                // The ids the in-fragment curve always had, so earlier
-                // reports still line up in `repro compare`.
-                .map(|p| {
-                    let id = format!("join_ticks_workers_{}_fragment", p.threads);
-                    (id, p.ticks as f64)
-                })
-                .collect();
-            Some((join_scaling::render(&points), metrics))
-        }
-        _ => run_experiment(id, runner, seed).map(|text| (text, Vec::new())),
-    }
-}
-
 /// Builds the shared runner at a scale factor.
 pub fn make_runner(sf: f64, seed: u64) -> Runner {
     Runner::new(Arc::new(TpchData::generate(sf, seed)))

@@ -5,7 +5,6 @@
 //! binary and the Criterion benches. See DESIGN.md §4 for the experiment
 //! index and EXPERIMENTS.md for recorded paper-vs-measured results.
 
-pub mod compare;
 pub mod experiments;
 pub mod measure;
 pub mod report;

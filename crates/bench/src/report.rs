@@ -106,90 +106,9 @@ pub fn render_factor_table(
     out
 }
 
-// ---------------------------------------------------------------------------
-// machine-readable reports (no serde in the tree: tiny hand-rolled JSON)
-// ---------------------------------------------------------------------------
-
-/// One experiment's entry in a JSON report: id, wall ticks, named metrics.
-pub type JsonEntry = (String, u64, Vec<(String, f64)>);
-
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a bench report as JSON: run parameters plus per-experiment wall
-/// ticks and metrics. The CI bench-smoke job uploads this as an artifact,
-/// so the schema string versions the layout for future comparison tooling.
-pub fn json_report(sf: f64, seed: u64, entries: &[JsonEntry]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"ma-bench/v1\",\n");
-    out.push_str(&format!("  \"sf\": {sf},\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (id, wall, metrics)) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"wall_ticks\": {wall}, \"metrics\": {{",
-            json_escape(id)
-        ));
-        for (j, (name, value)) in metrics.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {value}", json_escape(name)));
-        }
-        out.push_str("}}");
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let entries = vec![
-            ("table1".to_string(), 123u64, vec![]),
-            (
-                "scaling".to_string(),
-                456u64,
-                vec![("power_ticks_workers_1".to_string(), 99.0)],
-            ),
-        ];
-        let j = json_report(0.05, 7, &entries);
-        assert!(j.contains("\"schema\": \"ma-bench/v1\""));
-        assert!(j.contains("\"id\": \"scaling\""));
-        assert!(j.contains("\"power_ticks_workers_1\": 99"));
-        assert!(j.contains("\"wall_ticks\": 123"));
-        // Crude structural sanity: balanced braces.
-        let open = j.matches('{').count();
-        let close = j.matches('}').count();
-        assert_eq!(open, close);
-    }
 
     #[test]
     fn downsample_preserves_small_inputs() {

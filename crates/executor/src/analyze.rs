@@ -46,8 +46,8 @@ use std::fmt;
 
 use ma_vector::{DataType, StatsDomain};
 
-use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
-use crate::ops::{AggSpec, JoinKind, ProjItem};
+use crate::expr::{Agg, AggFunc, ArithKind, CmpKind, CmpRhs, Expr, NumType, Pred, Value};
+use crate::ops::{JoinKind, ProjItem};
 use crate::plan::LogicalPlan;
 
 /// Relative slack applied to float *sum* bounds: summation rounds once per
@@ -1160,7 +1160,7 @@ fn next_toward_pos_inf(f: f64) -> f64 {
 // --- aggregate transfer functions ------------------------------------------
 
 fn agg_fact(
-    agg: &AggSpec,
+    agg: &Agg,
     input: &Facts,
     grouped: bool,
     label: &str,
@@ -1172,8 +1172,8 @@ fn agg_fact(
         ndv: usize::MAX, // normalize() caps at the output row bound
         distinct: false,
     };
-    match *agg {
-        AggSpec::CountStar => {
+    match agg.of {
+        None => {
             // Every group holds at least one row; a global count over an
             // empty input is 0.
             let lo = if grouped { 1 } else { 0 };
@@ -1182,7 +1182,7 @@ fn agg_fact(
                 hi: i64::try_from(n).unwrap_or(i64::MAX),
             })
         }
-        AggSpec::SumI64(c) => match input.cols[c].domain {
+        Some((AggFunc::Sum, NumType::I64, c)) => match input.cols[c].domain {
             AbsDomain::Int { lo, hi } if lo <= hi && n > 0 => {
                 let (lo, hi, n) = (lo as i128, hi as i128, n as i128);
                 // Sum of k ∈ [1, n] (grouped) or [0, n] (global) values
@@ -1212,7 +1212,7 @@ fn agg_fact(
             _ if !grouped => fact(AbsDomain::Int { lo: 0, hi: 0 }),
             _ => fact(AbsDomain::Int { lo: 0, hi: -1 }),
         },
-        AggSpec::SumF64(c) => match input.cols[c].domain {
+        Some((AggFunc::Sum, NumType::F64, c)) => match input.cols[c].domain {
             AbsDomain::Float { lo, hi, finite } if finite && lo <= hi && n > 0 => {
                 let nf = n as f64;
                 let mut slo = if lo < 0.0 { nf * lo } else { lo };
@@ -1249,7 +1249,7 @@ fn agg_fact(
                 finite: true,
             }),
         },
-        AggSpec::MinI64(c) | AggSpec::MaxI64(c) => {
+        Some((func, NumType::I64, c)) => {
             let input_dom = match input.cols[c].domain {
                 AbsDomain::Int { lo, hi } if n > 0 => AbsDomain::Int { lo, hi },
                 _ => AbsDomain::Int { lo: 0, hi: -1 },
@@ -1260,18 +1260,14 @@ fn agg_fact(
                 fact(input_dom)
             } else {
                 // A global fold over zero rows emits its identity.
-                let identity = if matches!(agg, AggSpec::MinI64(_)) {
-                    i64::MAX
-                } else {
-                    i64::MIN
-                };
+                let identity = func.over_i64().0;
                 fact(input_dom.hull(&AbsDomain::Int {
                     lo: identity,
                     hi: identity,
                 }))
             }
         }
-        AggSpec::MinF64(c) | AggSpec::MaxF64(c) => {
+        Some((func, NumType::F64, c)) => {
             let input_dom = match input.cols[c].domain {
                 AbsDomain::Float { lo, hi, finite } if n > 0 => AbsDomain::Float { lo, hi, finite },
                 _ => AbsDomain::Float {
@@ -1283,11 +1279,7 @@ fn agg_fact(
             if grouped {
                 fact(input_dom)
             } else {
-                let identity = if matches!(agg, AggSpec::MinF64(_)) {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                };
+                let identity = func.over_f64().0;
                 fact(input_dom.hull(&AbsDomain::Float {
                     lo: identity,
                     hi: identity,

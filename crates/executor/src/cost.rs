@@ -42,7 +42,8 @@ use ma_primitives::BloomFilter;
 use ma_vector::{Column, DataType, EncColumn, Encoding, Schema, Table};
 
 use crate::config::ExecConfig;
-use crate::ops::{key_row_width, AggSpec, ProjItem};
+use crate::expr::{Agg, AggFunc, NumType};
+use crate::ops::{key_row_width, ProjItem};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
@@ -440,14 +441,14 @@ fn pow2_cap(n: usize) -> u64 {
 /// One [`crate::ops::HashAggregate`] instance holding up to `g` groups of
 /// an input with column widths `w_in`: group-table slots (16 bytes each at
 /// ≤50% load), stored key bytes for the byte-keyed table path, one key
-/// builder per group column, accumulators (16 bytes for `SumI64`'s
+/// builder per group column, accumulators (16 bytes for `sum_i64`'s
 /// 128-bit sums, 8 otherwise), plus one emitted output copy.
 fn agg_instance_bound(
     g: usize,
     w_in: &[Width],
     input: &Schema,
     keys: &[usize],
-    aggs: &[AggSpec],
+    aggs: &[Agg],
 ) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
     let key_types: Vec<DataType> = keys.iter().map(|&k| input.fields()[k].ty).collect();
@@ -479,10 +480,9 @@ fn agg_instance_bound(
         a.saturating_add(g64.saturating_mul(w_in[k].raw))
     });
     let accs = aggs.iter().fold(0u64, |a, s| {
-        let w = if matches!(s, AggSpec::SumI64(_)) {
-            16
-        } else {
-            8
+        let w = match s.of {
+            Some((AggFunc::Sum, NumType::I64, _)) => 16,
+            _ => 8,
         };
         a.saturating_add(g64.saturating_mul(w))
     });

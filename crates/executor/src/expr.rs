@@ -1,17 +1,19 @@
-//! Expression and predicate trees, as built by query plans.
+//! Expression and predicate trees, aggregates and sort keys, as built by
+//! query plans.
 //!
-//! There is one tree of each kind, generic over how it names a column:
+//! There is one type of each kind, generic over how it names a column:
 //! [`Expr`] / [`Pred`] (`C = usize`) are what plan nodes hold and what
 //! [`crate::eval`] compiles into chains of primitive instances resolved
 //! through the Primitive Dictionary — the point where Micro Adaptivity
 //! hooks into execution (§3.2: "the expression evaluator is the component
 //! that calls implementation functions for primitives"); `Expr<String>` /
 //! `Pred<String>` ([`crate::plan::NamedExpr`], [`crate::plan::NamedPred`])
-//! are what query authors and the text front end write. Names become
-//! indices in one place ([`Expr::try_map_cols`] with the builder's column
-//! resolver), and types are checked in one place ([`Expr::type_of`],
-//! [`Pred::check`]) — the plan builder, the verifier and the text front
-//! end all call that pass.
+//! are what query authors and the text front end write; [`Agg`] and
+//! [`SortKey`] follow the same scheme. Names become indices in one place
+//! (`try_map_cols` / `try_map_col` with the builder's column resolver), and
+//! types are checked in one place ([`Expr::type_of`], [`Pred::check`],
+//! [`Agg::type_of`]) — the plan builder, the verifier, the text front end
+//! and, for aggregates, the operators all call that pass.
 
 use ma_vector::{DataType, Schema};
 
@@ -382,6 +384,175 @@ impl<C> Pred<C> {
 }
 
 // ---------------------------------------------------------------------------
+// aggregates and sort keys
+// ---------------------------------------------------------------------------
+
+/// An aggregate function over a column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggFunc {
+    /// `sum`.
+    Sum,
+    /// `min`.
+    Min,
+    /// `max`.
+    Max,
+}
+
+impl AggFunc {
+    /// `sum` / `min` / `max`: the DSL spelling and the signature fragment.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggFunc::Sum => "sum",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+        }
+    }
+
+    /// The function over `i64`: its identity (what an empty group holds)
+    /// and how two partial results combine.
+    pub fn over_i64(self) -> (i64, fn(i64, i64) -> i64) {
+        match self {
+            AggFunc::Sum => (0, |a, b| a + b),
+            AggFunc::Min => (i64::MAX, i64::min),
+            AggFunc::Max => (i64::MIN, i64::max),
+        }
+    }
+
+    /// The function over `f64`, as [`AggFunc::over_i64`].
+    pub fn over_f64(self) -> (f64, fn(f64, f64) -> f64) {
+        match self {
+            AggFunc::Sum => (0.0, |a, b| a + b),
+            AggFunc::Min => (f64::INFINITY, f64::min),
+            AggFunc::Max => (f64::NEG_INFINITY, f64::max),
+        }
+    }
+}
+
+/// The element type an aggregate reads and emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NumType {
+    /// `i64` (sums accumulate in 128 bits).
+    I64,
+    /// `f64`.
+    F64,
+}
+
+impl NumType {
+    /// The column type.
+    pub fn data_type(self) -> DataType {
+        match self {
+            NumType::I64 => DataType::I64,
+            NumType::F64 => DataType::F64,
+        }
+    }
+}
+
+/// One aggregate of a hash or stream aggregation, over a column referenced
+/// as `C`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Agg<C = usize> {
+    /// Function, element type and input column; `None` is `COUNT(*)` over
+    /// live tuples, the one aggregate without an input.
+    pub of: Option<(AggFunc, NumType, C)>,
+    /// Output column name; `None` takes the default (`sum_<col>`, `count`).
+    pub name: Option<String>,
+}
+
+impl<C> Agg<C> {
+    fn over(func: AggFunc, ty: NumType, col: impl ColArg<C>) -> Agg<C> {
+        Agg {
+            of: Some((func, ty, col.into_col())),
+            name: None,
+        }
+    }
+    /// `COUNT(*)` over live tuples.
+    pub fn count() -> Agg<C> {
+        Agg {
+            of: None,
+            name: None,
+        }
+    }
+    /// Sum of an `i64` column (128-bit accumulation).
+    pub fn sum_i64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Sum, NumType::I64, col)
+    }
+    /// Sum of an `f64` column.
+    pub fn sum_f64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Sum, NumType::F64, col)
+    }
+    /// Minimum of an `i64` column.
+    pub fn min_i64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Min, NumType::I64, col)
+    }
+    /// Maximum of an `i64` column.
+    pub fn max_i64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Max, NumType::I64, col)
+    }
+    /// Minimum of an `f64` column.
+    pub fn min_f64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Min, NumType::F64, col)
+    }
+    /// Maximum of an `f64` column.
+    pub fn max_f64(col: impl ColArg<C>) -> Agg<C> {
+        Agg::over(AggFunc::Max, NumType::F64, col)
+    }
+
+    /// Overrides the output column name.
+    pub fn named(mut self, name: impl Into<String>) -> Agg<C> {
+        self.name = Some(name.into());
+        self
+    }
+
+    /// The same aggregate over another column reference type.
+    pub fn try_map_col<D, E>(&self, f: &mut impl FnMut(&C) -> Result<D, E>) -> Result<Agg<D>, E> {
+        Ok(Agg {
+            of: match &self.of {
+                Some((func, ty, col)) => Some((*func, *ty, f(col)?)),
+                None => None,
+            },
+            name: self.name.clone(),
+        })
+    }
+}
+
+/// One sort key: column + direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SortKey<C = usize> {
+    /// The key column.
+    pub col: C,
+    /// Descending order when true.
+    pub desc: bool,
+}
+
+impl<C> SortKey<C> {
+    /// Ascending key.
+    pub fn asc(col: impl ColArg<C>) -> SortKey<C> {
+        SortKey {
+            col: col.into_col(),
+            desc: false,
+        }
+    }
+    /// Descending key.
+    pub fn desc(col: impl ColArg<C>) -> SortKey<C> {
+        SortKey {
+            col: col.into_col(),
+            desc: true,
+        }
+    }
+
+    /// The same key over another column reference type.
+    pub fn try_map_col<D, E>(
+        &self,
+        f: &mut impl FnMut(&C) -> Result<D, E>,
+    ) -> Result<SortKey<D>, E> {
+        Ok(SortKey {
+            col: f(&self.col)?,
+            desc: self.desc,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // typing
 // ---------------------------------------------------------------------------
 
@@ -525,6 +696,24 @@ impl Pred {
     }
 }
 
+impl Agg {
+    /// The aggregate's output type against `schema`, by the operators'
+    /// rule: the input column exists and has exactly the aggregate's
+    /// element type (narrower integers are cast first).
+    pub fn type_of(&self, schema: &Schema) -> Result<DataType, TypeError> {
+        let Some((func, ty, col)) = self.of else {
+            return Ok(DataType::I64);
+        };
+        let (found, ty) = (col_type(schema, col)?, ty.data_type());
+        if found == ty {
+            Ok(ty)
+        } else {
+            let context = format!("{}({})", func.name(), schema.field(col).name);
+            mismatch(context, format!("{ty} (cast first)"), found)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,5 +813,51 @@ mod tests {
             (stop, seen),
             (Err("no w"), vec!["k".into(), "v".into(), "w".into()])
         );
+    }
+
+    #[test]
+    fn try_map_col_identity_law() {
+        let aggs = [
+            Agg::count(),
+            Agg::count().named("n"),
+            Agg::sum_i64("v"),
+            Agg::min_f64("f").named("lo"),
+            Agg::max_i64("v"),
+        ];
+        for a in aggs {
+            assert_eq!(
+                a.try_map_col(&mut |c: &String| Ok::<_, ()>(c.clone())),
+                Ok(a.clone())
+            );
+            let failed = a.try_map_col(&mut |_: &String| Err::<usize, _>("no"));
+            assert_eq!(failed.is_err(), a.of.is_some(), "{a:?}");
+        }
+        for k in [SortKey::asc("k"), SortKey::desc("k")] {
+            assert_eq!(
+                k.try_map_col(&mut |c: &String| Ok::<_, ()>(c.clone())),
+                Ok(k.clone())
+            );
+            assert_eq!(k.try_map_col(&mut |_| Err::<usize, _>("no")), Err("no"));
+        }
+        // Positional and named constructors are one function.
+        assert_eq!(
+            Agg::sum_f64("f").try_map_col(&mut |_| Ok::<_, ()>(3)),
+            Ok(Agg::sum_f64(3))
+        );
+        assert_eq!(SortKey::desc(2), SortKey { col: 2, desc: true });
+    }
+
+    #[test]
+    fn aggregate_units_are_identities_of_their_combine() {
+        for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+            let (unit, combine) = func.over_i64();
+            let (funit, fcombine) = func.over_f64();
+            for x in [-7, 0, 7] {
+                assert_eq!(combine(unit, x), x, "{func:?}");
+                assert_eq!(fcombine(funit, x as f64), x as f64, "{func:?}");
+            }
+        }
+        assert_eq!((AggFunc::Min.over_i64().1)(3, -2), -2);
+        assert_eq!((AggFunc::Max.over_f64().1)(3.0, -2.0), 3.0);
     }
 }

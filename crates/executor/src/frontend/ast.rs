@@ -1,15 +1,17 @@
 //! The abstract syntax tree of the query DSL.
 //!
-//! A query is a scan plus a pipeline of [`Stage`]s. Scalar expressions and
-//! predicates are the engine's own trees over column *names*
-//! ([`NamedExpr`], [`NamedPred`] — the very types the plan builder takes),
-//! with literals as written: `Value::I64`, `Value::F64` or `Value::Str`,
+//! A query is a scan plus a pipeline of [`Stage`]s. Scalar expressions,
+//! predicates, aggregates and sort keys are the engine's own types over
+//! column *names* ([`NamedExpr`], [`NamedPred`], `Agg<String>`,
+//! `SortKey<String>` — the very types the plan builder takes), with
+//! literals as written: `Value::I64`, `Value::F64` or `Value::Str`,
 //! coerced to the column type they meet when the query is compiled.
 //!
 //! Everything that can fail resolution has a [`Span`]: identifiers carry
 //! theirs, and the leaves of an expression or predicate (its column
-//! references and literals) keep theirs in a [`LeafSpans`] side table, in
-//! leaf order, so both parse errors and plan errors point at the offending
+//! references and literals), the input columns of a stage's aggregates and
+//! its sort keys keep theirs in a [`LeafSpans`] side table, in the order
+//! written, so both parse errors and plan errors point at the offending
 //! characters. Spans are **diagnostic only**: they deliberately compare
 //! equal (`PartialEq` on [`Span`] and [`LeafSpans`] is vacuous) so the
 //! parser round-trip property — `parse(display(ast)) == ast` — holds
@@ -22,7 +24,7 @@
 
 use ma_vector::DataType;
 
-use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::expr::{Agg, ArithKind, CmpKind, CmpRhs, Expr, Pred, SortKey, Value};
 use crate::plan::{NamedExpr, NamedPred};
 
 /// A half-open byte range `start..end` into the query text.
@@ -317,59 +319,28 @@ impl std::fmt::Display for SelectItem {
     }
 }
 
-/// An aggregate function name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// `count`.
-    Count,
-    /// `sum(col)`.
-    Sum,
-    /// `min(col)`.
-    Min,
-    /// `max(col)`.
-    Max,
-}
-
-/// One aggregate of an `agg` stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggItem {
-    /// Function.
-    pub func: AggFunc,
-    /// Input column (`None` for `count`).
-    pub col: Option<Ident>,
-    /// Output alias (`None` uses the builder default, e.g. `sum_<col>`).
-    pub alias: Option<Ident>,
-}
-
-impl std::fmt::Display for AggItem {
+/// The canonical DSL text of an aggregate: `count`, `sum(c)`, `min(c)`,
+/// `max(c)`, then `as name`. The element type is not written — `sum(c)`
+/// parses as the `i64` form and takes the type of the column it meets
+/// when the query is compiled, as literals do.
+impl std::fmt::Display for Agg<String> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match (self.func, &self.col) {
-            (AggFunc::Count, _) => f.write_str("count")?,
-            (AggFunc::Sum, Some(c)) => write!(f, "sum({c})")?,
-            (AggFunc::Min, Some(c)) => write!(f, "min({c})")?,
-            (AggFunc::Max, Some(c)) => write!(f, "max({c})")?,
-            // Unreachable from the parser; render something parseable.
-            (_, None) => f.write_str("count")?,
+        match &self.of {
+            Some((func, _, col)) => write!(f, "{}({col})", func.name())?,
+            None => f.write_str("count")?,
         }
-        if let Some(a) = &self.alias {
-            write!(f, " as {a}")?;
+        match &self.name {
+            Some(name) => write!(f, " as {name}"),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
-/// A sort key with direction (`asc` is the default and not rendered).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortKeyAst {
-    /// Column.
-    pub col: Ident,
-    /// Descending order.
-    pub desc: bool,
-}
-
-impl std::fmt::Display for SortKeyAst {
+/// The canonical DSL text of a sort key (`asc` is the default and not
+/// rendered).
+impl std::fmt::Display for SortKey<String> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.col)?;
+        f.write_str(&self.col)?;
         if self.desc {
             f.write_str(" desc")?;
         }
@@ -413,7 +384,9 @@ pub enum Stage {
         /// Group keys (empty = single-group stream aggregate).
         keys: Vec<ColSpec>,
         /// Aggregates.
-        aggs: Vec<AggItem>,
+        aggs: Vec<Agg<String>>,
+        /// Where the aggregates' input columns were written.
+        spans: LeafSpans,
     },
     /// `join <kind> (<query>) on probe = build, ... payload [cols] bloom?`.
     Join {
@@ -446,15 +419,28 @@ pub enum Stage {
         /// Left columns appended to the output.
         payload: Vec<ColSpec>,
     },
-    /// `order by key dir, ...`.
-    Order(Vec<SortKeyAst>),
-    /// `top N by key dir, ...`.
-    Top {
+    /// `order by key dir, ...` or, with a row limit, `top N by key dir, ...`.
+    Sort {
         /// Row limit.
-        n: u64,
+        limit: Option<u64>,
         /// Sort keys.
-        keys: Vec<SortKeyAst>,
+        keys: Vec<SortKey<String>>,
+        /// Where the keys were written.
+        spans: LeafSpans,
     },
+}
+
+fn write_list<T: std::fmt::Display>(
+    f: &mut std::fmt::Formatter<'_>,
+    items: &[T],
+) -> std::fmt::Result {
+    for (i, c) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(", ")?;
+        }
+        write!(f, "{c}")?;
+    }
+    Ok(())
 }
 
 fn write_collist<T: std::fmt::Display>(
@@ -462,12 +448,7 @@ fn write_collist<T: std::fmt::Display>(
     items: &[T],
 ) -> std::fmt::Result {
     f.write_str("[")?;
-    for (i, c) in items.iter().enumerate() {
-        if i > 0 {
-            f.write_str(", ")?;
-        }
-        write!(f, "{c}")?;
-    }
+    write_list(f, items)?;
     f.write_str("]")
 }
 
@@ -487,19 +468,13 @@ impl std::fmt::Display for Stage {
             Stage::Where(p, _) => write!(f, "where {p}"),
             Stage::Select(items) => {
                 f.write_str("select ")?;
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{it}")?;
-                }
-                Ok(())
+                write_list(f, items)
             }
             Stage::Keep(cols) => {
                 f.write_str("keep ")?;
                 write_collist(f, cols)
             }
-            Stage::Agg { keys, aggs } => {
+            Stage::Agg { keys, aggs, .. } => {
                 f.write_str("agg ")?;
                 if !keys.is_empty() {
                     f.write_str("by ")?;
@@ -546,25 +521,12 @@ impl std::fmt::Display for Stage {
                 }
                 Ok(())
             }
-            Stage::Order(keys) => {
-                f.write_str("order by ")?;
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{k}")?;
+            Stage::Sort { limit, keys, .. } => {
+                match limit {
+                    Some(n) => write!(f, "top {n} by ")?,
+                    None => f.write_str("order by ")?,
                 }
-                Ok(())
-            }
-            Stage::Top { n, keys } => {
-                write!(f, "top {n} by ")?;
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{k}")?;
-                }
-                Ok(())
+                write_list(f, keys)
             }
         }
     }
@@ -578,18 +540,16 @@ impl Stage {
             Stage::Where(_, spans) => spans.all(),
             Stage::Select(items) => items.first().map(|i| i.name.span).unwrap_or_default(),
             Stage::Keep(cols) => cols.first().map(|c| c.name.span).unwrap_or_default(),
-            Stage::Agg { keys, aggs } => keys
+            Stage::Agg { keys, spans, .. } => keys
                 .first()
                 .map(|c| c.name.span)
-                .or_else(|| aggs.first().and_then(|a| a.col.as_ref()).map(|c| c.span))
+                .or_else(|| spans.0.first().copied())
                 .unwrap_or_default(),
             Stage::Join { on, .. } | Stage::JoinSingle { on, .. } => {
                 on.first().map(|(p, _)| p.span).unwrap_or_default()
             }
             Stage::MergeJoin { on, .. } => on.0.span,
-            Stage::Order(keys) | Stage::Top { keys, .. } => {
-                keys.first().map(|k| k.col.span).unwrap_or_default()
-            }
+            Stage::Sort { spans, .. } => spans.0.first().copied().unwrap_or_default(),
         }
     }
 }

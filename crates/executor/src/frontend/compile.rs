@@ -9,12 +9,14 @@
 //!   range check — the builder itself requires exact [`Value`] types; in
 //!   arithmetic the type met is the left operand's, which the typing pass
 //!   answers);
-//! * pick the typed aggregate (`sum` over an `i64` column is `sum_i64`,
-//!   over `f64` is `sum_f64`);
+//! * pick the typed aggregate (`sum` over an `f64` column is `sum_f64`,
+//!   over anything else `sum_i64`, which the typing rule accepts or
+//!   rejects);
 //! * attach a [`Span`] to every resolution failure, so a
 //!   [`FrontendError::Plan`] points at the offending text just like a
-//!   parse error does: every column is resolved, every literal coerced and
-//!   every comparison typed at the span its leaves were written at.
+//!   parse error does: every column — group and sort keys included — is
+//!   resolved, every literal coerced and every comparison and aggregate
+//!   typed at the span its leaves were written at.
 //!
 //! Stats labels are generated automatically (`f0`, `p1`, `a2`, ... in
 //! stage order, one shared counter across subqueries) so DSL text stays
@@ -23,15 +25,12 @@
 
 use ma_vector::{DataType, Schema};
 
-use super::ast::{AggFunc, AggItem, JoinKindAst, Query, SortKeyAst, Span, Stage};
+use super::ast::{JoinKindAst, Query, Span, Stage};
 use super::FrontendError;
-use crate::expr::{CmpRhs, Expr, Pred, Value};
+use crate::expr::{CmpRhs, Expr, NumType, Pred, Value};
 use crate::ops::JoinKind;
 use crate::plan::expr::resolve_col;
-use crate::plan::{
-    asc, count, desc, max_f64, max_i64, min_f64, min_i64, sum_f64, sum_i64, Agg, Catalog,
-    NamedExpr, NamedPred, PlanBuilder, PlanError, SortSpec,
-};
+use crate::plan::{Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError};
 
 /// Compiles a parsed query against `catalog` into a finished
 /// [`crate::plan::LogicalPlan`] builder. Resolution failures carry the
@@ -121,11 +120,24 @@ fn compile_stage(
             let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
             check(pb.keep(&refs), span)
         }
-        Stage::Agg { keys, aggs } => {
-            let compiled: Vec<Agg> = aggs
-                .iter()
-                .map(|a| compile_agg(a, &schema))
-                .collect::<Result<_, _>>()?;
+        Stage::Agg { keys, aggs, spans } => {
+            for k in keys {
+                col_type(&schema, &k.name.name, k.name.span)?;
+            }
+            // A bare `sum(c)` — parsed as the `i64` form — takes the `f64`
+            // form over an `f64` column; each aggregate is then resolved and
+            // typed, by `Agg::resolve`, at its column's span.
+            let leaves = &mut spans.0.iter().copied();
+            let mut compiled = aggs.clone();
+            for a in &mut compiled {
+                if let Some((_, ty, col)) = &mut a.of {
+                    let span = next(leaves);
+                    if col_type(&schema, col, span)? == DataType::F64 {
+                        *ty = NumType::F64;
+                    }
+                    a.resolve(&schema).or_else(|err| plan_err(err, span))?;
+                }
+            }
             let label = next_label(labels, "a");
             if keys.is_empty() {
                 check(pb.stream_agg(compiled, &label), span)
@@ -189,21 +201,14 @@ fn compile_stage(
                 span,
             )
         }
-        Stage::Order(keys) => check(pb.sort(&sort_specs(keys)), span),
-        Stage::Top { n, keys } => check(pb.top_n(&sort_specs(keys), *n as usize), span),
-    }
-}
-
-fn sort_specs(keys: &[SortKeyAst]) -> Vec<SortSpec> {
-    keys.iter()
-        .map(|k| {
-            if k.desc {
-                desc(&k.col.name)
-            } else {
-                asc(&k.col.name)
+        Stage::Sort { limit, keys, spans } => {
+            let leaves = &mut spans.0.iter().copied();
+            for k in keys {
+                col_type(&schema, &k.col, next(leaves))?;
             }
-        })
-        .collect()
+            check(pb.sort_limit(keys, limit.map(|n| n as usize)), span)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -322,52 +327,5 @@ fn compile_expr(
                 rhs: Box::new(rhs),
             }
         }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// aggregates
-// ---------------------------------------------------------------------------
-
-fn compile_agg(a: &AggItem, schema: &Schema) -> Result<Agg, FrontendError> {
-    let agg = match (a.func, &a.col) {
-        (AggFunc::Count, _) => count(),
-        (f, Some(c)) => {
-            let ty = col_type(schema, &c.name, c.span)?;
-            let name = match f {
-                AggFunc::Sum => "sum",
-                AggFunc::Min => "min",
-                AggFunc::Max => "max",
-                AggFunc::Count => unreachable!("count handled above"),
-            };
-            match (f, ty) {
-                (AggFunc::Sum, DataType::I64) => sum_i64(&c.name),
-                (AggFunc::Sum, DataType::F64) => sum_f64(&c.name),
-                (AggFunc::Min, DataType::I64) => min_i64(&c.name),
-                (AggFunc::Min, DataType::F64) => min_f64(&c.name),
-                (AggFunc::Max, DataType::I64) => max_i64(&c.name),
-                (AggFunc::Max, DataType::F64) => max_f64(&c.name),
-                _ => {
-                    return plan_err(
-                        PlanError::TypeMismatch {
-                            context: format!("{name}({})", c.name),
-                            expected: "an i64 or f64 column (cast first)".into(),
-                            found: ty,
-                        },
-                        c.span,
-                    )
-                }
-            }
-        }
-        (_, None) => {
-            return plan_err(
-                PlanError::Invalid("sum/min/max need a column argument".into()),
-                Span::default(),
-            )
-        }
-    };
-    Ok(match &a.alias {
-        Some(al) => agg.named(&al.name),
-        None => agg,
     })
 }

@@ -1,19 +1,17 @@
 //! Recursive-descent parser for the query DSL.
 //!
 //! The grammar is LL(1) over the token stream (see DESIGN.md §10 for the
-//! EBNF). The parser produces the AST of [`super::ast`], whose expressions
-//! and predicates are the engine's own named trees with literals as
-//! written; all name/type resolution is left to [`super::compile`], so a
-//! parsed query is well-formed text, not yet a well-typed plan.
+//! EBNF). The parser produces the AST of [`super::ast`], whose expressions,
+//! predicates, aggregates and sort keys are the engine's own named types
+//! with literals as written; all name/type resolution is left to
+//! [`super::compile`], so a parsed query is well-formed text, not yet a
+//! well-typed plan.
 
 use ma_vector::DataType;
 
-use super::ast::{
-    AggFunc, AggItem, ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, SortKeyAst, Span,
-    Stage,
-};
+use super::ast::{ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, Span, Stage};
 use super::lex::{lex, ParseError, ParseErrorKind, Token, TokenKind};
-use crate::expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::expr::{Agg, AggFunc, ArithKind, CmpKind, CmpRhs, Expr, NumType, Pred, SortKey, Value};
 use crate::plan::{NamedExpr, NamedPred};
 
 /// Parses a complete query, rejecting trailing input.
@@ -182,7 +180,8 @@ impl Parser {
                     aggs.push(self.agg_item()?);
                 }
                 self.eat_sym("]")?;
-                Ok(Stage::Agg { keys, aggs })
+                let spans = self.take_leaves();
+                Ok(Stage::Agg { keys, aggs, spans })
             }
             TokenKind::Keyword("join") => {
                 self.bump();
@@ -212,8 +211,7 @@ impl Parser {
             }
             TokenKind::Keyword("order") => {
                 self.bump();
-                self.eat_kw("by")?;
-                Ok(Stage::Order(self.sort_keys()?))
+                self.sort_stage(None)
             }
             TokenKind::Keyword("top") => {
                 self.bump();
@@ -225,11 +223,7 @@ impl Parser {
                     }
                     _ => return self.err("positive row count"),
                 };
-                self.eat_kw("by")?;
-                Ok(Stage::Top {
-                    n,
-                    keys: self.sort_keys()?,
-                })
+                self.sort_stage(Some(n))
             }
             _ => self.err("a stage (where/select/keep/agg/join/merge/order/top)"),
         }
@@ -314,46 +308,42 @@ impl Parser {
         })
     }
 
-    fn agg_item(&mut self) -> Result<AggItem, ParseError> {
-        let (func, col) = match &self.peek().kind {
-            TokenKind::Keyword("count") => {
-                self.bump();
-                (AggFunc::Count, None)
-            }
-            TokenKind::Keyword(k @ ("sum" | "min" | "max")) => {
-                let func = match *k {
-                    "sum" => AggFunc::Sum,
-                    "min" => AggFunc::Min,
-                    _ => AggFunc::Max,
-                };
-                self.bump();
-                self.eat_sym("(")?;
-                let col = self.ident()?;
-                self.eat_sym(")")?;
-                (func, Some(col))
-            }
+    fn agg_item(&mut self) -> Result<Agg<String>, ParseError> {
+        let func = match &self.peek().kind {
+            TokenKind::Keyword("count") => None,
+            TokenKind::Keyword("sum") => Some(AggFunc::Sum),
+            TokenKind::Keyword("min") => Some(AggFunc::Min),
+            TokenKind::Keyword("max") => Some(AggFunc::Max),
             _ => return self.err("an aggregate (count/sum/min/max)"),
         };
-        let alias = if self.at_kw("as") {
+        self.bump();
+        let mut agg = Agg::count();
+        if let Some(func) = func {
+            self.eat_sym("(")?;
+            // The element type is the compiler's to pick.
+            agg.of = Some((func, NumType::I64, self.leaf_ident()?));
+            self.eat_sym(")")?;
+        }
+        if self.at_kw("as") {
             self.bump();
-            Some(self.ident()?)
-        } else {
-            None
-        };
-        Ok(AggItem { func, col, alias })
+            agg = agg.named(self.ident()?.name);
+        }
+        Ok(agg)
     }
 
-    fn sort_keys(&mut self) -> Result<Vec<SortKeyAst>, ParseError> {
+    fn sort_stage(&mut self, limit: Option<u64>) -> Result<Stage, ParseError> {
+        self.eat_kw("by")?;
         let mut keys = vec![self.sort_key()?];
         while self.at_sym(",") {
             self.bump();
             keys.push(self.sort_key()?);
         }
-        Ok(keys)
+        let spans = self.take_leaves();
+        Ok(Stage::Sort { limit, keys, spans })
     }
 
-    fn sort_key(&mut self) -> Result<SortKeyAst, ParseError> {
-        let col = self.ident()?;
+    fn sort_key(&mut self) -> Result<SortKey<String>, ParseError> {
+        let col = self.leaf_ident()?;
         let desc = if self.at_kw("desc") {
             self.bump();
             true
@@ -363,7 +353,7 @@ impl Parser {
             }
             false
         };
-        Ok(SortKeyAst { col, desc })
+        Ok(SortKey { col, desc })
     }
 
     /// A literal, with optional leading `-` on numbers.

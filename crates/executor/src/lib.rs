@@ -34,7 +34,9 @@ pub use analyze::{analyze, AbsDomain, Analysis, AnalysisError, ColFact, Facts};
 pub use config::{DecodeMode, ExecConfig, FlavorAxis, FlavorMode};
 pub use cost::{cost, CostFinding, CostReport, OpCost};
 pub use eval::{CompiledExpr, CompiledPred};
-pub use expr::{ArithKind, CmpKind, CmpRhs, Expr, Pred, TypeError, Value};
+pub use expr::{
+    Agg, AggFunc, ArithKind, CmpKind, CmpRhs, Expr, NumType, Pred, SortKey, TypeError, Value,
+};
 pub use ops::{collect, BoxOp, Operator};
 pub use plan::{
     instantiate, lower, plan_physical, Catalog, Exchange, LogicalPlan, NodeId, PhysNode,

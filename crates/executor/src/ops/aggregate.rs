@@ -10,82 +10,97 @@
 use std::sync::Arc;
 
 use ma_primitives::{
-    AggrCountGrouped, AggrMinMaxF64, AggrMinMaxF64Grouped, AggrMinMaxI64, AggrMinMaxI64Grouped,
-    AggrSumF64, AggrSumF64Grouped, AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable,
-    MapHash, MapHashStr, MapRehash, MapRehashStr, StrGroupInsertCheck, StrGroupTable,
+    AggrCountGrouped, AggrMinMaxI64, AggrMinMaxI64Grouped, AggrSumF64, AggrSumF64Grouped,
+    AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable, MapHash, MapHashStr,
+    StrGroupInsertCheck, StrGroupTable,
 };
-use ma_vector::{ColumnBuilder, DataChunk, DataType, SelVec, Vector};
+use ma_vector::{ColumnBuilder, DataChunk, DataType, Field, Schema, SelVec, Vector};
 
 use crate::adaptive::HeurKind;
+use crate::expr::{Agg, AggFunc, NumType};
 use crate::ops::{normalize_keys_i64, BoxOp, Operator, RowStore};
+use crate::plan::PlanError;
 use crate::{ExecError, PrimInstance, QueryContext};
 
-/// An aggregate function over an input column (by index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggSpec {
-    /// 128-bit-accumulated sum of an `i64` column, emitted as `i64`.
-    SumI64(usize),
-    /// Sum of an `f64` column.
-    SumF64(usize),
-    /// `COUNT(*)` over live tuples.
-    CountStar,
-    /// Minimum of an `i64` column.
-    MinI64(usize),
-    /// Maximum of an `i64` column.
-    MaxI64(usize),
-    /// Minimum of an `f64` column.
-    MinF64(usize),
-    /// Maximum of an `f64` column.
-    MaxF64(usize),
+/// Types `aggs` against the child's output by the shared rule
+/// ([`Agg::type_of`]), so a mistyped or out-of-range input column is a
+/// plan error at construction. Operators know types, not names: columns
+/// are named by position.
+fn out_types(aggs: &[Agg], input: &[DataType]) -> Result<Vec<DataType>, ExecError> {
+    let fields = input.iter().enumerate();
+    let schema = Schema::new(
+        fields
+            .map(|(i, &t)| Field::new(format!("#{i}"), t))
+            .collect(),
+    );
+    aggs.iter()
+        .map(|a| Ok(a.type_of(&schema).map_err(PlanError::from)?))
+        .collect()
 }
 
-impl AggSpec {
-    fn out_type(&self) -> DataType {
-        match self {
-            AggSpec::SumI64(_) | AggSpec::CountStar | AggSpec::MinI64(_) | AggSpec::MaxI64(_) => {
-                DataType::I64
-            }
-            AggSpec::SumF64(_) | AggSpec::MinF64(_) | AggSpec::MaxF64(_) => DataType::F64,
-        }
+/// Where an operator gets its primitive instances: signature `sig`,
+/// labelled `{label}/{name}` in the statistics.
+struct Instances<'a> {
+    ctx: &'a QueryContext,
+    label: &'a str,
+}
+
+impl Instances<'_> {
+    fn get<F>(&self, sig: &str, name: &str) -> Result<PrimInstance<F>, ExecError>
+    where
+        F: Copy + Send + Sync + 'static,
+    {
+        let label = format!("{}/{name}", self.label);
+        self.ctx.instance(sig, label, HeurKind::None)
     }
+
+    /// The primitive computing `func` over `ty`: `aggr_sum128_i64_col`
+    /// labelled `{label}/aggr_sum128_i64`, with `pre` `aggr` (grouped)
+    /// or `aggr0` (ungrouped).
+    fn aggr<F>(&self, pre: &str, func: AggFunc, ty: NumType) -> Result<PrimInstance<F>, ExecError>
+    where
+        F: Copy + Send + Sync + 'static,
+    {
+        let stem = match (func, ty) {
+            (AggFunc::Sum, NumType::I64) => "sum128",
+            _ => func.name(),
+        };
+        let name = format!("{pre}_{stem}_{}", ty.data_type());
+        self.get(&format!("{name}_col"), &name)
+    }
+}
+
+/// The checked narrowing of a 128-bit sum to its `i64` output column:
+/// overflow must panic, not wrap.
+fn narrow_sum(v: i128) -> i64 {
+    i64::try_from(v).expect("sum exceeds i64 output range")
 }
 
 // --- grouped accumulator buffers -------------------------------------------
 
+/// One variant per primitive type (the `f64` sum and min/max primitives
+/// share theirs); `unit` is what a fresh group holds.
 enum AccBuf {
-    SumI64 {
+    Sum128 {
         inst: PrimInstance<AggrSumI64Grouped>,
         accs: Vec<i128>,
         col: usize,
     },
-    SumF64 {
+    I64 {
+        inst: PrimInstance<AggrMinMaxI64Grouped>,
+        accs: Vec<i64>,
+        col: usize,
+        unit: i64,
+    },
+    F64 {
         inst: PrimInstance<AggrSumF64Grouped>,
         accs: Vec<f64>,
         col: usize,
+        unit: f64,
     },
     Count {
         inst: PrimInstance<AggrCountGrouped>,
         accs: Vec<i64>,
-    },
-    MinI64 {
-        inst: PrimInstance<AggrMinMaxI64Grouped>,
-        accs: Vec<i64>,
-        col: usize,
-    },
-    MaxI64 {
-        inst: PrimInstance<AggrMinMaxI64Grouped>,
-        accs: Vec<i64>,
-        col: usize,
-    },
-    MinF64 {
-        inst: PrimInstance<AggrMinMaxF64Grouped>,
-        accs: Vec<f64>,
-        col: usize,
-    },
-    MaxF64 {
-        inst: PrimInstance<AggrMinMaxF64Grouped>,
-        accs: Vec<f64>,
-        col: usize,
     },
 }
 
@@ -93,143 +108,94 @@ impl AccBuf {
     /// Live accumulator bytes (length-based): 16 per group for the
     /// 128-bit sums, 8 otherwise. Reported by the byte-accounting facade.
     fn bytes(&self) -> u64 {
-        match self {
-            AccBuf::SumI64 { accs, .. } => (accs.len() as u64).saturating_mul(16),
-            AccBuf::SumF64 { accs, .. }
-            | AccBuf::MinF64 { accs, .. }
-            | AccBuf::MaxF64 { accs, .. } => (accs.len() as u64).saturating_mul(8),
-            AccBuf::Count { accs, .. } => (accs.len() as u64).saturating_mul(8),
-            AccBuf::MinI64 { accs, .. } | AccBuf::MaxI64 { accs, .. } => {
-                (accs.len() as u64).saturating_mul(8)
-            }
-        }
+        let (groups, width) = match self {
+            AccBuf::Sum128 { accs, .. } => (accs.len(), 16),
+            AccBuf::I64 { accs, .. } | AccBuf::Count { accs, .. } => (accs.len(), 8),
+            AccBuf::F64 { accs, .. } => (accs.len(), 8),
+        };
+        (groups as u64).saturating_mul(width)
     }
 
-    fn create(spec: AggSpec, ctx: &QueryContext, label: &str) -> Result<Self, ExecError> {
-        Ok(match spec {
-            AggSpec::SumI64(col) => AccBuf::SumI64 {
-                inst: ctx.instance(
-                    "aggr_sum128_i64_col",
-                    format!("{label}/aggr_sum128_i64"),
-                    HeurKind::None,
-                )?,
+    fn create(agg: &Agg, prims: &Instances) -> Result<Self, ExecError> {
+        let Some((func, ty, col)) = agg.of else {
+            return Ok(AccBuf::Count {
+                inst: prims.get("aggr_count", "aggr_count")?,
+                accs: Vec::new(),
+            });
+        };
+        Ok(match (func, ty) {
+            (AggFunc::Sum, NumType::I64) => AccBuf::Sum128 {
+                inst: prims.aggr("aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
             },
-            AggSpec::SumF64(col) => AccBuf::SumF64 {
-                inst: ctx.instance(
-                    "aggr_sum_f64_col",
-                    format!("{label}/aggr_sum_f64"),
-                    HeurKind::None,
-                )?,
+            (_, NumType::I64) => AccBuf::I64 {
+                inst: prims.aggr("aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
+                unit: func.over_i64().0,
             },
-            AggSpec::CountStar => AccBuf::Count {
-                inst: ctx.instance("aggr_count", format!("{label}/aggr_count"), HeurKind::None)?,
-                accs: Vec::new(),
-            },
-            AggSpec::MinI64(col) => AccBuf::MinI64 {
-                inst: ctx.instance(
-                    "aggr_min_i64_col",
-                    format!("{label}/aggr_min_i64"),
-                    HeurKind::None,
-                )?,
+            (_, NumType::F64) => AccBuf::F64 {
+                inst: prims.aggr("aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
-            },
-            AggSpec::MaxI64(col) => AccBuf::MaxI64 {
-                inst: ctx.instance(
-                    "aggr_max_i64_col",
-                    format!("{label}/aggr_max_i64"),
-                    HeurKind::None,
-                )?,
-                accs: Vec::new(),
-                col,
-            },
-            AggSpec::MinF64(col) => AccBuf::MinF64 {
-                inst: ctx.instance(
-                    "aggr_min_f64_col",
-                    format!("{label}/aggr_min_f64"),
-                    HeurKind::None,
-                )?,
-                accs: Vec::new(),
-                col,
-            },
-            AggSpec::MaxF64(col) => AccBuf::MaxF64 {
-                inst: ctx.instance(
-                    "aggr_max_f64_col",
-                    format!("{label}/aggr_max_f64"),
-                    HeurKind::None,
-                )?,
-                accs: Vec::new(),
-                col,
+                unit: func.over_f64().0,
             },
         })
     }
 
     fn grow(&mut self, groups: usize) {
         match self {
-            AccBuf::SumI64 { accs, .. } => accs.resize(groups, 0),
-            AccBuf::SumF64 { accs, .. } => accs.resize(groups, 0.0),
+            AccBuf::Sum128 { accs, .. } => accs.resize(groups, 0),
+            AccBuf::I64 { accs, unit, .. } => accs.resize(groups, *unit),
+            AccBuf::F64 { accs, unit, .. } => accs.resize(groups, *unit),
             AccBuf::Count { accs, .. } => accs.resize(groups, 0),
-            AccBuf::MinI64 { accs, .. } => accs.resize(groups, i64::MAX),
-            AccBuf::MaxI64 { accs, .. } => accs.resize(groups, i64::MIN),
-            AccBuf::MinF64 { accs, .. } => accs.resize(groups, f64::INFINITY),
-            AccBuf::MaxF64 { accs, .. } => accs.resize(groups, f64::NEG_INFINITY),
         }
     }
 
     fn update(&mut self, chunk: &DataChunk, gids: &[u32], sel: Option<&[u32]>, live: u64) {
         match self {
-            AccBuf::SumI64 { inst, accs, col } => {
+            AccBuf::Sum128 { inst, accs, col } => {
                 let c = chunk.column(*col).as_i64();
                 inst.invoke(live, |f| f(accs, gids, c, sel));
             }
-            AccBuf::SumF64 { inst, accs, col } => {
+            AccBuf::I64 {
+                inst, accs, col, ..
+            } => {
+                let c = chunk.column(*col).as_i64();
+                inst.invoke(live, |f| f(accs, gids, c, sel));
+            }
+            AccBuf::F64 {
+                inst, accs, col, ..
+            } => {
                 let c = chunk.column(*col).as_f64();
                 inst.invoke(live, |f| f(accs, gids, c, sel));
             }
             AccBuf::Count { inst, accs } => {
                 inst.invoke(live, |f| f(accs, gids, sel));
             }
-            AccBuf::MinI64 { inst, accs, col } | AccBuf::MaxI64 { inst, accs, col } => {
-                let c = chunk.column(*col).as_i64();
-                inst.invoke(live, |f| f(accs, gids, c, sel));
-            }
-            AccBuf::MinF64 { inst, accs, col } | AccBuf::MaxF64 { inst, accs, col } => {
-                let c = chunk.column(*col).as_f64();
-                inst.invoke(live, |f| f(accs, gids, c, sel));
-            }
         }
     }
 
     fn finish(self) -> Vector {
         match self {
-            AccBuf::SumI64 { accs, .. } => Vector::I64(
-                accs.into_iter()
-                    .map(|v| i64::try_from(v).expect("sum exceeds i64 output range"))
-                    .collect(),
-            ),
-            AccBuf::SumF64 { accs, .. } => Vector::F64(accs),
-            AccBuf::Count { accs, .. } => Vector::I64(accs),
-            AccBuf::MinI64 { accs, .. } | AccBuf::MaxI64 { accs, .. } => Vector::I64(accs),
-            AccBuf::MinF64 { accs, .. } | AccBuf::MaxF64 { accs, .. } => Vector::F64(accs),
+            AccBuf::Sum128 { accs, .. } => Vector::I64(accs.into_iter().map(narrow_sum).collect()),
+            AccBuf::I64 { accs, .. } | AccBuf::Count { accs, .. } => Vector::I64(accs),
+            AccBuf::F64 { accs, .. } => Vector::F64(accs),
         }
     }
 }
 
 // --- key handling -----------------------------------------------------------
 
+/// One step of the hash pipeline over the key columns: the first key
+/// column is hashed (`map_hash_*`), every further one combined in
+/// (`map_rehash_*`, the same primitive type).
 enum HashStep {
-    /// First key column, integer: hash the normalized i64 scratch.
-    HashI64(PrimInstance<MapHash<i64>>, usize),
-    /// Subsequent integer key column: combine.
-    RehashI64(PrimInstance<MapRehash<i64>>, usize),
-    /// First key column, string.
-    HashStr(PrimInstance<MapHashStr>, usize),
-    /// Subsequent string key column.
-    RehashStr(PrimInstance<MapRehashStr>, usize),
+    /// Integer key column: hash the normalized i64 scratch.
+    I64(PrimInstance<MapHash<i64>>, usize),
+    /// String key column.
+    Str(PrimInstance<MapHashStr>, usize),
 }
 
 enum KeyTable {
@@ -419,7 +385,7 @@ impl HashAggregate {
     pub fn new(
         child: BoxOp,
         group_cols: Vec<usize>,
-        specs: Vec<AggSpec>,
+        specs: Vec<Agg>,
         ctx: &QueryContext,
         label: &str,
     ) -> Result<Self, ExecError> {
@@ -437,74 +403,42 @@ impl HashAggregate {
         let key_rows = KeyRows::for_types(group_cols.iter().map(|&c| in_types[c]))?;
 
         // Hash pipeline over the key columns.
+        let prims = Instances { ctx, label };
         let mut hash_steps = Vec::with_capacity(group_cols.len());
         for (k, &c) in group_cols.iter().enumerate() {
             let is_str = in_types[c] == DataType::Str;
-            let step = match (k == 0, is_str) {
-                (true, false) => HashStep::HashI64(
-                    ctx.instance(
-                        "map_hash_i64_col",
-                        format!("{label}/map_hash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
-                (false, false) => HashStep::RehashI64(
-                    ctx.instance(
-                        "map_rehash_i64_col",
-                        format!("{label}/map_rehash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
-                (true, true) => HashStep::HashStr(
-                    ctx.instance(
-                        "map_hash_str_col",
-                        format!("{label}/map_hash_str"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
-                (false, true) => HashStep::RehashStr(
-                    ctx.instance(
-                        "map_rehash_str_col",
-                        format!("{label}/map_rehash_str"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                ),
+            let (sig, name) = match (k == 0, is_str) {
+                (true, false) => ("map_hash_i64_col", "map_hash"),
+                (false, false) => ("map_rehash_i64_col", "map_rehash"),
+                (true, true) => ("map_hash_str_col", "map_hash_str"),
+                (false, true) => ("map_rehash_str_col", "map_rehash_str"),
             };
-            hash_steps.push(step);
+            hash_steps.push(if is_str {
+                HashStep::Str(prims.get(sig, name)?, c)
+            } else {
+                HashStep::I64(prims.get(sig, name)?, c)
+            });
         }
 
         // Group table choice.
         let key_table = if group_cols.len() == 1 && in_types[group_cols[0]] != DataType::Str {
             KeyTable::Int {
                 table: GroupTable::new(),
-                insert: ctx.instance(
-                    "hash_insertcheck_u64_col",
-                    format!("{label}/insertcheck_u64"),
-                    HeurKind::None,
-                )?,
+                insert: prims.get("hash_insertcheck_u64_col", "insertcheck_u64")?,
             }
         } else {
             KeyTable::Bytes {
                 table: StrGroupTable::new(),
-                insert: ctx.instance(
-                    "hash_insertcheck_str_col",
-                    format!("{label}/insertcheck_str"),
-                    HeurKind::None,
-                )?,
+                insert: prims.get("hash_insertcheck_str_col", "insertcheck_str")?,
             }
         };
 
+        let mut types: Vec<DataType> = group_cols.iter().map(|&c| in_types[c]).collect();
+        types.extend(out_types(&specs, &in_types)?);
         let accs = specs
             .iter()
-            .map(|&s| AccBuf::create(s, ctx, label))
+            .map(|s| AccBuf::create(s, &prims))
             .collect::<Result<Vec<_>, _>>()?;
-
-        let mut types: Vec<DataType> = group_cols.iter().map(|&c| in_types[c]).collect();
-        types.extend(specs.iter().map(AggSpec::out_type));
 
         let key_builders = group_cols
             .iter()
@@ -586,21 +520,12 @@ impl HashAggregate {
         // 1. hash pipeline
         for step in &mut self.hash_steps {
             match step {
-                HashStep::HashI64(inst, c) => {
+                HashStep::I64(inst, c) => {
                     normalize_keys_i64(chunk.column(*c), &mut self.keyscratch);
                     let keys = &self.keyscratch;
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
-                HashStep::RehashI64(inst, c) => {
-                    normalize_keys_i64(chunk.column(*c), &mut self.keyscratch);
-                    let keys = &self.keyscratch;
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-                HashStep::HashStr(inst, c) => {
-                    let keys = chunk.column(*c).as_str_vec();
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-                HashStep::RehashStr(inst, c) => {
+                HashStep::Str(inst, c) => {
                     let keys = chunk.column(*c).as_str_vec();
                     inst.invoke(live, |f| f(hashes, keys, sel));
                 }
@@ -748,40 +673,63 @@ impl Operator for HashAggregate {
 
 // --- ungrouped ---------------------------------------------------------------
 
+/// As [`AccBuf`], with `combine` folding each vector's partial result in.
 enum Acc0 {
-    SumI64 {
+    Sum128 {
         inst: PrimInstance<AggrSumI64>,
         acc: i128,
         col: usize,
     },
-    SumF64 {
+    I64 {
+        inst: PrimInstance<AggrMinMaxI64>,
+        acc: i64,
+        col: usize,
+        combine: fn(i64, i64) -> i64,
+    },
+    F64 {
         inst: PrimInstance<AggrSumF64>,
         acc: f64,
         col: usize,
+        combine: fn(f64, f64) -> f64,
     },
     Count {
         acc: i64,
     },
-    MinI64 {
-        inst: PrimInstance<AggrMinMaxI64>,
-        acc: i64,
-        col: usize,
-    },
-    MaxI64 {
-        inst: PrimInstance<AggrMinMaxI64>,
-        acc: i64,
-        col: usize,
-    },
-    MinF64 {
-        inst: PrimInstance<AggrMinMaxF64>,
-        acc: f64,
-        col: usize,
-    },
-    MaxF64 {
-        inst: PrimInstance<AggrMinMaxF64>,
-        acc: f64,
-        col: usize,
-    },
+}
+
+impl Acc0 {
+    fn create(agg: &Agg, prims: &Instances) -> Result<Self, ExecError> {
+        let Some((func, ty, col)) = agg.of else {
+            return Ok(Acc0::Count { acc: 0 });
+        };
+        Ok(match (func, ty) {
+            (AggFunc::Sum, NumType::I64) => Acc0::Sum128 {
+                inst: prims.aggr("aggr0", func, ty)?,
+                acc: 0,
+                col,
+            },
+            (_, NumType::I64) => {
+                let inst = prims.aggr("aggr0", func, ty)?;
+                let (acc, combine) = func.over_i64();
+                Acc0::I64 {
+                    inst,
+                    acc,
+                    col,
+                    combine,
+                }
+            }
+            (_, NumType::F64) => {
+                let inst = prims.aggr("aggr0", func, ty)?;
+                let (acc, combine) = func.over_f64();
+                Acc0::F64 {
+                    inst,
+                    acc,
+                    col,
+                    combine,
+                }
+            }
+        })
+    }
 }
 
 /// Ungrouped aggregation: one output row.
@@ -796,72 +744,14 @@ impl StreamAggregate {
     /// Builds the operator over `specs`.
     pub fn new(
         child: BoxOp,
-        specs: Vec<AggSpec>,
+        specs: Vec<Agg>,
         ctx: &QueryContext,
         label: &str,
     ) -> Result<Self, ExecError> {
-        let types = specs.iter().map(AggSpec::out_type).collect();
+        let types = out_types(&specs, child.out_types())?;
         let accs = specs
             .iter()
-            .map(|&s| -> Result<Acc0, ExecError> {
-                Ok(match s {
-                    AggSpec::SumI64(col) => Acc0::SumI64 {
-                        inst: ctx.instance(
-                            "aggr0_sum128_i64_col",
-                            format!("{label}/aggr0_sum128_i64"),
-                            HeurKind::None,
-                        )?,
-                        acc: 0,
-                        col,
-                    },
-                    AggSpec::SumF64(col) => Acc0::SumF64 {
-                        inst: ctx.instance(
-                            "aggr0_sum_f64_col",
-                            format!("{label}/aggr0_sum_f64"),
-                            HeurKind::None,
-                        )?,
-                        acc: 0.0,
-                        col,
-                    },
-                    AggSpec::CountStar => Acc0::Count { acc: 0 },
-                    AggSpec::MinI64(col) => Acc0::MinI64 {
-                        inst: ctx.instance(
-                            "aggr0_min_i64_col",
-                            format!("{label}/aggr0_min_i64"),
-                            HeurKind::None,
-                        )?,
-                        acc: i64::MAX,
-                        col,
-                    },
-                    AggSpec::MaxI64(col) => Acc0::MaxI64 {
-                        inst: ctx.instance(
-                            "aggr0_max_i64_col",
-                            format!("{label}/aggr0_max_i64"),
-                            HeurKind::None,
-                        )?,
-                        acc: i64::MIN,
-                        col,
-                    },
-                    AggSpec::MinF64(col) => Acc0::MinF64 {
-                        inst: ctx.instance(
-                            "aggr0_min_f64_col",
-                            format!("{label}/aggr0_min_f64"),
-                            HeurKind::None,
-                        )?,
-                        acc: f64::INFINITY,
-                        col,
-                    },
-                    AggSpec::MaxF64(col) => Acc0::MaxF64 {
-                        inst: ctx.instance(
-                            "aggr0_max_f64_col",
-                            format!("{label}/aggr0_max_f64"),
-                            HeurKind::None,
-                        )?,
-                        acc: f64::NEG_INFINITY,
-                        col,
-                    },
-                })
-            })
+            .map(|s| Acc0::create(s, &Instances { ctx, label }))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(StreamAggregate {
             child,
@@ -883,31 +773,29 @@ impl Operator for StreamAggregate {
             let live = chunk.live_count() as u64;
             for acc in &mut self.accs {
                 match acc {
-                    Acc0::SumI64 { inst, acc, col } => {
+                    Acc0::Sum128 { inst, acc, col } => {
                         let c = chunk.column(*col).as_i64();
                         *acc += inst.invoke(live, |f| f(c, sel));
                     }
-                    Acc0::SumF64 { inst, acc, col } => {
+                    Acc0::I64 {
+                        inst,
+                        acc,
+                        col,
+                        combine,
+                    } => {
+                        let c = chunk.column(*col).as_i64();
+                        *acc = combine(*acc, inst.invoke(live, |f| f(c, sel)));
+                    }
+                    Acc0::F64 {
+                        inst,
+                        acc,
+                        col,
+                        combine,
+                    } => {
                         let c = chunk.column(*col).as_f64();
-                        *acc += inst.invoke(live, |f| f(c, sel));
+                        *acc = combine(*acc, inst.invoke(live, |f| f(c, sel)));
                     }
                     Acc0::Count { acc } => *acc += live as i64,
-                    Acc0::MinI64 { inst, acc, col } => {
-                        let c = chunk.column(*col).as_i64();
-                        *acc = (*acc).min(inst.invoke(live, |f| f(c, sel)));
-                    }
-                    Acc0::MaxI64 { inst, acc, col } => {
-                        let c = chunk.column(*col).as_i64();
-                        *acc = (*acc).max(inst.invoke(live, |f| f(c, sel)));
-                    }
-                    Acc0::MinF64 { inst, acc, col } => {
-                        let c = chunk.column(*col).as_f64();
-                        *acc = (*acc).min(inst.invoke(live, |f| f(c, sel)));
-                    }
-                    Acc0::MaxF64 { inst, acc, col } => {
-                        let c = chunk.column(*col).as_f64();
-                        *acc = (*acc).max(inst.invoke(live, |f| f(c, sel)));
-                    }
                 }
             }
         }
@@ -917,13 +805,9 @@ impl Operator for StreamAggregate {
             .iter()
             .map(|acc| {
                 Arc::new(match acc {
-                    Acc0::SumI64 { acc, .. } => {
-                        Vector::I64(vec![i64::try_from(*acc).expect("sum overflow")])
-                    }
-                    Acc0::SumF64 { acc, .. } => Vector::F64(vec![*acc]),
-                    Acc0::Count { acc } => Vector::I64(vec![*acc]),
-                    Acc0::MinI64 { acc, .. } | Acc0::MaxI64 { acc, .. } => Vector::I64(vec![*acc]),
-                    Acc0::MinF64 { acc, .. } | Acc0::MaxF64 { acc, .. } => Vector::F64(vec![*acc]),
+                    Acc0::Sum128 { acc, .. } => Vector::I64(vec![narrow_sum(*acc)]),
+                    Acc0::I64 { acc, .. } | Acc0::Count { acc } => Vector::I64(vec![*acc]),
+                    Acc0::F64 { acc, .. } => Vector::F64(vec![*acc]),
                 })
             })
             .collect();
@@ -979,7 +863,7 @@ mod tests {
         let mut agg = HashAggregate::new(
             scan(700),
             vec![0],
-            vec![AggSpec::CountStar, AggSpec::SumI64(1)],
+            vec![Agg::count(), Agg::sum_i64(1)],
             &c,
             "t",
         )
@@ -1001,8 +885,7 @@ mod tests {
     #[test]
     fn single_str_key_grouping() {
         let c = ctx();
-        let mut agg =
-            HashAggregate::new(scan(300), vec![2], vec![AggSpec::CountStar], &c, "t").unwrap();
+        let mut agg = HashAggregate::new(scan(300), vec![2], vec![Agg::count()], &c, "t").unwrap();
         let chunks = collect(&mut agg).unwrap();
         assert_eq!(total_rows(&chunks), 3);
         let ch = &chunks[0];
@@ -1019,7 +902,7 @@ mod tests {
         let mut agg = HashAggregate::new(
             scan(2100),
             vec![0, 2],
-            vec![AggSpec::CountStar, AggSpec::MinI64(1), AggSpec::MaxI64(1)],
+            vec![Agg::count(), Agg::min_i64(1), Agg::max_i64(1)],
             &c,
             "t",
         )
@@ -1107,7 +990,7 @@ mod tests {
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I64(70));
         let sel = Select::new(scan(700), &pred, &c, "s").unwrap();
         let mut agg =
-            HashAggregate::new(Box::new(sel), vec![0], vec![AggSpec::CountStar], &c, "t").unwrap();
+            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c, "t").unwrap();
         let chunks = collect(&mut agg).unwrap();
         assert_eq!(total_rows(&chunks), 7);
         let ch = &chunks[0];
@@ -1121,10 +1004,10 @@ mod tests {
         let mut agg = StreamAggregate::new(
             scan(100),
             vec![
-                AggSpec::SumI64(1),
-                AggSpec::CountStar,
-                AggSpec::MinI64(1),
-                AggSpec::MaxI64(1),
+                Agg::sum_i64(1),
+                Agg::count(),
+                Agg::min_i64(1),
+                Agg::max_i64(1),
             ],
             &c,
             "t",
@@ -1146,14 +1029,29 @@ mod tests {
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I64(-1));
         let sel = Select::new(scan(100), &pred, &c, "s").unwrap();
         let mut agg =
-            HashAggregate::new(Box::new(sel), vec![0], vec![AggSpec::CountStar], &c, "t").unwrap();
+            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c, "t").unwrap();
         assert!(agg.next().unwrap().is_none());
     }
 
     #[test]
     fn empty_group_cols_rejected() {
         let c = ctx();
-        assert!(HashAggregate::new(scan(10), vec![], vec![AggSpec::CountStar], &c, "t").is_err());
+        assert!(HashAggregate::new(scan(10), vec![], vec![Agg::count()], &c, "t").is_err());
+    }
+
+    /// A mistyped or out-of-range aggregate column is a plan error at
+    /// construction (both used to build, then panic on their first chunk).
+    #[test]
+    fn bad_aggregate_columns_rejected_at_construction() {
+        let c = ctx();
+        assert!(matches!(
+            HashAggregate::new(scan(10), vec![0], vec![Agg::sum_i64(9)], &c, "t"),
+            Err(ExecError::Plan(_))
+        ));
+        assert!(matches!(
+            StreamAggregate::new(scan(10), vec![Agg::sum_f64(1)], &c, "t"),
+            Err(ExecError::Plan(_))
+        ));
     }
 
     #[test]
@@ -1176,7 +1074,7 @@ mod tests {
         .unwrap();
         let mut agg = StreamAggregate::new(
             Box::new(p),
-            vec![AggSpec::SumF64(1), AggSpec::MinF64(1), AggSpec::MaxF64(1)],
+            vec![Agg::sum_f64(1), Agg::min_f64(1), Agg::max_f64(1)],
             &c,
             "t",
         )

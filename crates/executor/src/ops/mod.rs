@@ -11,8 +11,9 @@ mod select;
 mod sort;
 pub(crate) mod xrt;
 
+pub use crate::expr::{Agg, SortKey};
 pub(crate) use aggregate::key_row_width;
-pub use aggregate::{AggSpec, HashAggregate, StreamAggregate};
+pub use aggregate::{HashAggregate, StreamAggregate};
 pub use exchange::{
     ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel,
 };
@@ -21,7 +22,7 @@ pub use merge_join::MergeJoin;
 pub use project::{ProjItem, Project};
 pub use scan::Scan;
 pub use select::Select;
-pub use sort::{materialize, Limit, Sort, SortKey};
+pub use sort::{materialize, Limit, Sort};
 
 use std::sync::Arc;
 

@@ -5,28 +5,9 @@ use std::cmp::Ordering;
 
 use ma_vector::{DataChunk, DataType, Vector};
 
+use crate::expr::SortKey;
 use crate::ops::{BoxOp, FrozenStore, Operator, RowStore};
 use crate::ExecError;
-
-/// One sort key: column index + direction.
-#[derive(Debug, Clone, Copy)]
-pub struct SortKey {
-    /// Column index in the child's schema.
-    pub col: usize,
-    /// Descending order when true.
-    pub desc: bool,
-}
-
-impl SortKey {
-    /// Ascending key.
-    pub fn asc(col: usize) -> Self {
-        SortKey { col, desc: false }
-    }
-    /// Descending key.
-    pub fn desc(col: usize) -> Self {
-        SortKey { col, desc: true }
-    }
-}
 
 /// Full sort (optionally truncated to `limit` rows — a top-N).
 pub struct Sort {

@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use ma_vector::{DataType, Field, Schema, Table};
 
-use crate::expr::{Expr, Value};
-use crate::ops::{JoinKind, ProjItem, SortKey};
-use crate::plan::expr::{resolve_col, Agg, NamedExpr, NamedPred, SortSpec};
+use crate::expr::{Agg, Expr, SortKey, Value};
+use crate::ops::{JoinKind, ProjItem};
+use crate::plan::expr::{resolve_col, NamedExpr, NamedPred};
 use crate::plan::{Catalog, LogicalPlan, PlanError};
 
 /// Fluent builder over [`LogicalPlan`] — see the [module docs](crate::plan).
@@ -90,6 +90,22 @@ fn check_unique(fields: &[Field]) -> Result<(), PlanError> {
         }
     }
     Ok(())
+}
+
+/// Resolves and types `aggs` against `schema`, appending one output field
+/// per aggregate to `fields`.
+fn resolve_aggs(
+    aggs: &[Agg<String>],
+    schema: &Schema,
+    fields: &mut Vec<Field>,
+) -> Result<Vec<Agg>, PlanError> {
+    aggs.iter()
+        .map(|a| {
+            let (agg, ty) = a.resolve(schema)?;
+            fields.push(Field::new(a.out_name(), ty));
+            Ok(agg)
+        })
+        .collect()
 }
 
 impl PlanBuilder {
@@ -220,7 +236,7 @@ impl PlanBuilder {
 
     /// Grouped hash aggregation over `keys`. Output schema: the key
     /// columns (aliasable) followed by one column per [`Agg`].
-    pub fn hash_agg(self, keys: &[&str], aggs: Vec<Agg>, label: &str) -> Self {
+    pub fn hash_agg(self, keys: &[&str], aggs: Vec<Agg<String>>, label: &str) -> Self {
         let label = label.to_string();
         let keys: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
         self.and_then(|input| {
@@ -246,18 +262,12 @@ impl PlanBuilder {
                 key_idx.push(i);
                 fields.push(Field::new(alias, ty));
             }
-            let specs = aggs
-                .iter()
-                .map(|a| a.resolve(in_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            for a in &aggs {
-                fields.push(Field::new(&a.name, a.out_type()));
-            }
+            let aggs = resolve_aggs(&aggs, in_schema, &mut fields)?;
             check_unique(&fields)?;
             Ok(LogicalPlan::HashAgg {
                 input: Box::new(input),
                 keys: key_idx,
-                aggs: specs,
+                aggs,
                 label,
                 schema: Schema::new(fields),
             })
@@ -265,22 +275,15 @@ impl PlanBuilder {
     }
 
     /// Ungrouped aggregation producing a single row.
-    pub fn stream_agg(self, aggs: Vec<Agg>, label: &str) -> Self {
+    pub fn stream_agg(self, aggs: Vec<Agg<String>>, label: &str) -> Self {
         let label = label.to_string();
         self.and_then(|input| {
-            let in_schema = input.schema();
-            let specs = aggs
-                .iter()
-                .map(|a| a.resolve(in_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            let fields: Vec<Field> = aggs
-                .iter()
-                .map(|a| Field::new(&a.name, a.out_type()))
-                .collect();
+            let mut fields = Vec::with_capacity(aggs.len());
+            let aggs = resolve_aggs(&aggs, input.schema(), &mut fields)?;
             check_unique(&fields)?;
             Ok(LogicalPlan::StreamAgg {
                 input: Box::new(input),
-                aggs: specs,
+                aggs,
                 label,
                 schema: Schema::new(fields),
             })
@@ -494,28 +497,22 @@ impl PlanBuilder {
     }
 
     /// Sorts by `keys` (leftmost primary).
-    pub fn sort(self, keys: &[SortSpec]) -> Self {
+    pub fn sort(self, keys: &[SortKey<String>]) -> Self {
         self.sort_limit(keys, None)
     }
 
     /// Sorts by `keys` and keeps the first `n` rows (top-N).
-    pub fn top_n(self, keys: &[SortSpec], n: usize) -> Self {
+    pub fn top_n(self, keys: &[SortKey<String>], n: usize) -> Self {
         self.sort_limit(keys, Some(n))
     }
 
-    fn sort_limit(self, keys: &[SortSpec], limit: Option<usize>) -> Self {
+    pub(crate) fn sort_limit(self, keys: &[SortKey<String>], limit: Option<usize>) -> Self {
         let keys = keys.to_vec();
         self.and_then(move |input| {
             let schema = input.schema().clone();
             let keys = keys
                 .iter()
-                .map(|k| {
-                    let i = resolve_col(&schema, &k.col)?;
-                    Ok(SortKey {
-                        col: i,
-                        desc: k.desc,
-                    })
-                })
+                .map(|k| k.try_map_col(&mut |name| resolve_col(&schema, name)))
                 .collect::<Result<Vec<_>, PlanError>>()?;
             Ok(LogicalPlan::Sort {
                 input: Box::new(input),

@@ -21,8 +21,8 @@ use std::fmt;
 use ma_vector::Schema;
 
 use crate::config::ExecConfig;
-use crate::expr::{CmpKind, CmpRhs, Expr, Pred, Value};
-use crate::ops::{AggSpec, JoinKind, ProjItem, SortKey};
+use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
+use crate::ops::{JoinKind, ProjItem};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode};
 
 impl fmt::Display for LogicalPlan {
@@ -269,7 +269,7 @@ fn fmt_node(
         } => {
             let ks: Vec<String> = keys
                 .iter()
-                .map(|k: &SortKey| {
+                .map(|k| {
                     format!(
                         "{} {}",
                         input.schema().field(k.col).name,
@@ -287,21 +287,18 @@ fn fmt_node(
     }
 }
 
-fn render_aggs(aggs: &[AggSpec], key_count: usize, input: &Schema, out: &Schema) -> String {
+fn render_aggs(aggs: &[Agg], key_count: usize, input: &Schema, out: &Schema) -> String {
     aggs.iter()
         .enumerate()
-        .map(|(i, spec)| {
+        .map(|(i, agg)| {
             let out_name = &out.field(key_count + i).name;
-            let body = match spec {
-                AggSpec::SumI64(c) => format!("sum_i64({})", input.field(*c).name),
-                AggSpec::SumF64(c) => format!("sum_f64({})", input.field(*c).name),
-                AggSpec::CountStar => "count(*)".to_string(),
-                AggSpec::MinI64(c) => format!("min_i64({})", input.field(*c).name),
-                AggSpec::MaxI64(c) => format!("max_i64({})", input.field(*c).name),
-                AggSpec::MinF64(c) => format!("min_f64({})", input.field(*c).name),
-                AggSpec::MaxF64(c) => format!("max_f64({})", input.field(*c).name),
-            };
-            format!("{out_name}={body}")
+            match agg.of {
+                Some((func, ty, c)) => {
+                    let (func, ty, col) = (func.name(), ty.data_type(), &input.field(c).name);
+                    format!("{out_name}={func}_{ty}({col})")
+                }
+                None => format!("{out_name}=count(*)"),
+            }
         })
         .collect::<Vec<_>>()
         .join(", ")

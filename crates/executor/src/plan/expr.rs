@@ -1,18 +1,18 @@
 //! Named expressions, predicates, aggregates and sort keys.
 //!
-//! Query authors reference columns **by name**: [`NamedExpr`] and
-//! [`NamedPred`] are the trees of [`crate::expr`] over `String` column
-//! references. The [`crate::plan::PlanBuilder`] resolves them against the
-//! input node's [`Schema`] while the plan is built — names become indices
-//! through [`Expr::try_map_cols`], then the positional tree goes through
-//! the one typing pass ([`Expr::type_of`], [`Pred::check`]) — so every
-//! name/type mistake surfaces as a typed [`PlanError`] before an operator
-//! exists.
+//! Query authors reference columns **by name**: [`NamedExpr`],
+//! [`NamedPred`], `Agg<String>` and `SortKey<String>` are the types of
+//! [`crate::expr`] over `String` column references. The
+//! [`crate::plan::PlanBuilder`] resolves them against the input node's
+//! [`Schema`] while the plan is built — names become indices through
+//! [`Expr::try_map_cols`] / [`Agg::try_map_col`], then the positional form
+//! goes through the one typing pass ([`Expr::type_of`], [`Pred::check`],
+//! [`Agg::type_of`]) — so every name/type mistake surfaces as a typed
+//! [`PlanError`] before an operator exists.
 
 use ma_vector::{DataType, Schema};
 
-use crate::expr::{Expr, Pred};
-use crate::ops::AggSpec;
+use crate::expr::{Agg, Expr, Pred, SortKey};
 use crate::plan::PlanError;
 
 /// A projection expression over named columns.
@@ -54,150 +54,62 @@ impl Pred<String> {
     }
 }
 
-/// An aggregate over a named column, with an output column name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Agg {
-    pub(crate) kind: AggKind,
-    pub(crate) col: Option<String>,
-    pub(crate) name: String,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggKind {
-    SumI64,
-    SumF64,
-    CountStar,
-    MinI64,
-    MaxI64,
-    MinF64,
-    MaxF64,
-}
-
-impl AggKind {
-    fn required(self) -> Option<DataType> {
-        match self {
-            AggKind::SumI64 | AggKind::MinI64 | AggKind::MaxI64 => Some(DataType::I64),
-            AggKind::SumF64 | AggKind::MinF64 | AggKind::MaxF64 => Some(DataType::F64),
-            AggKind::CountStar => None,
-        }
+impl Agg<String> {
+    /// Resolves against `schema`, returning the positional aggregate and
+    /// its output type.
+    pub(crate) fn resolve(&self, schema: &Schema) -> Result<(Agg, DataType), PlanError> {
+        let a = self.try_map_col(&mut |name| resolve_col(schema, name))?;
+        let ty = a.type_of(schema)?;
+        Ok((a, ty))
     }
-    fn sql_name(self) -> &'static str {
-        match self {
-            AggKind::SumI64 | AggKind::SumF64 => "sum",
-            AggKind::CountStar => "count",
-            AggKind::MinI64 | AggKind::MinF64 => "min",
-            AggKind::MaxI64 | AggKind::MaxF64 => "max",
-        }
-    }
-}
 
-fn agg(kind: AggKind, column: impl Into<String>) -> Agg {
-    let column = column.into();
-    Agg {
-        name: format!("{}_{}", kind.sql_name(), column),
-        kind,
-        col: Some(column),
+    /// The output column name: the override, or `sum_<col>` / `count`.
+    pub(crate) fn out_name(&self) -> String {
+        match (&self.name, &self.of) {
+            (Some(name), _) => name.clone(),
+            (None, Some((func, _, col))) => format!("{}_{col}", func.name()),
+            (None, None) => "count".into(),
+        }
     }
 }
 
 /// Sum of an `i64` column (128-bit accumulation).
-pub fn sum_i64(column: impl Into<String>) -> Agg {
-    agg(AggKind::SumI64, column)
+pub fn sum_i64(column: impl Into<String>) -> Agg<String> {
+    Agg::sum_i64(column)
 }
 /// Sum of an `f64` column.
-pub fn sum_f64(column: impl Into<String>) -> Agg {
-    agg(AggKind::SumF64, column)
+pub fn sum_f64(column: impl Into<String>) -> Agg<String> {
+    Agg::sum_f64(column)
 }
 /// `COUNT(*)` over live tuples.
-pub fn count() -> Agg {
-    Agg {
-        kind: AggKind::CountStar,
-        col: None,
-        name: "count".into(),
-    }
+pub fn count() -> Agg<String> {
+    Agg::count()
 }
 /// Minimum of an `i64` column.
-pub fn min_i64(column: impl Into<String>) -> Agg {
-    agg(AggKind::MinI64, column)
+pub fn min_i64(column: impl Into<String>) -> Agg<String> {
+    Agg::min_i64(column)
 }
 /// Maximum of an `i64` column.
-pub fn max_i64(column: impl Into<String>) -> Agg {
-    agg(AggKind::MaxI64, column)
+pub fn max_i64(column: impl Into<String>) -> Agg<String> {
+    Agg::max_i64(column)
 }
 /// Minimum of an `f64` column.
-pub fn min_f64(column: impl Into<String>) -> Agg {
-    agg(AggKind::MinF64, column)
+pub fn min_f64(column: impl Into<String>) -> Agg<String> {
+    Agg::min_f64(column)
 }
 /// Maximum of an `f64` column.
-pub fn max_f64(column: impl Into<String>) -> Agg {
-    agg(AggKind::MaxF64, column)
-}
-
-impl Agg {
-    /// Overrides the output column name (defaults to `sum_<col>`-style).
-    pub fn named(mut self, name: impl Into<String>) -> Agg {
-        self.name = name.into();
-        self
-    }
-
-    /// Resolves to a positional [`AggSpec`], type-checking the input.
-    pub(crate) fn resolve(&self, schema: &Schema) -> Result<AggSpec, PlanError> {
-        let Some(colname) = &self.col else {
-            return Ok(AggSpec::CountStar);
-        };
-        let i = resolve_col(schema, colname)?;
-        let ty = schema.field(i).ty;
-        let required = self.kind.required().expect("non-count has a column");
-        if ty != required {
-            return Err(PlanError::TypeMismatch {
-                context: format!("{}({colname})", self.kind.sql_name()),
-                expected: format!("{required} (cast first)"),
-                found: ty,
-            });
-        }
-        Ok(match self.kind {
-            AggKind::SumI64 => AggSpec::SumI64(i),
-            AggKind::SumF64 => AggSpec::SumF64(i),
-            AggKind::MinI64 => AggSpec::MinI64(i),
-            AggKind::MaxI64 => AggSpec::MaxI64(i),
-            AggKind::MinF64 => AggSpec::MinF64(i),
-            AggKind::MaxF64 => AggSpec::MaxF64(i),
-            AggKind::CountStar => unreachable!(),
-        })
-    }
-
-    /// Output column type.
-    pub(crate) fn out_type(&self) -> DataType {
-        match self.kind {
-            AggKind::SumI64 | AggKind::CountStar | AggKind::MinI64 | AggKind::MaxI64 => {
-                DataType::I64
-            }
-            AggKind::SumF64 | AggKind::MinF64 | AggKind::MaxF64 => DataType::F64,
-        }
-    }
-}
-
-/// A named sort key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortSpec {
-    pub(crate) col: String,
-    pub(crate) desc: bool,
+pub fn max_f64(column: impl Into<String>) -> Agg<String> {
+    Agg::max_f64(column)
 }
 
 /// Ascending sort key.
-pub fn asc(col: impl Into<String>) -> SortSpec {
-    SortSpec {
-        col: col.into(),
-        desc: false,
-    }
+pub fn asc(col: impl Into<String>) -> SortKey<String> {
+    SortKey::asc(col)
 }
 
 /// Descending sort key.
-pub fn desc(col: impl Into<String>) -> SortSpec {
-    SortSpec {
-        col: col.into(),
-        desc: true,
-    }
+pub fn desc(col: impl Into<String>) -> SortKey<String> {
+    SortKey::desc(col)
 }
 
 /// Resolves `name` against `schema`: typed errors for unknown or
@@ -344,10 +256,22 @@ mod tests {
     #[test]
     fn agg_resolution() {
         let s = schema();
-        assert_eq!(sum_i64("v").resolve(&s).unwrap(), AggSpec::SumI64(1));
-        assert_eq!(count().resolve(&s).unwrap(), AggSpec::CountStar);
-        assert_eq!(sum_i64("v").name, "sum_v");
-        assert_eq!(sum_i64("v").named("total").name, "total");
+        assert_eq!(
+            sum_i64("v").resolve(&s).unwrap(),
+            (Agg::sum_i64(1), DataType::I64)
+        );
+        assert_eq!(
+            max_f64("f").named("top").resolve(&s).unwrap(),
+            (Agg::max_f64(3).named("top"), DataType::F64)
+        );
+        assert_eq!(count().resolve(&s).unwrap(), (Agg::count(), DataType::I64));
+        assert_eq!(sum_i64("v").out_name(), "sum_v");
+        assert_eq!(count().out_name(), "count");
+        assert_eq!(sum_i64("v").named("total").out_name(), "total");
+        assert!(matches!(
+            min_i64("nope").resolve(&s),
+            Err(PlanError::UnknownColumn { .. })
+        ));
         // aggregate over a non-numeric column
         assert!(matches!(
             sum_f64("s").resolve(&s),

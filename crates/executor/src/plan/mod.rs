@@ -38,13 +38,13 @@ mod explain;
 pub(crate) mod expr;
 mod lower;
 
-pub use crate::expr::{lit_f64, lit_i64};
+pub use crate::expr::{lit_f64, lit_i64, Agg, SortKey};
 pub use builder::PlanBuilder;
 pub use error::PlanError;
 pub use explain::explain_physical;
 pub use expr::{
-    asc, col, count, desc, max_f64, max_i64, min_f64, min_i64, substr, sum_f64, sum_i64, Agg,
-    NamedExpr, NamedPred, SortSpec,
+    asc, col, count, desc, max_f64, max_i64, min_f64, min_i64, substr, sum_f64, sum_i64, NamedExpr,
+    NamedPred,
 };
 pub(crate) use lower::plan_with_findings;
 pub use lower::{instantiate, lower, plan_physical, Exchange, NodeId, PhysNode, PhysicalPlan};
@@ -54,7 +54,7 @@ use std::sync::Arc;
 use ma_vector::{Schema, Table};
 
 use crate::expr::{Pred, Value};
-use crate::ops::{AggSpec, JoinKind, ProjItem, SortKey};
+use crate::ops::{JoinKind, ProjItem};
 
 /// A source of named tables for [`PlanBuilder::scan`].
 pub trait Catalog {
@@ -133,7 +133,7 @@ pub enum LogicalPlan {
         /// Group-key column indices.
         keys: Vec<usize>,
         /// Aggregates.
-        aggs: Vec<AggSpec>,
+        aggs: Vec<Agg>,
         /// Stats label.
         label: String,
         /// Output schema: keys then aggregates.
@@ -144,7 +144,7 @@ pub enum LogicalPlan {
         /// Input plan.
         input: Box<LogicalPlan>,
         /// Aggregates.
-        aggs: Vec<AggSpec>,
+        aggs: Vec<Agg>,
         /// Stats label.
         label: String,
         /// Output schema.

@@ -45,7 +45,7 @@ use ma_vector::{DataType, Schema};
 use crate::analyze::AnalysisError;
 use crate::config::ExecConfig;
 use crate::expr::TypeError;
-use crate::ops::{AggSpec, JoinKind, ProjItem};
+use crate::ops::{JoinKind, ProjItem};
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::{plan_with_findings, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
@@ -453,40 +453,6 @@ fn typing(err: TypeError, context: &dyn Display) -> VerifyError {
     }
 }
 
-/// Re-derives an aggregate's output type and checks its input column's
-/// role (integer class for the i64 family, f64 for the f64 family).
-fn agg_out_type(
-    spec: &AggSpec,
-    input: &Schema,
-    context: &dyn Display,
-) -> Result<DataType, VerifyError> {
-    let (col, float) = match spec {
-        AggSpec::CountStar => return Ok(DataType::I64),
-        AggSpec::SumI64(c) | AggSpec::MinI64(c) | AggSpec::MaxI64(c) => (*c, false),
-        AggSpec::SumF64(c) | AggSpec::MinF64(c) | AggSpec::MaxF64(c) => (*c, true),
-    };
-    let t = col_ty(input, col, context)?;
-    if float {
-        if t != DataType::F64 {
-            return Err(VerifyError::TypeMismatch {
-                context: context.to_string(),
-                expected: "f64 aggregate input".to_string(),
-                found: t,
-            });
-        }
-        Ok(DataType::F64)
-    } else {
-        if !is_integer(t) {
-            return Err(VerifyError::TypeMismatch {
-                context: context.to_string(),
-                expected: "integer aggregate input".to_string(),
-                found: t,
-            });
-        }
-        Ok(DataType::I64)
-    }
-}
-
 /// A merge-join input must *provably* deliver its key sorted ascending:
 /// an explicit sort whose primary key is the join key (descending is its
 /// own error — the shape is right, the direction fatal), or a
@@ -593,7 +559,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
                 derived.push(t);
             }
             for a in aggs {
-                derived.push(agg_out_type(a, input.schema(), &ctx)?);
+                derived.push(a.type_of(input.schema()).map_err(|e| typing(e, &ctx))?);
             }
             expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
@@ -608,7 +574,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             let ctx = Ctx("stream aggregation", label);
             let mut derived = Vec::with_capacity(aggs.len());
             for a in aggs {
-                derived.push(agg_out_type(a, input.schema(), &ctx)?);
+                derived.push(a.type_of(input.schema()).map_err(|e| typing(e, &ctx))?);
             }
             expect_schema(&ctx, schema, derived.iter().copied())?;
             note_label(labels, label)
@@ -1006,7 +972,7 @@ mod tests {
         let bad = LogicalPlan::HashAgg {
             input: Box::new(base),
             keys: vec![0],
-            aggs: vec![AggSpec::CountStar],
+            aggs: vec![crate::Agg::count()],
             label: "agg".into(),
             schema,
         };

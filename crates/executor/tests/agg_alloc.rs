@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use ma_executor::ops::{collect, AggSpec, HashAggregate};
+use ma_executor::ops::{collect, Agg, HashAggregate};
 use ma_executor::{BoxOp, ExecConfig, ExecError, Operator, QueryContext};
 use ma_primitives::build_dictionary;
 use ma_vector::{DataChunk, DataType, SelVec, StrVec, Vector};
@@ -101,7 +101,7 @@ fn steady_state_chunks_allocate_a_constant_number_of_times() {
         let mut agg = HashAggregate::new(
             source,
             vec![0, 1],
-            vec![AggSpec::CountStar, AggSpec::SumI64(2)],
+            vec![Agg::count(), Agg::sum_i64(2)],
             &ctx,
             "t",
         )

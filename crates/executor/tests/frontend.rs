@@ -233,6 +233,38 @@ fn like_and_in_columns_are_spanned_inside_compound_predicates() {
     assert_eq!(&text[span.start..span.end], "id");
 }
 
+/// Every sort key, group key and aggregate column is resolved and typed
+/// at its own span — not at the stage's first identifier.
+#[test]
+fn sort_keys_group_keys_and_aggregates_are_spanned_individually() {
+    let unknown = |stage: &str| {
+        let text = format!("from t [id, k, v] | {stage}");
+        let (err, span) = plan_err(&text);
+        assert!(matches!(err, PlanError::UnknownColumn { .. }), "{err:?}");
+        assert_eq!(&text[span.start..span.end], "missing", "{text}");
+    };
+    unknown("order by k, missing");
+    unknown("top 3 by k desc, missing");
+    unknown("agg by [k, missing] [count]");
+    unknown("agg by [k] [count, sum(missing)]");
+
+    let text = "from t [id, k, v] | agg by [k] [count, sum(k)]";
+    let (err, span) = plan_err(text);
+    match &err {
+        PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::I32),
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    }
+    assert_eq!((span.start, span.end), (43, 44));
+
+    let text = "from t [id, k, f] | agg by [f] [count]";
+    let (err, span) = plan_err(text);
+    match &err {
+        PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::F64),
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    }
+    assert_eq!(&text[span.start..span.end], "f");
+}
+
 #[test]
 fn out_of_range_literal_is_rejected() {
     // k is i32; this literal does not fit.

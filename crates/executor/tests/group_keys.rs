@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ma_core::SplitMix64;
-use ma_executor::ops::{collect, AggSpec, HashAggregate};
+use ma_executor::ops::{collect, Agg, HashAggregate};
 use ma_executor::{BoxOp, ExecConfig, ExecError, Operator, QueryContext};
 use ma_primitives::build_dictionary;
 use ma_vector::{DataChunk, DataType, SelVec, StrVec, Vector};
@@ -207,7 +207,7 @@ fn check_case(
     let mut agg = HashAggregate::new(
         source,
         (0..nkeys).collect(),
-        vec![AggSpec::CountStar, AggSpec::SumI64(nkeys)],
+        vec![Agg::count(), Agg::sum_i64(nkeys)],
         &ctx,
         "t",
     )
@@ -294,8 +294,7 @@ fn dead_rows_open_no_groups() {
         types: vec![DataType::I32, DataType::I32, DataType::I64],
     });
     let ctx = QueryContext::new(dict, ExecConfig::fixed_default());
-    let mut agg =
-        HashAggregate::new(source, vec![0, 1], vec![AggSpec::SumI64(2)], &ctx, "t").unwrap();
+    let mut agg = HashAggregate::new(source, vec![0, 1], vec![Agg::sum_i64(2)], &ctx, "t").unwrap();
     let out = collect(&mut agg).unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].column(0).as_i32(), &[2, 4]);
@@ -313,7 +312,7 @@ fn f64_group_key_is_a_plan_error() {
             chunks: VecDeque::new(),
             types: vec![DataType::F64, DataType::I32],
         });
-        match HashAggregate::new(source, group_cols, vec![AggSpec::CountStar], &ctx, "t") {
+        match HashAggregate::new(source, group_cols, vec![Agg::count()], &ctx, "t") {
             Err(ExecError::Plan(m)) => assert!(m.contains("f64"), "{m}"),
             Err(e) => panic!("expected a plan error, got {e}"),
             Ok(_) => panic!("an f64 group key was accepted"),

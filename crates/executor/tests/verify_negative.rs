@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ma_executor::ops::{AggSpec, ProjItem, SortKey};
+use ma_executor::ops::{Agg, ProjItem, SortKey};
 use ma_executor::plan::lit_i64;
 use ma_executor::plan::PlanBuilder;
 use ma_executor::{
@@ -165,7 +165,7 @@ fn float_group_key_rejected() {
     let plan = LogicalPlan::HashAgg {
         input: Box::new(base_scan(&c)),
         keys: vec![2], // "f": f64
-        aggs: vec![AggSpec::CountStar],
+        aggs: vec![Agg::count()],
         label: "agg".to_string(),
         schema: Schema::new(vec![
             Field::new("f", DataType::F64),
@@ -177,6 +177,40 @@ fn float_group_key_rejected() {
             assert!(context.contains("group key"), "{context}");
         }
         other => panic!("expected FloatPartitionKey, got {other:?}"),
+    }
+}
+
+/// An `i64` aggregate over an `i32` column: the operator reads its input
+/// with `as_i64()`, so the verifier must be exactly as strict (it used to
+/// accept any integer width and leave the panic to a worker thread).
+#[test]
+fn aggregates_the_operators_reject_are_rejected() {
+    let c = catalog(100);
+    let out = |name: &str| Field::new(name, DataType::I64);
+    let grouped = |agg: Agg| LogicalPlan::HashAgg {
+        input: Box::new(base_scan(&c)),
+        keys: vec![0],
+        aggs: vec![agg],
+        label: "agg".to_string(),
+        schema: Schema::new(vec![out("id"), out("a")]),
+    };
+    let stream = LogicalPlan::StreamAgg {
+        input: Box::new(base_scan(&c)),
+        aggs: vec![Agg::max_i64(1)],
+        label: "agg".to_string(),
+        schema: Schema::new(vec![out("a")]),
+    };
+    for plan in [grouped(Agg::sum_i64(1)), grouped(Agg::min_i64(1)), stream] {
+        match verify(&plan, &cfg()) {
+            Err(VerifyError::TypeMismatch { found, .. }) => assert_eq!(found, DataType::I32),
+            other => panic!("expected TypeMismatch, got {other:?}"),
+        }
+    }
+    // The exact type passes, an index past the schema is out of range.
+    verify(&grouped(Agg::sum_i64(0)), &cfg()).unwrap();
+    match verify(&grouped(Agg::sum_i64(9)), &cfg()) {
+        Err(VerifyError::ColumnOutOfRange { col: 9, .. }) => {}
+        other => panic!("expected ColumnOutOfRange, got {other:?}"),
     }
 }
 

@@ -31,13 +31,14 @@ use std::sync::Arc;
 
 use ma_core::{PrimitiveDictionary, SplitMix64};
 use ma_executor::frontend::ast::{
-    AggFunc, AggItem, ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, SortKeyAst, Stage,
+    ColSpec, Ident, JoinKindAst, LeafSpans, Query, SelectItem, Stage,
 };
 use ma_executor::frontend::{self, parse};
 use ma_executor::ops::FrozenStore;
 use ma_executor::plan::{col, lit_f64, lit_i64, substr, NamedExpr, NamedPred};
 use ma_executor::{
-    lower, verify, ArithKind, CmpKind, DecodeMode, ExecConfig, Expr, Pred, QueryContext, Value,
+    lower, verify, Agg, AggFunc, ArithKind, CmpKind, DecodeMode, ExecConfig, Expr, NumType, Pred,
+    QueryContext, SortKey, Value,
 };
 use ma_primitives::build_dictionary;
 use ma_vector::{DataType, Vector};
@@ -639,13 +640,14 @@ fn shrink_candidates(q: &Query) -> Vec<Query> {
                     replace(Stage::Select(it));
                 }
             }
-            Stage::Agg { keys, aggs } => {
+            Stage::Agg { keys, aggs, .. } => {
                 for k in 0..keys.len() {
                     let mut ks = keys.clone();
                     ks.remove(k);
                     replace(Stage::Agg {
                         keys: ks,
                         aggs: aggs.clone(),
+                        spans: LeafSpans::default(),
                     });
                 }
                 if aggs.len() > 1 {
@@ -655,6 +657,7 @@ fn shrink_candidates(q: &Query) -> Vec<Query> {
                         replace(Stage::Agg {
                             keys: keys.clone(),
                             aggs: ags,
+                            spans: LeafSpans::default(),
                         });
                     }
                 }
@@ -734,18 +737,15 @@ fn shrink_candidates(q: &Query) -> Vec<Query> {
                     });
                 }
             }
-            Stage::Order(keys) if keys.len() > 1 => {
+            Stage::Sort { limit, keys, .. } if keys.len() > 1 => {
                 for k in 0..keys.len() {
                     let mut ks = keys.clone();
                     ks.remove(k);
-                    replace(Stage::Order(ks));
-                }
-            }
-            Stage::Top { n, keys } if keys.len() > 1 => {
-                for k in 0..keys.len() {
-                    let mut ks = keys.clone();
-                    ks.remove(k);
-                    replace(Stage::Top { n: *n, keys: ks });
+                    replace(Stage::Sort {
+                        limit: *limit,
+                        keys: ks,
+                        spans: LeafSpans::default(),
+                    });
                 }
             }
             _ => {}
@@ -1244,11 +1244,7 @@ impl Gen<'_> {
         for _ in 0..self.range(1, 3) {
             if agg_pool.is_empty() || self.chance(0.3) {
                 let name = self.fresh("a");
-                aggs.push(AggItem {
-                    func: AggFunc::Count,
-                    col: None,
-                    alias: Some(Ident::synth(&name)),
-                });
+                aggs.push(Agg::count().named(&name));
                 out.push(GenCol {
                     name,
                     ty: DataType::I64,
@@ -1259,10 +1255,10 @@ impl Gen<'_> {
                 let i = agg_pool[self.rng.gen_range(agg_pool.len())];
                 let func = [AggFunc::Sum, AggFunc::Min, AggFunc::Max][self.rng.gen_range(3)];
                 let name = self.fresh("a");
-                aggs.push(AggItem {
-                    func,
-                    col: Some(Ident::synth(&cols[i].name)),
-                    alias: Some(Ident::synth(&name)),
+                // As the parser would: the compiler picks the element type.
+                aggs.push(Agg {
+                    of: Some((func, NumType::I64, cols[i].name.clone())),
+                    name: Some(name.clone()),
                 });
                 out.push(GenCol {
                     name,
@@ -1278,6 +1274,7 @@ impl Gen<'_> {
                 .map(|&i| ColSpec::synth(&cols[i].name))
                 .collect(),
             aggs,
+            spans: LeafSpans::default(),
         };
         *cols = out;
         stage
@@ -1526,17 +1523,7 @@ impl Gen<'_> {
 
     fn order(&mut self, cols: &mut [GenCol]) -> Stage {
         let idx = self.subset(cols.len(), 1, 2);
-        for c in cols.iter_mut() {
-            c.clustered = false;
-        }
-        Stage::Order(
-            idx.iter()
-                .map(|&i| SortKeyAst {
-                    col: Ident::synth(&cols[i].name),
-                    desc: self.chance(0.5),
-                })
-                .collect(),
-        )
+        self.sort_by(None, &idx, cols)
     }
 
     /// `top` is only generated over float-free schemas and always sorts
@@ -1549,18 +1536,23 @@ impl Gen<'_> {
         for i in (1..idx.len()).rev() {
             idx.swap(i, self.rng.gen_range(i + 1));
         }
+        let n = 1 + self.rng.gen_range(100) as u64;
+        self.sort_by(Some(n), &idx, cols)
+    }
+
+    /// A sort over the columns `idx`, each in a random direction.
+    fn sort_by(&mut self, limit: Option<u64>, idx: &[usize], cols: &mut [GenCol]) -> Stage {
         for c in cols.iter_mut() {
             c.clustered = false;
         }
-        Stage::Top {
-            n: 1 + self.rng.gen_range(100) as u64,
-            keys: idx
-                .iter()
-                .map(|&i| SortKeyAst {
-                    col: Ident::synth(&cols[i].name),
-                    desc: self.chance(0.5),
-                })
-                .collect(),
+        let keys = idx.iter().map(|&i| SortKey {
+            col: cols[i].name.clone(),
+            desc: self.chance(0.5),
+        });
+        Stage::Sort {
+            limit,
+            keys: keys.collect(),
+            spans: LeafSpans::default(),
         }
     }
 }

@@ -251,10 +251,11 @@ fn all_queries_verify_across_config_matrix() {
 }
 
 /// Names become indices in one place, and that place is invertible:
-/// over every `Filter` / `Project` node of the 22 plans, mapping the
-/// positional tree back to names through the node's input schema and
-/// resolving it again — through the builder, over an empty table with that
-/// schema — yields the identical positional tree and output type.
+/// over every `Filter` / `Project` / `HashAgg` / `StreamAgg` / `Sort` node
+/// of the 22 plans, mapping the positional trees, aggregates and sort keys
+/// back to names through the node's input schema and resolving them again
+/// — through the builder, over an empty table with that schema — yields
+/// the identical positional form and output types.
 #[test]
 fn expression_trees_round_trip_through_names() {
     use ma_executor::ops::ProjItem;
@@ -275,7 +276,7 @@ fn expression_trees_round_trip_through_names() {
         let names = schema.names();
         PlanBuilder::from_table(Arc::new(Table::new("in", cols).unwrap()), &names)
     }
-    fn check(q: usize, plan: &LogicalPlan, seen: &mut (usize, usize)) {
+    fn check(q: usize, plan: &LogicalPlan, seen: &mut [usize; 4]) {
         plan.children().for_each(|c| check(q, c, seen));
         let name =
             |input: &LogicalPlan, i: &usize| Ok::<_, ()>(input.schema().field(*i).name.clone());
@@ -287,7 +288,7 @@ fn expression_trees_round_trip_through_names() {
                     Ok(LogicalPlan::Filter { pred: p, .. }) => assert_eq!(&p, pred, "Q{q}"),
                     other => panic!("Q{q}: {other:?}"),
                 }
-                seen.0 += 1;
+                seen[0] += 1;
             }
             LogicalPlan::Project {
                 input,
@@ -308,20 +309,80 @@ fn expression_trees_round_trip_through_names() {
                         }
                         other => panic!("Q{q}: {other:?}"),
                     }
-                    seen.1 += 1;
+                    seen[1] += 1;
                 }
+            }
+            LogicalPlan::HashAgg {
+                input,
+                keys,
+                aggs,
+                schema,
+                ..
+            } => {
+                // Key names pass through unless the plan aliased them.
+                let specs: Vec<String> = (keys.iter().zip(schema.fields()))
+                    .map(|(k, out)| format!("{} as {}", name(input, k).unwrap(), out.name))
+                    .collect();
+                let specs: Vec<&str> = specs.iter().map(String::as_str).collect();
+                let named = aggs.iter().map(|a| a.try_map_col(&mut |i| name(input, i)));
+                let named = named.collect::<Result<_, _>>().unwrap();
+                match over(input.schema()).hash_agg(&specs, named, "a").build() {
+                    Ok(LogicalPlan::HashAgg {
+                        keys: k,
+                        aggs: a,
+                        schema: s,
+                        ..
+                    }) => assert_eq!((&k, &a, &s), (keys, aggs, schema), "Q{q}"),
+                    other => panic!("Q{q}: {other:?}"),
+                }
+                seen[2] += 1;
+            }
+            LogicalPlan::StreamAgg {
+                input,
+                aggs,
+                schema,
+                ..
+            } => {
+                let named = aggs.iter().map(|a| a.try_map_col(&mut |i| name(input, i)));
+                let named = named.collect::<Result<_, _>>().unwrap();
+                match over(input.schema()).stream_agg(named, "a").build() {
+                    Ok(LogicalPlan::StreamAgg {
+                        aggs: a, schema: s, ..
+                    }) => assert_eq!((&a, &s), (aggs, schema), "Q{q}"),
+                    other => panic!("Q{q}: {other:?}"),
+                }
+                seen[2] += 1;
+            }
+            LogicalPlan::Sort {
+                input, keys, limit, ..
+            } => {
+                let named = keys.iter().map(|k| k.try_map_col(&mut |i| name(input, i)));
+                let named: Vec<_> = named.collect::<Result<_, _>>().unwrap();
+                let again = match limit {
+                    Some(n) => over(input.schema()).top_n(&named, *n),
+                    None => over(input.schema()).sort(&named),
+                };
+                match again.build() {
+                    Ok(LogicalPlan::Sort { keys: k, .. }) => assert_eq!(&k, keys, "Q{q}"),
+                    other => panic!("Q{q}: {other:?}"),
+                }
+                seen[3] += 1;
             }
             _ => {}
         }
     }
-    let mut seen = (0, 0);
+    let mut seen = [0; 4];
     for q in 1..=22 {
         let plan = query_plan(q, db(), &Params::default())
             .and_then(|pb| Ok(pb.build()?))
             .unwrap_or_else(|e| panic!("Q{q}: {e}"));
         check(q, &plan, &mut seen);
     }
-    assert!(seen.0 >= 30 && seen.1 >= 20, "{seen:?}");
+    // filters, computed expressions, aggregations, sorts
+    assert!(
+        seen[0] >= 30 && seen[1] >= 20 && seen[2] >= 22 && seen[3] >= 10,
+        "{seen:?}"
+    );
 }
 
 /// `plan_physical` interprets each logical node exactly once, pinned on

@@ -57,7 +57,7 @@ use std::process::ExitCode;
 const UNWRAP_ALLOWLIST: &[(&str, usize, &str)] = &[
     (
         "aggregate.rs",
-        3,
+        2,
         "checked i128->i64 sum narrowing (overflow must panic, not wrap) and \
          the drain-once state machine (done Option)",
     ),

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use micro_adaptivity::core::SplitMix64;
 use micro_adaptivity::executor::ops::{
-    collect, AggSpec, HashAggregate, HashJoin, JoinKind, MergeJoin, Scan, Select,
+    collect, Agg, HashAggregate, HashJoin, JoinKind, MergeJoin, Scan, Select,
 };
 use micro_adaptivity::executor::{
     BoxOp, CmpKind, ExecConfig, FlavorAxis, Pred, QueryContext, Value,
@@ -149,10 +149,10 @@ fn hash_aggregate_equals_reference_under_selection() {
         Box::new(sel),
         vec![0],
         vec![
-            AggSpec::CountStar,
-            AggSpec::SumI64(1),
-            AggSpec::MinI64(1),
-            AggSpec::MaxI64(1),
+            Agg::count(),
+            Agg::sum_i64(1),
+            Agg::min_i64(1),
+            Agg::max_i64(1),
         ],
         &c,
         "agg",
