@@ -1295,14 +1295,25 @@ fn agg_fact(
 /// Renders the plan tree with each node's derived row bound and column
 /// facts — the `repro analyze` output.
 pub fn render(plan: &LogicalPlan) -> String {
-    let mut out = String::new();
-    render_node(plan, 0, &mut out);
-    out
+    render_node(plan, 0, &mut Vec::new()).1
 }
 
-fn render_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
+/// One bottom-up step per node: the children's facts and text first, then
+/// this node's [`transfer`] over those facts — once — and its own lines
+/// in front of the children's.
+fn render_node(plan: &LogicalPlan, depth: usize, errs: &mut Vec<AnalysisError>) -> (Facts, String) {
     use std::fmt::Write;
-    let facts = node_facts(plan, &mut Vec::new());
+    let mut inputs = [Facts::default(), Facts::default()];
+    let mut below = String::new();
+    let mut n = 0;
+    for child in plan.children() {
+        let (facts, text) = render_node(child, depth + 1, errs);
+        inputs[n] = facts;
+        n += 1;
+        below.push_str(&text);
+    }
+    let facts = transfer(plan, &mut inputs[..n], errs);
+    let mut out = String::new();
     let pad = "  ".repeat(depth);
     let name = match plan {
         LogicalPlan::Scan { table, .. } => format!("Scan {}", table.name()),
@@ -1328,7 +1339,6 @@ fn render_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
             if fact.distinct { " distinct" } else { "" }
         );
     }
-    for child in plan.children() {
-        render_node(child, depth + 1, out);
-    }
+    out.push_str(&below);
+    (facts, out)
 }

@@ -600,9 +600,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         Exchange::None => None,
         // the aggregate's routed input
         Exchange::HashPartition { .. } => Some((format!("{label}/exchange"), rows_in(0))),
-        Exchange::Parallel { .. } | Exchange::Merge { .. } => {
-            Some(("scan-shard/exchange".to_string(), tuples(node.rows)))
-        }
+        Exchange::Parallel { .. } => Some(("scan-shard/exchange".to_string(), tuples(node.rows))),
     };
     if let Some((label, streamed)) = exchange_stage {
         push(

@@ -6,10 +6,7 @@
 //! * [`HashPartitionExchange`] *repartitions* a set of producer streams
 //!   by a key hash so that P consumer pipelines each see a disjoint,
 //!   complete key range (Vectorwise's `XchgHashSplit`) — the shape of a
-//!   partitioned aggregation;
-//! * [`MergeExchange`] K-way-merges key-sorted worker streams back into
-//!   one globally sorted stream, so ordered pipelines (merge-join inputs)
-//!   can shard too.
+//!   partitioned aggregation.
 //!
 //! Each fragment is built by a caller-supplied factory — typically a
 //! morsel-driven [`crate::ops::Scan`] over a shared
@@ -25,17 +22,15 @@
 //! is nondeterministic, which is fine for the blocking operators
 //! (aggregate/sort/join builds) that consume `Parallel` or
 //! `HashPartitionExchange` output: results are order-insensitive, as
-//! `tests/parallel_determinism.rs` verifies. [`MergeExchange`] is the one
-//! exchange that *restores* an order: it keeps one channel per producer
-//! (so each producer's internal order survives) and interleaves runs by
-//! key on the consuming thread.
+//! `tests/parallel_determinism.rs` verifies. No exchange restores an
+//! order: an ordered pipeline (a merge-join input) runs serially.
 
 use std::sync::mpsc::SyncSender;
 
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
 
 use crate::ops::xrt::{Rt, RtJoinHandle, RtReceiver, RtSender, StdRt};
-use crate::ops::{normalize_keys_i64, BoxOp, Operator, SharedBuild};
+use crate::ops::{BoxOp, Operator, SharedBuild};
 use crate::plan::PlanError;
 use crate::ExecError;
 
@@ -653,230 +648,6 @@ impl Operator for HashPartitionExchange {
     }
 }
 
-// ---------------------------------------------------------------------------
-// merging exchange
-// ---------------------------------------------------------------------------
-
-/// One producer's stream state inside a [`MergeExchange`]: its private
-/// channel/worker (a one-handle [`Union`], so the channel and teardown
-/// discipline is the shared one) plus the head chunk being merged.
-struct MergeSource {
-    union: Union,
-    head: Option<MergeHead>,
-    done: bool,
-}
-
-/// The front chunk of one producer stream.
-struct MergeHead {
-    chunk: DataChunk,
-    /// Live positions of `chunk`, ascending.
-    positions: Vec<u32>,
-    /// Normalized key per *row* of `chunk` (indexed by position).
-    keys: Vec<i64>,
-    /// Next position index to emit.
-    idx: usize,
-}
-
-impl MergeHead {
-    fn key_at(&self, i: usize) -> i64 {
-        self.keys[self.positions[i] as usize]
-    }
-
-    fn head_key(&self) -> i64 {
-        self.key_at(self.idx)
-    }
-}
-
-enum MergeState {
-    Pending(Vec<BoxOp>),
-    Running(Vec<MergeSource>),
-    /// Terminal (exhausted or failed): further `next()` returns `None`.
-    Done,
-}
-
-/// Merging exchange: K-way-merges `n` *key-sorted* producer streams into
-/// one globally sorted stream.
-///
-/// Each producer keeps a private channel so its internal order survives
-/// transport (a shared arrival-order union would destroy it). The merge
-/// runs on the consuming thread: among the current head chunks it picks
-/// the source with the smallest key and emits that source's maximal *run*
-/// of positions whose keys don't exceed any other head's key — one
-/// selection vector over the `Arc`-shared source chunk, no copying. With
-/// morsel-sharded scans over a clustering-key-ordered table each worker
-/// stream is a sequence of disjoint ascending ranges, so runs are long
-/// (typically whole morsels) and the merge is cheap.
-///
-/// Keys may repeat across producers (the right side of a merge join);
-/// equal keys are emitted source-by-source, which keeps the output
-/// non-decreasing — all any order-sensitive consumer requires. Producers
-/// must each be internally sorted ascending by the key column; the planner
-/// only builds this exchange over chains whose key traces to the scanned
-/// table's clustering column (`Exchange::Merge` in `plan::plan_physical`).
-pub struct MergeExchange {
-    state: MergeState,
-    key_col: usize,
-    types: Vec<DataType>,
-    tracker: Option<crate::adaptive::MemTracker>,
-}
-
-impl MergeExchange {
-    /// Builds the exchange over `producers`, merging on the integer column
-    /// `key_col` (ascending). Workers start lazily on the first
-    /// [`Operator::next`] call.
-    pub fn new(producers: Vec<BoxOp>, key_col: usize) -> Result<Self, ExecError> {
-        let types = same_out_types(&producers, "merge producer")?;
-        match types.get(key_col) {
-            None => {
-                return Err(ExecError::Plan(format!(
-                    "merge key column {key_col} out of range"
-                )))
-            }
-            Some(DataType::I16 | DataType::I32 | DataType::I64) => {}
-            Some(other) => {
-                return Err(ExecError::Plan(format!(
-                    "merge key must be an integer column, got {other}"
-                )))
-            }
-        }
-        Ok(MergeExchange {
-            state: MergeState::Pending(producers),
-            key_col,
-            types,
-            tracker: None,
-        })
-    }
-
-    /// Attaches a byte-accounting tracker recording the size of every
-    /// chunk this exchange yields (the per-chunk channel-buffer unit the
-    /// planner's exchange bound is stated in).
-    pub(crate) fn tracked(mut self, tracker: crate::adaptive::MemTracker) -> Self {
-        self.tracker = Some(tracker);
-        self
-    }
-
-    /// Spawns one worker (and private channel) per producer.
-    fn start(producers: Vec<BoxOp>) -> Vec<MergeSource> {
-        producers
-            .into_iter()
-            .map(|op| {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(CHANNEL_DEPTH_PER_WORKER);
-                let handle = std::thread::spawn(move || run_worker(op, &tx));
-                MergeSource {
-                    union: Union::over(rx, vec![handle]),
-                    head: None,
-                    done: false,
-                }
-            })
-            .collect()
-    }
-
-    /// Pulls the next run from the merged streams (`None` when all
-    /// producers are exhausted).
-    fn merge_next(
-        sources: &mut [MergeSource],
-        key_col: usize,
-    ) -> Result<Option<DataChunk>, ExecError> {
-        // Refill: every non-finished source must expose a head before any
-        // run is chosen — without its next key, no bound on the run is
-        // known. The blocking recv is safe: producers run independently.
-        for s in sources.iter_mut() {
-            while s.head.is_none() && !s.done {
-                match s.union.next()? {
-                    Some(chunk) => {
-                        if chunk.live_count() == 0 {
-                            continue;
-                        }
-                        let positions: Vec<u32> =
-                            chunk.live_positions().iter().map(|&p| p as u32).collect();
-                        let mut keys = Vec::new();
-                        normalize_keys_i64(chunk.column(key_col), &mut keys);
-                        s.head = Some(MergeHead {
-                            chunk,
-                            positions,
-                            keys,
-                            idx: 0,
-                        });
-                    }
-                    None => s.done = true,
-                }
-            }
-        }
-        // The source with the smallest head key emits; its run may extend
-        // while its keys don't exceed any other head's key.
-        let mut best: Option<(i64, usize)> = None;
-        let mut limit = i64::MAX;
-        for (i, s) in sources.iter().enumerate() {
-            if let Some(h) = &s.head {
-                let k = h.head_key();
-                match best {
-                    Some((bk, _)) if bk <= k => limit = limit.min(k),
-                    _ => {
-                        if let Some((bk, _)) = best {
-                            limit = limit.min(bk);
-                        }
-                        best = Some((k, i));
-                    }
-                }
-            }
-        }
-        let Some((_, si)) = best else {
-            return Ok(None);
-        };
-        let s = &mut sources[si];
-        let h = s.head.as_mut().expect("best source has a head");
-        let start = h.idx;
-        while h.idx < h.positions.len() && h.key_at(h.idx) <= limit {
-            h.idx += 1;
-        }
-        let run = h.positions[start..h.idx].to_vec();
-        let out = h.chunk.with_sel(Some(SelVec::from_positions(run)));
-        if h.idx >= h.positions.len() {
-            s.head = None;
-        }
-        Ok(Some(out))
-    }
-}
-
-impl Operator for MergeExchange {
-    fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-        if let MergeState::Pending(_) = self.state {
-            let MergeState::Pending(producers) =
-                std::mem::replace(&mut self.state, MergeState::Done)
-            else {
-                unreachable!()
-            };
-            self.state = MergeState::Running(MergeExchange::start(producers));
-        }
-        let MergeState::Running(sources) = &mut self.state else {
-            return Ok(None);
-        };
-        match MergeExchange::merge_next(sources, self.key_col) {
-            Ok(Some(chunk)) => {
-                if let Some(t) = &self.tracker {
-                    t.record(crate::ops::chunk_bytes(&chunk));
-                }
-                Ok(Some(chunk))
-            }
-            Ok(None) => {
-                self.state = MergeState::Done;
-                Ok(None)
-            }
-            Err(e) => {
-                // Terminal, like the union's error discipline: further
-                // polling reports end-of-stream. Dropping the sources
-                // closes the surviving producers' channels.
-                self.state = MergeState::Done;
-                Err(e)
-            }
-        }
-    }
-
-    fn out_types(&self) -> &[DataType] {
-        &self.types
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1303,6 +1074,34 @@ mod tests {
         assert_reports_once(&mut ex);
     }
 
+    /// Replays a fixed chunk list.
+    struct Replay {
+        chunks: std::collections::VecDeque<DataChunk>,
+        types: Vec<DataType>,
+    }
+
+    impl Replay {
+        fn over(values: &[i64], chunk_rows: usize) -> Replay {
+            let chunks = values
+                .chunks(chunk_rows.max(1))
+                .map(|c| DataChunk::new(vec![Arc::new(Vector::I64(c.to_vec()))]))
+                .collect();
+            Replay {
+                chunks,
+                types: vec![DataType::I64],
+            }
+        }
+    }
+
+    impl Operator for Replay {
+        fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
+            Ok(self.chunks.pop_front())
+        }
+        fn out_types(&self) -> &[DataType] {
+            &self.types
+        }
+    }
+
     #[test]
     fn drop_during_a_shared_build_does_not_hang() {
         // An exchange running a shared build sits inside a fragment of an
@@ -1333,191 +1132,5 @@ mod tests {
         assert_ne!(splitmix64(0), splitmix64(1));
         assert_ne!(fnv1a("a"), fnv1a("b"));
         assert_eq!(fnv1a("abc"), fnv1a("abc"));
-    }
-
-    // --- MergeExchange ------------------------------------------------------
-
-    /// Replays a fixed chunk list (a stand-in for a sorted worker stream).
-    struct Replay {
-        chunks: std::collections::VecDeque<DataChunk>,
-        types: Vec<DataType>,
-    }
-
-    impl Replay {
-        fn over(values: &[i64], chunk_rows: usize) -> Replay {
-            let chunks = values
-                .chunks(chunk_rows.max(1))
-                .map(|c| DataChunk::new(vec![Arc::new(Vector::I64(c.to_vec()))]))
-                .collect();
-            Replay {
-                chunks,
-                types: vec![DataType::I64],
-            }
-        }
-    }
-
-    impl Operator for Replay {
-        fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-            Ok(self.chunks.pop_front())
-        }
-        fn out_types(&self) -> &[DataType] {
-            &self.types
-        }
-    }
-
-    fn merged_values(streams: &[Vec<i64>], chunk_rows: usize) -> Vec<i64> {
-        let producers: Vec<BoxOp> = streams
-            .iter()
-            .map(|s| Box::new(Replay::over(s, chunk_rows)) as BoxOp)
-            .collect();
-        let mut ex = MergeExchange::new(producers, 0).unwrap();
-        let chunks = collect(&mut ex).unwrap();
-        chunks
-            .iter()
-            .flat_map(|c| {
-                c.live_positions()
-                    .into_iter()
-                    .map(|p| c.column(0).as_i64()[p])
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn merge_interleaves_disjoint_ranges() {
-        // Morsel-style streams: each producer holds disjoint ascending
-        // ranges of a globally sorted table.
-        let streams = vec![
-            vec![0, 1, 2, 10, 11, 12, 30, 31],
-            vec![3, 4, 5, 20, 21, 22],
-            vec![6, 7, 8, 9, 23, 24, 25],
-        ];
-        let got = merged_values(&streams, 3);
-        let mut want: Vec<i64> = streams.iter().flatten().copied().collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn merge_handles_duplicates_across_producers() {
-        // Equal keys straddling producer boundaries (a duplicate-key run
-        // split across morsels) must merge into a non-decreasing stream
-        // with nothing lost.
-        let streams = vec![vec![1, 2, 2, 2, 5, 5], vec![2, 2, 3, 5, 7], vec![2, 5, 5]];
-        let got = merged_values(&streams, 2);
-        let mut want: Vec<i64> = streams.iter().flatten().copied().collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn merge_single_producer_passes_through() {
-        let streams = vec![vec![1, 3, 5, 7, 9]];
-        assert_eq!(merged_values(&streams, 2), streams[0]);
-    }
-
-    #[test]
-    fn merge_with_empty_streams() {
-        let streams = vec![vec![], vec![4, 5, 6], vec![]];
-        assert_eq!(merged_values(&streams, 2), vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn merge_respects_selection_vectors() {
-        // Dead positions of a producer chunk must not surface in the merge.
-        let mut c1 = DataChunk::new(vec![Arc::new(Vector::I64(vec![1, 100, 3, 200, 5]))]);
-        c1.set_sel(Some(SelVec::from_positions(vec![0, 2, 4])));
-        let r1 = Replay {
-            chunks: [c1].into_iter().collect(),
-            types: vec![DataType::I64],
-        };
-        let r2 = Replay::over(&[2, 4, 6], 2);
-        let mut ex = MergeExchange::new(vec![Box::new(r1) as BoxOp, Box::new(r2)], 0).unwrap();
-        let chunks = collect(&mut ex).unwrap();
-        let got: Vec<i64> = chunks
-            .iter()
-            .flat_map(|c| {
-                c.live_positions()
-                    .into_iter()
-                    .map(|p| c.column(0).as_i64()[p])
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn merge_over_morsel_scans_matches_sequential_scan() {
-        // The planner's actual shape: sharded morsel scans over a table
-        // sorted by its first column, merged back on that column — the
-        // result must be the sequential scan, row for row.
-        let rows = 13 * VECTOR_SIZE + 271;
-        let t = table(rows);
-        for workers in [1, 2, 4] {
-            let producers = morsel_producers(&t, workers);
-            let mut ex = MergeExchange::new(producers, 0).unwrap();
-            let chunks = collect(&mut ex).unwrap();
-            assert_eq!(total_rows(&chunks), rows);
-            let vals: Vec<i64> = chunks
-                .iter()
-                .flat_map(|c| {
-                    c.live_positions()
-                        .into_iter()
-                        .map(|p| c.column(0).as_i64()[p])
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            assert!(
-                vals.iter().enumerate().all(|(i, &v)| v == i as i64),
-                "{workers}-producer merge is not the identity scan"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_rejects_bad_keys() {
-        let mk = || Box::new(Replay::over(&[1, 2], 2)) as BoxOp;
-        assert!(MergeExchange::new(vec![mk()], 3).is_err());
-        assert!(MergeExchange::new(Vec::new(), 0).is_err());
-        let strs = Box::new(Replay {
-            chunks: Default::default(),
-            types: vec![DataType::Str],
-        }) as BoxOp;
-        assert!(MergeExchange::new(vec![strs], 0).is_err());
-    }
-
-    #[test]
-    fn merge_drop_mid_stream_does_not_hang() {
-        let rows = 64 * VECTOR_SIZE;
-        let t = table(rows);
-        let producers = morsel_producers(&t, 4);
-        let mut ex = MergeExchange::new(producers, 0).unwrap();
-        assert!(ex.next().unwrap().is_some());
-        drop(ex); // producers blocked on full channels must unblock
-    }
-
-    #[test]
-    fn merge_error_terminates_stream() {
-        struct Fail;
-        impl Operator for Fail {
-            fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-                Err(ExecError::Plan("injected".into()))
-            }
-            fn out_types(&self) -> &[DataType] {
-                const T: [DataType; 1] = [DataType::I64];
-                &T
-            }
-        }
-        let producers: Vec<BoxOp> = vec![Box::new(Replay::over(&[1, 2, 3], 2)), Box::new(Fail)];
-        let mut ex = MergeExchange::new(producers, 0).unwrap();
-        let err = loop {
-            match ex.next() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("stream ended without surfacing the error"),
-                Err(e) => break e,
-            }
-        };
-        assert!(err.to_string().contains("injected"));
-        assert!(ex.next().unwrap().is_none(), "stream must stay terminated");
     }
 }

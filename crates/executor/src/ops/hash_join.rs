@@ -11,7 +11,7 @@
 use std::sync::{Arc, OnceLock};
 
 use ma_primitives::hashing::{combine_hash, hash_u64};
-use ma_primitives::{BloomFilter, MapHash, MapRehash, SelBloom};
+use ma_primitives::{BloomFilter, MapHash, SelBloom};
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
 
 use crate::adaptive::{HeurKind, MemTracker};
@@ -33,11 +33,6 @@ pub enum JoinKind {
     /// tuples get default payload values. Used for e.g. Q13's
     /// customer ⟕ per-customer order counts.
     LeftSingle,
-}
-
-enum ProbeHashStep {
-    First(PrimInstance<MapHash<i64>>, usize),
-    Rest(PrimInstance<MapRehash<i64>>, usize),
 }
 
 /// A finished build table. Immutable from [`JoinBuild::finish`] on, so
@@ -308,6 +303,11 @@ impl SharedBuild {
                 ));
             }
             for (d, t) in defaults.iter().zip(payload_types) {
+                if *t == DataType::Str {
+                    return Err(ExecError::Plan(
+                        "LeftSingle payload only supports numeric columns".into(),
+                    ));
+                }
                 if d.data_type() != *t {
                     return Err(ExecError::Plan(format!(
                         "default type {} does not match payload {t}",
@@ -317,28 +317,18 @@ impl SharedBuild {
             }
         }
 
-        let mut probe_hash_steps = Vec::new();
-        for (k, &c) in probe_keys.iter().enumerate() {
-            probe_hash_steps.push(if k == 0 {
-                ProbeHashStep::First(
-                    ctx.instance(
-                        "map_hash_i64_col",
-                        format!("{label}/map_hash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                )
-            } else {
-                ProbeHashStep::Rest(
-                    ctx.instance(
-                        "map_rehash_i64_col",
-                        format!("{label}/map_rehash"),
-                        HeurKind::None,
-                    )?,
-                    c,
-                )
-            });
-        }
+        // The first key is hashed, every further one combined in (the
+        // same primitive type); each step names its key's index.
+        let probe_hash_steps = (0..probe_keys.len())
+            .map(|k| {
+                let (sig, name) = match k {
+                    0 => ("map_hash_i64_col", "map_hash"),
+                    _ => ("map_rehash_i64_col", "map_rehash"),
+                };
+                let inst = ctx.instance(sig, format!("{label}/{name}"), HeurKind::None)?;
+                Ok((inst, k))
+            })
+            .collect::<Result<_, ExecError>>()?;
         let bloom_inst = if self.use_bloom {
             Some(ctx.instance(
                 "sel_bloomfilter",
@@ -401,7 +391,9 @@ pub struct HashJoin {
     types: Vec<DataType>,
     vector_size: usize,
 
-    probe_hash_steps: Vec<ProbeHashStep>,
+    /// One hash step per probe key: the instance and the key's index
+    /// into `probe_keys`.
+    probe_hash_steps: Vec<(PrimInstance<MapHash<i64>>, usize)>,
     bloom_inst: Option<PrimInstance<SelBloom>>,
     probe_fetch: Vec<FetchInst>,
     payload_fetch: Vec<FetchInst>,
@@ -492,19 +484,9 @@ impl HashJoin {
         // Hash pipeline.
         self.hashes.resize(n.max(self.hashes.len()), 0);
         let hashes = &mut self.hashes[..n];
-        for step in &mut self.probe_hash_steps {
-            match step {
-                ProbeHashStep::First(inst, c) => {
-                    let keys =
-                        &self.probe_keys[self.probe_key_idx.iter().position(|x| x == c).unwrap()];
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-                ProbeHashStep::Rest(inst, c) => {
-                    let keys =
-                        &self.probe_keys[self.probe_key_idx.iter().position(|x| x == c).unwrap()];
-                    inst.invoke(live, |f| f(hashes, keys, sel));
-                }
-            }
+        for (inst, k) in &mut self.probe_hash_steps {
+            let keys = &self.probe_keys[*k];
+            inst.invoke(live, |f| f(hashes, keys, sel));
         }
 
         let built = self.table.get().expect("built");

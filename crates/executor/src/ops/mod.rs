@@ -14,9 +14,7 @@ pub(crate) mod xrt;
 pub use crate::expr::{Agg, SortKey};
 pub(crate) use aggregate::key_row_width;
 pub use aggregate::{HashAggregate, StreamAggregate};
-pub use exchange::{
-    ConsumerFactory, FragmentFactory, HashPartitionExchange, MergeExchange, Parallel,
-};
+pub use exchange::{ConsumerFactory, FragmentFactory, HashPartitionExchange, Parallel};
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;
 pub use project::{ProjItem, Project};

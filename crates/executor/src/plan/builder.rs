@@ -41,11 +41,9 @@ fn integer(ty: DataType) -> bool {
 /// through unchanged) — to the base table's **first column**, which is by
 /// convention its clustering key (every table this engine generates or
 /// materializes is stored in first-column order). Such a chain emits the
-/// key in sorted order, and the physical planner protects that order:
-/// either with a sequential scan, or by sharding into morsel fragments
-/// (each internally key-sorted) re-merged by a
-/// [`crate::ops::MergeExchange`] ([`crate::plan::plan_physical`] plans
-/// the merge only over chains this test accepts).
+/// key in sorted order, and the physical planner protects that order by
+/// running it as one sequential pipeline down to its scan
+/// ([`crate::plan::plan_physical`]).
 pub(crate) fn clustered_key_chain(plan: &LogicalPlan, key: usize) -> bool {
     match plan {
         LogicalPlan::Scan { table, cols, .. } => {

@@ -10,11 +10,10 @@
 //! [`explain_physical`] renders the [`PhysicalPlan`] the planner makes
 //! for a concrete [`ExecConfig`] — the same tree, annotated from the
 //! plan's own nodes: `HashAgg (partitioned ×P)` / `HashJoin (partitioned
-//! ×P)` where an [`Exchange::HashPartition`] routes the operator,
+//! ×P)` where an [`Exchange::HashPartition`] routes the operator, and
 //! `HashJoin (in fragment ×N, shared build)` where the join probes inside
-//! the `N` worker fragments of a sharded chain, and a `Merge ×N` line
-//! above each ordered chain that shards into `(morsel)` scans re-merged
-//! by an [`Exchange::Merge`].
+//! the `N` worker fragments of a sharded chain. Ordered chains never
+//! shard, so their scans stay `(ordered)`.
 
 use std::fmt;
 
@@ -33,9 +32,8 @@ impl fmt::Display for LogicalPlan {
 
 /// Renders the physical plan of `plan` under `config` (worker count,
 /// partition knobs): operators the planner partitions are annotated
-/// `(partitioned ×P)`, joins probing in worker fragments `(in fragment ×N,
-/// shared build)`, and ordered chains it shards render under a `Merge ×N`
-/// node with `(morsel)` scans.
+/// `(partitioned ×P)` and joins probing in worker fragments `(in fragment
+/// ×N, shared build)`.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
     struct Physical<'p, 'a>(&'p PhysNode<'a>);
     impl fmt::Display for Physical<'_, '_> {
@@ -53,32 +51,17 @@ pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
 /// `plan`) the physical annotations too. `scan_mode` is what a scan
 /// reached from here shows: `shardable` until a merge join makes its
 /// streaming inputs `ordered` (sorts, aggregates and join builds reset
-/// it), `morsel` beneath a merging exchange.
+/// it).
 fn fmt_node(
     f: &mut fmt::Formatter<'_>,
     plan: &LogicalPlan,
     phys: Option<&PhysNode<'_>>,
-    mut indent: usize,
-    mut tag: Option<&str>,
-    mut scan_mode: &'static str,
+    indent: usize,
+    tag: Option<&str>,
+    scan_mode: &'static str,
 ) -> fmt::Result {
-    let exchange = phys.map(|p| &p.exchange);
-    if let Some(Exchange::Merge { producers, key, .. }) = exchange {
-        write!(f, "{:indent$}", "", indent = indent * 2)?;
-        if let Some(t) = tag.take() {
-            write!(f, "{t}: ")?;
-        }
-        let schema = plan.schema();
-        writeln!(
-            f,
-            "Merge \u{d7}{producers} on {} -> {schema}",
-            schema.field(*key).name
-        )?;
-        indent += 1;
-        scan_mode = "morsel";
-    }
     // How the planner parallelized an aggregate or join.
-    let verdict = match exchange {
+    let verdict = match phys.map(|p| &p.exchange) {
         Some(Exchange::HashPartition { partitions, .. }) => {
             format!("(partitioned \u{d7}{partitions}) ")
         }

@@ -29,13 +29,12 @@
 //!   [`Exchange::HashPartition`]: producers route tuples by
 //!   `hash(group keys) % P`, and the disjoint results union in arrival
 //!   order (DESIGN.md §7).
-//! * **Ordered inputs.** A [`LogicalPlan::MergeJoin`] needs key-sorted
-//!   inputs, and an arrival-order union would break that. Its inputs are
-//!   either a sort (which re-establishes order, so everything beneath it
-//!   plans freely) or a clustering-key chain, which still shards: morsel
-//!   fragments of a first-column-sorted table are each internally sorted,
-//!   and [`Exchange::Merge`] K-way-merges them back into one sorted
-//!   stream. Any other input is a typed [`ExecError::Plan`].
+//! * **Ordered inputs run serially.** A [`LogicalPlan::MergeJoin`] needs
+//!   key-sorted inputs, and an arrival-order union would break that. Its
+//!   inputs are either a sort (which re-establishes order, so everything
+//!   beneath it plans freely) or a clustering-key chain, which runs as one
+//!   sequential pipeline down to its scan (DESIGN.md §8). Any other input
+//!   is a typed [`ExecError::Plan`].
 
 use std::sync::Arc;
 
@@ -46,8 +45,8 @@ use crate::config::{DecodeMode, ExecConfig};
 use crate::cost::Width;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    HashAggregate, HashJoin, HashPartitionExchange, MergeExchange, MergeJoin, Parallel, Scan,
-    Select, SharedBuild, Sort, StreamAggregate,
+    HashAggregate, HashJoin, HashPartitionExchange, MergeJoin, Parallel, Scan, Select, SharedBuild,
+    Sort, StreamAggregate,
 };
 use crate::plan::builder::clustered_key_chain;
 use crate::plan::LogicalPlan;
@@ -94,16 +93,6 @@ pub enum Exchange {
         /// Byte bound of one output chunk of the chain.
         chunk_bytes: u64,
     },
-    /// The node tops a clustering-key scan chain compiled into
-    /// `producers` morsel fragments, K-way merged on output column `key`.
-    Merge {
-        /// Producer fragment count.
-        producers: usize,
-        /// The ascending integer column the merge compares.
-        key: usize,
-        /// Byte bound of one output chunk of the chain.
-        chunk_bytes: u64,
-    },
     /// The node (a hash aggregate) runs as `partitions` private
     /// instances; its input is routed to them by key hash, and their
     /// outputs unite in arrival order.
@@ -130,7 +119,6 @@ impl Exchange {
         match self {
             Exchange::None => 0,
             Exchange::Parallel { chunk_bytes, .. }
-            | Exchange::Merge { chunk_bytes, .. }
             | Exchange::HashPartition { chunk_bytes, .. } => *chunk_bytes,
         }
     }
@@ -140,7 +128,6 @@ impl Exchange {
         match self {
             Exchange::None => 0,
             Exchange::Parallel { workers: n, .. }
-            | Exchange::Merge { producers: n, .. }
             | Exchange::HashPartition { producers: n, .. } => *n,
         }
     }
@@ -158,9 +145,7 @@ impl Exchange {
         };
         let slots = match self {
             Exchange::None => 0,
-            Exchange::Parallel { workers: n, .. } | Exchange::Merge { producers: n, .. } => {
-                routes(*n, 1)
-            }
+            Exchange::Parallel { workers, .. } => routes(*workers, 1),
             Exchange::HashPartition {
                 partitions,
                 producers,
@@ -272,9 +257,9 @@ enum Feed {
     /// In any order: a shardable chain unites its fragments as they
     /// arrive.
     Free,
-    /// Sorted ascending by this output column: a shardable chain merges
-    /// its fragments on it.
-    Sorted(usize),
+    /// In the order a sequential run emits it (a merge-join input's
+    /// clustering-key chain): nothing here or below shards.
+    Serial,
     /// Inside the consumer's own fragments (the rest of a sharded chain,
     /// or the routing producers of a partitioned aggregate): no exchange
     /// here or below.
@@ -305,7 +290,7 @@ impl Planner<'_> {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         // This node tops a chain compiled into worker fragments...
-        let sharded = feed != Feed::Inline && self.shardable(plan);
+        let sharded = feed == Feed::Free && self.shardable(plan);
         // ... or is a stage of one.
         let in_fragment = sharded || feed == Feed::Inline;
         // The most instances a hash aggregate here may partition into.
@@ -345,8 +330,12 @@ impl Planner<'_> {
                     right_key,
                     ..
                 } => merge_feed(input, if i == 0 { *left_key } else { *right_key }, i)?,
-                // Sort re-sorts and a global aggregate folds: their inputs
-                // plan freely whatever consumes them.
+                // A filter or projection passes its own feed on, so the
+                // rest of a serial chain runs serially too.
+                LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => feed,
+                // Sort re-sorts, an aggregate folds and a join builds or
+                // probes a chain of its own: their inputs plan freely
+                // whatever consumes them.
                 _ => Feed::Free,
             };
             let planned = self.plan(input, feed)?;
@@ -362,16 +351,8 @@ impl Planner<'_> {
         let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
 
         let exchange = match (plan, feed) {
-            (_, Feed::Free) if sharded => Exchange::Parallel {
+            _ if sharded => Exchange::Parallel {
                 workers: self.workers,
-                chunk_bytes: chunk(&out_widths),
-            },
-            // Workers claim morsels in increasing row order, so each
-            // fragment emits disjoint ascending key ranges and the K-way
-            // merge restores the global order exactly.
-            (_, Feed::Sorted(key)) if sharded => Exchange::Merge {
-                producers: self.workers,
-                key,
                 chunk_bytes: chunk(&out_widths),
             },
             (LogicalPlan::HashAgg { keys, .. }, _) => {
@@ -467,12 +448,13 @@ fn agg_partitions(
 }
 
 /// A merge-join input must arrive sorted ascending by `key`: a sort
-/// (beneath which everything plans freely) or a clustering-key chain.
+/// (beneath which everything plans freely) or a clustering-key chain,
+/// which runs serially — its scan's row order is the key order.
 fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, ExecError> {
     if matches!(input, LogicalPlan::Sort { .. }) {
         Ok(Feed::Free)
     } else if clustered_key_chain(input, key) {
-        Ok(Feed::Sorted(key))
+        Ok(Feed::Serial)
     } else {
         Err(ExecError::Plan(format!(
             "{} merge-join input is neither a sort nor a scan chain carrying its table's \
@@ -675,26 +657,6 @@ fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
                 Parallel::new(*workers, &factory)?
                     .after_builds(chain.into_builds())
                     .tracked(ctx.mem_tracker("exchange/parallel", *chunk_bytes)),
-            )
-        }
-        (
-            _,
-            Exchange::Merge {
-                producers,
-                key,
-                chunk_bytes,
-            },
-        ) => {
-            let chain = ScanChain::of(node, ctx)?;
-            if chain.stages.iter().any(|s| matches!(s, Stage::Probe(..))) {
-                return Err(ExecError::Plan(format!(
-                    "physical node {} merges fragments that contain a join",
-                    node.id.0
-                )));
-            }
-            Box::new(
-                MergeExchange::new(chain.fragments(*producers, ctx)?, *key)?
-                    .tracked(ctx.mem_tracker("exchange/merge", *chunk_bytes)),
             )
         }
         (
@@ -1501,8 +1463,7 @@ mod tests {
         // The left input of a merge join is explicitly sorted: everything
         // beneath the Sort is order-insensitive and shards into an
         // arrival-order Parallel union. The right (streaming) side is a
-        // clustering-key chain, so it *also* shards — behind a merging
-        // exchange that restores key order.
+        // clustering-key chain, so it runs serially in scan order.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         let left = PlanBuilder::scan(&c, "t", &["v as lv", "k as lk"])
@@ -1545,17 +1506,16 @@ mod tests {
         );
         assert_eq!(
             count_label("rsel/"),
-            4,
-            "clustering-key merge-join input should shard behind a merging exchange"
+            1,
+            "clustering-key merge-join input should run serially"
         );
     }
 
     #[test]
     fn merge_join_inputs_shard_behind_merging_exchange() {
         // A merge join over a table large enough to shard: both inputs
-        // are clustering-key chains, so the planner shards them behind
-        // merging exchanges — correct, *sorted* results prove the merge
-        // restored the order the join needs.
+        // are clustering-key chains, so the planner runs them serially —
+        // correct, *sorted* results prove the scan order reached the join.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         // left: unique keys 0..rows (v is unique and sorted); right: same
@@ -1584,21 +1544,22 @@ mod tests {
                 assert_eq!(ch.column(1).as_i32()[p], ch.column(2).as_i32()[p]);
             }
         }
-        // Both sides ran sharded: one filter instance per worker on the
-        // right, and the kernel still saw sorted streams (asserted above).
+        // Both sides ran serially: one filter instance on the right at 4
+        // workers, and the kernel saw sorted streams (asserted above).
         let sel_instances = ctx
             .reports()
             .iter()
             .filter(|r| r.label.starts_with("sel/"))
             .count();
-        assert_eq!(sel_instances, 4);
+        assert_eq!(sel_instances, 1);
     }
 
     #[test]
     fn only_clustering_key_chains_merge_shard() {
-        // The planner's merge verdict rests on the builder's structural
-        // check: only a key that traces to the scanned table's clustering
-        // (first) column shards behind a merging exchange.
+        // The planner's serial verdict rests on the builder's structural
+        // check: a key that traces to the scanned table's clustering
+        // (first) column runs serially down to the scan; any other key
+        // needs a sort, beneath which everything shards freely.
         let rows = 3 * VECTORS_PER_MORSEL * 1024;
         let c = catalog(rows);
         let on_v = PlanBuilder::scan(&c, "t", &["v", "k"])
@@ -1610,40 +1571,23 @@ mod tests {
             )
             .build()
             .unwrap();
-        let input_exchanges = |plan: &LogicalPlan, cfg: &ExecConfig| -> Vec<Exchange> {
+        let serial = |plan: &LogicalPlan, cfg: &ExecConfig| {
             let phys = plan_physical(plan, cfg).unwrap();
-            phys.root
-                .children
+            let nodes = phys.nodes();
+            nodes
                 .iter()
-                .map(|c| c.exchange.clone())
-                .collect()
+                .all(|n| (&n.exchange, n.fragments) == (&Exchange::None, 1))
         };
+        // Key 0 (`v`) is the clustering column: at any worker count both
+        // inputs run serially, no exchange and one fragment down to the
+        // scans.
         let mut cfg = ExecConfig::fixed_default();
-        cfg.worker_threads = 4;
-        // Key 0 (`v`) is the clustering column: both inputs shard behind a
-        // merge on it.
-        for ex in input_exchanges(&on_v, &cfg) {
-            assert!(
-                matches!(
-                    ex,
-                    Exchange::Merge {
-                        producers: 4,
-                        key: 0,
-                        ..
-                    }
-                ),
-                "{ex:?}"
-            );
+        for workers in [1, 2, 4] {
+            cfg.worker_threads = workers;
+            assert!(serial(&on_v, &cfg), "{workers} workers");
         }
-        // Single-worker engines never merge-shard.
-        cfg.worker_threads = 1;
-        assert_eq!(
-            input_exchanges(&on_v, &cfg),
-            vec![Exchange::None, Exchange::None]
-        );
         // Key `k` has no stored order, so the builder demands a sort: the
         // sort input is a sequential node whose own input shards freely.
-        cfg.worker_threads = 4;
         let on_k = PlanBuilder::scan(&c, "t", &["k", "v"])
             .sort(&[asc("k")])
             .merge_join(

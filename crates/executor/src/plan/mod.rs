@@ -23,10 +23,10 @@
 //!   join over one build table the fragments share;
 //! * pipelines feeding order-sensitive consumers (merge join) are safe
 //!   **by construction**: a merge-join input whose key carries the
-//!   table's clustering order shards into morsel fragments re-merged by a
-//!   [`crate::ops::MergeExchange`], a sorted input plans freely beneath
-//!   its sort, and anything else has no physical plan. A query author
-//!   cannot wire an order-destroying exchange under a merge join.
+//!   table's clustering order runs as one sequential pipeline down to its
+//!   scan, a sorted input plans freely beneath its sort, and anything
+//!   else has no physical plan. A query author cannot wire an
+//!   order-destroying exchange under a merge join.
 //!
 //! [`LogicalPlan`] implements [`std::fmt::Display`] as an `EXPLAIN`-style
 //! indented tree with resolved schemas and the planner's ordered-vs-
@@ -175,9 +175,9 @@ pub enum LogicalPlan {
         schema: Schema,
     },
     /// Merge join over key-sorted inputs; output = right columns ++ left
-    /// payload. Both children are order-sensitive: the planner shards
-    /// them behind a merging exchange when the key carries the table's
-    /// clustering order, and keeps them sequential otherwise.
+    /// payload. Both children are order-sensitive: a clustering-key chain
+    /// runs sequentially down to its scan, a sort input plans freely
+    /// beneath the sort.
     MergeJoin {
         /// Left (unique-key) plan, materialized.
         left: Box<LogicalPlan>,

@@ -24,11 +24,12 @@
 //!    the exchange-placement rules: no [`Exchange::Parallel`] or
 //!    [`Exchange::HashPartition`] under an ordered ancestor short of a
 //!    materialization boundary, a partitioning exchange sits on a hash
-//!    aggregate and routes by hashable keys, no empty producer sets,
-//!    merge keys are integers; and the fragment rules — a stage beneath a chain top
-//!    carries no exchange of its own, every node's `fragments` says what
-//!    its position says, an in-fragment join's build child stays outside
-//!    the fragments, and no merging exchange tops a chain with a join.
+//!    aggregate and routes by hashable keys, no empty producer sets; and
+//!    the fragment rules — a stage beneath a chain top carries no exchange
+//!    of its own, every node's `fragments` says what its position says,
+//!    and an in-fragment join's build child stays outside the fragments.
+//!    The ordered-ancestor bit is what keeps a merge-join input serial:
+//!    no exchange restores an order.
 //!
 //! In debug builds [`lower`](crate::plan::lower()) runs [`verify`] on
 //! every plan before lowering it, so any test executing a query exercises
@@ -120,11 +121,6 @@ pub enum VerifyError {
         /// The join key column on that side.
         key: usize,
     },
-    /// A merging exchange key is not an integer column.
-    NonIntegerMergeKey {
-        /// The key's type.
-        ty: DataType,
-    },
     /// An `f64` column used as a hash-partitioning or join/group key
     /// (float keys don't hash portably and are rejected up front).
     FloatPartitionKey {
@@ -180,14 +176,6 @@ pub enum VerifyError {
     /// The build child of a join that probes in the fragments is itself
     /// marked as a fragment stage: the build runs once, outside them.
     BuildInsideFragment {
-        /// The join's stats label.
-        label: String,
-    },
-    /// A merging exchange tops a chain that contains a join: the K-way
-    /// merge needs every fragment key-sorted, which is proven for
-    /// Filter/Project chains only (an inner join's expansion order is
-    /// not).
-    MergeOverJoin {
         /// The join's stats label.
         label: String,
     },
@@ -251,12 +239,6 @@ impl std::fmt::Display for VerifyError {
                 "{side} merge-join input sorts key column {key} descending; the merge \
                  scans ascending"
             ),
-            VerifyError::NonIntegerMergeKey { ty } => {
-                write!(
-                    f,
-                    "merging exchange key must be an integer column, found {ty}"
-                )
-            }
             VerifyError::FloatPartitionKey { context } => write!(
                 f,
                 "{context}: f64 is not a hashable partition key (use an integer or \
@@ -299,11 +281,6 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "the build side of in-fragment hash join {label:?} is marked as a fragment \
                  stage; it runs once, outside the fragments"
-            ),
-            VerifyError::MergeOverJoin { label } => write!(
-                f,
-                "a merging exchange tops a chain containing hash join {label:?}, whose \
-                 fragments are not proven key-sorted"
             ),
             VerifyError::Analysis { err } => write!(f, "analysis: {err}"),
             VerifyError::MemoryBudget { peak_bytes, budget } => write!(
@@ -457,7 +434,7 @@ fn typing(err: TypeError, context: &dyn Display) -> VerifyError {
 /// an explicit sort whose primary key is the join key (descending is its
 /// own error — the shape is right, the direction fatal), or a
 /// clustering-key chain (the structural proof the builder and the
-/// merging exchange share).
+/// planner's serial verdict share).
 fn merge_input_proof(
     side: &'static str,
     plan: &LogicalPlan,
@@ -634,6 +611,14 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
                     });
                 }
                 for (d, &pt) in defaults.iter().zip(&payload_types) {
+                    // The operator fills payload columns of numbers only.
+                    if pt == DataType::Str {
+                        return Err(VerifyError::TypeMismatch {
+                            context: format!("{ctx} left-single payload"),
+                            expected: "a numeric column".to_string(),
+                            found: pt,
+                        });
+                    }
                     if d.data_type() != pt {
                         return Err(VerifyError::TypeMismatch {
                             context: format!("{ctx} left-single default"),
@@ -663,10 +648,17 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             check_plan(left, labels)?;
             check_plan(right, labels)?;
             let ctx = Ctx("merge join", label);
-            for (key, schema_in) in [(*left_key, left.schema()), (*right_key, right.schema())] {
+            for (side, key, schema_in) in [
+                ("left", *left_key, left.schema()),
+                ("right", *right_key, right.schema()),
+            ] {
                 let t = col_ty(schema_in, key, &ctx)?;
                 if !is_integer(t) {
-                    return Err(VerifyError::NonIntegerMergeKey { ty: t });
+                    return Err(VerifyError::TypeMismatch {
+                        context: format!("{side} key of {ctx}"),
+                        expected: "integer merge key".to_string(),
+                        found: t,
+                    });
                 }
             }
             merge_input_proof("left", left, *left_key)?;
@@ -702,14 +694,12 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
 /// order-destroying exchange ([`Exchange::Parallel`],
 /// [`Exchange::HashPartition`]) under an order-sensitive ancestor without
 /// an intervening materialization boundary (sort, aggregate, join build);
-/// merging exchanges merge on an integer column; a partitioning exchange
-/// sits on a hash aggregate and routes by hashable (non-float) columns of
-/// its input; no exchange is degenerate (zero workers, producers or
-/// partitions); and the fragment rules: a
+/// a partitioning exchange sits on a hash aggregate and routes by
+/// hashable (non-float) columns of its input; no exchange is degenerate
+/// (zero workers, producers or partitions); and the fragment rules: a
 /// chain's stages carry no exchange beneath its top, `fragments` matches
-/// position on every node, a join probing in the fragments keeps its
-/// build child outside them, and no [`Exchange::Merge`] tops a chain with
-/// a join.
+/// position on every node, and a join probing in the fragments keeps its
+/// build child outside them.
 ///
 /// The planner's own output always passes; the function is public so
 /// tests can hand-build ill-formed [`PhysicalPlan`]s and prove each rule
@@ -718,21 +708,13 @@ pub fn verify_physical(plan: &PhysicalPlan<'_>) -> Result<(), VerifyError> {
     check_node(&plan.root, false, None)
 }
 
-/// The sharded chain a node is a stage of.
-#[derive(Clone, Copy)]
-struct Chain {
-    fragments: usize,
-    /// United by an [`Exchange::Merge`].
-    merging: bool,
-}
-
 /// `ordered`: an ancestor consumes this node's output in key order.
-/// `within`: the node is a stage of that chain, beneath its top or
-/// routing into a partitioned aggregate.
+/// `within`: the fragment count of the sharded chain the node is a stage
+/// of, beneath its top or routing into a partitioned aggregate.
 fn check_node(
     node: &PhysNode<'_>,
     ordered: bool,
-    within: Option<Chain>,
+    within: Option<usize>,
 ) -> Result<(), VerifyError> {
     let (exchange_name, tops) = match &node.exchange {
         Exchange::None => ("None", None),
@@ -743,25 +725,7 @@ fn check_node(
             if *workers == 0 {
                 return Err(VerifyError::EmptyExchange { node: "Parallel" });
             }
-            let chain = Chain {
-                fragments: *workers,
-                merging: false,
-            };
-            ("Parallel", Some(chain))
-        }
-        Exchange::Merge { producers, key, .. } => {
-            if *producers == 0 {
-                return Err(VerifyError::EmptyExchange { node: "Merge" });
-            }
-            let ty = col_ty(node.logical.schema(), *key, &"merging exchange key")?;
-            if !is_integer(ty) {
-                return Err(VerifyError::NonIntegerMergeKey { ty });
-            }
-            let chain = Chain {
-                fragments: *producers,
-                merging: true,
-            };
-            ("Merge", Some(chain))
+            ("Parallel", Some(*workers))
         }
         Exchange::HashPartition {
             partitions,
@@ -797,7 +761,7 @@ fn check_node(
         });
     }
     let chain = within.or(tops);
-    let expected = chain.map_or(1, |c| c.fragments);
+    let expected = chain.unwrap_or(1);
     if node.fragments != expected {
         return Err(VerifyError::FragmentCountMismatch {
             node: node.id.0,
@@ -805,12 +769,7 @@ fn check_node(
             found: node.fragments,
         });
     }
-    if let (Some(chain), LogicalPlan::HashJoin { label, .. }) = (chain, node.logical) {
-        if chain.merging {
-            return Err(VerifyError::MergeOverJoin {
-                label: label.clone(),
-            });
-        }
+    if let (Some(_), LogicalPlan::HashJoin { label, .. }) = (chain, node.logical) {
         let outside = |b: &PhysNode<'_>| b.fragments == 1 || b.exchange != Exchange::None;
         if !node.children.first().is_some_and(outside) {
             return Err(VerifyError::BuildInsideFragment {
@@ -836,10 +795,9 @@ fn check_node(
         // join's probe side; a multi-producer partitioning exchange
         // starts one.
         let child_chain = match (&node.exchange, node.logical) {
-            (Exchange::HashPartition { producers, .. }, _) => (*producers >= 2).then_some(Chain {
-                fragments: *producers,
-                merging: false,
-            }),
+            (Exchange::HashPartition { producers, .. }, _) => {
+                (*producers >= 2).then_some(*producers)
+            }
             (_, LogicalPlan::HashJoin { .. }) if i == 0 => None,
             _ => chain,
         };
@@ -944,13 +902,11 @@ mod tests {
             .merge_join(left, ("rid", "id"), &["k"], "mj")
             .build()
             .unwrap();
+        // Both inputs are clustering-key chains: at 4 workers they still
+        // run serially, no exchange and one fragment down to each scan.
         let phys = plan_physical(&plan, &cfg(4)).unwrap();
-        for child in &phys.root.children {
-            assert!(
-                matches!(child.exchange, Exchange::Merge { producers: 4, .. }),
-                "expected Merge under the merge join, got {:?}",
-                child.exchange
-            );
+        for node in phys.nodes() {
+            assert_eq!((&node.exchange, node.fragments), (&Exchange::None, 1));
         }
         verify(&plan, &cfg(4)).unwrap();
     }

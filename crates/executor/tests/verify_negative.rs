@@ -214,6 +214,53 @@ fn aggregates_the_operators_reject_are_rejected() {
     }
 }
 
+/// A left-single join fills unmatched tuples with numeric defaults only.
+/// A `str` payload with a `str` default used to pass `verify` and the
+/// prober and then panic on the first probe chunk; the builder always
+/// rejected it, and now `verify` and the operator do too.
+#[test]
+fn left_single_str_payload_rejected() {
+    let c = catalog(100);
+    let build = PlanBuilder::scan(&c, "t", &["id as bid", "s as bs"])
+        .build()
+        .unwrap();
+    let plan = LogicalPlan::HashJoin {
+        build: Box::new(build),
+        probe: Box::new(base_scan(&c)),
+        build_keys: vec![0],
+        probe_keys: vec![0],
+        payload: vec![1],
+        kind: ma_executor::ops::JoinKind::LeftSingle,
+        bloom: false,
+        defaults: vec![Value::Str("none".into())],
+        label: "ls".to_string(),
+        schema: Schema::new(vec![
+            Field::new("id", DataType::I64),
+            Field::new("k", DataType::I32),
+            Field::new("f", DataType::F64),
+            Field::new("bs", DataType::Str),
+        ]),
+    };
+    // Built and run without the verifier, as a release build would.
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
+    match ma_executor::instantiate(&plan_physical(&plan, &cfg()).unwrap(), &ctx) {
+        Err(ma_executor::ExecError::Plan(m)) => assert!(m.contains("numeric"), "{m}"),
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(mut op) => {
+            // Running it would panic on the first probe chunk.
+            let _ = ma_executor::ops::collect(op.as_mut());
+            panic!("built a str left-single payload");
+        }
+    }
+    match verify(&plan, &cfg()) {
+        Err(VerifyError::TypeMismatch { context, found, .. }) => {
+            assert_eq!(found, DataType::Str);
+            assert!(context.contains("left-single payload"), "{context}");
+        }
+        other => panic!("expected TypeMismatch, got {other:?}"),
+    }
+}
+
 /// A node whose declared output schema disagrees with what its inputs
 /// derive is caught before any operator would act on the wrong types.
 #[test]
@@ -387,8 +434,8 @@ fn partitioned_root<'a>(plan: &'a LogicalPlan) -> PhysicalPlan<'a> {
     phys
 }
 
-/// A merge join over two clustering-key chains: both inputs shard behind
-/// merging exchanges under [`cfg4`].
+/// A merge join over two clustering-key chains: both inputs run serially
+/// under [`cfg4`] (no exchange, one fragment).
 fn merge_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
     PlanBuilder::scan(c, "t", &["id", "s"])
         .merge_join(
@@ -402,13 +449,15 @@ fn merge_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
 }
 
 /// An arrival-order exchange under an order-sensitive ancestor would
-/// interleave worker streams and break the merge contract.
+/// interleave worker streams and break the merge contract: this rule is
+/// what keeps a clustering-key merge-join input serial.
 #[test]
 fn parallel_under_ordered_ancestor_rejected() {
     let c = catalog(BIG);
     let plan = merge_plan(&c);
     let mut phys = plan_physical(&plan, &cfg4()).unwrap();
     verify_physical(&phys).unwrap();
+    assert_eq!(phys.root.children[1].exchange, Exchange::None);
     phys.root.children[1].exchange = Exchange::Parallel {
         workers: 4,
         chunk_bytes: 0,
@@ -518,24 +567,6 @@ fn partitioning_a_non_aggregate_rejected() {
     }
 }
 
-/// Non-integer merge keys cannot drive the K-way comparison.
-#[test]
-fn non_integer_merge_key_rejected() {
-    let c = catalog(BIG);
-    let plan = merge_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
-    // Right input is (id, s): merge on `s`.
-    phys.root.children[1].exchange = Exchange::Merge {
-        producers: 4,
-        key: 1,
-        chunk_bytes: 0,
-    };
-    match verify_physical(&phys) {
-        Err(VerifyError::NonIntegerMergeKey { ty: DataType::Str }) => {}
-        other => panic!("expected NonIntegerMergeKey, got {other:?}"),
-    }
-}
-
 /// Degenerate exchanges (zero workers, producers or partitions) are
 /// rejected outright.
 #[test]
@@ -553,17 +584,6 @@ fn empty_exchange_rejected() {
     };
     match verify_physical(&phys) {
         Err(VerifyError::EmptyExchange { node: "Parallel" }) => {}
-        other => panic!("expected EmptyExchange, got {other:?}"),
-    }
-    let plan = merge_plan(&c);
-    let mut phys = plan_physical(&plan, &cfg4()).unwrap();
-    phys.root.children[0].exchange = Exchange::Merge {
-        producers: 0,
-        key: 0,
-        chunk_bytes: 0,
-    };
-    match verify_physical(&phys) {
-        Err(VerifyError::EmptyExchange { node: "Merge" }) => {}
         other => panic!("expected EmptyExchange, got {other:?}"),
     }
     let plan = agg_plan(&c);
@@ -617,17 +637,6 @@ fn exchange_inside_a_fragment_rejected() {
         Err(VerifyError::NestedExchange { node: "Parallel" }) => {}
         other => panic!("expected NestedExchange, got {other:?}"),
     }
-    // Whatever its kind.
-    let mut phys = in_fragment_join(&plan);
-    phys.root.children[1].exchange = Exchange::Merge {
-        producers: 4,
-        key: 0,
-        chunk_bytes: 0,
-    };
-    match verify_physical(&phys) {
-        Err(VerifyError::NestedExchange { node: "Merge" }) => {}
-        other => panic!("expected NestedExchange, got {other:?}"),
-    }
 }
 
 /// `fragments` is what position implies, on every node: explain and the
@@ -677,32 +686,6 @@ fn in_fragment_join_build_must_stay_outside() {
     match verify_physical(&phys) {
         Err(VerifyError::BuildInsideFragment { label }) => assert_eq!(label, "j"),
         other => panic!("expected BuildInsideFragment, got {other:?}"),
-    }
-}
-
-/// The K-way merge needs every fragment key-sorted; that is proven for
-/// Filter/Project chains only, so a merging exchange must not top a chain
-/// with a join in it.
-#[test]
-fn merge_over_a_join_chain_rejected() {
-    let c = catalog(BIG);
-    let plan = join_plan(&c);
-    let mut phys = in_fragment_join(&plan);
-    phys.root.exchange = Exchange::Merge {
-        producers: 4,
-        key: 0,
-        chunk_bytes: 0,
-    };
-    match verify_physical(&phys) {
-        Err(VerifyError::MergeOverJoin { label }) => assert_eq!(label, "j"),
-        other => panic!("expected MergeOverJoin, got {other:?}"),
-    }
-    // `instantiate` refuses it too (release builds skip the verifier).
-    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg4());
-    match ma_executor::instantiate(&phys, &ctx) {
-        Err(ma_executor::ExecError::Plan(_)) => {}
-        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
-        Ok(_) => panic!("a join chain cannot merge"),
     }
 }
 

@@ -5,11 +5,10 @@
 //! * the tree/schema rendering is stable (Q1, the widest single-phase
 //!   pipeline), and
 //! * **the planner, not the query, decides how ordered pipelines and
-//!   joins parallelize**: Q12's physical plan must show sharded
-//!   `(morsel)` scans feeding `Merge ×N` exchanges — the retired PR-3
-//!   golden pinned both scans `(ordered)` (fully sequential), and this
-//!   golden is the regression canary replacing it — and Q3's joins must
-//!   carry the `HashJoin (partitioned ×P)` verdict.
+//!   joins parallelize**: Q12's merge-join inputs run serially at any
+//!   worker count, both scans `(ordered)` exactly as in the structural
+//!   rendering, and Q3's joins carry the `(in fragment ×N, shared
+//!   build)` verdict.
 
 use ma_executor::ExecConfig;
 use ma_tpch::dbgen::TpchData;
@@ -83,33 +82,22 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
 }
 
 #[test]
-fn q12_physical_explain_shows_merging_exchanges() {
-    // Both merge-join inputs are clustering-key chains, so the physical
-    // planner shards them into `(morsel)` scans re-merged by a `Merge ×N`
-    // exchange — Q12 parallelizes for the first time. The tiny golden
-    // database is below the default 2-morsel sharding cutoff, so the
-    // vector size is shrunk (morsels follow it) to let the verdict
-    // engage, the same trick the Q1 golden plays with its group
-    // threshold.
-    let mut cfg = ExecConfig::fixed_default().with_workers(4);
-    cfg.vector_size = 32;
-    let text = explain_query_with(12, &db(), &Params::default(), &cfg).unwrap();
-    let expected = "\
-HashAgg keys=[l_shipmode, o_orderpriority] aggs=[count=count(*)] -> (l_shipmode:str, o_orderpriority:str, count:i64)
-  MergeJoin on (l_orderkey = o_orderkey) payload=[o_orderpriority] -> (l_orderkey:i32, l_shipmode:str, l_shipdate:i32, l_commitdate:i32, l_receiptdate:i32, o_orderpriority:str)
-    left: Merge \u{d7}4 on o_orderkey -> (o_orderkey:i32, o_orderpriority:str)
-      Scan orders (morsel) enc=[o_orderkey:delta, o_orderpriority:dict] -> (o_orderkey:i32, o_orderpriority:str)
-    right: Merge \u{d7}4 on l_orderkey -> (l_orderkey:i32, l_shipmode:str, l_shipdate:i32, l_commitdate:i32, l_receiptdate:i32)
-      Filter l_shipmode IN ('MAIL', 'SHIP') AND l_receiptdate >= 731 AND l_receiptdate < 1096 AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate -> (l_orderkey:i32, l_shipmode:str, l_shipdate:i32, l_commitdate:i32, l_receiptdate:i32)
-        Scan lineitem (morsel) enc=[l_orderkey:delta, l_shipmode:dict, l_shipdate:for, l_commitdate:for, l_receiptdate:for] -> (l_orderkey:i32, l_shipmode:str, l_shipdate:i32, l_commitdate:i32, l_receiptdate:i32)
-";
-    assert_eq!(text, expected);
-    // The properties the golden string encodes, asserted directly too:
-    // both scans shard, each under its own merging exchange, and nothing
-    // is left fully sequential.
-    assert_eq!(text.matches("(morsel)").count(), 2);
-    assert_eq!(text.matches("Merge \u{d7}4").count(), 2);
-    assert!(!text.contains("(ordered)"));
+fn q12_physical_explain_runs_merge_inputs_serially() {
+    // Both merge-join inputs are clustering-key chains, and an ordered
+    // pipeline runs serially: at every worker count the physical plan is
+    // the structural one, both scans `(ordered)` and nothing sharded. The
+    // tiny golden database is below the default 2-morsel sharding cutoff,
+    // so the vector size is shrunk (morsels follow it) to the size at
+    // which the same chains would otherwise shard.
+    let structural = explain_query(12, &db(), &Params::default()).unwrap();
+    for workers in [1, 2, 4] {
+        let mut cfg = ExecConfig::fixed_default().with_workers(workers);
+        cfg.vector_size = 32;
+        let text = explain_query_with(12, &db(), &Params::default(), &cfg).unwrap();
+        assert_eq!(text, structural, "{workers} workers");
+    }
+    assert_eq!(structural.matches("Scan orders (ordered)").count(), 1);
+    assert_eq!(structural.matches("Scan lineitem (ordered)").count(), 1);
 }
 
 #[test]
@@ -120,7 +108,6 @@ fn q12_structural_explain_keeps_order_constraint_visible() {
     let text = explain_query(12, &db(), &Params::default()).unwrap();
     assert_eq!(text.matches("(ordered)").count(), 2);
     assert!(!text.contains("(shardable)"));
-    assert!(!text.contains("Merge \u{d7}"));
     let plain = explain_query_with(12, &db(), &Params::default(), &ExecConfig::fixed_default());
     assert_eq!(plain.unwrap(), text);
 }
@@ -130,7 +117,7 @@ fn q03_physical_explain_shows_in_fragment_joins() {
     // Left to the planner, a join whose probe side shards probes inside
     // the worker fragments over one shared build. The golden database is
     // below the default sharding cutoff, so the vector size is shrunk
-    // (morsels follow it) as in the Q12 golden. Both of Q3's joins
+    // (morsels follow it), as in the Q12 test. Both of Q3's joins
     // qualify: the outer one is a stage of the lineitem chain, whose 4
     // fragments route into the aggregate's exchange directly; the semi
     // join tops the orders chain that is the outer join's build side.

@@ -5,8 +5,8 @@
 //! lowering, that each plan is schema-consistent, label-unique and places
 //! its exchanges legally under the given configuration. This sweep proves
 //! those invariants hold for all 22 queries across every parallelism
-//! shape the planner can take: sequential, sharded, merge-sharded,
-//! joins probing in the worker fragments, partition-follows-workers,
+//! shape the planner can take: sequential, sharded, serial merge-join
+//! inputs, joins probing in the worker fragments, partition-follows-workers,
 //! partitioning disabled, and fixed odd partition counts that disagree
 //! with the worker count.
 //!
@@ -47,18 +47,27 @@ fn config(workers: usize, agg_p: usize, vsize: usize) -> ExecConfig {
     cfg
 }
 
-/// Counts exchange nodes (and joins probing in worker fragments) in a
-/// physical plan so the sweep can prove it exercised non-sequential
-/// shapes (a vacuously-sequential sweep would pass trivially).
+/// Counts exchange nodes, joins probing in worker fragments and serial
+/// merge-join inputs in a physical plan, so the sweep can prove it
+/// exercised non-sequential shapes (a vacuously-sequential sweep would
+/// pass trivially), and asserts that no merge-join input carries an
+/// exchange or sits in fragments.
 fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, usize)) {
     for node in phys.nodes() {
-        if matches!(node.logical, LogicalPlan::HashJoin { .. }) && node.fragments > 1 {
-            tally.3 += 1;
+        match node.logical {
+            LogicalPlan::HashJoin { .. } if node.fragments > 1 => tally.3 += 1,
+            LogicalPlan::MergeJoin { label, .. } => {
+                for input in &node.children {
+                    let shape = (&input.exchange, input.fragments);
+                    assert_eq!(shape, (&Exchange::None, 1), "{label} input");
+                    tally.1 += 1;
+                }
+            }
+            _ => {}
         }
         match node.exchange {
             Exchange::None => {}
             Exchange::Parallel { .. } => tally.0 += 1,
-            Exchange::Merge { .. } => tally.1 += 1,
             Exchange::HashPartition { .. } => tally.2 += 1,
         }
     }
@@ -101,7 +110,6 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
         let exchange = match node.exchange {
             Exchange::None => None,
             Exchange::Parallel { .. } => Some("exchange/parallel".to_string()),
-            Exchange::Merge { .. } => Some("exchange/merge".to_string()),
             Exchange::HashPartition { .. } => {
                 Some(format!("{}/exchange", tracked.expect("a labeled consumer")))
             }
@@ -206,8 +214,9 @@ fn collect_labels(plan: &LogicalPlan, out: &mut Vec<String>) {
     }
 }
 
-/// All 22 queries verify under every configuration in the matrix, and the
-/// matrix provably exercises all three exchange kinds.
+/// All 22 queries verify under every configuration in the matrix, the
+/// matrix provably exercises both exchange kinds, and every merge-join
+/// input it plans is serial.
 #[test]
 fn all_queries_verify_across_config_matrix() {
     let db = db();
@@ -237,13 +246,13 @@ fn all_queries_verify_across_config_matrix() {
         }
     }
     assert_eq!(checked, 22 * 9 * 2);
-    let (parallel, merge, partition, in_fragment) = tally;
+    let (parallel, serial_merge_inputs, partition, in_fragment) = tally;
     assert!(
         in_fragment > 0,
         "matrix never probed a join in the fragments"
     );
     assert!(parallel > 0, "matrix never produced a Parallel exchange");
-    assert!(merge > 0, "matrix never produced a Merge exchange");
+    assert!(serial_merge_inputs > 0, "matrix never planned a merge join");
     assert!(
         partition > 0,
         "matrix never produced a HashPartition exchange"
@@ -385,15 +394,17 @@ fn expression_trees_round_trip_through_names() {
     );
 }
 
+/// Logical nodes in `plan`.
+fn node_count(plan: &LogicalPlan) -> u64 {
+    1 + plan.children().map(node_count).sum::<u64>()
+}
+
 /// `plan_physical` interprets each logical node exactly once, pinned on
 /// the two deepest join trees: a helper that re-derived a subtree's row
 /// bound per decision (as every `*_bound` helper once did) would make
 /// planning quadratic in plan depth again.
 #[test]
 fn planning_runs_the_analyzer_once_per_node() {
-    fn nodes(plan: &LogicalPlan) -> u64 {
-        1 + plan.children().map(nodes).sum::<u64>()
-    }
     let cfg = config(4, 0, 1024);
     for q in [5, 9] {
         let plan = query_plan(q, db(), &Params::default())
@@ -402,9 +413,25 @@ fn planning_runs_the_analyzer_once_per_node() {
         let before = ma_executor::analyze::transfer_count();
         let phys = plan_physical(&plan, &cfg).unwrap();
         let transfers = ma_executor::analyze::transfer_count() - before;
-        assert!(nodes(&plan) >= 15, "Q{q} is no longer a deep plan");
-        assert_eq!(transfers, nodes(&plan), "Q{q}");
-        assert_eq!(phys.nodes().len() as u64, nodes(&plan), "Q{q}");
+        assert!(node_count(&plan) >= 15, "Q{q} is no longer a deep plan");
+        assert_eq!(transfers, node_count(&plan), "Q{q}");
+        assert_eq!(phys.nodes().len() as u64, node_count(&plan), "Q{q}");
+    }
+}
+
+/// `analyze::render` (the `repro analyze` output) interprets each logical
+/// node exactly once too: rendering used to re-interpret every node's
+/// whole subtree, O(nodes × depth).
+#[test]
+fn rendering_the_analysis_runs_the_analyzer_once_per_node() {
+    for q in 1..=22 {
+        let plan = query_plan(q, db(), &Params::default())
+            .and_then(|pb| Ok(pb.build()?))
+            .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let before = ma_executor::analyze::transfer_count();
+        ma_executor::analyze::render(&plan);
+        let transfers = ma_executor::analyze::transfer_count() - before;
+        assert_eq!(transfers, node_count(&plan), "Q{q}");
     }
 }
 

@@ -53,34 +53,41 @@ fn run_selection_once(table: &Arc<Table>, config: ExecConfig) -> (u64, usize) {
     (ctx.total_primitive_ticks(), rows)
 }
 
-/// Minimum total ticks over several runs. The tick totals are wall-clock
-/// rdtsc sums, so one OS preemption mid-run adds millions of spurious
-/// ticks; the minimum is the standard noise-robust estimator when
-/// comparing implementations on a shared machine.
-fn run_selection(table: &Arc<Table>, config: ExecConfig) -> (u64, usize) {
-    let mut best: Option<(u64, usize)> = None;
+/// Minimum total ticks per configuration over three rounds, each round
+/// running every configuration once, round-robin. The tick totals are
+/// wall-clock rdtsc sums, so one OS preemption mid-run adds millions of
+/// spurious ticks; the minimum is the standard noise-robust estimator when
+/// comparing implementations on a shared machine, and interleaving the
+/// configurations makes host drift hit every arm alike instead of the
+/// one whose repeats happened to run during it.
+fn run_selections(table: &Arc<Table>, configs: &[ExecConfig]) -> Vec<(u64, usize)> {
+    let mut best: Vec<Option<(u64, usize)>> = vec![None; configs.len()];
     for _ in 0..3 {
-        let (ticks, rows) = run_selection_once(table, config.clone());
-        if let Some((_, prev_rows)) = best {
-            assert_eq!(rows, prev_rows, "row count must not vary across runs");
+        for (slot, config) in best.iter_mut().zip(configs) {
+            let (ticks, rows) = run_selection_once(table, config.clone());
+            *slot = Some(match *slot {
+                Some((t, r)) => {
+                    assert_eq!(rows, r, "row count must not vary across runs");
+                    (t.min(ticks), r)
+                }
+                None => (ticks, rows),
+            });
         }
-        best = Some(match best {
-            Some((t, r)) => (t.min(ticks), r),
-            None => (ticks, rows),
-        });
     }
-    best.unwrap()
+    best.into_iter().flatten().collect()
 }
 
 #[test]
 fn adaptive_selection_beats_worst_fixed_flavor_on_phased_data() {
     let table = phased_table(2_000_000);
-    let (t_br, r1) = run_selection(&table, ExecConfig::fixed("branching"));
-    let (t_nb, r2) = run_selection(&table, ExecConfig::fixed("no_branching"));
-    let (t_ma, r3) = run_selection(
-        &table,
+    let configs = [
+        ExecConfig::fixed("branching"),
+        ExecConfig::fixed("no_branching"),
         ExecConfig::adaptive(FlavorAxis::Branching).with_seed(42),
-    );
+    ];
+    let [(t_br, r1), (t_nb, r2), (t_ma, r3)] = run_selections(&table, &configs)[..] else {
+        unreachable!("one result per configuration")
+    };
     assert_eq!(r1, r2);
     assert_eq!(r1, r3);
     let worst = t_br.max(t_nb);

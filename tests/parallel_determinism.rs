@@ -60,8 +60,8 @@ fn every_query_is_worker_count_invariant_under_fixed_flavors() {
     // 1 worker runs single aggregate and join instances; 2 and 4 workers
     // run hash-partitioned aggregation AND joins probing inside the
     // worker fragments over shared builds (both planner defaults when
-    // workers shard), with Q12's merge-join inputs sharded behind merging
-    // exchanges — results must be identical either way.
+    // workers shard), while Q12's merge-join inputs run serially at any
+    // worker count — results must be identical either way.
     for q in 1..=22 {
         let (one, _) = run(q, ExecConfig::fixed_default());
         for workers in [2, 4] {

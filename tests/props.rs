@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the public API: flavor
 //! extensional equivalence, APH invariants, selection-vector algebra, LIKE
-//! semantics, merging-exchange order restoration, and bandit sanity.
+//! semantics, and bandit sanity.
 
 use micro_adaptivity::core::policy::{Policy, VwGreedy, VwGreedyParams};
 use micro_adaptivity::core::{Aph, SplitMix64};
@@ -309,73 +309,6 @@ proptest! {
     ) {
         let compiled = LikePattern::compile(&pat);
         prop_assert_eq!(compiled.matches(&s), like_naive(&s, &pat), "s={} pat={}", s, pat);
-    }
-
-    #[test]
-    fn merging_exchange_restores_global_order(
-        raw_streams in prop::collection::vec(
-            prop::collection::vec(-500i64..500, 0..120),
-            1..5,
-        ),
-        chunk_rows in 1usize..9,
-    ) {
-        use micro_adaptivity::executor::ops::{collect, BoxOp, MergeExchange, Operator};
-        use micro_adaptivity::executor::ExecError;
-        use micro_adaptivity::vector::{DataChunk, DataType, Vector};
-        use std::sync::Arc;
-
-        /// Replays fixed chunks: an arbitrary (but sorted) worker stream.
-        struct Replay {
-            chunks: std::collections::VecDeque<DataChunk>,
-            types: Vec<DataType>,
-        }
-        impl Operator for Replay {
-            fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-                Ok(self.chunks.pop_front())
-            }
-            fn out_types(&self) -> &[DataType] {
-                &self.types
-            }
-        }
-
-        // Each producer stream must be internally sorted (the exchange's
-        // precondition — the planner guarantees it via clustering-key
-        // chains); across streams values overlap and repeat arbitrarily.
-        let mut streams = raw_streams;
-        for s in &mut streams {
-            s.sort_unstable();
-        }
-        let producers: Vec<BoxOp> = streams
-            .iter()
-            .map(|s| {
-                Box::new(Replay {
-                    chunks: s
-                        .chunks(chunk_rows)
-                        .map(|c| {
-                            DataChunk::new(vec![Arc::new(Vector::I64(c.to_vec()))])
-                        })
-                        .collect(),
-                    types: vec![DataType::I64],
-                }) as BoxOp
-            })
-            .collect();
-        let mut ex = MergeExchange::new(producers, 0).unwrap();
-        let chunks = collect(&mut ex).unwrap();
-        let merged: Vec<i64> = chunks
-            .iter()
-            .flat_map(|c| {
-                c.live_positions()
-                    .into_iter()
-                    .map(|p| c.column(0).as_i64()[p])
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        // Globally sorted...
-        prop_assert!(merged.windows(2).all(|w| w[0] <= w[1]), "not sorted: {:?}", merged);
-        // ... and a multiset-equal union of the inputs.
-        let mut want: Vec<i64> = streams.iter().flatten().copied().collect();
-        want.sort_unstable();
-        prop_assert_eq!(merged, want);
     }
 
     #[test]
