@@ -112,8 +112,7 @@ fn bench_composite_keys(c: &mut Criterion) {
                     Box::new(scan),
                     vec![0, 1],
                     vec![Agg::count()],
-                    &ctx,
-                    "bench",
+                    &ctx.scope("bench"),
                 )
                 .expect("integer and string group keys");
                 std::hint::black_box(collect(&mut agg).expect("aggregation runs"));

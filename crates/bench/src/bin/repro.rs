@@ -399,7 +399,8 @@ fn mem_main(args: &[String]) -> ! {
                 violations += 1;
             }
             println!(
-                "  {:<28} bound {:>12}  actual {:>12}  {}",
+                "  {:>4} {:<28} bound {:>12}  actual {:>12}  {}",
+                format!("n{}", r.key.node.0),
                 r.label,
                 ma_executor::cost::fmt_bytes(r.bound),
                 ma_executor::cost::fmt_bytes(r.high_water),

@@ -35,12 +35,12 @@ pub fn table1(runner: &Runner) -> String {
     let sel = Select::new(
         scan,
         &Pred::cmp_val(0, CmpKind::Lt, Value::I32(40)),
-        &ctx,
-        "T1/sel",
+        &ctx.scope("T1/sel"),
     )
     .expect("predicate");
     let mut proj: BoxOp = Box::new(
-        Project::new(Box::new(sel), vec![ProjItem::Pass(1)], &ctx, "T1/out").expect("projection"),
+        Project::new(Box::new(sel), vec![ProjItem::Pass(1)], &ctx.scope("T1/out"))
+            .expect("projection"),
     );
     let preprocess = ticks_now().saturating_sub(t0);
 
@@ -95,8 +95,7 @@ pub fn fig02(runner: &Runner) -> String {
                 Pred::cmp_val(0, CmpKind::Ge, Value::I32(ge_day)),
                 Pred::cmp_val(0, CmpKind::Lt, Value::I32(lt_day)),
             ]),
-            &ctx,
-            "F2",
+            &ctx.scope("F2"),
         )
         .expect("predicate");
         let mut op: BoxOp = Box::new(sel);

@@ -10,13 +10,20 @@
 //! its registry slot when it is dropped (or on an explicit
 //! [`PrimInstance::flush`]). See DESIGN.md, "Per-worker statistics merge".
 //!
-//! Operators ask the context for typed [`PrimInstance`]s by signature; the
-//! context resolves the flavor subset according to the configured
-//! [`FlavorMode`], builds the bandit (or fixed/heuristic) policy, and
-//! registers the instance for post-query reporting (per-instance profiles
-//! and APHs — the data behind Tables 6–11 and Figures 2/4/11).
+//! Operators ask their [`NodeScope`] for typed [`PrimInstance`]s by
+//! signature; the context resolves the flavor subset according to the
+//! configured [`FlavorMode`], builds the bandit (or fixed/heuristic)
+//! policy, and registers the instance for post-query reporting
+//! (per-instance profiles and APHs — the data behind Tables 6–11 and
+//! Figures 2/4/11).
+//!
+//! Identity is a type, not a string: every instance is registered under a
+//! [`Slot`] — its plan node's [`NodeKey`] (plan ordinal, [`NodeId`]) plus
+//! its creation ordinal within the node's operator — and every memory
+//! tracker under the node's key. Labels are display names only.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ma_core::cycles::ticks_now;
@@ -25,7 +32,186 @@ use ma_core::{Aph, FlavorSet, PrimitiveDictionary, PrimitiveProfile};
 
 use crate::config::{ExecConfig, FlavorMode, DEFAULT_REWARD_CLAMP};
 use crate::heuristics::{tuned, HeuristicPolicy, HeuristicRule};
+use crate::plan::NodeId;
 use crate::ExecError;
+
+/// One plan node of one instantiated plan: the plan's ordinal within its
+/// [`QueryContext`] (one context may run several plans) and the node's
+/// pre-order [`NodeId`]. Every copy of the node's operator — one per
+/// worker fragment or partition — shares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeKey {
+    /// The plan's instantiation ordinal within its context.
+    pub plan: usize,
+    /// The node's pre-order position in that plan.
+    pub node: NodeId,
+}
+
+/// One primitive instance's identity: its node and `part`, the instance's
+/// creation ordinal within the node's operator. Every copy of an operator
+/// creates its instances in the same order, so the copies' instances of
+/// one part share a slot and their statistics fold
+/// ([`QueryContext::merged_reports`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot {
+    /// The node the instance belongs to.
+    pub key: NodeKey,
+    /// Creation ordinal within one copy of the node's operator.
+    pub part: usize,
+}
+
+/// Where one copy of a plan node's operator is built: the context, the
+/// node's [`NodeKey`], its display label and the next instance ordinal.
+/// Every operator that creates primitive instances is constructed in one.
+/// Each copy of a node's operator gets a fresh scope over the same key, so
+/// its instances take the same [`Slot`]s in the same order.
+pub struct NodeScope {
+    ctx: QueryContext,
+    key: NodeKey,
+    label: String,
+    next_part: Cell<usize>,
+}
+
+impl NodeScope {
+    /// A scope for node `node` of the plan with ordinal `plan`.
+    pub(crate) fn new(ctx: &QueryContext, plan: usize, node: NodeId, label: String) -> Self {
+        NodeScope {
+            ctx: ctx.clone(),
+            key: NodeKey { plan, node },
+            label,
+            next_part: Cell::new(0),
+        }
+    }
+
+    /// The context the node's instances register in.
+    pub fn ctx(&self) -> &QueryContext {
+        &self.ctx
+    }
+
+    /// Creates the scope's next instance, of primitive `signature`,
+    /// displayed as `{label}/{name}`, and registers it for reporting. The
+    /// flavor subset and policy follow the configured [`FlavorMode`];
+    /// `heur` tells heuristics mode which rule applies to this family.
+    pub fn instance<F>(
+        &self,
+        signature: &str,
+        name: &str,
+        heur: HeurKind,
+    ) -> Result<PrimInstance<F>, ExecError>
+    where
+        F: Copy + Send + Sync + 'static,
+    {
+        let ctx = &self.ctx;
+        let config = &ctx.inner.config;
+        let master = ctx
+            .inner
+            .dict
+            .lookup::<F>(signature)
+            .ok_or_else(|| ExecError::UnknownPrimitive(signature.to_string()))?;
+
+        let (set, policy): (Arc<FlavorSet<F>>, Box<dyn Policy>) = match &config.flavors {
+            FlavorMode::Fixed(name) => {
+                let idx = name.and_then(|n| master.index_of(n)).unwrap_or(0);
+                let arms = master.len();
+                (master, Box::new(FixedPolicy::new(arms, idx)))
+            }
+            FlavorMode::Adaptive { axis, policy } => {
+                let sub = match axis.names() {
+                    None => master.canonical_subset(),
+                    Some([]) => master
+                        .subset(&[master.info(0).name])
+                        .expect("flavor 0 always exists"),
+                    Some(names) => match master.subset(names) {
+                        Some(s) if s.len() > 1 => s,
+                        // Axis doesn't apply to this primitive: default only.
+                        _ => master
+                            .subset(&[master.info(0).name])
+                            .expect("flavor 0 always exists"),
+                    },
+                };
+                let arms = sub.len();
+                let pol: Box<dyn Policy> = if arms == 1 {
+                    Box::new(FixedPolicy::new(1, 0))
+                } else {
+                    let inner = policy.build(arms, ctx.fresh_seed());
+                    Box::new(ClampedPolicy::new(inner, DEFAULT_REWARD_CLAMP))
+                };
+                (Arc::new(sub), pol)
+            }
+            FlavorMode::Heuristic => {
+                let (rule, alt_name): (HeuristicRule, &str) = match heur {
+                    HeurKind::Selection => (tuned::SELECTION, "no_branching"),
+                    HeurKind::FullComp { elem_bytes } => {
+                        (tuned::full_computation(elem_bytes), "full")
+                    }
+                    HeurKind::Fission => (tuned::FISSION, "fission"),
+                    HeurKind::None => (HeuristicRule::Off, ""),
+                };
+                let arms = master.len();
+                let alt = master.index_of(alt_name);
+                let pol: Box<dyn Policy> = match (rule, alt) {
+                    (HeuristicRule::Off, _) | (_, None) => Box::new(FixedPolicy::new(arms, 0)),
+                    (rule, Some(alt)) => Box::new(HeuristicPolicy::new(rule, arms, 0, alt)),
+                };
+                (master, pol)
+            }
+        };
+
+        let local = InstanceStats {
+            slot: Slot {
+                key: self.key,
+                part: self.next_part.replace(self.next_part.get() + 1),
+            },
+            label: format!("{}/{name}", self.label),
+            signature: signature.to_string(),
+            flavor_names: set.infos().iter().map(|i| i.name.to_string()).collect(),
+            profile: PrimitiveProfile::default(),
+            flavor_calls: vec![0; set.len()],
+        };
+        let shared = Arc::new(Mutex::new(local.clone()));
+        ctx.inner
+            .registry
+            .lock()
+            .expect("registry poisoned")
+            .push(Arc::clone(&shared));
+        Ok(PrimInstance {
+            set,
+            policy,
+            local,
+            shared,
+            last: 0,
+        })
+    }
+
+    /// A byte-accounting slot for the node's operator state, displayed
+    /// under the node's label. `bound` is the proven peak-byte bound the
+    /// planner computed for one instance while lowering.
+    pub fn mem_tracker(&self, bound: u64) -> MemTracker {
+        self.track(self.label.clone(), bound)
+    }
+
+    /// A byte-accounting slot for the node's exchange, displayed as
+    /// `{label}/exchange`; `bound` is the byte bound of one chunk.
+    pub fn exchange_tracker(&self, bound: u64) -> MemTracker {
+        self.track(format!("{}/exchange", self.label), bound)
+    }
+
+    /// Registers a byte-accounting slot under the node's key and returns
+    /// its recording handle. Pairing bound and recordings in one slot is
+    /// what lets the fuzz oracle check actual ≤ bound per instance without
+    /// any label matching.
+    fn track(&self, label: String, bound: u64) -> MemTracker {
+        let slot = Arc::new(MemSlot {
+            key: self.key,
+            label,
+            bound,
+            high: AtomicU64::new(0),
+        });
+        let mut slots = self.ctx.inner.mem.lock().expect("mem registry poisoned");
+        slots.push(Arc::clone(&slot));
+        MemTracker { slot }
+    }
+}
 
 /// Family hint used to pick the right hard-coded heuristic in
 /// [`FlavorMode::Heuristic`] mode.
@@ -51,7 +237,9 @@ pub enum HeurKind {
 /// instance last published.
 #[derive(Debug, Clone)]
 pub struct InstanceStats {
-    /// Operator-assigned label, e.g. `"Q12/sel_ge"`.
+    /// The instance's identity.
+    pub slot: Slot,
+    /// Display label, e.g. `"Q12/sel/sel_ge_i32_col_val"`.
     pub label: String,
     /// Primitive signature.
     pub signature: String,
@@ -132,7 +320,9 @@ impl<F: Copy> Drop for PrimInstance<F> {
 /// A finished instance's report.
 #[derive(Debug, Clone)]
 pub struct InstanceReport {
-    /// Operator-assigned label.
+    /// The instance's identity.
+    pub slot: Slot,
+    /// Display label.
     pub label: String,
     /// Primitive signature.
     pub signature: String,
@@ -166,9 +356,11 @@ struct CtxInner {
     registry: Mutex<Vec<Arc<Mutex<InstanceStats>>>>,
     mem: Mutex<Vec<Arc<MemSlot>>>,
     next_seed: AtomicU64,
+    next_plan: AtomicUsize,
 }
 
 struct MemSlot {
+    key: NodeKey,
     label: String,
     bound: u64,
     high: AtomicU64,
@@ -176,7 +368,7 @@ struct MemSlot {
 
 /// A byte-accounting handle for one allocation-heavy operator instance.
 ///
-/// Created by [`QueryContext::mem_tracker`] with the *proven* peak-byte
+/// Created by [`NodeScope::mem_tracker`] with the *proven* peak-byte
 /// bound the static cost pass derived for the instance; the operator calls
 /// [`MemTracker::record`] with its current live-data byte count at the
 /// points where that count peaks (table growth, build finish, sort
@@ -205,7 +397,9 @@ impl MemTracker {
 /// One operator instance's predicted-vs-actual memory pairing.
 #[derive(Debug, Clone)]
 pub struct MemReport {
-    /// Operator-assigned label (plan-node label, shared across partitions).
+    /// The node the tracked state belongs to (shared across partitions).
+    pub key: NodeKey,
+    /// Display label: the node's label, or `{label}/exchange`.
     pub label: String,
     /// Proven peak-byte bound from the static cost pass.
     pub bound: u64,
@@ -233,8 +427,21 @@ impl QueryContext {
                 registry: Mutex::new(Vec::new()),
                 mem: Mutex::new(Vec::new()),
                 next_seed: AtomicU64::new(seed),
+                next_plan: AtomicUsize::new(0),
             }),
         }
+    }
+
+    /// The ordinal of the next plan instantiated in this context.
+    pub(crate) fn next_plan(&self) -> usize {
+        self.inner.next_plan.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A scope under a key no plan node of this context has (node 0 of a
+    /// fresh plan ordinal), for an operator built by hand rather than
+    /// instantiated from a plan.
+    pub fn scope(&self, label: impl Into<String>) -> NodeScope {
+        NodeScope::new(self, self.next_plan(), NodeId(0), label.into())
     }
 
     /// The engine configuration.
@@ -245,11 +452,6 @@ impl QueryContext {
     /// The vector size used by operators.
     pub fn vector_size(&self) -> usize {
         self.inner.config.vector_size
-    }
-
-    /// Worker threads for sharded scans (≥ 1).
-    pub fn worker_threads(&self) -> usize {
-        self.inner.config.worker_threads.max(1)
     }
 
     fn fresh_seed(&self) -> u64 {
@@ -266,10 +468,8 @@ impl QueryContext {
             .wrapping_add(1442695040888963407)
     }
 
-    /// Creates a typed instance for `signature`.
-    ///
-    /// The flavor subset and policy follow the configured [`FlavorMode`];
-    /// `heur` tells heuristics mode which rule applies to this family.
+    /// Creates a typed instance for `signature`, displayed as
+    /// `{label}/{signature}`, in a fresh [`QueryContext::scope`].
     pub fn instance<F>(
         &self,
         signature: &str,
@@ -279,81 +479,7 @@ impl QueryContext {
     where
         F: Copy + Send + Sync + 'static,
     {
-        let config = &self.inner.config;
-        let master = self
-            .inner
-            .dict
-            .lookup::<F>(signature)
-            .ok_or_else(|| ExecError::UnknownPrimitive(signature.to_string()))?;
-
-        let (set, policy): (Arc<FlavorSet<F>>, Box<dyn Policy>) = match &config.flavors {
-            FlavorMode::Fixed(name) => {
-                let idx = name.and_then(|n| master.index_of(n)).unwrap_or(0);
-                let arms = master.len();
-                (master, Box::new(FixedPolicy::new(arms, idx)))
-            }
-            FlavorMode::Adaptive { axis, policy } => {
-                let sub = match axis.names() {
-                    None => master.canonical_subset(),
-                    Some([]) => master
-                        .subset(&[master.info(0).name])
-                        .expect("flavor 0 always exists"),
-                    Some(names) => match master.subset(names) {
-                        Some(s) if s.len() > 1 => s,
-                        // Axis doesn't apply to this primitive: default only.
-                        _ => master
-                            .subset(&[master.info(0).name])
-                            .expect("flavor 0 always exists"),
-                    },
-                };
-                let arms = sub.len();
-                let pol: Box<dyn Policy> = if arms == 1 {
-                    Box::new(FixedPolicy::new(1, 0))
-                } else {
-                    let inner = policy.build(arms, self.fresh_seed());
-                    Box::new(ClampedPolicy::new(inner, DEFAULT_REWARD_CLAMP))
-                };
-                (Arc::new(sub), pol)
-            }
-            FlavorMode::Heuristic => {
-                let (rule, alt_name): (HeuristicRule, &str) = match heur {
-                    HeurKind::Selection => (tuned::SELECTION, "no_branching"),
-                    HeurKind::FullComp { elem_bytes } => {
-                        (tuned::full_computation(elem_bytes), "full")
-                    }
-                    HeurKind::Fission => (tuned::FISSION, "fission"),
-                    HeurKind::None => (HeuristicRule::Off, ""),
-                };
-                let arms = master.len();
-                let alt = master.index_of(alt_name);
-                let pol: Box<dyn Policy> = match (rule, alt) {
-                    (HeuristicRule::Off, _) | (_, None) => Box::new(FixedPolicy::new(arms, 0)),
-                    (rule, Some(alt)) => Box::new(HeuristicPolicy::new(rule, arms, 0, alt)),
-                };
-                (master, pol)
-            }
-        };
-
-        let local = InstanceStats {
-            label: label.into(),
-            signature: signature.to_string(),
-            flavor_names: set.infos().iter().map(|i| i.name.to_string()).collect(),
-            profile: PrimitiveProfile::default(),
-            flavor_calls: vec![0; set.len()],
-        };
-        let shared = Arc::new(Mutex::new(local.clone()));
-        self.inner
-            .registry
-            .lock()
-            .expect("registry poisoned")
-            .push(Arc::clone(&shared));
-        Ok(PrimInstance {
-            set,
-            policy,
-            local,
-            shared,
-            last: 0,
-        })
+        self.scope(label).instance(signature, signature, heur)
     }
 
     /// Reports of all instances created so far: exact for dropped
@@ -368,6 +494,7 @@ impl QueryContext {
             .map(|s| {
                 let s = s.lock().expect("stats slot poisoned");
                 InstanceReport {
+                    slot: s.slot,
                     label: s.label.clone(),
                     signature: s.signature.clone(),
                     calls: s.profile.calls,
@@ -385,52 +512,31 @@ impl QueryContext {
             .collect()
     }
 
-    /// Reports merged across workers: instances sharing `(label,
-    /// signature)` — the same plan node built once per scan worker — are
-    /// folded into one report with summed calls/tuples/ticks and
+    /// Reports merged across workers: instances sharing a [`Slot`] — one
+    /// part of one plan node, built once per worker fragment or partition
+    /// — are folded into one report with summed calls/tuples/ticks and
     /// index-aligned flavor-call sums. APHs are per-worker histories and
-    /// are not merged (the merged report carries none). Sorted by label
-    /// then signature for stable comparisons.
+    /// are not merged (the merged report carries none). Ordered by slot:
+    /// plan, node pre-order, part.
     pub fn merged_reports(&self) -> Vec<InstanceReport> {
-        let mut merged: Vec<InstanceReport> = Vec::new();
-        for r in self.reports() {
-            match merged
-                .iter_mut()
-                .find(|m| m.label == r.label && m.signature == r.signature)
-            {
-                Some(m) => {
+        let mut reports = self.reports();
+        reports.sort_by_key(|r| r.slot);
+        let mut merged: Vec<InstanceReport> = Vec::with_capacity(reports.len());
+        for r in reports {
+            match merged.last_mut() {
+                Some(m) if m.slot == r.slot => {
+                    debug_assert_eq!(m.signature, r.signature);
                     m.calls += r.calls;
                     m.tuples += r.tuples;
                     m.ticks += r.ticks;
-                    debug_assert_eq!(m.flavor_calls.len(), r.flavor_calls.len());
                     for (acc, (_, c)) in m.flavor_calls.iter_mut().zip(&r.flavor_calls) {
                         acc.1 += c;
                     }
                 }
-                None => merged.push(InstanceReport { aph: None, ..r }),
+                _ => merged.push(InstanceReport { aph: None, ..r }),
             }
         }
-        merged.sort_by(|a, b| (&a.label, &a.signature).cmp(&(&b.label, &b.signature)));
         merged
-    }
-
-    /// Registers a byte-accounting slot for one operator instance and
-    /// returns its recording handle. `bound` is the proven peak-byte bound
-    /// the planner computed for this instance while lowering; pairing bound
-    /// and recordings in one slot is what lets the fuzz oracle check
-    /// actual ≤ bound per instance without any label matching.
-    pub fn mem_tracker(&self, label: impl Into<String>, bound: u64) -> MemTracker {
-        let slot = Arc::new(MemSlot {
-            label: label.into(),
-            bound,
-            high: AtomicU64::new(0),
-        });
-        self.inner
-            .mem
-            .lock()
-            .expect("mem registry poisoned")
-            .push(Arc::clone(&slot));
-        MemTracker { slot }
     }
 
     /// Predicted-vs-actual memory reports for every registered slot, in
@@ -442,6 +548,7 @@ impl QueryContext {
             .expect("mem registry poisoned")
             .iter()
             .map(|s| MemReport {
+                key: s.key,
                 label: s.label.clone(),
                 bound: s.bound,
                 high_water: s.high.load(Ordering::Relaxed),
@@ -607,7 +714,7 @@ mod tests {
         let reports = c.reports();
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
-        assert_eq!(r.label, "q1/sel");
+        assert_eq!(r.label, "q1/sel/sel_lt_i32_col_val");
         assert_eq!(r.calls, 100);
         assert_eq!(r.tuples, 102_400);
         assert!(r.ticks > 0);
@@ -679,8 +786,8 @@ mod tests {
     #[test]
     fn mem_tracker_keeps_high_water_per_slot() {
         let c = ctx(ExecConfig::fixed_default());
-        let t1 = c.mem_tracker("Q/agg", 4096);
-        let t2 = c.mem_tracker("Q/join", 1 << 20);
+        let t1 = c.scope("Q/agg").mem_tracker(4096);
+        let t2 = c.scope("Q/join").exchange_tracker(1 << 20);
         t1.record(100);
         t1.record(700);
         t1.record(300); // lower than the high-water mark: ignored
@@ -695,32 +802,52 @@ mod tests {
         assert_eq!(reports[0].bound, 4096);
         assert_eq!(
             (reports[1].label.as_str(), reports[1].high_water),
-            ("Q/join", 99)
+            ("Q/join/exchange", 99)
         );
+        assert_ne!(reports[0].key, reports[1].key);
     }
 
     #[test]
     fn merged_reports_fold_per_worker_instances() {
         let c = ctx(ExecConfig::fixed_default());
+        let sel = |scope: &NodeScope, sig: &str| {
+            scope
+                .instance::<SelColVal<i32>>(sig, "sel", HeurKind::Selection)
+                .unwrap()
+        };
+        // Three copies of one node's operator, each creating the same two
+        // instances in the same order: parts 0 and 1 of one key.
+        let key = c.scope("Q").key;
         for _ in 0..3 {
-            let mut i = c
-                .instance::<SelColVal<i32>>("sel_lt_i32_col_val", "Q/sel", HeurKind::Selection)
-                .unwrap();
-            run_sel(&mut i, &[1, 2, 3, 4], 3);
+            let copy = NodeScope::new(&c, key.plan, key.node, "Q".into());
+            run_sel(&mut sel(&copy, "sel_lt_i32_col_val"), &[1, 2, 3, 4], 3);
+            run_sel(&mut sel(&copy, "sel_gt_i32_col_val"), &[1, 2], 1);
         }
-        let mut other = c
-            .instance::<SelColVal<i32>>("sel_gt_i32_col_val", "Q/other", HeurKind::Selection)
-            .unwrap();
-        run_sel(&mut other, &[1, 2], 1);
-        drop(other);
+        // Another node displayed under the same label stays apart.
+        run_sel(&mut sel(&c.scope("Q"), "sel_lt_i32_col_val"), &[1, 2], 1);
 
-        assert_eq!(c.reports().len(), 4);
+        assert_eq!(c.reports().len(), 7);
         let merged = c.merged_reports();
-        assert_eq!(merged.len(), 2);
-        let sel = merged.iter().find(|m| m.label == "Q/sel").unwrap();
-        assert_eq!(sel.calls, 3);
-        assert_eq!(sel.tuples, 12);
-        assert_eq!(sel.flavor_calls.iter().map(|(_, c)| c).sum::<u64>(), 3);
-        assert!(sel.aph.is_none(), "merged reports drop per-worker APHs");
+        let shape: Vec<_> = merged
+            .iter()
+            .map(|m| (m.slot.key == key, m.slot.part, m.label.as_str(), m.calls))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (true, 0, "Q/sel", 3),
+                (true, 1, "Q/sel", 3),
+                (false, 0, "Q/sel", 1)
+            ]
+        );
+        assert_eq!(merged[0].tuples, 12);
+        assert_eq!(
+            merged[0].flavor_calls.iter().map(|(_, c)| c).sum::<u64>(),
+            3
+        );
+        assert!(
+            merged.iter().all(|m| m.aph.is_none()),
+            "merged reports drop per-worker APHs"
+        );
     }
 }

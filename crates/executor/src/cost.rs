@@ -58,7 +58,7 @@ const SAT: u64 = u64::MAX >> 8;
 /// Proven bounds for one physical operator stage.
 #[derive(Debug, Clone)]
 pub struct OpCost {
-    /// Stats label (or a synthesized name for label-less nodes).
+    /// Display label (or a synthesized name for label-less nodes).
     pub label: String,
     /// Operator kind, e.g. `"hash-agg"` or `"exchange"`.
     pub kind: &'static str,
@@ -586,13 +586,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     let rows_in = |i: usize| node.children.get(i).map_or(0, |c| tuples(c.rows));
     let label = match node.logical {
         LogicalPlan::Scan { table, .. } => table.name(),
-        LogicalPlan::Sort { .. } => "sort",
-        LogicalPlan::Filter { label, .. }
-        | LogicalPlan::Project { label, .. }
-        | LogicalPlan::HashAgg { label, .. }
-        | LogicalPlan::StreamAgg { label, .. }
-        | LogicalPlan::HashJoin { label, .. }
-        | LogicalPlan::MergeJoin { label, .. } => label,
+        other => other.label().unwrap_or("sort"),
     };
     // An exchange stage holds `buffered_chunks` chunks of at most
     // `chunk_bytes` each; it is listed once per producer feeding it.

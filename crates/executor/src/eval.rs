@@ -14,7 +14,7 @@ use ma_primitives::{
 };
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
 
-use crate::adaptive::{HeurKind, PrimInstance, QueryContext};
+use crate::adaptive::{HeurKind, NodeScope, PrimInstance};
 use crate::expr::{CmpRhs, Expr, Pred, Value};
 use crate::ExecError;
 
@@ -78,11 +78,10 @@ impl CompiledExpr {
     pub fn compile(
         expr: &Expr,
         input_types: &[DataType],
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<Self, ExecError> {
         let mut nodes = Vec::new();
-        let (root, out_type) = compile_node(expr, input_types, ctx, label, &mut nodes)?;
+        let (root, out_type) = compile_node(expr, input_types, scope, &mut nodes)?;
         Ok(CompiledExpr {
             nodes,
             root,
@@ -222,8 +221,7 @@ fn cast_eval(
 fn compile_node(
     expr: &Expr,
     input_types: &[DataType],
-    ctx: &QueryContext,
-    label: &str,
+    scope: &NodeScope,
     nodes: &mut Vec<Node>,
 ) -> Result<(usize, DataType), ExecError> {
     match expr {
@@ -238,27 +236,26 @@ fn compile_node(
             "constants are only valid as the rhs of arithmetic".into(),
         )),
         Expr::Cast { to, inner } => {
-            let (child, from) = compile_node(inner, input_types, ctx, label, nodes)?;
+            let (child, from) = compile_node(inner, input_types, scope, nodes)?;
             let sig = format!("map_cast_{}_{}", from.sig_name(), to.sig_name());
-            let lbl = format!("{label}/{sig}");
             let inst = match (from, to) {
                 (DataType::I16, DataType::I32) => {
-                    CastInst::I16I32(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I16I32(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 (DataType::I16, DataType::I64) => {
-                    CastInst::I16I64(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I16I64(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 (DataType::I16, DataType::F64) => {
-                    CastInst::I16F64(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I16F64(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 (DataType::I32, DataType::I64) => {
-                    CastInst::I32I64(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I32I64(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 (DataType::I32, DataType::F64) => {
-                    CastInst::I32F64(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I32F64(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 (DataType::I64, DataType::F64) => {
-                    CastInst::I64F64(ctx.instance(&sig, lbl, HeurKind::None)?)
+                    CastInst::I64F64(scope.instance(&sig, &sig, HeurKind::None)?)
                 }
                 _ => return Err(ExecError::Plan(format!("unsupported cast {from} -> {to}"))),
             };
@@ -280,7 +277,7 @@ fn compile_node(
             Ok((nodes.len() - 1, DataType::Str))
         }
         Expr::Arith { op, lhs, rhs } => {
-            let (l, lty) = compile_node(lhs, input_types, ctx, label, nodes)?;
+            let (l, lty) = compile_node(lhs, input_types, scope, nodes)?;
             if let Expr::Const(v) = rhs.as_ref() {
                 if v.data_type() != lty {
                     return Err(ExecError::Plan(format!(
@@ -289,15 +286,14 @@ fn compile_node(
                     )));
                 }
                 let sig = format!("map_{}_{}_col_val", op.sig_name(), lty.sig_name());
-                let lbl = format!("{label}/{sig}");
                 let node = match v {
                     Value::I64(c) => Node::ArithCvI64 {
-                        inst: ctx.instance(&sig, lbl, HeurKind::FullComp { elem_bytes: 8 })?,
+                        inst: scope.instance(&sig, &sig, HeurKind::FullComp { elem_bytes: 8 })?,
                         lhs: l,
                         v: *c,
                     },
                     Value::F64(c) => Node::ArithCvF64 {
-                        inst: ctx.instance(&sig, lbl, HeurKind::FullComp { elem_bytes: 8 })?,
+                        inst: scope.instance(&sig, &sig, HeurKind::FullComp { elem_bytes: 8 })?,
                         lhs: l,
                         v: *c,
                     },
@@ -310,22 +306,21 @@ fn compile_node(
                 nodes.push(node);
                 Ok((nodes.len() - 1, lty))
             } else {
-                let (r, rty) = compile_node(rhs, input_types, ctx, label, nodes)?;
+                let (r, rty) = compile_node(rhs, input_types, scope, nodes)?;
                 if lty != rty {
                     return Err(ExecError::Plan(format!(
                         "arith operand types differ: {lty} vs {rty}"
                     )));
                 }
                 let sig = format!("map_{}_{}_col_col", op.sig_name(), lty.sig_name());
-                let lbl = format!("{label}/{sig}");
                 let node = match lty {
                     DataType::I64 => Node::ArithCcI64 {
-                        inst: ctx.instance(&sig, lbl, HeurKind::FullComp { elem_bytes: 8 })?,
+                        inst: scope.instance(&sig, &sig, HeurKind::FullComp { elem_bytes: 8 })?,
                         lhs: l,
                         rhs: r,
                     },
                     DataType::F64 => Node::ArithCcF64 {
-                        inst: ctx.instance(&sig, lbl, HeurKind::FullComp { elem_bytes: 8 })?,
+                        inst: scope.instance(&sig, &sig, HeurKind::FullComp { elem_bytes: 8 })?,
                         lhs: l,
                         rhs: r,
                     },
@@ -418,8 +413,7 @@ impl CompiledPred {
     pub fn compile(
         pred: &Pred,
         input_types: &[DataType],
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<Self, ExecError> {
         let node = match pred {
             Pred::Cmp { col, op, rhs } => {
@@ -451,14 +445,10 @@ impl CompiledPred {
                                 }
                             };
                             PredNode::StrCmp {
-                                inst: ctx.instance(
-                                    sig,
-                                    format!("{label}/{sig}"),
-                                    HeurKind::Selection,
-                                )?,
-                                code_inst: Box::new(ctx.instance(
+                                inst: scope.instance(sig, sig, HeurKind::Selection)?,
+                                code_inst: Box::new(scope.instance(
                                     code_sig,
-                                    format!("{label}/{code_sig}/dict"),
+                                    &format!("{code_sig}/dict"),
                                     HeurKind::Selection,
                                 )?),
                                 eq,
@@ -473,25 +463,24 @@ impl CompiledPred {
                                 )));
                             }
                             let sig = format!("sel_{}_{}_col_val", op.sig_name(), cty.sig_name());
-                            let lbl = format!("{label}/{sig}");
                             match v {
                                 Value::I16(c) => PredNode::CvI16 {
-                                    inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                    inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                     col: *col,
                                     v: *c,
                                 },
                                 Value::I32(c) => PredNode::CvI32 {
-                                    inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                    inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                     col: *col,
                                     v: *c,
                                 },
                                 Value::I64(c) => PredNode::CvI64 {
-                                    inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                    inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                     col: *col,
                                     v: *c,
                                 },
                                 Value::F64(c) => PredNode::CvF64 {
-                                    inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                    inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                     col: *col,
                                     v: *c,
                                 },
@@ -509,25 +498,24 @@ impl CompiledPred {
                             )));
                         }
                         let sig = format!("sel_{}_{}_col_col", op.sig_name(), cty.sig_name());
-                        let lbl = format!("{label}/{sig}");
                         match cty {
                             DataType::I16 => PredNode::CcI16 {
-                                inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                 a: *col,
                                 b: *other,
                             },
                             DataType::I32 => PredNode::CcI32 {
-                                inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                 a: *col,
                                 b: *other,
                             },
                             DataType::I64 => PredNode::CcI64 {
-                                inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                 a: *col,
                                 b: *other,
                             },
                             DataType::F64 => PredNode::CcF64 {
-                                inst: ctx.instance(&sig, lbl, HeurKind::Selection)?,
+                                inst: scope.instance(&sig, &sig, HeurKind::Selection)?,
                                 a: *col,
                                 b: *other,
                             },
@@ -551,7 +539,7 @@ impl CompiledPred {
                     ("sel_like_str_col_val", "sel_like")
                 };
                 PredNode::Like {
-                    inst: ctx.instance(sig, format!("{label}/{name}"), HeurKind::None)?,
+                    inst: scope.instance(sig, name, HeurKind::None)?,
                     col: *col,
                     pat: LikePattern::compile(pattern),
                 }
@@ -561,7 +549,7 @@ impl CompiledPred {
                     .iter()
                     .map(|v| Pred::str_eq(*col, v.clone()))
                     .collect();
-                return CompiledPred::compile(&Pred::Or(branches), input_types, ctx, label);
+                return CompiledPred::compile(&Pred::Or(branches), input_types, scope);
             }
             Pred::And(ps) => {
                 if ps.is_empty() {
@@ -569,7 +557,7 @@ impl CompiledPred {
                 }
                 PredNode::And(
                     ps.iter()
-                        .map(|p| CompiledPred::compile(p, input_types, ctx, label))
+                        .map(|p| CompiledPred::compile(p, input_types, scope))
                         .collect::<Result<_, _>>()?,
                 )
             }
@@ -579,7 +567,7 @@ impl CompiledPred {
                 }
                 PredNode::Or(
                     ps.iter()
-                        .map(|p| CompiledPred::compile(p, input_types, ctx, label))
+                        .map(|p| CompiledPred::compile(p, input_types, scope))
                         .collect::<Result<_, _>>()?,
                 )
             }
@@ -750,6 +738,7 @@ mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::expr::{lit_i64, CmpKind};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
 
     fn ctx() -> QueryContext {
@@ -772,7 +761,8 @@ mod tests {
     fn arith_col_col_and_col_val() {
         let c = ctx();
         let e = Expr::Col(0).mul(Expr::Col(1).add(lit_i64(10)));
-        let mut ce = CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c, "t").unwrap();
+        let mut ce =
+            CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c.scope("t")).unwrap();
         assert_eq!(ce.out_type(), DataType::I64);
         let ch = chunk();
         let v = ce.eval(&ch).unwrap();
@@ -785,7 +775,7 @@ mod tests {
         // (i32 col 2 as i64) - col 1
         let e = Expr::Col(2).cast(DataType::I64).sub(Expr::Col(1));
         let types = [DataType::I64, DataType::I64, DataType::I32];
-        let mut ce = CompiledExpr::compile(&e, &types, &c, "t").unwrap();
+        let mut ce = CompiledExpr::compile(&e, &types, &c.scope("t")).unwrap();
         let v = ce.eval(&chunk()).unwrap();
         assert_eq!(v.as_i64(), &[99, 198, 297, 396]);
     }
@@ -794,7 +784,8 @@ mod tests {
     fn eval_respects_selection_vector() {
         let c = ctx();
         let e = Expr::Col(1).add(lit_i64(100));
-        let mut ce = CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c, "t").unwrap();
+        let mut ce =
+            CompiledExpr::compile(&e, &[DataType::I64, DataType::I64], &c.scope("t")).unwrap();
         let mut ch = chunk();
         ch.set_sel(Some(SelVec::from_positions(vec![1, 3])));
         let v = ce.eval(&ch).unwrap();
@@ -811,7 +802,7 @@ mod tests {
             len: 2,
         };
         let types = [DataType::I64, DataType::I64, DataType::I32, DataType::Str];
-        let mut ce = CompiledExpr::compile(&e, &types, &c, "t").unwrap();
+        let mut ce = CompiledExpr::compile(&e, &types, &c.scope("t")).unwrap();
         assert_eq!(ce.out_type(), DataType::Str);
         let v = ce.eval(&chunk()).unwrap();
         let sv = v.as_str_vec();
@@ -825,7 +816,7 @@ mod tests {
         let e = Expr::Col(0).add(Expr::Col(2)); // i64 + i32
         let types = [DataType::I64, DataType::I64, DataType::I32];
         assert!(matches!(
-            CompiledExpr::compile(&e, &types, &c, "t"),
+            CompiledExpr::compile(&e, &types, &c.scope("t")),
             Err(ExecError::Plan(_))
         ));
     }
@@ -844,7 +835,7 @@ mod tests {
     fn cmp_const_predicate() {
         let c = ctx();
         let p = Pred::cmp_val(0, CmpKind::Gt, Value::I64(15));
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         let s = cp.apply(&chunk(), None);
         assert_eq!(s.as_slice(), &[1, 2, 3]);
     }
@@ -853,7 +844,7 @@ mod tests {
     fn cmp_col_col_predicate() {
         let c = ctx();
         let p = Pred::cmp_col(0, CmpKind::Gt, 1); // always true here
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         let s = cp.apply(&chunk(), Some(&[0, 2]));
         assert_eq!(s.as_slice(), &[0, 2]);
     }
@@ -865,7 +856,7 @@ mod tests {
             Pred::cmp_val(0, CmpKind::Gt, Value::I64(15)), // 1,2,3
             Pred::cmp_val(1, CmpKind::Lt, Value::I64(4)),  // 0,1,2
         ]);
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         let s = cp.apply(&chunk(), None);
         assert_eq!(s.as_slice(), &[1, 2]);
     }
@@ -877,7 +868,7 @@ mod tests {
             Pred::cmp_val(0, CmpKind::Le, Value::I64(10)), // 0
             Pred::cmp_val(1, CmpKind::Ge, Value::I64(4)),  // 3
         ]);
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         let s = cp.apply(&chunk(), None);
         assert_eq!(s.as_slice(), &[0, 3]);
     }
@@ -886,14 +877,14 @@ mod tests {
     fn str_eq_and_in() {
         let c = ctx();
         let p = Pred::str_eq(3, "MAIL");
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[0, 2]);
 
         let p = Pred::InStr {
             col: 3,
             values: vec!["MAIL".into(), "RAIL".into()],
         };
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[0, 2, 3]);
     }
 
@@ -901,10 +892,10 @@ mod tests {
     fn like_predicate() {
         let c = ctx();
         let p = Pred::like(3, "%AIL");
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[0, 2, 3]);
         let p = Pred::not_like(3, "%AIL");
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[1]);
     }
 
@@ -912,7 +903,7 @@ mod tests {
     fn f64_predicate() {
         let c = ctx();
         let p = Pred::cmp_val(4, CmpKind::Lt, Value::F64(0.3));
-        let mut cp = CompiledPred::compile(&p, &types5(), &c, "t").unwrap();
+        let mut cp = CompiledPred::compile(&p, &types5(), &c.scope("t")).unwrap();
         assert_eq!(cp.apply(&chunk(), None).as_slice(), &[1, 3]);
     }
 

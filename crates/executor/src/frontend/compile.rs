@@ -18,10 +18,9 @@
 //!   resolved, every literal coerced and every comparison and aggregate
 //!   typed at the span its leaves were written at.
 //!
-//! Stats labels are generated automatically (`f0`, `p1`, `a2`, ... in
-//! stage order, one shared counter across subqueries) so DSL text stays
-//! label-free while every primitive-instantiating node still gets the
-//! unique label the verifier and the stats registry demand.
+//! DSL text is label-free: each stage passes its kind (`where`, `select`,
+//! `agg`, `join`, ...) as its node's display label. Labels need not be
+//! unique — instances key on their node, not on its label.
 
 use ma_vector::{DataType, Schema};
 
@@ -29,6 +28,7 @@ use super::ast::{JoinKindAst, Query, Span, Stage};
 use super::FrontendError;
 use crate::expr::{CmpRhs, Expr, NumType, Pred, Value};
 use crate::ops::JoinKind;
+use crate::plan::builder::group_key;
 use crate::plan::expr::resolve_col;
 use crate::plan::{Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError};
 
@@ -36,8 +36,16 @@ use crate::plan::{Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError};
 /// [`crate::plan::LogicalPlan`] builder. Resolution failures carry the
 /// span of the stage (or finer: the literal/column) that caused them.
 pub fn compile(q: &Query, catalog: &dyn Catalog) -> Result<PlanBuilder, FrontendError> {
-    let mut labels = 0usize;
-    compile_query(q, catalog, &mut labels)
+    let specs: Vec<String> = q.cols.iter().map(|c| c.spec()).collect();
+    let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
+    let mut pb = check(
+        PlanBuilder::scan(catalog, &q.table.name, &spec_refs),
+        q.table.span,
+    )?;
+    for stage in &q.stages {
+        pb = compile_stage(pb, stage, catalog)?;
+    }
+    Ok(pb)
 }
 
 fn plan_err<T>(err: PlanError, span: Span) -> Result<T, FrontendError> {
@@ -67,42 +75,17 @@ fn schema_or(pb: &PlanBuilder) -> Schema {
         .unwrap_or_else(|| Schema::new(vec![]))
 }
 
-fn next_label(labels: &mut usize, prefix: &str) -> String {
-    let l = format!("{prefix}{labels}");
-    *labels += 1;
-    l
-}
-
-fn compile_query(
-    q: &Query,
-    catalog: &dyn Catalog,
-    labels: &mut usize,
-) -> Result<PlanBuilder, FrontendError> {
-    let specs: Vec<String> = q.cols.iter().map(|c| c.spec()).collect();
-    let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-    let mut pb = check(
-        PlanBuilder::scan(catalog, &q.table.name, &spec_refs),
-        q.table.span,
-    )?;
-    for stage in &q.stages {
-        pb = compile_stage(pb, stage, catalog, labels)?;
-    }
-    Ok(pb)
-}
-
 fn compile_stage(
     pb: PlanBuilder,
     stage: &Stage,
     catalog: &dyn Catalog,
-    labels: &mut usize,
 ) -> Result<PlanBuilder, FrontendError> {
     let span = stage.span();
     let schema = schema_or(&pb);
     match stage {
         Stage::Where(p, spans) => {
             let pred = compile_pred(p, &schema, &mut spans.0.iter().copied())?;
-            let label = next_label(labels, "f");
-            check(pb.filter(pred, &label), span)
+            check(pb.filter(pred, "where"), span)
         }
         Stage::Select(items) => {
             let mut out: Vec<(&str, NamedExpr)> = Vec::with_capacity(items.len());
@@ -112,8 +95,7 @@ fn compile_stage(
                     .or_else(|err| plan_err(err, it.spans.all()))?;
                 out.push((&it.name.name, expr));
             }
-            let label = next_label(labels, "p");
-            check(pb.project(out, &label), span)
+            check(pb.project(out, "select"), span)
         }
         Stage::Keep(cols) => {
             let specs: Vec<String> = cols.iter().map(|c| c.spec()).collect();
@@ -122,7 +104,7 @@ fn compile_stage(
         }
         Stage::Agg { keys, aggs, spans } => {
             for k in keys {
-                col_type(&schema, &k.name.name, k.name.span)?;
+                group_key(&schema, &k.name.name).or_else(|err| plan_err(err, k.name.span))?;
             }
             // A bare `sum(c)` — parsed as the `i64` form — takes the `f64`
             // form over an `f64` column; each aggregate is then resolved and
@@ -138,13 +120,12 @@ fn compile_stage(
                     a.resolve(&schema).or_else(|err| plan_err(err, span))?;
                 }
             }
-            let label = next_label(labels, "a");
             if keys.is_empty() {
-                check(pb.stream_agg(compiled, &label), span)
+                check(pb.stream_agg(compiled, "agg"), span)
             } else {
                 let specs: Vec<String> = keys.iter().map(|c| c.spec()).collect();
                 let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-                check(pb.hash_agg(&refs, compiled, &label), span)
+                check(pb.hash_agg(&refs, compiled, "agg"), span)
             }
         }
         Stage::Join {
@@ -154,7 +135,7 @@ fn compile_stage(
             payload,
             bloom,
         } => {
-            let build = compile_query(query, catalog, labels)?;
+            let build = compile(query, catalog)?;
             let pairs: Vec<(&str, &str)> = on
                 .iter()
                 .map(|(p, b)| (p.name.as_str(), b.name.as_str()))
@@ -166,14 +147,13 @@ fn compile_stage(
                 JoinKindAst::Semi => JoinKind::Semi,
                 JoinKindAst::Anti => JoinKind::Anti,
             };
-            let label = next_label(labels, "j");
             check(
-                pb.hash_join(build, &pairs, &refs, kind, *bloom, &label),
+                pb.hash_join(build, &pairs, &refs, kind, *bloom, "join"),
                 span,
             )
         }
         Stage::JoinSingle { query, on, payload } => {
-            let build = compile_query(query, catalog, labels)?;
+            let build = compile(query, catalog)?;
             let build_schema = schema_or(&build);
             let pairs: Vec<(&str, &str)> = on
                 .iter()
@@ -188,16 +168,17 @@ fn compile_stage(
             }
             let refs: Vec<(&str, Value)> =
                 specs.iter().map(|(s, v)| (s.as_str(), v.clone())).collect();
-            let label = next_label(labels, "j");
-            check(pb.left_single_join(build, &pairs, &refs, &label), span)
+            check(
+                pb.left_single_join(build, &pairs, &refs, "join single"),
+                span,
+            )
         }
         Stage::MergeJoin { query, on, payload } => {
-            let left = compile_query(query, catalog, labels)?;
+            let left = compile(query, catalog)?;
             let specs: Vec<String> = payload.iter().map(|c| c.spec()).collect();
             let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-            let label = next_label(labels, "m");
             check(
-                pb.merge_join(left, (&on.0.name, &on.1.name), &refs, &label),
+                pb.merge_join(left, (&on.0.name, &on.1.name), &refs, "merge join"),
                 span,
             )
         }

@@ -29,7 +29,10 @@ pub mod plan;
 pub mod stage;
 pub mod verify;
 
-pub use adaptive::{HeurKind, InstanceReport, MemReport, MemTracker, PrimInstance, QueryContext};
+pub use adaptive::{
+    HeurKind, InstanceReport, MemReport, MemTracker, NodeKey, NodeScope, PrimInstance,
+    QueryContext, Slot,
+};
 pub use analyze::{analyze, AbsDomain, Analysis, AnalysisError, ColFact, Facts};
 pub use config::{DecodeMode, ExecConfig, FlavorAxis, FlavorMode};
 pub use cost::{cost, CostFinding, CostReport, OpCost};

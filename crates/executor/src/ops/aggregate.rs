@@ -20,7 +20,7 @@ use crate::adaptive::HeurKind;
 use crate::expr::{Agg, AggFunc, NumType};
 use crate::ops::{normalize_keys_i64, BoxOp, Operator, RowStore};
 use crate::plan::PlanError;
-use crate::{ExecError, PrimInstance, QueryContext};
+use crate::{ExecError, NodeScope, PrimInstance};
 
 /// Types `aggs` against the child's output by the shared rule
 /// ([`Agg::type_of`]), so a mistyped or out-of-range input column is a
@@ -38,36 +38,24 @@ fn out_types(aggs: &[Agg], input: &[DataType]) -> Result<Vec<DataType>, ExecErro
         .collect()
 }
 
-/// Where an operator gets its primitive instances: signature `sig`,
-/// labelled `{label}/{name}` in the statistics.
-struct Instances<'a> {
-    ctx: &'a QueryContext,
-    label: &'a str,
-}
-
-impl Instances<'_> {
-    fn get<F>(&self, sig: &str, name: &str) -> Result<PrimInstance<F>, ExecError>
-    where
-        F: Copy + Send + Sync + 'static,
-    {
-        let label = format!("{}/{name}", self.label);
-        self.ctx.instance(sig, label, HeurKind::None)
-    }
-
-    /// The primitive computing `func` over `ty`: `aggr_sum128_i64_col`
-    /// labelled `{label}/aggr_sum128_i64`, with `pre` `aggr` (grouped)
-    /// or `aggr0` (ungrouped).
-    fn aggr<F>(&self, pre: &str, func: AggFunc, ty: NumType) -> Result<PrimInstance<F>, ExecError>
-    where
-        F: Copy + Send + Sync + 'static,
-    {
-        let stem = match (func, ty) {
-            (AggFunc::Sum, NumType::I64) => "sum128",
-            _ => func.name(),
-        };
-        let name = format!("{pre}_{stem}_{}", ty.data_type());
-        self.get(&format!("{name}_col"), &name)
-    }
+/// The instance computing `func` over `ty`: `aggr_sum128_i64_col`
+/// displayed as `{label}/aggr_sum128_i64`, with `pre` `aggr` (grouped) or
+/// `aggr0` (ungrouped).
+fn aggr<F>(
+    scope: &NodeScope,
+    pre: &str,
+    func: AggFunc,
+    ty: NumType,
+) -> Result<PrimInstance<F>, ExecError>
+where
+    F: Copy + Send + Sync + 'static,
+{
+    let stem = match (func, ty) {
+        (AggFunc::Sum, NumType::I64) => "sum128",
+        _ => func.name(),
+    };
+    let name = format!("{pre}_{stem}_{}", ty.data_type());
+    scope.instance(&format!("{name}_col"), &name, HeurKind::None)
 }
 
 /// The checked narrowing of a 128-bit sum to its `i64` output column:
@@ -116,27 +104,27 @@ impl AccBuf {
         (groups as u64).saturating_mul(width)
     }
 
-    fn create(agg: &Agg, prims: &Instances) -> Result<Self, ExecError> {
+    fn create(agg: &Agg, scope: &NodeScope) -> Result<Self, ExecError> {
         let Some((func, ty, col)) = agg.of else {
             return Ok(AccBuf::Count {
-                inst: prims.get("aggr_count", "aggr_count")?,
+                inst: scope.instance("aggr_count", "aggr_count", HeurKind::None)?,
                 accs: Vec::new(),
             });
         };
         Ok(match (func, ty) {
             (AggFunc::Sum, NumType::I64) => AccBuf::Sum128 {
-                inst: prims.aggr("aggr", func, ty)?,
+                inst: aggr(scope, "aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
             },
             (_, NumType::I64) => AccBuf::I64 {
-                inst: prims.aggr("aggr", func, ty)?,
+                inst: aggr(scope, "aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
                 unit: func.over_i64().0,
             },
             (_, NumType::F64) => AccBuf::F64 {
-                inst: prims.aggr("aggr", func, ty)?,
+                inst: aggr(scope, "aggr", func, ty)?,
                 accs: Vec::new(),
                 col,
                 unit: func.over_f64().0,
@@ -386,8 +374,7 @@ impl HashAggregate {
         child: BoxOp,
         group_cols: Vec<usize>,
         specs: Vec<Agg>,
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<Self, ExecError> {
         if group_cols.is_empty() {
             return Err(ExecError::Plan(
@@ -403,7 +390,6 @@ impl HashAggregate {
         let key_rows = KeyRows::for_types(group_cols.iter().map(|&c| in_types[c]))?;
 
         // Hash pipeline over the key columns.
-        let prims = Instances { ctx, label };
         let mut hash_steps = Vec::with_capacity(group_cols.len());
         for (k, &c) in group_cols.iter().enumerate() {
             let is_str = in_types[c] == DataType::Str;
@@ -414,9 +400,9 @@ impl HashAggregate {
                 (false, true) => ("map_rehash_str_col", "map_rehash_str"),
             };
             hash_steps.push(if is_str {
-                HashStep::Str(prims.get(sig, name)?, c)
+                HashStep::Str(scope.instance(sig, name, HeurKind::None)?, c)
             } else {
-                HashStep::I64(prims.get(sig, name)?, c)
+                HashStep::I64(scope.instance(sig, name, HeurKind::None)?, c)
             });
         }
 
@@ -424,12 +410,20 @@ impl HashAggregate {
         let key_table = if group_cols.len() == 1 && in_types[group_cols[0]] != DataType::Str {
             KeyTable::Int {
                 table: GroupTable::new(),
-                insert: prims.get("hash_insertcheck_u64_col", "insertcheck_u64")?,
+                insert: scope.instance(
+                    "hash_insertcheck_u64_col",
+                    "insertcheck_u64",
+                    HeurKind::None,
+                )?,
             }
         } else {
             KeyTable::Bytes {
                 table: StrGroupTable::new(),
-                insert: prims.get("hash_insertcheck_str_col", "insertcheck_str")?,
+                insert: scope.instance(
+                    "hash_insertcheck_str_col",
+                    "insertcheck_str",
+                    HeurKind::None,
+                )?,
             }
         };
 
@@ -437,7 +431,7 @@ impl HashAggregate {
         types.extend(out_types(&specs, &in_types)?);
         let accs = specs
             .iter()
-            .map(|s| AccBuf::create(s, &prims))
+            .map(|s| AccBuf::create(s, scope))
             .collect::<Result<Vec<_>, _>>()?;
 
         let key_builders = group_cols
@@ -453,7 +447,7 @@ impl HashAggregate {
             accs,
             key_builders,
             types,
-            vector_size: ctx.vector_size(),
+            vector_size: scope.ctx().vector_size(),
             done: None,
             group_hint: None,
             tracker: None,
@@ -698,18 +692,18 @@ enum Acc0 {
 }
 
 impl Acc0 {
-    fn create(agg: &Agg, prims: &Instances) -> Result<Self, ExecError> {
+    fn create(agg: &Agg, scope: &NodeScope) -> Result<Self, ExecError> {
         let Some((func, ty, col)) = agg.of else {
             return Ok(Acc0::Count { acc: 0 });
         };
         Ok(match (func, ty) {
             (AggFunc::Sum, NumType::I64) => Acc0::Sum128 {
-                inst: prims.aggr("aggr0", func, ty)?,
+                inst: aggr(scope, "aggr0", func, ty)?,
                 acc: 0,
                 col,
             },
             (_, NumType::I64) => {
-                let inst = prims.aggr("aggr0", func, ty)?;
+                let inst = aggr(scope, "aggr0", func, ty)?;
                 let (acc, combine) = func.over_i64();
                 Acc0::I64 {
                     inst,
@@ -719,7 +713,7 @@ impl Acc0 {
                 }
             }
             (_, NumType::F64) => {
-                let inst = prims.aggr("aggr0", func, ty)?;
+                let inst = aggr(scope, "aggr0", func, ty)?;
                 let (acc, combine) = func.over_f64();
                 Acc0::F64 {
                     inst,
@@ -742,16 +736,11 @@ pub struct StreamAggregate {
 
 impl StreamAggregate {
     /// Builds the operator over `specs`.
-    pub fn new(
-        child: BoxOp,
-        specs: Vec<Agg>,
-        ctx: &QueryContext,
-        label: &str,
-    ) -> Result<Self, ExecError> {
+    pub fn new(child: BoxOp, specs: Vec<Agg>, scope: &NodeScope) -> Result<Self, ExecError> {
         let types = out_types(&specs, child.out_types())?;
         let accs = specs
             .iter()
-            .map(|s| Acc0::create(s, &Instances { ctx, label }))
+            .map(|s| Acc0::create(s, scope))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(StreamAggregate {
             child,
@@ -825,6 +814,7 @@ mod tests {
     use crate::config::ExecConfig;
     use crate::expr::{CmpKind, Pred, Value};
     use crate::ops::{collect, total_rows, Scan, Select};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
     use ma_vector::{StrVec, Table};
 
@@ -864,8 +854,7 @@ mod tests {
             scan(700),
             vec![0],
             vec![Agg::count(), Agg::sum_i64(1)],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut agg).unwrap();
@@ -885,7 +874,8 @@ mod tests {
     #[test]
     fn single_str_key_grouping() {
         let c = ctx();
-        let mut agg = HashAggregate::new(scan(300), vec![2], vec![Agg::count()], &c, "t").unwrap();
+        let mut agg =
+            HashAggregate::new(scan(300), vec![2], vec![Agg::count()], &c.scope("t")).unwrap();
         let chunks = collect(&mut agg).unwrap();
         assert_eq!(total_rows(&chunks), 3);
         let ch = &chunks[0];
@@ -903,8 +893,7 @@ mod tests {
             scan(2100),
             vec![0, 2],
             vec![Agg::count(), Agg::min_i64(1), Agg::max_i64(1)],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut agg).unwrap();
@@ -988,9 +977,9 @@ mod tests {
     fn grouping_respects_selection_vector() {
         let c = ctx();
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I64(70));
-        let sel = Select::new(scan(700), &pred, &c, "s").unwrap();
+        let sel = Select::new(scan(700), &pred, &c.scope("s")).unwrap();
         let mut agg =
-            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c, "t").unwrap();
+            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c.scope("t")).unwrap();
         let chunks = collect(&mut agg).unwrap();
         assert_eq!(total_rows(&chunks), 7);
         let ch = &chunks[0];
@@ -1009,8 +998,7 @@ mod tests {
                 Agg::min_i64(1),
                 Agg::max_i64(1),
             ],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut agg).unwrap();
@@ -1027,16 +1015,16 @@ mod tests {
     fn empty_input_yields_no_groups() {
         let c = ctx();
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I64(-1));
-        let sel = Select::new(scan(100), &pred, &c, "s").unwrap();
+        let sel = Select::new(scan(100), &pred, &c.scope("s")).unwrap();
         let mut agg =
-            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c, "t").unwrap();
+            HashAggregate::new(Box::new(sel), vec![0], vec![Agg::count()], &c.scope("t")).unwrap();
         assert!(agg.next().unwrap().is_none());
     }
 
     #[test]
     fn empty_group_cols_rejected() {
         let c = ctx();
-        assert!(HashAggregate::new(scan(10), vec![], vec![Agg::count()], &c, "t").is_err());
+        assert!(HashAggregate::new(scan(10), vec![], vec![Agg::count()], &c.scope("t")).is_err());
     }
 
     /// A mistyped or out-of-range aggregate column is a plan error at
@@ -1045,11 +1033,11 @@ mod tests {
     fn bad_aggregate_columns_rejected_at_construction() {
         let c = ctx();
         assert!(matches!(
-            HashAggregate::new(scan(10), vec![0], vec![Agg::sum_i64(9)], &c, "t"),
+            HashAggregate::new(scan(10), vec![0], vec![Agg::sum_i64(9)], &c.scope("t")),
             Err(ExecError::Plan(_))
         ));
         assert!(matches!(
-            StreamAggregate::new(scan(10), vec![Agg::sum_f64(1)], &c, "t"),
+            StreamAggregate::new(scan(10), vec![Agg::sum_f64(1)], &c.scope("t")),
             Err(ExecError::Plan(_))
         ));
     }
@@ -1068,15 +1056,13 @@ mod tests {
                 ProjItem::Pass(0),
                 ProjItem::Expr(Expr::Col(1).cast(DataType::F64)),
             ],
-            &c,
-            "p",
+            &c.scope("p"),
         )
         .unwrap();
         let mut agg = StreamAggregate::new(
             Box::new(p),
             vec![Agg::sum_f64(1), Agg::min_f64(1), Agg::max_f64(1)],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let ch = agg.next().unwrap().unwrap();

@@ -992,7 +992,7 @@ mod tests {
                 let kind = crate::ops::JoinKind::Anti;
                 Box::new(
                     shared
-                        .prober(probe, vec![0], kind, vec![], ctx, "j")
+                        .prober(probe, vec![0], kind, vec![], &ctx.scope("j"))
                         .unwrap(),
                 )
             })

@@ -5,7 +5,7 @@ use ma_primitives::{MapFetch, MapFetchStr};
 use ma_vector::{DataType, Vector};
 
 use crate::adaptive::HeurKind;
-use crate::{ExecError, PrimInstance, QueryContext};
+use crate::{ExecError, NodeScope, PrimInstance};
 
 pub(crate) enum FetchInst {
     I16(PrimInstance<MapFetch<i16>>),
@@ -16,15 +16,14 @@ pub(crate) enum FetchInst {
 }
 
 impl FetchInst {
-    pub(crate) fn create(ty: DataType, ctx: &QueryContext, label: &str) -> Result<Self, ExecError> {
+    pub(crate) fn create(ty: DataType, scope: &NodeScope) -> Result<Self, ExecError> {
         let sig = format!("map_fetch_{}_col", ty.sig_name());
-        let lbl = format!("{label}/{sig}");
         Ok(match ty {
-            DataType::I16 => FetchInst::I16(ctx.instance(&sig, lbl, HeurKind::None)?),
-            DataType::I32 => FetchInst::I32(ctx.instance(&sig, lbl, HeurKind::None)?),
-            DataType::I64 => FetchInst::I64(ctx.instance(&sig, lbl, HeurKind::None)?),
-            DataType::F64 => FetchInst::F64(ctx.instance(&sig, lbl, HeurKind::None)?),
-            DataType::Str => FetchInst::Str(ctx.instance(&sig, lbl, HeurKind::None)?),
+            DataType::I16 => FetchInst::I16(scope.instance(&sig, &sig, HeurKind::None)?),
+            DataType::I32 => FetchInst::I32(scope.instance(&sig, &sig, HeurKind::None)?),
+            DataType::I64 => FetchInst::I64(scope.instance(&sig, &sig, HeurKind::None)?),
+            DataType::F64 => FetchInst::F64(scope.instance(&sig, &sig, HeurKind::None)?),
+            DataType::Str => FetchInst::Str(scope.instance(&sig, &sig, HeurKind::None)?),
         })
     }
 

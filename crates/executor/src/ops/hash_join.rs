@@ -18,7 +18,7 @@ use crate::adaptive::{HeurKind, MemTracker};
 use crate::expr::Value;
 use crate::ops::fetch::FetchInst;
 use crate::ops::{normalize_keys_i64, BoxOp, FrozenStore, Operator, RowStore};
-use crate::{ExecError, PrimInstance, QueryContext};
+use crate::{ExecError, NodeScope, PrimInstance};
 
 /// Join semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,7 +263,7 @@ impl SharedBuild {
     }
 
     /// A probe instance over `probe` reading this build's table, with its
-    /// own primitive instances (registered under `label`) and scratch.
+    /// own primitive instances (registered in `scope`) and scratch.
     ///
     /// * `probe_keys`: integer key columns, index-aligned with the build
     ///   keys.
@@ -275,8 +275,7 @@ impl SharedBuild {
         probe_keys: Vec<usize>,
         kind: JoinKind,
         defaults: Vec<Value>,
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<HashJoin, ExecError> {
         if probe_keys.len() != self.key_idx.len() {
             return Err(ExecError::Plan("join key lists must match".into()));
@@ -325,16 +324,12 @@ impl SharedBuild {
                     0 => ("map_hash_i64_col", "map_hash"),
                     _ => ("map_rehash_i64_col", "map_rehash"),
                 };
-                let inst = ctx.instance(sig, format!("{label}/{name}"), HeurKind::None)?;
+                let inst = scope.instance(sig, name, HeurKind::None)?;
                 Ok((inst, k))
             })
             .collect::<Result<_, ExecError>>()?;
         let bloom_inst = if self.use_bloom {
-            Some(ctx.instance(
-                "sel_bloomfilter",
-                format!("{label}/sel_bloomfilter"),
-                HeurKind::Fission,
-            )?)
+            Some(scope.instance("sel_bloomfilter", "sel_bloomfilter", HeurKind::Fission)?)
         } else {
             None
         };
@@ -342,7 +337,7 @@ impl SharedBuild {
         let probe_fetch = if kind == JoinKind::Inner {
             probe_types
                 .iter()
-                .map(|&t| FetchInst::create(t, ctx, label))
+                .map(|&t| FetchInst::create(t, scope))
                 .collect::<Result<_, _>>()?
         } else {
             Vec::new()
@@ -350,7 +345,7 @@ impl SharedBuild {
         let payload_fetch = if kind == JoinKind::Inner {
             payload_types
                 .iter()
-                .map(|&t| FetchInst::create(t, ctx, label))
+                .map(|&t| FetchInst::create(t, scope))
                 .collect::<Result<_, _>>()?
         } else {
             Vec::new()
@@ -364,7 +359,7 @@ impl SharedBuild {
             probe_key_idx: probe_keys,
             kind,
             types,
-            vector_size: ctx.vector_size(),
+            vector_size: scope.ctx().vector_size(),
             probe_hash_steps,
             bloom_inst,
             probe_fetch,
@@ -422,11 +417,10 @@ impl HashJoin {
         kind: JoinKind,
         use_bloom: bool,
         defaults: Vec<Value>,
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<Self, ExecError> {
         let build = SharedBuild::new(build, build_keys, payload, use_bloom)?;
-        let mut join = build.prober(probe, probe_keys, kind, defaults, ctx, label)?;
+        let mut join = build.prober(probe, probe_keys, kind, defaults, scope)?;
         join.own_build = Some(build);
         Ok(join)
     }
@@ -662,6 +656,7 @@ mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::ops::{collect, total_rows, Scan};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, Table};
 
@@ -723,8 +718,7 @@ mod tests {
             kind,
             use_bloom,
             vec![],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap()
     }
@@ -822,8 +816,7 @@ mod tests {
             JoinKind::Inner,
             false,
             vec![],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut j).unwrap();
@@ -858,8 +851,7 @@ mod tests {
             JoinKind::LeftSingle,
             false,
             vec![Value::I64(0)],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut j).unwrap();
@@ -899,8 +891,7 @@ mod tests {
             JoinKind::Inner,
             false,
             vec![],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let chunks = collect(&mut j).unwrap();
@@ -982,8 +973,7 @@ mod tests {
             kind,
             bloom,
             defaults.clone(),
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         let want = row_multiset(&collect(&mut plain).unwrap());
@@ -994,7 +984,7 @@ mod tests {
         let factory = |_w: usize, _n: usize| -> Result<BoxOp, ExecError> {
             let scan = Scan::morsel(Arc::clone(&t), &["fk", "v"], 128, Arc::clone(&queue))?;
             let probe: BoxOp = Box::new(scan);
-            let prober = shared.prober(probe, vec![0], kind, defaults.clone(), &c, "s")?;
+            let prober = shared.prober(probe, vec![0], kind, defaults.clone(), &c.scope("s"))?;
             Ok(Box::new(prober))
         };
         let mut par = Parallel::new(n, &factory)
@@ -1054,7 +1044,13 @@ mod tests {
         let c = ctx();
         let shared = SharedBuild::new(dim(5), vec![0], vec![], false).unwrap();
         let mut prober = shared
-            .prober(fact(100, 10), vec![0], JoinKind::Anti, vec![], &c, "s")
+            .prober(
+                fact(100, 10),
+                vec![0],
+                JoinKind::Anti,
+                vec![],
+                &c.scope("s"),
+            )
             .unwrap();
         assert!(prober.next().unwrap().is_none());
     }
@@ -1071,8 +1067,7 @@ mod tests {
             JoinKind::Semi,
             false,
             vec![],
-            &c,
-            "t"
+            &c.scope("t")
         )
         .is_err());
     }

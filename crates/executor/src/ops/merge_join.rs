@@ -15,7 +15,7 @@ use ma_vector::{DataChunk, DataType, SelVec, Vector};
 use crate::adaptive::HeurKind;
 use crate::ops::fetch::FetchInst;
 use crate::ops::{normalize_keys_i64, BoxOp, FrozenStore, Operator, RowStore};
-use crate::{ExecError, PrimInstance, QueryContext};
+use crate::{ExecError, NodeScope, PrimInstance};
 
 /// Inner merge join: output = right columns (gathered at matches) ++ left
 /// payload columns (fetched by match index).
@@ -47,8 +47,7 @@ impl MergeJoin {
         left_key: usize,
         right_key: usize,
         payload: Vec<usize>,
-        ctx: &QueryContext,
-        label: &str,
+        scope: &NodeScope,
     ) -> Result<Self, ExecError> {
         let left_types = left.out_types().to_vec();
         let right_types = right.out_types().to_vec();
@@ -70,18 +69,14 @@ impl MergeJoin {
             .chain(payload_types.iter().copied())
             .collect();
 
-        let kernel = ctx.instance(
-            "mergejoin_i64_col_i64_col",
-            format!("{label}/mergejoin"),
-            HeurKind::None,
-        )?;
+        let kernel = scope.instance("mergejoin_i64_col_i64_col", "mergejoin", HeurKind::None)?;
         let right_fetch = right_types
             .iter()
-            .map(|&t| FetchInst::create(t, ctx, label))
+            .map(|&t| FetchInst::create(t, scope))
             .collect::<Result<_, _>>()?;
         let payload_fetch = payload_types
             .iter()
-            .map(|&t| FetchInst::create(t, ctx, label))
+            .map(|&t| FetchInst::create(t, scope))
             .collect::<Result<_, _>>()?;
 
         Ok(MergeJoin {
@@ -182,6 +177,7 @@ mod tests {
     use crate::config::ExecConfig;
     use crate::expr::{CmpKind, Pred, Value};
     use crate::ops::{collect, total_rows, Scan, Select};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, Table};
 
@@ -228,7 +224,7 @@ mod tests {
     #[test]
     fn joins_sorted_inputs_across_chunks() {
         let c = ctx();
-        let mut j = MergeJoin::new(left(100), right(400), 0, 0, vec![1], &c, "t").unwrap();
+        let mut j = MergeJoin::new(left(100), right(400), 0, 0, vec![1], &c.scope("t")).unwrap();
         assert_eq!(
             j.out_types(),
             &[DataType::I64, DataType::I32, DataType::I64]
@@ -250,8 +246,8 @@ mod tests {
     fn respects_right_selection_vector() {
         let c = ctx();
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I32(100));
-        let sel = Select::new(right(400), &pred, &c, "s").unwrap();
-        let mut j = MergeJoin::new(left(100), Box::new(sel), 0, 0, vec![1], &c, "t").unwrap();
+        let sel = Select::new(right(400), &pred, &c.scope("s")).unwrap();
+        let mut j = MergeJoin::new(left(100), Box::new(sel), 0, 0, vec![1], &c.scope("t")).unwrap();
         let chunks = collect(&mut j).unwrap();
         // v < 100 → right rows 0..99 → keys 0..49, even keys 0..48 → 25 keys × 2.
         assert_eq!(total_rows(&chunks), 50);
@@ -261,8 +257,8 @@ mod tests {
     fn empty_right_side() {
         let c = ctx();
         let pred = Pred::cmp_val(1, CmpKind::Lt, Value::I32(-1));
-        let sel = Select::new(right(100), &pred, &c, "s").unwrap();
-        let mut j = MergeJoin::new(left(10), Box::new(sel), 0, 0, vec![], &c, "t").unwrap();
+        let sel = Select::new(right(100), &pred, &c.scope("s")).unwrap();
+        let mut j = MergeJoin::new(left(10), Box::new(sel), 0, 0, vec![], &c.scope("t")).unwrap();
         assert!(j.next().unwrap().is_none());
     }
 }

@@ -7,7 +7,7 @@ use ma_vector::{DataChunk, DataType};
 use crate::eval::CompiledExpr;
 use crate::expr::Expr;
 use crate::ops::{BoxOp, Operator};
-use crate::{ExecError, QueryContext};
+use crate::{ExecError, NodeScope};
 
 /// One output column of a projection.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,16 +34,11 @@ pub struct Project {
 
 impl Project {
     /// Compiles the projection list against the child's schema.
-    pub fn new(
-        child: BoxOp,
-        items: Vec<ProjItem>,
-        ctx: &QueryContext,
-        label: &str,
-    ) -> Result<Self, ExecError> {
+    pub fn new(child: BoxOp, items: Vec<ProjItem>, scope: &NodeScope) -> Result<Self, ExecError> {
         let in_types = child.out_types().to_vec();
         let mut compiled = Vec::with_capacity(items.len());
         let mut types = Vec::with_capacity(items.len());
-        for (k, item) in items.into_iter().enumerate() {
+        for item in items {
             match item {
                 ProjItem::Pass(i) => {
                     let ty = *in_types
@@ -53,7 +48,7 @@ impl Project {
                     types.push(ty);
                 }
                 ProjItem::Expr(e) => {
-                    let ce = CompiledExpr::compile(&e, &in_types, ctx, &format!("{label}#{k}"))?;
+                    let ce = CompiledExpr::compile(&e, &in_types, scope)?;
                     types.push(ce.out_type());
                     compiled.push(CompiledItem::Expr(ce));
                 }
@@ -95,6 +90,7 @@ mod tests {
     use crate::config::ExecConfig;
     use crate::expr::{lit_i64, CmpKind, Pred, Value};
     use crate::ops::{collect, Scan, Select};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, Table};
 
@@ -129,8 +125,7 @@ mod tests {
                 ProjItem::Expr(Expr::Col(0).mul(Expr::Col(1))),
                 ProjItem::Expr(Expr::Col(1).add(lit_i64(5))),
             ],
-            &c,
-            "t",
+            &c.scope("t"),
         )
         .unwrap();
         assert_eq!(
@@ -150,12 +145,11 @@ mod tests {
     fn propagates_selection_vector() {
         let c = ctx();
         let pred = Pred::cmp_val(0, CmpKind::Lt, Value::I64(10));
-        let sel = Select::new(scan(100), &pred, &c, "s").unwrap();
+        let sel = Select::new(scan(100), &pred, &c.scope("s")).unwrap();
         let mut p = Project::new(
             Box::new(sel),
             vec![ProjItem::Expr(Expr::Col(0).mul(lit_i64(3)))],
-            &c,
-            "p",
+            &c.scope("p"),
         )
         .unwrap();
         let chunks = collect(&mut p).unwrap();
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     fn pass_shares_column_data() {
         let c = ctx();
-        let mut p = Project::new(scan(10), vec![ProjItem::Pass(1)], &c, "t").unwrap();
+        let mut p = Project::new(scan(10), vec![ProjItem::Pass(1)], &c.scope("t")).unwrap();
         let ch = p.next().unwrap().unwrap();
         assert_eq!(ch.column(0).as_i64()[4], 8);
     }
@@ -178,6 +172,6 @@ mod tests {
     #[test]
     fn bad_pass_index_rejected() {
         let c = ctx();
-        assert!(Project::new(scan(10), vec![ProjItem::Pass(9)], &c, "t").is_err());
+        assert!(Project::new(scan(10), vec![ProjItem::Pass(9)], &c.scope("t")).is_err());
     }
 }

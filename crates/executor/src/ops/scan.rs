@@ -22,7 +22,8 @@ use ma_primitives::{DecodeDeltaCol, DecodeDictCol, DecodeForCol};
 use ma_vector::encode::{part_ranges, DictStr, EncColumn, ENC_PART_ROWS, SYNC_ROWS};
 use ma_vector::{Column, DataChunk, DataType, MorselQueue, RowRange, StrVec, Table, Vector};
 
-use crate::adaptive::{HeurKind, PrimInstance, QueryContext};
+use crate::adaptive::{HeurKind, NodeScope, PrimInstance};
+use crate::config::DecodeMode;
 use crate::ops::Operator;
 use crate::ExecError;
 
@@ -89,38 +90,40 @@ impl Scan {
 
     /// Attaches flavored decode instances for every encoded column, one
     /// [`PrimInstance`] per column so each compressed stream gets its own
-    /// bandit state (labels fold per column in
-    /// [`QueryContext::merged_reports`]). Columns without a codec — and
-    /// every column when the table is raw — keep the reference decoder,
-    /// so this is always safe to call.
-    pub fn with_context(mut self, ctx: &QueryContext, label: &str) -> Result<Self, ExecError> {
+    /// bandit state, displayed as `{label}/{column}/{signature}`. Columns
+    /// without a codec — every column when the table is raw, and all of
+    /// them under [`DecodeMode::Reference`], which the differential fuzzer
+    /// cross-checks against — keep the reference decoder, so this is
+    /// always safe to call.
+    pub fn with_context(mut self, scope: &NodeScope) -> Result<Self, ExecError> {
+        if scope.ctx().config().decode == DecodeMode::Reference {
+            return Ok(self);
+        }
         for (k, &i) in self.col_idx.iter().enumerate() {
             let Column::Enc(e) = self.table.column_at(i) else {
                 continue;
             };
             let col_name = &self.table.column_names()[i];
-            let lbl = |sig: &str| format!("{label}/{col_name}/{sig}");
-            self.decoders[k] =
-                match &**e {
-                    EncColumn::For(c) if c.dt == DataType::I32 => ColDecoder::ForI32(
-                        ctx.instance("decode_for_i32", lbl("decode_for_i32"), HeurKind::None)?,
-                    ),
-                    EncColumn::For(_) => ColDecoder::ForI64(ctx.instance(
-                        "decode_for_i64",
-                        lbl("decode_for_i64"),
-                        HeurKind::None,
-                    )?),
-                    EncColumn::Delta(_) => ColDecoder::DeltaI32(ctx.instance(
-                        "decode_delta_i32",
-                        lbl("decode_delta_i32"),
-                        HeurKind::None,
-                    )?),
-                    EncColumn::Dict(_) => ColDecoder::DictStr(ctx.instance(
-                        "decode_dict_str",
-                        lbl("decode_dict_str"),
-                        HeurKind::None,
-                    )?),
-                };
+            let name = |sig: &str| format!("{col_name}/{sig}");
+            let none = HeurKind::None;
+            self.decoders[k] = match &**e {
+                EncColumn::For(c) if c.dt == DataType::I32 => {
+                    let sig = "decode_for_i32";
+                    ColDecoder::ForI32(scope.instance(sig, &name(sig), none)?)
+                }
+                EncColumn::For(_) => {
+                    let sig = "decode_for_i64";
+                    ColDecoder::ForI64(scope.instance(sig, &name(sig), none)?)
+                }
+                EncColumn::Delta(_) => {
+                    let sig = "decode_delta_i32";
+                    ColDecoder::DeltaI32(scope.instance(sig, &name(sig), none)?)
+                }
+                EncColumn::Dict(_) => {
+                    let sig = "decode_dict_str";
+                    ColDecoder::DictStr(scope.instance(sig, &name(sig), none)?)
+                }
+            };
         }
         Ok(self)
     }
@@ -474,7 +477,7 @@ mod tests {
         let mut raw_scan = Scan::new(raw, &["key", "cat", "qty"], 1024).unwrap();
         let mut enc_scan = Scan::new(enc, &["key", "cat", "qty"], 1024)
             .unwrap()
-            .with_context(&ctx, "scan_t")
+            .with_context(&ctx.scope("scan_t"))
             .unwrap();
         loop {
             match (raw_scan.next().unwrap(), enc_scan.next().unwrap()) {
@@ -516,7 +519,7 @@ mod tests {
         let ctx = ctx();
         let mut scan = Scan::new(t, &["a", "s"], 64)
             .unwrap()
-            .with_context(&ctx, "scan_t")
+            .with_context(&ctx.scope("scan_t"))
             .unwrap();
         let c = scan.next().unwrap().unwrap();
         assert_eq!(c.column(0).as_i32()[5], 5);
@@ -535,7 +538,7 @@ mod tests {
         let ctx = ctx();
         let mut scan = Scan::morsel(enc, &["qty", "key"], 1024, queue)
             .unwrap()
-            .with_context(&ctx, "scan_t")
+            .with_context(&ctx.scope("scan_t"))
             .unwrap();
         let chunks = collect(&mut scan).unwrap();
         assert_eq!(total_rows(&chunks), n);

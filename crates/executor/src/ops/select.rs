@@ -5,7 +5,7 @@ use ma_vector::{DataChunk, DataType, SelVec};
 use crate::eval::CompiledPred;
 use crate::expr::Pred;
 use crate::ops::{BoxOp, Operator};
-use crate::{ExecError, QueryContext};
+use crate::{ExecError, NodeScope};
 
 /// Filters tuples by a compiled predicate. Column data is never copied —
 /// only the selection vector narrows (§1.1 *Selection Vector*).
@@ -17,14 +17,9 @@ pub struct Select {
 
 impl Select {
     /// Compiles `pred` against the child's schema.
-    pub fn new(
-        child: BoxOp,
-        pred: &Pred,
-        ctx: &QueryContext,
-        label: &str,
-    ) -> Result<Self, ExecError> {
+    pub fn new(child: BoxOp, pred: &Pred, scope: &NodeScope) -> Result<Self, ExecError> {
         let types = child.out_types().to_vec();
-        let pred = CompiledPred::compile(pred, &types, ctx, label)?;
+        let pred = CompiledPred::compile(pred, &types, scope)?;
         Ok(Select { child, pred, types })
     }
 }
@@ -55,6 +50,7 @@ mod tests {
     use crate::config::ExecConfig;
     use crate::expr::{CmpKind, Value};
     use crate::ops::{collect, total_rows, Scan};
+    use crate::QueryContext;
     use ma_primitives::build_dictionary;
     use ma_vector::{ColumnBuilder, Table};
     use std::sync::Arc;
@@ -76,7 +72,7 @@ mod tests {
     fn filters_and_preserves_columns() {
         let c = ctx();
         let pred = Pred::cmp_val(0, CmpKind::Lt, Value::I32(100));
-        let mut sel = Select::new(scan(1000), &pred, &c, "t").unwrap();
+        let mut sel = Select::new(scan(1000), &pred, &c.scope("t")).unwrap();
         let chunks = collect(&mut sel).unwrap();
         assert_eq!(total_rows(&chunks), 100);
         // Column data untouched; only sel narrows.
@@ -90,7 +86,7 @@ mod tests {
         // Only rows 900..=999 pass; the first 3 chunks of 256 produce
         // nothing and must be skipped transparently.
         let pred = Pred::cmp_val(0, CmpKind::Ge, Value::I32(900));
-        let mut sel = Select::new(scan(1000), &pred, &c, "t").unwrap();
+        let mut sel = Select::new(scan(1000), &pred, &c.scope("t")).unwrap();
         let chunks = collect(&mut sel).unwrap();
         assert_eq!(total_rows(&chunks), 100);
         assert!(chunks.len() <= 2);
@@ -101,8 +97,8 @@ mod tests {
         let c = ctx();
         let p1 = Pred::cmp_val(0, CmpKind::Lt, Value::I32(500));
         let p2 = Pred::cmp_val(0, CmpKind::Ge, Value::I32(400));
-        let s1 = Select::new(scan(1000), &p1, &c, "s1").unwrap();
-        let mut s2 = Select::new(Box::new(s1), &p2, &c, "s2").unwrap();
+        let s1 = Select::new(scan(1000), &p1, &c.scope("s1")).unwrap();
+        let mut s2 = Select::new(Box::new(s1), &p2, &c.scope("s2")).unwrap();
         let chunks = collect(&mut s2).unwrap();
         assert_eq!(total_rows(&chunks), 100);
         for ch in &chunks {
@@ -117,7 +113,7 @@ mod tests {
     fn nothing_passes() {
         let c = ctx();
         let pred = Pred::cmp_val(0, CmpKind::Lt, Value::I32(-5));
-        let mut sel = Select::new(scan(100), &pred, &c, "t").unwrap();
+        let mut sel = Select::new(scan(100), &pred, &c.scope("t")).unwrap();
         assert!(sel.next().unwrap().is_none());
     }
 }

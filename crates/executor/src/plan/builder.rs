@@ -36,6 +36,21 @@ fn integer(ty: DataType) -> bool {
     matches!(ty, DataType::I16 | DataType::I32 | DataType::I64)
 }
 
+/// Resolves the group key `name` of `schema`: its position and type, or
+/// the typed rejection of an `f64` key (floats do not hash portably).
+pub(crate) fn group_key(schema: &Schema, name: &str) -> Result<(usize, DataType), PlanError> {
+    let i = resolve_col(schema, name)?;
+    let ty = schema.field(i).ty;
+    if ty == DataType::F64 {
+        return Err(PlanError::TypeMismatch {
+            context: format!("group key {name}"),
+            expected: "an integer or string column".into(),
+            found: ty,
+        });
+    }
+    Ok((i, ty))
+}
+
 /// True when the merge key traces — through order-preserving nodes
 /// (Filter narrows the selection vector; Project must pass the key
 /// through unchanged) — to the base table's **first column**, which is by
@@ -248,15 +263,7 @@ impl PlanBuilder {
             let mut fields = Vec::with_capacity(keys.len() + aggs.len());
             for spec in &keys {
                 let (name, alias) = parse_alias(spec);
-                let i = resolve_col(in_schema, name)?;
-                let ty = in_schema.field(i).ty;
-                if ty == DataType::F64 {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("group key {name}"),
-                        expected: "an integer or string column".into(),
-                        found: ty,
-                    });
-                }
+                let (i, ty) = group_key(in_schema, name)?;
                 key_idx.push(i);
                 fields.push(Field::new(alias, ty));
             }

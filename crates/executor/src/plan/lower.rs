@@ -40,8 +40,9 @@ use std::sync::Arc;
 
 use ma_vector::{MorselQueue, Table, VECTORS_PER_MORSEL};
 
+use crate::adaptive::NodeScope;
 use crate::analyze::{AnalysisError, Facts};
-use crate::config::{DecodeMode, ExecConfig};
+use crate::config::ExecConfig;
 use crate::cost::Width;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
@@ -72,7 +73,9 @@ pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError>
 // ---------------------------------------------------------------------------
 
 /// A node's position in a pre-order walk of the [`LogicalPlan`] it
-/// implements ([`LogicalPlan::children`] order; the root is 0).
+/// implements ([`LogicalPlan::children`] order; the root is 0). With the
+/// plan's ordinal it is the identity instances and memory trackers key on
+/// ([`crate::NodeKey`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
@@ -469,28 +472,29 @@ fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, Exec
 // ---------------------------------------------------------------------------
 
 /// One stage of a [`ScanChain`] above its scan.
-enum Stage<'a> {
+enum Stage<'p, 'a> {
     /// A Filter or Project node.
-    Stream(&'a LogicalPlan),
+    Stream(&'p PhysNode<'a>),
     /// A HashJoin node probing in the fragments, and its one build.
-    Probe(&'a LogicalPlan, SharedBuild),
+    Probe(&'p PhysNode<'a>, SharedBuild),
 }
 
 /// The chain a sharding exchange or a partitioned aggregate's producer
 /// set compiles into fragments: Filter, Project and HashJoin-probe stages
 /// over a scan.
-struct ScanChain<'a> {
+struct ScanChain<'p, 'a> {
+    scan: &'p PhysNode<'a>,
     table: &'a Arc<Table>,
     cols: &'a [String],
     /// The nodes above the scan, bottom-up.
-    stages: Vec<Stage<'a>>,
+    stages: Vec<Stage<'p, 'a>>,
 }
 
-impl<'a> ScanChain<'a> {
+impl<'p, 'a> ScanChain<'p, 'a> {
     /// Decomposes the chain `node` tops, following joins down their probe
     /// side and constructing each join stage's build pipeline — once,
     /// whatever the fragment count.
-    fn of(node: &PhysNode<'a>, ctx: &QueryContext) -> Result<ScanChain<'a>, ExecError> {
+    fn of(node: &'p PhysNode<'a>, lw: &Lowering) -> Result<Self, ExecError> {
         let mut stages = Vec::new();
         let mut cur = node;
         loop {
@@ -498,32 +502,32 @@ impl<'a> ScanChain<'a> {
                 LogicalPlan::Scan { table, cols, .. } => {
                     stages.reverse();
                     return Ok(ScanChain {
+                        scan: cur,
                         table,
                         cols,
                         stages,
                     });
                 }
                 LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => {
-                    stages.push(Stage::Stream(cur.logical));
+                    stages.push(Stage::Stream(cur));
                     cur = child(cur, 0)?;
                 }
                 LogicalPlan::HashJoin {
                     build_keys,
                     payload,
                     bloom,
-                    label,
                     ..
                 } => {
                     let input = child(cur, 0)?;
                     let shared = SharedBuild::new(
-                        build(input, ctx)?,
+                        lw.build(input)?,
                         build_keys.clone(),
                         payload.clone(),
                         *bloom,
                     )?
                     .with_build_rows(input.rows)
-                    .with_tracker(ctx.mem_tracker(label, cur.instance_bytes));
-                    stages.push(Stage::Probe(cur.logical, shared));
+                    .with_tracker(lw.scope(cur).mem_tracker(cur.instance_bytes));
+                    stages.push(Stage::Probe(cur, shared));
                     cur = child(cur, 1)?;
                 }
                 _ => {
@@ -546,39 +550,40 @@ impl<'a> ScanChain<'a> {
     }
 
     /// `n` worker fragments over one shared morsel queue.
-    fn fragments(&self, n: usize, ctx: &QueryContext) -> Result<Vec<BoxOp>, ExecError> {
-        let queue = self.queue(ctx);
-        (0..n).map(|_| self.fragment(&queue, ctx)).collect()
+    fn fragments(&self, n: usize, lw: &Lowering) -> Result<Vec<BoxOp>, ExecError> {
+        let queue = self.queue(lw.ctx);
+        (0..n).map(|_| self.fragment(&queue, lw)).collect()
     }
 
     /// One worker's fragment: a morsel scan plus the chain's stages, each
-    /// with private primitive instances (per-worker bandit state); a join
-    /// stage is a prober over the chain's one build of that join.
-    fn fragment(&self, queue: &Arc<MorselQueue>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+    /// with private primitive instances (per-worker bandit state) in a
+    /// fresh scope of its node; a join stage is a prober over the chain's
+    /// one build of that join.
+    fn fragment(&self, queue: &Arc<MorselQueue>, lw: &Lowering) -> Result<BoxOp, ExecError> {
         let names: Vec<&str> = self.cols.iter().map(String::as_str).collect();
         let scan = Scan::morsel(
             Arc::clone(self.table),
             &names,
-            ctx.vector_size(),
+            lw.ctx.vector_size(),
             Arc::clone(queue),
         )?;
-        let mut op: BoxOp = Box::new(wire_decoders(scan, self.table, ctx)?);
+        let mut op: BoxOp = Box::new(scan.with_context(&lw.scope(self.scan))?);
         for stage in &self.stages {
             op = match stage {
-                Stage::Stream(plan) => stream_op(plan, op, ctx)?,
-                Stage::Probe(join, shared) => {
+                Stage::Stream(node) => stream_op(node.logical, op, &lw.scope(node))?,
+                Stage::Probe(node, shared) => {
                     let LogicalPlan::HashJoin {
                         probe_keys,
                         kind,
                         defaults,
-                        label,
                         ..
-                    } = join
+                    } = node.logical
                     else {
                         unreachable!("probe stages hold HashJoin nodes");
                     };
                     let keys = probe_keys.clone();
-                    Box::new(shared.prober(op, keys, *kind, defaults.clone(), ctx, label)?)
+                    let scope = lw.scope(node);
+                    Box::new(shared.prober(op, keys, *kind, defaults.clone(), &scope)?)
                 }
             };
         }
@@ -597,27 +602,14 @@ impl<'a> ScanChain<'a> {
 }
 
 /// The streaming operator of a Filter or Project node over `input`.
-fn stream_op(plan: &LogicalPlan, input: BoxOp, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
+fn stream_op(plan: &LogicalPlan, input: BoxOp, scope: &NodeScope) -> Result<BoxOp, ExecError> {
     Ok(match plan {
-        LogicalPlan::Filter { pred, label, .. } => Box::new(Select::new(input, pred, ctx, label)?),
-        LogicalPlan::Project { items, label, .. } => {
-            Box::new(crate::ops::Project::new(input, items.clone(), ctx, label)?)
+        LogicalPlan::Filter { pred, .. } => Box::new(Select::new(input, pred, scope)?),
+        LogicalPlan::Project { items, .. } => {
+            Box::new(crate::ops::Project::new(input, items.clone(), scope)?)
         }
         _ => unreachable!("stream stages hold only Filter and Project nodes"),
     })
-}
-
-/// Attaches flavored decode primitives to a scan over encoded columns
-/// (one bandit-adapted [`crate::PrimInstance`] per encoded column, labeled
-/// `scan_<table>/<column>/<signature>` so per-worker statistics fold in
-/// [`QueryContext::merged_reports`]). Under [`DecodeMode::Reference`] the
-/// scan keeps its built-in reference decoders — the differential fuzzer
-/// cross-checks the two paths.
-fn wire_decoders(scan: Scan, table: &Arc<Table>, ctx: &QueryContext) -> Result<Scan, ExecError> {
-    if ctx.config().decode == DecodeMode::Reference {
-        return Ok(scan);
-    }
-    scan.with_context(ctx, &format!("scan_{}", table.name()))
 }
 
 // ---------------------------------------------------------------------------
@@ -627,9 +619,14 @@ fn wire_decoders(scan: Scan, table: &Arc<Table>, ctx: &QueryContext) -> Result<S
 /// Constructs the operator pipeline `plan` describes, registering one
 /// [`crate::MemTracker`] per tracked instance with the bound the node
 /// carries. Decides nothing: `ctx` must hold the [`ExecConfig`] the plan
-/// was made under.
+/// was made under. The plan takes the context's next plan ordinal, so
+/// every instance and tracker it registers is keyed by (plan, node).
 pub fn instantiate(plan: &PhysicalPlan<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
-    build(&plan.root, ctx)
+    let lw = Lowering {
+        ctx,
+        plan: ctx.next_plan(),
+    };
+    lw.build(&plan.root)
 }
 
 fn child<'p, 'a>(node: &'p PhysNode<'a>, i: usize) -> Result<&'p PhysNode<'a>, ExecError> {
@@ -638,138 +635,156 @@ fn child<'p, 'a>(node: &'p PhysNode<'a>, i: usize) -> Result<&'p PhysNode<'a>, E
         .ok_or_else(|| ExecError::Plan(format!("physical node {} is missing input {i}", node.id.0)))
 }
 
-fn build(node: &PhysNode<'_>, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
-    let input = |i: usize| build(child(node, i)?, ctx);
-    // All instances of a node share its label, so per-worker and
-    // per-partition statistics fold in `QueryContext::merged_reports`.
-    Ok(match (node.logical, &node.exchange) {
-        (
-            _,
-            Exchange::Parallel {
-                workers,
-                chunk_bytes,
-            },
-        ) => {
-            let chain = ScanChain::of(node, ctx)?;
-            let queue = chain.queue(ctx);
-            let factory = |_worker: usize, _n: usize| chain.fragment(&queue, ctx);
-            Box::new(
-                Parallel::new(*workers, &factory)?
-                    .after_builds(chain.into_builds())
-                    .tracked(ctx.mem_tracker("exchange/parallel", *chunk_bytes)),
-            )
-        }
-        (
-            LogicalPlan::HashAgg {
-                keys, aggs, label, ..
-            },
-            exchange,
-        ) => {
-            let instance = |source: BoxOp| -> Result<BoxOp, ExecError> {
-                Ok(Box::new(
-                    HashAggregate::new(source, keys.clone(), aggs.clone(), ctx, label)?
-                        .with_group_bound(node.rows)
-                        .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
-                ))
-            };
-            let Exchange::HashPartition {
-                partitions,
-                producers,
-                key_cols,
-                chunk_bytes,
-            } = exchange
-            else {
-                return instance(input(0)?);
-            };
-            // The producers are the input's morsel fragments or its own
-            // pipeline. Group keys are disjoint across partitions, so the
-            // arrival-order union of partition outputs *is* the aggregate
-            // — no merge step.
-            let feed = child(node, 0)?;
-            let (producers, builds) = if *producers >= 2 {
-                let chain = ScanChain::of(feed, ctx)?;
-                (chain.fragments(*producers, ctx)?, chain.into_builds())
-            } else {
-                (vec![build(feed, ctx)?], Vec::new())
-            };
-            let consumer = |source: BoxOp, _p: usize| instance(source);
-            Box::new(
-                HashPartitionExchange::new(producers, key_cols.clone(), *partitions, &consumer)?
+/// One plan's instantiation: the context and the plan's ordinal in it.
+struct Lowering<'c> {
+    ctx: &'c QueryContext,
+    plan: usize,
+}
+
+impl Lowering<'_> {
+    /// A fresh scope for one copy of `node`'s operator, displayed under
+    /// the node's label (`scan_<table>` for a scan, `sort` for a sort).
+    fn scope(&self, node: &PhysNode<'_>) -> NodeScope {
+        let label = match node.logical {
+            LogicalPlan::Scan { table, .. } => format!("scan_{}", table.name()),
+            other => other.label().unwrap_or("sort").to_string(),
+        };
+        NodeScope::new(self.ctx, self.plan, node.id, label)
+    }
+
+    fn build(&self, node: &PhysNode<'_>) -> Result<BoxOp, ExecError> {
+        let input = |i: usize| self.build(child(node, i)?);
+        Ok(match (node.logical, &node.exchange) {
+            (
+                _,
+                Exchange::Parallel {
+                    workers,
+                    chunk_bytes,
+                },
+            ) => {
+                let chain = ScanChain::of(node, self)?;
+                let queue = chain.queue(self.ctx);
+                let factory = |_worker: usize, _n: usize| chain.fragment(&queue, self);
+                Box::new(
+                    Parallel::new(*workers, &factory)?
+                        .after_builds(chain.into_builds())
+                        .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
+                )
+            }
+            (LogicalPlan::HashAgg { keys, aggs, .. }, exchange) => {
+                let instance = |source: BoxOp| -> Result<BoxOp, ExecError> {
+                    let scope = self.scope(node);
+                    Ok(Box::new(
+                        HashAggregate::new(source, keys.clone(), aggs.clone(), &scope)?
+                            .with_group_bound(node.rows)
+                            .with_tracker(scope.mem_tracker(node.instance_bytes)),
+                    ))
+                };
+                let Exchange::HashPartition {
+                    partitions,
+                    producers,
+                    key_cols,
+                    chunk_bytes,
+                } = exchange
+                else {
+                    return instance(input(0)?);
+                };
+                // The producers are the input's morsel fragments or its own
+                // pipeline. Group keys are disjoint across partitions, so the
+                // arrival-order union of partition outputs *is* the aggregate
+                // — no merge step.
+                let feed = child(node, 0)?;
+                let (producers, builds) = if *producers >= 2 {
+                    let chain = ScanChain::of(feed, self)?;
+                    (chain.fragments(*producers, self)?, chain.into_builds())
+                } else {
+                    (vec![self.build(feed)?], Vec::new())
+                };
+                let consumer = |source: BoxOp, _p: usize| instance(source);
+                Box::new(
+                    HashPartitionExchange::new(
+                        producers,
+                        key_cols.clone(),
+                        *partitions,
+                        &consumer,
+                    )?
                     .after_builds(builds)
-                    .tracked(ctx.mem_tracker(format!("{label}/exchange"), *chunk_bytes)),
-            )
-        }
-        // Only hash aggregates partition: anything else would fall through
-        // to its plain constructor and quietly run unpartitioned.
-        (_, Exchange::HashPartition { .. }) => {
-            return Err(ExecError::Plan(format!(
-                "physical node {} carries a hash-partitioning exchange but is not a hash \
-                 aggregate",
-                node.id.0
-            )))
-        }
-        (LogicalPlan::Scan { table, cols, .. }, _) => {
-            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let scan = Scan::new(Arc::clone(table), &names, ctx.vector_size())?;
-            Box::new(wire_decoders(scan, table, ctx)?)
-        }
-        (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
-            stream_op(node.logical, input(0)?, ctx)?
-        }
-        (LogicalPlan::StreamAgg { aggs, label, .. }, _) => {
-            Box::new(StreamAggregate::new(input(0)?, aggs.clone(), ctx, label)?)
-        }
-        (
-            LogicalPlan::HashJoin {
-                build_keys,
-                probe_keys,
-                payload,
-                kind,
-                bloom,
-                defaults,
-                label,
-                ..
-            },
-            _,
-        ) => Box::new(
-            HashJoin::new(
+                    .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
+                )
+            }
+            // Only hash aggregates partition: anything else would fall through
+            // to its plain constructor and quietly run unpartitioned.
+            (_, Exchange::HashPartition { .. }) => {
+                return Err(ExecError::Plan(format!(
+                    "physical node {} carries a hash-partitioning exchange but is not a hash \
+                     aggregate",
+                    node.id.0
+                )))
+            }
+            (LogicalPlan::Scan { table, cols, .. }, _) => {
+                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+                let scan = Scan::new(Arc::clone(table), &names, self.ctx.vector_size())?;
+                Box::new(scan.with_context(&self.scope(node))?)
+            }
+            (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
+                stream_op(node.logical, input(0)?, &self.scope(node))?
+            }
+            (LogicalPlan::StreamAgg { aggs, .. }, _) => Box::new(StreamAggregate::new(
+                input(0)?,
+                aggs.clone(),
+                &self.scope(node),
+            )?),
+            (
+                LogicalPlan::HashJoin {
+                    build_keys,
+                    probe_keys,
+                    payload,
+                    kind,
+                    bloom,
+                    defaults,
+                    ..
+                },
+                _,
+            ) => {
+                let scope = self.scope(node);
+                Box::new(
+                    HashJoin::new(
+                        input(0)?,
+                        input(1)?,
+                        build_keys.clone(),
+                        probe_keys.clone(),
+                        payload.clone(),
+                        *kind,
+                        *bloom,
+                        defaults.clone(),
+                        &scope,
+                    )?
+                    .with_build_rows(child(node, 0)?.rows)
+                    .with_tracker(scope.mem_tracker(node.instance_bytes)),
+                )
+            }
+            (
+                LogicalPlan::MergeJoin {
+                    left_key,
+                    right_key,
+                    payload,
+                    ..
+                },
+                _,
+            ) => Box::new(MergeJoin::new(
                 input(0)?,
                 input(1)?,
-                build_keys.clone(),
-                probe_keys.clone(),
+                *left_key,
+                *right_key,
                 payload.clone(),
-                *kind,
-                *bloom,
-                defaults.clone(),
-                ctx,
-                label,
-            )?
-            .with_build_rows(child(node, 0)?.rows)
-            .with_tracker(ctx.mem_tracker(label, node.instance_bytes)),
-        ),
-        (
-            LogicalPlan::MergeJoin {
-                left_key,
-                right_key,
-                payload,
-                label,
-                ..
-            },
-            _,
-        ) => Box::new(MergeJoin::new(
-            input(0)?,
-            input(1)?,
-            *left_key,
-            *right_key,
-            payload.clone(),
-            ctx,
-            label,
-        )?),
-        (LogicalPlan::Sort { keys, limit, .. }, _) => Box::new(
-            Sort::new(input(0)?, keys.clone(), *limit, ctx.vector_size())?
-                .with_tracker(ctx.mem_tracker("sort", node.instance_bytes)),
-        ),
-    })
+                &self.scope(node),
+            )?),
+            (LogicalPlan::Sort { keys, limit, .. }, _) => Box::new(
+                Sort::new(input(0)?, keys.clone(), *limit, self.ctx.vector_size())?
+                    .with_tracker(self.scope(node).mem_tracker(node.instance_bytes)),
+            ),
+        })
+    }
 }
 
 #[cfg(test)]

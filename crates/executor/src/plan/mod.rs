@@ -110,7 +110,7 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// Resolved predicate.
         pred: Pred,
-        /// Stats label for the primitive instances.
+        /// Display label of the node's primitive instances.
         label: String,
         /// Output schema (same columns as the input).
         schema: Schema,
@@ -121,7 +121,7 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// Resolved projection items.
         items: Vec<ProjItem>,
-        /// Stats label.
+        /// Display label.
         label: String,
         /// Output schema.
         schema: Schema,
@@ -134,7 +134,7 @@ pub enum LogicalPlan {
         keys: Vec<usize>,
         /// Aggregates.
         aggs: Vec<Agg>,
-        /// Stats label.
+        /// Display label.
         label: String,
         /// Output schema: keys then aggregates.
         schema: Schema,
@@ -145,7 +145,7 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// Aggregates.
         aggs: Vec<Agg>,
-        /// Stats label.
+        /// Display label.
         label: String,
         /// Output schema.
         schema: Schema,
@@ -169,7 +169,7 @@ pub enum LogicalPlan {
         bloom: bool,
         /// Left-single default payload values (empty otherwise).
         defaults: Vec<Value>,
-        /// Stats label.
+        /// Display label.
         label: String,
         /// Output schema.
         schema: Schema,
@@ -189,7 +189,7 @@ pub enum LogicalPlan {
         right_key: usize,
         /// Left columns appended to the output.
         payload: Vec<usize>,
-        /// Stats label.
+        /// Display label.
         label: String,
         /// Output schema.
         schema: Schema,
@@ -219,6 +219,21 @@ impl LogicalPlan {
             | LogicalPlan::HashJoin { schema, .. }
             | LogicalPlan::MergeJoin { schema, .. }
             | LogicalPlan::Sort { schema, .. } => schema,
+        }
+    }
+
+    /// The node's display label; scans and sorts have none. Labels name
+    /// nodes in reports and need not be unique: identity is the node's
+    /// [`NodeId`].
+    pub fn label(&self) -> Option<&str> {
+        match self {
+            LogicalPlan::Filter { label, .. }
+            | LogicalPlan::Project { label, .. }
+            | LogicalPlan::HashAgg { label, .. }
+            | LogicalPlan::StreamAgg { label, .. }
+            | LogicalPlan::HashJoin { label, .. }
+            | LogicalPlan::MergeJoin { label, .. } => Some(label),
+            LogicalPlan::Scan { .. } | LogicalPlan::Sort { .. } => None,
         }
     }
 

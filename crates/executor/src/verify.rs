@@ -4,8 +4,8 @@
 //! turns a [`LogicalPlan`] into a physical pipeline: schemas stay
 //! consistent node to node, merge joins only ever see provably key-sorted
 //! inputs, order-destroying exchanges never end up under order-sensitive
-//! ancestors, only hash aggregates partition, and every
-//! primitive-instantiating node carries a unique stats label.
+//! ancestors, and only hash aggregates partition. Labels are display names
+//! and need not be unique: instances key on their node's [`crate::NodeId`].
 //! This module *re-checks* those invariants from scratch:
 //!
 //! 1. **Logical walk** ([`verify`], first phase): re-derives every node's
@@ -14,8 +14,7 @@
 //!    [`crate::Pred::check`], exactly as strict as the evaluator),
 //!    aggregates and joins from rules of its own — and compares it against
 //!    the schema the node declares; re-proves
-//!    merge-join input sortedness structurally; enforces stats-label
-//!    uniqueness across instantiating nodes; rejects float partition
+//!    merge-join input sortedness structurally; rejects float partition
 //!    keys with a typed error instead of a worker-thread panic.
 //! 2. **Physical plan** ([`verify_physical`]): translation validation of
 //!    the planner's actual output. It walks the very [`PhysicalPlan`]
@@ -38,7 +37,6 @@
 //! sweep in `crates/tpch/tests/verify_matrix.rs` across all 22 queries ×
 //! worker/partition/vector-size configurations.
 
-use std::collections::HashSet;
 use std::fmt::Display;
 
 use ma_vector::{DataType, Schema};
@@ -98,12 +96,6 @@ pub enum VerifyError {
         declared: String,
         /// The type list the verifier derived.
         derived: String,
-    },
-    /// Two primitive-instantiating nodes in one plan share a stats
-    /// label, which would silently merge their adaptive statistics.
-    DuplicateLabel {
-        /// The colliding label.
-        label: String,
     },
     /// A merge-join input is not provably sorted by the join key
     /// (neither a clustering-key chain nor a matching ascending sort).
@@ -176,7 +168,7 @@ pub enum VerifyError {
     /// The build child of a join that probes in the fragments is itself
     /// marked as a fragment stage: the build runs once, outside them.
     BuildInsideFragment {
-        /// The join's stats label.
+        /// The join's label.
         label: String,
     },
     /// The abstract interpreter (phase 3, [`mod@crate::analyze`]) proved a
@@ -224,11 +216,6 @@ impl std::fmt::Display for VerifyError {
             } => write!(
                 f,
                 "{context}: declared schema {declared} but derived {derived}"
-            ),
-            VerifyError::DuplicateLabel { label } => write!(
-                f,
-                "stats label {label:?} used by more than one primitive-instantiating \
-                 node; their adaptive statistics would merge silently"
             ),
             VerifyError::UnsortedMergeInput { side, key } => write!(
                 f,
@@ -295,12 +282,12 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Verifies every invariant of `plan` that [`crate::lower`] relies on:
-/// the logical walk (schemas, types, labels, merge-input sortedness),
-/// then [`verify_physical`] over the physical plan `cfg` produces.
+/// the logical walk (schemas, types, keys, merge-input sortedness), then
+/// [`verify_physical`] over the physical plan `cfg` produces, the
+/// analyzer's hazards and, under `strict_memory`, the memory budget.
 /// `Ok(())` means the plan is safe to lower under `cfg`.
 pub fn verify(plan: &LogicalPlan, cfg: &ExecConfig) -> Result<(), VerifyError> {
-    let mut labels = HashSet::new();
-    check_plan(plan, &mut labels)?;
+    check_plan(plan)?;
     // Planning interprets the plan abstractly anyway, so its findings
     // double as phase 3. Only *hazards* (reachable traps) fail
     // verification; warnings (possible wraps, checked-panic sum bounds,
@@ -392,19 +379,6 @@ fn expect_schema(
     })
 }
 
-/// Stats labels must be unique *per plan* across nodes that instantiate
-/// primitives: per-worker/per-partition instances of one node share its
-/// label by design (their statistics fold), but two distinct nodes
-/// sharing one would merge unrelated bandit state.
-fn note_label<'a>(labels: &mut HashSet<&'a str>, label: &'a str) -> Result<(), VerifyError> {
-    if !labels.insert(label) {
-        return Err(VerifyError::DuplicateLabel {
-            label: label.to_string(),
-        });
-    }
-    Ok(())
-}
-
 /// A failure of the shared typing pass ([`crate::Expr::type_of`],
 /// [`crate::Pred::check`]) at the node `context` names.
 fn typing(err: TypeError, context: &dyn Display) -> VerifyError {
@@ -454,7 +428,7 @@ fn merge_input_proof(
     }
 }
 
-fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Result<(), VerifyError> {
+fn check_plan(plan: &LogicalPlan) -> Result<(), VerifyError> {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -482,11 +456,10 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             label,
             schema,
         } => {
-            check_plan(input, labels)?;
+            check_plan(input)?;
             let ctx = Ctx("filter", label);
             pred.check(input.schema()).map_err(|e| typing(e, &ctx))?;
-            expect_schema(&ctx, schema, schema_types(input.schema()))?;
-            note_label(labels, label)
+            expect_schema(&ctx, schema, schema_types(input.schema()))
         }
         LogicalPlan::Project {
             input,
@@ -494,27 +467,16 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             label,
             schema,
         } => {
-            check_plan(input, labels)?;
+            check_plan(input)?;
             let ctx = Ctx("project", label);
             let mut derived = Vec::with_capacity(items.len());
-            let mut instantiates = false;
             for item in items {
                 derived.push(match item {
                     ProjItem::Pass(i) => col_ty(input.schema(), *i, &ctx)?,
-                    ProjItem::Expr(e) => {
-                        instantiates = true;
-                        e.type_of(input.schema()).map_err(|e| typing(e, &ctx))?
-                    }
+                    ProjItem::Expr(e) => e.type_of(input.schema()).map_err(|e| typing(e, &ctx))?,
                 });
             }
-            expect_schema(&ctx, schema, derived.iter().copied())?;
-            // Pass-only projections compile to zero primitive instances,
-            // so their label never reaches the stats registry — it can't
-            // collide.
-            if instantiates {
-                note_label(labels, label)?;
-            }
-            Ok(())
+            expect_schema(&ctx, schema, derived.iter().copied())
         }
         LogicalPlan::HashAgg {
             input,
@@ -523,7 +485,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             label,
             schema,
         } => {
-            check_plan(input, labels)?;
+            check_plan(input)?;
             let ctx = Ctx("hash aggregation", label);
             let mut derived = Vec::with_capacity(keys.len() + aggs.len());
             for (i, &k) in keys.iter().enumerate() {
@@ -538,8 +500,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             for a in aggs {
                 derived.push(a.type_of(input.schema()).map_err(|e| typing(e, &ctx))?);
             }
-            expect_schema(&ctx, schema, derived.iter().copied())?;
-            note_label(labels, label)
+            expect_schema(&ctx, schema, derived.iter().copied())
         }
         LogicalPlan::StreamAgg {
             input,
@@ -547,14 +508,13 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             label,
             schema,
         } => {
-            check_plan(input, labels)?;
+            check_plan(input)?;
             let ctx = Ctx("stream aggregation", label);
             let mut derived = Vec::with_capacity(aggs.len());
             for a in aggs {
                 derived.push(a.type_of(input.schema()).map_err(|e| typing(e, &ctx))?);
             }
-            expect_schema(&ctx, schema, derived.iter().copied())?;
-            note_label(labels, label)
+            expect_schema(&ctx, schema, derived.iter().copied())
         }
         LogicalPlan::HashJoin {
             build,
@@ -568,8 +528,8 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             schema,
             ..
         } => {
-            check_plan(build, labels)?;
-            check_plan(probe, labels)?;
+            check_plan(build)?;
+            check_plan(probe)?;
             let ctx = Ctx("hash join", label);
             if build_keys.len() != probe_keys.len() || build_keys.is_empty() {
                 return Err(VerifyError::KeyCountMismatch {
@@ -633,8 +593,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
                 JoinKind::Inner | JoinKind::LeftSingle => derived.extend(payload_types),
                 JoinKind::Semi | JoinKind::Anti => {}
             }
-            expect_schema(&ctx, schema, derived.iter().copied())?;
-            note_label(labels, label)
+            expect_schema(&ctx, schema, derived.iter().copied())
         }
         LogicalPlan::MergeJoin {
             left,
@@ -645,8 +604,8 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             label,
             schema,
         } => {
-            check_plan(left, labels)?;
-            check_plan(right, labels)?;
+            check_plan(left)?;
+            check_plan(right)?;
             let ctx = Ctx("merge join", label);
             for (side, key, schema_in) in [
                 ("left", *left_key, left.schema()),
@@ -667,8 +626,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             for &p in payload {
                 derived.push(col_ty(left.schema(), p, &ctx)?);
             }
-            expect_schema(&ctx, schema, derived.iter().copied())?;
-            note_label(labels, label)
+            expect_schema(&ctx, schema, derived.iter().copied())
         }
         LogicalPlan::Sort {
             input,
@@ -676,7 +634,7 @@ fn check_plan<'a>(plan: &'a LogicalPlan, labels: &mut HashSet<&'a str>) -> Resul
             schema,
             ..
         } => {
-            check_plan(input, labels)?;
+            check_plan(input)?;
             let ctx = "sort";
             for k in keys {
                 col_ty(input.schema(), k.col, &ctx)?;

@@ -102,8 +102,7 @@ fn steady_state_chunks_allocate_a_constant_number_of_times() {
             source,
             vec![0, 1],
             vec![Agg::count(), Agg::sum_i64(2)],
-            &ctx,
-            "t",
+            &ctx.scope("t"),
         )
         .unwrap();
         let out = collect(&mut agg).unwrap();

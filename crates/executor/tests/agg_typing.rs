@@ -105,9 +105,9 @@ fn builder_verifier_and_operators_agree_on_every_aggregate() {
         assert_eq!(v.is_ok(), expect, "verify StreamAgg {what}: {v:?}");
 
         // The operators, at construction.
-        let op = HashAggregate::new(scan(), vec![0], vec![agg.clone()], &ctx, "a");
+        let op = HashAggregate::new(scan(), vec![0], vec![agg.clone()], &ctx.scope("a"));
         assert_eq!(op.is_ok(), expect, "HashAggregate::new {what}");
-        let op = StreamAggregate::new(scan(), vec![agg], &ctx, "a");
+        let op = StreamAggregate::new(scan(), vec![agg], &ctx.scope("a"));
         assert_eq!(op.is_ok(), expect, "StreamAggregate::new {what}");
     }
     // count on all six columns, each of the six typed aggregates on one.

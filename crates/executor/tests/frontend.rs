@@ -256,13 +256,23 @@ fn sort_keys_group_keys_and_aggregates_are_spanned_individually() {
     }
     assert_eq!((span.start, span.end), (43, 44));
 
-    let text = "from t [id, k, f] | agg by [f] [count]";
-    let (err, span) = plan_err(text);
-    match &err {
-        PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::F64),
-        other => panic!("expected TypeMismatch, got {other:?}"),
+    // An `f64` group key is rejected at its own span, also behind a valid
+    // key.
+    for (text, at) in [
+        ("from t [id, k, f] | agg by [f] [count]", 28),
+        ("from t [id, k, f] | agg by [k, f] [count]", 31),
+    ] {
+        let (err, span) = plan_err(text);
+        match &err {
+            PlanError::TypeMismatch { found, .. } => assert_eq!(*found, DataType::F64),
+            other => panic!("expected TypeMismatch, got {other:?}"),
+        }
+        assert_eq!(
+            (span.start, &text[span.start..span.end]),
+            (at, "f"),
+            "{text}"
+        );
     }
-    assert_eq!(&text[span.start..span.end], "f");
 }
 
 #[test]
@@ -398,15 +408,15 @@ fn text_merge_join_runs() {
     assert_eq!(rows[0][1], "10000");
 }
 
+/// DSL plans carry their stage kinds as labels, repeated freely (two
+/// `where` stages below), and verify and run.
 #[test]
-fn generated_labels_are_unique_and_plans_verify() {
+fn generated_plans_verify() {
     let c = catalog();
-    let plan = frontend::plan_text(
-        "from t [id, k, v] | where k < 3 | select id = id, vv = v * 2 \
-         | join inner (from u [uk, uv]) on id = uk payload [uv] \
-         | agg by [id] [sum(vv) as s] | top 3 by s desc, id",
-        &c,
-    )
-    .unwrap();
+    let text = "from t [id, k, v] | where k < 3 | select id = id, vv = v * 2 \
+                | join inner (from u [uk, uv] | where uk < 4) on id = uk payload [uv] \
+                | agg by [id] [sum(vv) as s] | top 3 by s desc, id";
+    let plan = frontend::plan_text(text, &c).unwrap();
     ma_executor::verify(&plan, &ExecConfig::fixed_default()).unwrap();
+    assert_eq!(run(text).len(), 3);
 }

@@ -208,8 +208,7 @@ fn check_case(
         source,
         (0..nkeys).collect(),
         vec![Agg::count(), Agg::sum_i64(nkeys)],
-        &ctx,
-        "t",
+        &ctx.scope("t"),
     )
     .unwrap_or_else(|e| panic!("{case}: {e}"));
     let out = collect(&mut agg).unwrap_or_else(|e| panic!("{case}: {e}"));
@@ -294,7 +293,8 @@ fn dead_rows_open_no_groups() {
         types: vec![DataType::I32, DataType::I32, DataType::I64],
     });
     let ctx = QueryContext::new(dict, ExecConfig::fixed_default());
-    let mut agg = HashAggregate::new(source, vec![0, 1], vec![Agg::sum_i64(2)], &ctx, "t").unwrap();
+    let mut agg =
+        HashAggregate::new(source, vec![0, 1], vec![Agg::sum_i64(2)], &ctx.scope("t")).unwrap();
     let out = collect(&mut agg).unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].column(0).as_i32(), &[2, 4]);
@@ -312,7 +312,7 @@ fn f64_group_key_is_a_plan_error() {
             chunks: VecDeque::new(),
             types: vec![DataType::F64, DataType::I32],
         });
-        match HashAggregate::new(source, group_cols, vec![Agg::count()], &ctx, "t") {
+        match HashAggregate::new(source, group_cols, vec![Agg::count()], &ctx.scope("t")) {
             Err(ExecError::Plan(m)) => assert!(m.contains("f64"), "{m}"),
             Err(e) => panic!("expected a plan error, got {e}"),
             Ok(_) => panic!("an f64 group key was accepted"),

@@ -74,16 +74,32 @@ fn filter_all(input: LogicalPlan, label: &str) -> LogicalPlan {
 // logical-walk rejections (hand-built LogicalPlans)
 // ---------------------------------------------------------------------------
 
-/// Two primitive-instantiating nodes sharing one stats label would merge
-/// their adaptive statistics silently.
+/// Labels are display names: two filters both labelled `dup` verify, run,
+/// and keep their statistics apart — one merged report per node, keyed by
+/// its `NodeId`.
 #[test]
-fn duplicate_stats_label_rejected() {
+fn duplicate_labels_verify_and_report_apart() {
     let c = catalog(100);
     let plan = filter_all(filter_all(base_scan(&c), "dup"), "dup");
-    match verify(&plan, &cfg()) {
-        Err(VerifyError::DuplicateLabel { label }) => assert_eq!(label, "dup"),
-        other => panic!("expected DuplicateLabel, got {other:?}"),
-    }
+    verify(&plan, &cfg()).unwrap();
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
+    let mut op = ma_executor::lower(&plan, &ctx).unwrap();
+    let rows = ma_executor::ops::total_rows(&ma_executor::ops::collect(op.as_mut()).unwrap());
+    assert_eq!(rows, 100);
+    drop(op);
+    let merged = ctx.merged_reports();
+    let shape: Vec<_> = merged
+        .iter()
+        .map(|r| (r.slot.key.node.0, r.label.as_str(), r.tuples))
+        .collect();
+    // The outer filter is node 0, the inner one node 1.
+    assert_eq!(
+        shape,
+        [
+            (0, "dup/sel_ge_i64_col_val", 100),
+            (1, "dup/sel_ge_i64_col_val", 100)
+        ]
+    );
 }
 
 /// A merge join whose input's key does not trace to the clustering

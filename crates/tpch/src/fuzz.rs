@@ -495,8 +495,8 @@ impl Fuzzer {
                 return Err(CheckFail {
                     kind: CheckFailKind::MemBound,
                     detail: format!(
-                        "{}: recorded {} resident bytes, proved \u{2264} {}",
-                        r.label, r.high_water, r.bound
+                        "n{} {}: recorded {} resident bytes, proved \u{2264} {}",
+                        r.key.node.0, r.label, r.high_water, r.bound
                     ),
                 });
             }

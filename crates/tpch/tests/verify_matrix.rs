@@ -2,8 +2,8 @@
 //! configuration matrix.
 //!
 //! The verifier (`ma_executor::verify`) re-checks, independently of
-//! lowering, that each plan is schema-consistent, label-unique and places
-//! its exchanges legally under the given configuration. This sweep proves
+//! lowering, that each plan is schema-consistent and places its exchanges
+//! legally under the given configuration. This sweep proves
 //! those invariants hold for all 22 queries across every parallelism
 //! shape the planner can take: sequential, sharded, serial merge-join
 //! inputs, joins probing in the worker fragments, partition-follows-workers,
@@ -12,20 +12,13 @@
 //!
 //! The same sweep is the planner's translation validation: for every
 //! query × configuration, what `lower` registers with the context is
-//! exactly what the `PhysicalPlan` says, and what `cost` prices is exactly
-//! that.
-//!
-//! It also pins the global stats-label discipline: labels are unique
-//! *within* each plan (a duplicate would silently merge two nodes'
-//! adaptive statistics — `verify` rejects it) and, thanks to the `QN/`
-//! prefix convention, unique *across* queries too, so a whole-benchmark
-//! stats dump never aliases two primitives.
+//! exactly what the `PhysicalPlan` says, node by node, and what `cost`
+//! prices is exactly that.
 
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use ma_executor::{
-    cost, lower, plan_physical, verify, Exchange, ExecConfig, LogicalPlan, PhysicalPlan,
+    cost, lower, plan_physical, verify, Exchange, ExecConfig, LogicalPlan, NodeId, PhysicalPlan,
     QueryContext,
 };
 use ma_tpch::queries::query_plan;
@@ -79,18 +72,19 @@ fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, us
 /// pre-order, the node's exchange stage (if any) priced as
 /// `buffered_chunks × chunk_bytes`, then the operator stage with the
 /// node's instance count and per-instance bytes. *Instantiate builds
-/// exactly what the IR says:* the multiset of `(label, bound)` trackers
-/// `lower` registers equals the tracked nodes of the physical plan,
-/// expanded by instance count — so every exchange is priced from the very
-/// chunk bound its tracker carries. A join probing in the fragments is one
-/// table (one tracker, priced `x1`, no exchange stage of its own) read by
-/// `fragments` probers, each registering its own probe-hash instance.
+/// exactly what the IR says:* the multiset of `(node, exchange?, bound)`
+/// trackers `lower` registers equals the tracked nodes of the physical
+/// plan, expanded by instance count — so every exchange is priced from the
+/// very chunk bound its tracker carries. A join probing in the fragments
+/// is one table (one tracker, priced `x1`, no exchange stage of its own)
+/// read by `fragments` probers, each registering its own instance of the
+/// join's first slot, the probe hash.
 fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) {
     let phys = plan_physical(plan, cfg).unwrap();
     let report = cost(plan, cfg);
     let mut ops = report.ops.iter();
-    let mut expected: Vec<(String, u64)> = Vec::new();
-    let mut probers: Vec<(String, usize)> = Vec::new();
+    let mut expected: Vec<(NodeId, bool, u64)> = Vec::new();
+    let mut probers: Vec<(NodeId, usize)> = Vec::new();
     for node in phys.nodes() {
         if let LogicalPlan::HashJoin { label, .. } = node.logical {
             // No join routes: one table, `fragments` probers.
@@ -98,45 +92,34 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
                 !matches!(node.exchange, Exchange::HashPartition { .. }),
                 "Q{q}: {label} is hash-partitioned"
             );
-            probers.push((format!("{label}/map_hash"), node.fragments));
+            probers.push((node.id, node.fragments));
         }
-        let tracked = match node.logical {
-            LogicalPlan::HashAgg { label, .. } | LogicalPlan::HashJoin { label, .. } => {
-                Some(label.as_str())
-            }
-            LogicalPlan::Sort { .. } => Some("sort"),
-            _ => None,
-        };
-        let exchange = match node.exchange {
-            Exchange::None => None,
-            Exchange::Parallel { .. } => Some("exchange/parallel".to_string()),
-            Exchange::HashPartition { .. } => {
-                Some(format!("{}/exchange", tracked.expect("a labeled consumer")))
-            }
-        };
-        if let Some(label) = exchange {
+        let tracked = matches!(
+            node.logical,
+            LogicalPlan::HashAgg { .. } | LogicalPlan::HashJoin { .. } | LogicalPlan::Sort { .. }
+        );
+        if node.exchange != Exchange::None {
             let chunk = node.exchange.chunk_bytes();
             let op = ops.next().expect("an exchange stage");
             assert_eq!(
                 (op.kind, op.per_instance_bytes),
                 ("exchange", node.exchange.buffered_chunks() * chunk),
-                "Q{q}: cost of {label} (node {})",
-                node.id.0
+                "Q{q}: cost of the exchange of {:?}",
+                node.id
             );
-            expected.push((label, chunk));
+            expected.push((node.id, true, chunk));
         }
         let op = ops.next().expect("an operator stage");
         assert_eq!(
             (op.instances, op.per_instance_bytes),
             (node.instances(), node.instance_bytes),
-            "Q{q}: cost of {} {} (node {})",
+            "Q{q}: cost of {} {} ({:?})",
             op.kind,
             op.label,
-            node.id.0
+            node.id
         );
-        if let Some(label) = tracked {
-            expected
-                .extend((0..node.instances()).map(|_| (label.to_string(), node.instance_bytes)));
+        if tracked {
+            expected.extend((0..node.instances()).map(|_| (node.id, false, node.instance_bytes)));
         }
     }
     assert!(
@@ -148,71 +131,34 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
     let dict = DICT.get_or_init(|| Arc::new(ma_primitives::build_dictionary()));
     let ctx = QueryContext::new(Arc::clone(dict), cfg.clone());
     drop(lower(plan, &ctx).unwrap());
-    let mut registered: Vec<(String, u64)> = ctx
+    let mut registered: Vec<(NodeId, bool, u64)> = ctx
         .mem_reports()
         .into_iter()
-        .map(|r| (r.label, r.bound))
+        .map(|r| {
+            assert_eq!(r.key.plan, 0, "Q{q}: one plan per context");
+            (r.key.node, r.label.ends_with("/exchange"), r.bound)
+        })
         .collect();
     registered.sort();
     expected.sort();
     assert_eq!(registered, expected, "Q{q}: trackers vs physical plan");
     let reports = ctx.reports();
-    for (label, want) in probers {
-        let got = reports.iter().filter(|r| r.label == label).count();
-        assert_eq!(got, want, "Q{q}: {label} instances vs physical plan");
+    for (node, want) in probers {
+        let probe_hash = reports
+            .iter()
+            .filter(|r| r.slot.key.node == node && r.slot.part == 0);
+        let signatures: Vec<&str> = probe_hash.map(|r| r.signature.as_str()).collect();
+        assert_eq!(
+            signatures,
+            vec!["map_hash_i64_col"; want],
+            "Q{q}: {node:?} probers vs physical plan"
+        );
     }
 }
 
 /// The `agg_partitions` regimes swept at every worker count: follow the
 /// workers, never partition, a fixed odd count.
 const PARTITION_REGIMES: [usize; 3] = [0, 1, 3];
-
-/// Collects every *registry-visible* stats label in a plan: the labels of
-/// nodes that instantiate primitives. Pass-only projections compile to
-/// zero instances, so their labels never reach the stats registry and are
-/// skipped — the same rule `verify` applies for its per-plan uniqueness
-/// check.
-fn collect_labels(plan: &LogicalPlan, out: &mut Vec<String>) {
-    use ma_executor::ops::ProjItem;
-    match plan {
-        LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Project {
-            input,
-            items,
-            label,
-            ..
-        } => {
-            if items.iter().any(|i| matches!(i, ProjItem::Expr(_))) {
-                out.push(label.clone());
-            }
-            collect_labels(input, out);
-        }
-        LogicalPlan::Filter { input, label, .. }
-        | LogicalPlan::HashAgg { input, label, .. }
-        | LogicalPlan::StreamAgg { input, label, .. } => {
-            out.push(label.clone());
-            collect_labels(input, out);
-        }
-        LogicalPlan::HashJoin {
-            build,
-            probe,
-            label,
-            ..
-        } => {
-            out.push(label.clone());
-            collect_labels(build, out);
-            collect_labels(probe, out);
-        }
-        LogicalPlan::MergeJoin {
-            left, right, label, ..
-        } => {
-            out.push(label.clone());
-            collect_labels(left, out);
-            collect_labels(right, out);
-        }
-        LogicalPlan::Sort { input, .. } => collect_labels(input, out),
-    }
-}
 
 /// All 22 queries verify under every configuration in the matrix, the
 /// matrix provably exercises both exchange kinds, and every merge-join
@@ -508,35 +454,4 @@ fn all_queries_get_finite_byte_bounds() {
             }
         }
     }
-}
-
-/// Stats labels are globally unique across all 22 first-phase plans: the
-/// `QN/` prefix convention means a whole-benchmark stats dump can never
-/// alias two different primitives. (Within-plan uniqueness of
-/// instantiating nodes is `verify`'s job, covered by the matrix sweep.)
-#[test]
-fn stats_labels_unique_across_all_queries() {
-    let db = db();
-    let params = Params::default();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut total = 0usize;
-    for q in 1..=22 {
-        let plan = query_plan(q, db, &params)
-            .unwrap_or_else(|e| panic!("Q{q}: {e}"))
-            .build()
-            .unwrap_or_else(|e| panic!("Q{q}: {e}"));
-        let mut labels = Vec::new();
-        collect_labels(&plan, &mut labels);
-        assert!(!labels.is_empty(), "Q{q} has no labeled nodes");
-        for l in labels {
-            let prefix = format!("Q{q}/");
-            assert!(
-                l.starts_with(&prefix),
-                "Q{q} label {l:?} missing its {prefix:?} namespace prefix"
-            );
-            assert!(seen.insert(l.clone()), "label {l:?} reused across queries");
-            total += 1;
-        }
-    }
-    assert!(total >= 100, "expected a rich label set, found {total}");
 }

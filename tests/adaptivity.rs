@@ -41,8 +41,7 @@ fn run_selection_once(table: &Arc<Table>, config: ExecConfig) -> (u64, usize) {
     let mut sel = Select::new(
         scan,
         &Pred::cmp_val(0, CmpKind::Lt, Value::I32(500)),
-        &ctx,
-        "t",
+        &ctx.scope("t"),
     )
     .unwrap();
     let chunks = collect(&mut sel).unwrap();

@@ -98,8 +98,7 @@ fn merge_join_equals_hash_join_and_reference() {
         0,
         0,
         vec![1],
-        &c,
-        "mj",
+        &c.scope("mj"),
     )
     .unwrap();
     let mj_rows = join_rows(&collect(&mut mj).unwrap());
@@ -114,8 +113,7 @@ fn merge_join_equals_hash_join_and_reference() {
         JoinKind::Inner,
         true,
         vec![],
-        &c,
-        "hj",
+        &c.scope("hj"),
     )
     .unwrap();
     let hj_rows = join_rows(&collect(&mut hj).unwrap());
@@ -141,8 +139,7 @@ fn hash_aggregate_equals_reference_under_selection() {
     let sel = Select::new(
         scan,
         &Pred::cmp_val(1, CmpKind::Lt, Value::I64(2500)),
-        &c,
-        "sel",
+        &c.scope("sel"),
     )
     .unwrap();
     let mut agg = HashAggregate::new(
@@ -154,8 +151,7 @@ fn hash_aggregate_equals_reference_under_selection() {
             Agg::min_i64(1),
             Agg::max_i64(1),
         ],
-        &c,
-        "agg",
+        &c.scope("agg"),
     )
     .unwrap();
     let chunks = collect(&mut agg).unwrap();
@@ -206,8 +202,7 @@ fn semi_anti_partition_is_exact() {
             kind,
             true,
             vec![],
-            &c,
-            "j",
+            &c.scope("j"),
         )
         .unwrap();
         let mut vs: Vec<i64> = collect(&mut j)

@@ -1,6 +1,7 @@
 //! Parallel-execution determinism: every TPC-H query must produce the same
 //! *result set* no matter how many scan workers run it, and per-worker
-//! primitive statistics must merge to the single-threaded totals.
+//! primitive statistics must merge, slot by slot, to the single-threaded
+//! totals.
 //!
 //! Chunk *order* is allowed to differ (a morsel union interleaves worker
 //! streams), so rows are compared sort-normalized: each row serialized with
@@ -9,7 +10,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use micro_adaptivity::executor::{ExecConfig, FlavorAxis, QueryContext};
+use micro_adaptivity::executor::{ExecConfig, FlavorAxis, QueryContext, Slot};
 use micro_adaptivity::primitives::build_dictionary;
 use micro_adaptivity::tpch::queries::QueryOutput;
 use micro_adaptivity::tpch::{run_query, Params, TpchData};
@@ -55,6 +56,41 @@ fn normalized_rows(out: &QueryOutput) -> Vec<String> {
     rows
 }
 
+/// The one slot whose instances display as `label`.
+fn slot_of(ctx: &QueryContext, label: &str) -> Slot {
+    let mut slots: Vec<Slot> = ctx
+        .reports()
+        .into_iter()
+        .filter(|r| r.label == label)
+        .map(|r| r.slot)
+        .collect();
+    slots.sort();
+    slots.dedup();
+    match slots[..] {
+        [slot] => slot,
+        _ => panic!("{label}: expected one slot, found {slots:?}"),
+    }
+}
+
+/// Instances registered under the slot `label` names: one per copy of its
+/// node's operator (worker fragment or partition).
+fn copies(ctx: &QueryContext, label: &str) -> usize {
+    let slot = slot_of(ctx, label);
+    ctx.reports().iter().filter(|r| r.slot == slot).count()
+}
+
+/// `(slot, label, signature, tuples)` per merged report kept by `keep`.
+fn slot_tuples(
+    ctx: &QueryContext,
+    keep: impl Fn(&str) -> bool,
+) -> Vec<(Slot, String, String, u64)> {
+    ctx.merged_reports()
+        .into_iter()
+        .filter(|r| keep(&r.signature))
+        .map(|r| (r.slot, r.label, r.signature, r.tuples))
+        .collect()
+}
+
 #[test]
 fn every_query_is_worker_count_invariant_under_fixed_flavors() {
     // 1 worker runs single aggregate and join instances; 2 and 4 workers
@@ -85,31 +121,23 @@ fn every_query_is_worker_count_invariant_under_fixed_flavors() {
 
 /// The planner must actually engage partitioned aggregation on the
 /// aggregation-heavy queries (one private `HashAggregate` per partition,
-/// all under the plan node's label), and per-partition statistics must
-/// merge to the single-thread totals for tuple counts (call counts differ:
-/// routing splits chunks).
+/// each registering its instances under the plan node's slots), and
+/// per-partition statistics must merge to the single-thread totals for
+/// tuple counts (call counts differ: routing splits chunks).
 #[test]
 fn partitioned_aggregation_engages_with_private_instances() {
     let (_, ctx1) = run(1, ExecConfig::fixed_default());
     let (_, ctx4) = run(1, ExecConfig::fixed_default().with_workers(4));
-    let count_instances =
-        |ctx: &QueryContext, label: &str| ctx.reports().iter().filter(|r| r.label == label).count();
-    assert_eq!(count_instances(&ctx1, "Q1/agg/aggr_count"), 1);
+    assert_eq!(copies(&ctx1, "Q1/agg/aggr_count"), 1);
     assert_eq!(
-        count_instances(&ctx4, "Q1/agg/aggr_count"),
+        copies(&ctx4, "Q1/agg/aggr_count"),
         4,
         "Q1's aggregate should run one instance per partition"
     );
-    let agg_tuples = |ctx: &QueryContext| {
-        ctx.merged_reports()
-            .into_iter()
-            .filter(|r| r.signature.starts_with("aggr_") || r.signature.starts_with("hash_"))
-            .map(|r| (r.label, r.signature, r.tuples))
-            .collect::<Vec<_>>()
-    };
+    let agg = |sig: &str| sig.starts_with("aggr_") || sig.starts_with("hash_");
     assert_eq!(
-        agg_tuples(&ctx1),
-        agg_tuples(&ctx4),
+        slot_tuples(&ctx1, agg),
+        slot_tuples(&ctx4, agg),
         "merged per-partition aggregate tuple totals must equal single-thread totals"
     );
 }
@@ -132,60 +160,83 @@ fn partitioning_can_be_disabled_per_config() {
             normalized_rows(&part),
             "Q{q} partitioned vs single aggregation"
         );
-        let agg_instances = ctx_s
-            .reports()
-            .iter()
-            .filter(|r| r.label == probe_label)
-            .count();
-        assert_eq!(agg_instances, 1, "Q{q} should run a single aggregate");
+        assert_eq!(
+            copies(&ctx_s, probe_label),
+            1,
+            "Q{q} should run a single aggregate"
+        );
     }
 }
 
 /// The planner must actually parallelize the probes of the join-heavy
 /// queries: one prober per worker fragment (visible as per-fragment
-/// probe-hash and bloom instances under the plan node's label) over
-/// **one** build table per join, with merged `hash_*`/fetch tuple totals
-/// equal to the single-thread run.
+/// probe-hash and bloom instances of the plan node's slots) over **one**
+/// build table per join, with merged per-slot tuple totals equal to the
+/// single-thread run.
 #[test]
 fn partitioned_join_builds_engage_with_private_instances() {
     let (_, ctx1) = run(3, ExecConfig::fixed_default());
     let (_, ctx4) = run(3, ExecConfig::fixed_default().with_workers(4));
-    let count_instances =
-        |ctx: &QueryContext, label: &str| ctx.reports().iter().filter(|r| r.label == label).count();
     for label in [
         "Q3/join_orders/map_hash",
         "Q3/join_orders/sel_bloomfilter",
         "Q3/join_cust/map_hash",
     ] {
-        assert_eq!(count_instances(&ctx1, label), 1, "{label} single-thread");
+        assert_eq!(copies(&ctx1, label), 1, "{label} single-thread");
         assert_eq!(
-            count_instances(&ctx4, label),
+            copies(&ctx4, label),
             4,
             "{label}: expected one prober per worker fragment"
         );
     }
-    let join_tuples = |ctx: &QueryContext| {
-        ctx.merged_reports()
-            .into_iter()
-            .filter(|r| r.label.starts_with("Q3/join_"))
-            .map(|r| (r.label, r.signature, r.tuples))
-            .collect::<Vec<_>>()
-    };
+    let all = |_: &str| true;
     assert_eq!(
-        join_tuples(&ctx1),
-        join_tuples(&ctx4),
-        "merged per-fragment join tuple totals must equal single-thread totals"
+        slot_tuples(&ctx1, all),
+        slot_tuples(&ctx4, all),
+        "merged per-fragment tuple totals must equal single-thread totals"
     );
     // Q9's five-join lineitem pipeline: every join probes in the 4
     // fragments and builds its table once.
     let (_, ctx4) = run(9, ExecConfig::fixed_default().with_workers(4));
-    assert_eq!(count_instances(&ctx4, "Q9/join_part/map_hash"), 4);
-    let tables = |label: &str| {
-        let trackers = ctx4.mem_reports();
-        trackers.iter().filter(|r| r.label == label).count()
-    };
-    assert_eq!(tables("Q9/join_part"), 1, "one shared build table");
-    assert_eq!(tables("Q9/join_part/exchange"), 0, "no routing exchange");
+    assert_eq!(copies(&ctx4, "Q9/join_part/map_hash"), 4);
+    let join = slot_of(&ctx4, "Q9/join_part/map_hash").key;
+    let trackers: Vec<String> = ctx4
+        .mem_reports()
+        .into_iter()
+        .filter(|r| r.key == join)
+        .map(|r| r.label)
+        .collect();
+    assert_eq!(
+        trackers,
+        ["Q9/join_part"],
+        "one shared build table, no routing exchange"
+    );
+}
+
+/// Merged reports fold the copies of one instance and nothing else. At one
+/// worker every instance is its own slot — even where labels repeat (Q19's
+/// string-equality atoms in one filter, Q3's fetches in one join, Q17's
+/// two lineitem scans, Q11's two plans) — so merging changes nothing; at 2
+/// and 4 workers the per-slot tuple totals equal the single-thread list.
+#[test]
+fn merged_reports_keep_distinct_instances_apart() {
+    for q in 1..=22 {
+        let (_, ctx1) = run(q, ExecConfig::fixed_default());
+        assert_eq!(
+            ctx1.merged_reports().len(),
+            ctx1.reports().len(),
+            "Q{q}: one-worker instances folded together"
+        );
+        let one = slot_tuples(&ctx1, |_| true);
+        for workers in [2, 4] {
+            let (_, ctx) = run(q, ExecConfig::fixed_default().with_workers(workers));
+            assert_eq!(
+                slot_tuples(&ctx, |_| true),
+                one,
+                "Q{q}: per-slot tuples at {workers} workers"
+            );
+        }
+    }
 }
 
 #[test]
@@ -239,6 +290,7 @@ fn merged_worker_stats_equal_single_thread_totals() {
         let four = sel_only(&ctx4);
         assert_eq!(one.len(), four.len(), "Q{q} instance groups");
         for (a, b) in one.iter().zip(&four) {
+            assert_eq!(a.slot, b.slot, "Q{q}");
             assert_eq!(a.label, b.label, "Q{q}");
             assert_eq!(a.signature, b.signature, "Q{q}");
             assert_eq!(a.tuples, b.tuples, "Q{q} {} tuples", a.label);
