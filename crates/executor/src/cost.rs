@@ -136,8 +136,8 @@ pub struct CostReport {
 ///
 /// # Panics
 ///
-/// When `plan` has no physical plan — a merge-join input that is neither
-/// a sort nor a clustering-key chain, which [`crate::verify()`] rejects.
+/// When `plan` has no physical plan — a node its kind's typing rule
+/// rejects, as [`crate::verify()`] does.
 pub fn cost(plan: &LogicalPlan, cfg: &ExecConfig) -> CostReport {
     let phys = plan_physical(plan, cfg).expect("cost() takes a verified plan");
     report(&phys, cfg.memory_budget)

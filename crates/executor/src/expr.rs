@@ -581,7 +581,11 @@ pub enum TypeError {
     Invalid(String),
 }
 
-fn mismatch<T>(context: String, expected: impl ToString, found: DataType) -> Result<T, TypeError> {
+pub(crate) fn mismatch<T>(
+    context: String,
+    expected: impl ToString,
+    found: DataType,
+) -> Result<T, TypeError> {
     Err(TypeError::Mismatch {
         context,
         expected: expected.to_string(),
@@ -589,7 +593,7 @@ fn mismatch<T>(context: String, expected: impl ToString, found: DataType) -> Res
     })
 }
 
-fn col_type(schema: &Schema, col: usize) -> Result<DataType, TypeError> {
+pub(crate) fn col_type(schema: &Schema, col: usize) -> Result<DataType, TypeError> {
     match schema.fields().get(col) {
         Some(f) => Ok(f.ty),
         None => Err(TypeError::ColumnOutOfRange {

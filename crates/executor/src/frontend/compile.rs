@@ -28,9 +28,8 @@ use super::ast::{JoinKindAst, Query, Span, Stage};
 use super::FrontendError;
 use crate::expr::{CmpRhs, Expr, NumType, Pred, Value};
 use crate::ops::JoinKind;
-use crate::plan::builder::group_key;
 use crate::plan::expr::resolve_col;
-use crate::plan::{Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError};
+use crate::plan::{rules, Catalog, NamedExpr, NamedPred, PlanBuilder, PlanError};
 
 /// Compiles a parsed query against `catalog` into a finished
 /// [`crate::plan::LogicalPlan`] builder. Resolution failures carry the
@@ -104,7 +103,9 @@ fn compile_stage(
         }
         Stage::Agg { keys, aggs, spans } => {
             for k in keys {
-                group_key(&schema, &k.name.name).or_else(|err| plan_err(err, k.name.span))?;
+                resolve_col(&schema, &k.name.name)
+                    .and_then(|i| Ok(rules::group_key(&schema, i)?))
+                    .or_else(|err| plan_err(err, k.name.span))?;
             }
             // A bare `sum(c)` — parsed as the `i64` form — takes the `f64`
             // form over an `f64` column; each aggregate is then resolved and

@@ -1,10 +1,12 @@
 //! The fluent, schema-tracking plan builder.
 //!
 //! Every method resolves the names it is given against the current node's
-//! [`Schema`] immediately and records the first failure; [`PlanBuilder::build`]
-//! returns either the finished [`LogicalPlan`] or that typed [`PlanError`].
-//! Deferring the `Result` to `build()` keeps query text free of `?` noise
-//! while still failing at plan-build time, never at lowering time.
+//! [`Schema`] immediately, types the node by its kind's rule
+//! (`plan/rules.rs`, the one the verifier and the planner call too) and
+//! records the first failure; [`PlanBuilder::build`] returns either the
+//! finished [`LogicalPlan`] or that typed [`PlanError`]. Deferring the
+//! `Result` to `build()` keeps query text free of `?` noise while still
+//! failing at plan-build time, never at lowering time.
 //!
 //! Column lists accept an `"source as alias"` form wherever a column is
 //! carried into an output schema, so reused subplans (self-joins,
@@ -17,7 +19,7 @@ use ma_vector::{DataType, Field, Schema, Table};
 use crate::expr::{Agg, Expr, SortKey, Value};
 use crate::ops::{JoinKind, ProjItem};
 use crate::plan::expr::{resolve_col, NamedExpr, NamedPred};
-use crate::plan::{Catalog, LogicalPlan, PlanError};
+use crate::plan::{rules, Catalog, LogicalPlan, PlanError};
 
 /// Fluent builder over [`LogicalPlan`] — see the [module docs](crate::plan).
 pub struct PlanBuilder {
@@ -32,91 +34,33 @@ fn parse_alias(spec: &str) -> (&str, &str) {
     }
 }
 
-fn integer(ty: DataType) -> bool {
-    matches!(ty, DataType::I16 | DataType::I32 | DataType::I64)
-}
-
-/// Resolves the group key `name` of `schema`: its position and type, or
-/// the typed rejection of an `f64` key (floats do not hash portably).
-pub(crate) fn group_key(schema: &Schema, name: &str) -> Result<(usize, DataType), PlanError> {
-    let i = resolve_col(schema, name)?;
-    let ty = schema.field(i).ty;
-    if ty == DataType::F64 {
-        return Err(PlanError::TypeMismatch {
-            context: format!("group key {name}"),
-            expected: "an integer or string column".into(),
-            found: ty,
-        });
-    }
-    Ok((i, ty))
-}
-
-/// True when the merge key traces — through order-preserving nodes
-/// (Filter narrows the selection vector; Project must pass the key
-/// through unchanged) — to the base table's **first column**, which is by
-/// convention its clustering key (every table this engine generates or
-/// materializes is stored in first-column order). Such a chain emits the
-/// key in sorted order, and the physical planner protects that order by
-/// running it as one sequential pipeline down to its scan
-/// ([`crate::plan::plan_physical`]).
-pub(crate) fn clustered_key_chain(plan: &LogicalPlan, key: usize) -> bool {
-    match plan {
-        LogicalPlan::Scan { table, cols, .. } => {
-            cols.get(key).map(String::as_str) == table.column_names().first().map(String::as_str)
-        }
-        LogicalPlan::Filter { input, .. } => clustered_key_chain(input, key),
-        LogicalPlan::Project { input, items, .. } => match items.get(key) {
-            Some(ProjItem::Pass(i)) => clustered_key_chain(input, *i),
-            _ => false, // a computed key has no stored order
-        },
-        _ => false,
-    }
-}
-
-/// A merge-join input must arrive sorted by the join key: either a
-/// [`clustered_key_chain`], or an explicit `sort` whose primary key is
-/// the join key ascending. Everything else — hash aggregates/joins (hash
-/// or arrival order), computed keys, non-clustering columns,
-/// differently-keyed sorts — would make the merge join silently drop
-/// matches, so it is a typed error at `build()`.
-fn check_merge_input(side: &str, plan: &LogicalPlan, key: usize) -> Result<(), PlanError> {
-    let ok = match plan {
-        LogicalPlan::Sort { keys, .. } => keys.first().is_some_and(|k| k.col == key && !k.desc),
-        other => clustered_key_chain(other, key),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(PlanError::Invalid(format!(
-            "{side} merge-join input is not sorted by the join key: the key must \
-             pass through from the scanned table's clustering (first) column, or \
-             the input must be sorted ascending by it"
-        )))
-    }
-}
-
-/// Rejects an output schema with duplicate column names.
-fn check_unique(fields: &[Field]) -> Result<(), PlanError> {
+/// A node's output schema: its `names` zipped with the types its rule
+/// derived. Duplicate names are rejected.
+fn schema<S: Into<String>>(names: Vec<S>, types: Vec<DataType>) -> Result<Schema, PlanError> {
+    let fields: Vec<Field> = names
+        .into_iter()
+        .zip(types)
+        .map(|(name, ty)| Field::new(name, ty))
+        .collect();
     for (i, f) in fields.iter().enumerate() {
         if fields[..i].iter().any(|g| g.name == f.name) {
             return Err(PlanError::DuplicateColumn(f.name.clone()));
         }
     }
-    Ok(())
+    Ok(Schema::new(fields))
 }
 
-/// Resolves and types `aggs` against `schema`, appending one output field
-/// per aggregate to `fields`.
+/// Resolves `aggs` against `schema`, appending each one's output name to
+/// `names`.
 fn resolve_aggs(
     aggs: &[Agg<String>],
     schema: &Schema,
-    fields: &mut Vec<Field>,
+    names: &mut Vec<String>,
 ) -> Result<Vec<Agg>, PlanError> {
     aggs.iter()
         .map(|a| {
-            let (agg, ty) = a.resolve(schema)?;
-            fields.push(Field::new(a.out_name(), ty));
-            Ok(agg)
+            names.push(a.out_name());
+            a.try_map_col(&mut |name| resolve_col(schema, name))
         })
         .collect()
 }
@@ -146,22 +90,24 @@ impl PlanBuilder {
     fn scan_table(table: Arc<Table>, base_rows: usize, cols: &[&str]) -> PlanBuilder {
         let state = (|| {
             let mut src = Vec::with_capacity(cols.len());
-            let mut fields = Vec::with_capacity(cols.len());
+            let mut names = Vec::with_capacity(cols.len());
             for spec in cols {
                 let (name, alias) = parse_alias(spec);
-                let col = table.column(name).map_err(|_| PlanError::UnknownColumn {
-                    name: name.to_string(),
-                    schema: format!("table {}", table.name()),
-                })?;
+                table
+                    .column_index(name)
+                    .map_err(|_| PlanError::UnknownColumn {
+                        name: name.to_string(),
+                        schema: format!("table {}", table.name()),
+                    })?;
                 src.push(name.to_string());
-                fields.push(Field::new(alias, col.data_type()));
+                names.push(alias);
             }
-            check_unique(&fields)?;
+            let schema = schema(names, rules::scan(&table, &src)?)?;
             Ok(LogicalPlan::Scan {
                 table,
                 cols: src,
                 base_rows,
-                schema: Schema::new(fields),
+                schema,
             })
         })();
         PlanBuilder { state }
@@ -179,7 +125,8 @@ impl PlanBuilder {
         let label = label.to_string();
         self.and_then(|input| {
             let schema = input.schema().clone();
-            let pred = pred.resolve(&schema)?;
+            let pred = pred.try_map_cols(&mut |name| resolve_col(&schema, name))?;
+            rules::filter(&schema, &pred)?;
             Ok(LogicalPlan::Filter {
                 input: Box::new(input),
                 pred,
@@ -198,27 +145,21 @@ impl PlanBuilder {
         self.and_then(|input| {
             let in_schema = input.schema();
             let mut proj = Vec::with_capacity(items.len());
-            let mut fields = Vec::with_capacity(items.len());
-            for (name, expr) in &items {
-                match expr {
-                    Expr::Col(c) => {
-                        let i = resolve_col(in_schema, c)?;
-                        proj.push(ProjItem::Pass(i));
-                        fields.push(Field::new(name, in_schema.field(i).ty));
-                    }
-                    other => {
-                        let (e, ty) = other.resolve(in_schema)?;
-                        proj.push(ProjItem::Expr(e));
-                        fields.push(Field::new(name, ty));
-                    }
-                }
+            for (_, expr) in &items {
+                proj.push(match expr {
+                    Expr::Col(c) => ProjItem::Pass(resolve_col(in_schema, c)?),
+                    other => ProjItem::Expr(
+                        other.try_map_cols(&mut |name| resolve_col(in_schema, name))?,
+                    ),
+                });
             }
-            check_unique(&fields)?;
+            let names = items.iter().map(|(n, _)| n.as_str()).collect();
+            let schema = schema(names, rules::project(in_schema, &proj)?)?;
             Ok(LogicalPlan::Project {
                 input: Box::new(input),
                 items: proj,
                 label,
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
@@ -230,19 +171,18 @@ impl PlanBuilder {
         self.and_then(|input| {
             let in_schema = input.schema();
             let mut proj = Vec::with_capacity(specs.len());
-            let mut fields = Vec::with_capacity(specs.len());
+            let mut names = Vec::with_capacity(specs.len());
             for spec in &specs {
                 let (name, alias) = parse_alias(spec);
-                let i = resolve_col(in_schema, name)?;
-                proj.push(ProjItem::Pass(i));
-                fields.push(Field::new(alias, in_schema.field(i).ty));
+                proj.push(ProjItem::Pass(resolve_col(in_schema, name)?));
+                names.push(alias);
             }
-            check_unique(&fields)?;
+            let schema = schema(names, rules::project(in_schema, &proj)?)?;
             Ok(LogicalPlan::Project {
                 input: Box::new(input),
                 items: proj,
                 label: "keep".into(),
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
@@ -253,28 +193,22 @@ impl PlanBuilder {
         let label = label.to_string();
         let keys: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
         self.and_then(|input| {
-            if keys.is_empty() {
-                return Err(PlanError::Invalid(
-                    "hash_agg requires group keys; use stream_agg".into(),
-                ));
-            }
             let in_schema = input.schema();
             let mut key_idx = Vec::with_capacity(keys.len());
-            let mut fields = Vec::with_capacity(keys.len() + aggs.len());
+            let mut names = Vec::with_capacity(keys.len() + aggs.len());
             for spec in &keys {
                 let (name, alias) = parse_alias(spec);
-                let (i, ty) = group_key(in_schema, name)?;
-                key_idx.push(i);
-                fields.push(Field::new(alias, ty));
+                key_idx.push(resolve_col(in_schema, name)?);
+                names.push(alias.to_string());
             }
-            let aggs = resolve_aggs(&aggs, in_schema, &mut fields)?;
-            check_unique(&fields)?;
+            let aggs = resolve_aggs(&aggs, in_schema, &mut names)?;
+            let schema = schema(names, rules::hash_agg(in_schema, &key_idx, &aggs)?)?;
             Ok(LogicalPlan::HashAgg {
                 input: Box::new(input),
                 keys: key_idx,
                 aggs,
                 label,
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
@@ -283,14 +217,14 @@ impl PlanBuilder {
     pub fn stream_agg(self, aggs: Vec<Agg<String>>, label: &str) -> Self {
         let label = label.to_string();
         self.and_then(|input| {
-            let mut fields = Vec::with_capacity(aggs.len());
-            let aggs = resolve_aggs(&aggs, input.schema(), &mut fields)?;
-            check_unique(&fields)?;
+            let mut names = Vec::with_capacity(aggs.len());
+            let aggs = resolve_aggs(&aggs, input.schema(), &mut names)?;
+            let schema = schema(names, rules::stream_agg(input.schema(), &aggs)?)?;
             Ok(LogicalPlan::StreamAgg {
                 input: Box::new(input),
                 aggs,
                 label,
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
@@ -363,68 +297,30 @@ impl PlanBuilder {
         let defaults = defaults.to_vec();
         self.and_then(move |probe| {
             let build = build.build()?;
-            if on.is_empty() {
-                return Err(PlanError::Invalid(
-                    "join needs at least one key pair".into(),
-                ));
-            }
             let (probe_schema, build_schema) = (probe.schema(), build.schema());
             let mut probe_keys = Vec::with_capacity(on.len());
             let mut build_keys = Vec::with_capacity(on.len());
             for (p, b) in &on {
-                let pi = resolve_col(probe_schema, p)?;
-                let bi = resolve_col(build_schema, b)?;
-                for (side, name, ty) in [
-                    ("probe", p, probe_schema.field(pi).ty),
-                    ("build", b, build_schema.field(bi).ty),
-                ] {
-                    if !integer(ty) {
-                        return Err(PlanError::TypeMismatch {
-                            context: format!("{side} join key {name}"),
-                            expected: "an integer column".into(),
-                            found: ty,
-                        });
-                    }
-                }
-                probe_keys.push(pi);
-                build_keys.push(bi);
+                probe_keys.push(resolve_col(probe_schema, p)?);
+                build_keys.push(resolve_col(build_schema, b)?);
             }
+            let mut names = probe_schema.names();
             let mut payload_idx = Vec::with_capacity(payload.len());
-            let mut fields: Vec<Field> = match kind {
-                JoinKind::Inner | JoinKind::LeftSingle => probe_schema.fields().to_vec(),
-                JoinKind::Semi | JoinKind::Anti => {
-                    if !payload.is_empty() {
-                        return Err(PlanError::Invalid(format!(
-                            "{kind:?} join keeps probe columns only; payload is not allowed"
-                        )));
-                    }
-                    probe_schema.fields().to_vec()
-                }
-            };
-            for (k, spec) in payload.iter().enumerate() {
+            for spec in &payload {
                 let (name, alias) = parse_alias(spec);
-                let i = resolve_col(build_schema, name)?;
-                let ty = build_schema.field(i).ty;
-                if kind == JoinKind::LeftSingle {
-                    if ty == DataType::Str {
-                        return Err(PlanError::TypeMismatch {
-                            context: format!("left-single payload {name}"),
-                            expected: "a numeric column".into(),
-                            found: ty,
-                        });
-                    }
-                    if defaults[k].data_type() != ty {
-                        return Err(PlanError::TypeMismatch {
-                            context: format!("left-single default for {name}"),
-                            expected: ty.to_string(),
-                            found: defaults[k].data_type(),
-                        });
-                    }
-                }
-                payload_idx.push(i);
-                fields.push(Field::new(alias, ty));
+                payload_idx.push(resolve_col(build_schema, name)?);
+                names.push(alias);
             }
-            check_unique(&fields)?;
+            let types = rules::hash_join(
+                build_schema,
+                probe_schema,
+                &build_keys,
+                &probe_keys,
+                &payload_idx,
+                kind,
+                &defaults,
+            )?;
+            let schema = schema(names, types)?;
             Ok(LogicalPlan::HashJoin {
                 build: Box::new(build),
                 probe: Box::new(probe),
@@ -435,22 +331,21 @@ impl PlanBuilder {
                 bloom,
                 defaults,
                 label,
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
 
     /// Merge-joins `self` (the streaming, possibly-duplicated right side)
     /// against `left` (unique keys, materialized). `on` is `(right_col,
-    /// left_col)`; both inputs must arrive key-sorted. The builder
-    /// enforces this structurally: each input must be a
-    /// Filter/Project chain over a (key-clustered) scan — whose row order
-    /// the physical planner then protects by keeping its scans
-    /// sequential — or a `sort` whose primary key is the join key
-    /// ascending. Order-destroying inputs (hash aggregates, hash joins,
-    /// differently-keyed sorts) are a typed [`PlanError`] at `build()`.
-    /// Output: right columns, then the named `left` payload columns
-    /// (aliasable).
+    /// left_col)`; both inputs must arrive key-sorted, by the shared
+    /// merge-input rule: each input is a Filter/Project chain over a
+    /// (key-clustered) scan — whose row order the physical planner then
+    /// protects by keeping its scans sequential — or a `sort` whose
+    /// primary key is the join key ascending. Order-destroying inputs
+    /// (hash aggregates, hash joins, differently-keyed sorts) are a typed
+    /// [`PlanError`] at `build()`. Output: right columns, then the named
+    /// `left` payload columns (aliasable).
     pub fn merge_join(
         self,
         left: PlanBuilder,
@@ -466,29 +361,15 @@ impl PlanBuilder {
             let (right_schema, left_schema) = (right.schema(), left.schema());
             let ri = resolve_col(right_schema, &rk)?;
             let li = resolve_col(left_schema, &lk)?;
-            for (side, name, ty) in [
-                ("right", &rk, right_schema.field(ri).ty),
-                ("left", &lk, left_schema.field(li).ty),
-            ] {
-                if !integer(ty) {
-                    return Err(PlanError::TypeMismatch {
-                        context: format!("{side} merge-join key {name}"),
-                        expected: "an integer column".into(),
-                        found: ty,
-                    });
-                }
-            }
-            check_merge_input("right", &right, ri)?;
-            check_merge_input("left", &left, li)?;
-            let mut fields = right_schema.fields().to_vec();
+            let mut names = right_schema.names();
             let mut payload_idx = Vec::with_capacity(payload.len());
             for spec in &payload {
                 let (name, alias) = parse_alias(spec);
-                let i = resolve_col(left_schema, name)?;
-                payload_idx.push(i);
-                fields.push(Field::new(alias, left_schema.field(i).ty));
+                payload_idx.push(resolve_col(left_schema, name)?);
+                names.push(alias);
             }
-            check_unique(&fields)?;
+            let types = rules::merge_join(&left, &right, li, ri, &payload_idx)?;
+            let schema = schema(names, types)?;
             Ok(LogicalPlan::MergeJoin {
                 left: Box::new(left),
                 right: Box::new(right),
@@ -496,7 +377,7 @@ impl PlanBuilder {
                 right_key: ri,
                 payload: payload_idx,
                 label,
-                schema: Schema::new(fields),
+                schema,
             })
         })
     }
@@ -519,6 +400,7 @@ impl PlanBuilder {
                 .iter()
                 .map(|k| k.try_map_col(&mut |name| resolve_col(&schema, name)))
                 .collect::<Result<Vec<_>, PlanError>>()?;
+            rules::sort(&schema, &keys)?;
             Ok(LogicalPlan::Sort {
                 input: Box::new(input),
                 keys,

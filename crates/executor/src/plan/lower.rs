@@ -30,11 +30,15 @@
 //!   `hash(group keys) % P`, and the disjoint results union in arrival
 //!   order (DESIGN.md §7).
 //! * **Ordered inputs run serially.** A [`LogicalPlan::MergeJoin`] needs
-//!   key-sorted inputs, and an arrival-order union would break that. Its
-//!   inputs are either a sort (which re-establishes order, so everything
-//!   beneath it plans freely) or a clustering-key chain, which runs as one
-//!   sequential pipeline down to its scan (DESIGN.md §8). Any other input
-//!   is a typed [`ExecError::Plan`].
+//!   key-sorted inputs, and an arrival-order union would break that. By
+//!   the merge-input rule the builder and the verifier share, its inputs
+//!   are either a sort ascending on the key (which re-establishes order,
+//!   so everything beneath it plans freely) or a clustering-key chain,
+//!   which runs as one sequential pipeline down to its scan (DESIGN.md
+//!   §8).
+//!
+//! A node that its kind's typing rule rejects has no physical plan: a
+//! typed [`ExecError::Plan`], in release builds too.
 
 use std::sync::Arc;
 
@@ -49,8 +53,8 @@ use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeJoin, Parallel, Scan, Select, SharedBuild,
     Sort, StreamAggregate,
 };
-use crate::plan::builder::clustered_key_chain;
-use crate::plan::LogicalPlan;
+use crate::plan::rules::{self, MergeInput};
+use crate::plan::{LogicalPlan, PlanError};
 use crate::{cost, BoxOp, ExecError, QueryContext};
 
 /// Lowers a logical plan to a physical operator pipeline:
@@ -97,8 +101,9 @@ pub enum Exchange {
         chunk_bytes: u64,
     },
     /// The node (a hash aggregate) runs as `partitions` private
-    /// instances; its input is routed to them by key hash, and their
-    /// outputs unite in arrival order.
+    /// instances; its input is routed to them by the hash of the
+    /// aggregate's own group keys, and their outputs unite in arrival
+    /// order.
     HashPartition {
         /// Consumer instance count.
         partitions: usize,
@@ -107,8 +112,6 @@ pub enum Exchange {
         /// chain compiled into `n` morsel fragments that route directly
         /// (no exchange of its own).
         producers: usize,
-        /// Columns of the input's output the routing hash folds, in order.
-        key_cols: Vec<usize>,
         /// Byte bound of the widest chunk crossing the exchange: an input
         /// chunk or a consumer's output chunk.
         chunk_bytes: u64,
@@ -227,9 +230,9 @@ impl<'a> PhysicalPlan<'a> {
 // ---------------------------------------------------------------------------
 
 /// Plans `plan` physically under `cfg`. Pure: spawns nothing and touches
-/// no [`QueryContext`]. The only plans it rejects are those with a
-/// merge-join input that is neither a sort nor a clustering-key chain
-/// (which [`crate::PlanBuilder`] and [`crate::verify()`] reject too).
+/// no [`QueryContext`]. The only plans it rejects are those with a node
+/// its kind's typing rule rejects — [`crate::PlanBuilder`] and
+/// [`crate::verify()`] run the same rule.
 pub fn plan_physical<'a>(
     plan: &'a LogicalPlan,
     cfg: &ExecConfig,
@@ -290,6 +293,10 @@ impl Planner<'_> {
     /// exchange and bounds. How an input is fed is structural (which
     /// chains shard), so it is known before the input's facts are.
     fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, ExecError> {
+        // A node no operator can run has no physical plan — in release
+        // builds too, which skip `verify` — by the typing rule the builder
+        // and the verifier call.
+        rules::output_types(plan).map_err(PlanError::from)?;
         let id = NodeId(self.next_id);
         self.next_id += 1;
         // This node tops a chain compiled into worker fragments...
@@ -368,7 +375,6 @@ impl Planner<'_> {
                     partitions => Exchange::HashPartition {
                         partitions,
                         producers: if input_sharded { self.workers } else { 1 },
-                        key_cols: keys.clone(),
                         chunk_bytes: chunk(&out_widths).max(chunk(in_widths[0])),
                     },
                 }
@@ -450,20 +456,13 @@ fn agg_partitions(
     }
 }
 
-/// A merge-join input must arrive sorted ascending by `key`: a sort
-/// (beneath which everything plans freely) or a clustering-key chain,
-/// which runs serially — its scan's row order is the key order.
+/// A merge-join input's feed, by the shared merge-input verdict: beneath
+/// a sort on the key everything plans freely; a clustering-key chain runs
+/// serially — its scan's row order is the key order.
 fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, ExecError> {
-    if matches!(input, LogicalPlan::Sort { .. }) {
-        Ok(Feed::Free)
-    } else if clustered_key_chain(input, key) {
-        Ok(Feed::Serial)
-    } else {
-        Err(ExecError::Plan(format!(
-            "{} merge-join input is neither a sort nor a scan chain carrying its table's \
-             clustering order on key column {key}",
-            ["left", "right"][side]
-        )))
+    match rules::merge_input(["left", "right"][side], input, key).map_err(PlanError::from)? {
+        MergeInput::Sorted => Ok(Feed::Free),
+        MergeInput::Clustered => Ok(Feed::Serial),
     }
 }
 
@@ -683,7 +682,6 @@ impl Lowering<'_> {
                 let Exchange::HashPartition {
                     partitions,
                     producers,
-                    key_cols,
                     chunk_bytes,
                 } = exchange
                 else {
@@ -702,14 +700,9 @@ impl Lowering<'_> {
                 };
                 let consumer = |source: BoxOp, _p: usize| instance(source);
                 Box::new(
-                    HashPartitionExchange::new(
-                        producers,
-                        key_cols.clone(),
-                        *partitions,
-                        &consumer,
-                    )?
-                    .after_builds(builds)
-                    .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
+                    HashPartitionExchange::new(producers, keys.clone(), *partitions, &consumer)?
+                        .after_builds(builds)
+                        .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
                 )
             }
             // Only hash aggregates partition: anything else would fall through

@@ -32,11 +32,12 @@
 //! indented tree with resolved schemas and the planner's ordered-vs-
 //! shardable verdict per scan.
 
-pub(crate) mod builder;
+mod builder;
 mod error;
 mod explain;
 pub(crate) mod expr;
 mod lower;
+pub(crate) mod rules;
 
 pub use crate::expr::{lit_f64, lit_i64, Agg, SortKey};
 pub use builder::PlanBuilder;

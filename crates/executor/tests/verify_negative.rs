@@ -127,11 +127,14 @@ fn unsorted_merge_input_rejected() {
         schema,
     };
     match verify(&plan, &cfg()) {
-        Err(VerifyError::UnsortedMergeInput {
-            side: "left",
-            key: 1,
-        }) => {}
-        other => panic!("expected UnsortedMergeInput, got {other:?}"),
+        Err(VerifyError::Invalid { context, reason }) => {
+            assert_eq!(context, "merge join \"mj\"");
+            assert!(
+                reason.starts_with("left merge-join input is not sorted by the join key"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected Invalid, got {other:?}"),
     }
 }
 
@@ -165,11 +168,11 @@ fn descending_merge_key_rejected() {
         schema,
     };
     match verify(&plan, &cfg()) {
-        Err(VerifyError::DescendingMergeKey {
-            side: "left",
-            key: 0,
-        }) => {}
-        other => panic!("expected DescendingMergeKey, got {other:?}"),
+        Err(VerifyError::Invalid { reason, .. }) => {
+            assert!(reason.starts_with("left merge-join input"), "{reason}");
+            assert!(reason.contains("descending"), "{reason}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
     }
 }
 
@@ -189,10 +192,11 @@ fn float_group_key_rejected() {
         ]),
     };
     match verify(&plan, &cfg()) {
-        Err(VerifyError::FloatPartitionKey { context }) => {
+        Err(VerifyError::TypeMismatch { context, found, .. }) => {
+            assert_eq!(found, DataType::F64);
             assert!(context.contains("group key"), "{context}");
         }
-        other => panic!("expected FloatPartitionKey, got {other:?}"),
+        other => panic!("expected TypeMismatch, got {other:?}"),
     }
 }
 
@@ -233,7 +237,7 @@ fn aggregates_the_operators_reject_are_rejected() {
 /// A left-single join fills unmatched tuples with numeric defaults only.
 /// A `str` payload with a `str` default used to pass `verify` and the
 /// prober and then panic on the first probe chunk; the builder always
-/// rejected it, and now `verify` and the operator do too.
+/// rejected it, and now `verify`, the planner and the operator do too.
 #[test]
 fn left_single_str_payload_rejected() {
     let c = catalog(100);
@@ -257,9 +261,9 @@ fn left_single_str_payload_rejected() {
             Field::new("bs", DataType::Str),
         ]),
     };
-    // Built and run without the verifier, as a release build would.
+    // Planned and built without the verifier, as a release build would.
     let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
-    match ma_executor::instantiate(&plan_physical(&plan, &cfg()).unwrap(), &ctx) {
+    match plan_physical(&plan, &cfg()).and_then(|phys| ma_executor::instantiate(&phys, &ctx)) {
         Err(ma_executor::ExecError::Plan(m)) => assert!(m.contains("numeric"), "{m}"),
         Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
         Ok(mut op) => {
@@ -275,6 +279,129 @@ fn left_single_str_payload_rejected() {
         }
         other => panic!("expected TypeMismatch, got {other:?}"),
     }
+}
+
+/// A merge join whose left input is sorted by another column than the
+/// join key. `verify` and the builder always rejected it, but
+/// `plan_physical` planned any sort input, so a release `lower` (which
+/// skips `verify`) ran it and the merge dropped matches. All three now
+/// share one merge-input rule.
+#[test]
+fn merge_over_a_sort_on_another_column_has_no_physical_plan() {
+    let c = catalog(100);
+    let left = base_scan(&c);
+    let sort_schema = left.schema().clone();
+    let plan = LogicalPlan::MergeJoin {
+        left: Box::new(LogicalPlan::Sort {
+            input: Box::new(left),
+            keys: vec![SortKey::asc(1)], // `k`, not the join key `id`
+            limit: None,
+            schema: sort_schema,
+        }),
+        right: Box::new(base_scan(&c)),
+        left_key: 0,
+        right_key: 0,
+        payload: vec![],
+        label: "mj".to_string(),
+        schema: base_scan(&c).schema().clone(),
+    };
+    match plan_physical(&plan, &cfg()) {
+        Err(ma_executor::ExecError::Plan(m)) => {
+            assert!(
+                m.contains("left merge-join input is not sorted by the join key"),
+                "{m}"
+            );
+        }
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("planned a merge join over a sort on another column"),
+    }
+    match verify(&plan, &cfg()) {
+        Err(VerifyError::Invalid { reason, .. }) => {
+            assert!(reason.contains("not sorted by the join key"), "{reason}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    let built = PlanBuilder::scan(&c, "t", &["id", "k", "f"])
+        .merge_join(
+            PlanBuilder::scan(&c, "t", &["id as lid", "k as lk"])
+                .sort(&[ma_executor::plan::asc("lk")]),
+            ("id", "lid"),
+            &[],
+            "mj",
+        )
+        .build();
+    match built {
+        Err(ma_executor::PlanError::Invalid(m)) => {
+            assert!(m.contains("not sorted by the join key"), "{m}");
+        }
+        other => panic!("expected PlanError::Invalid, got {other:?}"),
+    }
+}
+
+/// A hash aggregation without group keys: the builder and the operator
+/// always refused it, while `verify` passed it on to a `lower` that
+/// failed with "HashAggregate requires group columns".
+#[test]
+fn hash_agg_without_keys_rejected() {
+    let c = catalog(100);
+    let plan = LogicalPlan::HashAgg {
+        input: Box::new(base_scan(&c)),
+        keys: vec![],
+        aggs: vec![Agg::count()],
+        label: "agg".to_string(),
+        schema: Schema::new(vec![Field::new("n", DataType::I64)]),
+    };
+    match verify(&plan, &cfg()) {
+        Err(VerifyError::Invalid { context, reason }) => {
+            assert_eq!(context, "hash aggregation \"agg\"");
+            assert!(reason.contains("group keys"), "{reason}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+/// A semi join with a build payload: the builder always refused it,
+/// while `verify` derived the probe columns only, accepted it, and the
+/// join ran with the payload silently ignored.
+#[test]
+fn semi_join_with_payload_rejected() {
+    let c = catalog(100);
+    let build = || PlanBuilder::scan(&c, "t", &["id as bid", "k as bk"]);
+    let probe = base_scan(&c);
+    let schema = probe.schema().clone();
+    let plan = LogicalPlan::HashJoin {
+        build: Box::new(build().build().unwrap()),
+        probe: Box::new(probe),
+        build_keys: vec![0],
+        probe_keys: vec![0],
+        payload: vec![1],
+        kind: ma_executor::ops::JoinKind::Semi,
+        bloom: false,
+        defaults: vec![],
+        label: "semi".to_string(),
+        schema,
+    };
+    match verify(&plan, &cfg()) {
+        Err(VerifyError::Invalid { context, reason }) => {
+            assert_eq!(context, "hash join \"semi\"");
+            assert!(reason.contains("payload is not allowed"), "{reason}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    let built = PlanBuilder::scan(&c, "t", &["id", "k", "f"])
+        .hash_join(
+            build(),
+            &[("id", "bid")],
+            &["bk"],
+            ma_executor::ops::JoinKind::Semi,
+            false,
+            "semi",
+        )
+        .build();
+    assert!(
+        matches!(built, Err(ma_executor::PlanError::Invalid(_))),
+        "{built:?}"
+    );
 }
 
 /// A node whose declared output schema disagrees with what its inputs
@@ -357,8 +484,8 @@ fn predicates_the_evaluator_rejects_are_rejected() {
     mismatch(Pred::cmp_col(3, CmpKind::Eq, 3), DataType::Str);
     // An empty conjunction.
     match verify(&filter(Pred::And(vec![])), &cfg()) {
-        Err(VerifyError::InvalidExpression { .. }) => {}
-        other => panic!("expected InvalidExpression, got {other:?}"),
+        Err(VerifyError::Invalid { .. }) => {}
+        other => panic!("expected Invalid, got {other:?}"),
     }
 }
 
@@ -385,10 +512,10 @@ fn expressions_the_evaluator_rejects_are_rejected() {
     // projection.
     for e in [lit_i64(1).sub(Expr::Col(0)), lit_i64(1)] {
         match verify(&project(e, DataType::I64), &cfg()) {
-            Err(VerifyError::InvalidExpression { context, .. }) => {
+            Err(VerifyError::Invalid { context, .. }) => {
                 assert_eq!(context, "project \"proj\"");
             }
-            other => panic!("expected InvalidExpression, got {other:?}"),
+            other => panic!("expected Invalid, got {other:?}"),
         }
     }
 }
@@ -434,7 +561,7 @@ fn agg_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
 }
 
 /// The planner's physical plan of `plan` under [`cfg4`], checked to be
-/// rooted in `HashPartition { partitions: 4, producers: 4, key_cols: [0] }`.
+/// rooted in `HashPartition { partitions: 4, producers: 4, .. }`.
 fn partitioned_root<'a>(plan: &'a LogicalPlan) -> PhysicalPlan<'a> {
     let phys = plan_physical(plan, &cfg4()).unwrap();
     verify_physical(&phys).unwrap();
@@ -442,9 +569,8 @@ fn partitioned_root<'a>(plan: &'a LogicalPlan) -> PhysicalPlan<'a> {
         Exchange::HashPartition {
             partitions: 4,
             producers: 4,
-            key_cols,
             ..
-        } => assert_eq!(*key_cols, [0]),
+        } => {}
         other => panic!("expected a partitioned root, got {other:?}"),
     }
     phys
@@ -520,24 +646,6 @@ fn partition_under_ordered_ancestor_rejected_unless_materialized() {
     }
 }
 
-/// An f64 column does not hash-partition (±0.0, NaN bit patterns).
-#[test]
-fn float_lane_key_rejected() {
-    let c = catalog(BIG);
-    let plan = agg_plan(&c);
-    let mut phys = partitioned_root(&plan);
-    // Input column 2 is `f`.
-    if let Exchange::HashPartition { key_cols, .. } = &mut phys.root.exchange {
-        *key_cols = vec![2];
-    }
-    match verify_physical(&phys) {
-        Err(VerifyError::FloatPartitionKey { context }) => {
-            assert_eq!(context, "partition key 0");
-        }
-        other => panic!("expected FloatPartitionKey, got {other:?}"),
-    }
-}
-
 /// An empty producer set closes the partition channels immediately and
 /// silently yields empty partition streams.
 #[test]
@@ -568,7 +676,6 @@ fn partitioning_a_non_aggregate_rejected() {
     phys.root.exchange = Exchange::HashPartition {
         partitions: 4,
         producers: 1,
-        key_cols: vec![0],
         chunk_bytes: 0,
     };
     match verify_physical(&phys) {
