@@ -1071,4 +1071,23 @@ mod tests {
         )
         .is_err());
     }
+
+    #[test]
+    fn left_single_str_payload_rejected() {
+        // Unmatched tuples are filled by numeric defaults only; a str
+        // payload is refused before a probe chunk reaches the fill.
+        let c = ctx();
+        let shared = SharedBuild::new(dim(5), vec![0], vec![1], false).unwrap();
+        match shared.prober(
+            fact(100, 10),
+            vec![0],
+            JoinKind::LeftSingle,
+            vec![Value::Str("none".into())],
+            &c.scope("ls"),
+        ) {
+            Err(ExecError::Plan(m)) => assert!(m.contains("numeric columns"), "{m}"),
+            Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+            Ok(_) => panic!("built a str left-single payload"),
+        }
+    }
 }

@@ -48,6 +48,7 @@ use crate::adaptive::NodeScope;
 use crate::analyze::{AnalysisError, Facts};
 use crate::config::ExecConfig;
 use crate::cost::Width;
+use crate::expr::TypeError;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeJoin, Parallel, Scan, Select, SharedBuild,
@@ -296,7 +297,7 @@ impl Planner<'_> {
         // A node no operator can run has no physical plan — in release
         // builds too, which skip `verify` — by the typing rule the builder
         // and the verifier call.
-        rules::output_types(plan).map_err(PlanError::from)?;
+        rules::output_types(plan).map_err(|err| rule_failed(plan, err))?;
         let id = NodeId(self.next_id);
         self.next_id += 1;
         // This node tops a chain compiled into worker fragments...
@@ -339,7 +340,7 @@ impl Planner<'_> {
                     left_key,
                     right_key,
                     ..
-                } => merge_feed(input, if i == 0 { *left_key } else { *right_key }, i)?,
+                } => merge_feed(plan, input, if i == 0 { *left_key } else { *right_key }, i)?,
                 // A filter or projection passes its own feed on, so the
                 // rest of a serial chain runs serially too.
                 LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => feed,
@@ -459,11 +460,23 @@ fn agg_partitions(
 /// A merge-join input's feed, by the shared merge-input verdict: beneath
 /// a sort on the key everything plans freely; a clustering-key chain runs
 /// serially — its scan's row order is the key order.
-fn merge_feed(input: &LogicalPlan, key: usize, side: usize) -> Result<Feed, ExecError> {
-    match rules::merge_input(["left", "right"][side], input, key).map_err(PlanError::from)? {
+fn merge_feed(
+    join: &LogicalPlan,
+    input: &LogicalPlan,
+    key: usize,
+    side: usize,
+) -> Result<Feed, ExecError> {
+    let verdict = rules::merge_input(["left", "right"][side], input, key);
+    match verdict.map_err(|err| rule_failed(join, err))? {
         MergeInput::Sorted => Ok(Feed::Free),
         MergeInput::Clustered => Ok(Feed::Serial),
     }
+}
+
+/// A node's typing-rule failure, as the planner error naming that node.
+fn rule_failed(plan: &LogicalPlan, err: TypeError) -> ExecError {
+    let node = rules::node_name(plan);
+    ExecError::Plan(format!("{node}: {}", PlanError::from(err)))
 }
 
 // ---------------------------------------------------------------------------

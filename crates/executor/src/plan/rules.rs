@@ -66,6 +66,25 @@ pub(crate) fn output_types(plan: &LogicalPlan) -> Types {
     }
 }
 
+/// The node a rule failure names: its kind and label (`filter "Q1/sel"`,
+/// `sort`).
+pub(crate) fn node_name(plan: &LogicalPlan) -> String {
+    let kind = match plan {
+        LogicalPlan::Scan { .. } => "scan",
+        LogicalPlan::Filter { .. } => "filter",
+        LogicalPlan::Project { .. } => "project",
+        LogicalPlan::HashAgg { .. } => "hash aggregation",
+        LogicalPlan::StreamAgg { .. } => "stream aggregation",
+        LogicalPlan::HashJoin { .. } => "hash join",
+        LogicalPlan::MergeJoin { .. } => "merge join",
+        LogicalPlan::Sort { .. } => "sort",
+    };
+    match plan.label() {
+        Some(label) => format!("{kind} {label:?}"),
+        None => kind.to_string(),
+    }
+}
+
 /// The named columns of the table, each of which must exist.
 pub(crate) fn scan(table: &Table, cols: &[String]) -> Types {
     let ty = |c: &String| match table.column(c) {

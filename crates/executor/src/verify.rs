@@ -274,7 +274,7 @@ fn check_plan(plan: &LogicalPlan) -> Result<(), VerifyError> {
         return Ok(());
     }
     Err(VerifyError::SchemaMismatch {
-        context: node_name(plan),
+        context: rules::node_name(plan),
         declared: fmt_types(declared),
         derived: fmt_types(derived.into_iter()),
     })
@@ -285,28 +285,9 @@ fn fmt_types(types: impl Iterator<Item = DataType>) -> String {
     format!("({})", types.join(", "))
 }
 
-/// The node an error names: its kind and label (`filter "Q1/sel"`,
-/// `sort`).
-fn node_name(plan: &LogicalPlan) -> String {
-    let kind = match plan {
-        LogicalPlan::Scan { .. } => "scan",
-        LogicalPlan::Filter { .. } => "filter",
-        LogicalPlan::Project { .. } => "project",
-        LogicalPlan::HashAgg { .. } => "hash aggregation",
-        LogicalPlan::StreamAgg { .. } => "stream aggregation",
-        LogicalPlan::HashJoin { .. } => "hash join",
-        LogicalPlan::MergeJoin { .. } => "merge join",
-        LogicalPlan::Sort { .. } => "sort",
-    };
-    match plan.label() {
-        Some(label) => format!("{kind} {label:?}"),
-        None => kind.to_string(),
-    }
-}
-
 /// A node's typing-rule failure, as the error naming that node.
 fn typing(err: TypeError, plan: &LogicalPlan) -> VerifyError {
-    let context = node_name(plan);
+    let context = rules::node_name(plan);
     match err {
         TypeError::ColumnOutOfRange { col, arity } => VerifyError::ColumnOutOfRange {
             context,

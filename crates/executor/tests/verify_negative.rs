@@ -237,7 +237,8 @@ fn aggregates_the_operators_reject_are_rejected() {
 /// A left-single join fills unmatched tuples with numeric defaults only.
 /// A `str` payload with a `str` default used to pass `verify` and the
 /// prober and then panic on the first probe chunk; the builder always
-/// rejected it, and now `verify`, the planner and the operator do too.
+/// rejected it, and now `verify` and the planner do too. The prober's own
+/// guard is pinned by `ops::hash_join`'s unit tests.
 #[test]
 fn left_single_str_payload_rejected() {
     let c = catalog(100);
@@ -264,7 +265,10 @@ fn left_single_str_payload_rejected() {
     // Planned and built without the verifier, as a release build would.
     let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
     match plan_physical(&plan, &cfg()).and_then(|phys| ma_executor::instantiate(&phys, &ctx)) {
-        Err(ma_executor::ExecError::Plan(m)) => assert!(m.contains("numeric"), "{m}"),
+        Err(ma_executor::ExecError::Plan(m)) => {
+            assert!(m.starts_with("hash join \"ls\": "), "{m}");
+            assert!(m.contains("numeric"), "{m}");
+        }
         Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
         Ok(mut op) => {
             // Running it would panic on the first probe chunk.
@@ -307,6 +311,7 @@ fn merge_over_a_sort_on_another_column_has_no_physical_plan() {
     };
     match plan_physical(&plan, &cfg()) {
         Err(ma_executor::ExecError::Plan(m)) => {
+            assert!(m.starts_with("merge join \"mj\": "), "{m}");
             assert!(
                 m.contains("left merge-join input is not sorted by the join key"),
                 "{m}"
