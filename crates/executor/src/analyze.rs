@@ -397,8 +397,8 @@ thread_local! {
 }
 
 /// How many times this thread has run the per-node [`transfer`] function:
-/// the plan-time regression pin reads it around one `plan_physical` call
-/// to prove the planner interprets each node exactly once.
+/// the plan-time regression pins read it around one `plan_physical` or
+/// `lower` call to prove each interprets each node exactly once.
 #[doc(hidden)]
 pub fn transfer_count() -> u64 {
     TRANSFERS.with(std::cell::Cell::get)

@@ -22,7 +22,7 @@ use ma_vector::Schema;
 use crate::config::ExecConfig;
 use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
 use crate::ops::{JoinKind, ProjItem};
-use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode};
+use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -35,15 +35,22 @@ impl fmt::Display for LogicalPlan {
 /// `(partitioned ×P)` and joins probing in worker fragments `(in fragment
 /// ×N, shared build)`.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
-    struct Physical<'p, 'a>(&'p PhysNode<'a>);
-    impl fmt::Display for Physical<'_, '_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt_node(f, self.0.logical, Some(self.0), 0, None, "shardable")
-        }
-    }
     match plan_physical(plan, config) {
-        Ok(phys) => Physical(&phys.root).to_string(),
+        Ok(phys) => phys.to_string(),
         Err(e) => format!("{plan}-- no physical plan: {e}\n"),
+    }
+}
+
+impl fmt::Display for PhysicalPlan<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt_node(f, self.root.logical, Some(&self.root), 0, None, "shardable")
+    }
+}
+
+impl fmt::Debug for PhysicalPlan<'_> {
+    /// Debug output reuses the physical EXPLAIN rendering.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
     }
 }
 

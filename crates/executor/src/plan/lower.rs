@@ -37,8 +37,13 @@
 //!   which runs as one sequential pipeline down to its scan (DESIGN.md
 //!   §8).
 //!
-//! A node that its kind's typing rule rejects has no physical plan: a
-//! typed [`ExecError::Plan`], in release builds too.
+//! A node that its kind's typing rule rejects, or whose declared schema is
+//! not the one that rule derives, has no physical plan: the planner
+//! returns the typed [`VerifyError`] naming the deepest such node.
+//!
+//! [`lower`] plans once, in every build: [`crate::verify()`] plans the
+//! query and checks the plan it made, and [`instantiate`] builds that very
+//! plan. A `lower` therefore rejects exactly what `verify` rejects.
 
 use std::sync::Arc;
 
@@ -55,22 +60,14 @@ use crate::ops::{
     Sort, StreamAggregate,
 };
 use crate::plan::rules::{self, MergeInput};
-use crate::plan::{LogicalPlan, PlanError};
-use crate::{cost, BoxOp, ExecError, QueryContext};
+use crate::plan::LogicalPlan;
+use crate::{cost, BoxOp, ExecError, QueryContext, VerifyError};
 
-/// Lowers a logical plan to a physical operator pipeline:
-/// [`plan_physical`] under the context's configuration, then
-/// [`instantiate`].
+/// Lowers a logical plan to a physical operator pipeline: [`crate::verify()`]
+/// under the context's configuration, which plans it once and checks that
+/// plan, then [`instantiate`] of the very plan it checked.
 pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError> {
-    // Debug builds re-check every invariant lowering relies on through
-    // the independent verifier (`crate::verify`), so any test that
-    // executes a query also proves its plan well-formed. Release builds
-    // skip the walk; CI additionally sweeps all queries across a
-    // worker/partition/vector-size matrix (crates/tpch/tests).
-    #[cfg(debug_assertions)]
-    crate::verify::verify(plan, ctx.config())
-        .map_err(|e| ExecError::Plan(format!("plan verification failed: {e}")))?;
-    instantiate(&plan_physical(plan, ctx.config())?, ctx)
+    instantiate(&crate::verify(plan, ctx.config())?, ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,14 +203,33 @@ impl PhysNode<'_> {
 }
 
 /// The physical plan of one query under one [`ExecConfig`]: what
-/// [`instantiate`] builds, [`crate::verify()`] checks, [`crate::cost()`]
-/// prices and `explain_physical` renders.
+/// [`instantiate`] builds, [`crate::verify()`] checks and returns,
+/// [`crate::cost()`] prices and `explain_physical` renders.
 pub struct PhysicalPlan<'a> {
     /// The root node (implements the root of the logical plan).
     pub root: PhysNode<'a>,
+    /// What the abstract interpreter found while planning: the same
+    /// findings, in the same order, as [`crate::analyze()`]. Their hazards
+    /// are what [`crate::verify()`] rejects.
+    pub(crate) findings: Vec<AnalysisError>,
 }
 
 impl<'a> PhysicalPlan<'a> {
+    /// [`plan_physical`] with its rejection typed, for [`crate::verify()`].
+    pub(crate) fn new(plan: &'a LogicalPlan, cfg: &ExecConfig) -> Result<Self, VerifyError> {
+        let mut planner = Planner {
+            cfg,
+            workers: cfg.worker_threads.max(1),
+            next_id: 0,
+            findings: Vec::new(),
+        };
+        let root = planner.plan(plan, Feed::Free)?.node;
+        Ok(PhysicalPlan {
+            root,
+            findings: planner.findings,
+        })
+    }
+
     /// Every node, in pre-order ([`NodeId`] order for a planner-made plan).
     pub fn nodes(&self) -> Vec<&PhysNode<'a>> {
         let mut out = Vec::new();
@@ -232,30 +248,14 @@ impl<'a> PhysicalPlan<'a> {
 
 /// Plans `plan` physically under `cfg`. Pure: spawns nothing and touches
 /// no [`QueryContext`]. The only plans it rejects are those with a node
-/// its kind's typing rule rejects — [`crate::PlanBuilder`] and
-/// [`crate::verify()`] run the same rule.
+/// its kind's typing rule rejects or whose declared schema is not the
+/// one that rule derives — the [`VerifyError`] [`crate::verify()`]
+/// returns for them, as an [`ExecError::Plan`].
 pub fn plan_physical<'a>(
     plan: &'a LogicalPlan,
     cfg: &ExecConfig,
 ) -> Result<PhysicalPlan<'a>, ExecError> {
-    plan_with_findings(plan, cfg).map(|(phys, _)| phys)
-}
-
-/// [`plan_physical`] plus what the abstract interpreter found on the way
-/// — the same findings, in the same order, as [`crate::analyze()`] — so
-/// [`crate::verify()`] gates on them without interpreting the plan twice.
-pub(crate) fn plan_with_findings<'a>(
-    plan: &'a LogicalPlan,
-    cfg: &ExecConfig,
-) -> Result<(PhysicalPlan<'a>, Vec<AnalysisError>), ExecError> {
-    let mut planner = Planner {
-        cfg,
-        workers: cfg.worker_threads.max(1),
-        next_id: 0,
-        findings: Vec::new(),
-    };
-    let root = planner.plan(plan, Feed::Free)?.node;
-    Ok((PhysicalPlan { root }, planner.findings))
+    Ok(PhysicalPlan::new(plan, cfg)?)
 }
 
 /// How a node's consumer takes its output.
@@ -288,16 +288,13 @@ struct Planner<'c> {
 }
 
 impl Planner<'_> {
-    /// One bottom-up step per node: inputs first, then the abstract
-    /// interpreter's transfer function and the byte model's widths over
-    /// their results — each exactly once — and from those the node's
-    /// exchange and bounds. How an input is fed is structural (which
-    /// chains shard), so it is known before the input's facts are.
-    fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, ExecError> {
-        // A node no operator can run has no physical plan — in release
-        // builds too, which skip `verify` — by the typing rule the builder
-        // and the verifier call.
-        rules::output_types(plan).map_err(|err| rule_failed(plan, err))?;
+    /// One bottom-up step per node: inputs first, then the node's typing
+    /// rule, the abstract interpreter's transfer function and the byte
+    /// model's widths over their results — each exactly once — and from
+    /// those the node's exchange and bounds. How an input is fed is
+    /// structural (which chains shard), so it is known before the input's
+    /// facts are.
+    fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, VerifyError> {
         let id = NodeId(self.next_id);
         self.next_id += 1;
         // This node tops a chain compiled into worker fragments...
@@ -336,11 +333,21 @@ impl Planner<'_> {
                         Feed::Free
                     }
                 }
+                // By the merge-input verdict: beneath a sort on the key
+                // everything plans freely; a clustering-key chain runs
+                // serially, since its scan's row order is the key order.
+                // Any other input fails the join's own rule below.
                 LogicalPlan::MergeJoin {
                     left_key,
                     right_key,
                     ..
-                } => merge_feed(plan, input, if i == 0 { *left_key } else { *right_key }, i)?,
+                } => {
+                    let key = if i == 0 { *left_key } else { *right_key };
+                    match rules::merge_input(["left", "right"][i], input, key) {
+                        Ok(MergeInput::Clustered) => Feed::Serial,
+                        _ => Feed::Free,
+                    }
+                }
                 // A filter or projection passes its own feed on, so the
                 // rest of a serial chain runs serially too.
                 LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => feed,
@@ -355,6 +362,19 @@ impl Planner<'_> {
             widths[i] = planned.widths;
         }
         let n = children.len();
+
+        // A node no operator can run, or one declaring other types than
+        // it derives, has no physical plan. Checked once its inputs are,
+        // so the deepest fault is the one reported.
+        let derived = rules::output_types(plan).map_err(|err| rejected(plan, err))?;
+        let declared = plan.schema().types();
+        if declared != derived {
+            return Err(VerifyError::SchemaMismatch {
+                context: rules::node_name(plan),
+                declared,
+                derived,
+            });
+        }
 
         let in_widths = [&widths[0][..], &widths[1][..]];
         let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
@@ -457,26 +477,26 @@ fn agg_partitions(
     }
 }
 
-/// A merge-join input's feed, by the shared merge-input verdict: beneath
-/// a sort on the key everything plans freely; a clustering-key chain runs
-/// serially — its scan's row order is the key order.
-fn merge_feed(
-    join: &LogicalPlan,
-    input: &LogicalPlan,
-    key: usize,
-    side: usize,
-) -> Result<Feed, ExecError> {
-    let verdict = rules::merge_input(["left", "right"][side], input, key);
-    match verdict.map_err(|err| rule_failed(join, err))? {
-        MergeInput::Sorted => Ok(Feed::Free),
-        MergeInput::Clustered => Ok(Feed::Serial),
+/// A node's typing-rule failure, as the error naming that node.
+fn rejected(plan: &LogicalPlan, err: TypeError) -> VerifyError {
+    let context = rules::node_name(plan);
+    match err {
+        TypeError::ColumnOutOfRange { col, arity } => VerifyError::ColumnOutOfRange {
+            context,
+            col,
+            arity,
+        },
+        TypeError::Mismatch {
+            context: what,
+            expected,
+            found,
+        } => VerifyError::TypeMismatch {
+            context: format!("{context}: {what}"),
+            expected,
+            found,
+        },
+        TypeError::Invalid(reason) => VerifyError::Invalid { context, reason },
     }
-}
-
-/// A node's typing-rule failure, as the planner error naming that node.
-fn rule_failed(plan: &LogicalPlan, err: TypeError) -> ExecError {
-    let node = rules::node_name(plan);
-    ExecError::Plan(format!("{node}: {}", PlanError::from(err)))
 }
 
 // ---------------------------------------------------------------------------

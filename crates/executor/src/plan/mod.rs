@@ -47,7 +47,6 @@ pub use expr::{
     asc, col, count, desc, max_f64, max_i64, min_f64, min_i64, substr, sum_f64, sum_i64, NamedExpr,
     NamedPred,
 };
-pub(crate) use lower::plan_with_findings;
 pub use lower::{instantiate, lower, plan_physical, Exchange, NodeId, PhysNode, PhysicalPlan};
 
 use std::sync::Arc;

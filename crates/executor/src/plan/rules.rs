@@ -3,15 +3,14 @@
 //! Each rule takes a node's resolved positional fields and its inputs and
 //! returns the node's output types, or the [`TypeError`] that says why no
 //! operator can run the node. The rules are written once and called from
-//! three places, so they cannot drift apart:
+//! two places, so they cannot drift apart:
 //!
 //! * [`crate::PlanBuilder`] resolves names, calls the rule and zips the
 //!   types it returns with its alias names into the node's schema;
-//! * [`crate::verify()`] calls [`output_types`] on every node and compares
-//!   the result with the schema the node declares;
-//! * the physical planner calls [`output_types`] on every node too, and
-//!   maps the merge-input verdict ([`merge_input`]) to the feed of a merge
-//!   join's inputs.
+//! * the physical planner, which [`crate::verify()`] and every `lower`
+//!   run, calls [`output_types`] on every node, compares the result with
+//!   the schema the node declares, and maps the merge-input verdict
+//!   ([`merge_input`]) to the feed of a merge join's inputs.
 //!
 //! Expressions, predicates and aggregates are typed by their own shared
 //! functions ([`crate::Expr::type_of`], [`crate::Pred::check`],

@@ -1,22 +1,23 @@
-//! Independent plan-invariant verifier.
+//! Plan-invariant verifier.
 //!
-//! [`lower`](crate::plan::lower) relies on a set of invariants when it
-//! turns a [`LogicalPlan`] into a physical pipeline: every node types by
-//! its kind's rule and declares the schema that rule derives, merge joins
-//! only ever see key-sorted inputs, order-destroying exchanges never end
-//! up under order-sensitive ancestors, and only hash aggregates
+//! [`instantiate`](crate::plan::instantiate) relies on a set of
+//! invariants when it builds a [`PhysicalPlan`]'s operators: every node
+//! types by its kind's rule and declares the schema that rule derives,
+//! merge joins only ever see key-sorted inputs, order-destroying exchanges
+//! never end up under order-sensitive ancestors, and only hash aggregates
 //! partition. Labels are display names and need not be unique: instances
-//! key on their node's [`crate::NodeId`]. This module checks them:
+//! key on their node's [`crate::NodeId`]. [`verify`] plans the query once
+//! and checks the plan it made:
 //!
-//! 1. **Logical walk** ([`verify`], first phase): calls every node's
-//!    typing rule bottom-up — the one function per node kind
-//!    (`plan/rules.rs`) that [`crate::PlanBuilder`] builds the node with
-//!    and the physical planner plans it with, over the shared expression,
-//!    predicate and aggregate typing, exactly as strict as the evaluator
-//!    and the operators — and compares the types it derives with the
-//!    schema the node declares. The walk keeps no rule of its own: its
-//!    copies had drifted from the builder's and the planner's (DESIGN.md
-//!    §9). What it re-derives independently is each node's schema.
+//! 1. **Planning** ([`crate::plan_physical`]): the planner calls every
+//!    node's typing rule bottom-up — the one function per node kind
+//!    (`plan/rules.rs`) that [`crate::PlanBuilder`] builds the node with,
+//!    over the shared expression, predicate and aggregate typing, exactly
+//!    as strict as the evaluator and the operators — and compares the
+//!    types it derives with the schema the node declares. A node that
+//!    fails either has no physical plan. No second copy of the rules
+//!    exists: the copies this module once kept had drifted from the
+//!    builder's and the planner's (DESIGN.md §9).
 //! 2. **Physical plan** ([`verify_physical`]): translation validation of
 //!    the planner's actual output. It walks the very [`PhysicalPlan`]
 //!    [`instantiate`](crate::plan::instantiate) will build from, with one
@@ -30,11 +31,14 @@
 //!    position says, and an in-fragment join's build child stays outside
 //!    the fragments. The ordered-ancestor bit is what keeps a merge-join
 //!    input serial: no exchange restores an order.
+//! 3. **Hazards**: the abstract interpreter's findings, which planning
+//!    collects on the way, reject a plan with a reachable trap.
+//! 4. **Memory budget**: under [`ExecConfig::strict_memory`], a plan whose
+//!    proven peak exceeds the budget.
 //!
-//! In debug builds [`lower`](crate::plan::lower()) runs [`verify`] on
-//! every plan before lowering it, so any test executing a query exercises
-//! the verifier for free. Release builds skip it (the checks are pure
-//! overhead once a plan shape is proven); CI runs the standalone matrix
+//! [`lower`](crate::plan::lower()) is `instantiate(&verify(plan, cfg)?)`
+//! in every build, so every query that runs was checked, and the plan it
+//! runs is the plan that was checked. CI also runs the standalone matrix
 //! sweep in `crates/tpch/tests/verify_matrix.rs` across all 22 queries ×
 //! worker/partition/vector-size configurations.
 
@@ -42,8 +46,8 @@ use ma_vector::DataType;
 
 use crate::analyze::AnalysisError;
 use crate::config::ExecConfig;
-use crate::expr::TypeError;
-use crate::plan::{plan_with_findings, rules, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
+use crate::plan::{Exchange, LogicalPlan, PhysNode, PhysicalPlan};
+use crate::ExecError;
 
 /// A plan invariant violation found by [`verify`] or [`verify_physical`].
 ///
@@ -88,10 +92,10 @@ pub enum VerifyError {
     SchemaMismatch {
         /// Which node was being checked.
         context: String,
-        /// The type list the node declares.
-        declared: String,
-        /// The type list the rule derived.
-        derived: String,
+        /// The types the node declares.
+        declared: Vec<DataType>,
+        /// The types the rule derived.
+        derived: Vec<DataType>,
     },
     /// An order-destroying exchange sits under an order-sensitive
     /// ancestor without a materialization boundary in between.
@@ -175,10 +179,14 @@ impl std::fmt::Display for VerifyError {
                 context,
                 declared,
                 derived,
-            } => write!(
-                f,
-                "{context}: declared schema {declared} but derived {derived}"
-            ),
+            } => {
+                let list = |ts: &[DataType]| ts.iter().map(DataType::to_string).collect::<Vec<_>>();
+                let (declared, derived) = (list(declared).join(", "), list(derived).join(", "));
+                write!(
+                    f,
+                    "{context}: declared schema ({declared}) but derived ({derived})"
+                )
+            }
             VerifyError::OrderViolation { node } => write!(
                 f,
                 "{node} exchange under an order-sensitive ancestor would interleave \
@@ -222,24 +230,32 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verifies every invariant of `plan` that [`crate::lower`] relies on:
-/// the logical walk (every node's typing rule against its declared
-/// schema), then [`verify_physical`] over the physical plan `cfg`
-/// produces, the analyzer's hazards and, under `strict_memory`, the
-/// memory budget. `Ok(())` means the plan is safe to lower under `cfg`.
-pub fn verify(plan: &LogicalPlan, cfg: &ExecConfig) -> Result<(), VerifyError> {
-    check_plan(plan)?;
+impl From<VerifyError> for ExecError {
+    fn from(e: VerifyError) -> Self {
+        ExecError::Plan(e.to_string())
+    }
+}
+
+/// Plans `plan` under `cfg` and checks every invariant of that plan that
+/// [`instantiate`](crate::plan::instantiate) relies on: the planner's own
+/// rejections (every node's typing rule against its declared schema),
+/// then [`verify_physical`], the analyzer's hazards and, under
+/// `strict_memory`, the memory budget. Returns the plan it checked, which
+/// is safe to instantiate under `cfg`.
+pub fn verify<'a>(
+    plan: &'a LogicalPlan,
+    cfg: &ExecConfig,
+) -> Result<PhysicalPlan<'a>, VerifyError> {
+    let phys = PhysicalPlan::new(plan, cfg)?;
+    verify_physical(&phys)?;
     // Planning interprets the plan abstractly anyway, so its findings
     // double as phase 3. Only *hazards* (reachable traps) fail
     // verification; warnings (possible wraps, checked-panic sum bounds,
     // contradictions) are reported by `crate::analyze::analyze` and the
     // `repro analyze` CLI instead — see `AnalysisError::is_hazard` for the
     // rationale.
-    let (phys, findings) = plan_with_findings(plan, cfg)
-        .expect("phase 1 ran every node's typing rule, the planner's one rejection");
-    verify_physical(&phys)?;
-    if let Some(err) = findings.into_iter().find(AnalysisError::is_hazard) {
-        return Err(VerifyError::Analysis { err });
+    if let Some(err) = phys.findings.iter().find(|e| e.is_hazard()) {
+        return Err(VerifyError::Analysis { err: err.clone() });
     }
     // Phase 4: memory/cost bounds. Budget findings are warnings by
     // default (surfaced by `repro analyze` / `repro mem`); under
@@ -254,57 +270,7 @@ pub fn verify(plan: &LogicalPlan, cfg: &ExecConfig) -> Result<(), VerifyError> {
             });
         }
     }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// phase 1: the logical walk
-// ---------------------------------------------------------------------------
-
-/// Every node, inputs first, types by its kind's rule and declares the
-/// types that rule derives (types only: aliases are presentation, types
-/// are what operators execute against).
-fn check_plan(plan: &LogicalPlan) -> Result<(), VerifyError> {
-    for input in plan.children() {
-        check_plan(input)?;
-    }
-    let derived = rules::output_types(plan).map_err(|err| typing(err, plan))?;
-    let declared = plan.schema().fields().iter().map(|f| f.ty);
-    if declared.clone().eq(derived.iter().copied()) {
-        return Ok(());
-    }
-    Err(VerifyError::SchemaMismatch {
-        context: rules::node_name(plan),
-        declared: fmt_types(declared),
-        derived: fmt_types(derived.into_iter()),
-    })
-}
-
-fn fmt_types(types: impl Iterator<Item = DataType>) -> String {
-    let types: Vec<String> = types.map(|t| t.to_string()).collect();
-    format!("({})", types.join(", "))
-}
-
-/// A node's typing-rule failure, as the error naming that node.
-fn typing(err: TypeError, plan: &LogicalPlan) -> VerifyError {
-    let context = rules::node_name(plan);
-    match err {
-        TypeError::ColumnOutOfRange { col, arity } => VerifyError::ColumnOutOfRange {
-            context,
-            col,
-            arity,
-        },
-        TypeError::Mismatch {
-            context: what,
-            expected,
-            found,
-        } => VerifyError::TypeMismatch {
-            context: format!("{context}: {what}"),
-            expected,
-            found,
-        },
-        TypeError::Invalid(reason) => VerifyError::Invalid { context, reason },
-    }
+    Ok(phys)
 }
 
 // ---------------------------------------------------------------------------

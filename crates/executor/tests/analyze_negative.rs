@@ -13,7 +13,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ma_executor::plan::{col, count, lit_i64, sum_i64, PlanBuilder};
-use ma_executor::{analyze, verify, AnalysisError, CmpKind, ExecConfig, Value, VerifyError};
+use ma_executor::{
+    analyze, lower, verify, AnalysisError, CmpKind, ExecConfig, ExecError, QueryContext, Value,
+    VerifyError,
+};
+use ma_primitives::build_dictionary;
 use ma_vector::{ColumnBuilder, DataType, Table};
 
 use ma_executor::plan::NamedPred;
@@ -104,6 +108,16 @@ fn division_by_column_containing_zero_is_a_hazard() {
         }) => {}
         other => panic!("expected analysis rejection, got {other:?}"),
     }
+    // So does `lower`, in every build, before any operator exists: a
+    // release `lower` used to build the plan, which then trapped on its
+    // first chunk.
+    let ctx = QueryContext::new(Arc::new(build_dictionary()), ExecConfig::fixed_default());
+    match lower(&plan, &ctx) {
+        Err(ExecError::Plan(m)) => assert!(m.starts_with("analysis: "), "{m}"),
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("lowered a plan with a reachable division by zero"),
+    }
+    assert!(ctx.reports().is_empty(), "an operator was built");
 }
 
 #[test]

@@ -14,7 +14,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ma_executor::plan::{asc, sum_i64, LogicalPlan, PlanBuilder};
-use ma_executor::{cost, verify, CostFinding, ExecConfig, VerifyError};
+use ma_executor::{
+    cost, lower, verify, CostFinding, ExecConfig, ExecError, QueryContext, VerifyError,
+};
+use ma_primitives::build_dictionary;
 use ma_vector::{ColumnBuilder, DataType, Table};
 
 fn catalog(rows: usize) -> HashMap<String, Arc<Table>> {
@@ -153,6 +156,21 @@ fn strict_verdict_flips_exactly_at_the_proven_peak() {
             assert_eq!(budget, peak - 1);
         }
         other => panic!("expected MemoryBudget rejection, got {other:?}"),
+    }
+    // `lower` gates the same way in every build, before any operator
+    // allocates.
+    let ctx = |cfg: &ExecConfig| QueryContext::new(Arc::new(build_dictionary()), cfg.clone());
+    lower(&plan, &ctx(&at)).unwrap();
+    match lower(&plan, &ctx(&below)) {
+        Err(ExecError::Plan(m)) => {
+            let want = VerifyError::MemoryBudget {
+                peak_bytes: peak,
+                budget: peak - 1,
+            };
+            assert_eq!(m, want.to_string());
+        }
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("lowered a plan over its strict memory budget"),
     }
 }
 

@@ -262,7 +262,7 @@ fn left_single_str_payload_rejected() {
             Field::new("bs", DataType::Str),
         ]),
     };
-    // Planned and built without the verifier, as a release build would.
+    // Planned and built without the verifier.
     let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
     match plan_physical(&plan, &cfg()).and_then(|phys| ma_executor::instantiate(&phys, &ctx)) {
         Err(ma_executor::ExecError::Plan(m)) => {
@@ -288,8 +288,8 @@ fn left_single_str_payload_rejected() {
 /// A merge join whose left input is sorted by another column than the
 /// join key. `verify` and the builder always rejected it, but
 /// `plan_physical` planned any sort input, so a release `lower` (which
-/// skips `verify`) ran it and the merge dropped matches. All three now
-/// share one merge-input rule.
+/// then skipped `verify`) ran it and the merge dropped matches. All three
+/// now share one merge-input rule.
 #[test]
 fn merge_over_a_sort_on_another_column_has_no_physical_plan() {
     let c = catalog(100);
@@ -424,6 +424,20 @@ fn declared_schema_mismatch_rejected() {
     match verify(&plan, &cfg()) {
         Err(VerifyError::SchemaMismatch { .. }) => {}
         other => panic!("expected SchemaMismatch, got {other:?}"),
+    }
+    // The planner owns the check, so no `lower` runs the plan: it used to
+    // plan, build and return 100 rows read as i32.
+    let want = "project \"proj\": declared schema (i32) but derived (i64)";
+    match plan_physical(&plan, &cfg()) {
+        Err(ma_executor::ExecError::Plan(m)) => assert_eq!(m, want),
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("planned a mis-declared projection"),
+    }
+    let ctx = ma_executor::QueryContext::new(Arc::new(ma_primitives::build_dictionary()), cfg());
+    match ma_executor::lower(&plan, &ctx) {
+        Err(ma_executor::ExecError::Plan(m)) => assert_eq!(m, want),
+        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
+        Ok(_) => panic!("lowered a mis-declared projection"),
     }
 }
 
@@ -671,8 +685,8 @@ fn empty_lane_rejected() {
 
 /// Only hash aggregates have a partitioned form: a partitioning exchange
 /// on any other node is rejected — by the verifier and by `instantiate`
-/// (release builds skip the verifier) — instead of quietly running that
-/// node unpartitioned.
+/// (a hand-built plan need not pass the verifier) — instead of quietly
+/// running that node unpartitioned.
 #[test]
 fn partitioning_a_non_aggregate_rejected() {
     let c = catalog(BIG);

@@ -37,8 +37,8 @@ use ma_executor::frontend::{self, parse};
 use ma_executor::ops::FrozenStore;
 use ma_executor::plan::{col, lit_f64, lit_i64, substr, NamedExpr, NamedPred};
 use ma_executor::{
-    lower, verify, Agg, AggFunc, ArithKind, CmpKind, DecodeMode, ExecConfig, Expr, NumType, Pred,
-    QueryContext, SortKey, Value,
+    instantiate, verify, Agg, AggFunc, ArithKind, CmpKind, DecodeMode, ExecConfig, Expr, NumType,
+    Pred, QueryContext, SortKey, Value,
 };
 use ma_primitives::build_dictionary;
 use ma_vector::{DataType, Vector};
@@ -465,14 +465,14 @@ impl Fuzzer {
             kind: CheckFailKind::Compile,
             detail: e.to_string(),
         })?;
-        // Release builds skip the debug-assertion verifier inside
-        // `lower`; the fuzzer checks every configuration explicitly.
-        verify(&plan, cfg).map_err(|e| CheckFail {
+        // `lower` in two steps, so a verifier rejection stays apart from a
+        // failure to build or run the plan it checked.
+        let phys = verify(&plan, cfg).map_err(|e| CheckFail {
             kind: CheckFailKind::Verify,
             detail: e.to_string(),
         })?;
         let ctx = QueryContext::new(Arc::clone(&self.dict), cfg.clone());
-        let mut op = lower(&plan, &ctx).map_err(|e| CheckFail {
+        let mut op = instantiate(&phys, &ctx).map_err(|e| CheckFail {
             kind: CheckFailKind::Exec,
             detail: e.to_string(),
         })?;

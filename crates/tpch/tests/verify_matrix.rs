@@ -365,6 +365,24 @@ fn planning_runs_the_analyzer_once_per_node() {
     }
 }
 
+/// `lower` plans each query once, in every build: it instantiates the
+/// plan `verify` checked instead of planning again for `instantiate`.
+#[test]
+fn lowering_plans_each_query_once() {
+    let cfg = config(4, 0, 1024);
+    let dict = Arc::new(ma_primitives::build_dictionary());
+    for q in [5, 9] {
+        let plan = query_plan(q, db(), &Params::default())
+            .and_then(|pb| Ok(pb.build()?))
+            .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let ctx = QueryContext::new(Arc::clone(&dict), cfg.clone());
+        let before = ma_executor::analyze::transfer_count();
+        drop(lower(&plan, &ctx).unwrap());
+        let transfers = ma_executor::analyze::transfer_count() - before;
+        assert_eq!(transfers, node_count(&plan), "Q{q}");
+    }
+}
+
 /// `analyze::render` (the `repro analyze` output) interprets each logical
 /// node exactly once too: rendering used to re-interpret every node's
 /// whole subtree, O(nodes × depth).
