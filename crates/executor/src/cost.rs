@@ -441,8 +441,9 @@ fn pow2_cap(n: usize) -> u64 {
 /// One [`crate::ops::HashAggregate`] instance holding up to `g` groups of
 /// an input with column widths `w_in`: group-table slots (16 bytes each at
 /// ≤50% load), stored key bytes for the byte-keyed table path, one key
-/// builder per group column, accumulators (16 bytes for `sum_i64`'s
-/// 128-bit sums, 8 otherwise), plus one emitted output copy.
+/// column per group column read back from the table at emission,
+/// accumulators (16 bytes for `sum_i64`'s 128-bit sums, 8 otherwise),
+/// plus one emitted output copy.
 fn agg_instance_bound(
     g: usize,
     w_in: &[Width],
@@ -476,7 +477,7 @@ fn agg_instance_bound(
             .saturating_mul(16)
             .saturating_add(g64.saturating_mul(ser.saturating_add(8)))
     };
-    let builders = keys.iter().fold(0u64, |a, &k| {
+    let key_cols = keys.iter().fold(0u64, |a, &k| {
         a.saturating_add(g64.saturating_mul(w_in[k].raw))
     });
     let accs = aggs.iter().fold(0u64, |a, s| {
@@ -491,7 +492,7 @@ fn agg_instance_bound(
         .fold(0u64, |a, &k| a.saturating_add(w_in[k].raw))
         .saturating_add(8u64.saturating_mul(aggs.len() as u64));
     table
-        .saturating_add(builders)
+        .saturating_add(key_cols)
         .saturating_add(accs)
         .saturating_add(g64.saturating_mul(out_row_w))
 }

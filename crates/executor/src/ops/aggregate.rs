@@ -14,7 +14,7 @@ use ma_primitives::{
     AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable, MapHash, MapHashStr,
     StrGroupInsertCheck, StrGroupTable,
 };
-use ma_vector::{ColumnBuilder, DataChunk, DataType, Field, Schema, SelVec, Vector};
+use ma_vector::{DataChunk, DataType, Field, Schema, SelVec, StrVec, Vector};
 
 use crate::adaptive::HeurKind;
 use crate::expr::{Agg, AggFunc, NumType};
@@ -201,6 +201,11 @@ enum KeyTable {
     },
 }
 
+/// The most groups [`HashAggregate::with_group_bound`] sizes the table for
+/// up front: 2^17 groups is a 4 MiB slot array, a typical L2 cache. A
+/// larger bound grows the table as groups arrive.
+const PRESIZE_GROUPS: usize = 1 << 17;
+
 /// How many new groups to reserve room for before an insertcheck pass:
 /// `live` (every live tuple may open a group) clamped to the groups a
 /// proven bound still permits — a sound bound guarantees at most
@@ -338,6 +343,47 @@ impl KeyRows {
         }
         Ok(())
     }
+
+    /// The key columns of `types` back out of rows [`KeyRows::fill`]
+    /// wrote, one value per row: the rows are consumed front to back, one
+    /// key column at a time.
+    fn decode_columns(mut rows: Vec<&[u8]>, types: &[DataType]) -> Vec<Vector> {
+        types
+            .iter()
+            .map(|ty| match ty {
+                DataType::I16 => Vector::I16(read_keys(&mut rows, i16::from_le_bytes)),
+                DataType::I32 => Vector::I32(read_keys(&mut rows, i32::from_le_bytes)),
+                DataType::I64 => Vector::I64(read_keys(&mut rows, i64::from_le_bytes)),
+                DataType::F64 => unreachable!("HashAggregate::new rejects f64 group keys"),
+                DataType::Str => {
+                    let strs: Vec<&[u8]> = rows
+                        .iter_mut()
+                        .map(|r| {
+                            let len = u32::from_le_bytes(split_key(r));
+                            let (s, rest) = r.split_at(len as usize);
+                            *r = rest;
+                            s
+                        })
+                        .collect();
+                    Vector::Str(StrVec::from_byte_slices(strs.iter().copied()))
+                }
+            })
+            .collect()
+    }
+}
+
+/// Splits the first `N` bytes off a key row.
+fn split_key<const N: usize>(row: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = row.split_at(N);
+    *row = rest;
+    let mut bytes = [0; N];
+    bytes.copy_from_slice(head);
+    bytes
+}
+
+/// One integer key column, split off the front of every key row.
+fn read_keys<T, const N: usize>(rows: &mut [&[u8]], from_le: fn([u8; N]) -> T) -> Vec<T> {
+    rows.iter_mut().map(|r| from_le(split_key(r))).collect()
 }
 
 // --- the operator ------------------------------------------------------------
@@ -349,7 +395,6 @@ pub struct HashAggregate {
     hash_steps: Vec<HashStep>,
     key_table: KeyTable,
     accs: Vec<AccBuf>,
-    key_builders: Vec<ColumnBuilder>,
     types: Vec<DataType>,
     vector_size: usize,
     done: Option<std::vec::IntoIter<DataChunk>>,
@@ -434,18 +479,12 @@ impl HashAggregate {
             .map(|s| AccBuf::create(s, scope))
             .collect::<Result<Vec<_>, _>>()?;
 
-        let key_builders = group_cols
-            .iter()
-            .map(|&c| ColumnBuilder::with_capacity(in_types[c], 1024))
-            .collect();
-
         Ok(HashAggregate {
             child,
             group_cols,
             hash_steps,
             key_table,
             accs,
-            key_builders,
             types,
             vector_size: scope.ctx().vector_size(),
             done: None,
@@ -459,24 +498,29 @@ impl HashAggregate {
         })
     }
 
-    /// Clamps speculative reservations to the analyzer's proven
-    /// distinct-group bound: key builders pre-allocate `min(1024, bound)`
-    /// rows, and per-chunk group-table reserves never exceed the groups
-    /// the bound still permits. Call before the first chunk is consumed.
-    pub fn with_group_bound(mut self, bound: usize) -> Self {
+    /// Takes the analyzer's proven distinct-group `bound` and the proven
+    /// bound on the rows the aggregate consumes. Per-chunk reserves never
+    /// exceed the groups `bound` still permits. A `bound` below
+    /// `input_rows` was proven from the keys' distinct counts, so the
+    /// table is sized for it once, up to [`PRESIZE_GROUPS`], and does not
+    /// rehash as the groups arrive; a bound of one group per input row
+    /// says nothing about the groups there will be, and the table grows
+    /// as they arrive instead of starting sparse. Call before the first
+    /// chunk is consumed.
+    pub fn with_group_bound(mut self, bound: usize, input_rows: usize) -> Self {
         self.group_hint = Some(bound);
-        let cap = bound.min(1024);
-        self.key_builders = self
-            .group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, _)| ColumnBuilder::with_capacity(self.types[i], cap))
-            .collect();
+        if bound < input_rows {
+            let groups = bound.min(PRESIZE_GROUPS);
+            match &mut self.key_table {
+                KeyTable::Int { table, .. } => table.reserve(groups),
+                KeyTable::Bytes { table, .. } => table.reserve(groups),
+            }
+        }
         self
     }
 
     /// Attaches a byte-accounting slot; the operator records its live
-    /// table + builder + accumulator bytes after every consumed chunk.
+    /// table + accumulator bytes after every consumed chunk.
     pub fn with_tracker(mut self, tracker: crate::adaptive::MemTracker) -> Self {
         self.tracker = Some(tracker);
         self
@@ -488,15 +532,11 @@ impl HashAggregate {
             KeyTable::Int { table, .. } => table.bytes(),
             KeyTable::Bytes { table, .. } => table.bytes(),
         };
-        let builders = self
-            .key_builders
-            .iter()
-            .fold(0u64, |a, b| a.saturating_add(b.bytes() as u64));
         let accs = self
             .accs
             .iter()
             .fold(0u64, |a, b| a.saturating_add(b.bytes()));
-        table.saturating_add(builders).saturating_add(accs)
+        table.saturating_add(accs)
     }
 
     fn consume_chunk(&mut self, chunk: &DataChunk) -> Result<(), ExecError> {
@@ -527,7 +567,7 @@ impl HashAggregate {
         }
 
         // 2. insertcheck (group-id assignment)
-        let (prev_groups, groups_now) = match &mut self.key_table {
+        let groups_now = match &mut self.key_table {
             KeyTable::Int { table, insert } => {
                 let prev = table.groups();
                 // The one hash step above left this column's normalized
@@ -541,8 +581,7 @@ impl HashAggregate {
                     prev as usize,
                     self.group_hint,
                 ));
-                let now = insert.invoke(live, |f| f(table, hashes, keys, gids, sel));
-                (prev, now)
+                insert.invoke(live, |f| f(table, hashes, keys, gids, sel))
             }
             KeyTable::Bytes { table, insert } => {
                 let prev = table.groups();
@@ -561,8 +600,7 @@ impl HashAggregate {
                         (&self.key_rows.arena, &self.key_rows.views)
                     }
                 };
-                let now = insert.invoke(live, |f| f(table, hashes, arena, views, gids, sel));
-                (prev, now)
+                insert.invoke(live, |f| f(table, hashes, arena, views, gids, sel))
             }
         };
 
@@ -578,28 +616,7 @@ impl HashAggregate {
             }
         }
 
-        // 3. record representative key values for new groups, in gid order
-        // (insertcheck assigns fresh gids densely, in position order).
-        if groups_now > prev_groups {
-            let mut next = prev_groups;
-            for_each_live(sel, n, |p| {
-                if gids[p] == next {
-                    for (b, &c) in self.key_builders.iter_mut().zip(&self.group_cols) {
-                        match chunk.column(c).as_ref() {
-                            Vector::I16(v) => b.push_i16(v[p]),
-                            Vector::I32(v) => b.push_i32(v[p]),
-                            Vector::I64(v) => b.push_i64(v[p]),
-                            Vector::F64(v) => b.push_f64(v[p]),
-                            Vector::Str(v) => b.push_str(v.get(p)),
-                        }
-                    }
-                    next += 1;
-                }
-            });
-            debug_assert_eq!(next, groups_now, "dense gid assignment violated");
-        }
-
-        // 4. update accumulators
+        // 3. update accumulators
         for acc in &mut self.accs {
             acc.grow(groups_now as usize);
             acc.update(chunk, gids, sel, live);
@@ -609,6 +626,32 @@ impl HashAggregate {
             t.record(self.resident_bytes());
         }
         Ok(())
+    }
+
+    /// The group key columns in gid order, read back from the group table:
+    /// an integer key from its `(key, gid)` slots, a string key or a
+    /// composite key row from the stored key bytes.
+    fn key_columns(&self) -> Vec<Vector> {
+        let key_types = &self.types[..self.group_cols.len()];
+        let table = match &self.key_table {
+            KeyTable::Int { table, .. } => {
+                // Keys were normalized to i64 from the column's own type,
+                // so narrowing them back is exact.
+                let keys = table.keys_by_gid().into_iter().map(|k| k as i64);
+                return vec![match key_types[0] {
+                    DataType::I16 => Vector::I16(keys.map(|k| k as i16).collect()),
+                    DataType::I32 => Vector::I32(keys.map(|k| k as i32).collect()),
+                    _ => Vector::I64(keys.collect()),
+                }];
+            }
+            KeyTable::Bytes { table, .. } => table,
+        };
+        let groups = table.groups();
+        let keys = (0..groups).map(|gid| table.key(gid));
+        if let [DataType::Str] = key_types {
+            return vec![Vector::Str(StrVec::from_byte_slices(keys))];
+        }
+        KeyRows::decode_columns(keys.collect(), key_types)
     }
 
     fn finalize(&mut self) -> Vec<DataChunk> {
@@ -621,12 +664,10 @@ impl HashAggregate {
             acc.grow(groups);
         }
         let mut store = RowStore::new(self.types.clone());
-        // Build one big chunk column-wise: keys then aggregates.
+        // Build one big chunk column-wise: keys, read back from the group
+        // table in gid order, then aggregates.
         let mut cols: Vec<Arc<Vector>> = Vec::with_capacity(self.types.len());
-        for b in std::mem::take(&mut self.key_builders) {
-            let col = b.finish();
-            cols.push(Arc::new(col.slice_vector(0, groups)));
-        }
+        cols.extend(self.key_columns().into_iter().map(Arc::new));
         for acc in std::mem::take(&mut self.accs) {
             cols.push(Arc::new(acc.finish()));
         }
@@ -816,7 +857,7 @@ mod tests {
     use crate::ops::{collect, total_rows, Scan, Select};
     use crate::QueryContext;
     use ma_primitives::build_dictionary;
-    use ma_vector::{StrVec, Table};
+    use ma_vector::{ColumnBuilder, Table};
 
     fn ctx() -> QueryContext {
         QueryContext::new(Arc::new(build_dictionary()), ExecConfig::fixed_default())

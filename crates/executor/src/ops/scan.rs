@@ -15,6 +15,13 @@
 //! [`MorselQueue`] so several workers shard one table. Because morsels are
 //! vector-aligned, the multiset of chunk boundaries is identical in both
 //! modes — only which worker produces a chunk varies.
+//!
+//! A scan may carry [`ZoneGuard`]s, the integer range conjuncts of the
+//! Filter directly above it. A frame-of-reference partition's `base` and
+//! `width` bound every value it holds to `[base, base + 2^width - 1]`, a
+//! zone map the codec stores anyway; a chunk all of whose partitions some
+//! guard rules out is skipped before anything is decoded. Skipping moves
+//! no chunk boundary and drops only rows the Filter would drop.
 
 use std::sync::Arc;
 
@@ -53,6 +60,26 @@ enum ColDecoder {
     DictStr(PrimInstance<DecodeDictCol>),
 }
 
+/// A zone-map guard: only rows whose scanned column `col` (an output
+/// position of the scan) lies in `[lo, hi]` can pass the Filter above the
+/// scan. `lo > hi` is the empty range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZoneGuard {
+    /// Output position of the guarded column.
+    pub col: usize,
+    /// Least value that can pass.
+    pub lo: i128,
+    /// Greatest value that can pass.
+    pub hi: i128,
+}
+
+impl ZoneGuard {
+    /// Whether a value in `[lo, hi]` can pass the guard.
+    fn admits(&self, lo: i128, hi: i128) -> bool {
+        self.lo <= hi && lo <= self.hi
+    }
+}
+
 /// Scan over selected columns of a table (sequential or morsel-sharded).
 pub struct Scan {
     table: Arc<Table>,
@@ -61,6 +88,9 @@ pub struct Scan {
     vector_size: usize,
     cursor: Cursor,
     decoders: Vec<ColDecoder>,
+    /// Per encoded partition: whether some guard rules out every value it
+    /// holds. Empty without guards.
+    ruled_out: Vec<bool>,
 }
 
 impl Scan {
@@ -85,7 +115,37 @@ impl Scan {
             vector_size,
             cursor,
             decoders,
+            ruled_out: Vec::new(),
         })
+    }
+
+    /// Attaches zone-map guards: chunks whose every partition some guard
+    /// rules out are skipped undecoded. Only frame-of-reference columns
+    /// carry the partition ranges; a guard on any other column rules
+    /// nothing out.
+    pub fn with_guards(mut self, guards: &[ZoneGuard]) -> Result<Self, ExecError> {
+        for g in guards {
+            let &i = self.col_idx.get(g.col).ok_or_else(|| {
+                ExecError::Plan(format!(
+                    "zone guard on column {} of a {}-column scan",
+                    g.col,
+                    self.col_idx.len()
+                ))
+            })?;
+            let Column::Enc(e) = self.table.column_at(i) else {
+                continue;
+            };
+            let EncColumn::For(c) = &**e else {
+                continue;
+            };
+            self.ruled_out.resize(c.parts.len(), false);
+            for (dead, p) in self.ruled_out.iter_mut().zip(&c.parts) {
+                let lo = i128::from(p.base);
+                let hi = lo + ((1i128 << p.width) - 1);
+                *dead |= !g.admits(lo, hi);
+            }
+        }
+        Ok(self)
     }
 
     /// Attaches flavored decode instances for every encoded column, one
@@ -244,8 +304,15 @@ fn decode_dict_slice(
 
 impl Operator for Scan {
     fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-        let Some((start, n)) = self.next_slice() else {
-            return Ok(None);
+        let (start, n) = loop {
+            let Some((start, n)) = self.next_slice() else {
+                return Ok(None);
+            };
+            let skip = !self.ruled_out.is_empty()
+                && part_ranges(start, n).all(|(p, _, _)| self.ruled_out[p]);
+            if !skip {
+                break (start, n);
+            }
         };
         let mut cols = Vec::with_capacity(self.col_idx.len());
         for (k, &i) in self.col_idx.iter().enumerate() {

@@ -21,7 +21,7 @@ use ma_vector::Schema;
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
-use crate::ops::{JoinKind, ProjItem};
+use crate::ops::{JoinKind, ProjItem, ZoneGuard};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
@@ -51,6 +51,17 @@ impl fmt::Debug for PhysicalPlan<'_> {
     /// Debug output reuses the physical EXPLAIN rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self}")
+    }
+}
+
+/// A zone guard as the comparison it stands for: `lo <= col <= hi`, with
+/// an unbounded side left out and `col = v` for a point.
+fn render_guard(g: &ZoneGuard, col: &str) -> String {
+    match (g.lo, g.hi) {
+        (lo, hi) if lo == hi => format!("{col} = {lo}"),
+        (i128::MIN, hi) => format!("{col} <= {hi}"),
+        (lo, i128::MAX) => format!("{col} >= {lo}"),
+        (lo, hi) => format!("{lo} <= {col} <= {hi}"),
     }
 }
 
@@ -99,16 +110,20 @@ fn fmt_node(
                     Some(format!("{name}:{e}"))
                 })
                 .collect();
-            if encs.is_empty() {
-                writeln!(f, "Scan {} ({scan_mode}) -> {schema}", table.name())
-            } else {
-                writeln!(
-                    f,
-                    "Scan {} ({scan_mode}) enc=[{}] -> {schema}",
-                    table.name(),
-                    encs.join(", ")
-                )
+            write!(f, "Scan {} ({scan_mode}) ", table.name())?;
+            if !encs.is_empty() {
+                write!(f, "enc=[{}] ", encs.join(", "))?;
             }
+            // The zone-map guards the planner gave the scan.
+            let guards: Vec<String> = phys
+                .map_or(&[][..], |p| &p.guards[..])
+                .iter()
+                .map(|g| render_guard(g, &cols[g.col]))
+                .collect();
+            if !guards.is_empty() {
+                write!(f, "guards=[{}] ", guards.join(", "))?;
+            }
+            writeln!(f, "-> {schema}")
         }
         LogicalPlan::Filter {
             input,

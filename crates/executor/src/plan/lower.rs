@@ -47,17 +47,18 @@
 
 use std::sync::Arc;
 
-use ma_vector::{MorselQueue, Table, VECTORS_PER_MORSEL};
+use ma_vector::encode::EncColumn;
+use ma_vector::{Column, MorselQueue, Table, VECTORS_PER_MORSEL};
 
 use crate::adaptive::NodeScope;
 use crate::analyze::{AnalysisError, Facts};
 use crate::config::ExecConfig;
 use crate::cost::Width;
-use crate::expr::TypeError;
+use crate::expr::{CmpKind, CmpRhs, Pred, TypeError, Value};
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
     HashAggregate, HashJoin, HashPartitionExchange, MergeJoin, Parallel, Scan, Select, SharedBuild,
-    Sort, StreamAggregate,
+    Sort, StreamAggregate, ZoneGuard,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -188,6 +189,10 @@ pub struct PhysNode<'a> {
     /// Proven peak resident bytes of **one** operator instance (0 for
     /// streaming filters and projections).
     pub instance_bytes: u64,
+    /// For a scan directly under a Filter: the Filter's integer range
+    /// conjuncts on frame-of-reference columns, which let the scan skip
+    /// the partitions their zone maps rule out. Empty everywhere else.
+    pub guards: Vec<ZoneGuard>,
 }
 
 impl PhysNode<'_> {
@@ -362,6 +367,12 @@ impl Planner<'_> {
             widths[i] = planned.widths;
         }
         let n = children.len();
+        // A scan skips what the Filter directly above it would empty.
+        if let (LogicalPlan::Filter { pred, .. }, [scan]) = (plan, &mut children[..]) {
+            if let LogicalPlan::Scan { table, cols, .. } = scan.logical {
+                scan.guards = zone_guards(pred, table, cols);
+            }
+        }
 
         // A node no operator can run, or one declaring other types than
         // it derives, has no physical plan. Checked once its inputs are,
@@ -417,6 +428,7 @@ impl Planner<'_> {
             fragments: if in_fragment { self.workers } else { 1 },
             rows: facts.rows,
             instance_bytes,
+            guards: Vec::new(),
         };
         Ok(Planned {
             node,
@@ -475,6 +487,59 @@ fn agg_partitions(
     } else {
         cost::pick_partitions(demand, threshold, fanout)
     }
+}
+
+/// The zone-map guards a Filter's predicate gives the scan beneath it:
+/// one inclusive range per frame-of-reference column, intersected over the
+/// top-level conjuncts (nested ANDs flattened) of the form `column
+/// {<, <=, >, >=, =} integer constant`. `<>`, OR branches, column-to-column
+/// comparisons and columns in any other storage give none.
+fn zone_guards(pred: &Pred, table: &Table, cols: &[String]) -> Vec<ZoneGuard> {
+    let mut guards: Vec<ZoneGuard> = Vec::new();
+    let mut conjuncts = vec![pred];
+    while let Some(p) = conjuncts.pop() {
+        let (col, op, v) = match p {
+            Pred::And(ps) => {
+                conjuncts.extend(ps.iter().rev());
+                continue;
+            }
+            Pred::Cmp {
+                col,
+                op,
+                rhs: CmpRhs::Const(v),
+            } => (*col, *op, v),
+            _ => continue,
+        };
+        let zoned = cols
+            .get(col)
+            .and_then(|name| table.column(name).ok())
+            .is_some_and(|c| matches!(c, Column::Enc(e) if matches!(**e, EncColumn::For(_))));
+        if !zoned {
+            continue;
+        }
+        let v = match v {
+            Value::I16(v) => i128::from(*v),
+            Value::I32(v) => i128::from(*v),
+            Value::I64(v) => i128::from(*v),
+            Value::F64(_) | Value::Str(_) => continue,
+        };
+        let (lo, hi) = match op {
+            CmpKind::Lt => (i128::MIN, v - 1),
+            CmpKind::Le => (i128::MIN, v),
+            CmpKind::Gt => (v + 1, i128::MAX),
+            CmpKind::Ge => (v, i128::MAX),
+            CmpKind::Eq => (v, v),
+            CmpKind::Ne => continue,
+        };
+        match guards.iter_mut().find(|g| g.col == col) {
+            Some(g) => {
+                g.lo = g.lo.max(lo);
+                g.hi = g.hi.min(hi);
+            }
+            None => guards.push(ZoneGuard { col, lo, hi }),
+        }
+    }
+    guards
 }
 
 /// A node's typing-rule failure, as the error naming that node.
@@ -599,7 +664,10 @@ impl<'p, 'a> ScanChain<'p, 'a> {
             lw.ctx.vector_size(),
             Arc::clone(queue),
         )?;
-        let mut op: BoxOp = Box::new(scan.with_context(&lw.scope(self.scan))?);
+        let scan = scan
+            .with_guards(&self.scan.guards)?
+            .with_context(&lw.scope(self.scan))?;
+        let mut op: BoxOp = Box::new(scan);
         for stage in &self.stages {
             op = match stage {
                 Stage::Stream(node) => stream_op(node.logical, op, &lw.scope(node))?,
@@ -708,7 +776,7 @@ impl Lowering<'_> {
                     let scope = self.scope(node);
                     Ok(Box::new(
                         HashAggregate::new(source, keys.clone(), aggs.clone(), &scope)?
-                            .with_group_bound(node.rows)
+                            .with_group_bound(node.rows, child(node, 0)?.rows)
                             .with_tracker(scope.mem_tracker(node.instance_bytes)),
                     ))
                 };
@@ -749,7 +817,8 @@ impl Lowering<'_> {
             }
             (LogicalPlan::Scan { table, cols, .. }, _) => {
                 let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                let scan = Scan::new(Arc::clone(table), &names, self.ctx.vector_size())?;
+                let scan = Scan::new(Arc::clone(table), &names, self.ctx.vector_size())?
+                    .with_guards(&node.guards)?;
                 Box::new(scan.with_context(&self.scope(node))?)
             }
             (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {

@@ -79,6 +79,17 @@ impl GroupTable {
         }
     }
 
+    /// Every group's key, indexed by group id.
+    pub fn keys_by_gid(&self) -> Vec<u64> {
+        let mut keys = vec![0; self.groups as usize];
+        for &(key, gid) in &self.slots {
+            if gid != EMPTY {
+                keys[gid as usize] = key;
+            }
+        }
+        keys
+    }
+
     /// Finds or inserts one key, returning its group id.
     #[inline]
     pub fn find_or_insert(&mut self, hash: u64, key: u64) -> u32 {

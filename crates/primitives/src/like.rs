@@ -5,14 +5,19 @@
 //! plan-build time; the primitive matches a vector of strings against the
 //! compiled pattern. Only `%` wildcards occur in TPC-H; `_` is supported for
 //! completeness.
+//!
+//! Matching reads a string's bytes (no per-row UTF-8 validation) and
+//! searches each `%`-separated segment with a finder built once at
+//! compile time.
 
 use ma_vector::StrVec;
 
 /// A compiled LIKE pattern: literal segments separated by `%`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LikePattern {
-    /// Literal segments between `%` wildcards, in order.
-    segments: Vec<String>,
+    /// Literal segments between `%` wildcards, in order, each with its
+    /// finder built once here rather than per row.
+    segments: Vec<Finder>,
     /// Whether the pattern starts without a leading `%` (anchored start).
     anchored_start: bool,
     /// Whether the pattern ends without a trailing `%` (anchored end).
@@ -23,16 +28,80 @@ pub struct LikePattern {
     raw: String,
 }
 
+/// A substring finder for one non-empty literal segment: a filter on the
+/// segment's first and last bytes, eight candidate positions per 64-bit
+/// word, confirmed by a slice compare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Finder {
+    needle: Vec<u8>,
+    /// The first byte in every byte of a word.
+    first: u64,
+    /// The last byte in every byte of a word.
+    last: u64,
+}
+
+const LO7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+
+/// `0x80` in every byte of `x` that is zero, `0x00` elsewhere (exact: no
+/// borrow crosses bytes).
+#[inline(always)]
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & LO7) + LO7) | x | LO7)
+}
+
+#[inline(always)]
+fn word_at(s: &[u8], i: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&s[i..i + 8]);
+    u64::from_le_bytes(b)
+}
+
+impl Finder {
+    fn new(needle: &[u8]) -> Finder {
+        let splat = |b: u8| u64::from_le_bytes([b; 8]);
+        Finder {
+            needle: needle.to_vec(),
+            first: splat(needle[0]),
+            last: splat(needle[needle.len() - 1]),
+        }
+    }
+
+    /// The position of the first occurrence of the segment in `hay`.
+    fn find(&self, hay: &[u8]) -> Option<usize> {
+        let n = self.needle.len();
+        // Candidate starts are `0..ends`.
+        let ends = hay.len().checked_sub(n)? + 1;
+        let is_at = |i: usize| hay[i..i + n] == self.needle[..];
+        let mut i = 0;
+        // Eight candidates per step: their first bytes are the word at
+        // `i`, their last bytes the word at `i + n - 1`, which ends at or
+        // before `hay.len()` while `i + 8 <= ends`.
+        while i + 8 <= ends {
+            let mut m = zero_bytes(word_at(hay, i) ^ self.first)
+                & zero_bytes(word_at(hay, i + n - 1) ^ self.last);
+            while m != 0 {
+                let k = i + (m.trailing_zeros() / 8) as usize;
+                if is_at(k) {
+                    return Some(k);
+                }
+                m &= m - 1;
+            }
+            i += 8;
+        }
+        (i..ends).find(|&k| is_at(k))
+    }
+}
+
 impl LikePattern {
     /// Compiles a LIKE pattern.
     pub fn compile(pattern: &str) -> Self {
         let has_underscore = pattern.contains('_');
         let anchored_start = !pattern.starts_with('%');
         let anchored_end = !pattern.ends_with('%');
-        let segments: Vec<String> = pattern
+        let segments: Vec<Finder> = pattern
             .split('%')
             .filter(|s| !s.is_empty())
-            .map(str::to_string)
+            .map(|s| Finder::new(s.as_bytes()))
             .collect();
         LikePattern {
             segments,
@@ -50,8 +119,16 @@ impl LikePattern {
 
     /// Matches one string against the pattern.
     pub fn matches(&self, s: &str) -> bool {
+        self.matches_bytes(s.as_bytes())
+    }
+
+    /// Matches the bytes of one string against the pattern. A byte-wise
+    /// match of UTF-8 text is a character-wise one for `%` patterns: a
+    /// segment found in valid UTF-8 starts and ends on character
+    /// boundaries.
+    pub fn matches_bytes(&self, s: &[u8]) -> bool {
         if self.has_underscore {
-            return like_match_positional(s.as_bytes(), self.raw.as_bytes());
+            return like_match_positional(s, self.raw.as_bytes());
         }
         if self.segments.is_empty() {
             // "%", "%%", or "" patterns.
@@ -63,7 +140,7 @@ impl LikePattern {
             let is_first = idx == 0;
             let is_last = idx == last;
             if is_first && self.anchored_start {
-                match rest.strip_prefix(seg.as_str()) {
+                match rest.strip_prefix(&seg.needle[..]) {
                     Some(r) => rest = r,
                     None => return false,
                 }
@@ -72,10 +149,10 @@ impl LikePattern {
                 }
             } else if is_last && self.anchored_end {
                 // The final segment must close the string.
-                return rest.ends_with(seg.as_str());
+                return rest.ends_with(&seg.needle);
             } else {
-                match rest.find(seg.as_str()) {
-                    Some(p) => rest = &rest[p + seg.len()..],
+                match seg.find(rest) {
+                    Some(p) => rest = &rest[p + seg.needle.len()..],
                     None => return false,
                 }
             }
@@ -110,7 +187,7 @@ pub fn sel_like(res: &mut [u32], col: &StrVec, pat: &LikePattern, sel: Option<&[
     match sel {
         Some(s) => {
             for &i in s {
-                if pat.matches(col.get(i as usize)) {
+                if pat.matches_bytes(col.get_bytes(i as usize)) {
                     res[k] = i;
                     k += 1;
                 }
@@ -118,7 +195,7 @@ pub fn sel_like(res: &mut [u32], col: &StrVec, pat: &LikePattern, sel: Option<&[
         }
         None => {
             for i in 0..col.len() {
-                if pat.matches(col.get(i)) {
+                if pat.matches_bytes(col.get_bytes(i)) {
                     res[k] = i as u32;
                     k += 1;
                 }
@@ -139,7 +216,7 @@ pub fn sel_not_like(
     match sel {
         Some(s) => {
             for &i in s {
-                if !pat.matches(col.get(i as usize)) {
+                if !pat.matches_bytes(col.get_bytes(i as usize)) {
                     res[k] = i;
                     k += 1;
                 }
@@ -147,7 +224,7 @@ pub fn sel_not_like(
         }
         None => {
             for i in 0..col.len() {
-                if !pat.matches(col.get(i)) {
+                if !pat.matches_bytes(col.get_bytes(i)) {
                     res[k] = i as u32;
                     k += 1;
                 }
@@ -249,5 +326,56 @@ mod tests {
         let sel = [1u32, 2];
         let k = sel_like(&mut res, &col, &pat, Some(&sel));
         assert_eq!(&res[..k], &[2]);
+    }
+
+    /// SplitMix64 for deterministic pseudo-random cases.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn text(&mut self, alphabet: &[&str], max_len: u64) -> String {
+            let len = self.next() % (max_len + 1);
+            (0..len)
+                .map(|_| alphabet[(self.next() % alphabet.len() as u64) as usize])
+                .collect()
+        }
+    }
+
+    /// The compiled matcher agrees with the positional reference on
+    /// random patterns and strings: anchored and open ends, segments that
+    /// repeat their own prefix (`%aab%` in `aaab`), strings longer than a
+    /// word of candidates, and multi-byte UTF-8.
+    #[test]
+    fn compiled_matcher_agrees_with_positional_reference() {
+        let mut rng = Rng(0x11CE);
+        let pieces = ["a", "b", "é", "ab", "%"];
+        let letters = ["a", "a", "b", "é", "ü"];
+        for case in 0..20_000 {
+            let pat = rng.text(&pieces, 6);
+            let s = rng.text(&letters, 1 + case % 40);
+            let got = LikePattern::compile(&pat).matches_bytes(s.as_bytes());
+            let want = like_match_positional(s.as_bytes(), pat.as_bytes());
+            assert_eq!(got, want, "pattern {pat:?} on {s:?}");
+        }
+        for (pat, s, want) in [
+            ("%aab%", "aaab", true),
+            ("%aab%", "aaaaaaaaaaaaaaaab", true),
+            ("%aab%", "aaaaaaaaaaaaaaaaa", false),
+            ("%é%ü", "xxééüxxxxxxxü", true),
+            ("é%", "éa", true),
+            (
+                "%special%requests%",
+                "carefully final special deposits nag requests",
+                true,
+            ),
+        ] {
+            assert_eq!(m(pat, s), want, "{pat:?} on {s:?}");
+            assert_eq!(like_match_positional(s.as_bytes(), pat.as_bytes()), want);
+        }
     }
 }

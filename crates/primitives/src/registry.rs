@@ -368,38 +368,62 @@ pub fn build_dictionary() -> PrimitiveDictionary {
     // has real arms to pick between (xtask lint rule 6 enforces coverage).
     d.register(FlavorSet::from_parts(
         "decode_for_i32",
-        vec![fi("branching", D), fi("no_branching", A), fi("unroll8", A)],
+        vec![
+            fi("branching", D),
+            fi("no_branching", A),
+            fi("unroll8", A),
+            fi("by_width", A),
+        ],
         vec![
             decode_for_i32_branching as DecodeForCol<i32>,
             decode_for_i32_no_branching,
             decode_for_i32_unroll8,
+            decode_for_i32_by_width,
         ],
     ));
     d.register(FlavorSet::from_parts(
         "decode_for_i64",
-        vec![fi("branching", D), fi("no_branching", A), fi("unroll8", A)],
+        vec![
+            fi("branching", D),
+            fi("no_branching", A),
+            fi("unroll8", A),
+            fi("by_width", A),
+        ],
         vec![
             decode_for_i64_branching as DecodeForCol<i64>,
             decode_for_i64_no_branching,
             decode_for_i64_unroll8,
+            decode_for_i64_by_width,
         ],
     ));
     d.register(FlavorSet::from_parts(
         "decode_delta_i32",
-        vec![fi("branching", D), fi("no_branching", A), fi("unroll8", A)],
+        vec![
+            fi("branching", D),
+            fi("no_branching", A),
+            fi("unroll8", A),
+            fi("by_width", A),
+        ],
         vec![
             decode_delta_i32_branching as DecodeDeltaCol,
             decode_delta_i32_no_branching,
             decode_delta_i32_unroll8,
+            decode_delta_i32_by_width,
         ],
     ));
     d.register(FlavorSet::from_parts(
         "decode_dict_str",
-        vec![fi("fused", D), fi("fission", A), fi("unroll8", A)],
+        vec![
+            fi("fused", D),
+            fi("fission", A),
+            fi("unroll8", A),
+            fi("by_width", A),
+        ],
         vec![
             decode_dict_str_fused as DecodeDictCol,
             decode_dict_str_fission,
             decode_dict_str_unroll8,
+            decode_dict_str_by_width,
         ],
     ));
 

@@ -256,15 +256,15 @@ pub(crate) fn q20(db: &TpchData, ctx: &QueryContext, p: &Params) -> Result<Query
 /// no *other* late supplier ⟺ min = max among late lines.
 pub(crate) fn q21_plan(db: &TpchData, p: &Params) -> PlanBuilder {
     let li_minmax = |late_only: bool, label: &str, min_name: &str, max_name: &str| -> PlanBuilder {
-        let cols = ["l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"];
-        let base = PlanBuilder::scan(db, "lineitem", &cols);
+        // Only the late-lines filter reads the dates.
         let base = if late_only {
-            base.filter(
+            let cols = ["l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"];
+            PlanBuilder::scan(db, "lineitem", &cols).filter(
                 NamedPred::cmp_col("l_receiptdate", CmpKind::Gt, "l_commitdate"),
                 &format!("{label}/late"),
             )
         } else {
-            base
+            PlanBuilder::scan(db, "lineitem", &["l_orderkey", "l_suppkey"])
         };
         base.project(
             vec![

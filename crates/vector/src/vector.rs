@@ -37,15 +37,23 @@ pub type DictCodesRef<'a> = (&'a [(u32, u32)], &'a [i32]);
 impl StrVec {
     /// Builds a string vector owning a fresh arena from the given strings.
     pub fn from_strings<S: AsRef<str>>(strings: &[S]) -> Self {
-        let total: usize = strings.iter().map(|s| s.as_ref().len()).sum();
+        Self::from_byte_slices(strings.iter().map(|s| s.as_ref().as_bytes()))
+    }
+
+    /// Builds a string vector owning a fresh arena from byte strings.
+    ///
+    /// Each must be valid UTF-8; this is checked in debug builds.
+    pub fn from_byte_slices<'a>(strings: impl Iterator<Item = &'a [u8]> + Clone) -> Self {
+        let total: usize = strings.clone().map(<[u8]>::len).sum();
         let mut bytes = Vec::with_capacity(total);
-        let mut views = Vec::with_capacity(strings.len());
-        for s in strings {
-            let s = s.as_ref();
-            let off = bytes.len() as u32;
-            bytes.extend_from_slice(s.as_bytes());
-            views.push((off, s.len() as u32));
-        }
+        let views = strings
+            .map(|s| {
+                debug_assert!(std::str::from_utf8(s).is_ok());
+                let off = bytes.len() as u32;
+                bytes.extend_from_slice(s);
+                (off, s.len() as u32)
+            })
+            .collect();
         StrVec {
             arena: bytes.into(),
             views,

@@ -107,10 +107,13 @@ const STATS_EXEMPT: &[(&str, &str)] = &[
 const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
     (
         "crates/primitives/src/decode.rs",
-        10,
+        13,
         "bit-shift amounts masked to < 64 (u32 by construction), delta \
-         running sums that re-materialize i32 values the codec packed, and \
-         dictionary codes bounded by DICT_MAX_VALUES = 2^16",
+         running sums that re-materialize i32 values the codec packed (in \
+         the shared skeleton and the width-specialized body), the i32 output \
+         of the frame-of-reference bodies (base + offset re-materializes an \
+         i32 value the codec packed), and dictionary codes bounded by \
+         DICT_MAX_VALUES = 2^16",
     ),
     (
         "crates/primitives/src/selection.rs",
@@ -142,9 +145,11 @@ const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/executor/src/ops/aggregate.rs",
-        1,
+        3,
         "key-row write cursor: each piece's length is part of a row size that \
-         was summed into a u32 with overflow detection before any write",
+         was summed into a u32 with overflow detection before any write; and \
+         i16/i32 group keys read back from the group table, which holds them \
+         widened from columns of that very type",
     ),
     (
         "crates/executor/src/ops/exchange.rs",
@@ -211,23 +216,23 @@ const ROW_ARITH_ALLOWLIST: &[(&str, usize, &str)] = &[];
 const DECODE_FLAVOR_ALLOWLIST: &[(&str, usize, &str)] = &[
     (
         "decode_for_i32",
-        3,
-        "branching/no_branching/unroll8 over frame-of-reference i32 columns",
+        4,
+        "branching/no_branching/unroll8/by_width over frame-of-reference i32 columns",
     ),
     (
         "decode_for_i64",
-        3,
-        "branching/no_branching/unroll8 over frame-of-reference i64 columns",
+        4,
+        "branching/no_branching/unroll8/by_width over frame-of-reference i64 columns",
     ),
     (
         "decode_delta_i32",
-        3,
-        "branching/no_branching/unroll8 over delta + bit-packed key columns",
+        4,
+        "branching/no_branching/unroll8/by_width over delta + bit-packed key columns",
     ),
     (
         "decode_dict_str",
-        3,
-        "fused/fission/unroll8 over dictionary-coded string columns",
+        4,
+        "fused/fission/unroll8/by_width over dictionary-coded string columns",
     ),
 ];
 

@@ -69,6 +69,7 @@ fn every_fixed_flavor_matches_stock_results() {
         "full",
         "fused",
         "fission",
+        "by_width",
     ] {
         for q in [1, 4, 6, 12, 13, 16, 21] {
             let base = runner().run(q, ExecConfig::fixed_default()).unwrap();
