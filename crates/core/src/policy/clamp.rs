@@ -44,18 +44,19 @@ impl Default for RunningMedian {
 
 impl RunningMedian {
     /// Records one per-tuple cost; recomputes the cached median every
-    /// `RECOMPUTE_EVERY` observations (batch granularity — the sort never
-    /// runs on the per-call hot path more than 1/8th of the time, over at
-    /// most `RING` elements).
+    /// `RECOMPUTE_EVERY` observations (batch granularity — the selection
+    /// never runs on the per-call hot path more than 1/8th of the time, over
+    /// a stack copy of at most `RING` elements, and allocates nothing).
     pub fn record(&mut self, cost: f64) {
         self.ring[self.next] = cost;
         self.next = (self.next + 1) % RING;
         self.filled = (self.filled + 1).min(RING);
         self.seen += 1;
         if self.seen.is_multiple_of(RECOMPUTE_EVERY) {
-            let mut window: Vec<f64> = self.ring[..self.filled].to_vec();
-            window.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.cached = window[window.len() / 2];
+            let mut window = self.ring;
+            let window = &mut window[..self.filled];
+            let mid = window.len() / 2;
+            self.cached = *window.select_nth_unstable_by(mid, f64::total_cmp).1;
         }
     }
 
@@ -156,6 +157,27 @@ mod tests {
             m.record(4.0);
         }
         assert_eq!(m.median(), Some(4.0));
+    }
+
+    /// The selection picks the element a full sort puts in the middle, so
+    /// the bandit sees the same clamp it always did.
+    #[test]
+    fn running_median_matches_the_sorted_window() {
+        let mut rng = SplitMix64::new(11);
+        for _ in 0..200 {
+            let mut m = RunningMedian::default();
+            let mut window = Vec::new();
+            let n = 8 * (1 + rng.gen_range(8));
+            for _ in 0..n {
+                // Few distinct values, so duplicates straddle the middle.
+                let cost = rng.gen_range(12) as f64 * 0.5;
+                m.record(cost);
+                window.push(cost);
+            }
+            let mut last: Vec<f64> = window[window.len().saturating_sub(RING)..].to_vec();
+            last.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(m.median(), Some(last[last.len() / 2]));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   aggregates emit 8-byte scalars);
 //! * hash-aggregate tables are bounded from the analyzer's group bound
 //!   (slot arrays at 50% load, key storage, accumulators, one emitted
-//!   output copy);
+//!   output copy), a dense key table from its domains' product;
 //! * join builds from the build side's row bound (key columns, payload
 //!   row store, hashes/heads/chain, Bloom filter);
 //! * sorts from the input row bound (row store + index + one emitted
@@ -43,7 +43,7 @@ use ma_vector::{Column, DataType, EncColumn, Encoding, Schema, Table};
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, AggFunc, NumType};
-use crate::ops::{key_row_width, ProjItem};
+use crate::ops::{dense_slots, key_row_width, KeyDomain, ProjItem};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
@@ -389,9 +389,10 @@ pub(crate) fn enc_weighted_demand(
 // ---------------------------------------------------------------------------
 
 /// Peak resident bytes proven for **one** instance of `plan`'s operator,
-/// given the node's own proven row bound (`rows`) and each child's row
+/// given the node's own proven row bound (`rows`), each child's row
 /// bound and raw column widths (`inputs`, in [`LogicalPlan::children`]
-/// order). Streaming nodes (filter, project) hold nothing. Hash routing
+/// order) and, for an aggregate the planner sent dense, its key domains
+/// (`dense_keys`). Streaming nodes (filter, project) hold nothing. Hash routing
 /// makes no distribution promise, so a partitioned aggregate or join
 /// carries this full bound on *every* partition: in the worst case one
 /// consumer sees all groups / the whole build side.
@@ -399,6 +400,7 @@ pub(crate) fn instance_bytes(
     plan: &LogicalPlan,
     rows: usize,
     inputs: &[(usize, &[Width])],
+    dense_keys: &[KeyDomain],
     vector_size: usize,
 ) -> u64 {
     match plan {
@@ -407,7 +409,7 @@ pub(crate) fn instance_bytes(
         // An aggregate's output row bound *is* its group bound.
         LogicalPlan::HashAgg {
             input, keys, aggs, ..
-        } => agg_instance_bound(rows, inputs[0].1, input.schema(), keys, aggs),
+        } => agg_instance_bound(rows, inputs[0].1, input.schema(), keys, aggs, dense_keys),
         // Scalar accumulators only; not facade-tracked (MEM_EXEMPT).
         LogicalPlan::StreamAgg { aggs, .. } => 16u64.saturating_mul(aggs.len() as u64),
         LogicalPlan::HashJoin {
@@ -440,21 +442,26 @@ fn pow2_cap(n: usize) -> u64 {
 
 /// One [`crate::ops::HashAggregate`] instance holding up to `g` groups of
 /// an input with column widths `w_in`: group-table slots (16 bytes each at
-/// ≤50% load), stored key bytes for the byte-keyed table path, one key
-/// column per group column read back from the table at emission,
-/// accumulators (16 bytes for `sum_i64`'s 128-bit sums, 8 otherwise),
-/// plus one emitted output copy.
+/// ≤50% load), stored key bytes for the byte-keyed table path — or, for a
+/// dense key table over `dense_keys`, 4 bytes per slot of the domains'
+/// product plus each group's 4-byte slot index — one key column per group
+/// column read back from the table at emission, accumulators (16 bytes for
+/// `sum_i64`'s 128-bit sums, 8 otherwise), plus one emitted output copy.
 fn agg_instance_bound(
     g: usize,
     w_in: &[Width],
     input: &Schema,
     keys: &[usize],
     aggs: &[Agg],
+    dense_keys: &[KeyDomain],
 ) -> u64 {
     let g64 = g.min(usize::MAX >> 8) as u64;
     let key_types: Vec<DataType> = keys.iter().map(|&k| input.fields()[k].ty).collect();
     let single_int = keys.len() == 1 && key_types[0] != DataType::Str;
-    let table = if single_int {
+    let dense = (!dense_keys.is_empty()).then(|| dense_slots(dense_keys).map_or(SAT, |s| s as u64));
+    let table = if let Some(slots) = dense {
+        slots.saturating_add(g64).saturating_mul(4)
+    } else if single_int {
         pow2_cap(g).saturating_mul(16)
     } else {
         // Stored key width: the raw string for the single-Str path, the
@@ -751,10 +758,19 @@ mod tests {
     #[test]
     fn agg_bound_is_finite_and_covers_table_floor() {
         let cat = catalog(100);
-        let b = stage(&agg_plan(&cat), "hash-agg").per_instance_bytes;
-        // 5 groups: 64-slot floor (1024 B) + builders + accs + output
+        // A raw string key hashes. 2 groups: 64-slot floor (1024 B) +
+        // stored keys + accs + output.
+        let hashed = PlanBuilder::scan(&cat, "t", &["id", "s"])
+            .hash_agg(&["s"], vec![sum_i64("id")], "agg")
+            .build()
+            .unwrap();
+        let b = stage(&hashed, "hash-agg").per_instance_bytes;
         assert!(b >= 1024, "bound {b} below the slot-array floor");
-        assert!(b < 16 << 10, "bound {b} implausibly large for 5 groups");
+        assert!(b < 16 << 10, "bound {b} implausibly large for 2 groups");
+        // `k` in [0, 4] goes dense. 5 groups: 5 slots and 5 slot indices
+        // (4 B each), 4-byte keys, 16-byte sums and 12-byte output rows.
+        let b = stage(&agg_plan(&cat), "hash-agg").per_instance_bytes;
+        assert_eq!(b, (5 + 5) * 4 + 5 * 4 + 5 * 16 + 5 * 12);
     }
 
     #[test]

@@ -4,15 +4,19 @@
 //! sketches: per input vector it computes a hash vector (`map_hash_*` /
 //! `map_rehash_*` instances), finds-or-inserts group ids
 //! (`hash_insertcheck_*`, the primitive of Fig. 4e), then updates
-//! accumulators with grouped `aggr_*` primitives. [`StreamAggregate`]
-//! handles the ungrouped case with `aggr0_*` primitives.
+//! accumulators with grouped `aggr_*` primitives. When every group key has
+//! a small proven domain ([`KeyDomain`]) the planner builds it with
+//! [`HashAggregate::new_dense`] instead: each key maps to its slot in the
+//! domains' product and `hash_insertcheck_dense` indexes that slot, with no
+//! hashing at all. [`StreamAggregate`] handles the ungrouped case with
+//! `aggr0_*` primitives.
 
 use std::sync::Arc;
 
 use ma_primitives::{
     AggrCountGrouped, AggrMinMaxI64, AggrMinMaxI64Grouped, AggrSumF64, AggrSumF64Grouped,
-    AggrSumI64, AggrSumI64Grouped, GroupInsertCheck, GroupTable, MapHash, MapHashStr,
-    StrGroupInsertCheck, StrGroupTable,
+    AggrSumI64, AggrSumI64Grouped, DenseGroupTable, DenseInsertCheck, GroupInsertCheck, GroupTable,
+    MapHash, MapHashStr, StrGroupInsertCheck, StrGroupTable,
 };
 use ma_vector::{DataChunk, DataType, Field, Schema, SelVec, StrVec, Vector};
 
@@ -199,12 +203,242 @@ enum KeyTable {
         table: StrGroupTable,
         insert: PrimInstance<StrGroupInsertCheck>,
     },
+    /// Every key has a proven domain: `DenseGroupTable` indexed by the
+    /// slot the keys map to.
+    Dense {
+        table: DenseGroupTable,
+        insert: PrimInstance<DenseInsertCheck>,
+        keys: Vec<DenseKey>,
+    },
+}
+
+impl KeyTable {
+    fn groups(&self) -> u32 {
+        match self {
+            KeyTable::Int { table, .. } => table.groups(),
+            KeyTable::Bytes { table, .. } => table.groups(),
+            KeyTable::Dense { table, .. } => table.groups(),
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        match self {
+            KeyTable::Int { table, .. } => table.bytes(),
+            KeyTable::Bytes { table, .. } => table.bytes(),
+            KeyTable::Dense { table, .. } => table.bytes(),
+        }
+    }
 }
 
 /// The most groups [`HashAggregate::with_group_bound`] sizes the table for
 /// up front: 2^17 groups is a 4 MiB slot array, a typical L2 cache. A
 /// larger bound grows the table as groups arrive.
 const PRESIZE_GROUPS: usize = 1 << 17;
+
+/// The most slots a dense key table may span: at 4 bytes a slot, the same
+/// 4 MiB a table pre-sized for [`PRESIZE_GROUPS`] groups takes.
+const DENSE_MAX_SLOTS: usize = 8 * PRESIZE_GROUPS;
+
+// --- dense keys --------------------------------------------------------------
+
+/// The proven value domain of one group key: what a dense key table
+/// indexes.
+#[derive(Debug, Clone)]
+pub enum KeyDomain {
+    /// An integer key whose every value lies in `[lo, hi]`.
+    Int {
+        /// Inclusive lower bound.
+        lo: i64,
+        /// Inclusive upper bound.
+        hi: i64,
+    },
+    /// A `Str` key whose every vector carries codes of this dictionary (its
+    /// sorted `views` into `arena`), so its codes lie in
+    /// `[0, views.len())`.
+    Dict {
+        /// The dictionary's byte arena.
+        arena: Arc<[u8]>,
+        /// The dictionary's sorted entries.
+        views: Arc<Vec<(u32, u32)>>,
+    },
+}
+
+impl KeyDomain {
+    /// The inclusive bounds of the key's slot offsets before `lo` is
+    /// subtracted: the interval, or the dictionary's code range.
+    fn bounds(&self) -> (i64, i64) {
+        match self {
+            KeyDomain::Int { lo, hi } => (*lo, *hi),
+            KeyDomain::Dict { views, .. } => (0, views.len() as i64 - 1),
+        }
+    }
+
+    /// Distinct values the domain admits (0 when empty), saturating.
+    fn width(&self) -> u64 {
+        let (lo, hi) = self.bounds();
+        let w = i128::from(hi) - i128::from(lo) + 1;
+        u64::try_from(w.max(0)).unwrap_or(u64::MAX)
+    }
+}
+
+/// Slots a dense key table over `domains` spans: the product of their
+/// widths. `None` when a domain is empty or the product exceeds the 4 MiB
+/// cap.
+pub(crate) fn dense_slots(domains: &[KeyDomain]) -> Option<usize> {
+    let mut slots = 1u64;
+    for d in domains {
+        slots = slots.checked_mul(d.width())?;
+    }
+    let slots = usize::try_from(slots).ok()?;
+    (slots > 0 && slots <= DENSE_MAX_SLOTS).then_some(slots)
+}
+
+/// The dense-table rule: whether the slots a dense table over `domains`
+/// spans number at most 8 per group the proven `group_bound` permits (a
+/// bound above [`PRESIZE_GROUPS`] counts as that many). That is byte
+/// parity with the hash table it replaces: a dense slot is 4 bytes, while
+/// the open-addressing table spends at least 32 bytes per group at ≤ 50 %
+/// load.
+pub(crate) fn goes_dense(domains: &[KeyDomain], group_bound: usize) -> bool {
+    dense_slots(domains).is_some_and(|slots| slots <= 8 * group_bound.min(PRESIZE_GROUPS))
+}
+
+/// One key column of a dense key table.
+struct DenseKey {
+    col: usize,
+    domain: KeyDomain,
+    /// The product of the widths of the keys before this one.
+    stride: u32,
+}
+
+impl DenseKey {
+    /// Adds this key's share of the slot index, `(key − lo) × stride`, at
+    /// every live position of `v`. A value outside the domain, or a string
+    /// vector without the planned dictionary's codes, is an error: the
+    /// planner's proof did not hold.
+    fn add_slots(
+        &self,
+        v: &Vector,
+        slots: &mut [u32],
+        sel: Option<&[u32]>,
+    ) -> Result<(), ExecError> {
+        let in_domain = match (v, &self.domain) {
+            (Vector::I16(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
+            (Vector::I32(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
+            (Vector::I64(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
+            (Vector::Str(s), KeyDomain::Dict { views, .. }) => match s.dict_codes() {
+                Some((dict, codes)) if std::ptr::eq(dict, views.as_slice()) => {
+                    self.add_int_slots(codes, slots, sel)
+                }
+                _ => {
+                    return Err(ExecError::Plan(format!(
+                        "dense group key column {} arrived without the codes of its \
+                         planned dictionary",
+                        self.col
+                    )))
+                }
+            },
+            _ => unreachable!("HashAggregate::new_dense matches each domain to its column"),
+        };
+        if in_domain {
+            Ok(())
+        } else {
+            let (lo, hi) = self.domain.bounds();
+            Err(ExecError::Plan(format!(
+                "proven key domain violated: group key column {} holds a value outside \
+                 [{lo}, {hi}] (unsound analysis)",
+                self.col
+            )))
+        }
+    }
+
+    /// [`DenseKey::add_slots`] over integer keys: whether every live key
+    /// lay in `[lo, hi]`. An out-of-domain key leaves a wrapped slot index
+    /// behind, which the caller never uses.
+    fn add_int_slots<T: Copy + Into<i64>>(
+        &self,
+        keys: &[T],
+        slots: &mut [u32],
+        sel: Option<&[u32]>,
+    ) -> bool {
+        let ((lo, hi), stride) = (self.domain.bounds(), self.stride);
+        let keys = &keys[..slots.len()];
+        let mut ok = true;
+        for_each_live(sel, slots.len(), |i| {
+            let k: i64 = keys[i].into();
+            ok &= lo <= k && k <= hi;
+            let off = k.wrapping_sub(lo) as u32;
+            slots[i] = slots[i].wrapping_add(off.wrapping_mul(stride));
+        });
+        ok
+    }
+
+    /// This key's column for the groups at `slots` (by gid).
+    fn column(&self, ty: DataType, slots: &[u32]) -> Vector {
+        let width = self.domain.width();
+        let offs = slots.iter().map(|&s| u64::from(s / self.stride) % width);
+        match &self.domain {
+            KeyDomain::Int { lo, .. } => int_column(ty, offs.map(|o| lo + o as i64)),
+            KeyDomain::Dict { arena, views } => Vector::Str(StrVec::from_views(
+                Arc::clone(arena),
+                offs.map(|o| views[o as usize]).collect(),
+            )),
+        }
+    }
+}
+
+/// The dense keys of `group_cols` over `domains` (one each, checked
+/// against the column types), with each key's stride the product of the
+/// widths before it. [`dense_slots`] has bounded the whole product.
+fn dense_keys(
+    group_cols: &[usize],
+    domains: Vec<KeyDomain>,
+    in_types: &[DataType],
+) -> Result<Vec<DenseKey>, ExecError> {
+    if domains.len() != group_cols.len() {
+        return Err(ExecError::Plan(format!(
+            "{} dense key domains for {} group columns",
+            domains.len(),
+            group_cols.len()
+        )));
+    }
+    let mut stride = 1u64;
+    let mut keys = Vec::with_capacity(domains.len());
+    for (&col, domain) in group_cols.iter().zip(domains) {
+        let ty = in_types[col];
+        let (fits, kind) = match domain {
+            KeyDomain::Int { .. } => (
+                matches!(ty, DataType::I16 | DataType::I32 | DataType::I64),
+                "an integer",
+            ),
+            KeyDomain::Dict { .. } => (ty == DataType::Str, "a dictionary"),
+        };
+        if !fits {
+            return Err(ExecError::Plan(format!(
+                "group column {col} of type {ty} cannot take {kind} dense domain"
+            )));
+        }
+        let next = stride.saturating_mul(domain.width());
+        keys.push(DenseKey {
+            col,
+            domain,
+            stride: u32::try_from(stride)
+                .map_err(|_| ExecError::Plan("dense key strides exceed u32 slots".into()))?,
+        });
+        stride = next;
+    }
+    Ok(keys)
+}
+
+/// An integer key column of type `ty` from `keys` widened to `i64` from
+/// values of that very type, so narrowing them back is exact.
+fn int_column(ty: DataType, keys: impl Iterator<Item = i64>) -> Vector {
+    match ty {
+        DataType::I16 => Vector::I16(keys.map(|k| k as i16).collect()),
+        DataType::I32 => Vector::I32(keys.map(|k| k as i32).collect()),
+        _ => Vector::I64(keys.collect()),
+    }
+}
 
 /// How many new groups to reserve room for before an insertcheck pass:
 /// `live` (every live tuple may open a group) clamped to the groups a
@@ -409,6 +643,7 @@ pub struct HashAggregate {
     keyscratch: Vec<i64>,
     keys_u64: Vec<u64>,
     key_rows: KeyRows,
+    slots: Vec<u32>,
 }
 
 impl HashAggregate {
@@ -418,6 +653,32 @@ impl HashAggregate {
     pub fn new(
         child: BoxOp,
         group_cols: Vec<usize>,
+        specs: Vec<Agg>,
+        scope: &NodeScope,
+    ) -> Result<Self, ExecError> {
+        Self::build(child, group_cols, None, specs, scope)
+    }
+
+    /// As [`HashAggregate::new`], but with a dense key table over
+    /// `domains`, one per group column: an [`KeyDomain::Int`] for an
+    /// integer column, a [`KeyDomain::Dict`] for a string column. Together
+    /// they may span at most 2^20 slots. Gids, and so the output order, are
+    /// the hash table's. A key outside its domain, or a string vector
+    /// without the dictionary's codes, fails the query with a typed error.
+    pub fn new_dense(
+        child: BoxOp,
+        group_cols: Vec<usize>,
+        domains: Vec<KeyDomain>,
+        specs: Vec<Agg>,
+        scope: &NodeScope,
+    ) -> Result<Self, ExecError> {
+        Self::build(child, group_cols, Some(domains), specs, scope)
+    }
+
+    fn build(
+        child: BoxOp,
+        group_cols: Vec<usize>,
+        domains: Option<Vec<KeyDomain>>,
         specs: Vec<Agg>,
         scope: &NodeScope,
     ) -> Result<Self, ExecError> {
@@ -434,41 +695,57 @@ impl HashAggregate {
         }
         let key_rows = KeyRows::for_types(group_cols.iter().map(|&c| in_types[c]))?;
 
-        // Hash pipeline over the key columns.
-        let mut hash_steps = Vec::with_capacity(group_cols.len());
-        for (k, &c) in group_cols.iter().enumerate() {
-            let is_str = in_types[c] == DataType::Str;
-            let (sig, name) = match (k == 0, is_str) {
-                (true, false) => ("map_hash_i64_col", "map_hash"),
-                (false, false) => ("map_rehash_i64_col", "map_rehash"),
-                (true, true) => ("map_hash_str_col", "map_hash_str"),
-                (false, true) => ("map_rehash_str_col", "map_rehash_str"),
-            };
-            hash_steps.push(if is_str {
-                HashStep::Str(scope.instance(sig, name, HeurKind::None)?, c)
-            } else {
-                HashStep::I64(scope.instance(sig, name, HeurKind::None)?, c)
-            });
-        }
-
-        // Group table choice.
-        let key_table = if group_cols.len() == 1 && in_types[group_cols[0]] != DataType::Str {
-            KeyTable::Int {
-                table: GroupTable::new(),
+        let mut hash_steps = Vec::new();
+        let key_table = match domains {
+            Some(domains) => KeyTable::Dense {
+                table: DenseGroupTable::new(dense_slots(&domains).ok_or_else(|| {
+                    ExecError::Plan(format!(
+                        "dense key domains must be non-empty and span at most \
+                         {DENSE_MAX_SLOTS} slots"
+                    ))
+                })?),
                 insert: scope.instance(
-                    "hash_insertcheck_u64_col",
-                    "insertcheck_u64",
+                    "hash_insertcheck_dense_col",
+                    "insertcheck_dense",
                     HeurKind::None,
                 )?,
-            }
-        } else {
-            KeyTable::Bytes {
-                table: StrGroupTable::new(),
-                insert: scope.instance(
-                    "hash_insertcheck_str_col",
-                    "insertcheck_str",
-                    HeurKind::None,
-                )?,
+                keys: dense_keys(&group_cols, domains, &in_types)?,
+            },
+            None => {
+                // Hash pipeline over the key columns.
+                for (k, &c) in group_cols.iter().enumerate() {
+                    let is_str = in_types[c] == DataType::Str;
+                    let (sig, name) = match (k == 0, is_str) {
+                        (true, false) => ("map_hash_i64_col", "map_hash"),
+                        (false, false) => ("map_rehash_i64_col", "map_rehash"),
+                        (true, true) => ("map_hash_str_col", "map_hash_str"),
+                        (false, true) => ("map_rehash_str_col", "map_rehash_str"),
+                    };
+                    hash_steps.push(if is_str {
+                        HashStep::Str(scope.instance(sig, name, HeurKind::None)?, c)
+                    } else {
+                        HashStep::I64(scope.instance(sig, name, HeurKind::None)?, c)
+                    });
+                }
+                if group_cols.len() == 1 && in_types[group_cols[0]] != DataType::Str {
+                    KeyTable::Int {
+                        table: GroupTable::new(),
+                        insert: scope.instance(
+                            "hash_insertcheck_u64_col",
+                            "insertcheck_u64",
+                            HeurKind::None,
+                        )?,
+                    }
+                } else {
+                    KeyTable::Bytes {
+                        table: StrGroupTable::new(),
+                        insert: scope.instance(
+                            "hash_insertcheck_str_col",
+                            "insertcheck_str",
+                            HeurKind::None,
+                        )?,
+                    }
+                }
             }
         };
 
@@ -495,6 +772,7 @@ impl HashAggregate {
             keyscratch: Vec::new(),
             keys_u64: Vec::new(),
             key_rows,
+            slots: Vec::new(),
         })
     }
 
@@ -514,6 +792,8 @@ impl HashAggregate {
             match &mut self.key_table {
                 KeyTable::Int { table, .. } => table.reserve(groups),
                 KeyTable::Bytes { table, .. } => table.reserve(groups),
+                // Sized for its whole domain at construction.
+                KeyTable::Dense { .. } => {}
             }
         }
         self
@@ -528,10 +808,7 @@ impl HashAggregate {
 
     /// Live resident bytes of the aggregation state (length-based).
     fn resident_bytes(&self) -> u64 {
-        let table = match &self.key_table {
-            KeyTable::Int { table, .. } => table.bytes(),
-            KeyTable::Bytes { table, .. } => table.bytes(),
-        };
+        let table = self.key_table.bytes();
         let accs = self
             .accs
             .iter()
@@ -602,6 +879,19 @@ impl HashAggregate {
                 };
                 insert.invoke(live, |f| f(table, hashes, arena, views, gids, sel))
             }
+            KeyTable::Dense {
+                table,
+                insert,
+                keys,
+            } => {
+                self.slots.clear();
+                self.slots.resize(n, 0);
+                for key in keys.iter() {
+                    key.add_slots(chunk.column(key.col), &mut self.slots, sel)?;
+                }
+                let slots = &self.slots;
+                insert.invoke(live, |f| f(table, slots, gids, sel))
+            }
         };
 
         // The clamped reservation above leans on the proven bound; verify
@@ -630,19 +920,19 @@ impl HashAggregate {
 
     /// The group key columns in gid order, read back from the group table:
     /// an integer key from its `(key, gid)` slots, a string key or a
-    /// composite key row from the stored key bytes.
+    /// composite key row from the stored key bytes, dense keys from each
+    /// group's slot index.
     fn key_columns(&self) -> Vec<Vector> {
         let key_types = &self.types[..self.group_cols.len()];
         let table = match &self.key_table {
             KeyTable::Int { table, .. } => {
-                // Keys were normalized to i64 from the column's own type,
-                // so narrowing them back is exact.
                 let keys = table.keys_by_gid().into_iter().map(|k| k as i64);
-                return vec![match key_types[0] {
-                    DataType::I16 => Vector::I16(keys.map(|k| k as i16).collect()),
-                    DataType::I32 => Vector::I32(keys.map(|k| k as i32).collect()),
-                    _ => Vector::I64(keys.collect()),
-                }];
+                return vec![int_column(key_types[0], keys)];
+            }
+            KeyTable::Dense { table, keys, .. } => {
+                let slots = table.slots_by_gid();
+                let cols = keys.iter().zip(key_types);
+                return cols.map(|(k, &ty)| k.column(ty, slots)).collect();
             }
             KeyTable::Bytes { table, .. } => table,
         };
@@ -655,10 +945,7 @@ impl HashAggregate {
     }
 
     fn finalize(&mut self) -> Vec<DataChunk> {
-        let groups = match &self.key_table {
-            KeyTable::Int { table, .. } => table.groups() as usize,
-            KeyTable::Bytes { table, .. } => table.groups() as usize,
-        };
+        let groups = self.key_table.groups() as usize;
         // Ensure accumulators cover groups even if zero chunks arrived.
         for acc in &mut self.accs {
             acc.grow(groups);
@@ -680,11 +967,7 @@ impl HashAggregate {
             // Emission phase: the table is still resident alongside the
             // materialized output copy (covered by the bound's output
             // term).
-            let table = match &self.key_table {
-                KeyTable::Int { table, .. } => table.bytes(),
-                KeyTable::Bytes { table, .. } => table.bytes(),
-            };
-            t.record(table.saturating_add(store.bytes()));
+            t.record(self.key_table.bytes().saturating_add(store.bytes()));
         }
         store.freeze().to_chunks(self.vector_size)
     }

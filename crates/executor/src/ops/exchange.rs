@@ -315,9 +315,9 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv1a(s: &str) -> u64 {
+fn fnv1a(s: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
+    for &b in s {
         h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
     h
@@ -349,7 +349,7 @@ fn fold_key_hashes(v: &Vector, positions: &[usize], hashes: &mut [u64]) {
         }
         Vector::Str(c) => {
             for &p in positions {
-                hashes[p] = splitmix64(hashes[p] ^ fnv1a(c.get(p)));
+                hashes[p] = splitmix64(hashes[p] ^ fnv1a(c.get_bytes(p)));
             }
         }
         // Rejected at construction (`HashPartitionExchange::new`).
@@ -1130,7 +1130,7 @@ mod tests {
     #[test]
     fn splitmix_mixes_and_fnv_differs() {
         assert_ne!(splitmix64(0), splitmix64(1));
-        assert_ne!(fnv1a("a"), fnv1a("b"));
-        assert_eq!(fnv1a("abc"), fnv1a("abc"));
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
     }
 }

@@ -12,8 +12,8 @@ mod sort;
 pub(crate) mod xrt;
 
 pub use crate::expr::{Agg, SortKey};
-pub(crate) use aggregate::key_row_width;
-pub use aggregate::{HashAggregate, StreamAggregate};
+pub(crate) use aggregate::{dense_slots, goes_dense, key_row_width};
+pub use aggregate::{HashAggregate, KeyDomain, StreamAggregate};
 pub use exchange::{ConsumerFactory, FragmentFactory, HashPartitionExchange, Parallel};
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;
@@ -149,9 +149,9 @@ impl RowStore {
                 }
                 (StoreCol::Str { bytes, views }, Vector::Str(src)) => {
                     for &p in &positions {
-                        let s = src.get(p);
+                        let s = src.get_bytes(p);
                         let off = bytes.len() as u32;
-                        bytes.extend_from_slice(s.as_bytes());
+                        bytes.extend_from_slice(s);
                         views.push((off, s.len() as u32));
                     }
                 }

@@ -108,7 +108,8 @@ fn compare_at(v: &Vector, a: usize, b: usize) -> Ordering {
         Vector::I32(x) => x[a].cmp(&x[b]),
         Vector::I64(x) => x[a].cmp(&x[b]),
         Vector::F64(x) => x[a].partial_cmp(&x[b]).unwrap_or(Ordering::Equal),
-        Vector::Str(x) => x.get(a).cmp(x.get(b)),
+        // Byte order is `str` order for UTF-8.
+        Vector::Str(x) => x.get_bytes(a).cmp(x.get_bytes(b)),
     }
 }
 

@@ -21,7 +21,7 @@ use ma_vector::Schema;
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
-use crate::ops::{JoinKind, ProjItem, ZoneGuard};
+use crate::ops::{JoinKind, KeyDomain, ProjItem, ZoneGuard};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
@@ -62,6 +62,14 @@ fn render_guard(g: &ZoneGuard, col: &str) -> String {
         (i128::MIN, hi) => format!("{col} <= {hi}"),
         (lo, i128::MAX) => format!("{col} >= {lo}"),
         (lo, hi) => format!("{lo} <= {col} <= {hi}"),
+    }
+}
+
+/// One dense key domain: `lo <= key <= hi`, or `key: N codes`.
+fn render_key_domain(d: &KeyDomain, key: &str) -> String {
+    match d {
+        KeyDomain::Int { lo, hi } => format!("{lo} <= {key} <= {hi}"),
+        KeyDomain::Dict { views, .. } => format!("{key}: {} codes", views.len()),
     }
 }
 
@@ -173,10 +181,20 @@ fn fmt_node(
                 .iter()
                 .map(|&i| input.schema().field(i).name.as_str())
                 .collect();
+            write!(f, "HashAgg {verdict}keys=[{}] ", key_names.join(", "))?;
+            // The key domains a dense key table indexes.
+            let dense = phys.map_or(&[][..], |p| &p.dense_keys[..]);
+            if !dense.is_empty() {
+                let domains: Vec<String> = dense
+                    .iter()
+                    .zip(&key_names)
+                    .map(|(d, name)| render_key_domain(d, name))
+                    .collect();
+                write!(f, "dense=[{}] ", domains.join(", "))?;
+            }
             writeln!(
                 f,
-                "HashAgg {verdict}keys=[{}] aggs=[{}] -> {schema}",
-                key_names.join(", "),
+                "aggs=[{}] -> {schema}",
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
             fmt_node(f, input, child(0), indent + 1, None, "shardable")
@@ -505,9 +523,13 @@ Sort [s asc] -> (s:str, count:i64, sum_y:f64)
             text.contains("HashAgg (partitioned \u{d7}4) keys=[k]"),
             "{text}"
         );
-        // A single-worker config renders the same tree unannotated.
+        // A single-worker config renders the same tree with no parallel
+        // verdict, only the dense key table `k`'s interval gives it.
         let text1 = super::explain_physical(&plan, &ExecConfig::fixed_default());
-        assert_eq!(text1, plan.to_string());
+        let dense = plan
+            .to_string()
+            .replace("keys=[k] ", "keys=[k] dense=[0 <= k <= 3] ");
+        assert_eq!(text1, dense);
     }
 
     #[test]

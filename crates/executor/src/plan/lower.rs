@@ -29,6 +29,11 @@
 //!   [`Exchange::HashPartition`]: producers route tuples by
 //!   `hash(group keys) % P`, and the disjoint results union in arrival
 //!   order (DESIGN.md §7).
+//! * **Dense key tables.** A [`LogicalPlan::HashAgg`] whose every group key
+//!   has a small proven domain — an integer interval from the abstract
+//!   interpreter, or the code range of the dictionary a string key
+//!   provably carries codes of — indexes a direct group table instead of
+//!   hashing ([`HashAggregate::new_dense`], DESIGN.md §7).
 //! * **Ordered inputs run serially.** A [`LogicalPlan::MergeJoin`] needs
 //!   key-sorted inputs, and an arrival-order union would break that. By
 //!   the merge-input rule the builder and the verifier share, its inputs
@@ -47,18 +52,18 @@
 
 use std::sync::Arc;
 
-use ma_vector::encode::EncColumn;
+use ma_vector::encode::{DictStr, EncColumn};
 use ma_vector::{Column, MorselQueue, Table, VECTORS_PER_MORSEL};
 
 use crate::adaptive::NodeScope;
-use crate::analyze::{AnalysisError, Facts};
+use crate::analyze::{AbsDomain, AnalysisError, Facts};
 use crate::config::ExecConfig;
 use crate::cost::Width;
 use crate::expr::{CmpKind, CmpRhs, Pred, TypeError, Value};
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    HashAggregate, HashJoin, HashPartitionExchange, MergeJoin, Parallel, Scan, Select, SharedBuild,
-    Sort, StreamAggregate, ZoneGuard,
+    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, JoinKind, KeyDomain, MergeJoin,
+    Parallel, ProjItem, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -193,6 +198,10 @@ pub struct PhysNode<'a> {
     /// conjuncts on frame-of-reference columns, which let the scan skip
     /// the partitions their zone maps rule out. Empty everywhere else.
     pub guards: Vec<ZoneGuard>,
+    /// For a hash aggregate the planner sent dense: the proven domain of
+    /// each group key, which its direct group table indexes. Empty
+    /// everywhere else.
+    pub dense_keys: Vec<KeyDomain>,
 }
 
 impl PhysNode<'_> {
@@ -283,6 +292,9 @@ struct Planned<'a> {
     node: PhysNode<'a>,
     facts: Facts,
     widths: Vec<Width>,
+    /// Per output column, the dictionary whose codes every vector of it
+    /// carries, if it provably carries codes.
+    dicts: Vec<Option<&'a DictStr>>,
 }
 
 struct Planner<'c> {
@@ -315,6 +327,7 @@ impl Planner<'_> {
         let mut children = Vec::new();
         let mut facts = [Facts::default(), Facts::default()];
         let mut widths = [Vec::new(), Vec::new()];
+        let mut dicts = [Vec::new(), Vec::new()];
         // A hash aggregate's input whose worker fragments route into its
         // exchange directly.
         let mut input_sharded = false;
@@ -365,6 +378,7 @@ impl Planner<'_> {
             children.push(planned.node);
             facts[i] = planned.facts;
             widths[i] = planned.widths;
+            dicts[i] = planned.dicts;
         }
         let n = children.len();
         // A scan skips what the Filter directly above it would empty.
@@ -388,7 +402,21 @@ impl Planner<'_> {
         }
 
         let in_widths = [&widths[0][..], &widths[1][..]];
+        // Every group key's domain, read before the transfer function
+        // consumes the input's facts.
+        let key_domains = match plan {
+            LogicalPlan::HashAgg { keys, .. } => keys
+                .iter()
+                .map(|&k| key_domain(&facts[0], &dicts[0], k))
+                .collect::<Option<Vec<_>>>(),
+            _ => None,
+        };
         let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
+        let out_dicts = node_dicts(plan, [&dicts[0][..], &dicts[1][..]]);
+        // The group bound is the aggregate's own row bound.
+        let dense_keys = key_domains
+            .filter(|d| goes_dense(d, facts.rows))
+            .unwrap_or_default();
         let out_widths = cost::node_widths(plan, &in_widths[..n]);
         let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
 
@@ -418,8 +446,13 @@ impl Planner<'_> {
             (children.first().map_or(0, |c| c.rows), in_widths[0]),
             (children.get(1).map_or(0, |c| c.rows), in_widths[1]),
         ];
-        let instance_bytes =
-            cost::instance_bytes(plan, facts.rows, &inputs[..n], self.cfg.vector_size);
+        let instance_bytes = cost::instance_bytes(
+            plan,
+            facts.rows,
+            &inputs[..n],
+            &dense_keys,
+            self.cfg.vector_size,
+        );
         let node = PhysNode {
             id,
             logical: plan,
@@ -429,11 +462,13 @@ impl Planner<'_> {
             rows: facts.rows,
             instance_bytes,
             guards: Vec::new(),
+            dense_keys,
         };
         Ok(Planned {
             node,
             facts,
             widths: out_widths,
+            dicts: out_dicts,
         })
     }
 
@@ -454,6 +489,63 @@ impl Planner<'_> {
         // nothing.
         let morsel_rows = VECTORS_PER_MORSEL * self.cfg.vector_size;
         self.workers > 1 && scan_rows(plan).is_some_and(|rows| rows >= 2 * morsel_rows)
+    }
+}
+
+/// The proven domain of input column `k` as a group key: its integer
+/// interval, or the code range of the dictionary it carries codes of.
+/// `None` for any other column.
+fn key_domain(facts: &Facts, dicts: &[Option<&DictStr>], k: usize) -> Option<KeyDomain> {
+    match (&facts.cols.get(k)?.domain, dicts.get(k).copied().flatten()) {
+        (&AbsDomain::Int { lo, hi }, _) => Some(KeyDomain::Int { lo, hi }),
+        (AbsDomain::Str, Some(d)) => Some(KeyDomain::Dict {
+            arena: Arc::clone(&d.arena),
+            views: Arc::clone(&d.views),
+        }),
+        _ => None,
+    }
+}
+
+/// Per output column of `plan`, the dictionary whose codes each of its
+/// vectors carries, from its inputs' (`inputs`, in
+/// [`LogicalPlan::children`] order). A dictionary-coded scan column
+/// carries them, both decode paths building code-carrying vectors. Filters,
+/// pass-through projections, exchanges and the probe side of semi, anti
+/// and left-single joins keep each column's vectors as they are; anything
+/// that rebuilds a string vector (a fetch, a row store, a sort) drops the
+/// codes.
+fn node_dicts<'a>(
+    plan: &'a LogicalPlan,
+    inputs: [&[Option<&'a DictStr>]; 2],
+) -> Vec<Option<&'a DictStr>> {
+    match plan {
+        LogicalPlan::Scan { table, cols, .. } => cols
+            .iter()
+            .map(|name| match table.column(name) {
+                Ok(Column::Enc(e)) => match &**e {
+                    EncColumn::Dict(d) => Some(d),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect(),
+        LogicalPlan::Filter { .. } => inputs[0].to_vec(),
+        LogicalPlan::Project { items, .. } => items
+            .iter()
+            .map(|item| match item {
+                ProjItem::Pass(i) => inputs[0].get(*i).copied().flatten(),
+                ProjItem::Expr(_) => None,
+            })
+            .collect(),
+        LogicalPlan::HashJoin { kind, schema, .. } => {
+            let mut out = match kind {
+                JoinKind::Semi | JoinKind::Anti | JoinKind::LeftSingle => inputs[1].to_vec(),
+                JoinKind::Inner => Vec::new(),
+            };
+            out.resize(schema.len(), None);
+            out
+        }
+        _ => vec![None; plan.schema().len()],
     }
 }
 
@@ -774,9 +866,15 @@ impl Lowering<'_> {
             (LogicalPlan::HashAgg { keys, aggs, .. }, exchange) => {
                 let instance = |source: BoxOp| -> Result<BoxOp, ExecError> {
                     let scope = self.scope(node);
+                    let (keys, aggs) = (keys.clone(), aggs.clone());
+                    let agg = match &node.dense_keys[..] {
+                        [] => HashAggregate::new(source, keys, aggs, &scope)?,
+                        dense => {
+                            HashAggregate::new_dense(source, keys, dense.to_vec(), aggs, &scope)?
+                        }
+                    };
                     Ok(Box::new(
-                        HashAggregate::new(source, keys.clone(), aggs.clone(), &scope)?
-                            .with_group_bound(node.rows, child(node, 0)?.rows)
+                        agg.with_group_bound(node.rows, child(node, 0)?.rows)
                             .with_tracker(scope.mem_tracker(node.instance_bytes)),
                     ))
                 };

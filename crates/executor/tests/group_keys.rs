@@ -8,16 +8,27 @@
 //! encoding gets wrong first: empty strings, separators and NUL inside
 //! strings, `("", "ab")` next to `("a", "b")`, negative and extreme
 //! integers, and a string longer than a 16-bit length can describe.
+//!
+//! The dense key table (`HashAggregate::new_dense`) is held to the hash
+//! path: the same groups, values and output order on random keys inside
+//! their domains, at the domain edges, and through planned queries at 1, 2
+//! and 4 workers; its two typed errors; and the planner's 8× rule at its
+//! edges.
 
 use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ma_core::SplitMix64;
-use ma_executor::ops::{collect, Agg, HashAggregate};
-use ma_executor::{BoxOp, ExecConfig, ExecError, Operator, QueryContext};
+use ma_executor::ops::{collect, Agg, HashAggregate, JoinKind, KeyDomain};
+use ma_executor::plan::{count, sum_i64, NamedPred};
+use ma_executor::{
+    lower, plan_physical, BoxOp, CmpKind, ExecConfig, ExecError, LogicalPlan, Operator,
+    PlanBuilder, QueryContext, Value,
+};
 use ma_primitives::build_dictionary;
-use ma_vector::{DataChunk, DataType, SelVec, StrVec, Vector};
+use ma_vector::{encode_table, ColumnBuilder, DataChunk, DataType, SelVec, StrVec, Table, Vector};
 
 const KEY_TYPES: [DataType; 4] = [DataType::I16, DataType::I32, DataType::I64, DataType::Str];
 const FLAVORS: [&str; 3] = ["gcc", "icc", "clang"];
@@ -318,4 +329,504 @@ fn f64_group_key_is_a_plan_error() {
             Ok(_) => panic!("an f64 group key was accepted"),
         }
     }
+}
+
+// --- dense key tables -------------------------------------------------------
+
+/// One dense group key as the tests generate it.
+#[derive(Debug, Clone, Copy)]
+enum DenseKey {
+    /// An integer column of this type, values in `[lo, lo + width)`.
+    Int(DataType, i64, u64),
+    /// A dictionary-coded string column over this many entries.
+    Dict(usize),
+}
+
+/// A dictionary: its arena and sorted views.
+type Dict = (Arc<[u8]>, Arc<Vec<(u32, u32)>>);
+
+/// A sorted dictionary of `n` distinct strings (`"d00"`, `"d01"`, ...).
+fn dictionary(n: usize) -> Dict {
+    let v = StrVec::from_strings(&(0..n).map(|i| format!("d{i:02}")).collect::<Vec<_>>());
+    (Arc::clone(v.arena()), Arc::new(v.views().to_vec()))
+}
+
+/// A code-carrying string vector over `dict`.
+fn dict_vector(dict: &Dict, codes: Vec<i32>) -> Vector {
+    let views = codes.iter().map(|&c| dict.1[c as usize]).collect();
+    Vector::Str(StrVec::from_dict(
+        Arc::clone(&dict.0),
+        Arc::clone(&dict.1),
+        views,
+        codes,
+    ))
+}
+
+/// An integer vector of type `ty` holding `values`.
+fn int_vector(ty: DataType, values: impl Iterator<Item = i64>) -> Vector {
+    match ty {
+        DataType::I16 => Vector::I16(values.map(|v| i16::try_from(v).unwrap()).collect()),
+        DataType::I32 => Vector::I32(values.map(|v| i32::try_from(v).unwrap()).collect()),
+        _ => Vector::I64(values.collect()),
+    }
+}
+
+/// Each key's domain and, for dictionary keys, its dictionary.
+fn domains(keys: &[DenseKey]) -> (Vec<KeyDomain>, Vec<Option<Dict>>) {
+    keys.iter()
+        .map(|k| match *k {
+            DenseKey::Int(_, lo, width) => (
+                KeyDomain::Int {
+                    lo,
+                    hi: lo + width as i64 - 1,
+                },
+                None,
+            ),
+            DenseKey::Dict(n) => {
+                let d = dictionary(n);
+                (
+                    KeyDomain::Dict {
+                        arena: Arc::clone(&d.0),
+                        views: Arc::clone(&d.1),
+                    },
+                    Some(d),
+                )
+            }
+        })
+        .unzip()
+}
+
+fn key_type(k: &DenseKey) -> DataType {
+    match *k {
+        DenseKey::Int(ty, ..) => ty,
+        DenseKey::Dict(_) => DataType::Str,
+    }
+}
+
+/// Every output row as `(keys, count, sum)`, integer keys widened and
+/// string keys as bytes, in output order.
+fn rows_of(out: &[DataChunk], nkeys: usize) -> Vec<(Vec<Vec<u8>>, i64, i64)> {
+    let mut rows = Vec::new();
+    for chunk in out {
+        for p in chunk.live_positions() {
+            let keys = (0..nkeys)
+                .map(|c| match chunk.column(c).as_ref() {
+                    Vector::I16(v) => i64::from(v[p]).to_le_bytes().to_vec(),
+                    Vector::I32(v) => i64::from(v[p]).to_le_bytes().to_vec(),
+                    Vector::I64(v) => v[p].to_le_bytes().to_vec(),
+                    Vector::Str(v) => v.get_bytes(p).to_vec(),
+                    Vector::F64(_) => unreachable!("not a key type"),
+                })
+                .collect();
+            rows.push((
+                keys,
+                chunk.column(nkeys).as_i64()[p],
+                chunk.column(nkeys + 1).as_i64()[p],
+            ));
+        }
+    }
+    rows
+}
+
+/// Runs `chunks` (key columns, then an `i64` value column) through the hash
+/// and the dense table and returns both outputs.
+fn both_paths(
+    chunks: &[DataChunk],
+    types: &[DataType],
+    domains: &[KeyDomain],
+    vsize: usize,
+) -> (
+    Result<Vec<DataChunk>, ExecError>,
+    Result<Vec<DataChunk>, ExecError>,
+) {
+    let nkeys = domains.len();
+    let ctx = QueryContext::new(
+        Arc::new(build_dictionary()),
+        ExecConfig {
+            vector_size: vsize,
+            ..ExecConfig::fixed_default()
+        },
+    );
+    let source = || -> BoxOp {
+        Box::new(Chunks {
+            chunks: chunks.iter().cloned().collect(),
+            types: types.to_vec(),
+        })
+    };
+    let aggs = || vec![Agg::count(), Agg::sum_i64(nkeys)];
+    let keys: Vec<usize> = (0..nkeys).collect();
+    let mut hash = HashAggregate::new(source(), keys.clone(), aggs(), &ctx.scope("h")).unwrap();
+    let mut dense =
+        HashAggregate::new_dense(source(), keys, domains.to_vec(), aggs(), &ctx.scope("d"))
+            .unwrap();
+    (collect(&mut hash), collect(&mut dense))
+}
+
+/// Random chunks of `keys` inside their domains, under `sel`.
+fn dense_chunks(
+    keys: &[DenseKey],
+    dicts: &[Option<Dict>],
+    sel: Sel,
+    vsize: usize,
+    rng: &mut SplitMix64,
+) -> Vec<DataChunk> {
+    let rows = (3 * vsize + 5).min(4000);
+    let mut chunks = Vec::new();
+    let mut start = 0;
+    while start < rows {
+        let n = vsize.min(rows - start);
+        let mut cols: Vec<Arc<Vector>> = keys
+            .iter()
+            .zip(dicts)
+            .map(|(k, d)| {
+                Arc::new(match (*k, d) {
+                    (DenseKey::Int(ty, lo, w), _) => {
+                        int_vector(ty, (0..n).map(|_| lo + rng.gen_range(w as usize) as i64))
+                    }
+                    (DenseKey::Dict(e), Some(d)) => {
+                        dict_vector(d, (0..n).map(|_| rng.gen_range(e) as i32).collect())
+                    }
+                    (DenseKey::Dict(_), None) => unreachable!("dictionary keys carry one"),
+                })
+            })
+            .collect();
+        cols.push(Arc::new(Vector::I64(
+            (0..n).map(|_| rng.gen_range(1000) as i64 - 500).collect(),
+        )));
+        let mut chunk = DataChunk::new(cols);
+        if sel == Sel::Sparse {
+            let live = (0..n as u32).filter(|_| rng.gen_range(3) == 0).collect();
+            chunk.set_sel(Some(SelVec::from_positions(live)));
+        }
+        chunks.push(chunk);
+        start += n;
+    }
+    chunks
+}
+
+#[test]
+fn dense_keys_match_the_hash_path() {
+    let configs: [&[DenseKey]; 8] = [
+        &[DenseKey::Int(DataType::I32, 1, 1000)],
+        &[DenseKey::Int(DataType::I64, -(1 << 40), 50)],
+        &[DenseKey::Int(DataType::I16, -3, 7)],
+        &[DenseKey::Dict(3)],
+        &[DenseKey::Dict(3), DenseKey::Dict(2)],
+        &[DenseKey::Int(DataType::I32, 0, 100), DenseKey::Dict(5)],
+        &[
+            DenseKey::Int(DataType::I64, -9, 4),
+            DenseKey::Int(DataType::I16, 100, 3),
+        ],
+        &[
+            DenseKey::Dict(4),
+            DenseKey::Int(DataType::I32, -50, 10),
+            DenseKey::Int(DataType::I64, 7, 3),
+        ],
+    ];
+    let mut seed = 100;
+    for keys in configs {
+        let (doms, dicts) = domains(keys);
+        let mut types: Vec<DataType> = keys.iter().map(key_type).collect();
+        types.push(DataType::I64);
+        for sel in [Sel::Dense, Sel::Sparse] {
+            for vsize in [7, 1024] {
+                seed += 1;
+                let mut rng = SplitMix64::new(seed);
+                let chunks = dense_chunks(keys, &dicts, sel, vsize, &mut rng);
+                let (hash, dense) = both_paths(&chunks, &types, &doms, vsize);
+                let case = format!("{keys:?}, {sel:?}, vector size {vsize}");
+                let (hash, dense) = (hash.unwrap(), dense.unwrap());
+                assert!(!hash.is_empty(), "{case}: no groups");
+                assert_eq!(
+                    rows_of(&dense, keys.len()),
+                    rows_of(&hash, keys.len()),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+/// The interval's own ends, a one-value interval and a negative `lo`.
+#[test]
+fn dense_keys_cover_the_domain_edges() {
+    for (lo, hi) in [
+        (-7i64, 5i64),
+        (42, 42),
+        (i64::MIN, i64::MIN + 3),
+        (i64::MAX - 2, i64::MAX),
+    ] {
+        let keys: Vec<i64> = vec![hi, lo, hi, lo, lo];
+        let chunk = DataChunk::new(vec![
+            Arc::new(Vector::I64(keys.clone())),
+            Arc::new(Vector::I64(vec![1, 2, 3, 4, 5])),
+        ]);
+        let doms = [KeyDomain::Int { lo, hi }];
+        let types = [DataType::I64, DataType::I64];
+        let (hash, dense) = both_paths(&[chunk], &types, &doms, 1024);
+        let dense = dense.unwrap_or_else(|e| panic!("[{lo}, {hi}]: {e}"));
+        assert_eq!(rows_of(&dense, 1), rows_of(&hash.unwrap(), 1));
+        let first = dense[0].column(0).as_i64();
+        if lo == hi {
+            assert_eq!(first, &[lo]);
+        } else {
+            // First-appearance order: `hi` opened the first group.
+            assert_eq!(first, &[hi, lo]);
+            assert_eq!(dense[0].column(1).as_i64(), &[2, 3]);
+        }
+    }
+}
+
+#[test]
+fn a_key_outside_its_domain_is_a_typed_error() {
+    let types = [DataType::I32, DataType::I64];
+    let doms = [KeyDomain::Int { lo: 0, hi: 5 }];
+    for bad in [-1, 6, i32::MIN, i32::MAX] {
+        let chunk = DataChunk::new(vec![
+            Arc::new(Vector::I32(vec![0, bad, 5])),
+            Arc::new(Vector::I64(vec![1, 2, 3])),
+        ]);
+        match both_paths(std::slice::from_ref(&chunk), &types, &doms, 1024).1 {
+            Err(ExecError::Plan(m)) => assert!(m.contains("outside [0, 5]"), "{m}"),
+            other => panic!("key {bad} was accepted: {:?}", other.map(|c| c.len())),
+        }
+        // A dead row's key is never read.
+        let mut dead = chunk;
+        dead.set_sel(Some(SelVec::from_positions(vec![0, 2])));
+        let out = both_paths(&[dead], &types, &doms, 1024).1.unwrap();
+        assert_eq!(out[0].column(0).as_i32(), &[0, 5]);
+    }
+}
+
+#[test]
+fn a_string_chunk_without_the_planned_codes_is_a_typed_error() {
+    let types = [DataType::Str, DataType::I64];
+    let (doms, dicts) = domains(&[DenseKey::Dict(3)]);
+    let planned = dicts[0].clone().unwrap();
+    // The same strings, once without codes and once with the codes of an
+    // equal but different dictionary.
+    let plain = Vector::Str(StrVec::from_strings(&["d00", "d02"]));
+    let other = dict_vector(&dictionary(3), vec![0, 2]);
+    for keys in [plain, other] {
+        let chunk = DataChunk::new(vec![Arc::new(keys), Arc::new(Vector::I64(vec![1, 2]))]);
+        match both_paths(&[chunk], &types, &doms, 1024).1 {
+            Err(ExecError::Plan(m)) => assert!(m.contains("without the codes"), "{m}"),
+            other => panic!("accepted: {:?}", other.map(|c| c.len())),
+        }
+    }
+    let chunk = DataChunk::new(vec![
+        Arc::new(dict_vector(&planned, vec![2, 0, 2])),
+        Arc::new(Vector::I64(vec![1, 2, 3])),
+    ]);
+    let out = both_paths(&[chunk], &types, &doms, 1024).1.unwrap();
+    let keys: Vec<&str> = out[0].column(0).as_str_vec().iter().collect();
+    assert_eq!(keys, ["d02", "d00"]);
+}
+
+#[test]
+fn dense_domains_past_the_cap_are_rejected() {
+    let ctx = QueryContext::new(Arc::new(build_dictionary()), ExecConfig::fixed_default());
+    for doms in [
+        vec![KeyDomain::Int {
+            lo: i64::MIN,
+            hi: i64::MAX,
+        }],
+        vec![KeyDomain::Int { lo: 0, hi: 1 << 20 }],
+        vec![KeyDomain::Int { lo: 1, hi: 0 }],
+    ] {
+        let source: BoxOp = Box::new(Chunks {
+            chunks: VecDeque::new(),
+            types: vec![DataType::I64, DataType::I64],
+        });
+        let agg =
+            HashAggregate::new_dense(source, vec![0], doms, vec![Agg::count()], &ctx.scope("t"));
+        assert!(matches!(agg, Err(ExecError::Plan(_))));
+    }
+}
+
+/// One table `t(k i32, v i64)` whose `k` holds `values`, cycling.
+fn int_catalog(values: &[i64]) -> HashMap<String, Arc<Table>> {
+    let rows = 64;
+    let mut k = ColumnBuilder::with_capacity(DataType::I64, rows);
+    let mut v = ColumnBuilder::with_capacity(DataType::I64, rows);
+    for i in 0..rows {
+        k.push_i64(values[i % values.len()]);
+        v.push_i64(i as i64);
+    }
+    let t = Table::new(
+        "t",
+        vec![("k".into(), k.finish()), ("v".into(), v.finish())],
+    )
+    .unwrap();
+    HashMap::from([("t".to_string(), Arc::new(t))])
+}
+
+/// Whether the planner sends `GROUP BY k` over `values` to a dense table.
+fn goes_dense(values: &[i64]) -> bool {
+    let cat = int_catalog(values);
+    let plan = PlanBuilder::scan(&cat, "t", &["k", "v"])
+        .hash_agg(&["k"], vec![count()], "agg")
+        .build()
+        .unwrap();
+    let phys = plan_physical(&plan, &ExecConfig::fixed_default()).unwrap();
+    let agg = phys
+        .nodes()
+        .into_iter()
+        .find(|n| matches!(n.logical, LogicalPlan::HashAgg { .. }))
+        .unwrap();
+    !agg.dense_keys.is_empty()
+}
+
+#[test]
+fn the_planner_goes_dense_within_eight_slots_per_group() {
+    // 4 groups: 8 × 4 = 32 slots. [0, 31] spans 32, [0, 32] spans 33.
+    assert!(goes_dense(&[0, 1, 2, 31]));
+    assert!(!goes_dense(&[0, 1, 2, 32]));
+    assert!(goes_dense(&[-20, -19, -18, 11]));
+    assert!(!goes_dense(&[-20, -19, -18, 12]));
+    // One group over a one-value interval.
+    assert!(goes_dense(&[i64::MAX]));
+    // i64-extreme intervals overflow every product: the hash path.
+    assert!(!goes_dense(&[i64::MIN, i64::MAX]));
+    assert!(!goes_dense(&[i64::MIN, 0, i64::MAX]));
+}
+
+/// `t(k i32, s str, v i64)`, encoded (so `s` is dictionary-coded): `k` in
+/// [-50, 49] and 5 strings, enough rows for 64-row vectors to shard.
+fn encoded_catalog() -> HashMap<String, Arc<Table>> {
+    let rows = 4096;
+    let mut rng = SplitMix64::new(7);
+    let mut k = ColumnBuilder::with_capacity(DataType::I32, rows);
+    let mut s = ColumnBuilder::with_capacity(DataType::Str, rows);
+    let mut v = ColumnBuilder::with_capacity(DataType::I64, rows);
+    for i in 0..rows {
+        k.push_i32(rng.gen_range(100) as i32 - 50);
+        s.push_str(["AIR", "MAIL", "RAIL", "SHIP", "TRUCK"][rng.gen_range(5)]);
+        v.push_i64(i as i64);
+    }
+    let t = Table::new(
+        "t",
+        vec![
+            ("k".into(), k.finish()),
+            ("s".into(), s.finish()),
+            ("v".into(), v.finish()),
+        ],
+    )
+    .unwrap();
+    HashMap::from([("t".to_string(), Arc::new(encode_table(&t)))])
+}
+
+#[test]
+fn planned_dense_aggregates_agree_across_workers() {
+    let cat = encoded_catalog();
+    let t = &cat["t"];
+    let (ks, ss, vs) = (
+        t.column("k").unwrap().slice_vector(0, t.rows()),
+        t.column("s").unwrap().slice_vector(0, t.rows()),
+        t.column("v").unwrap().slice_vector(0, t.rows()),
+    );
+    for keys in [&["k"][..], &["s"], &["s", "k"]] {
+        for cut in [4096, 1500] {
+            // The oracle: groups of the rows with v < cut, first-seen order.
+            let mut oracle: BTreeMap<Vec<Vec<u8>>, (usize, i64, i64)> = BTreeMap::new();
+            for r in 0..vs.len() {
+                let v = vs.as_i64()[r];
+                if v >= cut {
+                    continue;
+                }
+                let key = keys
+                    .iter()
+                    .map(|&c| match c {
+                        "k" => i64::from(ks.as_i32()[r]).to_le_bytes().to_vec(),
+                        _ => ss.as_str_vec().get_bytes(r).to_vec(),
+                    })
+                    .collect();
+                let rank = oracle.len();
+                let e = oracle.entry(key).or_insert((rank, 0, 0));
+                e.1 += 1;
+                e.2 += v;
+            }
+            let mut expected: Vec<_> = oracle.into_iter().collect();
+            expected.sort_by_key(|(_, (rank, ..))| *rank);
+            let expected: Vec<_> = expected
+                .into_iter()
+                .map(|(k, (_, c, s))| (k, c, s))
+                .collect();
+
+            let mut cols = keys.to_vec();
+            cols.push("v");
+            let plan = PlanBuilder::scan(&cat, "t", &cols)
+                .filter(NamedPred::cmp_val("v", CmpKind::Lt, Value::I64(cut)), "f")
+                .hash_agg(keys, vec![count(), sum_i64("v")], "agg")
+                .build()
+                .unwrap();
+            for workers in [1, 2, 4] {
+                let cfg = ExecConfig {
+                    vector_size: 64,
+                    ..ExecConfig::fixed_default().with_workers(workers)
+                };
+                let case = format!("keys {keys:?}, v < {cut}, {workers} workers");
+                let phys = plan_physical(&plan, &cfg).unwrap();
+                let agg = phys
+                    .nodes()
+                    .into_iter()
+                    .find(|n| matches!(n.logical, LogicalPlan::HashAgg { .. }))
+                    .unwrap();
+                assert_eq!(agg.dense_keys.len(), keys.len(), "{case}: not dense");
+                assert_eq!(agg.instances(), workers, "{case}: partitions");
+                let ctx = QueryContext::new(Arc::new(build_dictionary()), cfg);
+                let mut op = lower(&plan, &ctx).unwrap();
+                let mut got = rows_of(&collect(op.as_mut()).unwrap(), keys.len());
+                let mut want = expected.clone();
+                if workers > 1 {
+                    // Partitions unite in arrival order.
+                    got.sort();
+                    want.sort();
+                }
+                assert_eq!(got, want, "{case}");
+            }
+        }
+    }
+}
+
+/// A string key keeps its codes through a semi join's probe side, so the
+/// aggregate goes dense; an inner join fetches its probe columns into new
+/// vectors without codes, so the same key hashes. Both answer alike.
+#[test]
+fn only_code_keeping_joins_feed_dense_string_keys() {
+    let mut cat = encoded_catalog();
+    let mut d = ColumnBuilder::with_capacity(DataType::I32, 50);
+    for k in 0..50 {
+        d.push_i32(k - 50);
+    }
+    let d = Table::new("d", vec![("dk".into(), d.finish())]).unwrap();
+    cat.insert("d".to_string(), Arc::new(d));
+    let mut answers = Vec::new();
+    for (kind, dense) in [(JoinKind::Semi, true), (JoinKind::Inner, false)] {
+        let plan = PlanBuilder::scan(&cat, "t", &["k", "s", "v"])
+            .hash_join(
+                PlanBuilder::scan(&cat, "d", &["dk"]),
+                &[("k", "dk")],
+                &[],
+                kind,
+                false,
+                "j",
+            )
+            .hash_agg(&["s"], vec![count(), sum_i64("v")], "agg")
+            .build()
+            .unwrap();
+        let cfg = ExecConfig::fixed_default();
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let agg = phys
+            .nodes()
+            .into_iter()
+            .find(|n| matches!(n.logical, LogicalPlan::HashAgg { .. }))
+            .unwrap();
+        assert_eq!(!agg.dense_keys.is_empty(), dense, "{kind:?}");
+        let ctx = QueryContext::new(Arc::new(build_dictionary()), cfg);
+        let mut op = lower(&plan, &ctx).unwrap();
+        answers.push(rows_of(&collect(op.as_mut()).unwrap(), 1));
+    }
+    assert_eq!(answers[0], answers[1]);
+    assert_eq!(answers[0].len(), 5);
 }

@@ -6,12 +6,17 @@
 //! per position — the primitive of Fig. 4(e) (`hash_insertcheck_str_col`),
 //! whose cost visibly grows with the table (cache/TLB misses).
 //!
-//! Two tables: [`GroupTable`] for integer (packed) keys and
+//! Two hash tables: [`GroupTable`] for integer (packed) keys and
 //! [`StrGroupTable`] for byte keys (one string column, or a composite key
 //! row the operator serialized). Both are open-addressing with linear
 //! probing; the *caller* must [`GroupTable::reserve`] capacity for a vector's
 //! worth of inserts before calling the primitive, so the primitive itself
 //! never rehashes (keeps its cost measurable and its loop tight).
+//!
+//! A third table, [`DenseGroupTable`], needs no hashing at all: when every
+//! group key has a small proven domain the caller maps each key to its
+//! slot in the domains' product, and `hash_insertcheck_dense_col` indexes
+//! that slot directly. Its cost does not grow with the group count.
 
 const EMPTY: u32 = u32::MAX;
 
@@ -200,6 +205,92 @@ pub fn hash_insertcheck_u64_clang(
         None => {
             for ((g, &h), &k) in gids.iter_mut().zip(hashes.iter()).zip(keys.iter()) {
                 *g = table.find_or_insert(h, k);
+            }
+        }
+    }
+    table.groups()
+}
+
+// ---------------------------------------------------------------------------
+// direct-indexed keys
+// ---------------------------------------------------------------------------
+
+/// Assigns dense group ids to slot indices in `[0, slots)` by direct
+/// indexing: one `u32` per slot holding `gid + 1`, 0 marking a free slot,
+/// so a fresh table is a single zeroed allocation. Group ids are handed
+/// out in first-appearance order, as [`GroupTable`] hands them out.
+#[derive(Debug, Clone)]
+pub struct DenseGroupTable {
+    /// `gid + 1` per slot; 0 is free.
+    slots: Vec<u32>,
+    /// Every group's slot index, by gid: how the caller reads keys back.
+    slot_of: Vec<u32>,
+    groups: u32,
+}
+
+impl DenseGroupTable {
+    /// An empty table over `slots` slot indices.
+    pub fn new(slots: usize) -> Self {
+        DenseGroupTable {
+            slots: vec![0; slots],
+            slot_of: Vec::new(),
+            groups: 0,
+        }
+    }
+
+    /// Number of distinct groups inserted so far.
+    pub fn groups(&self) -> u32 {
+        self.groups
+    }
+
+    /// Resident bytes (length-based): the slot array plus the slot index
+    /// of every group.
+    pub fn bytes(&self) -> u64 {
+        ((self.slots.len() + self.slot_of.len()) * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Every group's slot index, indexed by group id.
+    pub fn slots_by_gid(&self) -> &[u32] {
+        &self.slot_of
+    }
+
+    /// Finds or inserts one slot index, returning its group id. Panics if
+    /// `slot` is outside the table.
+    #[inline]
+    pub fn find_or_insert(&mut self, slot: u32) -> u32 {
+        let s = &mut self.slots[slot as usize];
+        if *s == 0 {
+            self.slot_of.push(slot);
+            self.groups += 1;
+            *s = self.groups;
+        }
+        *s - 1
+    }
+}
+
+/// `hash_insertcheck_dense_col`: per live position, find-or-insert the
+/// slot index `slots[i]` and write the group id. Returns the number of
+/// groups after the call.
+pub type DenseInsertCheck =
+    fn(table: &mut DenseGroupTable, slots: &[u32], gids: &mut [u32], sel: Option<&[u32]>) -> u32;
+
+/// The one flavor: a plain loop, one array access per tuple.
+pub fn hash_insertcheck_dense(
+    table: &mut DenseGroupTable,
+    slots: &[u32],
+    gids: &mut [u32],
+    sel: Option<&[u32]>,
+) -> u32 {
+    match sel {
+        Some(s) => {
+            for &i in s {
+                let i = i as usize;
+                gids[i] = table.find_or_insert(slots[i]);
+            }
+        }
+        None => {
+            for (g, &slot) in gids.iter_mut().zip(slots) {
+                *g = table.find_or_insert(slot);
             }
         }
     }
@@ -472,6 +563,30 @@ mod tests {
                 }
             }
             assert_eq!(g_ref, 37);
+        }
+    }
+
+    #[test]
+    fn dense_table_matches_the_hash_table() {
+        // Same keys through both tables: the same gids in the same
+        // (first-appearance) order, under a dense and a sparse selection.
+        let keys: Vec<u64> = (0..512u64).map(|i| (i * 7919) % 61).collect();
+        let hashes: Vec<u64> = keys.iter().map(|&k| hash_u64(k)).collect();
+        let slots: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+        let sel: Vec<u32> = (0..512u32).filter(|i| i % 3 != 1).collect();
+        for sv in [None, Some(sel.as_slice()), Some(&[][..])] {
+            let mut t_ref = GroupTable::new();
+            t_ref.reserve(512);
+            let mut expected = vec![u32::MAX; 512];
+            let g_ref = hash_insertcheck_u64_gcc(&mut t_ref, &hashes, &keys, &mut expected, sv);
+            let mut t = DenseGroupTable::new(61);
+            let mut gids = vec![u32::MAX; 512];
+            assert_eq!(hash_insertcheck_dense(&mut t, &slots, &mut gids, sv), g_ref);
+            // Dead positions stay untouched.
+            assert_eq!(gids, expected);
+            let by_gid: Vec<u64> = t.slots_by_gid().iter().map(|&s| u64::from(s)).collect();
+            assert_eq!(by_gid, t_ref.keys_by_gid());
+            assert_eq!(t.bytes(), (61 + u64::from(g_ref)) * 4);
         }
     }
 

@@ -15,7 +15,7 @@
 //! | [`hashing`] | vectorized hash / rehash | compiler styles |
 //! | [`bloom`] | bloom filter + `sel_bloomfilter` | fused / loop-fission (§2 Listings 5–6, Fig. 6) |
 //! | [`decode`] | compressed-column decode (`decode_for_*`, `decode_delta_i32`, `decode_dict_str`) | branching / no-branching, fused / fission, hand-unroll |
-//! | [`group_table`] | `hash_insertcheck_{u64,str}` (Fig. 4e) | compiler styles |
+//! | [`group_table`] | `hash_insertcheck_{u64,str}` (Fig. 4e), `hash_insertcheck_dense` | compiler styles (dense: one) |
 //! | [`aggregate`] | grouped & ungrouped sums/counts/min/max (incl. `sum128`) | compiler styles |
 //! | [`registry`] | [`registry::build_dictionary`] wires everything into a [`ma_core::PrimitiveDictionary`] | |
 //!
@@ -37,7 +37,7 @@ pub mod registry;
 pub mod selection;
 
 pub use bloom::BloomFilter;
-pub use group_table::{GroupTable, StrGroupTable};
+pub use group_table::{DenseGroupTable, GroupTable, StrGroupTable};
 pub use like::LikePattern;
 pub use registry::build_dictionary;
 
@@ -48,7 +48,7 @@ pub use aggregate::{
 };
 pub use bloom::SelBloom;
 pub use decode::{DecodeDeltaCol, DecodeDictCol, DecodeForCol};
-pub use group_table::{GroupInsertCheck, StrGroupInsertCheck};
+pub use group_table::{DenseInsertCheck, GroupInsertCheck, StrGroupInsertCheck};
 pub use hashing::{MapHash, MapHashStr, MapRehash, MapRehashStr};
 pub use like::SelLike;
 pub use map_arith::{MapCast, MapColCol, MapColVal};

@@ -457,6 +457,12 @@ pub fn build_dictionary() -> PrimitiveDictionary {
             hash_insertcheck_str_clang,
         ],
     ));
+    // Direct indexing has no code shape worth a second flavor.
+    d.register(FlavorSet::new(
+        "hash_insertcheck_dense_col",
+        fi("default", D),
+        hash_insertcheck_dense as DenseInsertCheck,
+    ));
 
     // --- grouped aggregation ----------------------------------------------------
     d.register(FlavorSet::from_parts(
@@ -574,6 +580,7 @@ mod tests {
             "sel_bloomfilter",
             "mergejoin_i64_col_i64_col",
             "hash_insertcheck_str_col",
+            "hash_insertcheck_dense_col",
             "aggr_sum128_i64_col",
             "aggr0_sum_f64_col",
         ] {

@@ -64,7 +64,7 @@ fn q01_physical_explain_shows_partitioned_aggregate() {
     let expected = "\
 Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str, sum_qty:i64, sum_base:i64, sum_disc_price:f64, sum_charge:f64, avg_qty:f64, avg_price:f64, avg_disc:f64, count:i64)
   Project [l_returnflag, l_linestatus, sum_qty, sum_base, sum_disc_price, sum_charge, avg_qty=(f64(sum_qty) / f64(count)), avg_price=(f64(sum_base) / f64(count)), avg_disc=(sum_disc / f64(count)), count] -> (l_returnflag:str, l_linestatus:str, sum_qty:i64, sum_base:i64, sum_disc_price:f64, sum_charge:f64, avg_qty:f64, avg_price:f64, avg_disc:f64, count:i64)
-    HashAgg (partitioned \u{d7}2) keys=[l_returnflag, l_linestatus] aggs=[sum_qty=sum_i64(qty), sum_base=sum_i64(base), sum_disc_price=sum_f64(disc_price), sum_charge=sum_f64(charge), sum_disc=sum_f64(disc), count=count(*)] -> (l_returnflag:str, l_linestatus:str, sum_qty:i64, sum_base:i64, sum_disc_price:f64, sum_charge:f64, sum_disc:f64, count:i64)
+    HashAgg (partitioned \u{d7}2) keys=[l_returnflag, l_linestatus] dense=[l_returnflag: 3 codes, l_linestatus: 2 codes] aggs=[sum_qty=sum_i64(qty), sum_base=sum_i64(base), sum_disc_price=sum_f64(disc_price), sum_charge=sum_f64(charge), sum_disc=sum_f64(disc), count=count(*)] -> (l_returnflag:str, l_linestatus:str, sum_qty:i64, sum_base:i64, sum_disc_price:f64, sum_charge:f64, sum_disc:f64, count:i64)
       Project [l_returnflag, l_linestatus, qty=i64(l_quantity), base=l_extendedprice, disc_price=(f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1)), charge=((f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1)) * ((f64(l_tax) * 0.01) + 1)), disc=(f64(l_discount) * 0.01)] -> (l_returnflag:str, l_linestatus:str, qty:i64, base:i64, disc_price:f64, charge:f64, disc:f64)
         Filter l_shipdate <= 2436 -> (l_shipdate:i32, l_returnflag:str, l_linestatus:str, l_quantity:i32, l_extendedprice:i64, l_discount:i64, l_tax:i64)
           Scan lineitem (shardable) enc=[l_shipdate:for, l_returnflag:dict, l_linestatus:dict, l_quantity:for, l_extendedprice:for, l_discount:for, l_tax:for] guards=[l_shipdate <= 2436] -> (l_shipdate:i32, l_returnflag:str, l_linestatus:str, l_quantity:i32, l_extendedprice:i64, l_discount:i64, l_tax:i64)
@@ -87,15 +87,17 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
     let text = explain_query_with(1, &db(), &Params::default(), &past).unwrap();
     assert!(!text.contains("partitioned"));
     // A single-worker config renders structurally (no partition verdict)
-    // plus the scan's zone-map guard.
+    // plus the scan's zone-map guard and the aggregate's dense key table:
+    // both keys reach it carrying their dictionaries' codes.
     let plain = explain_query_with(1, &db(), &Params::default(), &ExecConfig::fixed_default());
+    let structural = explain_query(1, &db(), &Params::default()).unwrap();
+    let dense = structural.replace(
+        "keys=[l_returnflag, l_linestatus] ",
+        "keys=[l_returnflag, l_linestatus] dense=[l_returnflag: 3 codes, l_linestatus: 2 codes] ",
+    );
     assert_eq!(
         plain.unwrap(),
-        with_guards(
-            &explain_query(1, &db(), &Params::default()).unwrap(),
-            "l_tax:for]",
-            "l_shipdate <= 2436"
-        )
+        with_guards(&dense, "l_tax:for]", "l_shipdate <= 2436")
     );
 }
 

@@ -145,11 +145,14 @@ const NARROW_CAST_ALLOWLIST: &[(&str, usize, &str)] = &[
     ),
     (
         "crates/executor/src/ops/aggregate.rs",
-        3,
+        4,
         "key-row write cursor: each piece's length is part of a row size that \
-         was summed into a u32 with overflow detection before any write; and \
+         was summed into a u32 with overflow detection before any write; \
          i16/i32 group keys read back from the group table, which holds them \
-         widened from columns of that very type",
+         widened from columns of that very type; and a dense key's slot \
+         offset `key - lo`, below the domain width (at most 2^20 slots) for \
+         every key inside [lo, hi] — a key outside fails the chunk before its \
+         slot is used",
     ),
     (
         "crates/executor/src/ops/exchange.rs",
