@@ -2,13 +2,19 @@
 //!
 //! A forward dataflow pass that propagates per-column *facts* — integer
 //! intervals `[lo, hi]`, float finiteness, distinct-count (NDV) upper
-//! bounds, all-distinctness proofs — plus a per-node row-count upper bound
-//! from base-table statistics ([`ma_vector::ColumnStats`]) through every
-//! [`LogicalPlan`] node:
+//! bounds, all-distinctness proofs, the dictionary whose codes a column's
+//! vectors carry, and the byte model's per-value width — plus a per-node
+//! row-count upper bound from base-table statistics
+//! ([`ma_vector::ColumnStats`]) through every [`LogicalPlan`] node. It is
+//! the one place a per-column property the planner reads is derived: the
+//! planner's byte bounds, dense key domains and zone guards all read these
+//! facts.
 //!
 //! * **Scan** seeds facts from exact table stats; the row bound is the
 //!   catalog's row count (`base_rows`), which [`crate::plan::Catalog`]
-//!   contracts to be exact.
+//!   contracts to be exact. A dictionary-coded column carries its
+//!   dictionary's codes, which only filters, pass-through projections and
+//!   the probe side of semi, anti and left-single joins keep.
 //! * **Filter** narrows intervals through comparison atoms (`col op const`
 //!   and `col op col`), intersecting under `And` and hulling under `Or`;
 //!   a conjunction that empties an integer interval is a
@@ -26,9 +32,10 @@
 //!   filters/projections preserve it), and fall back to the sound
 //!   product bound otherwise.
 //!
-//! The row/NDV bounds are what the physical planner's partitioning
-//! verdicts consume: `plan::plan_physical` runs the per-node transfer
-//! once per node and keeps each node's row bound on the physical plan.
+//! `plan::plan_physical` runs the per-node transfer once per node: the
+//! row/NDV bounds feed its partitioning verdicts, the widths its byte
+//! bounds, intervals and codes its dense key domains, and a Filter's
+//! output intervals the zone guards of the scan beneath it.
 //!
 //! **Soundness contract:** every fact is an *over*-approximation — bounds
 //! may widen but never lie. For any plan whose execution completes, every
@@ -44,10 +51,12 @@
 
 use std::fmt;
 
-use ma_vector::{DataType, StatsDomain};
+use ma_vector::encode::EncColumn;
+use ma_vector::{Column, DataType, Schema, StatsDomain};
 
+use crate::cost::Width;
 use crate::expr::{Agg, AggFunc, ArithKind, CmpKind, CmpRhs, Expr, NumType, Pred, Value};
-use crate::ops::{JoinKind, ProjItem};
+use crate::ops::{DictRef, JoinKind, ProjItem};
 use crate::plan::LogicalPlan;
 
 /// Relative slack applied to float *sum* bounds: summation rounds once per
@@ -321,15 +330,41 @@ pub struct ColFact {
     pub ndv: usize,
     /// Proof that the column holds no duplicate values.
     pub distinct: bool,
+    /// The dictionary whose codes every vector of the column carries: set
+    /// at a dictionary-coded scan column and kept only by operators that
+    /// pass its vectors on untouched (filters, pass-through projections,
+    /// the probe side of semi, anti and left-single joins).
+    pub codes: Option<DictRef>,
+    /// The byte model's width of one value (DESIGN.md §12).
+    pub(crate) width: Width,
 }
 
 impl ColFact {
+    /// A fact with no dictionary codes; [`Facts::normalize`] sets the width
+    /// of every fixed-width column from its type.
+    fn new(domain: AbsDomain, ndv: usize, distinct: bool) -> ColFact {
+        ColFact {
+            domain,
+            ndv,
+            distinct,
+            codes: None,
+            width: Width::fixed(8),
+        }
+    }
+
+    /// Nothing known: every value of `ty`, strings of any length.
     fn top(ty: DataType, rows: usize) -> ColFact {
         ColFact {
-            domain: AbsDomain::top(ty),
-            ndv: rows,
-            distinct: false,
+            width: Width::fixed(u64::MAX),
+            ..ColFact::new(AbsDomain::top(ty), rows, false)
         }
+    }
+
+    /// Proven upper bound on the stored bytes of one value: the scalar
+    /// width of a numeric column; for a `Str` column, the longest value's
+    /// byte length plus its 8-byte view.
+    pub fn bytes(&self) -> u64 {
+        self.width.raw
     }
 }
 
@@ -344,14 +379,27 @@ pub struct Facts {
 
 impl Facts {
     /// Re-establishes the cross-fact invariants after a transfer function:
-    /// NDV ≤ rows, NDV ≤ interval width, and a row bound ≤ 1 proves
-    /// distinctness trivially.
-    fn normalize(mut self) -> Facts {
-        for c in &mut self.cols {
+    /// NDV ≤ rows, NDV ≤ interval width, a row bound ≤ 1 proves
+    /// distinctness trivially, and a fixed-width column of `schema` is as
+    /// wide as its type.
+    fn normalize(mut self, schema: &Schema) -> Facts {
+        for (i, c) in self.cols.iter_mut().enumerate() {
             c.ndv = c.ndv.min(self.rows).min(c.domain.width());
             if self.rows <= 1 {
                 c.distinct = true;
             }
+            if let Some(w) = schema.fields().get(i).and_then(|f| f.ty.fixed_width()) {
+                c.width = Width::fixed(w as u64);
+            }
+        }
+        self
+    }
+
+    /// Drops every column's dictionary codes: the node rebuilds its
+    /// vectors.
+    fn without_codes(mut self) -> Facts {
+        for c in &mut self.cols {
+            c.codes = None;
         }
         self
     }
@@ -440,6 +488,20 @@ pub(crate) fn transfer(
                 .map(|(i, name)| match table.column_index(name) {
                     Ok(ci) => {
                         let s = &stats[ci];
+                        let codes = match table.column_at(ci) {
+                            Column::Enc(e) => match &**e {
+                                EncColumn::Dict(d) => Some(DictRef::of(d)),
+                                _ => None,
+                            },
+                            _ => None,
+                        };
+                        // A string is its bytes plus an 8-byte view; a
+                        // dictionary-coded one decodes to the view alone.
+                        let raw = (s.max_bytes as u64).saturating_add(8);
+                        let width = Width {
+                            raw,
+                            enc: if codes.is_some() { 8 } else { raw },
+                        };
                         let domain = match s.domain {
                             StatsDomain::Int { min, max } => AbsDomain::Int { lo: min, hi: max },
                             StatsDomain::Float {
@@ -458,6 +520,8 @@ pub(crate) fn transfer(
                             ndv: s.distinct,
                             // Exact stats make this a proof, not a guess.
                             distinct: s.distinct == table.rows() && table.rows() > 0,
+                            codes,
+                            width,
                         }
                     }
                     // Unknown source column: an ill-formed plan verify
@@ -496,7 +560,12 @@ pub(crate) fn transfer(
                 .iter()
                 .map(|item| match item {
                     ProjItem::Pass(i) => in_facts.cols[*i].clone(),
-                    ProjItem::Expr(e) => eval_expr(e, in_facts, label, errs),
+                    // Evaluation writes a fresh vector, even for a bare
+                    // column.
+                    ProjItem::Expr(e) => ColFact {
+                        codes: None,
+                        ..eval_expr(e, in_facts, label, errs)
+                    },
                 })
                 .collect();
             Facts {
@@ -516,6 +585,8 @@ pub(crate) fn transfer(
                     let mut fact = in_facts.cols[k].clone();
                     // A single group key is deduplicated by grouping.
                     fact.distinct = keys.len() == 1;
+                    // Keys are read back from the group table.
+                    fact.codes = None;
                     fact
                 })
                 .collect();
@@ -577,13 +648,22 @@ pub(crate) fn transfer(
                 JoinKind::Semi | JoinKind::Anti | JoinKind::LeftSingle => probe_f.rows,
             };
             let rows = if key_miss { 0 } else { rows };
-            let mut cols = probe_f.cols;
-            if matches!(kind, JoinKind::Inner) && !build_distinct {
+            // An inner join copies its probe columns; the other kinds
+            // pass the probe vectors on.
+            let inner = matches!(kind, JoinKind::Inner);
+            let mut cols = if inner {
+                probe_f.without_codes().cols
+            } else {
+                probe_f.cols
+            };
+            if inner && !build_distinct {
                 // A probe tuple can fan out to several matches.
                 for c in &mut cols {
                     c.distinct = false;
                 }
             }
+            // Payloads are fetched from the build's row store.
+            let build_f = build_f.without_codes();
             match kind {
                 JoinKind::Inner => {
                     for &p in payload {
@@ -632,7 +712,9 @@ pub(crate) fn transfer(
             } else {
                 right_f.rows.saturating_mul(left_f.rows)
             };
-            let mut cols = right_f.cols;
+            // Both sides pass through row stores.
+            let left_f = left_f.without_codes();
+            let mut cols = right_f.without_codes().cols;
             if !left_distinct {
                 for c in &mut cols {
                     c.distinct = false;
@@ -647,14 +729,15 @@ pub(crate) fn transfer(
         }
 
         LogicalPlan::Sort { limit, .. } => {
-            let mut facts = std::mem::take(&mut inputs[0]);
+            // The sort's row store rebuilds every vector.
+            let mut facts = std::mem::take(&mut inputs[0]).without_codes();
             if let Some(n) = limit {
                 facts.rows = facts.rows.min(*n);
             }
             facts
         }
     };
-    facts.normalize()
+    facts.normalize(plan.schema())
 }
 
 // --- predicate narrowing ---------------------------------------------------
@@ -721,6 +804,7 @@ fn narrow_pred(pred: &Pred, cols: &mut [ColFact]) -> Option<usize> {
                             // passes 3 distinct values, max proves ≤ 2).
                             ndv: x.ndv.saturating_add(y.ndv),
                             distinct: x.distinct && y.distinct,
+                            ..x
                         })
                         .collect(),
                 });
@@ -747,26 +831,23 @@ fn narrow_cmp_const(fact: &mut ColFact, op: CmpKind, v: &Value) {
     match (&mut fact.domain, v) {
         (AbsDomain::Int { lo, hi }, _) => {
             let Some(c) = const_as_i64(v) else { return };
-            match op {
-                CmpKind::Lt => *hi = (*hi).min(c.saturating_sub(1)),
-                CmpKind::Le => *hi = (*hi).min(c),
-                CmpKind::Gt => *lo = (*lo).max(c.saturating_add(1)),
-                CmpKind::Ge => *lo = (*lo).max(c),
+            let c = i128::from(c);
+            let (min, max) = (i128::MIN, i128::MAX);
+            let (nlo, nhi) = match op {
+                CmpKind::Lt => (min, c - 1),
+                CmpKind::Le => (min, c),
+                CmpKind::Gt => (c + 1, max),
+                CmpKind::Ge => (c, max),
                 CmpKind::Eq => {
-                    *lo = (*lo).max(c);
-                    *hi = (*hi).min(c);
                     fact.ndv = fact.ndv.min(1);
+                    (c, c)
                 }
-                CmpKind::Ne => {
-                    if *lo == *hi && *lo == c {
-                        *hi = *lo - 1; // empty
-                    } else if *lo == c {
-                        *lo += 1;
-                    } else if *hi == c {
-                        *hi -= 1;
-                    }
-                }
-            }
+                // `<>` narrows only at a boundary.
+                CmpKind::Ne if c == i128::from(*lo) => (c + 1, max),
+                CmpKind::Ne if c == i128::from(*hi) => (min, c - 1),
+                CmpKind::Ne => return,
+            };
+            narrow_int(lo, hi, nlo, nhi);
         }
         (AbsDomain::Float { lo, hi, .. }, Value::F64(c)) => {
             if c.is_nan() {
@@ -791,23 +872,20 @@ fn narrow_cmp_const(fact: &mut ColFact, op: CmpKind, v: &Value) {
 }
 
 fn narrow_cmp_col(a: &mut ColFact, op: CmpKind, b: &mut ColFact) {
+    // `a > b` is `b < a`.
+    match op {
+        CmpKind::Gt => return narrow_cmp_col(b, CmpKind::Lt, a),
+        CmpKind::Ge => return narrow_cmp_col(b, CmpKind::Le, a),
+        _ => {}
+    }
     match (&mut a.domain, &mut b.domain) {
         (AbsDomain::Int { lo: alo, hi: ahi }, AbsDomain::Int { lo: blo, hi: bhi }) => match op {
-            CmpKind::Lt => {
-                *ahi = (*ahi).min(bhi.saturating_sub(1));
-                *blo = (*blo).max(alo.saturating_add(1));
-            }
-            CmpKind::Le => {
-                *ahi = (*ahi).min(*bhi);
-                *blo = (*blo).max(*alo);
-            }
-            CmpKind::Gt => {
-                *alo = (*alo).max(blo.saturating_add(1));
-                *bhi = (*bhi).min(ahi.saturating_sub(1));
-            }
-            CmpKind::Ge => {
-                *alo = (*alo).max(*blo);
-                *bhi = (*bhi).min(*ahi);
+            // `a` stays below `b`'s top and `b` above `a`'s bottom.
+            CmpKind::Lt | CmpKind::Le => {
+                let strict = i128::from(op == CmpKind::Lt);
+                let alo_in = i128::from(*alo);
+                narrow_int(alo, ahi, i128::MIN, i128::from(*bhi) - strict);
+                narrow_int(blo, bhi, alo_in + strict, i128::MAX);
             }
             CmpKind::Eq => {
                 let lo = (*alo).max(*blo);
@@ -817,7 +895,7 @@ fn narrow_cmp_col(a: &mut ColFact, op: CmpKind, b: &mut ColFact) {
                 a.ndv = ndv;
                 b.ndv = ndv;
             }
-            CmpKind::Ne => {}
+            _ => {}
         },
         (
             AbsDomain::Float {
@@ -831,19 +909,28 @@ fn narrow_cmp_col(a: &mut ColFact, op: CmpKind, b: &mut ColFact) {
                 *ahi = ahi.min(*bhi);
                 *blo = blo.max(*alo);
             }
-            CmpKind::Gt | CmpKind::Ge => {
-                *alo = alo.max(*blo);
-                *bhi = bhi.min(*ahi);
-            }
             CmpKind::Eq => {
                 let lo = alo.max(*blo);
                 let hi = ahi.min(*bhi);
                 (*alo, *ahi, *blo, *bhi) = (lo, hi, lo, hi);
             }
-            CmpKind::Ne => {}
+            _ => {}
         },
         _ => {}
     }
+}
+
+/// Narrows `[lo, hi]` to its intersection with `[nlo, nhi]`, bounds taken
+/// in `i128` so that `c ± 1` cannot wrap. An intersection whose bound lies
+/// past an `i64` extreme (`x > i64::MAX`, `x < i64::MIN`) is empty, and is
+/// written `[i64::MAX, i64::MIN]`.
+fn narrow_int(lo: &mut i64, hi: &mut i64, nlo: i128, nhi: i128) {
+    let l = nlo.max(i128::from(*lo));
+    let h = nhi.min(i128::from(*hi));
+    (*lo, *hi) = match (i64::try_from(l), i64::try_from(h)) {
+        (Ok(l), Ok(h)) => (l, h),
+        _ => (i64::MAX, i64::MIN),
+    };
 }
 
 fn const_as_i64(v: &Value) -> Option<i64> {
@@ -875,18 +962,21 @@ fn const_domain(v: &Value) -> AbsDomain {
 fn eval_expr(expr: &Expr, input: &Facts, context: &str, errs: &mut Vec<AnalysisError>) -> ColFact {
     match expr {
         Expr::Col(i) => input.cols[*i].clone(),
-        Expr::Const(v) => ColFact {
-            domain: const_domain(v),
-            ndv: 1,
-            distinct: false,
-        },
+        Expr::Const(v) => {
+            let mut fact = ColFact::new(const_domain(v), 1, false);
+            if let Value::Str(s) = v {
+                fact.width = Width::fixed((s.len() as u64).saturating_add(8));
+            }
+            fact
+        }
         Expr::Cast { to, inner } => {
             let fact = eval_expr(inner, input, context, errs);
             cast_fact(fact, *to)
         }
         Expr::Substr { col, .. } => {
             // Substring is a per-row function of one column: the NDV bound
-            // carries over, but distinctness does not (it is not injective).
+            // and the byte width carry over, but distinctness does not (it
+            // is not injective).
             let mut fact = input.cols[*col].clone();
             fact.distinct = false;
             fact
@@ -901,11 +991,7 @@ fn eval_expr(expr: &Expr, input: &Facts, context: &str, errs: &mut Vec<AnalysisE
                 (&AbsDomain::Int { lo: alo, hi: ahi }, &AbsDomain::Int { lo: blo, hi: bhi }) => {
                     if alo > ahi || blo > bhi {
                         // Unreachable values: no rows can flow here.
-                        return ColFact {
-                            domain: AbsDomain::Int { lo: 0, hi: -1 },
-                            ndv: 0,
-                            distinct: false,
-                        };
+                        return ColFact::new(AbsDomain::Int { lo: 0, hi: -1 }, 0, false);
                     }
                     let (domain, wrapped) = int_arith(*op, (alo, ahi), (blo, bhi), context, errs);
                     // Wrapping add/sub by a constant is a bijection on
@@ -920,11 +1006,7 @@ fn eval_expr(expr: &Expr, input: &Facts, context: &str, errs: &mut Vec<AnalysisE
                         }
                         ArithKind::Div => false,
                     };
-                    ColFact {
-                        domain,
-                        ndv,
-                        distinct,
-                    }
+                    ColFact::new(domain, ndv, distinct)
                 }
                 (
                     &AbsDomain::Float {
@@ -937,11 +1019,7 @@ fn eval_expr(expr: &Expr, input: &Facts, context: &str, errs: &mut Vec<AnalysisE
                         hi: bhi,
                         finite: bf,
                     },
-                ) => ColFact {
-                    domain: float_arith(*op, (alo, ahi, af), (blo, bhi, bf)),
-                    ndv,
-                    distinct: false,
-                },
+                ) => ColFact::new(float_arith(*op, (alo, ahi, af), (blo, bhi, bf)), ndv, false),
                 // Ill-typed arithmetic: verify phase 1 rejects it; stay
                 // sound with a top fact here.
                 _ => ColFact::top(DataType::I64, input.rows),
@@ -1105,16 +1183,13 @@ fn cast_fact(fact: ColFact, to: DataType) -> ColFact {
             // `i64 as f64` rounds to nearest; direct the endpoints outward
             // so the cast of any in-range value stays inside.
             let exact = lo.abs() <= (1 << 53) && hi.abs() <= (1 << 53);
-            ColFact {
-                domain: AbsDomain::Float {
-                    lo: f64_at_most(lo),
-                    hi: f64_at_least(hi),
-                    finite: true,
-                },
-                ndv: fact.ndv,
-                // Beyond 2^53 the cast can collide distinct values.
-                distinct: fact.distinct && exact,
-            }
+            let domain = AbsDomain::Float {
+                lo: f64_at_most(lo),
+                hi: f64_at_least(hi),
+                finite: true,
+            };
+            // Beyond 2^53 the cast can collide distinct values.
+            ColFact::new(domain, fact.ndv, fact.distinct && exact)
         }
         _ => fact,
     }
@@ -1167,11 +1242,8 @@ fn agg_fact(
     errs: &mut Vec<AnalysisError>,
 ) -> ColFact {
     let n = input.rows;
-    let fact = |domain| ColFact {
-        domain,
-        ndv: usize::MAX, // normalize() caps at the output row bound
-        distinct: false,
-    };
+    // normalize() caps the NDV at the output row bound.
+    let fact = |domain| ColFact::new(domain, usize::MAX, false);
     match agg.of {
         None => {
             // Every group holds at least one row; a global count over an
@@ -1341,4 +1413,134 @@ fn render_node(plan: &LogicalPlan, depth: usize, errs: &mut Vec<AnalysisError>) 
     }
     out.push_str(&below);
     (facts, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use ma_vector::{ColumnBuilder, Table};
+
+    use super::*;
+    use crate::plan::{asc, count, substr, NamedPred, PlanBuilder};
+
+    /// `t(k, s)` and `d(dk, ds)`, encoded: `k`/`dk` the sorted row ids
+    /// (the clustering keys), `s`/`ds` dictionary-coded strings.
+    fn catalog() -> HashMap<String, Arc<Table>> {
+        let table = |name: &str, key: &str, strs: &str, rows: usize| {
+            let mut k = ColumnBuilder::with_capacity(DataType::I32, rows);
+            let mut s = ColumnBuilder::with_capacity(DataType::Str, rows);
+            for i in 0..rows {
+                k.push_i32(i as i32);
+                s.push_str(["red", "green", "blue"][i % 3]);
+            }
+            let cols = vec![(key.into(), k.finish()), (strs.into(), s.finish())];
+            let t = ma_vector::encode_table(&Table::new(name, cols).unwrap());
+            assert_eq!(t.column_at(1).encoding(), Some(ma_vector::Encoding::Dict));
+            (name.to_string(), Arc::new(t))
+        };
+        HashMap::from([table("t", "k", "s", 3000), table("d", "dk", "ds", 300)])
+    }
+
+    fn t(c: &HashMap<String, Arc<Table>>) -> PlanBuilder {
+        PlanBuilder::scan(c, "t", &["k", "s"])
+    }
+
+    fn d(c: &HashMap<String, Arc<Table>>) -> PlanBuilder {
+        PlanBuilder::scan(c, "d", &["dk", "ds"])
+    }
+
+    /// Whether each root column of `plan` carries dictionary codes.
+    fn coded(plan: &LogicalPlan) -> Vec<bool> {
+        let facts = analyze(plan).facts;
+        facts.cols.iter().map(|c| c.codes.is_some()).collect()
+    }
+
+    fn built(pb: PlanBuilder) -> LogicalPlan {
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn dictionary_codes_flow_only_where_vectors_pass_untouched() {
+        let c = catalog();
+        // A dictionary-coded scan column carries the codes of its own
+        // dictionary, compared by identity.
+        let scan = built(t(&c));
+        let facts = analyze(&scan).facts;
+        let Ok(Column::Enc(e)) = c["t"].column("s") else {
+            panic!("s is encoded");
+        };
+        let EncColumn::Dict(dict) = &**e else {
+            panic!("s is dictionary-coded");
+        };
+        assert_eq!(facts.cols[1].codes, Some(DictRef::of(dict)));
+        assert_eq!(facts.cols[1].width.enc, 8);
+        assert_ne!(
+            analyze(&built(d(&c))).facts.cols[1].codes,
+            facts.cols[1].codes
+        );
+        assert_eq!(coded(&scan), [false, true]);
+        // Filters and pass-through projections keep them...
+        let pred = NamedPred::cmp_val("k", CmpKind::Lt, Value::I32(7));
+        assert_eq!(coded(&built(t(&c).filter(pred, "f"))), [false, true]);
+        let pass = t(&c).project(vec![("s", crate::plan::col("s"))], "p");
+        assert_eq!(coded(&built(pass)), [true]);
+        // ... an evaluated expression does not, a bare column included.
+        let sub = t(&c).project(vec![("sub", substr("s", 1, 2))], "p");
+        assert_eq!(coded(&built(sub)), [false]);
+        let LogicalPlan::Project { schema, .. } =
+            built(t(&c).project(vec![("s", crate::plan::col("s"))], "p"))
+        else {
+            unreachable!("a projection");
+        };
+        let bare = LogicalPlan::Project {
+            input: Box::new(scan),
+            items: vec![ProjItem::Expr(Expr::Col(1))],
+            label: "p".into(),
+            schema,
+        };
+        assert_eq!(coded(&bare), [false]);
+        // Group keys are read back from the table.
+        let agg = t(&c).hash_agg(&["s"], vec![count()], "a");
+        assert_eq!(coded(&built(agg)), [false, false]);
+        // An inner join copies its probe columns and fetches its payload.
+        let inner = t(&c).hash_join(d(&c), &[("k", "dk")], &["ds"], JoinKind::Inner, false, "j");
+        assert_eq!(coded(&built(inner)), [false, false, false]);
+        // Semi, anti and left-single joins pass the probe vectors on.
+        for kind in [JoinKind::Semi, JoinKind::Anti] {
+            let j = t(&c).hash_join(d(&c), &[("k", "dk")], &[], kind, false, "j");
+            assert_eq!(coded(&built(j)), [false, true], "{kind:?}");
+        }
+        // Left-single payloads are numeric.
+        let ls = t(&c).left_single_join(d(&c), &[("k", "dk")], &[("dk", Value::I32(-1))], "j");
+        assert_eq!(coded(&built(ls)), [false, true, false]);
+        // Merge joins and sorts go through row stores.
+        let mj = t(&c).merge_join(d(&c), ("k", "dk"), &["ds"], "m");
+        assert_eq!(coded(&built(mj)), [false, false, false]);
+        assert_eq!(coded(&built(t(&c).sort(&[asc("k")]))), [false, false]);
+    }
+
+    #[test]
+    fn column_comparisons_past_an_i64_extreme_empty_the_interval() {
+        let fact = |lo, hi| ColFact::new(AbsDomain::Int { lo, hi }, 10, false);
+        // a < b with b at its least value: no `a` qualifies.
+        let (mut a, mut b) = (fact(0, 5), fact(i64::MIN, i64::MIN));
+        narrow_cmp_col(&mut a, CmpKind::Lt, &mut b);
+        assert!(a.domain.is_empty(), "{}", a.domain);
+        // a > b with a at its greatest value: no `b` qualifies.
+        let (mut a, mut b) = (fact(i64::MAX, i64::MAX), fact(0, 5));
+        narrow_cmp_col(&mut b, CmpKind::Gt, &mut a);
+        assert!(b.domain.is_empty(), "{}", b.domain);
+        // Inside the range the bounds stay exact.
+        let (mut a, mut b) = (fact(0, 10), fact(3, 7));
+        narrow_cmp_col(&mut a, CmpKind::Lt, &mut b);
+        assert_eq!(
+            (a.domain, b.domain),
+            (
+                AbsDomain::Int { lo: 0, hi: 6 },
+                AbsDomain::Int { lo: 3, hi: 7 }
+            )
+        );
+    }
 }

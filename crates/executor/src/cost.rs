@@ -5,9 +5,10 @@
 //! physical operator instance, an upper bound on its peak resident bytes,
 //! plus a coarse work bound (tuples × per-op cost). It has two halves:
 //!
-//! * the **byte model** — per-column row widths and the per-operator
-//!   bound formulas — which [`crate::plan::plan_physical`] consults once
-//!   per node and stores on the [`PhysicalPlan`];
+//! * the **byte model** — the per-operator bound formulas over the
+//!   per-column row widths the abstract interpreter derives — which
+//!   [`crate::plan::plan_physical`] consults once per node and stores on
+//!   the [`PhysicalPlan`];
 //! * the **report** — [`cost`] folds one [`OpCost`] per stage off those
 //!   same nodes, so it prices exactly the pipeline
 //!   [`crate::plan::instantiate`] builds and every number it prints is the
@@ -17,9 +18,9 @@
 //! roll-up rules and the soundness argument):
 //!
 //! * per-column row widths come from base-table statistics
-//!   ([`ma_vector::ColumnStats::max_bytes`]) and propagate structurally
-//!   through the plan (string widths never grow: `substr` shrinks,
-//!   aggregates emit 8-byte scalars);
+//!   ([`ma_vector::ColumnStats::max_bytes`]) and propagate with the
+//!   analyzer's column facts (string widths never grow: `substr` keeps its
+//!   operand's, aggregates emit 8-byte scalars);
 //! * hash-aggregate tables are bounded from the analyzer's group bound
 //!   (slot arrays at 50% load, key storage, accumulators, one emitted
 //!   output copy), a dense key table from its domains' product;
@@ -39,11 +40,11 @@
 //! rejection under `strict_memory`.
 
 use ma_primitives::BloomFilter;
-use ma_vector::{Column, DataType, EncColumn, Encoding, Schema, Table};
+use ma_vector::{Column, DataType, EncColumn, Schema, Table};
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, AggFunc, NumType};
-use crate::ops::{dense_slots, key_row_width, KeyDomain, ProjItem};
+use crate::ops::{dense_slots, key_row_width, KeyDomain};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
@@ -246,8 +247,9 @@ pub(crate) fn pick_partitions(demand: usize, threshold: usize, cap: usize) -> us
 
 /// Stored bytes of one value of a column. Numeric columns are their
 /// scalar width; `Str` columns are the widest value's byte length plus an
-/// 8-byte view, anchored at scans by [`ma_vector::ColumnStats::max_bytes`]
-/// and carried structurally.
+/// 8-byte view, anchored at scans by [`ma_vector::ColumnStats::max_bytes`].
+/// The abstract interpreter derives it per column
+/// ([`crate::analyze::ColFact::bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Width {
     /// The sound width every byte bound uses.
@@ -262,89 +264,9 @@ pub(crate) struct Width {
 }
 
 impl Width {
-    fn fixed(w: u64) -> Width {
+    /// The width of a column whose decoded form is its stored form.
+    pub(crate) fn fixed(w: u64) -> Width {
         Width { raw: w, enc: w }
-    }
-}
-
-/// Per-column widths of `plan`'s output, from its children's (`inputs`,
-/// in [`LogicalPlan::children`] order).
-pub(crate) fn node_widths(plan: &LogicalPlan, inputs: &[&[Width]]) -> Vec<Width> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            cols,
-            schema,
-            ..
-        } => cols
-            .iter()
-            .zip(schema.fields())
-            .map(|(name, f)| match f.ty.fixed_width() {
-                Some(w) => Width::fixed(w as u64),
-                None => {
-                    let i = table
-                        .column_index(name)
-                        .expect("scan columns resolve at plan build time");
-                    let raw = (table.stats()[i].max_bytes as u64).saturating_add(8);
-                    let dict = table.column_at(i).encoding() == Some(Encoding::Dict);
-                    Width {
-                        raw,
-                        enc: if dict { 8 } else { raw },
-                    }
-                }
-            })
-            .collect(),
-        LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } => inputs[0].to_vec(),
-        LogicalPlan::Project {
-            input,
-            items,
-            schema,
-            ..
-        } => {
-            let w_in = inputs[0];
-            // A computed Str expression (substr) never yields a longer
-            // string than some input Str column.
-            let strs = || {
-                let fields = input.schema().fields().iter().zip(w_in);
-                fields
-                    .filter(|(f, _)| f.ty == DataType::Str)
-                    .map(|(_, w)| w)
-            };
-            let max_str = Width {
-                raw: strs().map(|w| w.raw).max().unwrap_or(8),
-                enc: strs().map(|w| w.enc).max().unwrap_or(8),
-            };
-            items
-                .iter()
-                .zip(schema.fields())
-                .map(|(it, f)| match it {
-                    ProjItem::Pass(i) => w_in[*i],
-                    ProjItem::Expr(_) => match f.ty.fixed_width() {
-                        Some(w) => Width::fixed(w as u64),
-                        None => max_str,
-                    },
-                })
-                .collect()
-        }
-        LogicalPlan::HashAgg { keys, aggs, .. } => {
-            let keys = keys.iter().map(|&k| inputs[0][k]);
-            keys.chain(aggs.iter().map(|_| Width::fixed(8))).collect()
-        }
-        LogicalPlan::StreamAgg { aggs, .. } => vec![Width::fixed(8); aggs.len()],
-        LogicalPlan::HashJoin {
-            payload, schema, ..
-        } => {
-            let mut w = inputs[1].to_vec();
-            if schema.len() > w.len() {
-                w.extend(payload.iter().map(|&i| inputs[0][i]));
-            }
-            w
-        }
-        LogicalPlan::MergeJoin { payload, .. } => {
-            let mut w = inputs[1].to_vec();
-            w.extend(payload.iter().map(|&i| inputs[0][i]));
-            w
-        }
     }
 }
 
@@ -739,7 +661,8 @@ mod tests {
             .build()
             .unwrap();
         // i64=8, i32=4, Str = longest ("odd-row"=7) + 8-byte view
-        let widths = node_widths(&plan, &[]);
+        let facts = crate::analyze(&plan).facts;
+        let widths: Vec<Width> = facts.cols.iter().map(|c| c.width).collect();
         let raw: Vec<u64> = widths.iter().map(|w| w.raw).collect();
         assert_eq!(raw, vec![8, 4, 15]);
         assert_eq!(row_width(&widths), 27);

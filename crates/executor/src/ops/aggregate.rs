@@ -18,6 +18,7 @@ use ma_primitives::{
     AggrSumI64, AggrSumI64Grouped, DenseGroupTable, DenseInsertCheck, GroupInsertCheck, GroupTable,
     MapHash, MapHashStr, StrGroupInsertCheck, StrGroupTable,
 };
+use ma_vector::encode::DictStr;
 use ma_vector::{DataChunk, DataType, Field, Schema, SelVec, StrVec, Vector};
 
 use crate::adaptive::HeurKind;
@@ -252,15 +253,43 @@ pub enum KeyDomain {
         /// Inclusive upper bound.
         hi: i64,
     },
-    /// A `Str` key whose every vector carries codes of this dictionary (its
-    /// sorted `views` into `arena`), so its codes lie in
-    /// `[0, views.len())`.
-    Dict {
-        /// The dictionary's byte arena.
-        arena: Arc<[u8]>,
-        /// The dictionary's sorted entries.
-        views: Arc<Vec<(u32, u32)>>,
-    },
+    /// A `Str` key whose every vector carries codes of this dictionary, so
+    /// its codes lie in `[0, views.len())`.
+    Dict(DictRef),
+}
+
+/// A dictionary whose codes a string column's vectors carry: its sorted
+/// `views` into `arena`. Two handles name the same dictionary only when
+/// they share the views allocation, the identity a dense key's runtime
+/// check (`ptr::eq`) compares.
+#[derive(Clone)]
+pub struct DictRef {
+    /// The dictionary's byte arena.
+    pub arena: Arc<[u8]>,
+    /// The dictionary's sorted entries.
+    pub views: Arc<Vec<(u32, u32)>>,
+}
+
+impl DictRef {
+    /// The dictionary of a dictionary-coded column.
+    pub fn of(d: &DictStr) -> DictRef {
+        DictRef {
+            arena: Arc::clone(&d.arena),
+            views: Arc::clone(&d.views),
+        }
+    }
+}
+
+impl PartialEq for DictRef {
+    fn eq(&self, other: &DictRef) -> bool {
+        Arc::ptr_eq(&self.views, &other.views)
+    }
+}
+
+impl std::fmt::Debug for DictRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DictRef({} codes)", self.views.len())
+    }
 }
 
 impl KeyDomain {
@@ -269,7 +298,7 @@ impl KeyDomain {
     fn bounds(&self) -> (i64, i64) {
         match self {
             KeyDomain::Int { lo, hi } => (*lo, *hi),
-            KeyDomain::Dict { views, .. } => (0, views.len() as i64 - 1),
+            KeyDomain::Dict(d) => (0, d.views.len() as i64 - 1),
         }
     }
 
@@ -326,8 +355,8 @@ impl DenseKey {
             (Vector::I16(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
             (Vector::I32(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
             (Vector::I64(k), KeyDomain::Int { .. }) => self.add_int_slots(k, slots, sel),
-            (Vector::Str(s), KeyDomain::Dict { views, .. }) => match s.dict_codes() {
-                Some((dict, codes)) if std::ptr::eq(dict, views.as_slice()) => {
+            (Vector::Str(s), KeyDomain::Dict(d)) => match s.dict_codes() {
+                Some((dict, codes)) if std::ptr::eq(dict, d.views.as_slice()) => {
                     self.add_int_slots(codes, slots, sel)
                 }
                 _ => {
@@ -379,9 +408,9 @@ impl DenseKey {
         let offs = slots.iter().map(|&s| u64::from(s / self.stride) % width);
         match &self.domain {
             KeyDomain::Int { lo, .. } => int_column(ty, offs.map(|o| lo + o as i64)),
-            KeyDomain::Dict { arena, views } => Vector::Str(StrVec::from_views(
-                Arc::clone(arena),
-                offs.map(|o| views[o as usize]).collect(),
+            KeyDomain::Dict(d) => Vector::Str(StrVec::from_views(
+                Arc::clone(&d.arena),
+                offs.map(|o| d.views[o as usize]).collect(),
             )),
         }
     }
@@ -411,7 +440,7 @@ fn dense_keys(
                 matches!(ty, DataType::I16 | DataType::I32 | DataType::I64),
                 "an integer",
             ),
-            KeyDomain::Dict { .. } => (ty == DataType::Str, "a dictionary"),
+            KeyDomain::Dict(_) => (ty == DataType::Str, "a dictionary"),
         };
         if !fits {
             return Err(ExecError::Plan(format!(

@@ -13,7 +13,7 @@ pub(crate) mod xrt;
 
 pub use crate::expr::{Agg, SortKey};
 pub(crate) use aggregate::{dense_slots, goes_dense, key_row_width};
-pub use aggregate::{HashAggregate, KeyDomain, StreamAggregate};
+pub use aggregate::{DictRef, HashAggregate, KeyDomain, StreamAggregate};
 pub use exchange::{ConsumerFactory, FragmentFactory, HashPartitionExchange, Parallel};
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;

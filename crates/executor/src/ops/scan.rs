@@ -16,12 +16,13 @@
 //! vector-aligned, the multiset of chunk boundaries is identical in both
 //! modes — only which worker produces a chunk varies.
 //!
-//! A scan may carry [`ZoneGuard`]s, the integer range conjuncts of the
-//! Filter directly above it. A frame-of-reference partition's `base` and
-//! `width` bound every value it holds to `[base, base + 2^width - 1]`, a
-//! zone map the codec stores anyway; a chunk all of whose partitions some
-//! guard rules out is skipped before anything is decoded. Skipping moves
-//! no chunk boundary and drops only rows the Filter would drop.
+//! A scan may carry [`ZoneGuard`]s: the intervals the Filter directly
+//! above it proves its passing rows lie in (the analyzer's output facts).
+//! A frame-of-reference partition's `base` and `width` bound every value
+//! it holds to `[base, base + 2^width - 1]`, a zone map the codec stores
+//! anyway; a chunk all of whose partitions some guard rules out is
+//! skipped before anything is decoded. Skipping moves no chunk boundary
+//! and drops only rows the Filter would drop.
 
 use std::sync::Arc;
 
@@ -62,7 +63,8 @@ enum ColDecoder {
 
 /// A zone-map guard: only rows whose scanned column `col` (an output
 /// position of the scan) lies in `[lo, hi]` can pass the Filter above the
-/// scan. `lo > hi` is the empty range.
+/// scan. An unbounded side is `i128::MIN` or `MAX`; `lo > hi` is the empty
+/// range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneGuard {
     /// Output position of the guarded column.

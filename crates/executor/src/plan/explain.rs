@@ -69,7 +69,7 @@ fn render_guard(g: &ZoneGuard, col: &str) -> String {
 fn render_key_domain(d: &KeyDomain, key: &str) -> String {
     match d {
         KeyDomain::Int { lo, hi } => format!("{lo} <= {key} <= {hi}"),
-        KeyDomain::Dict { views, .. } => format!("{key}: {} codes", views.len()),
+        KeyDomain::Dict(d) => format!("{key}: {} codes", d.views.len()),
     }
 }
 

@@ -52,18 +52,17 @@
 
 use std::sync::Arc;
 
-use ma_vector::encode::{DictStr, EncColumn};
-use ma_vector::{Column, MorselQueue, Table, VECTORS_PER_MORSEL};
+use ma_vector::{Encoding, MorselQueue, Table, VECTORS_PER_MORSEL};
 
 use crate::adaptive::NodeScope;
 use crate::analyze::{AbsDomain, AnalysisError, Facts};
 use crate::config::ExecConfig;
 use crate::cost::Width;
-use crate::expr::{CmpKind, CmpRhs, Pred, TypeError, Value};
+use crate::expr::TypeError;
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, JoinKind, KeyDomain, MergeJoin,
-    Parallel, ProjItem, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
+    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain, MergeJoin, Parallel,
+    Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -194,9 +193,10 @@ pub struct PhysNode<'a> {
     /// Proven peak resident bytes of **one** operator instance (0 for
     /// streaming filters and projections).
     pub instance_bytes: u64,
-    /// For a scan directly under a Filter: the Filter's integer range
-    /// conjuncts on frame-of-reference columns, which let the scan skip
-    /// the partitions their zone maps rule out. Empty everywhere else.
+    /// For a scan directly under a Filter: per frame-of-reference column
+    /// the Filter narrows, the Filter's output interval (a side it did not
+    /// narrow left unbounded), which lets the scan skip the partitions
+    /// their zone maps rule out. Empty everywhere else.
     pub guards: Vec<ZoneGuard>,
     /// For a hash aggregate the planner sent dense: the proven domain of
     /// each group key, which its direct group table indexes. Empty
@@ -287,14 +287,10 @@ enum Feed {
     Inline,
 }
 
-/// A planned subtree plus what its parent's bottom-up step consumes.
+/// A planned subtree plus the facts its parent's bottom-up step consumes.
 struct Planned<'a> {
     node: PhysNode<'a>,
     facts: Facts,
-    widths: Vec<Width>,
-    /// Per output column, the dictionary whose codes every vector of it
-    /// carries, if it provably carries codes.
-    dicts: Vec<Option<&'a DictStr>>,
 }
 
 struct Planner<'c> {
@@ -306,9 +302,9 @@ struct Planner<'c> {
 
 impl Planner<'_> {
     /// One bottom-up step per node: inputs first, then the node's typing
-    /// rule, the abstract interpreter's transfer function and the byte
-    /// model's widths over their results — each exactly once — and from
-    /// those the node's exchange and bounds. How an input is fed is
+    /// rule and the abstract interpreter's transfer function over their
+    /// facts — each exactly once — and from those the node's exchange,
+    /// bounds, dense keys and its scan's zone guards. How an input is fed is
     /// structural (which chains shard), so it is known before the input's
     /// facts are.
     fn plan<'a>(&mut self, plan: &'a LogicalPlan, feed: Feed) -> Result<Planned<'a>, VerifyError> {
@@ -326,8 +322,6 @@ impl Planner<'_> {
 
         let mut children = Vec::new();
         let mut facts = [Facts::default(), Facts::default()];
-        let mut widths = [Vec::new(), Vec::new()];
-        let mut dicts = [Vec::new(), Vec::new()];
         // A hash aggregate's input whose worker fragments route into its
         // exchange directly.
         let mut input_sharded = false;
@@ -377,16 +371,8 @@ impl Planner<'_> {
             let planned = self.plan(input, feed)?;
             children.push(planned.node);
             facts[i] = planned.facts;
-            widths[i] = planned.widths;
-            dicts[i] = planned.dicts;
         }
         let n = children.len();
-        // A scan skips what the Filter directly above it would empty.
-        if let (LogicalPlan::Filter { pred, .. }, [scan]) = (plan, &mut children[..]) {
-            if let LogicalPlan::Scan { table, cols, .. } = scan.logical {
-                scan.guards = zone_guards(pred, table, cols);
-            }
-        }
 
         // A node no operator can run, or one declaring other types than
         // it derives, has no physical plan. Checked once its inputs are,
@@ -401,23 +387,32 @@ impl Planner<'_> {
             });
         }
 
-        let in_widths = [&widths[0][..], &widths[1][..]];
-        // Every group key's domain, read before the transfer function
-        // consumes the input's facts.
+        // What this node reads of its inputs' facts, before the transfer
+        // function consumes them: their widths, every group key's domain,
+        // and the intervals of the columns a zone map can guard.
+        let in_widths = facts.each_ref().map(widths);
+        let in_widths = [&in_widths[0][..], &in_widths[1][..]];
         let key_domains = match plan {
             LogicalPlan::HashAgg { keys, .. } => keys
                 .iter()
-                .map(|&k| key_domain(&facts[0], &dicts[0], k))
+                .map(|&k| key_domain(&facts[0], k))
                 .collect::<Option<Vec<_>>>(),
             _ => None,
         };
+        let zoned = match (plan, children.first()) {
+            (LogicalPlan::Filter { .. }, Some(scan)) => zoned(scan.logical, &facts[0]),
+            _ => Vec::new(),
+        };
         let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
-        let out_dicts = node_dicts(plan, [&dicts[0][..], &dicts[1][..]]);
+        // A scan skips what the Filter directly above it provably drops.
+        if let Some(scan) = children.first_mut().filter(|_| !zoned.is_empty()) {
+            scan.guards = guards(&zoned, &facts);
+        }
         // The group bound is the aggregate's own row bound.
         let dense_keys = key_domains
             .filter(|d| goes_dense(d, facts.rows))
             .unwrap_or_default();
-        let out_widths = cost::node_widths(plan, &in_widths[..n]);
+        let out_widths = widths(&facts);
         let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
 
         let exchange = match (plan, feed) {
@@ -464,12 +459,7 @@ impl Planner<'_> {
             guards: Vec::new(),
             dense_keys,
         };
-        Ok(Planned {
-            node,
-            facts,
-            widths: out_widths,
-            dicts: out_dicts,
-        })
+        Ok(Planned { node, facts })
     }
 
     /// Whether `plan` is a chain over a scan worth compiling into
@@ -495,58 +485,56 @@ impl Planner<'_> {
 /// The proven domain of input column `k` as a group key: its integer
 /// interval, or the code range of the dictionary it carries codes of.
 /// `None` for any other column.
-fn key_domain(facts: &Facts, dicts: &[Option<&DictStr>], k: usize) -> Option<KeyDomain> {
-    match (&facts.cols.get(k)?.domain, dicts.get(k).copied().flatten()) {
+fn key_domain(facts: &Facts, k: usize) -> Option<KeyDomain> {
+    let fact = facts.cols.get(k)?;
+    match (&fact.domain, &fact.codes) {
         (&AbsDomain::Int { lo, hi }, _) => Some(KeyDomain::Int { lo, hi }),
-        (AbsDomain::Str, Some(d)) => Some(KeyDomain::Dict {
-            arena: Arc::clone(&d.arena),
-            views: Arc::clone(&d.views),
-        }),
+        (AbsDomain::Str, Some(d)) => Some(KeyDomain::Dict(d.clone())),
         _ => None,
     }
 }
 
-/// Per output column of `plan`, the dictionary whose codes each of its
-/// vectors carries, from its inputs' (`inputs`, in
-/// [`LogicalPlan::children`] order). A dictionary-coded scan column
-/// carries them, both decode paths building code-carrying vectors. Filters,
-/// pass-through projections, exchanges and the probe side of semi, anti
-/// and left-single joins keep each column's vectors as they are; anything
-/// that rebuilds a string vector (a fetch, a row store, a sort) drops the
-/// codes.
-fn node_dicts<'a>(
-    plan: &'a LogicalPlan,
-    inputs: [&[Option<&'a DictStr>]; 2],
-) -> Vec<Option<&'a DictStr>> {
-    match plan {
-        LogicalPlan::Scan { table, cols, .. } => cols
-            .iter()
-            .map(|name| match table.column(name) {
-                Ok(Column::Enc(e)) => match &**e {
-                    EncColumn::Dict(d) => Some(d),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect(),
-        LogicalPlan::Filter { .. } => inputs[0].to_vec(),
-        LogicalPlan::Project { items, .. } => items
-            .iter()
-            .map(|item| match item {
-                ProjItem::Pass(i) => inputs[0].get(*i).copied().flatten(),
-                ProjItem::Expr(_) => None,
-            })
-            .collect(),
-        LogicalPlan::HashJoin { kind, schema, .. } => {
-            let mut out = match kind {
-                JoinKind::Semi | JoinKind::Anti | JoinKind::LeftSingle => inputs[1].to_vec(),
-                JoinKind::Inner => Vec::new(),
-            };
-            out.resize(schema.len(), None);
-            out
-        }
-        _ => vec![None; plan.schema().len()],
-    }
+/// The byte widths of a node's output columns.
+fn widths(facts: &Facts) -> Vec<Width> {
+    facts.cols.iter().map(|c| c.width).collect()
+}
+
+/// The frame-of-reference columns of `plan`, if it is a scan, with their
+/// intervals in its `facts`: the columns whose partitions a zone map
+/// bounds.
+fn zoned(plan: &LogicalPlan, facts: &Facts) -> Vec<(usize, i64, i64)> {
+    let LogicalPlan::Scan { table, cols, .. } = plan else {
+        return Vec::new();
+    };
+    let for_coded = |name: &str| {
+        table
+            .column(name)
+            .is_ok_and(|c| c.encoding() == Some(Encoding::For))
+    };
+    let intervals = cols.iter().zip(&facts.cols).enumerate();
+    intervals
+        .filter_map(|(i, (name, fact))| match fact.domain {
+            AbsDomain::Int { lo, hi } if for_coded(name) => Some((i, lo, hi)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The zone guards of a scan whose `zoned` columns a Filter with output
+/// `facts` narrows: per narrowed column, the Filter's output interval,
+/// with a side it did not narrow left unbounded.
+fn guards(zoned: &[(usize, i64, i64)], facts: &Facts) -> Vec<ZoneGuard> {
+    let narrowed = zoned
+        .iter()
+        .filter_map(|&(col, lo, hi)| match facts.cols[col].domain {
+            AbsDomain::Int { lo: l, hi: h } if l > lo || h < hi => Some(ZoneGuard {
+                col,
+                lo: if l > lo { l.into() } else { i128::MIN },
+                hi: if h < hi { h.into() } else { i128::MAX },
+            }),
+            _ => None,
+        });
+    narrowed.collect()
 }
 
 /// The partitioning verdict for a hash aggregate (`< 2`: one instance).
@@ -579,59 +567,6 @@ fn agg_partitions(
     } else {
         cost::pick_partitions(demand, threshold, fanout)
     }
-}
-
-/// The zone-map guards a Filter's predicate gives the scan beneath it:
-/// one inclusive range per frame-of-reference column, intersected over the
-/// top-level conjuncts (nested ANDs flattened) of the form `column
-/// {<, <=, >, >=, =} integer constant`. `<>`, OR branches, column-to-column
-/// comparisons and columns in any other storage give none.
-fn zone_guards(pred: &Pred, table: &Table, cols: &[String]) -> Vec<ZoneGuard> {
-    let mut guards: Vec<ZoneGuard> = Vec::new();
-    let mut conjuncts = vec![pred];
-    while let Some(p) = conjuncts.pop() {
-        let (col, op, v) = match p {
-            Pred::And(ps) => {
-                conjuncts.extend(ps.iter().rev());
-                continue;
-            }
-            Pred::Cmp {
-                col,
-                op,
-                rhs: CmpRhs::Const(v),
-            } => (*col, *op, v),
-            _ => continue,
-        };
-        let zoned = cols
-            .get(col)
-            .and_then(|name| table.column(name).ok())
-            .is_some_and(|c| matches!(c, Column::Enc(e) if matches!(**e, EncColumn::For(_))));
-        if !zoned {
-            continue;
-        }
-        let v = match v {
-            Value::I16(v) => i128::from(*v),
-            Value::I32(v) => i128::from(*v),
-            Value::I64(v) => i128::from(*v),
-            Value::F64(_) | Value::Str(_) => continue,
-        };
-        let (lo, hi) = match op {
-            CmpKind::Lt => (i128::MIN, v - 1),
-            CmpKind::Le => (i128::MIN, v),
-            CmpKind::Gt => (v + 1, i128::MAX),
-            CmpKind::Ge => (v, i128::MAX),
-            CmpKind::Eq => (v, v),
-            CmpKind::Ne => continue,
-        };
-        match guards.iter_mut().find(|g| g.col == col) {
-            Some(g) => {
-                g.lo = g.lo.max(lo);
-                g.hi = g.hi.min(hi);
-            }
-            None => guards.push(ZoneGuard { col, lo, hi }),
-        }
-    }
-    guards
 }
 
 /// A node's typing-rule failure, as the error naming that node.

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use ma_executor::ops::{collect, Agg, HashAggregate, KeyDomain};
+use ma_executor::ops::{collect, Agg, DictRef, HashAggregate, KeyDomain};
 use ma_executor::{BoxOp, ExecConfig, ExecError, Operator, QueryContext};
 use ma_primitives::build_dictionary;
 use ma_vector::{DataChunk, DataType, SelVec, StrVec, Vector};
@@ -161,10 +161,10 @@ fn dense_steady_state_chunks_allocate_nothing() {
             || chunk(sparse, Some(&dict)),
             |source, ctx| {
                 let domains = vec![
-                    KeyDomain::Dict {
+                    KeyDomain::Dict(DictRef {
                         arena: Arc::clone(&dict.0),
                         views: Arc::clone(&dict.1),
-                    },
+                    }),
                     KeyDomain::Int { lo: 0, hi: 6 },
                 ];
                 HashAggregate::new_dense(

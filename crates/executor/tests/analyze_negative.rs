@@ -166,6 +166,25 @@ fn contradictory_range_predicate_is_reported() {
 }
 
 #[test]
+fn comparisons_past_an_i64_extreme_are_contradictions() {
+    // No i64 exceeds i64::MAX or undercuts i64::MIN: the interval is empty,
+    // not the saturated single value at the extreme.
+    let c = catalog(100);
+    for (op, v) in [(CmpKind::Gt, i64::MAX), (CmpKind::Lt, i64::MIN)] {
+        let plan = PlanBuilder::scan(&c, "t", &["id"])
+            .filter(NamedPred::cmp_val("id", op, Value::I64(v)), "extreme")
+            .build()
+            .unwrap();
+        let a = analyze(&plan);
+        match &a.errors[..] {
+            [AnalysisError::ContradictionPred { column, .. }] => assert_eq!(column, "id"),
+            other => panic!("{op:?} {v}: expected one ContradictionPred, got {other:?}"),
+        }
+        assert_eq!(a.facts.rows, 0);
+    }
+}
+
+#[test]
 fn every_error_variant_displays_its_context() {
     // Display output is what `repro analyze` and verify failures print —
     // each variant must name the node it fired in.

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ma_core::SplitMix64;
-use ma_executor::ops::{collect, Agg, HashAggregate, JoinKind, KeyDomain};
+use ma_executor::ops::{collect, Agg, DictRef, HashAggregate, JoinKind, KeyDomain};
 use ma_executor::plan::{count, sum_i64, NamedPred};
 use ma_executor::{
     lower, plan_physical, BoxOp, CmpKind, ExecConfig, ExecError, LogicalPlan, Operator,
@@ -385,10 +385,10 @@ fn domains(keys: &[DenseKey]) -> (Vec<KeyDomain>, Vec<Option<Dict>>) {
             DenseKey::Dict(n) => {
                 let d = dictionary(n);
                 (
-                    KeyDomain::Dict {
+                    KeyDomain::Dict(DictRef {
                         arena: Arc::clone(&d.0),
                         views: Arc::clone(&d.1),
-                    },
+                    }),
                     Some(d),
                 )
             }

@@ -7,9 +7,11 @@
 //!   chunk touches can hold a value every guard admits, probed at each
 //!   partition's `base` and `base + 2^width - 1`, at a width-0 partition,
 //!   at negative bases and at the `i64` extremes;
-//! * the planner's guard derivation: range conjuncts of the Filter right
-//!   above a scan guard it; `<>`, OR branches, column-to-column
-//!   comparisons and raw columns never do;
+//! * the planner's guard derivation: a frame-of-reference column gets
+//!   the Filter's output interval wherever the Filter right above the scan
+//!   narrows it below the column's stats — through range conjuncts, OR
+//!   hulls, column-to-column comparisons and `<>` at a boundary — and raw
+//!   columns never do;
 //! * skipping drops only rows the Filter drops: every comparison kind
 //!   returns the raw twin's rows at 1, 2 and 4 workers;
 //! * skipping is live: a guarded scan invokes its decode instances fewer
@@ -241,24 +243,12 @@ fn cmp(col: &str, op: CmpKind, v: Value) -> NamedPred {
 
 #[test]
 fn the_planner_guards_range_conjuncts_on_for_columns_only() {
+    // `d` spans [-50, 1001] and `big` all of i64.
     let d = |op, v| cmp("d", op, Value::I32(v));
-    assert_eq!(
-        planned_guards(d(CmpKind::Lt, 7)),
-        [ZoneGuard {
-            col: 1,
-            lo: MIN,
-            hi: 6
-        }]
-    );
-    assert_eq!(
-        planned_guards(d(CmpKind::Ge, -50)),
-        [ZoneGuard {
-            col: 1,
-            lo: -50,
-            hi: MAX
-        }]
-    );
-    // Nested ANDs flatten and intersect per column.
+    let guard = |col, lo, hi| ZoneGuard { col, lo, hi };
+    assert_eq!(planned_guards(d(CmpKind::Lt, 7)), [guard(1, MIN, 6)]);
+    assert_eq!(planned_guards(d(CmpKind::Ge, -49)), [guard(1, -49, MAX)]);
+    // Nested ANDs intersect per column.
     let nested = NamedPred::And(vec![
         d(CmpKind::Gt, 0),
         NamedPred::And(vec![
@@ -269,33 +259,36 @@ fn the_planner_guards_range_conjuncts_on_for_columns_only() {
     ]);
     assert_eq!(
         planned_guards(nested),
-        [
-            ZoneGuard {
-                col: 1,
-                lo: 3,
-                hi: 1000
-            },
-            ZoneGuard {
-                col: 2,
-                lo: -1,
-                hi: -1
-            }
-        ]
+        [guard(1, 3, 1000), guard(2, -1, -1)]
     );
-    // The i64 extremes widen without overflow.
-    assert_eq!(
-        planned_guards(cmp("big", CmpKind::Gt, Value::I64(i64::MAX))),
-        [ZoneGuard {
-            col: 2,
-            lo: i128::from(i64::MAX) + 1,
-            hi: MAX
-        }]
-    );
-    // None of these guard anything.
+    // An OR guards its branches' hull, a column-to-column comparison the
+    // bound the other column's interval implies, and `<>` at a boundary
+    // the interval without it.
+    let or = NamedPred::Or(vec![d(CmpKind::Lt, 0), d(CmpKind::Eq, 7)]);
+    assert_eq!(planned_guards(or), [guard(1, MIN, 7)]);
+    let or = NamedPred::Or(vec![d(CmpKind::Eq, 7), d(CmpKind::Ge, 1000)]);
+    assert_eq!(planned_guards(or), [guard(1, 7, MAX)]);
+    let col_col = NamedPred::cmp_col("d", CmpKind::Lt, "d_raw");
+    assert_eq!(planned_guards(col_col), [guard(1, MIN, 1000)]);
+    assert_eq!(planned_guards(d(CmpKind::Ne, -50)), [guard(1, -49, MAX)]);
+    // Past an i64 extreme the interval is empty, and so is the guard.
+    for pred in [
+        cmp("big", CmpKind::Gt, Value::I64(i64::MAX)),
+        cmp("big", CmpKind::Lt, Value::I64(i64::MIN)),
+    ] {
+        let g = planned_guards(pred.clone());
+        assert!(
+            matches!(g[..], [ZoneGuard { col: 2, lo, hi }] if lo > hi),
+            "{pred:?}: {g:?}"
+        );
+    }
+    // None of these narrow a frame-of-reference column below its stats.
     for pred in [
         d(CmpKind::Ne, 7),
+        d(CmpKind::Ge, -50),
+        d(CmpKind::Lt, 2000),
         NamedPred::Or(vec![d(CmpKind::Lt, 0), d(CmpKind::Gt, 1000)]),
-        NamedPred::cmp_col("d", CmpKind::Lt, "d_raw"),
+        NamedPred::cmp_col("d", CmpKind::Le, "d_raw"),
         cmp("d_raw", CmpKind::Lt, Value::I32(0)),
         cmp("k", CmpKind::Eq, Value::I64(3)),
     ] {
@@ -352,6 +345,19 @@ fn every_comparison_kind_returns_the_raw_twins_rows() {
         cmp("d", CmpKind::Eq, Value::I32(7)),
         cmp("big", CmpKind::Gt, Value::I64(i64::MAX - 1)),
     ]));
+    // OR hulls and column-to-column comparisons guard too.
+    preds.push(NamedPred::Or(vec![
+        cmp("d", CmpKind::Lt, Value::I32(0)),
+        cmp("d", CmpKind::Eq, Value::I32(7)),
+    ]));
+    preds.push(NamedPred::Or(vec![
+        cmp("d", CmpKind::Eq, Value::I32(7)),
+        cmp("d", CmpKind::Ge, Value::I32(1000)),
+    ]));
+    for op in ops {
+        preds.push(NamedPred::cmp_col("d", op, "d_raw"));
+        preds.push(NamedPred::cmp_col("d_raw", op, "d"));
+    }
     for pred in &preds {
         let want = run(&raw, pred, 1);
         for workers in [1, 2, 4] {

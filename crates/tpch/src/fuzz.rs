@@ -234,8 +234,8 @@ pub fn compare_stores(
 
 /// Checks a materialized result against the abstract interpreter's
 /// derived facts: row count within the bound, every value inside its
-/// column's interval, distinct counts within the NDV cap, and
-/// all-distinct proofs honored. Runs on **every** fuzz execution, so the
+/// column's interval, every string within its byte width, distinct counts
+/// within the NDV cap, and all-distinct proofs honored. Runs on **every** fuzz execution, so the
 /// 10k-case sweeps double as a soundness property test for
 /// [`ma_executor::analyze()`]. (Executions that trap never reach this
 /// check — trapped runs are exempt from the soundness contract.)
@@ -280,15 +280,26 @@ pub fn check_soundness(facts: &ma_executor::Facts, store: &FrozenStore) -> Resul
                 (seen.len(), bad)
             }
             Vector::Str(v) => {
+                // The byte model charges a string its bytes plus an
+                // 8-byte view.
                 let mut seen = HashSet::new();
+                let mut bad = None;
                 for j in 0..store.rows() {
-                    seen.insert(v.get(j).as_bytes().to_vec());
+                    let bytes = v.get(j).as_bytes();
+                    if bytes.len() as u64 + 8 > fact.bytes() {
+                        bad = bad.or(Some(format!(
+                            "{} bytes + 8-byte view > {}-byte width",
+                            bytes.len(),
+                            fact.bytes()
+                        )));
+                    }
+                    seen.insert(bytes.to_vec());
                 }
-                (seen.len(), None)
+                (seen.len(), bad)
             }
         };
         if let Some(detail) = oob {
-            return Err(format!("col {i}: value escaped its interval: {detail}"));
+            return Err(format!("col {i}: value escaped its bounds: {detail}"));
         }
         if distinct > fact.ndv {
             return Err(format!(

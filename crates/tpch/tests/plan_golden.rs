@@ -68,7 +68,7 @@ fn dense_keys(node: &PhysNode<'_>) -> String {
         .iter()
         .map(|d| match d {
             KeyDomain::Int { lo, hi } => format!("[{lo}, {hi}]"),
-            KeyDomain::Dict { views, .. } => format!("{} codes", views.len()),
+            KeyDomain::Dict(d) => format!("{} codes", d.views.len()),
         })
         .collect();
     keys.join(", ")
