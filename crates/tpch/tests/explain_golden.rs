@@ -21,10 +21,12 @@ fn db() -> TpchData {
     TpchData::generate(0.001, 0xDBD1)
 }
 
-/// The end of Q12's lineitem scan codecs, and the zone-map guard its
-/// filter's `l_receiptdate` range gives that scan.
+/// The end of Q12's lineitem scan codecs, and the zone-map guards its
+/// filter gives that scan: the `l_receiptdate` range, and through
+/// `l_commitdate < l_receiptdate` and `l_shipdate < l_commitdate` the
+/// upper bounds of the other two dates.
 const Q12_LINEITEM_ENC: &str = "l_receiptdate:for]";
-const Q12_GUARD: &str = "731 <= l_receiptdate <= 1095";
+const Q12_GUARD: &str = "l_shipdate <= 1093, l_commitdate <= 1094, 731 <= l_receiptdate <= 1095";
 
 /// `text` with the physical planner's zone-map `guard` rendered on the
 /// scan line whose codec list ends in `enc_end` (the one place a physical
