@@ -560,8 +560,8 @@ pub(crate) fn transfer(
                 .iter()
                 .map(|item| match item {
                     ProjItem::Pass(i) => in_facts.cols[*i].clone(),
-                    // Evaluation writes a fresh vector, even for a bare
-                    // column.
+                    // Only a pass-through item is proven to keep its
+                    // vectors; the builder makes every bare column one.
                     ProjItem::Expr(e) => ColFact {
                         codes: None,
                         ..eval_expr(e, in_facts, label, errs)

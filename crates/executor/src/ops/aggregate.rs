@@ -262,7 +262,7 @@ pub enum KeyDomain {
 /// `views` into `arena`. Two handles name the same dictionary only when
 /// they share the views allocation, the identity a dense key's runtime
 /// check (`ptr::eq`) compares.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct DictRef {
     /// The dictionary's byte arena.
     pub arena: Arc<[u8]>,
@@ -283,12 +283,6 @@ impl DictRef {
 impl PartialEq for DictRef {
     fn eq(&self, other: &DictRef) -> bool {
         Arc::ptr_eq(&self.views, &other.views)
-    }
-}
-
-impl std::fmt::Debug for DictRef {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DictRef({} codes)", self.views.len())
     }
 }
 
@@ -809,11 +803,11 @@ impl HashAggregate {
     /// bound on the rows the aggregate consumes. Per-chunk reserves never
     /// exceed the groups `bound` still permits. A `bound` below
     /// `input_rows` was proven from the keys' distinct counts, so the
-    /// table is sized for it once, up to [`PRESIZE_GROUPS`], and does not
-    /// rehash as the groups arrive; a bound of one group per input row
-    /// says nothing about the groups there will be, and the table grows
-    /// as they arrive instead of starting sparse. Call before the first
-    /// chunk is consumed.
+    /// table is sized for it once, up to 2^17 groups (a 4 MiB slot
+    /// array), and does not rehash as the groups arrive; a bound of one
+    /// group per input row says nothing about the groups there will be,
+    /// and the table grows as they arrive instead of starting sparse.
+    /// Call before the first chunk is consumed.
     pub fn with_group_bound(mut self, bound: usize, input_rows: usize) -> Self {
         self.group_hint = Some(bound);
         if bound < input_rows {
