@@ -39,7 +39,7 @@ use crate::ExecError;
 /// [`QueryContext`] (one context may run several plans) and the node's
 /// pre-order [`NodeId`]. Every copy of the node's operator — one per
 /// worker fragment or partition — shares it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeKey {
     /// The plan's instantiation ordinal within its context.
     pub plan: usize,
@@ -391,6 +391,11 @@ impl MemTracker {
     /// The proven bound this tracker was registered with.
     pub fn bound(&self) -> u64 {
         self.slot.bound
+    }
+
+    /// The node whose state the tracker accounts for.
+    pub(crate) fn key(&self) -> NodeKey {
+        self.slot.key
     }
 }
 

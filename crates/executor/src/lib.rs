@@ -59,6 +59,15 @@ pub enum ExecError {
     UnknownPrimitive(String),
     /// Storage-level error.
     Table(TableError),
+    /// A worker thread of an exchange panicked. Every worker of that
+    /// exchange has been joined by the time this is returned.
+    Worker {
+        /// The exchange's plan node (the default key for an exchange
+        /// built outside a plan).
+        node: NodeKey,
+        /// The panic's message, or `<non-string panic>`.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -67,6 +76,11 @@ impl std::fmt::Display for ExecError {
             ExecError::Plan(m) => write!(f, "plan error: {m}"),
             ExecError::UnknownPrimitive(s) => write!(f, "unknown primitive: {s}"),
             ExecError::Table(e) => write!(f, "table error: {e}"),
+            ExecError::Worker { node, message } => write!(
+                f,
+                "worker of plan {} node {} panicked: {message}",
+                node.plan, node.node.0
+            ),
         }
     }
 }

@@ -32,7 +32,7 @@ use ma_vector::{DataChunk, DataType, SelVec, Vector};
 use crate::ops::xrt::{Rt, RtJoinHandle, RtReceiver, RtSender, StdRt};
 use crate::ops::{BoxOp, Operator, SharedBuild};
 use crate::plan::PlanError;
-use crate::ExecError;
+use crate::{ExecError, NodeKey};
 
 /// Builds one worker's plan fragment. Arguments: worker index, worker
 /// count.
@@ -61,7 +61,8 @@ type Union = UnionCore<StdRt>;
 /// channel/teardown logic under exhaustively explored schedules.
 ///
 /// `next()` streams buffered chunks, refills from the channel, and — when
-/// every sender is gone — joins the workers to reap panics. Dropping a
+/// every sender is gone or one sent an error — joins every worker, turning
+/// a worker's panic into [`ExecError::Worker`]. Dropping a
 /// `Union` mid-stream closes the receiver *first*, so workers blocked on a
 /// full channel fail their send and exit before the joins run (bounded by
 /// one in-flight batch of work per worker).
@@ -72,6 +73,8 @@ pub(crate) struct UnionCore<R: Rt> {
     handles: Vec<R::JoinHandle>,
     /// Chunks of the last received batch, drained front to back.
     buffered: std::collections::VecDeque<DataChunk>,
+    /// The plan node a worker panic is reported against.
+    node: NodeKey,
 }
 
 impl<R: Rt> UnionCore<R> {
@@ -94,7 +97,14 @@ impl<R: Rt> UnionCore<R> {
             rx: Some(rx),
             handles,
             buffered: std::collections::VecDeque::new(),
+            node: NodeKey::default(),
         }
+    }
+
+    /// Reports a worker panic against `node`.
+    pub(crate) fn at(mut self, node: NodeKey) -> UnionCore<R> {
+        self.node = node;
+        self
     }
 
     /// An already-exhausted union (placeholder during state swaps).
@@ -103,6 +113,7 @@ impl<R: Rt> UnionCore<R> {
             rx: None,
             handles: Vec::new(),
             buffered: std::collections::VecDeque::new(),
+            node: NodeKey::default(),
         }
     }
 
@@ -125,30 +136,45 @@ impl<R: Rt> UnionCore<R> {
                     // error — it is the stronger defect signal.
                     self.rx = None;
                     self.buffered.clear();
-                    let mut panic_payload = None;
-                    for h in self.handles.drain(..) {
-                        if let Err(payload) = h.join() {
-                            panic_payload.get_or_insert(payload);
-                        }
-                    }
-                    if let Some(payload) = panic_payload {
-                        std::panic::resume_unwind(payload);
-                    }
-                    return Err(e);
+                    return Err(self.reap().unwrap_or(e));
                 }
                 Err(()) => {
                     // All senders gone: every worker finished. Join to
                     // reap panics.
                     self.rx = None;
-                    for h in self.handles.drain(..) {
-                        if let Err(payload) = h.join() {
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                    return Ok(None);
+                    return match self.reap() {
+                        Some(e) => Err(e),
+                        None => Ok(None),
+                    };
                 }
             }
         }
+    }
+
+    /// Joins every worker, returning the first one's panic as a typed
+    /// [`ExecError::Worker`].
+    fn reap(&mut self) -> Option<ExecError> {
+        let mut failure = None;
+        for h in self.handles.drain(..) {
+            if let Err(payload) = h.join() {
+                failure.get_or_insert(ExecError::Worker {
+                    node: self.node,
+                    message: panic_message(payload.as_ref()),
+                });
+            }
+        }
+        failure
+    }
+}
+
+/// A panic payload's text: the `&str` or `String` a `panic!` carries.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => match payload.downcast_ref::<String>() {
+            Some(s) => s.clone(),
+            None => "<non-string panic>".to_string(),
+        },
     }
 }
 
@@ -176,6 +202,8 @@ pub struct Parallel {
     builds: Vec<SharedBuild>,
     types: Vec<DataType>,
     tracker: Option<crate::adaptive::MemTracker>,
+    /// The node a worker panic is reported against (its tracker's).
+    node: NodeKey,
 }
 
 impl Parallel {
@@ -190,6 +218,7 @@ impl Parallel {
             builds: Vec::new(),
             types,
             tracker: None,
+            node: NodeKey::default(),
         })
     }
 
@@ -207,8 +236,10 @@ impl Parallel {
 
     /// Attaches a byte-accounting tracker recording the size of every
     /// chunk this exchange yields (the per-chunk channel-buffer unit the
-    /// planner's exchange bound is stated in).
+    /// planner's exchange bound is stated in). Its node is the one a
+    /// worker panic is reported against.
     pub(crate) fn tracked(mut self, tracker: crate::adaptive::MemTracker) -> Self {
+        self.node = tracker.key();
         self.tracker = Some(tracker);
         self
     }
@@ -282,7 +313,7 @@ impl Operator for Parallel {
             };
             // On `Err` the state stays the exhausted union: terminal.
             run_builds(&mut self.builds)?;
-            self.state = State::Running(Union::spawn(ops));
+            self.state = State::Running(Union::spawn(ops).at(self.node));
         }
         let State::Running(union) = &mut self.state else {
             unreachable!()
@@ -501,6 +532,8 @@ pub struct HashPartitionExchange {
     builds: Vec<SharedBuild>,
     types: Vec<DataType>,
     tracker: Option<crate::adaptive::MemTracker>,
+    /// The node a worker panic is reported against (its tracker's).
+    node: NodeKey,
 }
 
 impl HashPartitionExchange {
@@ -565,6 +598,7 @@ impl HashPartitionExchange {
             builds: Vec::new(),
             types,
             tracker: None,
+            node: NodeKey::default(),
         })
     }
 
@@ -576,8 +610,10 @@ impl HashPartitionExchange {
 
     /// Attaches a byte-accounting tracker recording the size of every
     /// chunk this exchange yields (the per-chunk channel-buffer unit the
-    /// planner's exchange bound is stated in).
+    /// planner's exchange bound is stated in). Its node is the one a
+    /// worker panic is reported against.
     pub(crate) fn tracked(mut self, tracker: crate::adaptive::MemTracker) -> Self {
+        self.node = tracker.key();
         self.tracker = Some(tracker);
         self
     }
@@ -630,7 +666,8 @@ impl Operator for HashPartitionExchange {
             };
             // On `Err` the state stays the exhausted union: terminal.
             run_builds(&mut self.builds)?;
-            let union = HashPartitionExchange::start(producers, part_txs, &key_cols, consumers);
+            let union = HashPartitionExchange::start(producers, part_txs, &key_cols, consumers)
+                .at(self.node);
             self.state = PartState::Running(union);
         }
         let PartState::Running(union) = &mut self.state else {
@@ -974,6 +1011,107 @@ mod tests {
         assert!(err.to_string().contains("injected"));
         assert!(par.next().unwrap().is_none(), "stream must stay terminated");
         assert!(par.next().unwrap().is_none());
+    }
+
+    /// Emits one-row chunks and calls `boom`, which panics, on its `k`-th
+    /// `next()` (never when `k` is 0); `live` counts the copies not yet dropped, so it reads 0
+    /// only once every worker thread has let go of its fragment.
+    struct PanicAt {
+        k: usize,
+        calls: usize,
+        boom: fn(),
+        live: Arc<std::sync::atomic::AtomicUsize>,
+        types: Vec<DataType>,
+    }
+
+    impl PanicAt {
+        fn new(k: usize, boom: fn(), live: &Arc<std::sync::atomic::AtomicUsize>) -> PanicAt {
+            live.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            PanicAt {
+                k,
+                calls: 0,
+                boom,
+                live: Arc::clone(live),
+                types: vec![DataType::I64],
+            }
+        }
+    }
+
+    impl Operator for PanicAt {
+        fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
+            self.calls += 1;
+            if self.calls == self.k {
+                (self.boom)();
+            }
+            if self.calls > 50 {
+                return Ok(None);
+            }
+            Ok(Some(DataChunk::new(vec![Arc::new(Vector::I64(vec![1]))])))
+        }
+        fn out_types(&self) -> &[DataType] {
+            &self.types
+        }
+    }
+
+    impl Drop for PanicAt {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Drains `op` to its first error.
+    fn first_error(op: &mut dyn Operator) -> ExecError {
+        loop {
+            match op.next() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("stream ended without surfacing the panic"),
+                Err(e) => break e,
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_a_typed_error_with_every_worker_joined() {
+        let booms: [(fn(), &str); 3] = [
+            (|| panic!("static text"), "static text"),
+            (|| panic!("{} text", "owned"), "owned text"),
+            (|| std::panic::panic_any(7u32), "<non-string panic>"),
+        ];
+        for (k, (boom, want)) in [1, 3, 12].into_iter().zip(booms) {
+            let live = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            // Worker 1 panics on its k-th call; the others finish.
+            let factory = |w: usize, _n: usize| -> Result<BoxOp, ExecError> {
+                let k = if w == 1 { k } else { 0 };
+                Ok(Box::new(PanicAt::new(k, boom, &live)))
+            };
+            let mut par = Parallel::new(3, &factory).unwrap();
+            let err = first_error(&mut par);
+            assert!(
+                matches!(&err, ExecError::Worker { message, .. } if message == want),
+                "k = {k}: {err:?}"
+            );
+            assert_eq!(live.load(std::sync::atomic::Ordering::SeqCst), 0, "k = {k}");
+            assert!(par.next().unwrap().is_none(), "stream must stay terminated");
+        }
+    }
+
+    #[test]
+    fn a_partition_producer_panic_is_a_typed_error_with_every_worker_joined() {
+        let live = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let producers: Vec<BoxOp> = (0..2)
+            .map(|w| -> BoxOp {
+                let k = if w == 0 { 4 } else { 0 };
+                Box::new(PanicAt::new(k, || panic!("producer"), &live))
+            })
+            .collect();
+        let consumer = |source: BoxOp, _p: usize| Ok(source);
+        let mut ex = HashPartitionExchange::new(producers, vec![0], 3, &consumer).unwrap();
+        let err = first_error(&mut ex);
+        assert!(
+            matches!(&err, ExecError::Worker { message, .. } if message == "producer"),
+            "{err:?}"
+        );
+        assert_eq!(live.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     // --- shared join builds -------------------------------------------------

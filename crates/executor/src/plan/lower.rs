@@ -83,7 +83,7 @@ pub fn lower(plan: &LogicalPlan, ctx: &QueryContext) -> Result<BoxOp, ExecError>
 /// implements ([`LogicalPlan::children`] order; the root is 0). With the
 /// plan's ordinal it is the identity instances and memory trackers key on
 /// ([`crate::NodeKey`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// How a node's operator instances are fed and their outputs united.
