@@ -827,26 +827,41 @@ fn narrow_pred(pred: &Pred, cols: &mut [ColFact]) -> Option<usize> {
     }
 }
 
+/// The integers `col op v` passes, as an inclusive `i128` range (empty
+/// when `lo > hi`), for `op` one of `<`, `<=`, `>`, `>=`, `=` and an
+/// integer constant `v`. `None` for `<>`, which passes all but one value,
+/// and for a float or string constant. The analyzer narrows a column's
+/// interval by it, and a scan that owns the conjunct admits the chunks
+/// whose zones it contains.
+pub(crate) fn cmp_const_interval(op: CmpKind, v: &Value) -> Option<(i128, i128)> {
+    let c = i128::from(const_as_i64(v)?);
+    let (min, max) = (i128::MIN, i128::MAX);
+    match op {
+        CmpKind::Lt => Some((min, c - 1)),
+        CmpKind::Le => Some((min, c)),
+        CmpKind::Gt => Some((c + 1, max)),
+        CmpKind::Ge => Some((c, max)),
+        CmpKind::Eq => Some((c, c)),
+        CmpKind::Ne => None,
+    }
+}
+
 fn narrow_cmp_const(fact: &mut ColFact, op: CmpKind, v: &Value) {
     match (&mut fact.domain, v) {
         (AbsDomain::Int { lo, hi }, _) => {
-            let Some(c) = const_as_i64(v) else { return };
-            let c = i128::from(c);
-            let (min, max) = (i128::MIN, i128::MAX);
-            let (nlo, nhi) = match op {
-                CmpKind::Lt => (min, c - 1),
-                CmpKind::Le => (min, c),
-                CmpKind::Gt => (c + 1, max),
-                CmpKind::Ge => (c, max),
-                CmpKind::Eq => {
-                    fact.ndv = fact.ndv.min(1);
-                    (c, c)
-                }
-                // `<>` narrows only at a boundary.
-                CmpKind::Ne if c == i128::from(*lo) => (c + 1, max),
-                CmpKind::Ne if c == i128::from(*hi) => (min, c - 1),
-                CmpKind::Ne => return,
+            let Some(c) = const_as_i64(v).map(i128::from) else {
+                return;
             };
+            let (nlo, nhi) = match cmp_const_interval(op, v) {
+                Some(range) => range,
+                // `<>` narrows only at a boundary.
+                None if c == i128::from(*lo) => (c + 1, i128::MAX),
+                None if c == i128::from(*hi) => (i128::MIN, c - 1),
+                None => return,
+            };
+            if op == CmpKind::Eq {
+                fact.ndv = fact.ndv.min(1);
+            }
             narrow_int(lo, hi, nlo, nhi);
         }
         (AbsDomain::Float { lo, hi, .. }, Value::F64(c)) => {

@@ -18,7 +18,7 @@ pub use exchange::{ConsumerFactory, FragmentFactory, HashPartitionExchange, Para
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};
 pub use merge_join::MergeJoin;
 pub use project::{ProjItem, Project};
-pub use scan::{Scan, ZoneGuard};
+pub use scan::{Scan, ZoneGuard, ZonePred};
 pub use select::Select;
 pub use sort::{materialize, Limit, Sort};
 

@@ -16,22 +16,37 @@
 //! vector-aligned, the multiset of chunk boundaries is identical in both
 //! modes — only which worker produces a chunk varies.
 //!
-//! A scan may carry [`ZoneGuard`]s: the intervals the Filter directly
-//! above it proves its passing rows lie in (the analyzer's output facts).
-//! A frame-of-reference partition's `base` and `width` bound every value
-//! it holds to `[base, base + 2^width - 1]`, a zone map the codec stores
-//! anyway; a chunk all of whose partitions some guard rules out is
-//! skipped before anything is decoded. Skipping moves no chunk boundary
-//! and drops only rows the Filter would drop.
+//! Under a Filter, a scan reads the table's **zone maps**: the exact
+//! `(min, max)` of every 1024-row run of each integer column
+//! ([`ma_vector::ColumnStats::zones`]), held alike by raw and encoded
+//! tables. Of a chunk, the scan looks at the *hull* of the zones its rows
+//! overlap, and uses it twice:
+//!
+//! * **Skip.** A [`ZoneGuard`] is the interval the Filter proves its
+//!   passing rows lie in on one column (the analyzer's output fact). A
+//!   chunk whose hull some guard misses is dropped before anything is
+//!   decoded. Skipping moves no chunk boundary and drops only rows the
+//!   Filter would drop.
+//! * **Admit.** A guard may stem from a column-to-column comparison, so a
+//!   hull inside it does not make the Filter true. Admission is therefore
+//!   per conjunct: the scan owns the Filter's *zone conjuncts*
+//!   ([`ZonePred`], `col op const` on an integer column) and evaluates
+//!   each only on the chunks whose hull its range does not contain. A
+//!   chunk every conjunct admits leaves the scan with no selection vector,
+//!   so the operators above it take their full-computation path.
 
 use std::sync::Arc;
 
 use ma_primitives::{DecodeDeltaCol, DecodeDictCol, DecodeForCol};
 use ma_vector::encode::{part_ranges, DictStr, EncColumn, ENC_PART_ROWS, SYNC_ROWS};
-use ma_vector::{Column, DataChunk, DataType, MorselQueue, RowRange, StrVec, Table, Vector};
+use ma_vector::{
+    Column, ColumnStats, DataChunk, DataType, MorselQueue, RowRange, SelVec, StrVec, Table, Vector,
+};
 
 use crate::adaptive::{HeurKind, NodeScope, PrimInstance};
 use crate::config::DecodeMode;
+use crate::eval::CompiledPred;
+use crate::expr::Pred;
 use crate::ops::Operator;
 use crate::ExecError;
 
@@ -76,10 +91,34 @@ pub struct ZoneGuard {
 }
 
 impl ZoneGuard {
-    /// Whether a value in `[lo, hi]` can pass the guard.
-    fn admits(&self, lo: i128, hi: i128) -> bool {
-        self.lo <= hi && lo <= self.hi
+    /// Whether some value in `[lo, hi]` lies in the guard's range.
+    pub fn overlaps(&self, lo: i128, hi: i128) -> bool {
+        self.lo.max(lo) <= self.hi.min(hi)
     }
+
+    /// Whether every value in `[lo, hi]` lies in the guard's range.
+    pub fn contains(&self, lo: i128, hi: i128) -> bool {
+        self.lo <= lo && hi <= self.hi
+    }
+}
+
+/// A zone conjunct a scan owns: `pred`, a comparison of one integer
+/// column with a constant (scan output positions), and `range`, the
+/// values of that column it passes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ZonePred {
+    /// The column and the values `pred` passes.
+    pub range: ZoneGuard,
+    /// The conjunct itself.
+    pub pred: Pred,
+}
+
+/// A [`ZonePred`] compiled: its range, the table position of its column,
+/// and the predicate.
+struct OwnedPred {
+    range: ZoneGuard,
+    table_col: usize,
+    pred: CompiledPred,
 }
 
 /// Scan over selected columns of a table (sequential or morsel-sharded).
@@ -90,9 +129,17 @@ pub struct Scan {
     vector_size: usize,
     cursor: Cursor,
     decoders: Vec<ColDecoder>,
-    /// Per encoded partition: whether some guard rules out every value it
-    /// holds. Empty without guards.
-    ruled_out: Vec<bool>,
+    /// The guards, each with its column's table position.
+    guards: Vec<(ZoneGuard, usize)>,
+    /// The zone conjuncts the scan evaluates, in the Filter's order.
+    owned: Vec<OwnedPred>,
+}
+
+/// The hull of table column `col`'s zones over rows `[start, start + n)`,
+/// `None` for a column without zones.
+fn hull(stats: &[ColumnStats], col: usize, start: usize, n: usize) -> Option<(i128, i128)> {
+    let (lo, hi) = stats[col].zone_hull(start, n)?;
+    Some((lo.into(), hi.into()))
 }
 
 impl Scan {
@@ -117,35 +164,49 @@ impl Scan {
             vector_size,
             cursor,
             decoders,
-            ruled_out: Vec::new(),
+            guards: Vec::new(),
+            owned: Vec::new(),
         })
     }
 
-    /// Attaches zone-map guards: chunks whose every partition some guard
-    /// rules out are skipped undecoded. Only frame-of-reference columns
-    /// carry the partition ranges; a guard on any other column rules
-    /// nothing out.
+    /// The table position of output column `col`.
+    fn table_col(&self, col: usize, what: &str) -> Result<usize, ExecError> {
+        self.col_idx.get(col).copied().ok_or_else(|| {
+            ExecError::Plan(format!(
+                "{what} on column {col} of a {}-column scan",
+                self.col_idx.len()
+            ))
+        })
+    }
+
+    /// Attaches zone-map guards: a chunk whose zone hull some guard misses
+    /// is skipped undecoded. Every integer column carries zones, whatever
+    /// its storage; a guard on any other column rules nothing out.
     pub fn with_guards(mut self, guards: &[ZoneGuard]) -> Result<Self, ExecError> {
-        for g in guards {
-            let &i = self.col_idx.get(g.col).ok_or_else(|| {
-                ExecError::Plan(format!(
-                    "zone guard on column {} of a {}-column scan",
-                    g.col,
-                    self.col_idx.len()
-                ))
-            })?;
-            let Column::Enc(e) = self.table.column_at(i) else {
-                continue;
-            };
-            let EncColumn::For(c) = &**e else {
-                continue;
-            };
-            self.ruled_out.resize(c.parts.len(), false);
-            for (dead, p) in self.ruled_out.iter_mut().zip(&c.parts) {
-                let lo = i128::from(p.base);
-                let hi = lo + ((1i128 << p.width) - 1);
-                *dead |= !g.admits(lo, hi);
-            }
+        for &g in guards {
+            let i = self.table_col(g.col, "zone guard")?;
+            self.guards.push((g, i));
+        }
+        Ok(self)
+    }
+
+    /// Makes the scan evaluate the Filter conjuncts `preds` on the chunks
+    /// whose zone hull a conjunct's range does not contain, compiled in
+    /// `scope` (the Filter node's, so their instances report under it).
+    /// The conjunction of what remains of the Filter is the caller's.
+    pub fn with_zone_preds(
+        mut self,
+        preds: &[ZonePred],
+        scope: &NodeScope,
+    ) -> Result<Self, ExecError> {
+        for zp in preds {
+            let table_col = self.table_col(zp.range.col, "zone conjunct")?;
+            let pred = CompiledPred::compile(&zp.pred, &self.types, scope)?;
+            self.owned.push(OwnedPred {
+                range: zp.range,
+                table_col,
+                pred,
+            });
         }
         Ok(self)
     }
@@ -306,16 +367,46 @@ fn decode_dict_slice(
 
 impl Operator for Scan {
     fn next(&mut self) -> Result<Option<DataChunk>, ExecError> {
-        let (start, n) = loop {
+        'chunks: loop {
             let Some((start, n)) = self.next_slice() else {
                 return Ok(None);
             };
-            let skip = !self.ruled_out.is_empty()
-                && part_ranges(start, n).all(|(p, _, _)| self.ruled_out[p]);
-            if !skip {
-                break (start, n);
+            if self.guards.is_empty() && self.owned.is_empty() {
+                return Ok(Some(self.decode(start, n)));
             }
-        };
+            let missed = |&(g, i): &(ZoneGuard, usize)| {
+                hull(self.table.stats(), i, start, n).is_some_and(|(lo, hi)| !g.overlaps(lo, hi))
+            };
+            if self.guards.iter().any(missed) {
+                continue;
+            }
+            let chunk = self.decode(start, n);
+            let stats = self.table.stats();
+            let mut sel: Option<SelVec> = None;
+            for op in &mut self.owned {
+                let admitted = hull(stats, op.table_col, start, n)
+                    .is_some_and(|(lo, hi)| op.range.contains(lo, hi));
+                if admitted {
+                    continue;
+                }
+                let out = op.pred.apply(&chunk, sel.as_ref().map(SelVec::as_slice));
+                if out.is_empty() {
+                    continue 'chunks;
+                }
+                sel = Some(out);
+            }
+            return Ok(Some(chunk.with_sel(sel)));
+        }
+    }
+
+    fn out_types(&self) -> &[DataType] {
+        &self.types
+    }
+}
+
+impl Scan {
+    /// Materializes rows `[start, start + n)` of the scanned columns.
+    fn decode(&mut self, start: usize, n: usize) -> DataChunk {
         let mut cols = Vec::with_capacity(self.col_idx.len());
         for (k, &i) in self.col_idx.iter().enumerate() {
             let col = self.table.column_at(i);
@@ -403,11 +494,7 @@ impl Operator for Scan {
             };
             cols.push(Arc::new(v));
         }
-        Ok(Some(DataChunk::new(cols)))
-    }
-
-    fn out_types(&self) -> &[DataType] {
-        &self.types
+        DataChunk::new(cols)
     }
 }
 

@@ -21,12 +21,13 @@ use ma_vector::Schema;
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
-use crate::ops::{JoinKind, KeyDomain, ProjItem, ZoneGuard};
+use crate::ops::{JoinKind, KeyDomain, ProjItem, ZoneGuard, ZonePred};
+use crate::plan::lower::zone_conjuncts;
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self, None, 0, None, "shardable")
+        fmt_node(f, self, None, 0, None, "shardable", &[])
     }
 }
 
@@ -43,7 +44,15 @@ pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
 
 impl fmt::Display for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self.root.logical, Some(&self.root), 0, None, "shardable")
+        fmt_node(
+            f,
+            self.root.logical,
+            Some(&self.root),
+            0,
+            None,
+            "shardable",
+            &[],
+        )
     }
 }
 
@@ -77,7 +86,8 @@ fn render_key_domain(d: &KeyDomain, key: &str) -> String {
 /// `plan`) the physical annotations too. `scan_mode` is what a scan
 /// reached from here shows: `shardable` until a merge join makes its
 /// streaming inputs `ordered` (sorts, aggregates and join builds reset
-/// it).
+/// it). `owned` are the zone conjuncts `plan`, a scan, takes from the
+/// Filter above it.
 fn fmt_node(
     f: &mut fmt::Formatter<'_>,
     plan: &LogicalPlan,
@@ -85,6 +95,7 @@ fn fmt_node(
     indent: usize,
     tag: Option<&str>,
     scan_mode: &'static str,
+    owned: &[ZonePred],
 ) -> fmt::Result {
     // How the planner parallelized an aggregate or join.
     let verdict = match phys.map(|p| &p.exchange) {
@@ -131,6 +142,12 @@ fn fmt_node(
             if !guards.is_empty() {
                 write!(f, "guards=[{}] ", guards.join(", "))?;
             }
+            // The Filter conjuncts the scan evaluates itself.
+            if !owned.is_empty() {
+                let preds: Vec<String> =
+                    owned.iter().map(|z| render_pred(&z.pred, schema)).collect();
+                write!(f, "zone_preds=[{}] ", preds.join(", "))?;
+            }
             writeln!(f, "-> {schema}")
         }
         LogicalPlan::Filter {
@@ -144,7 +161,14 @@ fn fmt_node(
                 "Filter {} -> {schema}",
                 render_pred(pred, input.schema())
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
+            // The physical scan beneath owns the zone conjuncts.
+            let owned = match (phys, &**input) {
+                (Some(_), LogicalPlan::Scan { schema, .. }) => {
+                    zone_conjuncts(pred, &schema.types()).0
+                }
+                _ => Vec::new(),
+            };
+            fmt_node(f, input, child(0), indent + 1, None, scan_mode, &owned)
         }
         LogicalPlan::Project {
             input,
@@ -168,7 +192,7 @@ fn fmt_node(
                 })
                 .collect();
             writeln!(f, "Project [{}] -> {schema}", parts.join(", "))?;
-            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
+            fmt_node(f, input, child(0), indent + 1, None, scan_mode, &[])
         }
         LogicalPlan::HashAgg {
             input,
@@ -197,7 +221,7 @@ fn fmt_node(
                 "aggs=[{}] -> {schema}",
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
         }
         LogicalPlan::StreamAgg {
             input,
@@ -210,7 +234,7 @@ fn fmt_node(
                 "StreamAgg [{}] -> {schema}",
                 render_aggs(aggs, 0, input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
         }
         LogicalPlan::HashJoin {
             build,
@@ -253,8 +277,24 @@ fn fmt_node(
             }
             writeln!(f, " -> {schema}")?;
             // Build materializes (resets order); probe streams (inherits).
-            fmt_node(f, build, child(0), indent + 1, Some("build"), "shardable")?;
-            fmt_node(f, probe, child(1), indent + 1, Some("probe"), scan_mode)
+            fmt_node(
+                f,
+                build,
+                child(0),
+                indent + 1,
+                Some("build"),
+                "shardable",
+                &[],
+            )?;
+            fmt_node(
+                f,
+                probe,
+                child(1),
+                indent + 1,
+                Some("probe"),
+                scan_mode,
+                &[],
+            )
         }
         LogicalPlan::MergeJoin {
             left,
@@ -281,8 +321,16 @@ fn fmt_node(
             writeln!(f, " -> {schema}")?;
             // Order-sensitive: both inputs stream in key order until an
             // order-resetting node below takes over.
-            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered")?;
-            fmt_node(f, right, child(1), indent + 1, Some("right"), "ordered")
+            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered", &[])?;
+            fmt_node(
+                f,
+                right,
+                child(1),
+                indent + 1,
+                Some("right"),
+                "ordered",
+                &[],
+            )
         }
         LogicalPlan::Sort {
             input,
@@ -305,7 +353,7 @@ fn fmt_node(
                 write!(f, " limit={l}")?;
             }
             writeln!(f, " -> {schema}")?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
         }
     }
 }

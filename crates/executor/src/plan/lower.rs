@@ -34,6 +34,13 @@
 //!   interpreter, or the code range of the dictionary a string key
 //!   provably carries codes of — indexes a direct group table instead of
 //!   hashing ([`HashAggregate::new_dense`], DESIGN.md §7).
+//! * **Zone maps.** A scan directly under a Filter gets, as
+//!   [`ZoneGuard`]s, the Filter's output intervals on the integer columns
+//!   it narrows, and skips the chunks whose zones they miss. [`instantiate`]
+//!   also hands the scan the Filter's zone conjuncts (`col op const` on an
+//!   integer column), which it evaluates only where a chunk's zones leave
+//!   them in doubt; the Filter's [`Select`] keeps the other conjuncts, and
+//!   a Filter left with none has no operator (DESIGN.md §13).
 //! * **Ordered inputs run serially.** A [`LogicalPlan::MergeJoin`] needs
 //!   key-sorted inputs, and an arrival-order union would break that. By
 //!   the merge-input rule the builder and the verifier share, its inputs
@@ -52,17 +59,17 @@
 
 use std::sync::Arc;
 
-use ma_vector::{Encoding, MorselQueue, Table, VECTORS_PER_MORSEL};
+use ma_vector::{DataType, MorselQueue, Table, VECTORS_PER_MORSEL};
 
 use crate::adaptive::NodeScope;
 use crate::analyze::{AbsDomain, AnalysisError, Facts};
-use crate::config::ExecConfig;
+use crate::config::{DecodeMode, ExecConfig};
 use crate::cost::Width;
-use crate::expr::TypeError;
+use crate::expr::{CmpRhs, Pred, TypeError};
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain, MergeJoin, Parallel,
-    Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
+    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain, MergeJoin, Operator,
+    Parallel, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard, ZonePred,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -193,10 +200,10 @@ pub struct PhysNode<'a> {
     /// Proven peak resident bytes of **one** operator instance (0 for
     /// streaming filters and projections).
     pub instance_bytes: u64,
-    /// For a scan directly under a Filter: per frame-of-reference column
-    /// the Filter narrows, the Filter's output interval (a side it did not
-    /// narrow left unbounded), which lets the scan skip the partitions
-    /// their zone maps rule out. Empty everywhere else.
+    /// For a scan directly under a Filter: per integer column the Filter
+    /// narrows, the Filter's output interval (a side it did not narrow
+    /// left unbounded), which lets the scan skip the chunks their zone
+    /// maps rule out. Empty everywhere else.
     pub guards: Vec<ZoneGuard>,
     /// For a hash aggregate the planner sent dense: the proven domain of
     /// each group key, which its direct group table indexes. Empty
@@ -499,25 +506,69 @@ fn widths(facts: &Facts) -> Vec<Width> {
     facts.cols.iter().map(|c| c.width).collect()
 }
 
-/// The frame-of-reference columns of `plan`, if it is a scan, with their
-/// intervals in its `facts`: the columns whose partitions a zone map
-/// bounds.
+/// The integer columns of `plan`, if it is a scan, with their intervals in
+/// its `facts`: the columns a zone map bounds, whatever their storage.
 fn zoned(plan: &LogicalPlan, facts: &Facts) -> Vec<(usize, i64, i64)> {
-    let LogicalPlan::Scan { table, cols, .. } = plan else {
+    if !matches!(plan, LogicalPlan::Scan { .. }) {
         return Vec::new();
-    };
-    let for_coded = |name: &str| {
-        table
-            .column(name)
-            .is_ok_and(|c| c.encoding() == Some(Encoding::For))
-    };
-    let intervals = cols.iter().zip(&facts.cols).enumerate();
+    }
+    let intervals = facts.cols.iter().enumerate();
     intervals
-        .filter_map(|(i, (name, fact))| match fact.domain {
-            AbsDomain::Int { lo, hi } if for_coded(name) => Some((i, lo, hi)),
+        .filter_map(|(i, fact)| match fact.domain {
+            AbsDomain::Int { lo, hi } => Some((i, lo, hi)),
             _ => None,
         })
         .collect()
+}
+
+/// A Filter's predicate split for the scan beneath it, whose output types
+/// are `types`: its *zone conjuncts* — the top-level conjuncts (nested ANDs
+/// flattened) `col op const` with `op` one of `<`, `<=`, `>`, `>=`, `=` on
+/// an integer column — each with the range it passes, and the conjunction
+/// of the other conjuncts, `None` when none remain. Without a zone
+/// conjunct the predicate comes back whole.
+pub(crate) fn zone_conjuncts(pred: &Pred, types: &[DataType]) -> (Vec<ZonePred>, Option<Pred>) {
+    fn flatten<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
+        match pred {
+            Pred::And(ps) => ps.iter().for_each(|p| flatten(p, out)),
+            p => out.push(p),
+        }
+    }
+    let range = |p: &Pred| match p {
+        Pred::Cmp {
+            col,
+            op,
+            rhs: CmpRhs::Const(v),
+        } if matches!(
+            types.get(*col),
+            Some(DataType::I16 | DataType::I32 | DataType::I64)
+        ) =>
+        {
+            let (lo, hi) = crate::analyze::cmp_const_interval(*op, v)?;
+            Some(ZoneGuard { col: *col, lo, hi })
+        }
+        _ => None,
+    };
+    let mut conjuncts = Vec::new();
+    flatten(pred, &mut conjuncts);
+    let mut zoned = Vec::new();
+    let mut rest = Vec::new();
+    for p in conjuncts {
+        match range(p) {
+            Some(range) => zoned.push(ZonePred {
+                range,
+                pred: p.clone(),
+            }),
+            None => rest.push(p.clone()),
+        }
+    }
+    let rest = match rest.len() {
+        _ if zoned.is_empty() => Some(pred.clone()),
+        0 => None,
+        1 => rest.pop(),
+        _ => Some(Pred::And(rest)),
+    };
+    (zoned, rest)
 }
 
 /// The zone guards of a scan whose `zoned` columns a Filter with output
@@ -691,11 +742,15 @@ impl<'p, 'a> ScanChain<'p, 'a> {
             lw.ctx.vector_size(),
             Arc::clone(queue),
         )?;
-        let scan = scan
-            .with_guards(&self.scan.guards)?
-            .with_context(&lw.scope(self.scan))?;
-        let mut op: BoxOp = Box::new(scan);
-        for stage in &self.stages {
+        // A Filter right above the scan is built with it.
+        let filter = match self.stages.first() {
+            Some(Stage::Stream(node)) if matches!(node.logical, LogicalPlan::Filter { .. }) => {
+                Some(*node)
+            }
+            _ => None,
+        };
+        let mut op = lw.scan_op(self.scan, scan, filter)?;
+        for stage in &self.stages[usize::from(filter.is_some())..] {
             op = match stage {
                 Stage::Stream(node) => stream_op(node.logical, op, &lw.scope(node))?,
                 Stage::Probe(node, shared) => {
@@ -769,6 +824,15 @@ struct Lowering<'c> {
 }
 
 impl Lowering<'_> {
+    /// A sequential scan of scan node `node`'s columns.
+    fn scan(&self, node: &PhysNode<'_>) -> Result<Scan, ExecError> {
+        let LogicalPlan::Scan { table, cols, .. } = node.logical else {
+            unreachable!("scan nodes hold Scan plans");
+        };
+        let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+        Scan::new(Arc::clone(table), &names, self.ctx.vector_size())
+    }
+
     /// A fresh scope for one copy of `node`'s operator, displayed under
     /// the node's label (`scan_<table>` for a scan, `sort` for a sort).
     fn scope(&self, node: &PhysNode<'_>) -> NodeScope {
@@ -777,6 +841,41 @@ impl Lowering<'_> {
             other => other.label().unwrap_or("sort").to_string(),
         };
         NodeScope::new(self.ctx, self.plan, node.id, label)
+    }
+
+    /// The operator of scan node `node` over `scan`, or with `filter` (the
+    /// Filter node directly above it) that Filter's too: the scan takes
+    /// the node's zone guards and owns the Filter's zone conjuncts, and a
+    /// [`Select`] evaluates the rest, both in the Filter's scope. Under
+    /// [`DecodeMode::Reference`] — the spec path the differential fuzzer
+    /// checks skipping and admission against — the scan takes neither and
+    /// the `Select` the whole predicate.
+    fn scan_op(
+        &self,
+        node: &PhysNode<'_>,
+        scan: Scan,
+        filter: Option<&PhysNode<'_>>,
+    ) -> Result<BoxOp, ExecError> {
+        let spec = self.ctx.config().decode == DecodeMode::Reference;
+        let guards = if spec { &[][..] } else { &node.guards[..] };
+        let scan = scan.with_guards(guards)?.with_context(&self.scope(node))?;
+        let Some(filter) = filter else {
+            return Ok(Box::new(scan));
+        };
+        let LogicalPlan::Filter { pred, .. } = filter.logical else {
+            unreachable!("a scan's filter is a Filter node");
+        };
+        let scope = self.scope(filter);
+        let (owned, rest) = if spec {
+            (Vec::new(), Some(pred.clone()))
+        } else {
+            zone_conjuncts(pred, scan.out_types())
+        };
+        let scan: BoxOp = Box::new(scan.with_zone_preds(&owned, &scope)?);
+        Ok(match rest {
+            Some(rest) => Box::new(Select::new(scan, &rest, &scope)?),
+            None => scan,
+        })
     }
 
     fn build(&self, node: &PhysNode<'_>) -> Result<BoxOp, ExecError> {
@@ -848,11 +947,12 @@ impl Lowering<'_> {
                     node.id.0
                 )))
             }
-            (LogicalPlan::Scan { table, cols, .. }, _) => {
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                let scan = Scan::new(Arc::clone(table), &names, self.ctx.vector_size())?
-                    .with_guards(&node.guards)?;
-                Box::new(scan.with_context(&self.scope(node))?)
+            (LogicalPlan::Scan { .. }, _) => self.scan_op(node, self.scan(node)?, None)?,
+            (LogicalPlan::Filter { .. }, _)
+                if matches!(child(node, 0)?.logical, LogicalPlan::Scan { .. }) =>
+            {
+                let scan = child(node, 0)?;
+                self.scan_op(scan, self.scan(scan)?, Some(node))?
             }
             (LogicalPlan::Filter { .. } | LogicalPlan::Project { .. }, _) => {
                 stream_op(node.logical, input(0)?, &self.scope(node))?

@@ -97,6 +97,13 @@ pub enum Storage {
 /// matrix for no extra coverage: storage only affects the scan layer,
 /// so one sequential and one maximally-exchanged plan per storage mode
 /// already exercise every decode path.
+///
+/// The reference-decoder variants are also the skip-free oracle: under
+/// [`DecodeMode::Reference`] a scan takes no zone guard and no zone
+/// conjunct, so every chunk reaches the full Filter. Every other
+/// configuration, raw storage included, skips the chunks its zone maps
+/// rule out and admits the ones a range conjunct passes whole, and is
+/// checked against it.
 pub fn storage_matrix() -> Vec<(String, ExecConfig, Storage)> {
     let base = config_matrix();
     let seq = base[0].1.clone();

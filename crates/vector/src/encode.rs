@@ -520,6 +520,7 @@ impl EncColumn {
                 distinct: c.views.len(),
                 domain: StatsDomain::Str,
                 max_bytes: c.views.iter().map(|&(_, l)| l as usize).max().unwrap_or(0),
+                zones: Vec::new(),
             },
             _ => ColumnStats::compute(&self.to_raw()),
         }

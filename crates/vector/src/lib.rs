@@ -33,7 +33,7 @@ pub use encode::{decode_table, encode_column, encode_table, EncColumn, Encoding,
 pub use partition::{MorselQueue, RowRange, MORSEL_ROWS, VECTORS_PER_MORSEL};
 pub use schema::{Field, Schema};
 pub use selvec::SelVec;
-pub use stats::{ColumnStats, StatsDomain};
+pub use stats::{ColumnStats, StatsDomain, ZONE_ROWS};
 pub use table::{Column, Table, TableError};
 pub use types::{DataType, VECTOR_SIZE};
 pub use vector::{StrVec, Vector};

@@ -1,5 +1,5 @@
-//! Per-column base-table statistics: exact min/max, distinct counts, and
-//! float finiteness.
+//! Per-column base-table statistics: exact min/max, distinct counts, float
+//! finiteness, and per-vector zone maps.
 //!
 //! These are the *base facts* the plan-level abstract interpreter
 //! (`ma_executor::analyze`) starts from: every derived interval, NDV bound,
@@ -11,11 +11,24 @@
 //! repository runs (SF ≤ 1 in tests, dictionary-compressible strings), one
 //! hashed pass per column is cheap, and [`Table::stats`](crate::Table::stats)
 //! memoizes it so tables that are never analyzed never pay it.
+//!
+//! The same pass records an integer column's **zones**: the exact
+//! `(min, max)` of every [`ZONE_ROWS`]-row run. They are statistics, not
+//! storage: `encode_table` and `decode_table` carry them with the rest, so
+//! a table and its raw or encoded twin hold identical zones whatever the
+//! codec, and no column's resident bytes include them (16 bytes per 1024
+//! values). A scan under a Filter reads them to skip the chunks the
+//! Filter's guards rule out and to admit the ones a range conjunct passes
+//! whole (`ma_executor::ops::Scan`).
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::table::Column;
+
+/// Rows per zone: [`ColumnStats::zones`] holds the exact bounds of each
+/// run of this many rows.
+pub const ZONE_ROWS: usize = 1024;
 
 /// The set the distinct counts are taken with: std's `HashSet` under a
 /// fixed multiply-xorshift hasher instead of SipHash. Column values are
@@ -77,6 +90,10 @@ pub struct ColumnStats {
     /// empty column. The memory/cost analyzer multiplies this by row
     /// bounds to bound string-storage bytes.
     pub max_bytes: usize,
+    /// For an `I16` / `I32` / `I64` column: the exact `(min, max)` of rows
+    /// `[z * ZONE_ROWS, (z + 1) * ZONE_ROWS)` at position `z`, the last
+    /// zone possibly shorter. Empty for every other type.
+    pub zones: Vec<(i64, i64)>,
 }
 
 /// The value domain of a column, by scalar type.
@@ -136,6 +153,7 @@ impl ColumnStats {
                         all_finite,
                     },
                     max_bytes: if v.is_empty() { 0 } else { 8 },
+                    zones: Vec::new(),
                 }
             }
             Column::Enc(e) => e.compute_stats(),
@@ -153,24 +171,43 @@ impl ColumnStats {
                     distinct: seen.len(),
                     domain: StatsDomain::Str,
                     max_bytes,
+                    zones: Vec::new(),
                 }
             }
         }
+    }
+
+    /// Bounds on every value in rows `[start, start + n)`: the hull of the
+    /// zones those rows overlap. `None` for a column without zones.
+    pub fn zone_hull(&self, start: usize, n: usize) -> Option<(i64, i64)> {
+        let zones = self
+            .zones
+            .get(start / ZONE_ROWS..=(start + n.max(1) - 1) / ZONE_ROWS)?;
+        zones
+            .iter()
+            .copied()
+            .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
     }
 }
 
 fn int_stats(values: impl Iterator<Item = i64>, width: usize, rows: usize) -> ColumnStats {
     let mut seen = ValueSet::default();
     let (mut min, mut max) = (i64::MAX, i64::MIN);
-    for x in values {
+    let mut zones: Vec<(i64, i64)> = Vec::with_capacity(rows.div_ceil(ZONE_ROWS));
+    for (i, x) in values.enumerate() {
         seen.insert(x);
         min = min.min(x);
         max = max.max(x);
+        match zones.last_mut() {
+            Some(z) if i % ZONE_ROWS != 0 => *z = (z.0.min(x), z.1.max(x)),
+            _ => zones.push((x, x)),
+        }
     }
     ColumnStats {
         distinct: seen.len(),
         domain: StatsDomain::Int { min, max },
         max_bytes: if rows == 0 { 0 } else { width },
+        zones,
     }
 }
 
@@ -186,6 +223,36 @@ mod tests {
         assert_eq!(s.distinct, 4);
         assert_eq!(s.domain, StatsDomain::Int { min: -7, max: 42 });
         assert_eq!(s.max_bytes, 4);
+    }
+
+    #[test]
+    fn zones_bound_each_run_of_rows_exactly() {
+        let n = 2 * ZONE_ROWS + 5;
+        let v: Vec<i32> = (0..n as i32).map(|i| (i * 37) % 1000 - 500).collect();
+        let s = ColumnStats::compute(&Column::I32(Arc::new(v.clone())));
+        assert_eq!(s.zones.len(), 3);
+        for (z, &(lo, hi)) in s.zones.iter().enumerate() {
+            let run = &v[z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(n)];
+            let want = (*run.iter().min().unwrap(), *run.iter().max().unwrap());
+            assert_eq!((lo, hi), (i64::from(want.0), i64::from(want.1)), "zone {z}");
+        }
+        // A hull covers every zone its rows touch, and only those.
+        for (start, len) in [(0, 1), (1000, 100), (ZONE_ROWS, ZONE_ROWS), (n - 3, 3)] {
+            let rows = &v[start..start + len];
+            let (lo, hi) = s.zone_hull(start, len).unwrap();
+            assert!(rows
+                .iter()
+                .all(|&x| lo <= i64::from(x) && i64::from(x) <= hi));
+            let first = start / ZONE_ROWS;
+            let last = (start + len - 1) / ZONE_ROWS;
+            let hull = s.zones[first..=last]
+                .iter()
+                .fold((i64::MAX, i64::MIN), |a, z| (a.0.min(z.0), a.1.max(z.1)));
+            assert_eq!((lo, hi), hull, "rows {start}+{len}");
+        }
+        // Floats and strings carry none.
+        let f = ColumnStats::compute(&Column::F64(Arc::new(vec![1.0; 10])));
+        assert!(f.zones.is_empty() && f.zone_hull(0, 10).is_none());
     }
 
     #[test]
