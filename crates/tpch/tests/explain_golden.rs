@@ -21,19 +21,25 @@ fn db() -> TpchData {
     TpchData::generate(0.001, 0xDBD1)
 }
 
-/// The end of Q12's lineitem scan codecs, and the zone-map guards its
-/// filter gives that scan: the `l_receiptdate` range, and through
+/// The end of Q12's lineitem scan codecs, the zone-map guards its filter
+/// gives that scan — the `l_receiptdate` range, and through
 /// `l_commitdate < l_receiptdate` and `l_shipdate < l_commitdate` the
-/// upper bounds of the other two dates.
+/// upper bounds of the other two dates — and the filter's two
+/// `l_receiptdate` range conjuncts, which the scan evaluates itself.
 const Q12_LINEITEM_ENC: &str = "l_receiptdate:for]";
 const Q12_GUARD: &str = "l_shipdate <= 1093, l_commitdate <= 1094, 731 <= l_receiptdate <= 1095";
+const Q12_ZONE_PREDS: &str = "l_receiptdate >= 731, l_receiptdate < 1096";
 
-/// `text` with the physical planner's zone-map `guard` rendered on the
-/// scan line whose codec list ends in `enc_end` (the one place a physical
-/// rendering of a single-worker plan differs from the structural one).
-fn with_guards(text: &str, enc_end: &str, guard: &str) -> String {
+/// `text` with the physical planner's zone-map `guard` and the scan's
+/// `zone_preds` rendered on the scan line whose codec list ends in
+/// `enc_end` (the one place a physical rendering of a single-worker plan
+/// differs from the structural one).
+fn with_guards(text: &str, enc_end: &str, guard: &str, zone_preds: &str) -> String {
     assert_eq!(text.matches(enc_end).count(), 1, "{enc_end} in {text}");
-    text.replace(enc_end, &format!("{enc_end} guards=[{guard}]"))
+    text.replace(
+        enc_end,
+        &format!("{enc_end} guards=[{guard}] zone_preds=[{zone_preds}]"),
+    )
 }
 
 #[test]
@@ -69,7 +75,7 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
     HashAgg (partitioned \u{d7}2) keys=[l_returnflag, l_linestatus] dense=[l_returnflag: 3 codes, l_linestatus: 2 codes] aggs=[sum_qty=sum_i64(qty), sum_base=sum_i64(base), sum_disc_price=sum_f64(disc_price), sum_charge=sum_f64(charge), sum_disc=sum_f64(disc), count=count(*)] -> (l_returnflag:str, l_linestatus:str, sum_qty:i64, sum_base:i64, sum_disc_price:f64, sum_charge:f64, sum_disc:f64, count:i64)
       Project [l_returnflag, l_linestatus, qty=i64(l_quantity), base=l_extendedprice, disc_price=(f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1)), charge=((f64(l_extendedprice) * (((f64(l_discount) * 0.01) * -1) + 1)) * ((f64(l_tax) * 0.01) + 1)), disc=(f64(l_discount) * 0.01)] -> (l_returnflag:str, l_linestatus:str, qty:i64, base:i64, disc_price:f64, charge:f64, disc:f64)
         Filter l_shipdate <= 2436 -> (l_shipdate:i32, l_returnflag:str, l_linestatus:str, l_quantity:i32, l_extendedprice:i64, l_discount:i64, l_tax:i64)
-          Scan lineitem (shardable) enc=[l_shipdate:for, l_returnflag:dict, l_linestatus:dict, l_quantity:for, l_extendedprice:for, l_discount:for, l_tax:for] guards=[l_shipdate <= 2436] -> (l_shipdate:i32, l_returnflag:str, l_linestatus:str, l_quantity:i32, l_extendedprice:i64, l_discount:i64, l_tax:i64)
+          Scan lineitem (shardable) enc=[l_shipdate:for, l_returnflag:dict, l_linestatus:dict, l_quantity:for, l_extendedprice:for, l_discount:for, l_tax:for] guards=[l_shipdate <= 2436] zone_preds=[l_shipdate <= 2436] -> (l_shipdate:i32, l_returnflag:str, l_linestatus:str, l_quantity:i32, l_extendedprice:i64, l_discount:i64, l_tax:i64)
 ";
     assert_eq!(text, expected);
     // The stats-tightened verdict flip, pinned on a real TPC-H plan: a
@@ -89,8 +95,9 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
     let text = explain_query_with(1, &db(), &Params::default(), &past).unwrap();
     assert!(!text.contains("partitioned"));
     // A single-worker config renders structurally (no partition verdict)
-    // plus the scan's zone-map guard and the aggregate's dense key table:
-    // both keys reach it carrying their dictionaries' codes.
+    // plus the scan's zone-map guard and zone conjunct and the aggregate's
+    // dense key table: both keys reach it carrying their dictionaries'
+    // codes.
     let plain = explain_query_with(1, &db(), &Params::default(), &ExecConfig::fixed_default());
     let structural = explain_query(1, &db(), &Params::default()).unwrap();
     let dense = structural.replace(
@@ -99,7 +106,12 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
     );
     assert_eq!(
         plain.unwrap(),
-        with_guards(&dense, "l_tax:for]", "l_shipdate <= 2436")
+        with_guards(
+            &dense,
+            "l_tax:for]",
+            "l_shipdate <= 2436",
+            "l_shipdate <= 2436"
+        )
     );
 }
 
@@ -112,7 +124,7 @@ fn q12_physical_explain_runs_merge_inputs_serially() {
     // so the vector size is shrunk (morsels follow it) to the size at
     // which the same chains would otherwise shard.
     let structural = explain_query(12, &db(), &Params::default()).unwrap();
-    let physical = with_guards(&structural, Q12_LINEITEM_ENC, Q12_GUARD);
+    let physical = with_guards(&structural, Q12_LINEITEM_ENC, Q12_GUARD, Q12_ZONE_PREDS);
     for workers in [1, 2, 4] {
         let mut cfg = ExecConfig::fixed_default().with_workers(workers);
         cfg.vector_size = 32;
@@ -128,7 +140,7 @@ fn q12_structural_explain_keeps_order_constraint_visible() {
     // Without a physical config the rendering stays structural: the merge
     // join's order constraint marks both scans `(ordered)`, and a
     // single-worker config (nothing to shard) renders identically but for
-    // the lineitem scan's zone-map guard.
+    // the lineitem scan's zone-map guard and zone conjuncts.
     let text = explain_query(12, &db(), &Params::default()).unwrap();
     assert_eq!(text.matches("(ordered)").count(), 2);
     assert!(!text.contains("(shardable)"));
@@ -136,7 +148,7 @@ fn q12_structural_explain_keeps_order_constraint_visible() {
     let plain = explain_query_with(12, &db(), &Params::default(), &ExecConfig::fixed_default());
     assert_eq!(
         plain.unwrap(),
-        with_guards(&text, Q12_LINEITEM_ENC, Q12_GUARD)
+        with_guards(&text, Q12_LINEITEM_ENC, Q12_GUARD, Q12_ZONE_PREDS)
     );
 }
 
@@ -162,21 +174,31 @@ Sort [sum_rev desc, o_orderdate asc] limit=10 -> (l_orderkey:i32, sum_rev:f64, o
             build: Filter c_mktsegment = 'BUILDING' -> (c_custkey:i32, c_mktsegment:str)
               Scan customer (shardable) enc=[c_custkey:delta, c_mktsegment:dict] -> (c_custkey:i32, c_mktsegment:str)
             probe: Filter o_orderdate < 1169 -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
-              Scan orders (shardable) enc=[o_orderkey:delta, o_custkey:for, o_orderdate:for, o_shippriority:for] guards=[o_orderdate <= 1168] -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
+              Scan orders (shardable) enc=[o_orderkey:delta, o_custkey:for, o_orderdate:for, o_shippriority:for] guards=[o_orderdate <= 1168] zone_preds=[o_orderdate < 1169] -> (o_orderkey:i32, o_custkey:i32, o_orderdate:i32, o_shippriority:i32)
           probe: Filter l_shipdate > 1169 -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
-            Scan lineitem (shardable) enc=[l_orderkey:delta, l_shipdate:for, l_extendedprice:for, l_discount:for] guards=[l_shipdate >= 1170] -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
+            Scan lineitem (shardable) enc=[l_orderkey:delta, l_shipdate:for, l_extendedprice:for, l_discount:for] guards=[l_shipdate >= 1170] zone_preds=[l_shipdate > 1169] -> (l_orderkey:i32, l_shipdate:i32, l_extendedprice:i64, l_discount:i64)
 ";
     assert_eq!(text, expected);
     assert_eq!(text.matches("shared build").count(), 2);
     assert!(!text.contains("HashJoin (partitioned"));
     // A single-worker config renders structurally (no parallel verdict)
-    // plus the two scans' zone-map guards.
+    // plus the two scans' zone-map guards and zone conjuncts.
     let plain = explain_query_with(3, &db(), &Params::default(), &ExecConfig::fixed_default());
     let structural = explain_query(3, &db(), &Params::default()).unwrap();
-    let guarded = with_guards(&structural, "o_shippriority:for]", "o_orderdate <= 1168");
+    let guarded = with_guards(
+        &structural,
+        "o_shippriority:for]",
+        "o_orderdate <= 1168",
+        "o_orderdate < 1169",
+    );
     assert_eq!(
         plain.unwrap(),
-        with_guards(&guarded, "l_discount:for]", "l_shipdate >= 1170")
+        with_guards(
+            &guarded,
+            "l_discount:for]",
+            "l_shipdate >= 1170",
+            "l_shipdate > 1169"
+        )
     );
 }
 
