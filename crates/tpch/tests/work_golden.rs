@@ -77,26 +77,26 @@ fn hash(c: &Counts) -> u64 {
 
 /// The pinned hash of each cell: `(query, raw, encoded)`.
 const PINS: [(usize, u64, u64); 22] = [
-    (1, 0x7f3a6550cf61d8ff, 0xe0a36ed6375ba085),
+    (1, 0xbe5c5ea957076377, 0x3f6f10c48acee42d),
     (2, 0xff78b07ff09f8456, 0xa836706f517e0703),
-    (3, 0x8bbbcdf5a04103f5, 0x7c1a471d1612e383),
-    (4, 0x88a469632df58f50, 0x9ed162ba7f5e5e18),
-    (5, 0x55ca6e57e0270125, 0xbf12469678baea57),
-    (6, 0xea4cd9b7c4c89e7a, 0x1a970e39f391a7a8),
-    (7, 0x30c659fe0a679fd8, 0xa939f1af055fe472),
-    (8, 0xb01e148a88a72ce0, 0x503831358c88dfd6),
+    (3, 0xe756a1fee26ca037, 0x6f40aab17f561e03),
+    (4, 0x52c185b088838853, 0xed31600b687922ec),
+    (5, 0x547daa3597420ab7, 0xf44c6bc699db645e),
+    (6, 0xdc22e5441f8df158, 0x4128a658d0776a40),
+    (7, 0x6370e0f2e9117f84, 0x85aa9f7fe05b9f31),
+    (8, 0x61fa964b6469db42, 0x0f8f126342b4e132),
     (9, 0x9c4f65bbd00568cf, 0xa4e8513a427bbbdb),
-    (10, 0x4d0d614a47371204, 0x1db64bf7f1ccda77),
+    (10, 0x2b2e8ee3319a35db, 0x1c8ab3a4167a8478),
     (11, 0x94cd32641693aad2, 0x45e4b7e5d56c104b),
-    (12, 0x78987a1d5ec17247, 0x5d5410397b0630c2),
+    (12, 0x67ccb3add9557226, 0xac98effc342abdeb),
     (13, 0xd9971f2474b02cb4, 0x6bea0b84cef76ae1),
-    (14, 0xb329d08d5c70f7b1, 0x7e89b8991eb07d44),
-    (15, 0x6295d8d3afd23b7a, 0x86922687c4585c8b),
+    (14, 0xf28fd7e48df7db2a, 0x1f9258a309274bc7),
+    (15, 0x07183c35dd745d98, 0xc98dd16afff18345),
     (16, 0x9ab64529379523f1, 0x2684693abbc471b2),
     (17, 0xfb84cbc7930d2478, 0x98467880791154ba),
     (18, 0x8aaeae53f97c065b, 0xcd5475e43a3e9d9a),
     (19, 0xde03bc74db09d04c, 0x9de9f0440b2592fa),
-    (20, 0xf7fe928ae5f02222, 0x777ad1ab5a66ac62),
+    (20, 0xe7e24743c81dd349, 0xcd9072f68fa65b8a),
     (21, 0xca4fb2ac79a8e5a1, 0x39d47d67cded5698),
     (22, 0xa44ba8ce53f597f0, 0x2139beb2d267fcd1),
 ];
