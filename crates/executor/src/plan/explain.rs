@@ -13,7 +13,9 @@
 //! ×P)` where an [`Exchange::HashPartition`] routes the operator, and
 //! `HashJoin (in fragment ×N, shared build)` where the join probes inside
 //! the `N` worker fragments of a sharded chain. Ordered chains never
-//! shard, so their scans stay `(ordered)`.
+//! shard, so their scans stay `(ordered)`. A scan right under a Filter
+//! shows its zone-map `guards=[..]` and the `zone_preds=[..]`, the
+//! Filter conjuncts it evaluates itself.
 
 use std::fmt;
 
@@ -27,7 +29,7 @@ use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self, None, 0, None, "shardable", &[])
+        fmt_node(f, self, None, 0, None, "shardable")
     }
 }
 
@@ -44,15 +46,7 @@ pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
 
 impl fmt::Display for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(
-            f,
-            self.root.logical,
-            Some(&self.root),
-            0,
-            None,
-            "shardable",
-            &[],
-        )
+        fmt_node(f, self.root.logical, Some(&self.root), 0, None, "shardable")
     }
 }
 
@@ -82,12 +76,61 @@ fn render_key_domain(d: &KeyDomain, key: &str) -> String {
     }
 }
 
+/// Renders the line of scan `plan` after its indentation; with `phys`
+/// (the node implementing it) its zone-map guards too, and `owned`, the
+/// zone conjuncts it takes from the Filter above it.
+fn fmt_scan(
+    f: &mut fmt::Formatter<'_>,
+    plan: &LogicalPlan,
+    phys: Option<&PhysNode<'_>>,
+    scan_mode: &'static str,
+    owned: &[ZonePred],
+) -> fmt::Result {
+    let LogicalPlan::Scan {
+        table,
+        cols,
+        schema,
+        ..
+    } = plan
+    else {
+        unreachable!("fmt_scan renders scans");
+    };
+    // Per-column storage codecs, so the plan shows which scans decode
+    // through flavored primitives (`enc=[col:codec, ..]`).
+    let encs: Vec<String> = cols
+        .iter()
+        .filter_map(|name| {
+            let i = table.column_index(name).ok()?;
+            let e = table.column_at(i).encoding()?;
+            Some(format!("{name}:{e}"))
+        })
+        .collect();
+    write!(f, "Scan {} ({scan_mode}) ", table.name())?;
+    if !encs.is_empty() {
+        write!(f, "enc=[{}] ", encs.join(", "))?;
+    }
+    // The zone-map guards the planner gave the scan.
+    let guards: Vec<String> = phys
+        .map_or(&[][..], |p| &p.guards[..])
+        .iter()
+        .map(|g| render_guard(g, &cols[g.col]))
+        .collect();
+    if !guards.is_empty() {
+        write!(f, "guards=[{}] ", guards.join(", "))?;
+    }
+    // The Filter conjuncts the scan evaluates itself.
+    if !owned.is_empty() {
+        let preds: Vec<String> = owned.iter().map(|z| render_pred(&z.pred, schema)).collect();
+        write!(f, "zone_preds=[{}] ", preds.join(", "))?;
+    }
+    writeln!(f, "-> {schema}")
+}
+
 /// Renders `plan` and its subtree; with `phys` (the node implementing
 /// `plan`) the physical annotations too. `scan_mode` is what a scan
 /// reached from here shows: `shardable` until a merge join makes its
 /// streaming inputs `ordered` (sorts, aggregates and join builds reset
-/// it). `owned` are the zone conjuncts `plan`, a scan, takes from the
-/// Filter above it.
+/// it).
 fn fmt_node(
     f: &mut fmt::Formatter<'_>,
     plan: &LogicalPlan,
@@ -95,7 +138,6 @@ fn fmt_node(
     indent: usize,
     tag: Option<&str>,
     scan_mode: &'static str,
-    owned: &[ZonePred],
 ) -> fmt::Result {
     // How the planner parallelized an aggregate or join.
     let verdict = match phys.map(|p| &p.exchange) {
@@ -113,43 +155,7 @@ fn fmt_node(
         write!(f, "{t}: ")?;
     }
     match plan {
-        LogicalPlan::Scan {
-            table,
-            cols,
-            schema,
-            ..
-        } => {
-            // Per-column storage codecs, so the plan shows which scans
-            // decode through flavored primitives (`enc=[col:codec, ..]`).
-            let encs: Vec<String> = cols
-                .iter()
-                .filter_map(|name| {
-                    let i = table.column_index(name).ok()?;
-                    let e = table.column_at(i).encoding()?;
-                    Some(format!("{name}:{e}"))
-                })
-                .collect();
-            write!(f, "Scan {} ({scan_mode}) ", table.name())?;
-            if !encs.is_empty() {
-                write!(f, "enc=[{}] ", encs.join(", "))?;
-            }
-            // The zone-map guards the planner gave the scan.
-            let guards: Vec<String> = phys
-                .map_or(&[][..], |p| &p.guards[..])
-                .iter()
-                .map(|g| render_guard(g, &cols[g.col]))
-                .collect();
-            if !guards.is_empty() {
-                write!(f, "guards=[{}] ", guards.join(", "))?;
-            }
-            // The Filter conjuncts the scan evaluates itself.
-            if !owned.is_empty() {
-                let preds: Vec<String> =
-                    owned.iter().map(|z| render_pred(&z.pred, schema)).collect();
-                write!(f, "zone_preds=[{}] ", preds.join(", "))?;
-            }
-            writeln!(f, "-> {schema}")
-        }
+        LogicalPlan::Scan { .. } => fmt_scan(f, plan, phys, scan_mode, &[]),
         LogicalPlan::Filter {
             input,
             pred,
@@ -161,14 +167,15 @@ fn fmt_node(
                 "Filter {} -> {schema}",
                 render_pred(pred, input.schema())
             )?;
-            // The physical scan beneath owns the zone conjuncts.
-            let owned = match (phys, &**input) {
+            // A physical scan right beneath owns the zone conjuncts.
+            match (phys, &**input) {
                 (Some(_), LogicalPlan::Scan { schema, .. }) => {
-                    zone_conjuncts(pred, &schema.types()).0
+                    write!(f, "{:indent$}", "", indent = (indent + 1) * 2)?;
+                    let (owned, _) = zone_conjuncts(pred, &schema.types());
+                    fmt_scan(f, input, child(0), scan_mode, &owned)
                 }
-                _ => Vec::new(),
-            };
-            fmt_node(f, input, child(0), indent + 1, None, scan_mode, &owned)
+                _ => fmt_node(f, input, child(0), indent + 1, None, scan_mode),
+            }
         }
         LogicalPlan::Project {
             input,
@@ -192,7 +199,7 @@ fn fmt_node(
                 })
                 .collect();
             writeln!(f, "Project [{}] -> {schema}", parts.join(", "))?;
-            fmt_node(f, input, child(0), indent + 1, None, scan_mode, &[])
+            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
         }
         LogicalPlan::HashAgg {
             input,
@@ -221,7 +228,7 @@ fn fmt_node(
                 "aggs=[{}] -> {schema}",
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
         LogicalPlan::StreamAgg {
             input,
@@ -234,7 +241,7 @@ fn fmt_node(
                 "StreamAgg [{}] -> {schema}",
                 render_aggs(aggs, 0, input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
         LogicalPlan::HashJoin {
             build,
@@ -277,24 +284,8 @@ fn fmt_node(
             }
             writeln!(f, " -> {schema}")?;
             // Build materializes (resets order); probe streams (inherits).
-            fmt_node(
-                f,
-                build,
-                child(0),
-                indent + 1,
-                Some("build"),
-                "shardable",
-                &[],
-            )?;
-            fmt_node(
-                f,
-                probe,
-                child(1),
-                indent + 1,
-                Some("probe"),
-                scan_mode,
-                &[],
-            )
+            fmt_node(f, build, child(0), indent + 1, Some("build"), "shardable")?;
+            fmt_node(f, probe, child(1), indent + 1, Some("probe"), scan_mode)
         }
         LogicalPlan::MergeJoin {
             left,
@@ -321,16 +312,8 @@ fn fmt_node(
             writeln!(f, " -> {schema}")?;
             // Order-sensitive: both inputs stream in key order until an
             // order-resetting node below takes over.
-            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered", &[])?;
-            fmt_node(
-                f,
-                right,
-                child(1),
-                indent + 1,
-                Some("right"),
-                "ordered",
-                &[],
-            )
+            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered")?;
+            fmt_node(f, right, child(1), indent + 1, Some("right"), "ordered")
         }
         LogicalPlan::Sort {
             input,
@@ -353,7 +336,7 @@ fn fmt_node(
                 write!(f, " limit={l}")?;
             }
             writeln!(f, " -> {schema}")?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable", &[])
+            fmt_node(f, input, child(0), indent + 1, None, "shardable")
         }
     }
 }
