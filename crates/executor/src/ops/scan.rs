@@ -380,7 +380,7 @@ impl Operator for Scan {
             if self.guards.iter().any(missed) {
                 continue;
             }
-            let chunk = self.decode(start, n);
+            let mut chunk = self.decode(start, n);
             let stats = self.table.stats();
             let mut sel: Option<SelVec> = None;
             for op in &mut self.owned {
@@ -395,7 +395,8 @@ impl Operator for Scan {
                 }
                 sel = Some(out);
             }
-            return Ok(Some(chunk.with_sel(sel)));
+            chunk.set_sel(sel);
+            return Ok(Some(chunk));
         }
     }
 
