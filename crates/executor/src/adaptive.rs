@@ -264,6 +264,11 @@ pub struct PrimInstance<F: Copy> {
 }
 
 impl<F: Copy> PrimInstance<F> {
+    /// The instance's display label, `{node label}/{name}`.
+    pub fn label(&self) -> &str {
+        &self.local.label
+    }
+
     /// Chooses a flavor, runs `call` with it, records cost.
     #[inline]
     pub fn invoke<R>(&mut self, tuples: u64, call: impl FnOnce(F) -> R) -> R {

@@ -59,6 +59,14 @@ pub enum ExecError {
     UnknownPrimitive(String),
     /// Storage-level error.
     Table(TableError),
+    /// An `i64` sum left its output column's range: the 128-bit
+    /// accumulator holds the exact sum, which no `i64` can.
+    SumOverflow {
+        /// The summing instance's label, e.g. `Q1/agg/aggr_sum128_i64`.
+        instance: String,
+        /// The exact sum.
+        sum: i128,
+    },
     /// A worker thread of an exchange panicked. Every worker of that
     /// exchange has been joined by the time this is returned.
     Worker {
@@ -76,6 +84,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Plan(m) => write!(f, "plan error: {m}"),
             ExecError::UnknownPrimitive(s) => write!(f, "unknown primitive: {s}"),
             ExecError::Table(e) => write!(f, "table error: {e}"),
+            ExecError::SumOverflow { instance, sum } => {
+                write!(f, "sum overflow: {instance} totals {sum}, outside i64")
+            }
             ExecError::Worker { node, message } => write!(
                 f,
                 "worker of plan {} node {} panicked: {message}",

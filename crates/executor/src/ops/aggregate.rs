@@ -63,10 +63,13 @@ where
     scope.instance(&format!("{name}_col"), &name, HeurKind::None)
 }
 
-/// The checked narrowing of a 128-bit sum to its `i64` output column:
-/// overflow must panic, not wrap.
-fn narrow_sum(v: i128) -> i64 {
-    i64::try_from(v).expect("sum exceeds i64 output range")
+/// The checked narrowing of `inst`'s 128-bit sum `v` to its `i64` output
+/// column: overflow is a typed error, never a wrap.
+fn narrow_sum<F: Copy>(v: i128, inst: &PrimInstance<F>) -> Result<i64, ExecError> {
+    i64::try_from(v).map_err(|_| ExecError::SumOverflow {
+        instance: inst.label().to_string(),
+        sum: v,
+    })
 }
 
 // --- grouped accumulator buffers -------------------------------------------
@@ -170,12 +173,15 @@ impl AccBuf {
         }
     }
 
-    fn finish(self) -> Vector {
-        match self {
-            AccBuf::Sum128 { accs, .. } => Vector::I64(accs.into_iter().map(narrow_sum).collect()),
+    fn finish(self) -> Result<Vector, ExecError> {
+        Ok(match self {
+            AccBuf::Sum128 { accs, inst, .. } => {
+                let sums = accs.into_iter().map(|v| narrow_sum(v, &inst));
+                Vector::I64(sums.collect::<Result<_, _>>()?)
+            }
             AccBuf::I64 { accs, .. } | AccBuf::Count { accs, .. } => Vector::I64(accs),
             AccBuf::F64 { accs, .. } => Vector::F64(accs),
-        }
+        })
     }
 }
 
@@ -967,7 +973,7 @@ impl HashAggregate {
         KeyRows::decode_columns(keys.collect(), key_types)
     }
 
-    fn finalize(&mut self) -> Vec<DataChunk> {
+    fn finalize(&mut self) -> Result<Vec<DataChunk>, ExecError> {
         let groups = self.key_table.groups() as usize;
         // Ensure accumulators cover groups even if zero chunks arrived.
         for acc in &mut self.accs {
@@ -979,10 +985,10 @@ impl HashAggregate {
         let mut cols: Vec<Arc<Vector>> = Vec::with_capacity(self.types.len());
         cols.extend(self.key_columns().into_iter().map(Arc::new));
         for acc in std::mem::take(&mut self.accs) {
-            cols.push(Arc::new(acc.finish()));
+            cols.push(Arc::new(acc.finish()?));
         }
         if groups == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let chunk = DataChunk::new(cols);
         store.append(&chunk, &(0..self.types.len()).collect::<Vec<_>>());
@@ -992,7 +998,7 @@ impl HashAggregate {
             // term).
             t.record(self.key_table.bytes().saturating_add(store.bytes()));
         }
-        store.freeze().to_chunks(self.vector_size)
+        Ok(store.freeze().to_chunks(self.vector_size))
     }
 }
 
@@ -1002,7 +1008,7 @@ impl Operator for HashAggregate {
             while let Some(chunk) = self.child.next()? {
                 self.consume_chunk(&chunk)?;
             }
-            self.done = Some(self.finalize().into_iter());
+            self.done = Some(self.finalize()?.into_iter());
         }
         Ok(self.done.as_mut().unwrap().next())
     }
@@ -1140,13 +1146,13 @@ impl Operator for StreamAggregate {
             .accs
             .iter()
             .map(|acc| {
-                Arc::new(match acc {
-                    Acc0::Sum128 { acc, .. } => Vector::I64(vec![narrow_sum(*acc)]),
+                Ok(Arc::new(match acc {
+                    Acc0::Sum128 { acc, inst, .. } => Vector::I64(vec![narrow_sum(*acc, inst)?]),
                     Acc0::I64 { acc, .. } | Acc0::Count { acc } => Vector::I64(vec![*acc]),
                     Acc0::F64 { acc, .. } => Vector::F64(vec![*acc]),
-                })
+                }))
             })
-            .collect();
+            .collect::<Result<_, ExecError>>()?;
         Ok(Some(DataChunk::new(cols)))
     }
 

@@ -57,9 +57,8 @@ use std::process::ExitCode;
 const UNWRAP_ALLOWLIST: &[(&str, usize, &str)] = &[
     (
         "aggregate.rs",
-        2,
-        "checked i128->i64 sum narrowing (overflow must panic, not wrap) and \
-         the drain-once state machine (done Option)",
+        1,
+        "the drain-once state machine (done Option)",
     ),
     (
         "hash_join.rs",
