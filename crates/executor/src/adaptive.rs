@@ -83,6 +83,18 @@ impl NodeScope {
         }
     }
 
+    /// A scope for a further operator of the same node, displayed under
+    /// `{label}{suffix}`. Its instances number on from this scope's, so
+    /// their slots never merge with the ones this scope created.
+    pub(crate) fn then(&self, suffix: &str) -> NodeScope {
+        NodeScope {
+            ctx: self.ctx.clone(),
+            key: self.key,
+            label: format!("{}{suffix}", self.label),
+            next_part: self.next_part.clone(),
+        }
+    }
+
     /// The context the node's instances register in.
     pub fn ctx(&self) -> &QueryContext {
         &self.ctx

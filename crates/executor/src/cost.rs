@@ -23,7 +23,9 @@
 //!   operand's, aggregates emit 8-byte scalars);
 //! * hash-aggregate tables are bounded from the analyzer's group bound
 //!   (slot arrays at 50% load, key storage, accumulators, one emitted
-//!   output copy), a dense key table from its domains' product;
+//!   output copy), a dense key table from its domains' product; a
+//!   two-phase aggregate holds that bound in every fragment's partial and
+//!   in its combine;
 //! * join builds from the build side's row bound (key columns, payload
 //!   row store, hashes/heads/chain, Bloom filter);
 //! * sorts from the input row bound (row store + index + one emitted
@@ -44,7 +46,7 @@ use ma_vector::{Column, DataType, EncColumn, Schema, Table};
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, AggFunc, NumType};
-use crate::ops::{dense_slots, key_row_width, KeyDomain};
+use crate::ops::{combine_domains, dense_slots, key_row_width, KeyDomain};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
@@ -63,7 +65,8 @@ pub struct OpCost {
     pub label: String,
     /// Operator kind, e.g. `"hash-agg"` or `"exchange"`.
     pub kind: &'static str,
-    /// Parallel instances the planner will lower (partition verdict).
+    /// Parallel instances the planner will lower: its partitions, or a
+    /// two-phase aggregate's partials (one per fragment) plus its combine.
     pub instances: usize,
     /// Peak resident bytes proven for **one** instance.
     pub per_instance_bytes: u64,
@@ -353,6 +356,31 @@ pub(crate) fn instance_bytes(
     }
 }
 
+/// Peak resident bytes proven for the combine instance of two-phase hash
+/// aggregate `plan`, whose partials emit up to `rows` groups each with
+/// output widths `out`, and which is dense over `dense_keys`: one
+/// aggregate over the partials' key columns folding each aggregate
+/// column ([`Agg::combined`]), dense over [`combine_domains`] of them.
+pub(crate) fn combine_bytes(
+    plan: &LogicalPlan,
+    rows: usize,
+    out: &[Width],
+    dense_keys: &[KeyDomain],
+) -> u64 {
+    let LogicalPlan::HashAgg { keys, aggs, .. } = plan else {
+        return 0;
+    };
+    let k = keys.len();
+    let combined: Vec<Agg> = aggs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| a.combined(k + i))
+        .collect();
+    let keys: Vec<usize> = (0..k).collect();
+    let dense = combine_domains(dense_keys);
+    agg_instance_bound(rows, out, plan.schema(), &keys, &combined, dense)
+}
+
 /// Open-addressing capacity for `n` entries at 50% load with the group
 /// tables' / join builds' growth policy: `next_pow2(2n)`, at least 64.
 fn pow2_cap(n: usize) -> u64 {
@@ -514,6 +542,12 @@ fn tuples(rows: usize) -> u64 {
 /// [`crate::adaptive::MemTracker`] with.
 fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     let rows_in = |i: usize| node.children.get(i).map_or(0, |c| tuples(c.rows));
+    // A two-phase aggregate's partials each emit up to its group bound.
+    let emitted = if node.two_phase() {
+        tuples(node.rows).saturating_mul(node.fragments as u64)
+    } else {
+        tuples(node.rows)
+    };
     let label = match node.logical {
         LogicalPlan::Scan { table, .. } => table.name(),
         other => other.label().unwrap_or("sort"),
@@ -524,7 +558,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         Exchange::None => None,
         // the aggregate's routed input
         Exchange::HashPartition { .. } => Some((format!("{label}/exchange"), rows_in(0))),
-        Exchange::Parallel { .. } => Some(("scan-shard/exchange".to_string(), tuples(node.rows))),
+        Exchange::Parallel { .. } => Some(("scan-shard/exchange".to_string(), emitted)),
     };
     if let Some((label, streamed)) = exchange_stage {
         push(
@@ -542,7 +576,15 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         LogicalPlan::Scan { .. } => ("scan", tuples(node.rows).saturating_mul(W_SCAN)),
         LogicalPlan::Filter { .. } => ("filter", rows_in(0).saturating_mul(W_FILTER)),
         LogicalPlan::Project { .. } => ("project", rows_in(0).saturating_mul(W_PROJECT)),
-        LogicalPlan::HashAgg { .. } => ("hash-agg", rows_in(0).saturating_mul(W_AGG)),
+        LogicalPlan::HashAgg { .. } => {
+            // the partials' input, then the combine's
+            let rows = if node.two_phase() {
+                rows_in(0).saturating_add(emitted)
+            } else {
+                rows_in(0)
+            };
+            ("hash-agg", rows.saturating_mul(W_AGG))
+        }
         LogicalPlan::StreamAgg { .. } => ("stream-agg", rows_in(0).saturating_mul(W_AGG)),
         LogicalPlan::HashJoin { .. } => ("hash-join", join_work(rows_in(0), rows_in(1))),
         LogicalPlan::MergeJoin { .. } => ("merge-join", join_work(rows_in(0), rows_in(1))),

@@ -716,6 +716,17 @@ impl Agg {
             mismatch(context, format!("{ty} (cast first)"), found)
         }
     }
+
+    /// The aggregate that folds partial results of this one, read from
+    /// column `col` of the partials' output: a sum of the partial counts,
+    /// otherwise the same function over the partial values (sum of sums,
+    /// min of mins, max of maxes).
+    pub fn combined(&self, col: usize) -> Agg {
+        let (func, ty) = self
+            .of
+            .map_or((AggFunc::Sum, NumType::I64), |(f, t, _)| (f, t));
+        Agg::over(func, ty, col)
+    }
 }
 
 #[cfg(test)]

@@ -332,6 +332,19 @@ pub(crate) fn goes_dense(domains: &[KeyDomain], group_bound: usize) -> bool {
     dense_slots(domains).is_some_and(|slots| slots <= 8 * group_bound.min(PRESIZE_GROUPS))
 }
 
+/// The domains a combine over the partials of an aggregate dense over
+/// `domains` keeps dense: all of them when every key is an integer, none
+/// otherwise — a partial emits a dictionary key's strings without their
+/// codes.
+pub(crate) fn combine_domains(domains: &[KeyDomain]) -> &[KeyDomain] {
+    let ints = domains.iter().all(|d| matches!(d, KeyDomain::Int { .. }));
+    if ints {
+        domains
+    } else {
+        &[]
+    }
+}
+
 /// One key column of a dense key table.
 struct DenseKey {
     col: usize,

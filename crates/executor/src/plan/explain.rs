@@ -9,10 +9,11 @@
 //!
 //! [`explain_physical`] renders the [`PhysicalPlan`] the planner makes
 //! for a concrete [`ExecConfig`] — the same tree, annotated from the
-//! plan's own nodes: `HashAgg (partitioned ×P)` / `HashJoin (partitioned
-//! ×P)` where an [`Exchange::HashPartition`] routes the operator, and
-//! `HashJoin (in fragment ×N, shared build)` where the join probes inside
-//! the `N` worker fragments of a sharded chain. Ordered chains never
+//! plan's own nodes: `HashAgg (partitioned ×P)` where an
+//! [`Exchange::HashPartition`] routes the aggregate's input, `HashAgg
+//! (two-phase ×N)` where it tops a sharded chain as a partial in each of
+//! its `N` worker fragments plus one combine, and `HashJoin (in fragment
+//! ×N, shared build)` where the join probes inside those fragments. Ordered chains never
 //! shard, so their scans stay `(ordered)`. A scan right under a Filter
 //! shows its zone-map `guards=[..]` and the `zone_preds=[..]`, the
 //! Filter conjuncts it evaluates itself.
@@ -34,9 +35,9 @@ impl fmt::Display for LogicalPlan {
 }
 
 /// Renders the physical plan of `plan` under `config` (worker count,
-/// partition knobs): operators the planner partitions are annotated
-/// `(partitioned ×P)` and joins probing in worker fragments `(in fragment
-/// ×N, shared build)`.
+/// partition knobs): aggregates the planner partitions are annotated
+/// `(partitioned ×P)`, two-phase ones `(two-phase ×N)`, and joins probing
+/// in worker fragments `(in fragment ×N, shared build)`.
 pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
     match plan_physical(plan, config) {
         Ok(phys) => phys.to_string(),
@@ -140,10 +141,11 @@ fn fmt_node(
     scan_mode: &'static str,
 ) -> fmt::Result {
     // How the planner parallelized an aggregate or join.
-    let verdict = match phys.map(|p| &p.exchange) {
-        Some(Exchange::HashPartition { partitions, .. }) => {
+    let verdict = match phys.map(|p| (&p.exchange, p.two_phase())) {
+        Some((Exchange::HashPartition { partitions, .. }, _)) => {
             format!("(partitioned \u{d7}{partitions}) ")
         }
+        Some((_, true)) => format!("(two-phase \u{d7}{}) ", phys.map_or(1, |p| p.fragments)),
         _ => match phys.map_or(1, |p| p.fragments) {
             1 => String::new(),
             n => format!("(in fragment \u{d7}{n}, shared build) "),

@@ -23,12 +23,18 @@
 //!   so a big build side shards on its own) and read by the `n` fragments'
 //!   probers (DESIGN.md §8). A join whose probe side does not shard runs
 //!   as one inline instance.
-//! * **Partitioned aggregation.** A [`LogicalPlan::HashAgg`] over a
-//!   sharded chain — or over any input with a large enough proven group
-//!   bound — runs as `P` private [`HashAggregate`] instances behind an
-//!   [`Exchange::HashPartition`]: producers route tuples by
-//!   `hash(group keys) % P`, and the disjoint results union in arrival
-//!   order (DESIGN.md §7).
+//! * **Two-phase aggregation.** A [`LogicalPlan::HashAgg`] over a sharded
+//!   chain whose proven group bound is small — `groups × fragments × 2 ≤
+//!   input rows`, with every `sum_i64` proven to fit `i64` — tops that
+//!   chain: each fragment folds its rows into a private partial
+//!   [`HashAggregate`], and the chain's [`Exchange::Parallel`] carries only
+//!   the partials' groups to one combine instance (DESIGN.md §7).
+//! * **Partitioned aggregation.** Any other [`LogicalPlan::HashAgg`] over
+//!   a sharded chain — or over any input with a large enough proven group
+//!   bound, or under an explicit `agg_partitions` — runs as `P` private
+//!   [`HashAggregate`] instances behind an [`Exchange::HashPartition`]:
+//!   producers route tuples by `hash(group keys) % P`, and the disjoint
+//!   results union in arrival order (DESIGN.md §7).
 //! * **Dense key tables.** A [`LogicalPlan::HashAgg`] whose every group key
 //!   has a small proven domain — an integer interval from the abstract
 //!   interpreter, or the code range of the dictionary a string key
@@ -65,11 +71,12 @@ use crate::adaptive::NodeScope;
 use crate::analyze::{AbsDomain, AnalysisError, Facts};
 use crate::config::{DecodeMode, ExecConfig};
 use crate::cost::Width;
-use crate::expr::{CmpRhs, Pred, TypeError};
+use crate::expr::{Agg, CmpRhs, Pred, TypeError};
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain, MergeJoin, Operator,
-    Parallel, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard, ZonePred,
+    combine_domains, goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain,
+    MergeJoin, Operator, Parallel, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
+    ZonePred,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -103,7 +110,8 @@ pub enum Exchange {
     /// One sequential instance fed directly by its children.
     None,
     /// The node tops a scan chain compiled into `workers` morsel
-    /// fragments, united in arrival order.
+    /// fragments, united in arrival order. On a hash aggregate the node is
+    /// two-phase: a partial in each fragment, one combine over the union.
     Parallel {
         /// Worker fragment count.
         workers: usize,
@@ -188,9 +196,9 @@ pub struct PhysNode<'a> {
     pub exchange: Exchange,
     /// Worker fragments the node's streaming operator is compiled into:
     /// `n ≥ 2` for a stage of a scan chain sharded `n` ways — from the
-    /// chain top (which carries the uniting exchange or routes into a
-    /// partitioned aggregate) down the probe path to the scan — and `1`
-    /// for everything else. A hash join with `fragments ≥ 2` probes in the
+    /// chain top (which carries the uniting exchange, is a two-phase
+    /// aggregate, or routes into a partitioned aggregate) down the probe
+    /// path to the scan — and `1` for everything else. A hash join with `fragments ≥ 2` probes in the
     /// fragments: that many probers over its one build table.
     pub fragments: usize,
     /// Proven upper bound on the rows the node emits. For a hash
@@ -213,13 +221,24 @@ pub struct PhysNode<'a> {
 
 impl PhysNode<'_> {
     /// Operator instances [`instantiate`] builds for the node's own
-    /// memory-tracked state: one per partition (the probers of an
-    /// in-fragment join share one build table).
+    /// memory-tracked state: one per partition, one partial per fragment
+    /// plus the combine for a two-phase aggregate, otherwise one (the
+    /// probers of an in-fragment join share one build table).
     pub fn instances(&self) -> usize {
         match self.exchange {
             Exchange::HashPartition { partitions, .. } => partitions.max(1),
+            Exchange::Parallel { workers, .. } if self.two_phase() => workers + 1,
             _ => 1,
         }
+    }
+
+    /// Whether the node is a two-phase hash aggregate: the top stage of a
+    /// sharded chain, a partial in each fragment, combined once.
+    pub fn two_phase(&self) -> bool {
+        matches!(
+            (&self.exchange, self.logical),
+            (Exchange::Parallel { .. }, LogicalPlan::HashAgg { .. })
+        )
     }
 }
 
@@ -289,8 +308,8 @@ enum Feed {
     /// clustering-key chain): nothing here or below shards.
     Serial,
     /// Inside the consumer's own fragments (the rest of a sharded chain,
-    /// or the routing producers of a partitioned aggregate): no exchange
-    /// here or below.
+    /// beneath a two-phase aggregate's partials, or the routing producers
+    /// of a partitioned aggregate): no exchange here or below.
     Inline,
 }
 
@@ -341,9 +360,10 @@ impl Planner<'_> {
                     LogicalPlan::HashJoin { .. } if i == 0 => Feed::Free,
                     _ => Feed::Inline,
                 },
-                // A partitioned aggregate takes a sharded input's
-                // fragments as its exchange's producers (no double
-                // exchange); with its input sharded it always partitions.
+                // A sharded input's fragments hold a two-phase
+                // aggregate's partials or route into a partitioned one's
+                // exchange (no double exchange): with its input sharded
+                // the aggregate is never one instance.
                 LogicalPlan::HashAgg { .. } => {
                     input_sharded = fanout >= 2 && self.shardable(input);
                     if input_sharded {
@@ -410,7 +430,13 @@ impl Planner<'_> {
             (LogicalPlan::Filter { .. }, Some(scan)) => zoned(scan.logical, &facts[0]),
             _ => Vec::new(),
         };
+        let before = self.findings.len();
         let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
+        // Whether the analyzer proved every `sum_i64` of this node fits
+        // its `i64` output.
+        let sums_fit = !self.findings[before..]
+            .iter()
+            .any(|e| matches!(e, AnalysisError::SumOverflow { .. }));
         // A scan skips what the Filter directly above it provably drops.
         if let Some(scan) = children.first_mut().filter(|_| !zoned.is_empty()) {
             scan.guards = guards(&zoned, &facts);
@@ -422,8 +448,14 @@ impl Planner<'_> {
         let out_widths = widths(&facts);
         let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
 
+        // A hash aggregate over a sharded chain whose partial state is
+        // small tops that chain: one partial per fragment, united by the
+        // chain's own exchange, then one combine.
+        let two_phase = input_sharded
+            && self.cfg.agg_partitions == 0
+            && two_phase(facts.rows, self.workers, children[0].rows, sums_fit);
         let exchange = match (plan, feed) {
-            _ if sharded => Exchange::Parallel {
+            _ if sharded || two_phase => Exchange::Parallel {
                 workers: self.workers,
                 chunk_bytes: chunk(&out_widths),
             },
@@ -448,19 +480,28 @@ impl Planner<'_> {
             (children.first().map_or(0, |c| c.rows), in_widths[0]),
             (children.get(1).map_or(0, |c| c.rows), in_widths[1]),
         ];
-        let instance_bytes = cost::instance_bytes(
+        let mut instance_bytes = cost::instance_bytes(
             plan,
             facts.rows,
             &inputs[..n],
             &dense_keys,
             self.cfg.vector_size,
         );
+        if two_phase {
+            // One figure covers a partial and the combine over its output.
+            let combine = cost::combine_bytes(plan, facts.rows, &out_widths, &dense_keys);
+            instance_bytes = instance_bytes.max(combine);
+        }
         let node = PhysNode {
             id,
             logical: plan,
             children,
             exchange,
-            fragments: if in_fragment { self.workers } else { 1 },
+            fragments: if in_fragment || two_phase {
+                self.workers
+            } else {
+                1
+            },
             rows: facts.rows,
             instance_bytes,
             guards: Vec::new(),
@@ -618,6 +659,17 @@ fn agg_partitions(
     } else {
         cost::pick_partitions(demand, threshold, fanout)
     }
+}
+
+/// The two-phase verdict for a hash aggregate over a chain sharded into
+/// `fragments` fragments, with proven group bound `groups` and input row
+/// bound `input`: every fragment keeps a private partial of up to `groups`
+/// groups, so the partials together must stay within half the input —
+/// `groups × fragments × 2 ≤ input` — and every `sum_i64` must be proven
+/// to fit `i64` (`sums_fit`). A partial folds a subset of the rows, so the
+/// proven total bound covers each partial's narrowing too.
+fn two_phase(groups: usize, fragments: usize, input: usize, sums_fit: bool) -> bool {
+    sums_fit && groups.saturating_mul(fragments).saturating_mul(2) <= input
 }
 
 /// A node's typing-rule failure, as the error naming that node.
@@ -878,9 +930,107 @@ impl Lowering<'_> {
         })
     }
 
+    /// One [`HashAggregate`] of hash-aggregate node `node` over `source`,
+    /// grouping by `keys` with `aggs`, registered in `scope`: dense over
+    /// `dense` when it is non-empty, with the node's group bound against
+    /// `input_rows` and a tracker carrying the node's instance bound.
+    #[allow(clippy::too_many_arguments)] // a partial and the combine differ in all of them
+    fn agg_instance(
+        &self,
+        node: &PhysNode<'_>,
+        source: BoxOp,
+        keys: Vec<usize>,
+        aggs: Vec<Agg>,
+        dense: &[KeyDomain],
+        input_rows: usize,
+        scope: &NodeScope,
+    ) -> Result<BoxOp, ExecError> {
+        let agg = match dense {
+            [] => HashAggregate::new(source, keys, aggs, scope)?,
+            dense => HashAggregate::new_dense(source, keys, dense.to_vec(), aggs, scope)?,
+        };
+        Ok(Box::new(
+            agg.with_group_bound(node.rows, input_rows)
+                .with_tracker(scope.mem_tracker(node.instance_bytes)),
+        ))
+    }
+
+    /// The operator of hash-aggregate node `node` under `exchange`: one
+    /// instance over its input, `P` routed partitions, or — two-phase — a
+    /// partial in each fragment of the chain beneath it, whose groups the
+    /// chain's union carries to one combine instance.
+    fn hash_agg(&self, node: &PhysNode<'_>, exchange: &Exchange) -> Result<BoxOp, ExecError> {
+        let LogicalPlan::HashAgg { keys, aggs, .. } = node.logical else {
+            unreachable!("hash_agg lowers HashAgg nodes");
+        };
+        let feed = child(node, 0)?;
+        let instance = |source: BoxOp, scope: &NodeScope| {
+            let (keys, aggs) = (keys.clone(), aggs.clone());
+            self.agg_instance(node, source, keys, aggs, &node.dense_keys, feed.rows, scope)
+        };
+        Ok(match exchange {
+            Exchange::None => instance(self.build(feed)?, &self.scope(node))?,
+            Exchange::Parallel {
+                workers,
+                chunk_bytes,
+            } => {
+                let chain = ScanChain::of(feed, self)?;
+                let queue = chain.queue(self.ctx);
+                // The combine's instances number on from a partial's, so
+                // their slots stay apart.
+                let last = std::cell::RefCell::new(None);
+                let factory = |_worker: usize, _n: usize| {
+                    let scope = self.scope(node);
+                    let partial = instance(chain.fragment(&queue, self)?, &scope)?;
+                    last.replace(Some(scope));
+                    Ok(partial)
+                };
+                let union = Parallel::new(*workers, &factory)?
+                    .after_builds(chain.into_builds())
+                    .tracked(self.scope(node).exchange_tracker(*chunk_bytes));
+                let scope = last
+                    .into_inner()
+                    .ok_or_else(|| {
+                        ExecError::Plan("a two-phase aggregate without fragments".into())
+                    })?
+                    .then("/combine");
+                // The partials emit the keys, then one column per aggregate.
+                let k = keys.len();
+                let combined = aggs.iter().enumerate().map(|(i, a)| a.combined(k + i));
+                let dense = combine_domains(&node.dense_keys);
+                let input_rows = node.rows.saturating_mul(*workers);
+                let (keys, aggs) = ((0..k).collect(), combined.collect());
+                self.agg_instance(node, Box::new(union), keys, aggs, dense, input_rows, &scope)?
+            }
+            Exchange::HashPartition {
+                partitions,
+                producers,
+                chunk_bytes,
+            } => {
+                // The producers are the input's morsel fragments or its own
+                // pipeline. Group keys are disjoint across partitions, so the
+                // arrival-order union of partition outputs *is* the aggregate
+                // — no merge step.
+                let (producers, builds) = if *producers >= 2 {
+                    let chain = ScanChain::of(feed, self)?;
+                    (chain.fragments(*producers, self)?, chain.into_builds())
+                } else {
+                    (vec![self.build(feed)?], Vec::new())
+                };
+                let consumer = |source: BoxOp, _p: usize| instance(source, &self.scope(node));
+                Box::new(
+                    HashPartitionExchange::new(producers, keys.clone(), *partitions, &consumer)?
+                        .after_builds(builds)
+                        .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
+                )
+            }
+        })
+    }
+
     fn build(&self, node: &PhysNode<'_>) -> Result<BoxOp, ExecError> {
         let input = |i: usize| self.build(child(node, i)?);
         Ok(match (node.logical, &node.exchange) {
+            (LogicalPlan::HashAgg { .. }, exchange) => self.hash_agg(node, exchange)?,
             (
                 _,
                 Exchange::Parallel {
@@ -894,47 +1044,6 @@ impl Lowering<'_> {
                 Box::new(
                     Parallel::new(*workers, &factory)?
                         .after_builds(chain.into_builds())
-                        .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
-                )
-            }
-            (LogicalPlan::HashAgg { keys, aggs, .. }, exchange) => {
-                let instance = |source: BoxOp| -> Result<BoxOp, ExecError> {
-                    let scope = self.scope(node);
-                    let (keys, aggs) = (keys.clone(), aggs.clone());
-                    let agg = match &node.dense_keys[..] {
-                        [] => HashAggregate::new(source, keys, aggs, &scope)?,
-                        dense => {
-                            HashAggregate::new_dense(source, keys, dense.to_vec(), aggs, &scope)?
-                        }
-                    };
-                    Ok(Box::new(
-                        agg.with_group_bound(node.rows, child(node, 0)?.rows)
-                            .with_tracker(scope.mem_tracker(node.instance_bytes)),
-                    ))
-                };
-                let Exchange::HashPartition {
-                    partitions,
-                    producers,
-                    chunk_bytes,
-                } = exchange
-                else {
-                    return instance(input(0)?);
-                };
-                // The producers are the input's morsel fragments or its own
-                // pipeline. Group keys are disjoint across partitions, so the
-                // arrival-order union of partition outputs *is* the aggregate
-                // — no merge step.
-                let feed = child(node, 0)?;
-                let (producers, builds) = if *producers >= 2 {
-                    let chain = ScanChain::of(feed, self)?;
-                    (chain.fragments(*producers, self)?, chain.into_builds())
-                } else {
-                    (vec![self.build(feed)?], Vec::new())
-                };
-                let consumer = |source: BoxOp, _p: usize| instance(source);
-                Box::new(
-                    HashPartitionExchange::new(producers, keys.clone(), *partitions, &consumer)?
-                        .after_builds(builds)
                         .tracked(self.scope(node).exchange_tracker(*chunk_bytes)),
                 )
             }
@@ -1612,17 +1721,15 @@ mod tests {
         assert!(js[1..].iter().all(|j| j.0 == Exchange::None), "{js:?}");
         assert!(js.iter().all(|j| (j.1, j.2) == (4, 1)), "{js:?}");
         assert_eq!(exchanges(&phys), 1);
-        // Under an aggregate the fragments route into its exchange
-        // directly: one multi-producer HashPartition, every join bare.
+        // Under an aggregate with few groups the aggregate tops the chain:
+        // a partial in each fragment, the one Parallel, every join bare.
         let plan = four_join_chain(&c)
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
         let phys = plan_physical(&plan, &cfg).unwrap();
-        match &phys.root.exchange {
-            Exchange::HashPartition { producers, .. } => assert_eq!(*producers, 4),
-            other => panic!("expected a partitioned aggregate, got {other:?}"),
-        }
+        assert!(phys.root.two_phase(), "{:?}", phys.root.exchange);
+        assert_eq!((phys.root.fragments, phys.root.instances()), (4, 5));
         let js = joins(&phys);
         assert!(js.iter().all(|j| *j == (Exchange::None, 4, 1)), "{js:?}");
         assert_eq!(exchanges(&phys), 1);
@@ -1685,6 +1792,102 @@ mod tests {
         for n in phys.nodes() {
             assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
         }
+    }
+
+    /// `t(k i32)` of `rows` rows, `k = i % groups`: exact stats make the
+    /// group bound of a group-by-`k` aggregate `groups`.
+    fn grouped(rows: usize, groups: usize) -> HashMap<String, Arc<Table>> {
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, rows);
+        (0..rows).for_each(|i| k.push_i32((i % groups) as i32));
+        let t = Table::new("t", vec![("k".into(), k.finish())]).unwrap();
+        HashMap::from([("t".to_string(), Arc::new(t))])
+    }
+
+    #[test]
+    fn two_phase_verdict_flips_exactly_at_half_the_input() {
+        // 4 fragments of 16-row vectors (256-row morsels; 1023 rows still
+        // shard). 128 groups × 4 × 2 = 1024: two-phase over 1024 input
+        // rows, routed over 1023.
+        let mut cfg = ExecConfig::fixed_default().with_workers(4);
+        cfg.vector_size = 16;
+        let root = |rows: usize, cfg: &ExecConfig| {
+            let c = grouped(rows, 128);
+            let plan = PlanBuilder::scan(&c, "t", &["k"])
+                .hash_agg(&["k"], vec![count()], "agg")
+                .build()
+                .unwrap();
+            let root = plan_physical(&plan, cfg).unwrap().root;
+            assert_eq!(root.rows, 128);
+            (root.exchange.clone(), root.fragments, root.instances())
+        };
+        let (exchange, fragments, instances) = root(1024, &cfg);
+        assert!(matches!(exchange, Exchange::Parallel { workers: 4, .. }));
+        assert_eq!((fragments, instances), (4, 5));
+        let (exchange, fragments, instances) = root(1023, &cfg);
+        assert!(matches!(
+            exchange,
+            Exchange::HashPartition {
+                partitions: 4,
+                producers: 4,
+                ..
+            }
+        ));
+        assert_eq!((fragments, instances), (1, 4));
+        // An explicit partition count routes, whatever the bound says.
+        cfg.agg_partitions = 2;
+        let (exchange, _, instances) = root(1024, &cfg);
+        assert!(matches!(
+            exchange,
+            Exchange::HashPartition { partitions: 2, .. }
+        ));
+        assert_eq!(instances, 2);
+    }
+
+    #[test]
+    fn a_sum_that_may_overflow_keeps_its_aggregate_routed() {
+        // `v` spans [0, 2^60]: 1024 rows could sum past i64, so the
+        // analyzer cannot prove a partial's narrowing safe and the
+        // aggregate routes, though 4 groups are far below half the input.
+        // The data itself sums well inside i64, and both plans agree.
+        let rows = 1024;
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, rows);
+        let mut v = ColumnBuilder::with_capacity(DataType::I64, rows);
+        for i in 0..rows {
+            k.push_i32((i % 4) as i32);
+            v.push_i64(if i == 7 { 1 << 60 } else { i as i64 });
+        }
+        let t = Table::new(
+            "t",
+            vec![("k".into(), k.finish()), ("v".into(), v.finish())],
+        );
+        let c = HashMap::from([("t".to_string(), Arc::new(t.unwrap()))]);
+        let plan = PlanBuilder::scan(&c, "t", &["k", "v"])
+            .hash_agg(&["k"], vec![count(), sum_i64("v")], "agg")
+            .sort(&[asc("k")])
+            .build()
+            .unwrap();
+        let run = |workers: usize| {
+            let mut cfg = ExecConfig::fixed_default().with_workers(workers);
+            cfg.vector_size = 16;
+            let agg = &plan_physical(&plan, &cfg).unwrap().root.children[0];
+            let shape = (agg.two_phase(), agg.instances());
+            let ctx = QueryContext::new(Arc::new(build_dictionary()), cfg);
+            let chunks = collect(lower(&plan, &ctx).unwrap().as_mut()).unwrap();
+            let sums: Vec<i64> = chunks
+                .iter()
+                .flat_map(|c| c.column(2).as_i64().to_vec())
+                .collect();
+            (shape, sums)
+        };
+        let (single, sums) = run(1);
+        assert_eq!(single, (false, 1));
+        let (routed, par) = run(2);
+        assert_eq!(routed, (false, 2));
+        assert_eq!(par, sums);
+        assert_eq!(
+            sums[3],
+            (1 << 60) + (0..256).map(|i| 4 * i + 3).sum::<i64>() - 7
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! types by its kind's rule and declares the schema that rule derives,
 //! merge joins only ever see key-sorted inputs, order-destroying exchanges
 //! never end up under order-sensitive ancestors, and only hash aggregates
-//! partition. Labels are display names and need not be unique: instances
+//! partition. A two-phase aggregate needs no rule of its own: it is a
+//! chain top carrying [`Exchange::Parallel`], checked like any other. Labels are display names and need not be unique: instances
 //! key on their node's [`crate::NodeId`]. [`verify`] plans the query once
 //! and checks the plan it made:
 //!
@@ -446,7 +447,15 @@ mod tests {
             .hash_agg(&["k"], vec![count()], "agg")
             .build()
             .unwrap();
+        // Left to the planner, 7 groups over 40 000 rows go two-phase: the
+        // aggregate tops the chain's one Parallel.
         let phys = plan_physical(&plan, &cfg(4)).unwrap();
+        assert!(phys.root.two_phase(), "{:?}", phys.root.exchange);
+        verify_physical(&phys).unwrap();
+        // An explicit partition count routes instead.
+        let mut routed = cfg(4);
+        routed.agg_partitions = 4;
+        let phys = plan_physical(&plan, &routed).unwrap();
         match &phys.root.exchange {
             Exchange::HashPartition {
                 partitions,

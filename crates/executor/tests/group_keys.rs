@@ -773,13 +773,16 @@ fn planned_dense_aggregates_agree_across_workers() {
                     .find(|n| matches!(n.logical, LogicalPlan::HashAgg { .. }))
                     .unwrap();
                 assert_eq!(agg.dense_keys.len(), keys.len(), "{case}: not dense");
-                assert_eq!(agg.instances(), workers, "{case}: partitions");
+                // At most 500 groups against 4096 input rows: a partial per
+                // fragment plus the combine.
+                let instances = if workers > 1 { workers + 1 } else { 1 };
+                assert_eq!(agg.instances(), instances, "{case}: instances");
                 let ctx = QueryContext::new(Arc::new(build_dictionary()), cfg);
                 let mut op = lower(&plan, &ctx).unwrap();
                 let mut got = rows_of(&collect(op.as_mut()).unwrap(), keys.len());
                 let mut want = expected.clone();
                 if workers > 1 {
-                    // Partitions unite in arrival order.
+                    // The combine sees partial groups in arrival order.
                     got.sort();
                     want.sort();
                 }

@@ -834,13 +834,14 @@ fn in_fragment_join_build_must_stay_outside() {
 }
 
 /// What the verifier lets through, `instantiate` still refuses to build
-/// wrong: a sharding exchange over a node that is not a scan chain is a
-/// typed error, never a panic.
+/// wrong: a sharding exchange over a node that is not a scan chain (a
+/// sort over an aggregate) is a typed error, never a panic.
 #[test]
 fn sharding_a_non_chain_is_a_typed_instantiate_error() {
     let c = catalog(BIG);
     let plan = PlanBuilder::scan(&c, "t", &["id", "k"])
         .hash_agg(&["id"], vec![ma_executor::plan::count()], "agg")
+        .sort(&[ma_executor::plan::asc("id")])
         .build()
         .unwrap();
     let mut phys = plan_physical(&plan, &cfg4()).unwrap();
@@ -852,6 +853,6 @@ fn sharding_a_non_chain_is_a_typed_instantiate_error() {
     match ma_executor::instantiate(&phys, &ctx) {
         Err(ma_executor::ExecError::Plan(_)) => {}
         Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
-        Ok(_) => panic!("an aggregate cannot compile into scan fragments"),
+        Ok(_) => panic!("a sort cannot compile into scan fragments"),
     }
 }
