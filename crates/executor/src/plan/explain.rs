@@ -563,6 +563,28 @@ Sort [s asc] -> (s:str, count:i64, sum_y:f64)
             .to_string()
             .replace("keys=[k] ", "keys=[k] dense=[0 <= k <= 3] ");
         assert_eq!(text1, dense);
+
+        // Over a scan that shards (1024 rows, 16-row vectors), 4 groups ×
+        // 4 fragments × 2 ≤ 1024 input rows: a partial per fragment plus
+        // one combine. An explicit partition count still routes.
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, 1024);
+        (0..1024).for_each(|i| k.push_i32(i % 4));
+        let big = Arc::new(Table::new("big", vec![("k".into(), k.finish())]).unwrap());
+        let c = HashMap::from([("big".to_string(), big)]);
+        let plan = PlanBuilder::scan(&c, "big", &["k"])
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        let mut cfg = ExecConfig::fixed_default().with_workers(4);
+        cfg.vector_size = 16;
+        let text = super::explain_physical(&plan, &cfg);
+        assert!(
+            text.contains("HashAgg (two-phase \u{d7}4) keys=[k] dense=[0 <= k <= 3]"),
+            "{text}"
+        );
+        cfg.agg_partitions = 4;
+        let text = super::explain_physical(&plan, &cfg);
+        assert!(text.contains("HashAgg (partitioned \u{d7}4)"), "{text}");
     }
 
     #[test]
