@@ -3,7 +3,9 @@
 //! These pin two properties of the plan layer:
 //!
 //! * the tree/schema rendering is stable (Q1, the widest single-phase
-//!   pipeline), and
+//!   pipeline), its aggregate's verdict with it — routed by a partition
+//!   threshold over an unsharded input, two-phase over a sharded one —
+//!   and
 //! * **the planner, not the query, decides how ordered pipelines and
 //!   joins parallelize**: Q12's merge-join inputs run serially at any
 //!   worker count, both scans `(ordered)` exactly as in the structural
@@ -112,6 +114,37 @@ Sort [l_returnflag asc, l_linestatus asc] -> (l_returnflag:str, l_linestatus:str
             "l_shipdate <= 2436",
             "l_shipdate <= 2436"
         )
+    );
+}
+
+#[test]
+fn q01_physical_explain_shows_two_phase_aggregate() {
+    // Over a lineitem chain that shards (the vector size shrunk so the
+    // golden database spans enough morsels, as in the Q3 test), Q1's 6
+    // proven groups × 4 fragments × 2 sit far below the chain's rows: the
+    // aggregate tops the chain as a partial in each of the 4 fragments,
+    // combined once. Everything else renders as at one worker.
+    let mut cfg = ExecConfig::fixed_default().with_workers(4);
+    cfg.vector_size = 32;
+    let text = explain_query_with(1, &db(), &Params::default(), &cfg).unwrap();
+    let structural = explain_query(1, &db(), &Params::default()).unwrap();
+    let two_phase = structural.replace(
+        "HashAgg keys=[l_returnflag, l_linestatus] ",
+        "HashAgg (two-phase \u{d7}4) keys=[l_returnflag, l_linestatus] dense=[l_returnflag: 3 codes, l_linestatus: 2 codes] ",
+    );
+    let expected = with_guards(
+        &two_phase,
+        "l_tax:for]",
+        "l_shipdate <= 2436",
+        "l_shipdate <= 2436",
+    );
+    assert_eq!(text, expected);
+    // An explicit partition count routes the same aggregate instead.
+    cfg.agg_partitions = 4;
+    let text = explain_query_with(1, &db(), &Params::default(), &cfg).unwrap();
+    assert_eq!(
+        text,
+        expected.replace("(two-phase \u{d7}4)", "(partitioned \u{d7}4)")
     );
 }
 
