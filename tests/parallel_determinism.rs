@@ -79,14 +79,17 @@ fn copies(ctx: &QueryContext, label: &str) -> usize {
     ctx.reports().iter().filter(|r| r.slot == slot).count()
 }
 
-/// `(slot, label, signature, tuples)` per merged report kept by `keep`.
+/// `(slot, label, signature, tuples)` per merged report kept by `keep`
+/// (on its signature), leaving out two-phase aggregates' combine
+/// instances (`{label}/combine/…`): they fold the partials' groups and
+/// have no single-worker twin.
 fn slot_tuples(
     ctx: &QueryContext,
     keep: impl Fn(&str) -> bool,
 ) -> Vec<(Slot, String, String, u64)> {
     ctx.merged_reports()
         .into_iter()
-        .filter(|r| keep(&r.signature))
+        .filter(|r| keep(&r.signature) && !r.label.contains("/combine/"))
         .map(|r| (r.slot, r.label, r.signature, r.tuples))
         .collect()
 }
@@ -119,20 +122,21 @@ fn every_query_is_worker_count_invariant_under_fixed_flavors() {
     }
 }
 
-/// The planner must actually engage partitioned aggregation on the
-/// aggregation-heavy queries (one private `HashAggregate` per partition,
-/// each registering its instances under the plan node's slots), and
-/// per-partition statistics must merge to the single-thread totals for
-/// tuple counts (call counts differ: routing splits chunks).
+/// The planner must actually engage partitioned aggregation where an
+/// aggregate's group bound is as large as its input — Q3's, grouped by
+/// order — one private `HashAggregate` per partition, each registering its
+/// instances under the plan node's slots, and per-partition statistics
+/// must merge to the single-thread totals for tuple counts (call counts
+/// differ: routing splits chunks).
 #[test]
 fn partitioned_aggregation_engages_with_private_instances() {
-    let (_, ctx1) = run(1, ExecConfig::fixed_default());
-    let (_, ctx4) = run(1, ExecConfig::fixed_default().with_workers(4));
-    assert_eq!(copies(&ctx1, "Q1/agg/aggr_count"), 1);
+    let (_, ctx1) = run(3, ExecConfig::fixed_default());
+    let (_, ctx4) = run(3, ExecConfig::fixed_default().with_workers(4));
+    assert_eq!(copies(&ctx1, "Q3/agg/aggr_sum_f64"), 1);
     assert_eq!(
-        copies(&ctx4, "Q1/agg/aggr_count"),
+        copies(&ctx4, "Q3/agg/aggr_sum_f64"),
         4,
-        "Q1's aggregate should run one instance per partition"
+        "Q3's aggregate should run one instance per partition"
     );
     let agg = |sig: &str| sig.starts_with("aggr_") || sig.starts_with("hash_");
     assert_eq!(
@@ -140,6 +144,51 @@ fn partitioned_aggregation_engages_with_private_instances() {
         slot_tuples(&ctx4, agg),
         "merged per-partition aggregate tuple totals must equal single-thread totals"
     );
+}
+
+/// An aggregate with few groups over a sharded chain goes two-phase: Q1's
+/// at 4 workers folds a partial in each of the 4 fragments — 4 copies of
+/// each of its slots — and combines them in one instance registered under
+/// `Q1/agg/combine`. The partials' merged aggregate tuples equal the
+/// single-thread totals exactly; the combine folds one row per partial
+/// group.
+#[test]
+fn two_phase_aggregation_runs_a_partial_per_fragment_and_one_combine() {
+    let (one, ctx1) = run(1, ExecConfig::fixed_default());
+    let (four, ctx4) = run(1, ExecConfig::fixed_default().with_workers(4));
+    assert_eq!(normalized_rows(&one), normalized_rows(&four));
+    assert_eq!(copies(&ctx1, "Q1/agg/aggr_count"), 1);
+    assert_eq!(
+        copies(&ctx4, "Q1/agg/aggr_count"),
+        4,
+        "one partial per fragment"
+    );
+    assert_eq!(copies(&ctx4, "Q1/agg/combine/insertcheck_str"), 1);
+    let agg = |sig: &str| sig.starts_with("aggr_") || sig.starts_with("hash_");
+    assert_eq!(
+        slot_tuples(&ctx1, agg),
+        slot_tuples(&ctx4, agg),
+        "merged partial tuple totals must equal single-thread totals"
+    );
+    // The combine's insertcheck saw each partial group once: each of Q1's
+    // 4 groups sits in at least one partial and at most in all 4.
+    let combined: u64 = ctx4
+        .merged_reports()
+        .iter()
+        .filter(|r| r.label == "Q1/agg/combine/insertcheck_str")
+        .map(|r| r.tuples)
+        .sum();
+    assert_eq!(four.rows, 4);
+    assert!((4..=16).contains(&combined), "{combined}");
+    let trackers: Vec<String> = ctx4
+        .mem_reports()
+        .into_iter()
+        .filter(|r| r.label.starts_with("Q1/agg"))
+        .map(|r| r.label)
+        .collect();
+    let mut want = vec!["Q1/agg"; 4];
+    want.extend(["Q1/agg/exchange", "Q1/agg/combine"]);
+    assert_eq!(trackers, want);
 }
 
 /// Forcing `agg_partitions = 1` disables partitioning even on sharded
@@ -217,7 +266,8 @@ fn partitioned_join_builds_engage_with_private_instances() {
 /// worker every instance is its own slot — even where labels repeat (Q19's
 /// string-equality atoms in one filter, Q3's fetches in one join, Q17's
 /// two lineitem scans, Q11's two plans) — so merging changes nothing; at 2
-/// and 4 workers the per-slot tuple totals equal the single-thread list.
+/// and 4 workers the per-slot tuple totals equal the single-thread list,
+/// two-phase aggregates' combine instances aside.
 #[test]
 fn merged_reports_keep_distinct_instances_apart() {
     for q in 1..=22 {
