@@ -6,9 +6,9 @@
 //! legally under the given configuration. This sweep proves
 //! those invariants hold for all 22 queries across every parallelism
 //! shape the planner can take: sequential, sharded, serial merge-join
-//! inputs, joins probing in the worker fragments, partition-follows-workers,
-//! partitioning disabled, and fixed odd partition counts that disagree
-//! with the worker count.
+//! inputs, joins probing in the worker fragments, two-phase aggregates,
+//! partition-follows-workers, partitioning disabled, and fixed odd
+//! partition counts that disagree with the worker count.
 //!
 //! The same sweep is the planner's translation validation: for every
 //! query × configuration, what `lower` registers with the context is
@@ -40,12 +40,17 @@ fn config(workers: usize, agg_p: usize, vsize: usize) -> ExecConfig {
     cfg
 }
 
-/// Counts exchange nodes, joins probing in worker fragments and serial
-/// merge-join inputs in a physical plan, so the sweep can prove it
-/// exercised non-sequential shapes (a vacuously-sequential sweep would
-/// pass trivially), and asserts that no merge-join input carries an
-/// exchange or sits in fragments.
-fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, usize)) {
+/// What [`count_exchanges`] tallies: chain-top `Parallel` exchanges,
+/// serial merge-join inputs, routed (`HashPartition`) aggregates, joins
+/// probing in worker fragments and two-phase aggregates.
+type Tally = (usize, usize, usize, usize, usize);
+
+/// Counts exchange nodes, joins probing in worker fragments, two-phase
+/// aggregates and serial merge-join inputs in a physical plan, so the
+/// sweep can prove it exercised non-sequential shapes (a
+/// vacuously-sequential sweep would pass trivially), and asserts that no
+/// merge-join input carries an exchange or sits in fragments.
+fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut Tally) {
     for node in phys.nodes() {
         match node.logical {
             LogicalPlan::HashJoin { .. } if node.fragments > 1 => tally.3 += 1,
@@ -60,6 +65,7 @@ fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, us
         }
         match node.exchange {
             Exchange::None => {}
+            Exchange::Parallel { .. } if node.two_phase() => tally.4 += 1,
             Exchange::Parallel { .. } => tally.0 += 1,
             Exchange::HashPartition { .. } => tally.2 += 1,
         }
@@ -78,7 +84,9 @@ fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut (usize, usize, usize, us
 /// very chunk bound its tracker carries. A join probing in the fragments
 /// is one table (one tracker, priced `x1`, no exchange stage of its own)
 /// read by `fragments` probers, each registering its own instance of the
-/// join's first slot, the probe hash.
+/// join's first slot, the probe hash. A two-phase aggregate is one tracker
+/// per fragment's partial plus one for its combine, each carrying the
+/// node's one instance bound.
 fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) {
     let phys = plan_physical(plan, cfg).unwrap();
     let report = cost(plan, cfg);
@@ -161,13 +169,14 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
 const PARTITION_REGIMES: [usize; 3] = [0, 1, 3];
 
 /// All 22 queries verify under every configuration in the matrix, the
-/// matrix provably exercises both exchange kinds, and every merge-join
-/// input it plans is serial.
+/// matrix provably exercises both exchange kinds and both parallel
+/// aggregate shapes (routed and two-phase), and every merge-join input it
+/// plans is serial.
 #[test]
 fn all_queries_verify_across_config_matrix() {
     let db = db();
     let params = Params::default();
-    let mut tally = (0usize, 0usize, 0usize, 0usize);
+    let mut tally: Tally = (0, 0, 0, 0, 0);
     let mut checked = 0usize;
     for q in 1..=22 {
         let plan = query_plan(q, db, &params)
@@ -192,7 +201,7 @@ fn all_queries_verify_across_config_matrix() {
         }
     }
     assert_eq!(checked, 22 * 9 * 2);
-    let (parallel, serial_merge_inputs, partition, in_fragment) = tally;
+    let (parallel, serial_merge_inputs, partition, in_fragment, two_phase) = tally;
     assert!(
         in_fragment > 0,
         "matrix never probed a join in the fragments"
@@ -203,6 +212,7 @@ fn all_queries_verify_across_config_matrix() {
         partition > 0,
         "matrix never produced a HashPartition exchange"
     );
+    assert!(two_phase > 0, "matrix never planned a two-phase aggregate");
 }
 
 /// Names become indices in one place, and that place is invertible:
