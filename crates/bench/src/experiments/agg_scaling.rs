@@ -1,75 +1,113 @@
 //! Aggregation-scaling experiment: aggregation-heavy TPC-H queries swept
-//! over worker counts, with partitioned hash aggregation on and off. Not a
-//! paper figure — it tracks the Amdahl gap the partitioning exchange
-//! exists to close: with `single` aggregation every blocking aggregate
-//! serializes behind the sharded scans; with `partitioned` aggregation the
-//! per-partition instances scale with the workers.
+//! over worker counts under three aggregation arms. Not a paper figure —
+//! it measures how a grouped aggregate over sharded scans should run:
+//!
+//! * `single` (`agg_partitions = 1`): one aggregate over the union of the
+//!   fragments, serialized behind the sharded scans;
+//! * `routed` (`agg_partitions` = the worker count): every input row routed
+//!   by key hash to one private instance per worker;
+//! * `auto` (`agg_partitions = 0`): the planner's verdict — two-phase (a
+//!   partial per fragment, one combine) where the proven group bound is
+//!   small against the input, routed otherwise.
+//!
+//! At one worker all three arms run the same single-instance plan.
 
 use ma_core::cycles::ticks_now;
 use ma_executor::ExecConfig;
 use ma_tpch::Runner;
 
-/// Aggregation-heavy queries swept (grouped aggregates over large inputs).
-pub const AGG_QUERIES: [usize; 4] = [1, 3, 10, 18];
+/// Aggregation-heavy queries swept (grouped aggregates over large inputs):
+/// Q1's six-group aggregate, Q3's and Q20's whose group bound equals their
+/// input's, and Q10's, Q18's and Q21's in between.
+pub const AGG_QUERIES: [usize; 6] = [1, 3, 10, 18, 20, 21];
 
 /// Worker counts swept by default.
 pub const DEFAULT_THREADS: [usize; 3] = [1, 2, 4];
 
+/// How the swept aggregates may run in parallel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arm {
+    /// One instance per aggregate (`agg_partitions = 1`).
+    Single,
+    /// Routed to one instance per worker (`agg_partitions = workers`).
+    Routed,
+    /// The planner's verdict (`agg_partitions = 0`).
+    Auto,
+}
+
+impl Arm {
+    /// Every arm, in sweep order.
+    pub const ALL: [Arm; 3] = [Arm::Single, Arm::Routed, Arm::Auto];
+
+    /// The arm's display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Arm::Single => "single",
+            Arm::Routed => "routed",
+            Arm::Auto => "auto",
+        }
+    }
+
+    /// The `agg_partitions` knob the arm sets at `threads` workers.
+    fn partitions(self, threads: usize) -> usize {
+        match self {
+            Arm::Single => 1,
+            Arm::Routed => threads,
+            Arm::Auto => 0,
+        }
+    }
+}
+
 /// One swept point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct AggScalingPoint {
     /// Scan worker threads.
     pub threads: usize,
-    /// Whether hash aggregation was allowed to partition.
-    pub partitioned: bool,
-    /// Wall ticks for the query subset.
+    /// The aggregation arm.
+    pub arm: Arm,
+    /// Wall ticks for the whole query subset.
     pub ticks: u64,
+    /// Wall ticks per query, in [`AGG_QUERIES`] order.
+    pub query_ticks: Vec<u64>,
     /// Result checksum folded over the subset (cross-config validation).
     pub checksum: f64,
 }
 
-/// Runs the query subset per `(worker count, partitioning)` combination.
-/// The first combination runs once extra as warmup so data is paged in
-/// before anything is timed.
+/// Runs the query subset per `(worker count, arm)` combination. The first
+/// combination runs once extra as warmup so data is paged in before
+/// anything is timed.
 pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<AggScalingPoint> {
-    let mut out = Vec::with_capacity(2 * thread_counts.len());
+    let mut out = Vec::with_capacity(Arm::ALL.len() * thread_counts.len());
     let mut warmed = false;
     for &threads in thread_counts {
-        for partitioned in [false, true] {
-            // `agg_partitions = 1` pins every aggregate to a single
-            // instance; `0` lets the planner partition to the worker count.
+        for arm in Arm::ALL {
             let config = ExecConfig::fixed_default()
                 .with_workers(threads)
-                .with_agg_partitions(if partitioned { 0 } else { 1 });
+                .with_agg_partitions(arm.partitions(threads));
             if !warmed {
                 run_subset(runner, &config).expect("warmup run");
                 warmed = true;
             }
-            let t0 = ticks_now();
-            let checksum = run_subset(runner, &config).expect("agg-scaling run");
-            let ticks = ticks_now().saturating_sub(t0);
+            let (query_ticks, checksum) = run_subset(runner, &config).expect("agg-scaling run");
             out.push(AggScalingPoint {
                 threads,
-                partitioned,
-                ticks,
+                arm,
+                ticks: query_ticks.iter().sum(),
+                query_ticks,
                 checksum,
             });
         }
     }
-    // Hard cross-validation: a partitioned-vs-single result divergence at
-    // bench scale must fail the run (and CI), not just print a note — no
-    // correctness test runs at these scale factors.
+    // Hard cross-validation: a divergence between arms at bench scale must
+    // fail the run (and CI), not just print a note — no correctness test
+    // runs at these scale factors.
     if let Some(first) = out.first() {
         for p in &out[1..] {
             assert!(
                 crate::experiments::checksums_match(first.checksum, p.checksum),
                 "agg-scaling checksum mismatch: {} workers {} gave {}, baseline {}",
                 p.threads,
-                if p.partitioned {
-                    "partitioned"
-                } else {
-                    "single"
-                },
+                p.arm.name(),
                 p.checksum,
                 first.checksum
             );
@@ -78,18 +116,28 @@ pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<AggScalingPoint>
     out
 }
 
-fn run_subset(runner: &Runner, config: &ExecConfig) -> Result<f64, ma_executor::ExecError> {
+/// Per-query wall ticks and the checksum folded over the subset.
+fn run_subset(
+    runner: &Runner,
+    config: &ExecConfig,
+) -> Result<(Vec<u64>, f64), ma_executor::ExecError> {
     let mut checksum = 0.0;
+    let mut ticks = Vec::with_capacity(AGG_QUERIES.len());
     for &q in &AGG_QUERIES {
+        let t0 = ticks_now();
         checksum += runner.run(q, config.clone())?.checksum;
+        ticks.push(ticks_now().saturating_sub(t0));
     }
-    Ok(checksum)
+    Ok((ticks, checksum))
 }
 
-/// Renders the sweep with speedups relative to 1-worker single aggregation.
+/// Renders the sweep with speedups relative to 1-worker single aggregation
+/// and each query's share of the subset's ticks.
 pub fn render(points: &[AggScalingPoint]) -> String {
-    let mut out = String::from(
-        "--- Agg scaling: aggregation-heavy queries (Q1, Q3, Q10, Q18) by workers ---\n",
+    let names: Vec<String> = AGG_QUERIES.iter().map(|q| format!("Q{q}")).collect();
+    let mut out = format!(
+        "--- Agg scaling: aggregation-heavy queries ({}) by workers ---\n",
+        names.join(", ")
     );
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     out.push_str(&format!("host hardware threads: {hw}\n"));
@@ -101,9 +149,13 @@ pub fn render(points: &[AggScalingPoint]) -> String {
     }
     let base = points.first().map_or(0, |p| p.ticks);
     out.push_str(&format!(
-        "{:>8} {:>12} {:>16} {:>9}\n",
-        "workers", "aggregation", "wall ticks", "speedup"
+        "{:>8} {:>7} {:>14} {:>8}",
+        "workers", "arm", "wall ticks", "speedup"
     ));
+    for name in &names {
+        out.push_str(&format!(" {name:>12}"));
+    }
+    out.push('\n');
     for p in points {
         let speedup = if p.ticks > 0 {
             base as f64 / p.ticks as f64
@@ -111,23 +163,23 @@ pub fn render(points: &[AggScalingPoint]) -> String {
             0.0
         };
         out.push_str(&format!(
-            "{:>8} {:>12} {:>16} {:>8.2}x\n",
+            "{:>8} {:>7} {:>14} {:>7.2}x",
             p.threads,
-            if p.partitioned {
-                "partitioned"
-            } else {
-                "single"
-            },
+            p.arm.name(),
             p.ticks,
             speedup
         ));
+        for t in &p.query_ticks {
+            out.push_str(&format!(" {t:>12}"));
+        }
+        out.push('\n');
     }
     if points.len() > 1 {
         let all_match = points
             .windows(2)
             .all(|w| crate::experiments::checksums_match(w[0].checksum, w[1].checksum));
         out.push_str(if all_match {
-            "checksums: identical across worker counts and aggregation modes\n"
+            "checksums: identical across worker counts and aggregation arms\n"
         } else {
             "checksums: MISMATCH across configurations\n"
         });
@@ -149,8 +201,11 @@ mod tests {
     fn sweep_measures_and_validates() {
         let runner = make_runner(0.005, 0x5CA1E);
         let points = measure(&runner, &[1, 2]);
-        assert_eq!(points.len(), 4);
+        assert_eq!(points.len(), 6);
         assert!(points.iter().all(|p| p.ticks > 0));
+        assert!(points
+            .iter()
+            .all(|p| p.query_ticks.len() == AGG_QUERIES.len()));
         for w in points.windows(2) {
             assert!(
                 crate::experiments::checksums_match(w[0].checksum, w[1].checksum),
@@ -158,7 +213,9 @@ mod tests {
             );
         }
         let txt = render(&points);
-        assert!(txt.contains("partitioned"));
+        for arm in Arm::ALL {
+            assert!(txt.contains(arm.name()), "{txt}");
+        }
         assert!(txt.contains("identical"));
     }
 }

@@ -16,7 +16,7 @@ use ma_tpch::{Runner, TpchData};
 
 /// All experiment identifiers, in paper order ("scaling", "agg-scaling",
 /// "join-scaling" and "compress" are ours, not the paper's: the
-/// parallel-executor thread sweep, the partitioned-aggregation sweep,
+/// parallel-executor thread sweep, the aggregation-arm sweep (single, routed, two-phase auto),
 /// the join-heavy thread sweep, and the compressed-storage
 /// byte/tick comparison).
 pub const ALL_EXPERIMENTS: [&str; 18] = [
