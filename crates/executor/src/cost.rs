@@ -46,7 +46,7 @@ use ma_vector::{Column, DataType, EncColumn, Schema, Table};
 
 use crate::config::ExecConfig;
 use crate::expr::{Agg, AggFunc, NumType};
-use crate::ops::{combine_domains, dense_slots, key_row_width, KeyDomain};
+use crate::ops::{combine_of, dense_slots, key_row_width, KeyDomain};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
@@ -356,11 +356,9 @@ pub(crate) fn instance_bytes(
     }
 }
 
-/// Peak resident bytes proven for the combine instance of two-phase hash
-/// aggregate `plan`, whose partials emit up to `rows` groups each with
-/// output widths `out`, and which is dense over `dense_keys`: one
-/// aggregate over the partials' key columns folding each aggregate
-/// column ([`Agg::combined`]), dense over [`combine_domains`] of them.
+/// Peak resident bytes proven for the combine instance ([`combine_of`])
+/// of two-phase hash aggregate `plan`, dense over `dense_keys`, whose
+/// partials emit up to `rows` groups each with output widths `out`.
 pub(crate) fn combine_bytes(
     plan: &LogicalPlan,
     rows: usize,
@@ -370,15 +368,8 @@ pub(crate) fn combine_bytes(
     let LogicalPlan::HashAgg { keys, aggs, .. } = plan else {
         return 0;
     };
-    let k = keys.len();
-    let combined: Vec<Agg> = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| a.combined(k + i))
-        .collect();
-    let keys: Vec<usize> = (0..k).collect();
-    let dense = combine_domains(dense_keys);
-    agg_instance_bound(rows, out, plan.schema(), &keys, &combined, dense)
+    let (keys, aggs, dense) = combine_of(keys.len(), aggs, dense_keys);
+    agg_instance_bound(rows, out, plan.schema(), &keys, &aggs, dense)
 }
 
 /// Open-addressing capacity for `n` entries at 50% load with the group

@@ -332,17 +332,22 @@ pub(crate) fn goes_dense(domains: &[KeyDomain], group_bound: usize) -> bool {
     dense_slots(domains).is_some_and(|slots| slots <= 8 * group_bound.min(PRESIZE_GROUPS))
 }
 
-/// The domains a combine over the partials of an aggregate dense over
-/// `domains` keeps dense: all of them when every key is an integer, none
-/// otherwise — a partial emits a dictionary key's strings without their
-/// codes.
-pub(crate) fn combine_domains(domains: &[KeyDomain]) -> &[KeyDomain] {
+/// The combine over the partials of a two-phase aggregate with `k` group
+/// keys, aggregates `aggs` and dense `domains`, whose partials emit the
+/// keys and then one column per aggregate: its group keys (the partials'
+/// key columns), its aggregates (each folding its column of partial
+/// results, [`Agg::combined`]) and the domains it stays dense over — all
+/// of them when every key is an integer, none otherwise: a partial emits
+/// a dictionary key's strings without their codes.
+pub(crate) fn combine_of<'d>(
+    k: usize,
+    aggs: &[Agg],
+    domains: &'d [KeyDomain],
+) -> (Vec<usize>, Vec<Agg>, &'d [KeyDomain]) {
+    let combined = aggs.iter().enumerate().map(|(i, a)| a.combined(k + i));
     let ints = domains.iter().all(|d| matches!(d, KeyDomain::Int { .. }));
-    if ints {
-        domains
-    } else {
-        &[]
-    }
+    let dense = if ints { domains } else { &[] };
+    ((0..k).collect(), combined.collect(), dense)
 }
 
 /// One key column of a dense key table.

@@ -12,7 +12,7 @@ mod sort;
 pub(crate) mod xrt;
 
 pub use crate::expr::{Agg, SortKey};
-pub(crate) use aggregate::{combine_domains, dense_slots, goes_dense, key_row_width};
+pub(crate) use aggregate::{combine_of, dense_slots, goes_dense, key_row_width};
 pub use aggregate::{DictRef, HashAggregate, KeyDomain, StreamAggregate};
 pub use exchange::{ConsumerFactory, FragmentFactory, HashPartitionExchange, Parallel};
 pub use hash_join::{HashJoin, JoinKind, SharedBuild};

@@ -74,9 +74,8 @@ use crate::cost::Width;
 use crate::expr::{Agg, CmpRhs, Pred, TypeError};
 use crate::ops::exchange::{CHANNEL_DEPTH_PER_WORKER, CHUNKS_PER_MESSAGE};
 use crate::ops::{
-    combine_domains, goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain,
-    MergeJoin, Operator, Parallel, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard,
-    ZonePred,
+    combine_of, goes_dense, HashAggregate, HashJoin, HashPartitionExchange, KeyDomain, MergeJoin,
+    Operator, Parallel, Scan, Select, SharedBuild, Sort, StreamAggregate, ZoneGuard, ZonePred,
 };
 use crate::plan::rules::{self, MergeInput};
 use crate::plan::LogicalPlan;
@@ -994,12 +993,8 @@ impl Lowering<'_> {
                         ExecError::Plan("a two-phase aggregate without fragments".into())
                     })?
                     .then("/combine");
-                // The partials emit the keys, then one column per aggregate.
-                let k = keys.len();
-                let combined = aggs.iter().enumerate().map(|(i, a)| a.combined(k + i));
-                let dense = combine_domains(&node.dense_keys);
+                let (keys, aggs, dense) = combine_of(keys.len(), aggs, &node.dense_keys);
                 let input_rows = node.rows.saturating_mul(*workers);
-                let (keys, aggs) = ((0..k).collect(), combined.collect());
                 self.agg_instance(node, Box::new(union), keys, aggs, dense, input_rows, &scope)?
             }
             Exchange::HashPartition {
