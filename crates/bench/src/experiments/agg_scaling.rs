@@ -24,6 +24,11 @@ pub const AGG_QUERIES: [usize; 6] = [1, 3, 10, 18, 20, 21];
 /// Worker counts swept by default.
 pub const DEFAULT_THREADS: [usize; 3] = [1, 2, 4];
 
+/// Rounds of the whole sweep by default. One query at SF 0.05 runs for a
+/// few milliseconds, so a single pass mostly measures the host; each point
+/// reports per-query medians over the rounds, which interleave the arms.
+pub const DEFAULT_ROUNDS: usize = 7;
+
 /// How the swept aggregates may run in parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
@@ -65,39 +70,62 @@ pub struct AggScalingPoint {
     pub threads: usize,
     /// The aggregation arm.
     pub arm: Arm,
-    /// Wall ticks for the whole query subset.
+    /// The sum of [`AggScalingPoint::query_ticks`].
     pub ticks: u64,
-    /// Wall ticks per query, in [`AGG_QUERIES`] order.
+    /// Median wall ticks per query over the rounds, in [`AGG_QUERIES`]
+    /// order.
     pub query_ticks: Vec<u64>,
     /// Result checksum folded over the subset (cross-config validation).
     pub checksum: f64,
 }
 
-/// Runs the query subset per `(worker count, arm)` combination. The first
-/// combination runs once extra as warmup so data is paged in before
-/// anything is timed.
-pub fn measure(runner: &Runner, thread_counts: &[usize]) -> Vec<AggScalingPoint> {
-    let mut out = Vec::with_capacity(Arm::ALL.len() * thread_counts.len());
-    let mut warmed = false;
-    for &threads in thread_counts {
-        for arm in Arm::ALL {
-            let config = ExecConfig::fixed_default()
-                .with_workers(threads)
-                .with_agg_partitions(arm.partitions(threads));
-            if !warmed {
-                run_subset(runner, &config).expect("warmup run");
-                warmed = true;
-            }
-            let (query_ticks, checksum) = run_subset(runner, &config).expect("agg-scaling run");
-            out.push(AggScalingPoint {
+/// Runs the query subset `rounds` times per `(worker count, arm)`
+/// combination, the combinations interleaved within each round, and keeps
+/// each query's median ticks. The first combination runs once extra as
+/// warmup so data is paged in before anything is timed.
+pub fn measure(runner: &Runner, thread_counts: &[usize], rounds: usize) -> Vec<AggScalingPoint> {
+    let combos: Vec<(usize, Arm)> = thread_counts
+        .iter()
+        .flat_map(|&t| Arm::ALL.map(|arm| (t, arm)))
+        .collect();
+    let config = |&(threads, arm): &(usize, Arm)| {
+        ExecConfig::fixed_default()
+            .with_workers(threads)
+            .with_agg_partitions(arm.partitions(threads))
+    };
+    if let Some(first) = combos.first() {
+        run_subset(runner, &config(first)).expect("warmup run");
+    }
+    let mut samples: Vec<Vec<Vec<u64>>> = vec![Vec::new(); combos.len()];
+    let mut checksums = vec![0.0; combos.len()];
+    for _ in 0..rounds.max(1) {
+        for (i, combo) in combos.iter().enumerate() {
+            let (ticks, checksum) = run_subset(runner, &config(combo)).expect("agg-scaling run");
+            samples[i].push(ticks);
+            checksums[i] = checksum;
+        }
+    }
+    let out: Vec<AggScalingPoint> = combos
+        .iter()
+        .zip(samples)
+        .zip(checksums)
+        .map(|((&(threads, arm), runs), checksum)| {
+            let query_ticks: Vec<u64> = (0..AGG_QUERIES.len())
+                .map(|q| {
+                    let mut t: Vec<u64> = runs.iter().map(|r| r[q]).collect();
+                    t.sort_unstable();
+                    t[t.len() / 2]
+                })
+                .collect();
+            AggScalingPoint {
                 threads,
                 arm,
                 ticks: query_ticks.iter().sum(),
                 query_ticks,
                 checksum,
-            });
-        }
-    }
+            }
+        })
+        .collect();
     // Hard cross-validation: a divergence between arms at bench scale must
     // fail the run (and CI), not just print a note — no correctness test
     // runs at these scale factors.
@@ -131,8 +159,8 @@ fn run_subset(
     Ok((ticks, checksum))
 }
 
-/// Renders the sweep with speedups relative to 1-worker single aggregation
-/// and each query's share of the subset's ticks.
+/// Renders the sweep: per point the summed per-query medians, the speedup
+/// against 1-worker single aggregation, and each query's median ticks.
 pub fn render(points: &[AggScalingPoint]) -> String {
     let names: Vec<String> = AGG_QUERIES.iter().map(|q| format!("Q{q}")).collect();
     let mut out = format!(
@@ -189,7 +217,7 @@ pub fn render(points: &[AggScalingPoint]) -> String {
 
 /// Runs the default sweep and renders it.
 pub fn agg_scaling(runner: &Runner) -> String {
-    render(&measure(runner, &DEFAULT_THREADS))
+    render(&measure(runner, &DEFAULT_THREADS, DEFAULT_ROUNDS))
 }
 
 #[cfg(test)]
@@ -200,7 +228,7 @@ mod tests {
     #[test]
     fn sweep_measures_and_validates() {
         let runner = make_runner(0.005, 0x5CA1E);
-        let points = measure(&runner, &[1, 2]);
+        let points = measure(&runner, &[1, 2], 1);
         assert_eq!(points.len(), 6);
         assert!(points.iter().all(|p| p.ticks > 0));
         assert!(points
