@@ -88,7 +88,8 @@ pub enum AnalysisError {
         hi: i128,
     },
     /// A `sum` aggregate's `i128` accumulator may exceed `i64` on output
-    /// narrowing — a checked runtime panic.
+    /// narrowing — a typed [`crate::ExecError::SumOverflow`] at run time.
+    /// It also keeps the aggregate from going two-phase.
     SumOverflow {
         /// Aggregation node label.
         context: String,
@@ -126,7 +127,7 @@ impl AnalysisError {
     ///
     /// Only [`AnalysisError::DivByZeroReachable`] is a hazard: integer
     /// wrap is this engine's *defined* (and deterministic) arithmetic,
-    /// sum-narrowing overflow is a checked panic with a clear message,
+    /// sum-narrowing overflow is a typed error naming the aggregate,
     /// and a contradiction merely yields an empty result. Making the
     /// conservative overflow bounds verification-fatal would reject
     /// benign plans whose worst-case row bound explodes through

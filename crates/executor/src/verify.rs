@@ -251,7 +251,7 @@ pub fn verify<'a>(
     verify_physical(&phys)?;
     // Planning interprets the plan abstractly anyway, so its findings
     // double as phase 3. Only *hazards* (reachable traps) fail
-    // verification; warnings (possible wraps, checked-panic sum bounds,
+    // verification; warnings (possible wraps, possibly overflowing sums,
     // contradictions) are reported by `crate::analyze::analyze` and the
     // `repro analyze` CLI instead — see `AnalysisError::is_hazard` for the
     // rationale.
