@@ -930,17 +930,14 @@ impl Lowering<'_> {
     }
 
     /// One [`HashAggregate`] of hash-aggregate node `node` over `source`,
-    /// grouping by `keys` with `aggs`, registered in `scope`: dense over
+    /// registered in `scope`, grouping by `keys` with `aggs` and dense over
     /// `dense` when it is non-empty, with the node's group bound against
     /// `input_rows` and a tracker carrying the node's instance bound.
-    #[allow(clippy::too_many_arguments)] // a partial and the combine differ in all of them
     fn agg_instance(
         &self,
         node: &PhysNode<'_>,
         source: BoxOp,
-        keys: Vec<usize>,
-        aggs: Vec<Agg>,
-        dense: &[KeyDomain],
+        (keys, aggs, dense): (Vec<usize>, Vec<Agg>, &[KeyDomain]),
         input_rows: usize,
         scope: &NodeScope,
     ) -> Result<BoxOp, ExecError> {
@@ -964,8 +961,8 @@ impl Lowering<'_> {
         };
         let feed = child(node, 0)?;
         let instance = |source: BoxOp, scope: &NodeScope| {
-            let (keys, aggs) = (keys.clone(), aggs.clone());
-            self.agg_instance(node, source, keys, aggs, &node.dense_keys, feed.rows, scope)
+            let spec = (keys.clone(), aggs.clone(), &node.dense_keys[..]);
+            self.agg_instance(node, source, spec, feed.rows, scope)
         };
         Ok(match exchange {
             Exchange::None => instance(self.build(feed)?, &self.scope(node))?,
@@ -993,9 +990,9 @@ impl Lowering<'_> {
                         ExecError::Plan("a two-phase aggregate without fragments".into())
                     })?
                     .then("/combine");
-                let (keys, aggs, dense) = combine_of(keys.len(), aggs, &node.dense_keys);
+                let spec = combine_of(keys.len(), aggs, &node.dense_keys);
                 let input_rows = node.rows.saturating_mul(*workers);
-                self.agg_instance(node, Box::new(union), keys, aggs, dense, input_rows, &scope)?
+                self.agg_instance(node, Box::new(union), spec, input_rows, &scope)?
             }
             Exchange::HashPartition {
                 partitions,
