@@ -219,17 +219,19 @@ fn fuzz_main(args: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// `repro analyze <query|all|"dsl"> [--budget BYTES]` — runs the
-/// abstract-interpretation pass over a plan and prints the derived
-/// per-node facts (row bounds, column intervals, NDV caps, distinctness
-/// proofs) plus any findings, followed by the memory/cost pass's proven
-/// peak-byte report. Exits nonzero when a finding is a *hazard* (a
-/// reachable runtime trap, the same class `verify` rejects) — or, when
-/// `--budget` is given explicitly, when any plan's proven peak exceeds
-/// it. Never returns.
-fn analyze_main(args: &[String]) -> ! {
+/// What `repro analyze` and `repro mem` parse: the target (a TPC-H query
+/// number, `all`, or a DSL string), `--sf`, `--budget` and, where the
+/// command takes it (`workers` is `Some` default), `--workers`. Returns
+/// the target, the generated data, the configuration to plan under and
+/// whether `--budget` was given.
+fn plan_args(
+    cmd: &str,
+    args: &[String],
+    workers: Option<usize>,
+) -> (String, ma_tpch::TpchData, ma_executor::ExecConfig, bool) {
     let mut target: Option<String> = None;
     let mut sf = 0.01f64;
+    let mut workers_arg = workers;
     let mut budget: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
@@ -241,6 +243,14 @@ fn analyze_main(args: &[String]) -> ! {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--sf needs a number"));
             }
+            "--workers" if workers.is_some() => {
+                i += 1;
+                workers_arg = Some(
+                    args.get(i)
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| usage("--workers needs an integer")),
+                );
+            }
             "--budget" => {
                 i += 1;
                 budget = Some(
@@ -251,187 +261,152 @@ fn analyze_main(args: &[String]) -> ! {
             }
             "--help" | "-h" => usage(""),
             other if target.is_none() => target = Some(other.to_string()),
-            _ => usage("analyze takes one query number, 'all', or a DSL string"),
+            _ => usage(&format!(
+                "{cmd} takes one query number, 'all', or a DSL string"
+            )),
         }
         i += 1;
     }
-    let target =
-        target.unwrap_or_else(|| usage("analyze needs a query number, 'all', or a DSL string"));
+    let target = target.unwrap_or_else(|| {
+        usage(&format!(
+            "{cmd} needs a query number, 'all', or a DSL string"
+        ))
+    });
     eprintln!("generating TPC-H data at SF {sf} ...");
     let db = ma_tpch::TpchData::generate(sf, 0xDBD1);
+    let mut cfg = ma_executor::ExecConfig::fixed_default();
+    if let Some(n) = workers_arg {
+        cfg = cfg.with_workers(n);
+    }
+    if let Some(b) = budget {
+        cfg = cfg.with_memory_budget(b);
+    }
+    (target, db, cfg, budget.is_some())
+}
+
+/// Calls `each` with the title and plan of every query `target` names:
+/// TPC-H query `N`, all 22 for `all`, or else the DSL string itself.
+/// Exits 1 on a plan that does not build.
+fn for_each_plan(
+    target: &str,
+    db: &ma_tpch::TpchData,
+    mut each: impl FnMut(&str, &ma_executor::LogicalPlan),
+) {
     let queries: Vec<usize> = if target == "all" {
         (1..=22).collect()
     } else if let Ok(q) = target.parse::<usize>() {
         vec![q]
     } else {
-        Vec::new()
+        let plan = ma_executor::frontend::plan_text(target, db).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
+        return each("query", &plan);
     };
-    let mut cfg = ma_executor::ExecConfig::fixed_default();
-    if let Some(b) = budget {
-        cfg = cfg.with_memory_budget(b);
+    let params = ma_tpch::Params::default();
+    for q in queries {
+        let plan = ma_tpch::queries::query_plan(q, db, &params)
+            .and_then(|pb| Ok(pb.build()?))
+            .unwrap_or_else(|e| {
+                eprintln!("Q{q}: {e}");
+                std::process::exit(1);
+            });
+        each(&format!("Q{q}"), &plan);
     }
-    let budget_is_gate = budget.is_some();
+}
+
+/// `repro analyze <query|all|"dsl"> [--sf F] [--budget BYTES]` — plans
+/// each query once and prints that plan with each node's derived facts
+/// (row bound, column intervals, NDV caps, distinctness proofs) and the
+/// proven bytes of its stages, then the planner's findings and the peak
+/// roll-up. Exits nonzero when a finding is a *hazard* (a reachable
+/// runtime trap, the same class `verify` rejects) — or, when `--budget`
+/// is given explicitly, when any plan's proven peak exceeds it. Never
+/// returns.
+fn analyze_main(args: &[String]) -> ! {
+    let (target, db, cfg, budget_is_gate) = plan_args("analyze", args, None);
     let mut hazards = 0usize;
-    let mut analyze_one = |title: &str, plan: &ma_executor::LogicalPlan| {
+    for_each_plan(&target, &db, |title, plan| {
+        let phys = ma_executor::plan_physical(plan, &cfg).unwrap_or_else(|e| {
+            eprintln!("{title}: {e}");
+            std::process::exit(1);
+        });
+        let cost = ma_executor::cost::report(&phys, cfg.memory_budget);
         println!("-- {title} --");
-        println!("{}", ma_executor::analyze::render(plan));
-        let a = ma_executor::analyze(plan);
-        if a.errors.is_empty() {
+        print!("{}", phys.render_analysis(&cost));
+        if phys.findings().is_empty() {
             println!("analysis clean: no findings");
-        } else {
-            for e in &a.errors {
-                let sev = if e.is_hazard() { "HAZARD" } else { "warning" };
-                println!("{sev}: {e}");
-            }
-            hazards += a.errors.iter().filter(|e| e.is_hazard()).count();
         }
-        let cost = ma_executor::cost(plan, &cfg);
-        print!("{}", ma_executor::cost::render(&cost));
-        println!();
+        for e in phys.findings() {
+            let sev = if e.is_hazard() { "HAZARD" } else { "warning" };
+            println!("{sev}: {e}");
+        }
+        hazards += phys.findings().iter().filter(|e| e.is_hazard()).count();
+        println!("{cost}");
         if budget_is_gate {
             hazards += cost.findings.len();
         }
-    };
-    if queries.is_empty() {
-        let plan = match ma_executor::frontend::plan_text(&target, &db) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        analyze_one("query", &plan);
-    } else {
-        let params = ma_tpch::Params::default();
-        for q in queries {
-            let pb = ma_tpch::queries::query_plan(q, &db, &params).unwrap_or_else(|e| {
-                eprintln!("Q{q}: {e}");
-                std::process::exit(1);
-            });
-            let plan = pb.build().unwrap_or_else(|e| {
-                eprintln!("Q{q}: {e}");
-                std::process::exit(1);
-            });
-            analyze_one(&format!("Q{q}"), &plan);
-        }
-    }
+    });
     std::process::exit(if hazards > 0 { 1 } else { 0 });
 }
 
 /// `repro mem <query|all|"dsl"> [--sf F] [--workers N] [--budget BYTES]`
-/// — the predicted-vs-actual memory sweep: prints the cost pass's proven
-/// per-stage byte bounds for each plan, executes it, and compares every
-/// tracked operator instance's recorded high-water resident bytes against
-/// the bound the planner registered for it. Exits nonzero if any actual
-/// exceeds its proven bound (a cost-model soundness bug). Never returns.
+/// — the predicted-vs-actual memory sweep: plans each query, executes
+/// that plan, and prints it with the proven bytes of each node's stages
+/// and, under the same node, every tracked operator instance's recorded
+/// high-water resident bytes against the bound the planner registered for
+/// it. Exits nonzero if any actual exceeds its proven bound (a cost-model
+/// soundness bug). Never returns.
 fn mem_main(args: &[String]) -> ! {
-    let mut target: Option<String> = None;
-    let mut sf = 0.01f64;
-    let mut workers = 2usize;
-    let mut budget: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sf" => {
-                i += 1;
-                sf = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--sf needs a number"));
-            }
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs an integer"));
-            }
-            "--budget" => {
-                i += 1;
-                budget = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--budget needs a byte count")),
-                );
-            }
-            "--help" | "-h" => usage(""),
-            other if target.is_none() => target = Some(other.to_string()),
-            _ => usage("mem takes one query number, 'all', or a DSL string"),
-        }
-        i += 1;
-    }
-    let target =
-        target.unwrap_or_else(|| usage("mem needs a query number, 'all', or a DSL string"));
-    eprintln!("generating TPC-H data at SF {sf} ...");
-    let db = ma_tpch::TpchData::generate(sf, 0xDBD1);
-    let queries: Vec<usize> = if target == "all" {
-        (1..=22).collect()
-    } else if let Ok(q) = target.parse::<usize>() {
-        vec![q]
-    } else {
-        Vec::new()
-    };
-    let mut cfg = ma_executor::ExecConfig::fixed_default().with_workers(workers);
-    if let Some(b) = budget {
-        cfg = cfg.with_memory_budget(b);
-    }
+    use ma_executor::cost::fmt_bytes;
+    let (target, db, cfg, _) = plan_args("mem", args, Some(2));
     let dict = std::sync::Arc::new(ma_primitives::build_dictionary());
     let mut violations = 0usize;
-    let mut mem_one = |title: &str, plan: &ma_executor::LogicalPlan| {
-        println!("-- {title} --");
-        let report = ma_executor::cost(plan, &cfg);
-        print!("{}", ma_executor::cost::render(&report));
+    for_each_plan(&target, &db, |title, plan| {
         let ctx = ma_executor::QueryContext::new(std::sync::Arc::clone(&dict), cfg.clone());
-        let store = ma_executor::lower(plan, &ctx)
-            .and_then(|mut op| ma_executor::ops::materialize(op.as_mut()))
-            .unwrap_or_else(|e| {
-                eprintln!("{title}: execution error: {e}");
-                std::process::exit(1);
+        let executed = ma_executor::verify(plan, &cfg)
+            .map_err(ma_executor::ExecError::from)
+            .and_then(|phys| {
+                let store = ma_executor::instantiate(&phys, &ctx)
+                    .and_then(|mut op| ma_executor::ops::materialize(op.as_mut()))?;
+                Ok((phys, store.rows()))
             });
-        println!("  executed: {} result rows", store.rows());
+        let (phys, rows) = executed.unwrap_or_else(|e| {
+            eprintln!("{title}: execution error: {e}");
+            std::process::exit(1);
+        });
+        let cost = ma_executor::cost::report(&phys, cfg.memory_budget);
         let reports = ctx.mem_reports();
+        println!("-- {title} --");
+        print!(
+            "{}",
+            phys.render(&|node| {
+                let stages = cost.stages(node.id).map(ToString::to_string);
+                let tracked = reports.iter().filter(|r| r.key.node == node.id).map(|r| {
+                    let ok = if r.high_water <= r.bound {
+                        "ok"
+                    } else {
+                        "EXCEEDED"
+                    };
+                    format!(
+                        "n{} {}: bound {} actual {} {ok}",
+                        node.id.0,
+                        r.label,
+                        fmt_bytes(r.bound),
+                        fmt_bytes(r.high_water)
+                    )
+                });
+                stages.chain(tracked).collect()
+            })
+        );
+        print!("{cost}");
+        println!("  executed: {rows} result rows");
         if reports.is_empty() {
             println!("  (no tracked operator instances in this plan)");
         }
-        for r in &reports {
-            let ok = r.high_water <= r.bound;
-            if !ok {
-                violations += 1;
-            }
-            println!(
-                "  {:>4} {:<28} bound {:>12}  actual {:>12}  {}",
-                format!("n{}", r.key.node.0),
-                r.label,
-                ma_executor::cost::fmt_bytes(r.bound),
-                ma_executor::cost::fmt_bytes(r.high_water),
-                if ok { "ok" } else { "EXCEEDED" },
-            );
-        }
+        violations += reports.iter().filter(|r| r.high_water > r.bound).count();
         println!();
-    };
-    if queries.is_empty() {
-        let plan = match ma_executor::frontend::plan_text(&target, &db) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-        mem_one("query", &plan);
-    } else {
-        let params = ma_tpch::Params::default();
-        for q in queries {
-            let pb = ma_tpch::queries::query_plan(q, &db, &params).unwrap_or_else(|e| {
-                eprintln!("Q{q}: {e}");
-                std::process::exit(1);
-            });
-            let plan = pb.build().unwrap_or_else(|e| {
-                eprintln!("Q{q}: {e}");
-                std::process::exit(1);
-            });
-            mem_one(&format!("Q{q}"), &plan);
-        }
-    }
+    });
     if violations > 0 {
         eprintln!("FAIL: {violations} operator instance(s) exceeded their proven byte bound");
         std::process::exit(1);

@@ -462,16 +462,17 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         inputs[n] = node_facts(child, errs);
         n += 1;
     }
-    transfer(plan, &mut inputs[..n], errs)
+    let [a, b] = &inputs;
+    transfer(plan, &[a, b][..n], errs)
 }
 
 /// The transfer function of one node: its output facts from its
-/// children's (`inputs`, in [`LogicalPlan::children`] order, consumed).
-/// The physical planner calls it once per node in its own bottom-up pass
-/// and keeps the row bound every later decision reads.
+/// children's (`inputs`, in [`LogicalPlan::children`] order). The
+/// physical planner calls it once per node in its own bottom-up pass and
+/// keeps every node's facts on the plan it makes.
 pub(crate) fn transfer(
     plan: &LogicalPlan,
-    inputs: &mut [Facts],
+    inputs: &[&Facts],
     errs: &mut Vec<AnalysisError>,
 ) -> Facts {
     TRANSFERS.with(|c| c.set(c.get() + 1));
@@ -539,7 +540,7 @@ pub(crate) fn transfer(
         LogicalPlan::Filter {
             input, pred, label, ..
         } => {
-            let mut facts = std::mem::take(&mut inputs[0]);
+            let mut facts = inputs[0].clone();
             let schema = input.schema();
             let newly_empty = narrow_pred(pred, &mut facts.cols);
             if let Some(col) = newly_empty {
@@ -556,7 +557,7 @@ pub(crate) fn transfer(
         }
 
         LogicalPlan::Project { items, label, .. } => {
-            let in_facts = &inputs[0];
+            let in_facts = inputs[0];
             let cols = items
                 .iter()
                 .map(|item| match item {
@@ -578,7 +579,7 @@ pub(crate) fn transfer(
         LogicalPlan::HashAgg {
             keys, aggs, label, ..
         } => {
-            let in_facts = &inputs[0];
+            let in_facts = inputs[0];
             let rows = group_bound_from(in_facts, keys);
             let mut cols: Vec<ColFact> = keys
                 .iter()
@@ -598,7 +599,7 @@ pub(crate) fn transfer(
         }
 
         LogicalPlan::StreamAgg { aggs, label, .. } => {
-            let in_facts = &inputs[0];
+            let in_facts = inputs[0];
             let cols = aggs
                 .iter()
                 .map(|agg| agg_fact(agg, in_facts, /*grouped=*/ false, label, errs))
@@ -616,8 +617,8 @@ pub(crate) fn transfer(
             defaults,
             ..
         } => {
-            let mut build_f = std::mem::take(&mut inputs[0]);
-            let mut probe_f = std::mem::take(&mut inputs[1]);
+            let mut build_f = inputs[0].clone();
+            let mut probe_f = inputs[1].clone();
             let build_distinct = build_keys
                 .iter()
                 .any(|&k| build_f.cols.get(k).is_some_and(|c| c.distinct));
@@ -695,8 +696,8 @@ pub(crate) fn transfer(
             payload,
             ..
         } => {
-            let mut left_f = std::mem::take(&mut inputs[0]);
-            let mut right_f = std::mem::take(&mut inputs[1]);
+            let mut left_f = inputs[0].clone();
+            let mut right_f = inputs[1].clone();
             let left_distinct = left_f.cols[*left_key].distinct;
             let inter = left_f.cols[*left_key]
                 .domain
@@ -731,7 +732,7 @@ pub(crate) fn transfer(
 
         LogicalPlan::Sort { limit, .. } => {
             // The sort's row store rebuilds every vector.
-            let mut facts = std::mem::take(&mut inputs[0]).without_codes();
+            let mut facts = inputs[0].clone().without_codes();
             if let Some(n) = limit {
                 facts.rows = facts.rows.min(*n);
             }
@@ -1376,59 +1377,6 @@ fn agg_fact(
             }
         }
     }
-}
-
-// --- rendering -------------------------------------------------------------
-
-/// Renders the plan tree with each node's derived row bound and column
-/// facts — the `repro analyze` output.
-pub fn render(plan: &LogicalPlan) -> String {
-    render_node(plan, 0, &mut Vec::new()).1
-}
-
-/// One bottom-up step per node: the children's facts and text first, then
-/// this node's [`transfer`] over those facts — once — and its own lines
-/// in front of the children's.
-fn render_node(plan: &LogicalPlan, depth: usize, errs: &mut Vec<AnalysisError>) -> (Facts, String) {
-    use std::fmt::Write;
-    let mut inputs = [Facts::default(), Facts::default()];
-    let mut below = String::new();
-    let mut n = 0;
-    for child in plan.children() {
-        let (facts, text) = render_node(child, depth + 1, errs);
-        inputs[n] = facts;
-        n += 1;
-        below.push_str(&text);
-    }
-    let facts = transfer(plan, &mut inputs[..n], errs);
-    let mut out = String::new();
-    let pad = "  ".repeat(depth);
-    let name = match plan {
-        LogicalPlan::Scan { table, .. } => format!("Scan {}", table.name()),
-        LogicalPlan::Filter { label, .. } => format!("Filter \"{label}\""),
-        LogicalPlan::Project { label, .. } => format!("Project \"{label}\""),
-        LogicalPlan::HashAgg { label, .. } => format!("HashAgg \"{label}\""),
-        LogicalPlan::StreamAgg { label, .. } => format!("StreamAgg \"{label}\""),
-        LogicalPlan::HashJoin { label, kind, .. } => format!("HashJoin {kind:?} \"{label}\""),
-        LogicalPlan::MergeJoin { label, .. } => format!("MergeJoin \"{label}\""),
-        LogicalPlan::Sort { limit, .. } => match limit {
-            Some(n) => format!("Sort limit={n}"),
-            None => "Sort".to_string(),
-        },
-    };
-    let _ = writeln!(out, "{pad}{name}  rows\u{2264}{}", facts.rows);
-    for (field, fact) in plan.schema().fields().iter().zip(&facts.cols) {
-        let _ = writeln!(
-            out,
-            "{pad}  \u{00b7} {}: {} ndv\u{2264}{}{}",
-            field.name,
-            fact.domain,
-            fact.ndv,
-            if fact.distinct { " distinct" } else { "" }
-        );
-    }
-    out.push_str(&below);
-    (facts, out)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use ma_vector::{Column, DataType, EncColumn, Schema, Table};
 use crate::config::ExecConfig;
 use crate::expr::{Agg, AggFunc, NumType};
 use crate::ops::{combine_of, dense_slots, key_row_width, KeyDomain};
-use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
+use crate::plan::{plan_physical, Exchange, LogicalPlan, NodeId, PhysNode, PhysicalPlan};
 
 /// Saturation ceiling for quantities derived from saturated row bounds
 /// (large enough to dwarf any real budget, small enough that downstream
@@ -61,6 +61,9 @@ const SAT: u64 = u64::MAX >> 8;
 /// Proven bounds for one physical operator stage.
 #[derive(Debug, Clone)]
 pub struct OpCost {
+    /// The plan node the stage belongs to: its operator, or the exchange
+    /// feeding it.
+    pub node: NodeId,
     /// Display label (or a synthesized name for label-less nodes).
     pub label: String,
     /// Operator kind, e.g. `"hash-agg"` or `"exchange"`.
@@ -135,6 +138,50 @@ pub struct CostReport {
     pub findings: Vec<CostFinding>,
 }
 
+impl std::fmt::Display for OpCost {
+    /// The stage's kind and proven bytes: per instance × instances = total.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} \u{d7} {} = {}",
+            self.kind,
+            fmt_bytes(self.per_instance_bytes),
+            self.instances,
+            fmt_bytes(self.bytes)
+        )
+    }
+}
+
+impl CostReport {
+    /// The stages of node `node` that hold bytes, in report order
+    /// (streaming filters and projections hold none).
+    pub fn stages(&self, node: NodeId) -> impl Iterator<Item = &OpCost> {
+        self.ops
+            .iter()
+            .filter(move |o| o.node == node && o.bytes > 0)
+    }
+}
+
+impl std::fmt::Display for CostReport {
+    /// The roll-up line and the findings; the per-stage bytes print under
+    /// their nodes ([`PhysicalPlan::render_analysis`]).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "peak bytes (proven): {}   work bound: {}",
+            fmt_bytes(self.peak_bytes),
+            self.total_work
+        )?;
+        if self.findings.is_empty() {
+            writeln!(f, "  findings: none")?;
+        }
+        for fdg in &self.findings {
+            writeln!(f, "  finding: {fdg}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Runs the memory/cost pass over a logical plan under `cfg`: plans it
 /// physically and prices every stage of that plan.
 ///
@@ -148,7 +195,7 @@ pub fn cost(plan: &LogicalPlan, cfg: &ExecConfig) -> CostReport {
 }
 
 /// Prices an already-planned query against `budget`.
-pub(crate) fn report(plan: &PhysicalPlan<'_>, budget: u64) -> CostReport {
+pub fn report(plan: &PhysicalPlan<'_>, budget: u64) -> CostReport {
     let mut ops = Vec::new();
     for node in plan.nodes() {
         price(node, &mut ops);
@@ -174,38 +221,6 @@ pub(crate) fn report(plan: &PhysicalPlan<'_>, budget: u64) -> CostReport {
         total_work,
         findings,
     }
-}
-
-/// Renders a report as an aligned table (the `repro mem` / `repro
-/// analyze` view).
-pub fn render(report: &CostReport) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "peak bytes (proven): {}   work bound: {}",
-        fmt_bytes(report.peak_bytes),
-        report.total_work
-    );
-    for o in &report.ops {
-        let _ = writeln!(
-            out,
-            "  {:<11} {:<28} x{:<2} {:>12}/inst {:>12} total",
-            o.kind,
-            o.label,
-            o.instances,
-            fmt_bytes(o.per_instance_bytes),
-            fmt_bytes(o.bytes),
-        );
-    }
-    if report.findings.is_empty() {
-        let _ = writeln!(out, "  findings: none");
-    } else {
-        for fdg in &report.findings {
-            let _ = writeln!(out, "  finding: {fdg}");
-        }
-    }
-    out
 }
 
 /// Human-readable byte count (binary units, one decimal).
@@ -554,6 +569,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     if let Some((label, streamed)) = exchange_stage {
         push(
             ops,
+            node.id,
             &label,
             "exchange",
             node.exchange.producers(),
@@ -591,6 +607,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     };
     push(
         ops,
+        node.id,
         label,
         kind,
         node.instances(),
@@ -607,6 +624,7 @@ fn join_work(build: u64, probe: u64) -> u64 {
 
 fn push(
     ops: &mut Vec<OpCost>,
+    node: NodeId,
     label: &str,
     kind: &'static str,
     instances: usize,
@@ -615,6 +633,7 @@ fn push(
 ) {
     let bytes = per_instance_bytes.saturating_mul(instances as u64);
     ops.push(OpCost {
+        node,
         label: label.to_string(),
         kind,
         instances,
@@ -754,7 +773,7 @@ mod tests {
             .findings
             .iter()
             .any(|f| matches!(f, CostFinding::OpBudgetExceeded { .. })));
-        let rendered = render(&report);
+        let rendered = report.to_string();
         assert!(rendered.contains("finding:"), "{rendered}");
     }
 

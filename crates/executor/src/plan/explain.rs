@@ -17,12 +17,19 @@
 //! shard, so their scans stay `(ordered)`. A scan right under a Filter
 //! shows its zone-map `guards=[..]` and the `zone_preds=[..]`, the
 //! Filter conjuncts it evaluates itself.
+//!
+//! Both views are one walk. [`PhysicalPlan::render`] is that walk with
+//! caller-supplied lines under each node's own line: `repro analyze`
+//! prints each node's facts and priced stages there
+//! ([`PhysicalPlan::render_analysis`]), `repro mem` its stages and memory
+//! trackers.
 
 use std::fmt;
 
 use ma_vector::Schema;
 
 use crate::config::ExecConfig;
+use crate::cost::CostReport;
 use crate::expr::{Agg, CmpKind, CmpRhs, Expr, Pred, Value};
 use crate::ops::{JoinKind, KeyDomain, ProjItem, ZoneGuard, ZonePred};
 use crate::plan::lower::zone_conjuncts;
@@ -30,7 +37,11 @@ use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self, None, 0, None, "shardable")
+        let mut w = Walk {
+            out: f,
+            note: &|_| Vec::new(),
+        };
+        fmt_node(&mut w, self, None, 0, None, "shardable", &[])
     }
 }
 
@@ -47,7 +58,7 @@ pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
 
 impl fmt::Display for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_node(f, self.root.logical, Some(&self.root), 0, None, "shardable")
+        fmt_physical(f, self, &|_| Vec::new())
     }
 }
 
@@ -56,6 +67,46 @@ impl fmt::Debug for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self}")
     }
+}
+
+impl PhysicalPlan<'_> {
+    /// The plan as [`fmt::Display`] renders it, with the lines `note`
+    /// returns for each node printed under that node's own line, one
+    /// indentation step in and marked `·`. `Display` is this walk with no
+    /// notes.
+    pub fn render(&self, note: &dyn Fn(&PhysNode<'_>) -> Vec<String>) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = fmt_physical(&mut out, self, note);
+        out
+    }
+
+    /// The `repro analyze` view: under each node its id and proven row
+    /// bound, the bytes `report` prices each of its stages at (per
+    /// instance × instances), and each output column's domain, NDV bound
+    /// and distinctness.
+    pub fn render_analysis(&self, report: &CostReport) -> String {
+        self.render(&|node| {
+            let mut lines = vec![format!("n{} rows\u{2264}{}", node.id.0, node.rows)];
+            lines.extend(report.stages(node.id).map(ToString::to_string));
+            let fields = node.logical.schema().fields();
+            lines.extend(fields.iter().zip(&node.cols).map(|(field, fact)| {
+                let distinct = if fact.distinct { " distinct" } else { "" };
+                format!(
+                    "{}: {} ndv\u{2264}{}{distinct}",
+                    field.name, fact.domain, fact.ndv
+                )
+            }));
+            lines
+        })
+    }
+}
+
+/// The one plan printer: a logical plan's structural view, or a physical
+/// plan's with each node's `note` lines under its own line.
+struct Walk<'w, 'n> {
+    out: &'w mut dyn fmt::Write,
+    note: &'n dyn Fn(&PhysNode<'_>) -> Vec<String>,
 }
 
 /// A zone guard as the comparison it stands for: `lo <= col <= hi`, with
@@ -77,11 +128,28 @@ fn render_key_domain(d: &KeyDomain, key: &str) -> String {
     }
 }
 
+/// Renders `plan` into `out` with each node's `note` lines.
+fn fmt_physical(
+    out: &mut dyn fmt::Write,
+    plan: &PhysicalPlan<'_>,
+    note: &dyn Fn(&PhysNode<'_>) -> Vec<String>,
+) -> fmt::Result {
+    fmt_node(
+        &mut Walk { out, note },
+        plan.root.logical,
+        Some(&plan.root),
+        0,
+        None,
+        "shardable",
+        &[],
+    )
+}
+
 /// Renders the line of scan `plan` after its indentation; with `phys`
 /// (the node implementing it) its zone-map guards too, and `owned`, the
 /// zone conjuncts it takes from the Filter above it.
 fn fmt_scan(
-    f: &mut fmt::Formatter<'_>,
+    f: &mut dyn fmt::Write,
     plan: &LogicalPlan,
     phys: Option<&PhysNode<'_>>,
     scan_mode: &'static str,
@@ -128,17 +196,19 @@ fn fmt_scan(
 }
 
 /// Renders `plan` and its subtree; with `phys` (the node implementing
-/// `plan`) the physical annotations too. `scan_mode` is what a scan
-/// reached from here shows: `shardable` until a merge join makes its
-/// streaming inputs `ordered` (sorts, aggregates and join builds reset
-/// it).
+/// `plan`) the physical annotations too, and the node's notes under its
+/// line. `scan_mode` is what a scan reached from here shows: `shardable`
+/// until a merge join makes its streaming inputs `ordered` (sorts,
+/// aggregates and join builds reset it). `owned` are the zone conjuncts
+/// a scan takes from the physical Filter above it.
 fn fmt_node(
-    f: &mut fmt::Formatter<'_>,
+    w: &mut Walk<'_, '_>,
     plan: &LogicalPlan,
     phys: Option<&PhysNode<'_>>,
     indent: usize,
     tag: Option<&str>,
     scan_mode: &'static str,
+    owned: &[ZonePred],
 ) -> fmt::Result {
     // How the planner parallelized an aggregate or join.
     let verdict = match phys.map(|p| (&p.exchange, p.two_phase())) {
@@ -151,13 +221,20 @@ fn fmt_node(
             n => format!("(in fragment \u{d7}{n}, shared build) "),
         },
     };
-    let child = |i: usize| phys.and_then(|p| p.children.get(i));
+    let f = &mut *w.out;
     write!(f, "{:indent$}", "", indent = indent * 2)?;
     if let Some(t) = tag {
         write!(f, "{t}: ")?;
     }
-    match plan {
-        LogicalPlan::Scan { .. } => fmt_scan(f, plan, phys, scan_mode, &[]),
+    // The inputs to render beneath, each with its tag and scan mode,
+    // and the zone conjuncts a scan right beneath a physical Filter
+    // owns.
+    let mut owned_below = Vec::new();
+    let inputs: Vec<(&LogicalPlan, Option<&str>, &'static str)> = match plan {
+        LogicalPlan::Scan { .. } => {
+            fmt_scan(f, plan, phys, scan_mode, owned)?;
+            Vec::new()
+        }
         LogicalPlan::Filter {
             input,
             pred,
@@ -169,15 +246,10 @@ fn fmt_node(
                 "Filter {} -> {schema}",
                 render_pred(pred, input.schema())
             )?;
-            // A physical scan right beneath owns the zone conjuncts.
-            match (phys, &**input) {
-                (Some(_), LogicalPlan::Scan { schema, .. }) => {
-                    write!(f, "{:indent$}", "", indent = (indent + 1) * 2)?;
-                    let (owned, _) = zone_conjuncts(pred, &schema.types());
-                    fmt_scan(f, input, child(0), scan_mode, &owned)
-                }
-                _ => fmt_node(f, input, child(0), indent + 1, None, scan_mode),
+            if let (Some(_), LogicalPlan::Scan { schema, .. }) = (phys, &**input) {
+                owned_below = zone_conjuncts(pred, &schema.types()).0;
             }
+            vec![(input, None, scan_mode)]
         }
         LogicalPlan::Project {
             input,
@@ -201,7 +273,7 @@ fn fmt_node(
                 })
                 .collect();
             writeln!(f, "Project [{}] -> {schema}", parts.join(", "))?;
-            fmt_node(f, input, child(0), indent + 1, None, scan_mode)
+            vec![(input, None, scan_mode)]
         }
         LogicalPlan::HashAgg {
             input,
@@ -230,7 +302,7 @@ fn fmt_node(
                 "aggs=[{}] -> {schema}",
                 render_aggs(aggs, keys.len(), input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            vec![(input, None, "shardable")]
         }
         LogicalPlan::StreamAgg {
             input,
@@ -243,7 +315,7 @@ fn fmt_node(
                 "StreamAgg [{}] -> {schema}",
                 render_aggs(aggs, 0, input.schema(), schema)
             )?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            vec![(input, None, "shardable")]
         }
         LogicalPlan::HashJoin {
             build,
@@ -286,8 +358,10 @@ fn fmt_node(
             }
             writeln!(f, " -> {schema}")?;
             // Build materializes (resets order); probe streams (inherits).
-            fmt_node(f, build, child(0), indent + 1, Some("build"), "shardable")?;
-            fmt_node(f, probe, child(1), indent + 1, Some("probe"), scan_mode)
+            vec![
+                (build, Some("build"), "shardable"),
+                (probe, Some("probe"), scan_mode),
+            ]
         }
         LogicalPlan::MergeJoin {
             left,
@@ -314,8 +388,10 @@ fn fmt_node(
             writeln!(f, " -> {schema}")?;
             // Order-sensitive: both inputs stream in key order until an
             // order-resetting node below takes over.
-            fmt_node(f, left, child(0), indent + 1, Some("left"), "ordered")?;
-            fmt_node(f, right, child(1), indent + 1, Some("right"), "ordered")
+            vec![
+                (left, Some("left"), "ordered"),
+                (right, Some("right"), "ordered"),
+            ]
         }
         LogicalPlan::Sort {
             input,
@@ -338,9 +414,19 @@ fn fmt_node(
                 write!(f, " limit={l}")?;
             }
             writeln!(f, " -> {schema}")?;
-            fmt_node(f, input, child(0), indent + 1, None, "shardable")
+            vec![(input, None, "shardable")]
+        }
+    };
+    if let Some(p) = phys {
+        for line in (w.note)(p) {
+            writeln!(w.out, "{:pad$}\u{b7} {line}", "", pad = (indent + 1) * 2)?;
         }
     }
+    for (i, (input, tag, mode)) in inputs.into_iter().enumerate() {
+        let child = phys.and_then(|p| p.children.get(i));
+        fmt_node(w, input, child, indent + 1, tag, mode, &owned_below)?;
+    }
+    Ok(())
 }
 
 fn render_aggs(aggs: &[Agg], key_count: usize, input: &Schema, out: &Schema) -> String {
@@ -585,6 +671,59 @@ Sort [s asc] -> (s:str, count:i64, sum_y:f64)
         cfg.agg_partitions = 4;
         let text = super::explain_physical(&plan, &cfg);
         assert!(text.contains("HashAgg (partitioned \u{d7}4)"), "{text}");
+    }
+
+    #[test]
+    fn notes_land_under_their_own_node() {
+        use crate::config::ExecConfig;
+        use crate::expr::{CmpKind, Value};
+        use crate::plan::plan_physical;
+        // A join probing in the worker fragments of a sharded scan, under
+        // a two-phase aggregate: 4 groups × 2 fragments × 2 ≤ 1024 rows.
+        let mut k = ColumnBuilder::with_capacity(DataType::I32, 1024);
+        (0..1024).for_each(|i| k.push_i32(i % 4));
+        let big = Arc::new(Table::new("big", vec![("k".into(), k.finish())]).unwrap());
+        let mut c = catalog();
+        c.insert("big".to_string(), big);
+        let plan = PlanBuilder::scan(&c, "big", &["k"])
+            .filter(NamedPred::cmp_val("k", CmpKind::Ge, Value::I32(1)), "sel")
+            .hash_join(
+                PlanBuilder::scan(&c, "d", &["k as dk", "x as dx"]),
+                &[("k", "dk")],
+                &["dx"],
+                JoinKind::Inner,
+                false,
+                "j",
+            )
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        let mut cfg = ExecConfig::fixed_default().with_workers(2);
+        cfg.vector_size = 16;
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let bare = phys.to_string();
+        assert!(bare.contains("HashAgg (two-phase \u{d7}2)"), "{bare}");
+        assert!(
+            bare.contains("HashJoin (in fragment \u{d7}2, shared build)"),
+            "{bare}"
+        );
+        assert_eq!(phys.render(&|_| Vec::new()), bare);
+
+        // Every node line is followed by its own note, one step in, in
+        // pre-order; without the notes the text is `Display`'s.
+        let text = phys.render(&|node| vec![format!("id={}", node.id.0)]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 * phys.nodes().len(), "{text}");
+        for (id, pair) in lines.chunks(2).enumerate() {
+            let pad = pair[0].len() - pair[0].trim_start().len();
+            assert_eq!(
+                pair[1],
+                format!("{:w$}\u{b7} id={id}", "", w = pad + 2),
+                "{text}"
+            );
+        }
+        let kept: Vec<&str> = lines.iter().step_by(2).copied().collect();
+        assert_eq!(kept.join("\n") + "\n", bare);
     }
 
     #[test]

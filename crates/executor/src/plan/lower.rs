@@ -68,7 +68,7 @@ use std::sync::Arc;
 use ma_vector::{DataType, MorselQueue, Table, VECTORS_PER_MORSEL};
 
 use crate::adaptive::NodeScope;
-use crate::analyze::{AbsDomain, AnalysisError, Facts};
+use crate::analyze::{AbsDomain, AnalysisError, ColFact, Facts};
 use crate::config::{DecodeMode, ExecConfig};
 use crate::cost::Width;
 use crate::expr::{Agg, CmpRhs, Pred, TypeError};
@@ -204,6 +204,10 @@ pub struct PhysNode<'a> {
     /// aggregate this is its group bound; a hash join reads its build
     /// child's as the build-table reservation hint.
     pub rows: usize,
+    /// The abstract interpreter's facts about each output column, aligned
+    /// with the node's schema: with [`PhysNode::rows`], the node's
+    /// [`Facts`], kept as the planner derived them.
+    pub cols: Vec<ColFact>,
     /// Proven peak resident bytes of **one** operator instance (0 for
     /// streaming filters and projections).
     pub instance_bytes: u64,
@@ -262,11 +266,21 @@ impl<'a> PhysicalPlan<'a> {
             next_id: 0,
             findings: Vec::new(),
         };
-        let root = planner.plan(plan, Feed::Free)?.node;
+        let Planned {
+            node: mut root,
+            facts,
+        } = planner.plan(plan, Feed::Free)?;
+        root.cols = facts.cols;
         Ok(PhysicalPlan {
             root,
             findings: planner.findings,
         })
+    }
+
+    /// What the abstract interpreter found while planning: the same
+    /// findings, in the same order, as [`crate::analyze()`].
+    pub fn findings(&self) -> &[AnalysisError] {
+        &self.findings
     }
 
     /// Every node, in pre-order ([`NodeId`] order for a planner-made plan).
@@ -312,7 +326,8 @@ enum Feed {
     Inline,
 }
 
-/// A planned subtree plus the facts its parent's bottom-up step consumes.
+/// A planned subtree plus the facts its parent's bottom-up step reads
+/// before they move onto the subtree's root.
 struct Planned<'a> {
     node: PhysNode<'a>,
     facts: Facts,
@@ -430,7 +445,12 @@ impl Planner<'_> {
             _ => Vec::new(),
         };
         let before = self.findings.len();
-        let facts = crate::analyze::transfer(plan, &mut facts[..n], &mut self.findings);
+        let [a, b] = &facts;
+        let out = crate::analyze::transfer(plan, &[a, b][..n], &mut self.findings);
+        for (child, input) in children.iter_mut().zip(facts) {
+            child.cols = input.cols;
+        }
+        let facts = out;
         // Whether the analyzer proved every `sum_i64` of this node fits
         // its `i64` output.
         let sums_fit = !self.findings[before..]
@@ -502,6 +522,7 @@ impl Planner<'_> {
                 1
             },
             rows: facts.rows,
+            cols: Vec::new(),
             instance_bytes,
             guards: Vec::new(),
             dense_keys,

@@ -393,19 +393,30 @@ fn lowering_plans_each_query_once() {
     }
 }
 
-/// `analyze::render` (the `repro analyze` output) interprets each logical
-/// node exactly once too: rendering used to re-interpret every node's
-/// whole subtree, O(nodes × depth).
+/// `repro analyze` plans each query once and prints that plan: planning,
+/// pricing and the annotated rendering together interpret each logical
+/// node exactly once, and the findings they print are `analyze`'s.
 #[test]
-fn rendering_the_analysis_runs_the_analyzer_once_per_node() {
+fn planning_and_the_annotated_rendering_run_the_analyzer_once_per_node() {
+    let cfg = ExecConfig::fixed_default();
     for q in 1..=22 {
         let plan = query_plan(q, db(), &Params::default())
             .and_then(|pb| Ok(pb.build()?))
             .unwrap_or_else(|e| panic!("Q{q}: {e}"));
         let before = ma_executor::analyze::transfer_count();
-        ma_executor::analyze::render(&plan);
+        let phys = plan_physical(&plan, &cfg).unwrap();
+        let report = ma_executor::cost::report(&phys, cfg.memory_budget);
+        let text = phys.render_analysis(&report);
         let transfers = ma_executor::analyze::transfer_count() - before;
         assert_eq!(transfers, node_count(&plan), "Q{q}");
+        assert_eq!(
+            phys.findings(),
+            &ma_executor::analyze(&plan).errors[..],
+            "Q{q}"
+        );
+        // One `n<id> rows≤` line per node.
+        let ids = text.lines().filter(|l| l.contains(" rows\u{2264}")).count();
+        assert_eq!(ids as u64, node_count(&plan), "Q{q}: {text}");
     }
 }
 
