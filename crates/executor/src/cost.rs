@@ -70,6 +70,7 @@ pub struct OpCost {
     pub kind: &'static str,
     /// Parallel instances the planner will lower: its partitions, or a
     /// two-phase aggregate's partials (one per fragment) plus its combine.
+    /// An exchange is one: its bound covers every route.
     pub instances: usize,
     /// Peak resident bytes proven for **one** instance.
     pub per_instance_bytes: u64,
@@ -559,7 +560,8 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         other => other.label().unwrap_or("sort"),
     };
     // An exchange stage holds `buffered_chunks` chunks of at most
-    // `chunk_bytes` each; it is listed once per producer feeding it.
+    // `chunk_bytes` each. That count covers every producer's route, and
+    // the exchange has one tracker, so the stage is one instance.
     let exchange_stage = match node.exchange {
         Exchange::None => None,
         // the aggregate's routed input
@@ -572,7 +574,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
             node.id,
             &label,
             "exchange",
-            node.exchange.producers(),
+            1,
             node.exchange
                 .buffered_chunks()
                 .saturating_mul(node.exchange.chunk_bytes()),
@@ -813,10 +815,12 @@ mod tests {
                 .collect()
         };
         // Probing in the fragments: the chain's one Parallel, one table.
+        // The exchange's buffered chunks already count each producer's
+        // route, so it is one instance like its one tracker.
         let auto = ExecConfig::default().with_workers(4);
         assert_eq!(
             stages(&auto),
-            [("scan-shard/exchange".to_string(), 4), ("j".to_string(), 1)]
+            [("scan-shard/exchange".to_string(), 1), ("j".to_string(), 1)]
         );
     }
 

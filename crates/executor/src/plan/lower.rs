@@ -146,15 +146,6 @@ impl Exchange {
         }
     }
 
-    /// The producer threads feeding the exchange.
-    pub fn producers(&self) -> usize {
-        match self {
-            Exchange::None => 0,
-            Exchange::Parallel { workers: n, .. }
-            | Exchange::HashPartition { producers: n, .. } => *n,
-        }
-    }
-
     /// Chunks the exchange's channels can hold at once: every route (one
     /// per producer and consumer partition) and every partition's slot in
     /// the consumer union buffers `CHANNEL_DEPTH_PER_WORKER` messages

@@ -75,8 +75,9 @@ fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut Tally) {
 /// Translation validation of one plan under one configuration.
 ///
 /// *Cost prices exactly what the IR says:* `cost` lists, per node in
-/// pre-order, the node's exchange stage (if any) priced as
-/// `buffered_chunks × chunk_bytes`, then the operator stage with the
+/// pre-order, the node's exchange stage (if any) priced once as
+/// `buffered_chunks × chunk_bytes`, which already counts every
+/// producer's route, then the operator stage with the
 /// node's instance count and per-instance bytes. *Instantiate builds
 /// exactly what the IR says:* the multiset of `(node, exchange?, bound)`
 /// trackers `lower` registers equals the tracked nodes of the physical
@@ -110,8 +111,8 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
             let chunk = node.exchange.chunk_bytes();
             let op = ops.next().expect("an exchange stage");
             assert_eq!(
-                (op.kind, op.per_instance_bytes),
-                ("exchange", node.exchange.buffered_chunks() * chunk),
+                (op.kind, op.instances, op.per_instance_bytes),
+                ("exchange", 1, node.exchange.buffered_chunks() * chunk),
                 "Q{q}: cost of the exchange of {:?}",
                 node.id
             );
