@@ -462,8 +462,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
         inputs[n] = node_facts(child, errs);
         n += 1;
     }
-    let [a, b] = &inputs;
-    transfer(plan, &[a, b][..n], errs)
+    transfer(plan, &inputs[..n], errs)
 }
 
 /// The transfer function of one node: its output facts from its
@@ -472,7 +471,7 @@ fn node_facts(plan: &LogicalPlan, errs: &mut Vec<AnalysisError>) -> Facts {
 /// keeps every node's facts on the plan it makes.
 pub(crate) fn transfer(
     plan: &LogicalPlan,
-    inputs: &[&Facts],
+    inputs: &[Facts],
     errs: &mut Vec<AnalysisError>,
 ) -> Facts {
     TRANSFERS.with(|c| c.set(c.get() + 1));
@@ -557,7 +556,7 @@ pub(crate) fn transfer(
         }
 
         LogicalPlan::Project { items, label, .. } => {
-            let in_facts = inputs[0];
+            let in_facts = &inputs[0];
             let cols = items
                 .iter()
                 .map(|item| match item {
@@ -579,7 +578,7 @@ pub(crate) fn transfer(
         LogicalPlan::HashAgg {
             keys, aggs, label, ..
         } => {
-            let in_facts = inputs[0];
+            let in_facts = &inputs[0];
             let rows = group_bound_from(in_facts, keys);
             let mut cols: Vec<ColFact> = keys
                 .iter()
@@ -599,7 +598,7 @@ pub(crate) fn transfer(
         }
 
         LogicalPlan::StreamAgg { aggs, label, .. } => {
-            let in_facts = inputs[0];
+            let in_facts = &inputs[0];
             let cols = aggs
                 .iter()
                 .map(|agg| agg_fact(agg, in_facts, /*grouped=*/ false, label, errs))

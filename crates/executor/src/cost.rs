@@ -142,14 +142,8 @@ pub struct CostReport {
 impl std::fmt::Display for OpCost {
     /// The stage's kind and proven bytes: per instance × instances = total.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} {} \u{d7} {} = {}",
-            self.kind,
-            fmt_bytes(self.per_instance_bytes),
-            self.instances,
-            fmt_bytes(self.bytes)
-        )
+        let (per, total) = (fmt_bytes(self.per_instance_bytes), fmt_bytes(self.bytes));
+        write!(f, "{} {per} \u{d7} {} = {total}", self.kind, self.instances)
     }
 }
 
@@ -167,12 +161,8 @@ impl std::fmt::Display for CostReport {
     /// The roll-up line and the findings; the per-stage bytes print under
     /// their nodes ([`PhysicalPlan::render_analysis`]).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "peak bytes (proven): {}   work bound: {}",
-            fmt_bytes(self.peak_bytes),
-            self.total_work
-        )?;
+        let (peak, work) = (fmt_bytes(self.peak_bytes), self.total_work);
+        writeln!(f, "peak bytes (proven): {peak}   work bound: {work}")?;
         if self.findings.is_empty() {
             writeln!(f, "  findings: none")?;
         }
@@ -559,6 +549,18 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         LogicalPlan::Scan { table, .. } => table.name(),
         other => other.label().unwrap_or("sort"),
     };
+    let mut push = |label: String, kind, instances: usize, per_instance_bytes: u64, work| {
+        let bytes = per_instance_bytes.saturating_mul(instances as u64);
+        ops.push(OpCost {
+            node: node.id,
+            label,
+            kind,
+            instances,
+            per_instance_bytes,
+            bytes,
+            work,
+        });
+    };
     // An exchange stage holds `buffered_chunks` chunks of at most
     // `chunk_bytes` each. That count covers every producer's route, and
     // the exchange has one tracker, so the stage is one instance.
@@ -569,15 +571,13 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         Exchange::Parallel { .. } => Some(("scan-shard/exchange".to_string(), emitted)),
     };
     if let Some((label, streamed)) = exchange_stage {
+        let chunks = node.exchange.buffered_chunks();
+        let bytes = chunks.saturating_mul(node.exchange.chunk_bytes());
         push(
-            ops,
-            node.id,
-            &label,
+            label,
             "exchange",
             1,
-            node.exchange
-                .buffered_chunks()
-                .saturating_mul(node.exchange.chunk_bytes()),
+            bytes,
             streamed.saturating_mul(W_EXCHANGE),
         );
     }
@@ -608,9 +608,7 @@ fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
         }
     };
     push(
-        ops,
-        node.id,
-        label,
+        label.to_string(),
         kind,
         node.instances(),
         node.instance_bytes,
@@ -622,27 +620,6 @@ fn join_work(build: u64, probe: u64) -> u64 {
     build
         .saturating_mul(W_JOIN_BUILD)
         .saturating_add(probe.saturating_mul(W_JOIN_PROBE))
-}
-
-fn push(
-    ops: &mut Vec<OpCost>,
-    node: NodeId,
-    label: &str,
-    kind: &'static str,
-    instances: usize,
-    per_instance_bytes: u64,
-    work: u64,
-) {
-    let bytes = per_instance_bytes.saturating_mul(instances as u64);
-    ops.push(OpCost {
-        node,
-        label: label.to_string(),
-        kind,
-        instances,
-        per_instance_bytes,
-        bytes,
-        work,
-    });
 }
 
 #[cfg(test)]

@@ -37,11 +37,8 @@ use crate::plan::{plan_physical, Exchange, LogicalPlan, PhysNode, PhysicalPlan};
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut w = Walk {
-            out: f,
-            note: &|_| Vec::new(),
-        };
-        fmt_node(&mut w, self, None, 0, None, "shardable", &[])
+        let w = &mut Walk(f, &|_| Vec::new());
+        fmt_node(w, self, None, 0, None, "shardable", &[])
     }
 }
 
@@ -58,7 +55,7 @@ pub fn explain_physical(plan: &LogicalPlan, config: &ExecConfig) -> String {
 
 impl fmt::Display for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_physical(f, self, &|_| Vec::new())
+        f.write_str(&self.render(&|_| Vec::new()))
     }
 }
 
@@ -74,10 +71,11 @@ impl PhysicalPlan<'_> {
     /// returns for each node printed under that node's own line, one
     /// indentation step in and marked `·`. `Display` is this walk with no
     /// notes.
-    pub fn render(&self, note: &dyn Fn(&PhysNode<'_>) -> Vec<String>) -> String {
-        let mut out = String::new();
+    pub fn render(&self, note: Note<'_>) -> String {
+        let (mut out, root) = (String::new(), &self.root);
+        let w = &mut Walk(&mut out, note);
         // Writing into a `String` cannot fail.
-        let _ = fmt_physical(&mut out, self, note);
+        let _ = fmt_node(w, root.logical, Some(root), 0, None, "shardable", &[]);
         out
     }
 
@@ -102,12 +100,12 @@ impl PhysicalPlan<'_> {
     }
 }
 
-/// The one plan printer: a logical plan's structural view, or a physical
-/// plan's with each node's `note` lines under its own line.
-struct Walk<'w, 'n> {
-    out: &'w mut dyn fmt::Write,
-    note: &'n dyn Fn(&PhysNode<'_>) -> Vec<String>,
-}
+/// The lines a rendering prints under each physical node's own line.
+type Note<'n> = &'n dyn Fn(&PhysNode<'_>) -> Vec<String>;
+
+/// The one plan printer's output and its notes (none for a logical
+/// plan's structural view).
+struct Walk<'w, 'n>(&'w mut dyn fmt::Write, Note<'n>);
 
 /// A zone guard as the comparison it stands for: `lo <= col <= hi`, with
 /// an unbounded side left out and `col = v` for a point.
@@ -126,23 +124,6 @@ fn render_key_domain(d: &KeyDomain, key: &str) -> String {
         KeyDomain::Int { lo, hi } => format!("{lo} <= {key} <= {hi}"),
         KeyDomain::Dict(d) => format!("{key}: {} codes", d.views.len()),
     }
-}
-
-/// Renders `plan` into `out` with each node's `note` lines.
-fn fmt_physical(
-    out: &mut dyn fmt::Write,
-    plan: &PhysicalPlan<'_>,
-    note: &dyn Fn(&PhysNode<'_>) -> Vec<String>,
-) -> fmt::Result {
-    fmt_node(
-        &mut Walk { out, note },
-        plan.root.logical,
-        Some(&plan.root),
-        0,
-        None,
-        "shardable",
-        &[],
-    )
 }
 
 /// Renders the line of scan `plan` after its indentation; with `phys`
@@ -221,14 +202,13 @@ fn fmt_node(
             n => format!("(in fragment \u{d7}{n}, shared build) "),
         },
     };
-    let f = &mut *w.out;
+    let f = &mut *w.0;
     write!(f, "{:indent$}", "", indent = indent * 2)?;
     if let Some(t) = tag {
         write!(f, "{t}: ")?;
     }
-    // The inputs to render beneath, each with its tag and scan mode,
-    // and the zone conjuncts a scan right beneath a physical Filter
-    // owns.
+    // The inputs beneath, with their tags and scan modes, and the zone
+    // conjuncts a scan right beneath a physical Filter owns.
     let mut owned_below = Vec::new();
     let inputs: Vec<(&LogicalPlan, Option<&str>, &'static str)> = match plan {
         LogicalPlan::Scan { .. } => {
@@ -418,8 +398,8 @@ fn fmt_node(
         }
     };
     if let Some(p) = phys {
-        for line in (w.note)(p) {
-            writeln!(w.out, "{:pad$}\u{b7} {line}", "", pad = (indent + 1) * 2)?;
+        for line in (w.1)(p) {
+            writeln!(w.0, "{:pad$}\u{b7} {line}", "", pad = (indent + 1) * 2)?;
         }
     }
     for (i, (input, tag, mode)) in inputs.into_iter().enumerate() {

@@ -436,8 +436,7 @@ impl Planner<'_> {
             _ => Vec::new(),
         };
         let before = self.findings.len();
-        let [a, b] = &facts;
-        let out = crate::analyze::transfer(plan, &[a, b][..n], &mut self.findings);
+        let out = crate::analyze::transfer(plan, &facts[..n], &mut self.findings);
         for (child, input) in children.iter_mut().zip(facts) {
             child.cols = input.cols;
         }
