@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
 //! # ma-bench — the reproduction harness
 //!
-//! One experiment per table/figure of the paper, shared by the `repro`
-//! binary and the Criterion benches. See DESIGN.md §4 for the experiment
-//! index and EXPERIMENTS.md for recorded paper-vs-measured results.
+//! One experiment per table/figure of the paper, run by the `repro`
+//! binary. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md
+//! for recorded paper-vs-measured results.
 
 pub mod experiments;
 pub mod measure;
