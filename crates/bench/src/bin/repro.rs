@@ -9,7 +9,7 @@
 //!
 //! experiments: table1 fig1 fig2 fig4 fig5 fig6 table4 fig8 fig10 table5
 //!              tables6-10 table11 fig11 ablation scaling agg-scaling
-//!              join-scaling
+//!              compress
 //! ```
 //!
 //! `query` runs one DSL pipeline (see DESIGN.md §10) against freshly
@@ -26,6 +26,7 @@
 //! trajectory (`BENCH_<pr>.json`) is written from `perf/`, not from here.
 
 use ma_bench::experiments::{make_runner, run_experiment, ALL_EXPERIMENTS};
+use ma_executor::config::DEFAULT_MEMORY_BUDGET;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -223,12 +224,12 @@ fn fuzz_main(args: &[String]) -> ! {
 /// number, `all`, or a DSL string), `--sf`, `--budget` and, where the
 /// command takes it (`workers` is `Some` default), `--workers`. Returns
 /// the target, the generated data, the configuration to plan under and
-/// whether `--budget` was given.
+/// the `--budget`, if given.
 fn plan_args(
     cmd: &str,
     args: &[String],
     workers: Option<usize>,
-) -> (String, ma_tpch::TpchData, ma_executor::ExecConfig, bool) {
+) -> (String, ma_tpch::TpchData, ma_executor::ExecConfig, Option<u64>) {
     let mut target: Option<String> = None;
     let mut sf = 0.01f64;
     let mut workers_arg = workers;
@@ -278,10 +279,7 @@ fn plan_args(
     if let Some(n) = workers_arg {
         cfg = cfg.with_workers(n);
     }
-    if let Some(b) = budget {
-        cfg = cfg.with_memory_budget(b);
-    }
-    (target, db, cfg, budget.is_some())
+    (target, db, cfg, budget)
 }
 
 /// Calls `each` with the title and plan of every query `target` names:
@@ -324,14 +322,14 @@ fn for_each_plan(
 /// is given explicitly, when any plan's proven peak exceeds it. Never
 /// returns.
 fn analyze_main(args: &[String]) -> ! {
-    let (target, db, cfg, budget_is_gate) = plan_args("analyze", args, None);
+    let (target, db, cfg, budget) = plan_args("analyze", args, None);
     let mut hazards = 0usize;
     for_each_plan(&target, &db, |title, plan| {
         let phys = ma_executor::plan_physical(plan, &cfg).unwrap_or_else(|e| {
             eprintln!("{title}: {e}");
             std::process::exit(1);
         });
-        let cost = ma_executor::cost::report(&phys, cfg.memory_budget);
+        let cost = ma_executor::cost::report(&phys, budget.unwrap_or(DEFAULT_MEMORY_BUDGET));
         println!("-- {title} --");
         print!("{}", phys.render_analysis(&cost));
         if phys.findings().is_empty() {
@@ -343,7 +341,7 @@ fn analyze_main(args: &[String]) -> ! {
         }
         hazards += phys.findings().iter().filter(|e| e.is_hazard()).count();
         println!("{cost}");
-        if budget_is_gate {
+        if budget.is_some() {
             hazards += cost.findings.len();
         }
     });
@@ -359,7 +357,7 @@ fn analyze_main(args: &[String]) -> ! {
 /// soundness bug). Never returns.
 fn mem_main(args: &[String]) -> ! {
     use ma_executor::cost::fmt_bytes;
-    let (target, db, cfg, _) = plan_args("mem", args, Some(2));
+    let (target, db, cfg, budget) = plan_args("mem", args, Some(2));
     let dict = std::sync::Arc::new(ma_primitives::build_dictionary());
     let mut violations = 0usize;
     for_each_plan(&target, &db, |title, plan| {
@@ -375,7 +373,7 @@ fn mem_main(args: &[String]) -> ! {
             eprintln!("{title}: execution error: {e}");
             std::process::exit(1);
         });
-        let cost = ma_executor::cost::report(&phys, cfg.memory_budget);
+        let cost = ma_executor::cost::report(&phys, budget.unwrap_or(DEFAULT_MEMORY_BUDGET));
         let reports = ctx.mem_reports();
         println!("-- {title} --");
         print!(

@@ -90,10 +90,10 @@ pub const DEFAULT_REWARD_CLAMP: f64 = 8.0;
 /// buys nothing and costs routing.
 pub const DEFAULT_AGG_MIN_PARTITION_GROUPS: usize = 32 * 1024;
 
-/// Default per-query memory budget (1 GiB) the static cost pass checks the
-/// proven peak-byte roll-up against. Exceeding it is a warning finding by
-/// default and a [`crate::verify::VerifyError::MemoryBudget`] rejection
-/// when [`ExecConfig::strict_memory`] is set.
+/// Default per-query memory budget (1 GiB) [`crate::cost()`] checks the
+/// proven peak-byte roll-up against. Exceeding it is a finding, never a
+/// rejection: `repro analyze --budget` and `repro mem --budget` price a
+/// plan against another budget and gate their exit codes on it.
 pub const DEFAULT_MEMORY_BUDGET: u64 = 1 << 30;
 
 /// Full engine configuration.
@@ -127,14 +127,6 @@ pub struct ExecConfig {
     /// above the threshold the cost model sizes the partition count to
     /// the bound rather than fanning out to every worker.
     pub agg_min_partition_groups: usize,
-    /// Per-query memory budget in bytes for the static cost pass
-    /// (`ma_executor::cost`): a proven peak-byte roll-up above this is a
-    /// warning finding, or a `verify()` rejection under
-    /// [`ExecConfig::strict_memory`].
-    pub memory_budget: u64,
-    /// When set, `verify()` rejects plans whose proven peak-byte bound
-    /// exceeds [`ExecConfig::memory_budget`] instead of merely warning.
-    pub strict_memory: bool,
     /// How scans decode compressed columns: flavored primitives (the
     /// adaptive default) or the reference path (differential baseline).
     pub decode: DecodeMode,
@@ -149,8 +141,6 @@ impl Default for ExecConfig {
             worker_threads: 1,
             agg_partitions: 0,
             agg_min_partition_groups: DEFAULT_AGG_MIN_PARTITION_GROUPS,
-            memory_budget: DEFAULT_MEMORY_BUDGET,
-            strict_memory: false,
             decode: DecodeMode::default(),
         }
     }
@@ -224,19 +214,6 @@ impl ExecConfig {
         self
     }
 
-    /// Returns a copy with the per-query memory budget (bytes).
-    pub fn with_memory_budget(mut self, bytes: u64) -> Self {
-        self.memory_budget = bytes;
-        self
-    }
-
-    /// Returns a copy with strict memory mode on or off (strict mode turns
-    /// budget-exceeded findings into `verify()` rejections).
-    pub fn with_strict_memory(mut self, strict: bool) -> Self {
-        self.strict_memory = strict;
-        self
-    }
-
     /// Returns a copy with the scan decode path set (primitive flavors vs
     /// the reference implementation).
     pub fn with_decode(mut self, mode: DecodeMode) -> Self {
@@ -305,14 +282,5 @@ mod tests {
             c.with_decode(DecodeMode::Reference).decode,
             DecodeMode::Reference
         );
-    }
-
-    #[test]
-    fn memory_budget_knobs() {
-        let c = ExecConfig::default();
-        assert_eq!(c.memory_budget, DEFAULT_MEMORY_BUDGET);
-        assert!(!c.strict_memory);
-        assert_eq!(c.clone().with_memory_budget(4096).memory_budget, 4096);
-        assert!(c.with_strict_memory(true).strict_memory);
     }
 }

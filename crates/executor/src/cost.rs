@@ -37,14 +37,15 @@
 //! sound without liveness reasoning. The fuzzer's byte-accounting oracle
 //! re-checks `actual ≤ bound` on every execution (`crate::fuzz`).
 //!
-//! Findings compare the roll-up against [`crate::ExecConfig::memory_budget`]:
-//! warnings by default, a [`crate::verify::VerifyError::MemoryBudget`]
-//! rejection under `strict_memory`.
+//! Findings compare the roll-up and each stage against a budget —
+//! [`DEFAULT_MEMORY_BUDGET`] for [`cost()`], the caller's for [`report`].
+//! They are reports, never rejections: `repro analyze` and `repro mem`
+//! print them and gate their exit codes on an explicit `--budget`.
 
 use ma_primitives::BloomFilter;
 use ma_vector::{Column, DataType, EncColumn, Schema, Table};
 
-use crate::config::ExecConfig;
+use crate::config::{ExecConfig, DEFAULT_MEMORY_BUDGET};
 use crate::expr::{Agg, AggFunc, NumType};
 use crate::ops::{combine_of, dense_slots, key_row_width, KeyDomain};
 use crate::plan::{plan_physical, Exchange, LogicalPlan, NodeId, PhysNode, PhysicalPlan};
@@ -89,7 +90,7 @@ pub enum CostFinding {
     BudgetExceeded {
         /// Proven peak bytes for the query.
         peak_bytes: u64,
-        /// The configured [`ExecConfig::memory_budget`].
+        /// The budget priced against.
         budget: u64,
     },
     /// A single operator stage alone exceeds the configured budget.
@@ -98,7 +99,7 @@ pub enum CostFinding {
         label: String,
         /// The stage's proven bytes.
         bytes: u64,
-        /// The configured [`ExecConfig::memory_budget`].
+        /// The budget priced against.
         budget: u64,
     },
 }
@@ -174,7 +175,8 @@ impl std::fmt::Display for CostReport {
 }
 
 /// Runs the memory/cost pass over a logical plan under `cfg`: plans it
-/// physically and prices every stage of that plan.
+/// physically and prices every stage of that plan against
+/// [`DEFAULT_MEMORY_BUDGET`].
 ///
 /// # Panics
 ///
@@ -182,7 +184,7 @@ impl std::fmt::Display for CostReport {
 /// rejects, as [`crate::verify()`] does.
 pub fn cost(plan: &LogicalPlan, cfg: &ExecConfig) -> CostReport {
     let phys = plan_physical(plan, cfg).expect("cost() takes a verified plan");
-    report(&phys, cfg.memory_budget)
+    report(&phys, DEFAULT_MEMORY_BUDGET)
 }
 
 /// Prices an already-planned query against `budget`.
@@ -540,10 +542,11 @@ fn tuples(rows: usize) -> u64 {
 fn price(node: &PhysNode<'_>, ops: &mut Vec<OpCost>) {
     let rows_in = |i: usize| node.children.get(i).map_or(0, |c| tuples(c.rows));
     // A two-phase aggregate's partials each emit up to its group bound.
-    let emitted = if node.two_phase() {
-        tuples(node.rows).saturating_mul(node.fragments as u64)
-    } else {
-        tuples(node.rows)
+    let emitted = match node.exchange {
+        Exchange::Parallel { workers, .. } if node.two_phase() => {
+            tuples(node.rows).saturating_mul(workers.get() as u64)
+        }
+        _ => tuples(node.rows),
     };
     let label = match node.logical {
         LogicalPlan::Scan { table, .. } => table.name(),
@@ -742,8 +745,7 @@ mod tests {
     fn tiny_budget_yields_typed_findings() {
         let cat = catalog(1000);
         let plan = agg_plan(&cat);
-        let cfg = ExecConfig::default().with_memory_budget(16);
-        let report = cost(&plan, &cfg);
+        let report = report(&plan_physical(&plan, &ExecConfig::default()).unwrap(), 16);
         assert!(report
             .findings
             .iter()

@@ -25,6 +25,7 @@
 //! `tests/parallel_determinism.rs` verifies. No exchange restores an
 //! order: an ordered pipeline (a merge-join input) runs serially.
 
+use std::num::NonZeroUsize;
 use std::sync::mpsc::SyncSender;
 
 use ma_vector::{DataChunk, DataType, SelVec, Vector};
@@ -209,8 +210,8 @@ pub struct Parallel {
 impl Parallel {
     /// Builds `workers` fragments via `factory` (all on the calling
     /// thread). Workers start lazily on the first [`Operator::next`] call.
-    pub fn new(workers: usize, factory: &FragmentFactory<'_>) -> Result<Self, ExecError> {
-        let n = workers.max(1);
+    pub fn new(workers: NonZeroUsize, factory: &FragmentFactory<'_>) -> Result<Self, ExecError> {
+        let n = workers.get();
         let ops: Vec<BoxOp> = (0..n).map(|w| factory(w, n)).collect::<Result<_, _>>()?;
         let types = same_out_types(&ops, "parallel fragment")?;
         Ok(Parallel {
@@ -544,7 +545,7 @@ impl HashPartitionExchange {
     pub fn new(
         producers: Vec<BoxOp>,
         key_cols: Vec<usize>,
-        partitions: usize,
+        partitions: NonZeroUsize,
         consumer: &ConsumerFactory<'_>,
     ) -> Result<Self, ExecError> {
         if key_cols.is_empty() {
@@ -574,7 +575,7 @@ impl HashPartitionExchange {
                 Some(_) => {}
             }
         }
-        let nparts = partitions.max(1);
+        let nparts = partitions.get();
         let mut part_txs = Vec::with_capacity(nparts);
         let mut consumers = Vec::with_capacity(nparts);
         for p in 0..nparts {
@@ -692,6 +693,10 @@ mod tests {
     use ma_vector::{ColumnBuilder, MorselQueue, Table, VECTOR_SIZE};
     use std::sync::Arc;
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     fn table(n: usize) -> Arc<Table> {
         let mut a = ColumnBuilder::with_capacity(DataType::I64, n);
         for i in 0..n {
@@ -713,7 +718,7 @@ mod tests {
                 Arc::clone(&queue),
             )?))
         };
-        let mut par = Parallel::new(4, &factory).unwrap();
+        let mut par = Parallel::new(nz(4), &factory).unwrap();
         assert_eq!(par.out_types(), &[DataType::I64]);
         let chunks = collect(&mut par).unwrap();
         assert_eq!(total_rows(&chunks), rows);
@@ -738,7 +743,7 @@ mod tests {
                 Arc::clone(&queue),
             )?))
         };
-        let mut par = Parallel::new(1, &factory).unwrap();
+        let mut par = Parallel::new(nz(1), &factory).unwrap();
         let got = collect(&mut par).unwrap();
         let mut plain = Scan::new(t, &["a"], 1024).unwrap();
         let want = collect(&mut plain).unwrap();
@@ -758,7 +763,7 @@ mod tests {
                 Ok(Box::new(Scan::new(Arc::clone(&t), &["a"], 16)?))
             }
         };
-        assert!(Parallel::new(4, &factory).is_err());
+        assert!(Parallel::new(nz(4), &factory).is_err());
     }
 
     #[test]
@@ -773,7 +778,7 @@ mod tests {
                 Arc::clone(&queue),
             )?))
         };
-        let mut par = Parallel::new(4, &factory).unwrap();
+        let mut par = Parallel::new(nz(4), &factory).unwrap();
         let first = par.next().unwrap();
         assert!(first.is_some());
         drop(par); // workers blocked on a full channel must unblock
@@ -843,7 +848,7 @@ mod tests {
                 done: false,
             }))
         };
-        let mut ex = HashPartitionExchange::new(producers, vec![0], partitions, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(partitions), &consumer).unwrap();
         let chunks = collect(&mut ex).unwrap();
         let mut out: Vec<(i64, i64, i64)> = chunks
             .iter()
@@ -889,9 +894,9 @@ mod tests {
         let mk =
             || -> Vec<BoxOp> { vec![Box::new(Scan::new(Arc::clone(&t), &["a"], 16).unwrap())] };
         let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
-        assert!(HashPartitionExchange::new(mk(), vec![], 2, &consumer).is_err());
-        assert!(HashPartitionExchange::new(mk(), vec![3], 2, &consumer).is_err());
-        assert!(HashPartitionExchange::new(Vec::new(), vec![0], 2, &consumer).is_err());
+        assert!(HashPartitionExchange::new(mk(), vec![], nz(2), &consumer).is_err());
+        assert!(HashPartitionExchange::new(mk(), vec![3], nz(2), &consumer).is_err());
+        assert!(HashPartitionExchange::new(Vec::new(), vec![0], nz(2), &consumer).is_err());
     }
 
     /// An f64 partition key is a *typed* construction-time error
@@ -907,7 +912,7 @@ mod tests {
         let t = Arc::new(Table::new("tf", vec![("f".into(), f.finish())]).unwrap());
         let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
         let producers = vec![Box::new(Scan::new(t, &["f"], 16).unwrap()) as BoxOp];
-        match HashPartitionExchange::new(producers, vec![0], 2, &consumer) {
+        match HashPartitionExchange::new(producers, vec![0], nz(2), &consumer) {
             Err(ExecError::Plan(msg)) => {
                 assert!(msg.contains("hashable key"), "unexpected message: {msg}");
                 assert!(msg.contains("f64"), "unexpected message: {msg}");
@@ -924,7 +929,7 @@ mod tests {
         let producers = morsel_producers(&t, 2);
         // Pass-through consumers so chunks stream (not block) to the union.
         let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
-        let mut ex = HashPartitionExchange::new(producers, vec![0], 2, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(2), &consumer).unwrap();
         assert!(ex.next().unwrap().is_some());
         drop(ex); // blocked producers/consumers must unblock
     }
@@ -959,7 +964,7 @@ mod tests {
                 }))
             }
         };
-        let mut ex = HashPartitionExchange::new(producers, vec![0], 4, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(4), &consumer).unwrap();
         let chunks = collect(&mut ex).unwrap();
         let mut got: Vec<(i64, i64, i64)> = chunks
             .iter()
@@ -1000,7 +1005,7 @@ mod tests {
             let budget = if w == 0 { 2 } else { usize::MAX };
             Ok(Box::new(FailAfter(budget, vec![DataType::I64])))
         };
-        let mut par = Parallel::new(3, &factory).unwrap();
+        let mut par = Parallel::new(nz(3), &factory).unwrap();
         let err = loop {
             match par.next() {
                 Ok(Some(_)) => continue,
@@ -1084,7 +1089,7 @@ mod tests {
                 let k = if w == 1 { k } else { 0 };
                 Ok(Box::new(PanicAt::new(k, boom, &live)))
             };
-            let mut par = Parallel::new(3, &factory).unwrap();
+            let mut par = Parallel::new(nz(3), &factory).unwrap();
             let err = first_error(&mut par);
             assert!(
                 matches!(&err, ExecError::Worker { message, .. } if message == want),
@@ -1105,7 +1110,7 @@ mod tests {
             })
             .collect();
         let consumer = |source: BoxOp, _p: usize| Ok(source);
-        let mut ex = HashPartitionExchange::new(producers, vec![0], 3, &consumer).unwrap();
+        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(3), &consumer).unwrap();
         let err = first_error(&mut ex);
         assert!(
             matches!(&err, ExecError::Worker { message, .. } if message == "producer"),
@@ -1141,7 +1146,7 @@ mod tests {
     fn parallel_over(fragments: Vec<BoxOp>) -> Parallel {
         let n = fragments.len();
         let fragments = std::sync::Mutex::new(fragments);
-        Parallel::new(n, &|_, _| Ok(fragments.lock().unwrap().pop().unwrap())).unwrap()
+        Parallel::new(nz(n), &|_, _| Ok(fragments.lock().unwrap().pop().unwrap())).unwrap()
     }
 
     fn test_ctx() -> crate::QueryContext {
@@ -1206,7 +1211,7 @@ mod tests {
         let shared = SharedBuild::new(failing(), vec![0], vec![], false).unwrap();
         let producers = probers(&shared, &t, 4, &ctx);
         let consumer = |src: BoxOp, _p: usize| -> Result<BoxOp, ExecError> { Ok(src) };
-        let mut ex = HashPartitionExchange::new(producers, vec![0], 2, &consumer)
+        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(2), &consumer)
             .unwrap()
             .after_builds(vec![shared]);
         assert_reports_once(&mut ex);

@@ -987,7 +987,7 @@ mod tests {
             let prober = shared.prober(probe, vec![0], kind, defaults.clone(), &c.scope("s"))?;
             Ok(Box::new(prober))
         };
-        let mut par = Parallel::new(n, &factory)
+        let mut par = Parallel::new(std::num::NonZeroUsize::new(n).unwrap(), &factory)
             .unwrap()
             .after_builds(vec![shared]);
         let chunks = collect(&mut par).unwrap();

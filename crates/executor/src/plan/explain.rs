@@ -25,6 +25,7 @@
 //! trackers.
 
 use std::fmt;
+use std::num::NonZeroUsize;
 
 use ma_vector::Schema;
 
@@ -75,7 +76,7 @@ impl PhysicalPlan<'_> {
         let (mut out, root) = (String::new(), &self.root);
         let w = &mut Walk(&mut out, note);
         // Writing into a `String` cannot fail.
-        let _ = fmt_node(w, root.logical, Some(root), 0, None, "shardable", &[]);
+        let _ = fmt_node(w, root.logical, Some((root, None)), 0, None, "shardable", &[]);
         out
     }
 
@@ -177,27 +178,30 @@ fn fmt_scan(
 }
 
 /// Renders `plan` and its subtree; with `phys` (the node implementing
-/// `plan`) the physical annotations too, and the node's notes under its
-/// line. `scan_mode` is what a scan reached from here shows: `shardable`
+/// `plan`, and the sharded chain its parent places it in) the physical
+/// annotations too, and the node's notes under its line. `scan_mode` is what a scan reached from here shows: `shardable`
 /// until a merge join makes its streaming inputs `ordered` (sorts,
 /// aggregates and join builds reset it). `owned` are the zone conjuncts
 /// a scan takes from the physical Filter above it.
 fn fmt_node(
     w: &mut Walk<'_, '_>,
     plan: &LogicalPlan,
-    phys: Option<&PhysNode<'_>>,
+    phys: Option<(&PhysNode<'_>, Option<NonZeroUsize>)>,
     indent: usize,
     tag: Option<&str>,
     scan_mode: &'static str,
     owned: &[ZonePred],
 ) -> fmt::Result {
+    let chains = phys.map(|(p, within)| p.chains(within));
+    let fragments = chains.and_then(|(own, _)| own).map_or(1, NonZeroUsize::get);
+    let phys = phys.map(|(p, _)| p);
     // How the planner parallelized an aggregate or join.
     let verdict = match phys.map(|p| (&p.exchange, p.two_phase())) {
         Some((Exchange::HashPartition { partitions, .. }, _)) => {
             format!("(partitioned \u{d7}{partitions}) ")
         }
-        Some((_, true)) => format!("(two-phase \u{d7}{}) ", phys.map_or(1, |p| p.fragments)),
-        _ => match phys.map_or(1, |p| p.fragments) {
+        Some((_, true)) => format!("(two-phase \u{d7}{fragments}) "),
+        _ => match fragments {
             1 => String::new(),
             n => format!("(in fragment \u{d7}{n}, shared build) "),
         },
@@ -403,7 +407,7 @@ fn fmt_node(
         }
     }
     for (i, (input, tag, mode)) in inputs.into_iter().enumerate() {
-        let child = phys.and_then(|p| p.children.get(i));
+        let child = phys.and_then(|p| Some((p.children.get(i)?, chains?.1[i])));
         fmt_node(w, input, child, indent + 1, tag, mode, &owned_below)?;
     }
     Ok(())

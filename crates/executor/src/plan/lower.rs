@@ -63,6 +63,7 @@
 //! query and checks the plan it made, and [`instantiate`] builds that very
 //! plan. A `lower` therefore rejects exactly what `verify` rejects.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use ma_vector::{DataType, MorselQueue, Table, VECTORS_PER_MORSEL};
@@ -113,7 +114,7 @@ pub enum Exchange {
     /// two-phase: a partial in each fragment, one combine over the union.
     Parallel {
         /// Worker fragment count.
-        workers: usize,
+        workers: NonZeroUsize,
         /// Byte bound of one output chunk of the chain.
         chunk_bytes: u64,
     },
@@ -123,12 +124,12 @@ pub enum Exchange {
     /// order.
     HashPartition {
         /// Consumer instance count.
-        partitions: usize,
+        partitions: NonZeroUsize,
         /// Producer threads draining the input into the exchange. `1` is
         /// the input's own pipeline; `n ≥ 2` means the input tops a scan
         /// chain compiled into `n` morsel fragments that route directly
         /// (no exchange of its own).
-        producers: usize,
+        producers: NonZeroUsize,
         /// Byte bound of the widest chunk crossing the exchange: an input
         /// chunk or a consumer's output chunk.
         chunk_bytes: u64,
@@ -152,14 +153,15 @@ impl Exchange {
     /// plus one in flight, each of up to `CHUNKS_PER_MESSAGE` chunks.
     /// Times [`Exchange::chunk_bytes`], this is the stage's byte bound.
     pub fn buffered_chunks(&self) -> u64 {
-        let routes = |producers: usize, partitions: usize| {
-            (producers as u64)
-                .saturating_mul(partitions as u64)
-                .saturating_add(partitions as u64)
+        let routes = |producers: NonZeroUsize, partitions: NonZeroUsize| {
+            let partitions = partitions.get() as u64;
+            (producers.get() as u64)
+                .saturating_mul(partitions)
+                .saturating_add(partitions)
         };
         let slots = match self {
             Exchange::None => 0,
-            Exchange::Parallel { workers, .. } => routes(*workers, 1),
+            Exchange::Parallel { workers, .. } => routes(*workers, NonZeroUsize::MIN),
             Exchange::HashPartition {
                 partitions,
                 producers,
@@ -182,15 +184,10 @@ pub struct PhysNode<'a> {
     pub logical: &'a LogicalPlan,
     /// One physical child per logical child, in the same order.
     pub children: Vec<PhysNode<'a>>,
-    /// How the node's instances are fed and united.
+    /// How the node's instances are fed and united. How many worker
+    /// fragments the node itself is compiled into follows from where the
+    /// exchanges sit ([`PhysNode::chains`]).
     pub exchange: Exchange,
-    /// Worker fragments the node's streaming operator is compiled into:
-    /// `n ≥ 2` for a stage of a scan chain sharded `n` ways — from the
-    /// chain top (which carries the uniting exchange, is a two-phase
-    /// aggregate, or routes into a partitioned aggregate) down the probe
-    /// path to the scan — and `1` for everything else. A hash join with `fragments ≥ 2` probes in the
-    /// fragments: that many probers over its one build table.
-    pub fragments: usize,
     /// Proven upper bound on the rows the node emits. For a hash
     /// aggregate this is its group bound; a hash join reads its build
     /// child's as the build-table reservation hint.
@@ -220,9 +217,42 @@ impl PhysNode<'_> {
     /// probers of an in-fragment join share one build table).
     pub fn instances(&self) -> usize {
         match self.exchange {
-            Exchange::HashPartition { partitions, .. } => partitions.max(1),
-            Exchange::Parallel { workers, .. } if self.two_phase() => workers + 1,
+            Exchange::HashPartition { partitions, .. } => partitions.get(),
+            Exchange::Parallel { workers, .. } if self.two_phase() => workers.get() + 1,
             _ => 1,
+        }
+    }
+
+    /// The sharded chains this node and its inputs are stages of, as
+    /// fragment counts (`None`: no chain), given `within`, the chain the
+    /// node's parent places it in (`None` at the root). The one rule a
+    /// node's fragment count follows — a stage of a chain is compiled into
+    /// that many worker fragments, every other node runs once:
+    ///
+    /// * a node carrying [`Exchange::Parallel`] tops a chain of its
+    ///   `workers` fragments (a two-phase aggregate's partials are in it);
+    /// * a chain continues into a Filter's or Project's input, a chain
+    ///   top's input and a join's probe side — not into a join's build
+    ///   side, which is built once, outside the fragments;
+    /// * an [`Exchange::HashPartition`] with `producers ≥ 2` starts a
+    ///   chain of its producers beneath the aggregate, which is not in it.
+    ///
+    /// Returns the node's own chain and its inputs' (by child index).
+    pub fn chains(
+        &self,
+        within: Option<NonZeroUsize>,
+    ) -> (Option<NonZeroUsize>, [Option<NonZeroUsize>; 2]) {
+        let own = match self.exchange {
+            Exchange::Parallel { workers, .. } => Some(workers),
+            _ => within,
+        };
+        let input = match self.exchange {
+            Exchange::HashPartition { producers, .. } => Some(producers).filter(|p| p.get() >= 2),
+            _ => own,
+        };
+        match self.logical {
+            LogicalPlan::HashJoin { .. } => (own, [None, input]),
+            _ => (own, [input, input]),
         }
     }
 
@@ -253,7 +283,7 @@ impl<'a> PhysicalPlan<'a> {
     pub(crate) fn new(plan: &'a LogicalPlan, cfg: &ExecConfig) -> Result<Self, VerifyError> {
         let mut planner = Planner {
             cfg,
-            workers: cfg.worker_threads.max(1),
+            workers: NonZeroUsize::new(cfg.worker_threads).unwrap_or(NonZeroUsize::MIN),
             next_id: 0,
             findings: Vec::new(),
         };
@@ -281,6 +311,20 @@ impl<'a> PhysicalPlan<'a> {
         while let Some(node) = stack.pop() {
             out.push(node);
             stack.extend(node.children.iter().rev());
+        }
+        out
+    }
+
+    /// Every node with the number of worker fragments it is compiled into
+    /// ([`PhysNode::chains`]), in pre-order. A hash join counted `n ≥ 2`
+    /// probes in the fragments: `n` probers over its one build table.
+    pub fn fragments(&self) -> Vec<(&PhysNode<'a>, usize)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(&self.root, None)];
+        while let Some((node, within)) = stack.pop() {
+            let (own, inputs) = node.chains(within);
+            out.push((node, own.map_or(1, NonZeroUsize::get)));
+            stack.extend(node.children.iter().zip(inputs).rev());
         }
         out
     }
@@ -326,7 +370,7 @@ struct Planned<'a> {
 
 struct Planner<'c> {
     cfg: &'c ExecConfig,
-    workers: usize,
+    workers: NonZeroUsize,
     next_id: usize,
     findings: Vec<AnalysisError>,
 }
@@ -347,7 +391,7 @@ impl Planner<'_> {
         let in_fragment = sharded || feed == Feed::Inline;
         // The most instances a hash aggregate here may partition into.
         let fanout = match self.cfg.agg_partitions {
-            0 => self.workers,
+            0 => self.workers.get(),
             p => p,
         };
 
@@ -462,7 +506,7 @@ impl Planner<'_> {
         // chain's own exchange, then one combine.
         let two_phase = input_sharded
             && self.cfg.agg_partitions == 0
-            && two_phase(facts.rows, self.workers, children[0].rows, sums_fit);
+            && two_phase(facts.rows, self.workers.get(), children[0].rows, sums_fit);
         let exchange = match (plan, feed) {
             _ if sharded || two_phase => Exchange::Parallel {
                 workers: self.workers,
@@ -473,11 +517,16 @@ impl Planner<'_> {
                 let demand = cost::enc_weighted_demand(facts.rows, in_widths[0], Some(keys));
                 let threshold = self.cfg.agg_min_partition_groups;
                 let explicit = self.cfg.agg_partitions != 0;
-                match agg_partitions(fanout, input_sharded, demand, threshold, explicit) {
-                    0 | 1 => Exchange::None,
-                    partitions => Exchange::HashPartition {
+                let partitions = agg_partitions(fanout, input_sharded, demand, threshold, explicit);
+                match NonZeroUsize::new(partitions).filter(|p| p.get() >= 2) {
+                    None => Exchange::None,
+                    Some(partitions) => Exchange::HashPartition {
                         partitions,
-                        producers: if input_sharded { self.workers } else { 1 },
+                        producers: if input_sharded {
+                            self.workers
+                        } else {
+                            NonZeroUsize::MIN
+                        },
                         chunk_bytes: chunk(&out_widths).max(chunk(in_widths[0])),
                     },
                 }
@@ -506,11 +555,6 @@ impl Planner<'_> {
             logical: plan,
             children,
             exchange,
-            fragments: if in_fragment || two_phase {
-                self.workers
-            } else {
-                1
-            },
             rows: facts.rows,
             cols: Vec::new(),
             instance_bytes,
@@ -536,7 +580,7 @@ impl Planner<'_> {
         // Sharding a table that yields only a couple of morsels buys
         // nothing.
         let morsel_rows = VECTORS_PER_MORSEL * self.cfg.vector_size;
-        self.workers > 1 && scan_rows(plan).is_some_and(|rows| rows >= 2 * morsel_rows)
+        self.workers.get() > 1 && scan_rows(plan).is_some_and(|rows| rows >= 2 * morsel_rows)
     }
 }
 
@@ -1002,7 +1046,7 @@ impl Lowering<'_> {
                     })?
                     .then("/combine");
                 let spec = combine_of(keys.len(), aggs, &node.dense_keys);
-                let input_rows = node.rows.saturating_mul(*workers);
+                let input_rows = node.rows.saturating_mul(workers.get());
                 self.agg_instance(node, Box::new(union), spec, input_rows, &scope)?
             }
             Exchange::HashPartition {
@@ -1014,9 +1058,9 @@ impl Lowering<'_> {
                 // pipeline. Group keys are disjoint across partitions, so the
                 // arrival-order union of partition outputs *is* the aggregate
                 // — no merge step.
-                let (producers, builds) = if *producers >= 2 {
+                let (producers, builds) = if producers.get() >= 2 {
                     let chain = ScanChain::of(feed, self)?;
-                    (chain.fragments(*producers, self)?, chain.into_builds())
+                    (chain.fragments(producers.get(), self)?, chain.into_builds())
                 } else {
                     (vec![self.build(feed)?], Vec::new())
                 };
@@ -1418,15 +1462,17 @@ mod tests {
         cfg.vector_size = 16;
         let cutoff = 2 * VECTORS_PER_MORSEL * cfg.vector_size;
         let (at, below) = (join_over(cutoff), join_over(cutoff - 1));
-        let root = plan_physical(&at, &cfg).unwrap().root;
+        let phys = plan_physical(&at, &cfg).unwrap();
+        let (root, fragments) = phys.fragments()[0];
         assert!(matches!(
             root.exchange,
-            Exchange::Parallel { workers: 4, .. }
+            Exchange::Parallel { workers, .. } if workers.get() == 4
         ));
-        assert_eq!((root.fragments, root.instances()), (4, 1));
-        let root = plan_physical(&below, &cfg).unwrap().root;
+        assert_eq!((fragments, root.instances()), (4, 1));
+        let phys = plan_physical(&below, &cfg).unwrap();
+        let (root, fragments) = phys.fragments()[0];
         assert_eq!(root.exchange, Exchange::None);
-        assert_eq!((root.fragments, root.instances()), (1, 1));
+        assert_eq!((fragments, root.instances()), (1, 1));
     }
 
     #[test]
@@ -1703,10 +1749,10 @@ mod tests {
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         let joins = |phys: &PhysicalPlan<'_>| -> Vec<(Exchange, usize, usize)> {
-            let nodes = phys.nodes().into_iter();
+            let nodes = phys.fragments().into_iter();
             nodes
-                .filter(|n| matches!(n.logical, LogicalPlan::HashJoin { .. }))
-                .map(|n| (n.exchange.clone(), n.fragments, n.instances()))
+                .filter(|(n, _)| matches!(n.logical, LogicalPlan::HashJoin { .. }))
+                .map(|(n, fragments)| (n.exchange.clone(), fragments, n.instances()))
                 .collect()
         };
         let exchanges = |phys: &PhysicalPlan<'_>| {
@@ -1720,7 +1766,7 @@ mod tests {
         let phys = plan_physical(&plan, &cfg).unwrap();
         let js = joins(&phys);
         assert_eq!(js.len(), 4);
-        assert!(matches!(js[0].0, Exchange::Parallel { workers: 4, .. }));
+        assert!(matches!(js[0].0, Exchange::Parallel { workers, .. } if workers.get() == 4));
         assert!(js[1..].iter().all(|j| j.0 == Exchange::None), "{js:?}");
         assert!(js.iter().all(|j| (j.1, j.2) == (4, 1)), "{js:?}");
         assert_eq!(exchanges(&phys), 1);
@@ -1732,7 +1778,7 @@ mod tests {
             .unwrap();
         let phys = plan_physical(&plan, &cfg).unwrap();
         assert!(phys.root.two_phase(), "{:?}", phys.root.exchange);
-        assert_eq!((phys.root.fragments, phys.root.instances()), (4, 5));
+        assert_eq!((phys.fragments()[0].1, phys.root.instances()), (4, 5));
         let js = joins(&phys);
         assert!(js.iter().all(|j| *j == (Exchange::None, 4, 1)), "{js:?}");
         assert_eq!(exchanges(&phys), 1);
@@ -1792,8 +1838,8 @@ mod tests {
         let mut cfg = ExecConfig::fixed_default();
         cfg.worker_threads = 4;
         let phys = plan_physical(&plan, &cfg).unwrap();
-        for n in phys.nodes() {
-            assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
+        for (n, fragments) in phys.fragments() {
+            assert_eq!((&n.exchange, fragments), (&Exchange::None, 1));
         }
     }
 
@@ -1819,21 +1865,22 @@ mod tests {
                 .hash_agg(&["k"], vec![count()], "agg")
                 .build()
                 .unwrap();
-            let root = plan_physical(&plan, cfg).unwrap().root;
+            let phys = plan_physical(&plan, cfg).unwrap();
+            let (root, fragments) = phys.fragments()[0];
             assert_eq!(root.rows, 128);
-            (root.exchange.clone(), root.fragments, root.instances())
+            (root.exchange.clone(), fragments, root.instances())
         };
         let (exchange, fragments, instances) = root(1024, &cfg);
-        assert!(matches!(exchange, Exchange::Parallel { workers: 4, .. }));
+        assert!(matches!(exchange, Exchange::Parallel { workers, .. } if workers.get() == 4));
         assert_eq!((fragments, instances), (4, 5));
         let (exchange, fragments, instances) = root(1023, &cfg);
         assert!(matches!(
             exchange,
             Exchange::HashPartition {
-                partitions: 4,
-                producers: 4,
+                partitions,
+                producers,
                 ..
-            }
+            } if (partitions.get(), producers.get()) == (4, 4)
         ));
         assert_eq!((fragments, instances), (1, 4));
         // An explicit partition count routes, whatever the bound says.
@@ -1841,7 +1888,7 @@ mod tests {
         let (exchange, _, instances) = root(1024, &cfg);
         assert!(matches!(
             exchange,
-            Exchange::HashPartition { partitions: 2, .. }
+            Exchange::HashPartition { partitions, .. } if partitions.get() == 2
         ));
         assert_eq!(instances, 2);
     }
@@ -1902,9 +1949,80 @@ mod tests {
             .build()
             .unwrap();
         let phys = plan_physical(&plan, &ExecConfig::fixed_default()).unwrap();
-        for n in phys.nodes() {
-            assert_eq!((&n.exchange, n.fragments), (&Exchange::None, 1));
+        for (n, fragments) in phys.fragments() {
+            assert_eq!((&n.exchange, fragments), (&Exchange::None, 1));
         }
+    }
+
+    #[test]
+    fn fragment_counts_follow_position() {
+        let c = catalog(3 * VECTORS_PER_MORSEL * 1024);
+        let mut cfg = ExecConfig::fixed_default().with_workers(4);
+        let counts = |plan: &LogicalPlan, cfg: &ExecConfig| {
+            let phys = plan_physical(plan, cfg).unwrap();
+            let nodes = phys.fragments().into_iter();
+            let named = nodes.map(|(n, f)| (rules::node_name(n.logical), f));
+            named.collect::<Vec<_>>()
+        };
+        let named = |counts: &[(&str, usize)]| {
+            let owned = counts.iter().map(|&(n, f)| (n.to_string(), f));
+            owned.collect::<Vec<_>>()
+        };
+        let sel = || NamedPred::cmp_val("k", CmpKind::Lt, Value::I32(5));
+        let join = |build: PlanBuilder, payload: &[&str]| {
+            let probe = PlanBuilder::scan(&c, "t", &["k", "v"]).filter(sel(), "sel");
+            let join = probe.hash_join(build, &[("k", "bk")], payload, JoinKind::Inner, false, "j");
+            join.build().unwrap()
+        };
+        // A join probing in 4 fragments: the probe path is 4 down to its
+        // scan. A 3-row build side runs once; a big one is a chain of its
+        // own, topped by its own exchange.
+        let small = join(PlanBuilder::scan(&c, "d", &["dk as bk", "dv"]), &["dv"]);
+        assert_eq!(
+            counts(&small, &cfg),
+            named(&[
+                ("hash join \"j\"", 4),
+                ("scan", 1),
+                ("filter \"sel\"", 4),
+                ("scan", 4)
+            ])
+        );
+        let big = join(PlanBuilder::scan(&c, "t", &["k as bk", "v as bv"]), &["bv"]);
+        let phys = plan_physical(&big, &cfg).unwrap();
+        assert!(matches!(phys.root.children[0].exchange, Exchange::Parallel { .. }));
+        assert_eq!(
+            counts(&big, &cfg),
+            named(&[
+                ("hash join \"j\"", 4),
+                ("scan", 4),
+                ("filter \"sel\"", 4),
+                ("scan", 4)
+            ])
+        );
+        // A two-phase aggregate tops its input's chain: its partials are
+        // in the fragments.
+        let agg = PlanBuilder::scan(&c, "t", &["k", "v"])
+            .filter(sel(), "sel")
+            .hash_agg(&["k"], vec![count()], "agg")
+            .build()
+            .unwrap();
+        assert!(plan_physical(&agg, &cfg).unwrap().root.two_phase());
+        let chain = [("filter \"sel\"", 4), ("scan", 4)];
+        let agg_over = |n: usize| [&[("hash aggregation \"agg\"", n)][..], &chain].concat();
+        assert_eq!(counts(&agg, &cfg), named(&agg_over(4)));
+        // Routed, the aggregate runs once per partition, outside the
+        // chain its 4 producers are.
+        cfg.agg_partitions = 4;
+        assert_eq!(counts(&agg, &cfg), named(&agg_over(1)));
+        // One producer is no chain at all.
+        cfg.worker_threads = 1;
+        cfg.agg_min_partition_groups = 1;
+        let phys = plan_physical(&agg, &cfg).unwrap();
+        assert!(matches!(
+            phys.root.exchange,
+            Exchange::HashPartition { producers, .. } if producers.get() == 1
+        ));
+        assert!(phys.fragments().iter().all(|&(_, f)| f == 1));
     }
 
     #[test]
@@ -2022,10 +2140,10 @@ mod tests {
             .unwrap();
         let serial = |plan: &LogicalPlan, cfg: &ExecConfig| {
             let phys = plan_physical(plan, cfg).unwrap();
-            let nodes = phys.nodes();
+            let nodes = phys.fragments();
             nodes
                 .iter()
-                .all(|n| (&n.exchange, n.fragments) == (&Exchange::None, 1))
+                .all(|(n, fragments)| (&n.exchange, *fragments) == (&Exchange::None, 1))
         };
         // Key 0 (`v`) is the clustering column: at any worker count both
         // inputs run serially, no exchange and one fragment down to the
@@ -2052,7 +2170,7 @@ mod tests {
         assert_eq!(sort.exchange, Exchange::None);
         assert!(matches!(
             sort.children[0].exchange,
-            Exchange::Parallel { workers: 4, .. }
+            Exchange::Parallel { workers, .. } if workers.get() == 4
         ));
         // A hand-built merge join over an unsorted, non-clustering input
         // has no physical plan: a typed error, not a silently wrong order.

@@ -26,22 +26,22 @@
 //!    the exchange-placement rules: no [`Exchange::Parallel`] or
 //!    [`Exchange::HashPartition`] under an ordered ancestor short of a
 //!    materialization boundary, a partitioning exchange sits on a hash
-//!    aggregate (whose group keys it routes by), no empty producer sets;
-//!    and the fragment rules — a stage beneath a chain top carries no
-//!    exchange of its own, every node's `fragments` says what its
-//!    position says, and an in-fragment join's build child stays outside
-//!    the fragments. The ordered-ancestor bit is what keeps a merge-join
-//!    input serial: no exchange restores an order.
+//!    aggregate (whose group keys it routes by), and a stage beneath a
+//!    chain top carries no exchange of its own. The ordered-ancestor bit
+//!    is what keeps a merge-join input serial: no exchange restores an
+//!    order. The rest of an exchange's shape cannot be written wrong: its
+//!    counts are non-zero by type, and a node's fragment count is derived
+//!    from its position ([`PhysNode::chains`]), not stored.
 //! 3. **Hazards**: the abstract interpreter's findings, which planning
 //!    collects on the way, reject a plan with a reachable trap.
-//! 4. **Memory budget**: under [`ExecConfig::strict_memory`], a plan whose
-//!    proven peak exceeds the budget.
 //!
 //! [`lower`](crate::plan::lower()) is `instantiate(&verify(plan, cfg)?)`
 //! in every build, so every query that runs was checked, and the plan it
 //! runs is the plan that was checked. CI also runs the standalone matrix
 //! sweep in `crates/tpch/tests/verify_matrix.rs` across all 22 queries ×
 //! worker/partition/vector-size configurations.
+
+use std::num::NonZeroUsize;
 
 use ma_vector::DataType;
 
@@ -111,12 +111,6 @@ pub enum VerifyError {
         /// The node's pre-order id.
         node: usize,
     },
-    /// An exchange with zero workers, producers or partitions: its
-    /// channels would close immediately and silently emit nothing.
-    EmptyExchange {
-        /// The offending exchange.
-        node: &'static str,
-    },
     /// A stage inside a sharded chain's fragments carries an exchange of
     /// its own: fragments are single pipelines, nothing unites a nested
     /// exchange's outputs.
@@ -124,39 +118,12 @@ pub enum VerifyError {
         /// The offending exchange.
         node: &'static str,
     },
-    /// A node's `fragments` disagrees with its position: a chain top and
-    /// the stages down its probe path say the fan-out of the exchange
-    /// that shards them, everything else says 1.
-    FragmentCountMismatch {
-        /// The node's pre-order id.
-        node: usize,
-        /// What the node's position implies.
-        expected: usize,
-        /// What the node says.
-        found: usize,
-    },
-    /// The build child of a join that probes in the fragments is itself
-    /// marked as a fragment stage: the build runs once, outside them.
-    BuildInsideFragment {
-        /// The join's label.
-        label: String,
-    },
     /// The abstract interpreter (phase 3, [`mod@crate::analyze`]) proved a
     /// runtime trap reachable — e.g. an integer division whose divisor
     /// interval contains zero.
     Analysis {
         /// The underlying hazard finding.
         err: AnalysisError,
-    },
-    /// The memory/cost pass (phase 4, [`mod@crate::cost`]) proved the
-    /// plan's peak resident bytes exceed the configured budget, and
-    /// [`crate::ExecConfig::strict_memory`] promotes that finding from a
-    /// warning to a rejection.
-    MemoryBudget {
-        /// Proven whole-query peak bytes.
-        peak_bytes: u64,
-        /// The configured [`crate::ExecConfig::memory_budget`].
-        budget: u64,
     },
 }
 
@@ -198,33 +165,11 @@ impl std::fmt::Display for VerifyError {
                 "physical node {node} carries a HashPartition exchange but is not a \
                  hash aggregate"
             ),
-            VerifyError::EmptyExchange { node } => {
-                write!(f, "{node} exchange with zero workers/producers/partitions")
-            }
             VerifyError::NestedExchange { node } => write!(
                 f,
                 "{node} exchange on a stage inside a sharded chain's fragments"
             ),
-            VerifyError::FragmentCountMismatch {
-                node,
-                expected,
-                found,
-            } => write!(
-                f,
-                "physical node {node} says {found} fragments where its position implies \
-                 {expected}"
-            ),
-            VerifyError::BuildInsideFragment { label } => write!(
-                f,
-                "the build side of in-fragment hash join {label:?} is marked as a fragment \
-                 stage; it runs once, outside the fragments"
-            ),
             VerifyError::Analysis { err } => write!(f, "analysis: {err}"),
-            VerifyError::MemoryBudget { peak_bytes, budget } => write!(
-                f,
-                "proven peak of {peak_bytes} resident bytes exceeds the {budget}-byte \
-                 memory budget (strict_memory)"
-            ),
         }
     }
 }
@@ -240,9 +185,8 @@ impl From<VerifyError> for ExecError {
 /// Plans `plan` under `cfg` and checks every invariant of that plan that
 /// [`instantiate`](crate::plan::instantiate) relies on: the planner's own
 /// rejections (every node's typing rule against its declared schema),
-/// then [`verify_physical`], the analyzer's hazards and, under
-/// `strict_memory`, the memory budget. Returns the plan it checked, which
-/// is safe to instantiate under `cfg`.
+/// then [`verify_physical`] and the analyzer's hazards. Returns the plan it
+/// checked, which is safe to instantiate under `cfg`.
 pub fn verify<'a>(
     plan: &'a LogicalPlan,
     cfg: &ExecConfig,
@@ -258,19 +202,6 @@ pub fn verify<'a>(
     if let Some(err) = phys.findings.iter().find(|e| e.is_hazard()) {
         return Err(VerifyError::Analysis { err: err.clone() });
     }
-    // Phase 4: memory/cost bounds. Budget findings are warnings by
-    // default (surfaced by `repro analyze` / `repro mem`); under
-    // `strict_memory` a plan whose proven peak exceeds the budget is
-    // rejected before any operator allocates.
-    if cfg.strict_memory {
-        let report = crate::cost::report(&phys, cfg.memory_budget);
-        if report.peak_bytes > cfg.memory_budget {
-            return Err(VerifyError::MemoryBudget {
-                peak_bytes: report.peak_bytes,
-                budget: cfg.memory_budget,
-            });
-        }
-    }
     Ok(phys)
 }
 
@@ -282,11 +213,8 @@ pub fn verify<'a>(
 /// order-destroying exchange ([`Exchange::Parallel`],
 /// [`Exchange::HashPartition`]) under an order-sensitive ancestor without
 /// an intervening materialization boundary (sort, aggregate, join build);
-/// a partitioning exchange sits on a hash aggregate; no exchange is
-/// degenerate (zero workers, producers or partitions); and the fragment
-/// rules: a chain's stages carry no exchange beneath its top,
-/// `fragments` matches position on every node, and a join probing in the
-/// fragments keeps its build child outside them.
+/// a partitioning exchange sits on a hash aggregate; and a chain's stages
+/// carry no exchange beneath its top.
 ///
 /// The planner's own output always passes; the function is public so
 /// tests can hand-build ill-formed [`PhysicalPlan`]s and prove each rule
@@ -296,68 +224,31 @@ pub fn verify_physical(plan: &PhysicalPlan<'_>) -> Result<(), VerifyError> {
 }
 
 /// `ordered`: an ancestor consumes this node's output in key order.
-/// `within`: the fragment count of the sharded chain the node is a stage
-/// of, beneath its top or routing into a partitioned aggregate.
+/// `within`: the sharded chain the node's parent places it in
+/// ([`PhysNode::chains`]).
 fn check_node(
     node: &PhysNode<'_>,
     ordered: bool,
-    within: Option<usize>,
+    within: Option<NonZeroUsize>,
 ) -> Result<(), VerifyError> {
-    let (exchange_name, tops) = match &node.exchange {
-        Exchange::None => ("None", None),
-        Exchange::Parallel { workers, .. } => {
-            if ordered {
-                return Err(VerifyError::OrderViolation { node: "Parallel" });
-            }
-            if *workers == 0 {
-                return Err(VerifyError::EmptyExchange { node: "Parallel" });
-            }
-            ("Parallel", Some(*workers))
-        }
-        Exchange::HashPartition {
-            partitions,
-            producers,
-            ..
-        } => {
-            if ordered {
-                return Err(VerifyError::OrderViolation {
-                    node: "HashPartition",
-                });
-            }
-            if !matches!(node.logical, LogicalPlan::HashAgg { .. }) {
-                return Err(VerifyError::PartitionedNonAggregate { node: node.id.0 });
-            }
-            if *partitions == 0 || *producers == 0 {
-                return Err(VerifyError::EmptyExchange {
-                    node: "HashPartition",
-                });
-            }
-            ("HashPartition", None)
-        }
+    let name = match node.exchange {
+        Exchange::None => None,
+        Exchange::Parallel { .. } => Some("Parallel"),
+        Exchange::HashPartition { .. } => Some("HashPartition"),
     };
-    if within.is_some() && node.exchange != Exchange::None {
-        return Err(VerifyError::NestedExchange {
-            node: exchange_name,
-        });
-    }
-    let chain = within.or(tops);
-    let expected = chain.unwrap_or(1);
-    if node.fragments != expected {
-        return Err(VerifyError::FragmentCountMismatch {
-            node: node.id.0,
-            expected,
-            found: node.fragments,
-        });
-    }
-    if let (Some(_), LogicalPlan::HashJoin { label, .. }) = (chain, node.logical) {
-        let outside = |b: &PhysNode<'_>| b.fragments == 1 || b.exchange != Exchange::None;
-        if !node.children.first().is_some_and(outside) {
-            return Err(VerifyError::BuildInsideFragment {
-                label: label.clone(),
-            });
+    if let Some(exchange) = name {
+        if ordered {
+            return Err(VerifyError::OrderViolation { node: exchange });
+        }
+        if exchange == "HashPartition" && !matches!(node.logical, LogicalPlan::HashAgg { .. }) {
+            return Err(VerifyError::PartitionedNonAggregate { node: node.id.0 });
+        }
+        if within.is_some() {
+            return Err(VerifyError::NestedExchange { node: exchange });
         }
     }
-    for (i, child) in node.children.iter().enumerate() {
+    let (_, inputs) = node.chains(within);
+    for (i, (child, within)) in node.children.iter().zip(inputs).enumerate() {
         let child_ordered = match node.logical {
             // Order-sensitive: both inputs must preserve key order.
             LogicalPlan::MergeJoin { .. } => true,
@@ -371,17 +262,7 @@ fn check_node(
                 ordered
             }
         };
-        // A chain continues into a filter's or projection's input and a
-        // join's probe side; a multi-producer partitioning exchange
-        // starts one.
-        let child_chain = match (&node.exchange, node.logical) {
-            (Exchange::HashPartition { producers, .. }, _) => {
-                (*producers >= 2).then_some(*producers)
-            }
-            (_, LogicalPlan::HashJoin { .. }) if i == 0 => None,
-            _ => chain,
-        };
-        check_node(child, child_ordered, child_chain)?;
+        check_node(child, child_ordered, within)?;
     }
     Ok(())
 }
@@ -461,7 +342,7 @@ mod tests {
                 partitions,
                 producers,
                 ..
-            } => assert_eq!((*partitions, *producers), (4, 4)),
+            } => assert_eq!((partitions.get(), producers.get()), (4, 4)),
             other => panic!("expected HashPartition, got {other:?}"),
         }
         verify_physical(&phys).unwrap();
@@ -489,8 +370,8 @@ mod tests {
         // Both inputs are clustering-key chains: at 4 workers they still
         // run serially, no exchange and one fragment down to each scan.
         let phys = plan_physical(&plan, &cfg(4)).unwrap();
-        for node in phys.nodes() {
-            assert_eq!((&node.exchange, node.fragments), (&Exchange::None, 1));
+        for (node, fragments) in phys.fragments() {
+            assert_eq!((&node.exchange, fragments), (&Exchange::None, 1));
         }
         verify(&plan, &cfg(4)).unwrap();
     }

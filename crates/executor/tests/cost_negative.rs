@@ -1,23 +1,21 @@
 //! Negative suite for the memory/cost pass: each [`CostFinding`] variant
 //! is produced by a purpose-built plan-plus-budget pair, each negative
 //! test has a positive twin proving the finding discharges once the
-//! budget covers the proven peak, and the strict-mode verdict is pinned
-//! to flip at the *exact* byte threshold — mirroring
-//! `analyze_negative.rs` for the abstract-interpretation pass.
+//! budget covers the proven peak, and the roll-up finding is pinned to
+//! fire at the *exact* byte threshold — mirroring `analyze_negative.rs`
+//! for the abstract-interpretation pass.
 //!
-//! The severity split is pinned here too: budget findings are warnings
-//! by default (`repro analyze` / `repro mem` surface them), and only
-//! [`ExecConfig::with_strict_memory`] promotes them to a
-//! [`VerifyError::MemoryBudget`] rejection.
+//! Budget findings are reports, never rejections: `repro analyze` and
+//! `repro mem` print them and gate their exit codes on an explicit
+//! `--budget`, while `verify` accepts an over-budget plan.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use ma_executor::config::DEFAULT_MEMORY_BUDGET;
+use ma_executor::cost::report;
 use ma_executor::plan::{asc, sum_i64, LogicalPlan, PlanBuilder};
-use ma_executor::{
-    cost, lower, verify, CostFinding, ExecConfig, ExecError, QueryContext, VerifyError,
-};
-use ma_primitives::build_dictionary;
+use ma_executor::{plan_physical, verify, CostFinding, CostReport, ExecConfig};
 use ma_vector::{ColumnBuilder, DataType, Table};
 
 fn catalog(rows: usize) -> HashMap<String, Arc<Table>> {
@@ -49,12 +47,18 @@ fn agg_sort_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
         .unwrap()
 }
 
+/// `plan` planned under the default configuration and priced against
+/// `budget`.
+fn priced(plan: &LogicalPlan, budget: u64) -> CostReport {
+    report(&plan_physical(plan, &ExecConfig::fixed_default()).unwrap(), budget)
+}
+
 /// The baseline report under an effectively-unlimited budget, plus the
 /// largest single-stage bound. Asserts the preconditions every test
 /// below leans on: a finite nonzero peak spread over more than one
 /// resident stage.
 fn baseline(plan: &LogicalPlan) -> (u64, u64) {
-    let report = cost(plan, &ExecConfig::fixed_default());
+    let report = priced(plan, DEFAULT_MEMORY_BUDGET);
     assert!(report.findings.is_empty(), "baseline must fit 1 GiB");
     let max_op = report.ops.iter().map(|o| o.bytes).max().unwrap_or(0);
     assert!(max_op > 0, "plan must have a resident stage");
@@ -75,10 +79,7 @@ fn rollup_over_budget_reports_budget_exceeded_only() {
     let (peak, max_op) = baseline(&plan);
     let budget = peak - 1;
     assert!(budget >= max_op, "budget must still cover each stage");
-    let report = cost(
-        &plan,
-        &ExecConfig::fixed_default().with_memory_budget(budget),
-    );
+    let report = priced(&plan, budget);
     assert_eq!(
         report.findings,
         vec![CostFinding::BudgetExceeded {
@@ -97,9 +98,7 @@ fn single_stage_over_budget_names_the_offender() {
     let c = catalog(1000);
     let plan = agg_sort_plan(&c);
     let (_, max_op) = baseline(&plan);
-    let budget = max_op - 1;
-    let cfg = ExecConfig::fixed_default().with_memory_budget(budget);
-    let report = cost(&plan, &cfg);
+    let report = priced(&plan, max_op - 1);
     let offender = report
         .findings
         .iter()
@@ -123,67 +122,33 @@ fn single_stage_over_budget_names_the_offender() {
 #[test]
 fn raising_the_budget_discharges_every_finding() {
     // Positive twin: the same plan under a budget equal to the proven
-    // peak is clean — findings fire on strict excess only.
+    // peak is clean — findings fire on strict excess only — and one byte
+    // less is the roll-up finding with the exact proven numbers. Pinning
+    // the boundary keeps the comparison honest (no off-by-one slack
+    // creeping into the gate).
     let c = catalog(1000);
     let plan = agg_sort_plan(&c);
     let (peak, _) = baseline(&plan);
-    let cfg = ExecConfig::fixed_default()
-        .with_memory_budget(peak)
-        .with_strict_memory(true);
-    let report = cost(&plan, &cfg);
-    assert!(report.findings.is_empty(), "got {:?}", report.findings);
-    verify(&plan, &cfg).unwrap();
-}
-
-#[test]
-fn strict_verdict_flips_exactly_at_the_proven_peak() {
-    // budget == peak passes; one byte less is rejected with the exact
-    // proven numbers. Pinning the boundary keeps the comparison honest
-    // (no off-by-one slack creeping into the gate).
-    let c = catalog(1000);
-    let plan = agg_sort_plan(&c);
-    let (peak, _) = baseline(&plan);
-    let at = ExecConfig::fixed_default()
-        .with_memory_budget(peak)
-        .with_strict_memory(true);
-    verify(&plan, &at).unwrap();
-    let below = ExecConfig::fixed_default()
-        .with_memory_budget(peak - 1)
-        .with_strict_memory(true);
-    match verify(&plan, &below) {
-        Err(VerifyError::MemoryBudget { peak_bytes, budget }) => {
-            assert_eq!(peak_bytes, peak);
-            assert_eq!(budget, peak - 1);
-        }
-        other => panic!("expected MemoryBudget rejection, got {other:?}"),
-    }
-    // `lower` gates the same way in every build, before any operator
-    // allocates.
-    let ctx = |cfg: &ExecConfig| QueryContext::new(Arc::new(build_dictionary()), cfg.clone());
-    lower(&plan, &ctx(&at)).unwrap();
-    match lower(&plan, &ctx(&below)) {
-        Err(ExecError::Plan(m)) => {
-            let want = VerifyError::MemoryBudget {
-                peak_bytes: peak,
-                budget: peak - 1,
-            };
-            assert_eq!(m, want.to_string());
-        }
-        Err(other) => panic!("expected ExecError::Plan, got {other:?}"),
-        Ok(_) => panic!("lowered a plan over its strict memory budget"),
-    }
+    let at = priced(&plan, peak);
+    assert!(at.findings.is_empty(), "got {:?}", at.findings);
+    assert_eq!(
+        priced(&plan, peak - 1).findings,
+        vec![CostFinding::BudgetExceeded {
+            peak_bytes: peak,
+            budget: peak - 1
+        }]
+    );
 }
 
 #[test]
 fn default_mode_demotes_budget_findings_to_warnings() {
-    // Without strict_memory the same over-budget plan still verifies:
-    // the finding is advisory, surfaced by the analyze/mem CLIs.
+    // The same over-budget plan still verifies: the finding is advisory,
+    // surfaced by the analyze/mem CLIs.
     let c = catalog(1000);
     let plan = agg_sort_plan(&c);
     let (peak, _) = baseline(&plan);
-    let cfg = ExecConfig::fixed_default().with_memory_budget(peak - 1);
-    assert!(!cost(&plan, &cfg).findings.is_empty());
-    verify(&plan, &cfg).unwrap();
+    assert!(!priced(&plan, peak - 1).findings.is_empty());
+    verify(&plan, &ExecConfig::fixed_default()).unwrap();
 }
 
 #[test]
@@ -193,8 +158,7 @@ fn every_finding_variant_displays_its_numbers() {
     let c = catalog(1000);
     let plan = agg_sort_plan(&c);
     let (_, max_op) = baseline(&plan);
-    let cfg = ExecConfig::fixed_default().with_memory_budget(max_op - 1);
-    let report = cost(&plan, &cfg);
+    let report = priced(&plan, max_op - 1);
     for f in &report.findings {
         let text = format!("{f}");
         assert!(

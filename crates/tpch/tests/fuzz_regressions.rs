@@ -210,10 +210,10 @@ fn fixed_seed_sweep_reaches_a_shared_build() {
             .build()
             .unwrap_or_else(|e| panic!("case {case} no longer builds: {e}"));
         let phys = ma_executor::plan_physical(&plan, cfg).expect("plans");
-        let nodes = phys.nodes().into_iter();
+        let nodes = phys.fragments().into_iter();
         shared_builds += nodes
-            .filter(|n| matches!(n.logical, ma_executor::LogicalPlan::HashJoin { .. }))
-            .filter(|n| n.fragments >= 2)
+            .filter(|(n, _)| matches!(n.logical, ma_executor::LogicalPlan::HashJoin { .. }))
+            .filter(|&(_, fragments)| fragments >= 2)
             .count();
     }
     assert!(

@@ -17,6 +17,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use ma_executor::config::DEFAULT_MEMORY_BUDGET;
 use ma_executor::{
     cost, lower, plan_physical, verify, Exchange, ExecConfig, LogicalPlan, NodeId, PhysicalPlan,
     QueryContext,
@@ -51,12 +52,14 @@ type Tally = (usize, usize, usize, usize, usize);
 /// vacuously-sequential sweep would pass trivially), and asserts that no
 /// merge-join input carries an exchange or sits in fragments.
 fn count_exchanges(phys: &PhysicalPlan<'_>, tally: &mut Tally) {
-    for node in phys.nodes() {
+    // Pre-order, so a planner-made node's id is its index.
+    let fragments = phys.fragments();
+    for &(node, count) in &fragments {
         match node.logical {
-            LogicalPlan::HashJoin { .. } if node.fragments > 1 => tally.3 += 1,
+            LogicalPlan::HashJoin { .. } if count > 1 => tally.3 += 1,
             LogicalPlan::MergeJoin { label, .. } => {
                 for input in &node.children {
-                    let shape = (&input.exchange, input.fragments);
+                    let shape = (&input.exchange, fragments[input.id.0].1);
                     assert_eq!(shape, (&Exchange::None, 1), "{label} input");
                     tally.1 += 1;
                 }
@@ -94,14 +97,14 @@ fn assert_lowering_matches_plan(q: usize, plan: &LogicalPlan, cfg: &ExecConfig) 
     let mut ops = report.ops.iter();
     let mut expected: Vec<(NodeId, bool, u64)> = Vec::new();
     let mut probers: Vec<(NodeId, usize)> = Vec::new();
-    for node in phys.nodes() {
+    for (node, fragments) in phys.fragments() {
         if let LogicalPlan::HashJoin { label, .. } = node.logical {
             // No join routes: one table, `fragments` probers.
             assert!(
                 !matches!(node.exchange, Exchange::HashPartition { .. }),
                 "Q{q}: {label} is hash-partitioned"
             );
-            probers.push((node.id, node.fragments));
+            probers.push((node.id, fragments));
         }
         let tracked = matches!(
             node.logical,
@@ -406,7 +409,7 @@ fn planning_and_the_annotated_rendering_run_the_analyzer_once_per_node() {
             .unwrap_or_else(|e| panic!("Q{q}: {e}"));
         let before = ma_executor::analyze::transfer_count();
         let phys = plan_physical(&plan, &cfg).unwrap();
-        let report = ma_executor::cost::report(&phys, cfg.memory_budget);
+        let report = ma_executor::cost::report(&phys, DEFAULT_MEMORY_BUDGET);
         let text = phys.render_analysis(&report);
         let transfers = ma_executor::analyze::transfer_count() - before;
         assert_eq!(transfers, node_count(&plan), "Q{q}");
