@@ -4,7 +4,6 @@ pub mod ablation;
 pub mod agg_scaling;
 pub mod compress;
 pub mod demo;
-pub mod join_scaling;
 pub mod micro;
 pub mod scaling;
 pub mod tpch_exp;
@@ -14,12 +13,11 @@ use std::sync::Arc;
 use ma_executor::FlavorAxis;
 use ma_tpch::{Runner, TpchData};
 
-/// All experiment identifiers, in paper order ("scaling", "agg-scaling",
-/// "join-scaling" and "compress" are ours, not the paper's: the
-/// parallel-executor thread sweep, the aggregation-arm sweep (single, routed, two-phase auto),
-/// the join-heavy thread sweep, and the compressed-storage
-/// byte/tick comparison).
-pub const ALL_EXPERIMENTS: [&str; 18] = [
+/// All experiment identifiers, in paper order ("scaling", "agg-scaling"
+/// and "compress" are ours, not the paper's: the parallel-executor thread
+/// sweep, the aggregation-arm sweep (single, routed, two-phase auto), and
+/// the compressed-storage byte/tick comparison).
+pub const ALL_EXPERIMENTS: [&str; 17] = [
     "table1",
     "fig1",
     "fig2",
@@ -36,7 +34,6 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
     "ablation",
     "scaling",
     "agg-scaling",
-    "join-scaling",
     "compress",
 ];
 
@@ -109,7 +106,6 @@ pub fn run_experiment(id: &str, runner: &Runner, seed: u64) -> Option<String> {
         "fig11" => tpch_exp::fig11(runner),
         "scaling" => scaling::scaling(runner),
         "agg-scaling" => agg_scaling::agg_scaling(runner),
-        "join-scaling" => join_scaling::join_scaling(runner),
         "compress" => compress::compress(runner),
         "ablation" => {
             let mut out = ablation::vector_size(runner);
