@@ -499,7 +499,8 @@ impl Planner<'_> {
             .filter(|d| goes_dense(d, facts.rows))
             .unwrap_or_default();
         let out_widths = widths(&facts);
-        let chunk = |w: &[Width]| (self.cfg.vector_size as u64).saturating_mul(cost::row_width(w));
+        let chunk_of = |rows: usize, w: &[Width]| (rows as u64).saturating_mul(cost::row_width(w));
+        let chunk = |w: &[Width]| chunk_of(self.cfg.vector_size, w);
 
         // A hash aggregate over a sharded chain whose partial state is
         // small tops that chain: one partial per fragment, united by the
@@ -508,9 +509,15 @@ impl Planner<'_> {
             && self.cfg.agg_partitions == 0
             && two_phase(facts.rows, self.workers.get(), children[0].rows, sums_fit);
         let exchange = match (plan, feed) {
-            _ if sharded || two_phase => Exchange::Parallel {
+            _ if sharded => Exchange::Parallel {
                 workers: self.workers,
                 chunk_bytes: chunk(&out_widths),
+            },
+            // A partial emits only the groups it holds, at most the group
+            // bound in all, so no chunk of the union is longer.
+            _ if two_phase => Exchange::Parallel {
+                workers: self.workers,
+                chunk_bytes: chunk_of(self.cfg.vector_size.min(facts.rows), &out_widths),
             },
             (LogicalPlan::HashAgg { keys, .. }, _) => {
                 // The aggregate's own row bound is its group bound.

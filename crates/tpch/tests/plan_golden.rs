@@ -23,27 +23,27 @@ use ma_tpch::queries::query_plan;
 /// encoded ×1, encoded ×2.
 #[rustfmt::skip]
 const PINS: [[u64; 4]; 22] = [
-    [0xce41ff2f39371a00, 0x65a99547321f51ef, 0xcde9e311e46ca245, 0xc27847af02845b1c],
+    [0xce41ff2f39371a00, 0xbc9629c090aa67db, 0xcde9e311e46ca245, 0xe44bf32f2abf5ee0],
     [0xfb1b9475d69a773f, 0xfb1b9475d69a773f, 0xff5bd45d8bdb4124, 0xff5bd45d8bdb4124],
     [0x59a040fffdee825a, 0xde4fd599d856632b, 0x62872c79ae1e5cfc, 0xff7fdec1e73576a1],
     [0xf1d9f9576a50c75e, 0x20e26a3e8828a67a, 0xce8fd4eedda39f4a, 0xcc1da9a6db38db8c],
-    [0x70c82b2de80bb91d, 0x759b3da548cf3016, 0x3d7776a52ca05aab, 0x1094f53edf8c8fe6],
+    [0x70c82b2de80bb91d, 0x84dabc708339770c, 0x3d7776a52ca05aab, 0x0d80f5fa9923e8b8],
     [0x736478e85291bafa, 0x2814492ff4b524c3, 0x0ae4bb5fd871d0e8, 0x5d92268a67d8ae27],
-    [0x66158eff23f17e30, 0xd2bce4bb7f977cf0, 0xf60e01775296ac31, 0x020cc170dd858bf1],
-    [0x058dd9cb01e84f0d, 0x7a8da35168faba3e, 0xe82392f0eb8c3038, 0x9015ab8116c34147],
-    [0x42814f5c2d74841e, 0xd1e8060165f137eb, 0x59913a5a6591e8a6, 0xfee01fae574a5589],
-    [0xc8de1e5df2775ef9, 0xe92665b0efce13cd, 0x55a7ed3ed4a1d593, 0xa391d381fb41bca9],
+    [0x66158eff23f17e30, 0x9fe587d728f09d1b, 0xf60e01775296ac31, 0x22753cf8f6c64b2a],
+    [0x058dd9cb01e84f0d, 0x1c06392d91f247f9, 0xe82392f0eb8c3038, 0x78c9d98e59c71c14],
+    [0x42814f5c2d74841e, 0x6821c60a128c107a, 0x59913a5a6591e8a6, 0xf193f5e3ca35d47a],
+    [0xc8de1e5df2775ef9, 0xe80dd32b90f62867, 0x55a7ed3ed4a1d593, 0xa6dd9b6555b0bbb7],
     [0x2e4bd7e144954338, 0x2e4bd7e144954338, 0x8a1549423aab1e60, 0x8a1549423aab1e60],
     [0xb947a0b3e2fa6d11, 0xb947a0b3e2fa6d11, 0x822f173965ccc8cf, 0x822f173965ccc8cf],
     [0xb1cfc0c11044f453, 0xb1cfc0c11044f453, 0xe97fe964459097d5, 0xe97fe964459097d5],
-    [0x21f4ac3ae111c306, 0x413afbefc5dfd381, 0xd537555fcb8305ff, 0xf25788e030b94302],
-    [0xbc292b3b89cf2cd7, 0xdbb84857985396d3, 0x21ca50f326074337, 0xbab288222d7bdbf3],
+    [0x21f4ac3ae111c306, 0x2b10d353ce117477, 0xd537555fcb8305ff, 0x1dfbf1cccaa9bc48],
+    [0xbc292b3b89cf2cd7, 0xed69586e112ae74b, 0x21ca50f326074337, 0x868d616fa1f6442b],
     [0x75576d71fb1d8c3f, 0x75576d71fb1d8c3f, 0x7f4e0dccfb7aba2a, 0x7f4e0dccfb7aba2a],
     [0x90d134720b3b460c, 0x95c7330007df0a42, 0x6b957d47a0cc7f6b, 0xd67675a1daf4bd8d],
     [0xd5ce34445a20250c, 0xce3950f539314c6e, 0xf4a13c22f8e42659, 0x798c703e1385b3fd],
     [0x88cd263f0def61eb, 0xae9f187fec1a0814, 0x4cca6b6a8bb6cbc4, 0x95bd47e8b445676d],
     [0xd4d136f198386a0b, 0x637a9b4dc2dc2c9a, 0x0665c0f5d387f1c7, 0x26de7a9ac8f26892],
-    [0x138ed6341ec46f01, 0xe6ad56ae4c0e8df3, 0xef6dd8c2b441ae79, 0x7931602062502353],
+    [0x138ed6341ec46f01, 0x90517cc61b63ec9c, 0xef6dd8c2b441ae79, 0xd53b478316a32304],
     [0x3282b39a6410ba58, 0x3282b39a6410ba58, 0x94434edc2fa55fc3, 0x94434edc2fa55fc3],
 ];
 
