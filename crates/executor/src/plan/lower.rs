@@ -153,20 +153,19 @@ impl Exchange {
     /// plus one in flight, each of up to `CHUNKS_PER_MESSAGE` chunks.
     /// Times [`Exchange::chunk_bytes`], this is the stage's byte bound.
     pub fn buffered_chunks(&self) -> u64 {
-        let routes = |producers: NonZeroUsize, partitions: NonZeroUsize| {
-            let partitions = partitions.get() as u64;
-            (producers.get() as u64)
-                .saturating_mul(partitions)
-                .saturating_add(partitions)
+        let routes = |producers: usize, partitions: usize| {
+            (producers as u64)
+                .saturating_mul(partitions as u64)
+                .saturating_add(partitions as u64)
         };
         let slots = match self {
             Exchange::None => 0,
-            Exchange::Parallel { workers, .. } => routes(*workers, NonZeroUsize::MIN),
+            Exchange::Parallel { workers, .. } => routes(workers.get(), 1),
             Exchange::HashPartition {
                 partitions,
                 producers,
                 ..
-            } => routes(*producers, *partitions),
+            } => routes(producers.get(), partitions.get()),
         };
         slots
             .saturating_mul((CHANNEL_DEPTH_PER_WORKER as u64).saturating_add(1))
