@@ -229,7 +229,12 @@ fn plan_args(
     cmd: &str,
     args: &[String],
     workers: Option<usize>,
-) -> (String, ma_tpch::TpchData, ma_executor::ExecConfig, Option<u64>) {
+) -> (
+    String,
+    ma_tpch::TpchData,
+    ma_executor::ExecConfig,
+    Option<u64>,
+) {
     let mut target: Option<String> = None;
     let mut sf = 0.01f64;
     let mut workers_arg = workers;

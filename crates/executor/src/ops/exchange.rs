@@ -848,7 +848,8 @@ mod tests {
                 done: false,
             }))
         };
-        let mut ex = HashPartitionExchange::new(producers, vec![0], nz(partitions), &consumer).unwrap();
+        let mut ex =
+            HashPartitionExchange::new(producers, vec![0], nz(partitions), &consumer).unwrap();
         let chunks = collect(&mut ex).unwrap();
         let mut out: Vec<(i64, i64, i64)> = chunks
             .iter()

@@ -76,7 +76,15 @@ impl PhysicalPlan<'_> {
         let (mut out, root) = (String::new(), &self.root);
         let w = &mut Walk(&mut out, note);
         // Writing into a `String` cannot fail.
-        let _ = fmt_node(w, root.logical, Some((root, None)), 0, None, "shardable", &[]);
+        let _ = fmt_node(
+            w,
+            root.logical,
+            Some((root, None)),
+            0,
+            None,
+            "shardable",
+            &[],
+        );
         out
     }
 

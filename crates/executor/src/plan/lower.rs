@@ -1995,7 +1995,10 @@ mod tests {
         );
         let big = join(PlanBuilder::scan(&c, "t", &["k as bk", "v as bv"]), &["bv"]);
         let phys = plan_physical(&big, &cfg).unwrap();
-        assert!(matches!(phys.root.children[0].exchange, Exchange::Parallel { .. }));
+        assert!(matches!(
+            phys.root.children[0].exchange,
+            Exchange::Parallel { .. }
+        ));
         assert_eq!(
             counts(&big, &cfg),
             named(&[

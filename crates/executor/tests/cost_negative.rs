@@ -50,7 +50,10 @@ fn agg_sort_plan(c: &HashMap<String, Arc<Table>>) -> LogicalPlan {
 /// `plan` planned under the default configuration and priced against
 /// `budget`.
 fn priced(plan: &LogicalPlan, budget: u64) -> CostReport {
-    report(&plan_physical(plan, &ExecConfig::fixed_default()).unwrap(), budget)
+    report(
+        &plan_physical(plan, &ExecConfig::fixed_default()).unwrap(),
+        budget,
+    )
 }
 
 /// The baseline report under an effectively-unlimited budget, plus the
